@@ -55,19 +55,19 @@ def _series_check(g: int, expected) -> tuple[bool, str]:
     return True, f"F^({2 * g}) coefficients of u^2..u^{2 * len(expected)} exact"
 
 
-def _c_genus0(workers: int):
+def _c_genus0():
     return _series_check(0, _F0)
 
 
-def _c_genus1(workers: int):
+def _c_genus1():
     return _series_check(1, _F2)
 
 
-def _c_genus2(workers: int):
+def _c_genus2():
     return _series_check(2, _F4)
 
 
-def _c_closed_forms(workers: int):
+def _c_closed_forms():
     table = genus_table(1, 20)
     for j in range(1, 21):
         if table.count(0, j) != genus0_closed_form(j):
@@ -77,24 +77,30 @@ def _c_closed_forms(workers: int):
     return True, "closed forms match the Toda pipeline for 1 <= j <= 20, exactly"
 
 
-def _c_oracle(workers: int):
+# connected counts by genus and disconnected count of the p = 6 census
+_CENSUS6 = ({0: 9797760, 1: 19362240, 2: 3061800}, 2237625)
+
+
+def _c_oracle():
     for p in (2, 4, 6):
         j = p // 2
         g_top = (p + 2) // 4
         table = genus_table(g_top, j)
         expected = {g: table.count(g, j) for g in range(g_top + 1) if table.count(g, j)}
-        cen = census(p, workers=workers if p == 6 else 1)
+        cen = census(p)
         if cen.total != double_factorial(3 * p - 1):
             return False, f"p={p}: total {cen.total} != (3p-1)!!"
-        observed = {g: c for g, c in cen.connected.items() if c}  # engines may keep empty genus bins
+        observed = {g: c for g, c in cen.connected.items() if c}
         if observed != expected:
             return False, f"p={p}: connected counts {observed} != {expected}"
         if cen.disconnected != cen.total - sum(cen.connected.values()):
             return False, f"p={p}: disconnected count inconsistent with the total"
-    return True, "pairing census matches f(2g, 2j) for p=2,4,6; totals (3p-1)!!"
+        if p == 6 and (cen.connected, cen.disconnected) != _CENSUS6:
+            return False, f"p=6: census {cen.connected}, {cen.disconnected} disconnected != frozen {_CENSUS6}"
+    return True, "pairing census matches f(2g, 2j) for p=2,4,6 and the frozen p=6 counts; totals (3p-1)!!"
 
 
-def _c_critical(workers: int):
+def _c_critical():
     consts = run_C_recursion(2)
     exact = (
         -BETA / 18,
@@ -116,7 +122,7 @@ def _c_critical(workers: int):
     return True, f"C_0,C_2,C_4 exact; K_0,K_2,K_4 to 40+ digits ({shown})"
 
 
-def _c_painleve(workers: int):
+def _c_painleve():
     consts = run_C_recursion(9)
     rep = painleve_check(consts, 8)  # raises if no single q works
     if rep.nu_normalization != Qbeta.rational(1):
@@ -125,7 +131,7 @@ def _c_painleve(workers: int):
     return True, f"one q through genus 8 ({rep.orders_verified} orders beyond leading); nu*(-2C_0)=1; q/(1/(8mu)) = {ratio}"
 
 
-def _c_asymptotics(workers: int):
+def _c_asymptotics():
     j = 200
     dev0 = abs(count_vs_estimate(0, j, Fraction(genus0_closed_form(j)), precision=30).value - 1)
     dev1 = abs(count_vs_estimate(1, j, Fraction(genus1_closed_form(j)), precision=30).value - 1)
@@ -136,7 +142,7 @@ def _c_asymptotics(workers: int):
     return True, f"j={j} deviations {mp.nstr(dev0, 3)} (< 0.02) and {mp.nstr(dev1, 3)} (< 0.10)"
 
 
-def _c_string(workers: int):
+def _c_string():
     rep = build_report(Fraction(1, 10), 20, precision=120)
     bound = mp.mpf(10) ** -90
     worst = rep.max_string_residual.value
@@ -145,7 +151,7 @@ def _c_string(workers: int):
     return True, f"both string equations hold to {mp.nstr(worst, 3)} (< 1e-90) for n in [10, 30]"
 
 
-def _c_remainder(workers: int):
+def _c_remainder():
     rep = check_asymptotic_expansion(Fraction(1, 10), [16, 32], precision=80)
     lo, hi = mp.mpf(2) ** mp.mpf("-4.5"), mp.mpf(2) ** mp.mpf("-3.5")
     ratio = rep.gamma_ratios[0].value
@@ -154,7 +160,7 @@ def _c_remainder(workers: int):
     return True, f"gamma^2 remainder shrinks by {mp.nstr(ratio, 4)} when N doubles (within N^-3.5..N^-4.5)"
 
 
-def _c_toda(workers: int):
+def _c_toda():
     r1 = toda_residual(Fraction(2, 25), 12, Fraction(1, 1000), precision=80).value
     r2 = toda_residual(Fraction(2, 25), 12, Fraction(1, 2000), precision=80).value
     if not r1 < mp.mpf(10) ** -4:
@@ -165,7 +171,7 @@ def _c_toda(workers: int):
     return True, f"residual {mp.nstr(r1, 3)} (< 1e-4), shrinks {mp.nstr(shrink, 5)}x at h/2"
 
 
-def _c_endpoints(workers: int):
+def _c_endpoints():
     with workdps(60):
         uc = critical_coupling(60)
         eq = solve_endpoints(uc, precision=40)
@@ -207,7 +213,7 @@ CRITERIA = (
 KEYS = tuple(key for key, _, _, _ in CRITERIA)
 
 
-def run_criterion(key: str, workers: int = 4) -> CriterionResult:
+def run_criterion(key: str) -> CriterionResult:
     for index, (k, title, budget, fn) in enumerate(CRITERIA, start=1):
         if k == key:
             break
@@ -215,7 +221,7 @@ def run_criterion(key: str, workers: int = 4) -> CriterionResult:
         raise ValueError(f"unknown criterion {key!r}; choose from {', '.join(KEYS)}")
     start = time.perf_counter()
     try:
-        ok, detail = fn(workers)
+        ok, detail = fn()
     except Exception as exc:  # a crash is a failed criterion, not a crashed suite
         ok, detail = False, f"raised {type(exc).__name__}: {exc}"
     elapsed = time.perf_counter() - start
@@ -227,7 +233,7 @@ def run_criterion(key: str, workers: int = 4) -> CriterionResult:
     )
 
 
-def run_all(skip=(), workers: int = 4) -> list[CriterionResult]:
+def run_all(skip=()) -> list[CriterionResult]:
     unknown = set(skip) - set(KEYS)
     if unknown:
         raise ValueError(f"unknown criterion keys: {', '.join(sorted(unknown))}")
@@ -239,5 +245,5 @@ def run_all(skip=(), workers: int = 4) -> list[CriterionResult]:
                 elapsed_s=0.0, budget_s=budget, detail="skipped on request",
             ))
         else:
-            results.append(run_criterion(key, workers=workers))
+            results.append(run_criterion(key))
     return results

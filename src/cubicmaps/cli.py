@@ -32,7 +32,7 @@ from .serialize import (
     encode_series,
 )
 from .toda import genus_table
-from .wick import census
+from .wick import ENGINE, census
 
 
 class ValidationError(Exception):
@@ -206,14 +206,14 @@ def _cmd_oracle(args) -> tuple[str, int]:
         raise ValidationError("--vertices must be a positive even integer")
     if args.workers < 1:
         raise ValidationError("--workers must be >= 1")
-    cen = census(p, workers=args.workers)
+    cen = census(p)
     payload = {
         "p": cen.vertices,
         "total": cen.total,
         "connected": {str(g): cen.connected[g] for g in sorted(cen.connected)},
         "disconnected": cen.disconnected,
-        "engine": cen.engine,
-        "workers": cen.workers,
+        "engine": ENGINE,
+        "workers": args.workers,
         "elapsed_ms": cen.elapsed_ms,
     }
     return dump_json(payload), 0
@@ -272,7 +272,7 @@ def _cmd_reproduce(args) -> tuple[str, int]:
         raise ValidationError("--workers must be >= 1")
     skip = tuple(s.strip() for s in args.skip.split(",") if s.strip()) if args.skip else ()
     try:
-        results = acceptance.run_all(skip=skip, workers=args.workers)
+        results = acceptance.run_all(skip=skip)
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
     lines = [acceptance.format_line(r) for r in results]
@@ -317,7 +317,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("oracle", help="exhaustive pairing census at p cubic vertices")
     p.add_argument("--vertices", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="echoed in the output; the census runs in one process")
     p.add_argument("--format", choices=("json",), default="json")
     p.add_argument("--output", default=None)
     p.set_defaults(fn=_cmd_oracle)
@@ -335,7 +335,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("reproduce", help="run the acceptance suite, one pass/fail line per criterion")
     p.add_argument("--skip", default="", help="comma-separated criterion keys, e.g. oracle6")
-    p.add_argument("--workers", type=int, default=4)
+    p.add_argument("--workers", type=int, default=4, help="accepted for compatibility; every criterion runs in one process")
     p.add_argument("--output", default=None)
     p.set_defaults(fn=_cmd_reproduce)
 

@@ -1,35 +1,31 @@
 """Brute-force census of vertex matchings, the combinatorial oracle.
 
-Every matching of the 3p half-edges of p trivalent vertices is enumerated,
-its faces counted through the rotation system, and the result tallied by
-genus and connectivity.  Totals are exact integers; nothing is sampled.
+Every matching of the 3p half-edges of p trivalent vertices is classified
+by face count (cycles of rotation-after-matching) and vertex connectivity,
+and the result tallied by genus.  Totals are exact integers; nothing is
+sampled.
 
-The inner loop runs in the compiled kernel ``_wickcore`` when the extension
-built, with ``_wickpure`` as the drop-in fallback (identical output,
-enumeration order, and branch structure).
+The matchings split into 3p-1 branches by the partner t of half-edge 0.
+Reversing every rotation maps the branch t = 1 onto t = 2, and relabelling
+the other vertices (then rotating the one that holds t) maps every branch
+t >= 3 onto t = 3, preserving faces and components.  So only those two
+branches are enumerated, and ``census`` weights them 2 and 3(p-1).
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass
 
-from . import _wickpure
 from .numbers import double_factorial
 
-try:
-    from . import _wickcore
-except ImportError:  # extension not built; fall back silently
-    _wickcore = None
-
-DEFAULT_ENGINE = "compiled" if _wickcore is not None else "pure"
+ENGINE = "pure"
 
 MAX_VERTICES = 6  # (3p-1)!! leaves; p = 8 would be ~3.2e10, past the design budget
 
 
 def available_engines() -> tuple[str, ...]:
-    return ("compiled", "pure") if _wickcore is not None else ("pure",)
+    return (ENGINE,)
 
 
 @dataclass(frozen=True)
@@ -52,9 +48,85 @@ class PairingCensus:
     total: int
     connected: dict[int, int]  # genus -> count
     disconnected: int
-    engine: str
-    workers: int
     elapsed_ms: int
+
+
+# counterclockwise rotation to the next half-edge on the same vertex
+_ROTATION = tuple(h - h % 3 + (h % 3 + 1) % 3 for h in range(3 * MAX_VERTICES))
+
+
+def analyze(match, n: int) -> tuple[int, int]:
+    """(faces, vertex components) of a complete matching on n half-edges."""
+    visited = [False] * n
+    faces = 0
+    for h0 in range(n):
+        if visited[h0]:
+            continue
+        faces += 1
+        c = h0
+        while not visited[c]:
+            visited[c] = True
+            c = _ROTATION[match[c]]
+    p = n // 3
+    parent = list(range(p))
+    comps = p
+    for h in range(n):
+        j = match[h]
+        if j > h:
+            ra = h // 3
+            while parent[ra] != ra:
+                ra = parent[ra]
+            rb = j // 3
+            while parent[rb] != rb:
+                rb = parent[rb]
+            if ra != rb:
+                parent[ra] = rb
+                comps -= 1
+    return faces, comps
+
+
+def _recurse(match: list, n: int, out: list) -> None:
+    h = 0
+    while h < n and match[h] >= 0:
+        h += 1
+    if h == n:
+        faces, comps = analyze(match, n)
+        out[0] += 1
+        if comps == 1:
+            out[2 + ((n // 6 + 2 - faces) >> 1)] += 1
+        else:
+            out[1] += 1
+        return
+    for t in range(h + 1, n):
+        if match[t] < 0:
+            match[h] = t
+            match[t] = h
+            _recurse(match, n, out)
+            match[h] = -1
+            match[t] = -1
+
+
+def _max_genus(p: int) -> int:
+    return (p // 2 + 1) // 2
+
+
+def count_branch(p: int, first_partner: int):
+    """Totals over all matchings that pair half-edge 0 with ``first_partner``.
+
+    Returns (total, disconnected, genus_counts) with genus_counts running
+    from genus 0 to the maximal genus a connected p-vertex map can reach.
+    """
+    if p % 2 or not 2 <= p <= MAX_VERTICES:
+        raise ValueError(f"p must be even with 2 <= p <= {MAX_VERTICES}")
+    n = 3 * p
+    if not 1 <= first_partner < n:
+        raise ValueError("first partner out of range")
+    match = [-1] * n
+    match[0] = first_partner
+    match[first_partner] = 0
+    out = [0] * (3 + _max_genus(p))
+    _recurse(match, n, out)
+    return out[0], out[1], tuple(out[2:])
 
 
 def genus_of_pairing(pairs) -> PairingTopology:
@@ -80,7 +152,7 @@ def genus_of_pairing(pairs) -> PairingTopology:
             raise ValueError(f"half-edge reused in pair ({i}, {j})")
         match[i] = j
         match[j] = i
-    faces, comps = _wickpure.analyze(match, n)
+    faces, comps = analyze(match, n)
     genus = None
     if comps == 1:
         twice = p // 2 + 2 - faces
@@ -90,42 +162,26 @@ def genus_of_pairing(pairs) -> PairingTopology:
     return PairingTopology(vertices=p, faces=faces, components=comps, genus=genus)
 
 
-def _engine_module(engine: str):
-    if engine == "auto":
-        engine = DEFAULT_ENGINE
-    if engine == "compiled":
-        if _wickcore is None:
-            raise RuntimeError("compiled kernel not built; use engine='pure'")
-        return _wickcore, "compiled"
-    if engine == "pure":
-        return _wickpure, "pure"
-    raise ValueError(f"unknown engine {engine!r}")
-
-
-def census(p: int, workers: int = 1, engine: str = "auto") -> PairingCensus:
+def census(p: int) -> PairingCensus:
     """Full exact census over all (3p-1)!! matchings of p trivalent vertices.
 
-    ``workers`` > 1 splits on the partner of half-edge 0 (3p-1 equal-size
-    branches) across processes; the merge order is fixed, so results are
-    byte-identical regardless of worker count.
+    Enumerates the branches t = 1 and t = 3 of the partner of half-edge 0
+    and weights them by their class sizes, 2 and 3(p-1).  Each enumerated
+    branch must hold (3p-3)!! leaves, which makes the weighted total
+    (3p-1)!!.
     """
     if p % 2 or not 2 <= p <= MAX_VERTICES:
         raise ValueError(f"p must be even with 2 <= p <= {MAX_VERTICES}")
-    mod, engine_name = _engine_module(engine)
     start = time.perf_counter()
-    branches = list(range(1, 3 * p))
-    if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            parts = pool.starmap(mod.count_branch, [(p, t) for t in branches], chunksize=1)
-    else:
-        parts = [mod.count_branch(p, t) for t in branches]
-    total = sum(part[0] for part in parts)
-    disconnected = sum(part[1] for part in parts)
-    maxg = (p // 2 + 1) // 2
-    tallies = [sum(part[2][g] for part in parts) for g in range(maxg + 1)]
+    classes = ((2, count_branch(p, 1)), (3 * (p - 1), count_branch(p, 3)))
+    leaves = double_factorial(3 * p - 3)
+    for _, (branch_total, _, _) in classes:
+        if branch_total != leaves:
+            raise ArithmeticError(f"branch total {branch_total} != (3p-3)!!")
+    total = sum(w * part[0] for w, part in classes)
+    disconnected = sum(w * part[1] for w, part in classes)
+    tallies = [sum(w * part[2][g] for w, part in classes) for g in range(_max_genus(p) + 1)]
     elapsed_ms = int(round(1000 * (time.perf_counter() - start)))
-    if total != double_factorial(3 * p - 1):
-        raise ArithmeticError(f"census total {total} != (3p-1)!!")
     table_max = min(p // 2, 2)
     connected = {g: (tallies[g] if g < len(tallies) else 0) for g in range(table_max + 1)}
     return PairingCensus(
@@ -133,7 +189,5 @@ def census(p: int, workers: int = 1, engine: str = "auto") -> PairingCensus:
         total=total,
         connected=connected,
         disconnected=disconnected,
-        engine=engine_name,
-        workers=workers,
         elapsed_ms=elapsed_ms,
     )

@@ -19,7 +19,7 @@ def test_criteria_registry():
 
 @pytest.mark.parametrize("key", KEYS)
 def test_criterion(key, acceptance_log):
-    r = run_criterion(key, workers=4 if key == "oracle6" else 1)
+    r = run_criterion(key)
     line = format_line(r)
     acceptance_log(line)
     print(line)

@@ -72,6 +72,15 @@ def test_oracle_counts(capsys):
     assert payload == again
 
 
+def test_oracle_workers_echoed_and_validated(capsys):
+    code, out, _ = run_cli(capsys, "oracle", "--vertices", "2", "--workers", "3")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["engine"], payload["workers"]) == ("pure", 3)
+    code, _, err = run_cli(capsys, "oracle", "--vertices", "2", "--workers", "0")
+    assert code == 1 and error_type(err) == "validation"
+
+
 def test_oracle_rejects_odd(capsys):
     code, _, err = run_cli(capsys, "oracle", "--vertices", "3")
     assert code == 1 and error_type(err) == "validation"
@@ -186,7 +195,7 @@ def test_reproduce_unknown_key(capsys):
 def test_reproduce_failure_exit(capsys, monkeypatch):
     forced = CriterionResult(index=1, key="genus0", title="t", passed=False, skipped=False,
                              elapsed_s=0.1, budget_s=1.0, detail="forced failure")
-    monkeypatch.setattr(acceptance, "run_all", lambda skip=(), workers=4: [forced])
+    monkeypatch.setattr(acceptance, "run_all", lambda skip=(): [forced])
     code, out, _ = run_cli(capsys, "reproduce")
     assert code == 3
     assert " FAIL " in out and "0 passed, 1 failed" in out

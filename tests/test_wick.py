@@ -7,8 +7,8 @@ from cubicmaps.numbers import double_factorial
 from cubicmaps.toda import genus_table
 from cubicmaps.wick import (
     MAX_VERTICES,
-    available_engines,
     census,
+    count_branch,
     genus_of_pairing,
 )
 
@@ -51,24 +51,14 @@ CENSUS_TABLE = {
 }
 
 
-@pytest.mark.parametrize("engine", available_engines())
 @pytest.mark.parametrize("p", [2, 4])
-def test_census_frozen_values(p, engine):
-    c = census(p, engine=engine)
+def test_census_frozen_values(p):
+    c = census(p)
     connected, disconnected = CENSUS_TABLE[p]
     assert c.connected == connected
     assert c.disconnected == disconnected
     assert c.total == double_factorial(3 * p - 1)
     assert sum(c.connected.values()) + c.disconnected == c.total
-
-
-def test_six_vertex_census_matches_free_energy():
-    if "compiled" not in available_engines():
-        pytest.skip("pure engine is too slow for p = 6 in the default suite")
-    c = census(6)
-    assert c.connected == {0: 9797760, 1: 19362240, 2: 3061800}
-    assert c.disconnected == 2237625
-    assert c.total == double_factorial(17)
 
 
 def test_census_counts_equal_genus_coefficients():
@@ -81,21 +71,20 @@ def test_census_counts_equal_genus_coefficients():
             assert count == table.count(g, p // 2)
 
 
-def test_worker_split_is_deterministic():
-    one = census(4, workers=1)
-    two = census(4, workers=2)
-    assert one.connected == two.connected
-    assert one.disconnected == two.disconnected
-    assert one.total == two.total
-
-
-def test_engine_parity_per_branch():
-    if "compiled" not in available_engines():
-        pytest.skip("compiled kernel not built")
-    from cubicmaps import _wickcore, _wickpure
-
-    for t in range(1, 12):
-        assert _wickpure.count_branch(4, t) == _wickcore.count_branch(4, t)
+@pytest.mark.parametrize("p", [2, 4])
+def test_branch_symmetry_classes(p):
+    # every branch of the partner t of half-edge 0 equals its class
+    # representative, and the unweighted sum over all 3p-1 branches is the
+    # census: the independent check of the weights 2 and 3(p-1)
+    branches = {t: count_branch(p, t) for t in range(1, 3 * p)}
+    for t, branch in branches.items():
+        assert branch == branches[1 if t <= 2 else 3]
+        assert branch[0] == double_factorial(3 * p - 3)
+    c = census(p)
+    assert sum(b[0] for b in branches.values()) == c.total
+    assert sum(b[1] for b in branches.values()) == c.disconnected
+    genera = range(len(branches[1][2]))
+    assert [sum(b[2][g] for b in branches.values()) for g in genera] == [c.connected[g] for g in genera]
 
 
 def test_census_rejects_bad_sizes():
@@ -104,7 +93,7 @@ def test_census_rejects_bad_sizes():
     with pytest.raises(ValueError):
         census(MAX_VERTICES + 2)
     with pytest.raises(ValueError):
-        census(4, engine="vectorized")
+        count_branch(4, 12)  # half-edge 0 has partners 1..3p-1 only
 
 
 @settings(max_examples=60, deadline=None)

@@ -85,28 +85,24 @@ class Qbeta:
     __rmul__ = __mul__
 
     def inverse(self) -> "Qbeta":
-        # solve (self * x) = 1 componentwise: 4x4 rational linear system
-        cols = []
-        basis = [Qbeta((1, 0, 0, 0)), Qbeta((0, 1, 0, 0)), Qbeta((0, 0, 1, 0)), Qbeta((0, 0, 0, 1))]
-        for b in basis:
-            cols.append((self * b).c)
-        a = [[cols[j][i] for j in range(4)] for i in range(4)]
-        rhs = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
-        for col in range(4):
-            piv = next((r for r in range(col, 4) if a[r][col]), None)
-            if piv is None:
-                raise ZeroDivisionError("Qbeta element is zero")
-            a[col], a[piv] = a[piv], a[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-            inv = 1 / a[col][col]
-            a[col] = [x * inv for x in a[col]]
-            rhs[col] *= inv
-            for r in range(4):
-                if r != col and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                    rhs[r] -= f * rhs[col]
-        return Qbeta(tuple(rhs))
+        # sigma (beta -> -beta) gives x sigma(x) = a + b beta^2 in Q(beta^2);
+        # tau (beta^2 -> -beta^2) then gives the rational norm
+        # N = (a + b beta^2)(a - b beta^2) = a^2 - 12 b^2, and
+        # 1/x = sigma(x) (a - b beta^2) / N
+        c0, c1, c2, c3 = self.c
+        a = c0 * c0 + 12 * c2 * c2 - 24 * c1 * c3
+        b = 2 * c0 * c2 - c1 * c1 - 12 * c3 * c3
+        norm = a * a - 12 * b * b
+        if not norm:
+            raise ZeroDivisionError("Qbeta element is zero")
+        return Qbeta(
+            (
+                (c0 * a - 12 * c2 * b) / norm,
+                (12 * c3 * b - c1 * a) / norm,
+                (c2 * a - c0 * b) / norm,
+                (c1 * b - c3 * a) / norm,
+            )
+        )
 
     def __truediv__(self, other):
         o = _coerce4(other)
@@ -223,20 +219,17 @@ def gamma_ratio(a: Fraction, b: Fraction) -> Fraction:
     if d.denominator != 1:
         raise ValueError(f"Gamma ratio needs integer offset, got {a} vs {b}")
     steps = int(d)
-    out = Fraction(1)
-    if steps >= 0:
-        for i in range(steps):
-            f = b + i
-            if f == 0:
-                raise ZeroDivisionError(f"Gamma pole crossed at {f}")
-            out *= f
-        return out
-    for i in range(-steps):
-        f = a + i
+    # product of the factors low + i, i < |steps|, over their common denominator
+    low = b if steps >= 0 else a
+    num, den = low.numerator, low.denominator
+    out = 1
+    for i in range(abs(steps)):
+        f = num + i * den
         if f == 0:
-            raise ZeroDivisionError(f"Gamma pole crossed at {f}")
-        out /= f
-    return out
+            raise ZeroDivisionError("Gamma pole crossed at 0")
+        out *= f
+    ratio = Fraction(out, den ** abs(steps))
+    return ratio if steps >= 0 else 1 / ratio
 
 
 def binomial(a, k: int) -> Fraction:

@@ -1,20 +1,26 @@
 """Truncated formal power series with explicit known-coefficient windows.
 
 A series carries a variable tag, an integer ``offset`` (lowest tracked
-exponent, may be negative), and a coefficient tuple.  Exponents below the
-offset are exactly zero; exponents above ``known_max`` are unknown, not zero.
-Every operation propagates the window by the min-horizon rule, so a
-coefficient can be read back only if it is fully determined by the inputs.
+exponent, may be negative), and a run of tracked coefficients.  Exponents
+below the offset are exactly zero; exponents above ``known_max`` are unknown,
+not zero.  Every operation propagates the window by the min-horizon rule, so
+a coefficient can be read back only if it is fully determined by the inputs.
 
-Coefficients are exact ring elements: ``fractions.Fraction`` or any type with
-compatible arithmetic (``cubicmaps.numbers.Qbeta``).  Nothing here rounds.
+A rational series is stored as a tuple of Python-int numerators over one
+positive common denominator, reduced by a single gcd per result; every
+operation on rational series is integer arithmetic (products are schoolbook
+convolutions, quotients a fraction-free triangular solve), and ``coeffs``
+exposes the same values as a cached tuple of ``fractions.Fraction``.  Series
+with coefficients in another exact ring (``cubicmaps.numbers.Qbeta``) keep
+their elements and use an element-wise loop.  Nothing here rounds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Sequence
+from math import gcd, lcm
+from operator import add, mul
+from typing import Any
 
 VAR_U2 = "u2"  # exponent counts powers of u^2 (even series in the coupling)
 VAR_W = "w"  # w = s*u^2
@@ -27,46 +33,109 @@ class BeyondHorizonError(IndexError):
     """Requested coefficient lies above the series' known window."""
 
 
-def _normalize(c: Any) -> Any:
-    return Fraction(c) if isinstance(c, int) else c
+def _place(values, lo: int, n: int) -> list:
+    """n slots holding values from slot lo on, zero elsewhere (values cut at n)."""
+    lo = min(lo, n)
+    body = list(values[: n - lo])
+    return [0] * lo + body + [0] * (n - lo - len(body))
 
 
-@dataclass(frozen=True)
+def _convolve(a, b, n: int) -> list:
+    """First n coefficients of the product of two coefficient runs of length >= n."""
+    rb = b[n - 1 :: -1]
+    return [sum(map(mul, a, rb[n - 1 - k :])) for k in range(n)]
+
+
 class TruncatedSeries:
-    var: str
-    offset: int
-    coeffs: tuple
+    """Immutable; equal (and equally hashed) when variable, offset and coefficients agree."""
 
-    def __post_init__(self) -> None:
-        if self.var not in _VARS:
-            raise ValueError(f"unknown series variable {self.var!r}")
-        if not self.coeffs:
+    __slots__ = ("var", "offset", "_num", "_den", "_coeffs")
+
+    def __init__(self, var: str, offset: int, coeffs) -> None:
+        if var not in _VARS:
+            raise ValueError(f"unknown series variable {var!r}")
+        if not coeffs:
             raise ValueError("series needs at least one tracked coefficient")
-        coeffs = tuple(_normalize(c) for c in self.coeffs)
-        offset = self.offset
+        if all(isinstance(c, (int, Fraction)) for c in coeffs):
+            den = lcm(*(c.denominator for c in coeffs))
+            self._set(var, offset, [c.numerator * (den // c.denominator) for c in coeffs], den)
+        else:
+            self._set(var, offset, tuple(Fraction(c) if isinstance(c, int) else c for c in coeffs), None)
+
+    def _set(self, var: str, offset: int, nums, den) -> None:
         # canonical form: leading coefficient nonzero, or a single zero pinned
-        # at known_max (the window below it is zero either way)
-        lead = 0
-        while lead < len(coeffs) - 1 and not coeffs[lead]:
+        # at known_max (the window below it is zero either way); a rational
+        # series (den an int) keeps its numerators coprime to a positive
+        # denominator, a series of ring elements (den None) keeps them as given
+        lead, last = 0, len(nums) - 1
+        while lead < last and not nums[lead]:
             lead += 1
-        if lead:
-            offset += lead
-            coeffs = coeffs[lead:]
-        if len(coeffs) == 1 and not coeffs[0]:
-            coeffs = (Fraction(0),)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "coeffs", coeffs)
+        nums = tuple(nums[lead:])
+        if not nums[0]:
+            nums, den = (0,), 1
+        elif den is not None:
+            g = gcd(den, *nums)
+            if den < 0:
+                g = -g
+            if g != 1:
+                nums = tuple(x // g for x in nums)
+                den //= g
+        coeffs = nums if den is None else None
+        for name, value in (("var", var), ("offset", offset + lead), ("_num", nums), ("_den", den), ("_coeffs", coeffs)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TruncatedSeries is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("TruncatedSeries is immutable")
+
+    def __reduce__(self):
+        return TruncatedSeries, (self.var, self.offset, self.coeffs)
+
+    def _rational(self, offset: int, nums, den: int) -> "TruncatedSeries":
+        out = object.__new__(TruncatedSeries)
+        out._set(self.var, offset, nums, den)
+        return out
+
+    def _with_window(self, var: str, offset: int) -> "TruncatedSeries":
+        out = object.__new__(TruncatedSeries)
+        for name in self.__slots__:
+            object.__setattr__(out, name, getattr(self, name))
+        object.__setattr__(out, "var", var)
+        object.__setattr__(out, "offset", offset)
+        return out
+
+    @property
+    def coeffs(self) -> tuple:
+        """Tracked coefficients, zeros included, as Fractions (or ring elements)."""
+        if self._coeffs is None:
+            den = self._den
+            object.__setattr__(self, "_coeffs", tuple(Fraction(x, den) for x in self._num))
+        return self._coeffs
+
+    def __eq__(self, other):
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        if self.var != other.var or self.offset != other.offset:
+            return False
+        if self._den is not None and other._den is not None:
+            return self._den == other._den and self._num == other._num
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.var, self.offset, self.coeffs))
 
     @property
     def known_max(self) -> int:
-        return self.offset + len(self.coeffs) - 1
+        return self.offset + len(self._num) - 1
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self._num)
 
     def valuation(self) -> int:
         """Exponent of the lowest nonzero tracked coefficient."""
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self._num):
             if c:
                 return self.offset + i
         raise ValueError("series is zero through its horizon")
@@ -95,29 +164,30 @@ class TruncatedSeries:
             return self._add_scalar(other)
         self._check_var(other)
         offset = min(self.offset, other.offset)
-        known = min(self.known_max, other.known_max)
-        out = []
-        for e in range(offset, known + 1):
-            a = self.coeffs[e - self.offset] if self.offset <= e <= self.known_max else 0
-            b = other.coeffs[e - other.offset] if other.offset <= e <= other.known_max else 0
-            out.append(a + b)
-        return TruncatedSeries(self.var, offset, tuple(out))
+        n = min(self.known_max, other.known_max) - offset + 1
+        if self._den is None or other._den is None:
+            a = _place(self.coeffs, self.offset - offset, n)
+            b = _place(other.coeffs, other.offset - offset, n)
+            return TruncatedSeries(self.var, offset, tuple(map(add, a, b)))
+        da, db = self._den, other._den
+        g = gcd(da, db)
+        a = _place(self._num, self.offset - offset, n)
+        b = _place(other._num, other.offset - offset, n)
+        if db != g:
+            a = [x * (db // g) for x in a]
+        if da != g:
+            b = [x * (da // g) for x in b]
+        return self._rational(offset, list(map(add, a, b)), da // g * db)
 
     __radd__ = __add__
 
     def _add_scalar(self, c):
-        c = _normalize(c)
-        offset = min(self.offset, 0)
-        out = list(self.coeffs)
-        if self.offset > 0:
-            out = [Fraction(0)] * self.offset + out
-        elif self.offset < 0 and self.known_max < 0:
+        if self.known_max < 0:
             raise BeyondHorizonError("window ends below exponent 0")
-        out[-offset] = out[-offset] + c
-        return TruncatedSeries(self.var, offset, tuple(out))
+        return self + monomial(self.var, c, 0, self.known_max)
 
     def __neg__(self):
-        return TruncatedSeries(self.var, self.offset, tuple(-c for c in self.coeffs))
+        return self._scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
@@ -125,45 +195,56 @@ class TruncatedSeries:
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scale(self, c):
+        if self._den is None or not isinstance(c, (int, Fraction)):
+            return TruncatedSeries(self.var, self.offset, tuple(x * c for x in self.coeffs))
+        p = c.numerator
+        return self._rational(self.offset, [x * p for x in self._num], self._den * c.denominator)
+
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            c = _normalize(other)
-            return TruncatedSeries(self.var, self.offset, tuple(x * c for x in self.coeffs))
+            return self._scale(other)
         self._check_var(other)
-        la, lb = len(self.coeffs), len(other.coeffs)
-        n = min(la, lb)
-        out = [self.coeffs[0] * other.coeffs[0] * 0] * n
-        for i in range(min(la, n)):
-            a = self.coeffs[i]
-            if not a:
-                continue
-            for j in range(min(lb, n - i)):
-                out[i + j] = out[i + j] + a * other.coeffs[j]
-        return TruncatedSeries(self.var, self.offset + other.offset, tuple(out))
+        n = min(len(self._num), len(other._num))
+        offset = self.offset + other.offset
+        if self._den is None or other._den is None:
+            return TruncatedSeries(self.var, offset, tuple(_convolve(self.coeffs, other.coeffs, n)))
+        return self._rational(offset, _convolve(self._num, other._num, n), self._den * other._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, TruncatedSeries):
-            c = _normalize(other)
-            return self * (Fraction(1) / c if isinstance(c, Fraction) else c.inverse())
+            return self._scale(Fraction(1) / other if isinstance(other, (int, Fraction)) else other.inverse())
         self._check_var(other)
-        v = other.valuation()
-        den = other.coeffs[v - other.offset :]
-        n = min(len(self.coeffs), len(den))
-        inv0 = Fraction(1) / den[0] if isinstance(den[0], Fraction) else den[0].inverse()
-        out = []
+        offset = self.offset - other.valuation()  # canonical: the valuation is the offset
+        n = min(len(self._num), len(other._num))
+        if self._den is None or other._den is None:
+            a, b = self.coeffs, other.coeffs
+            inv0 = 1 / b[0] if isinstance(b[0], Fraction) else b[0].inverse()
+            b1 = b[1:n]
+            out = []
+            for i in range(n):
+                out.append((a[i] - sum(map(mul, b1, reversed(out)))) * inv0)
+            return TruncatedSeries(self.var, offset, tuple(out))
+        # a/b over the integers: with p the leading numerator of b, the
+        # quotient's i-th coefficient is Q_i / p^(i+1), where
+        # Q_i = a_i p^i - sum_j (b_j p^(j-1)) Q_(i-j) needs no division
+        a, b = self._num, other._num
+        p = b[0]
+        powers = [1]
+        for _ in range(n):
+            powers.append(powers[-1] * p)
+        b1 = list(map(mul, b[1:n], powers))
+        q: list = []
         for i in range(n):
-            acc = self.coeffs[i]
-            for j in range(1, i + 1):
-                acc = acc - den[j] * out[i - j]
-            out.append(acc * inv0)
-        return TruncatedSeries(self.var, self.offset - v, tuple(out))
+            q.append(a[i] * powers[i] - sum(map(mul, b1, reversed(q))))
+        nums = [x * powers[n - 1 - i] * other._den for i, x in enumerate(q)]
+        return self._rational(offset, nums, powers[n] * self._den)
 
     def __rtruediv__(self, other):
-        c = _normalize(other)
-        one = monomial(self.var, 1, 0, len(self.coeffs) - 1)
-        return (one / self) * c
+        one = monomial(self.var, 1, 0, len(self._num) - 1)
+        return (one / self) * other
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 1:
@@ -177,31 +258,36 @@ class TruncatedSeries:
 
     def differentiate(self):
         """d/dvar.  The window slides down one exponent; length is preserved."""
-        out = tuple(c * (self.offset + i) for i, c in enumerate(self.coeffs))
-        return TruncatedSeries(self.var, self.offset - 1, out)
+        e0 = self.offset
+        out = [c * (e0 + i) for i, c in enumerate(self._num)]
+        if self._den is None:
+            return TruncatedSeries(self.var, e0 - 1, tuple(out))
+        return self._rational(e0 - 1, out, self._den)
 
     def integrate(self):
         """Antiderivative with zero constant term; pole at exponent -1 raises."""
-        out = []
-        for i, c in enumerate(self.coeffs):
-            e = self.offset + i
-            if e == -1:
-                if c:
-                    raise ZeroDivisionError("antiderivative of a 1/var term")
-                out.append(Fraction(0))
-            else:
-                out.append(c / Fraction(e + 1) if isinstance(c, Fraction) else c / (e + 1))
-        return TruncatedSeries(self.var, self.offset + 1, tuple(out))
+        e0 = self.offset
+        if e0 <= -1 <= self.known_max and self._num[-1 - e0]:
+            raise ZeroDivisionError("antiderivative of a 1/var term")
+        steps = [e0 + i + 1 or 1 for i in range(len(self._num))]  # the e = -1 slot is zero
+        if self._den is None:
+            out = tuple(c / Fraction(s) for c, s in zip(self._num, steps))
+            return TruncatedSeries(self.var, e0 + 1, out)
+        m = lcm(*steps)
+        out = [x * (m // s) for x, s in zip(self._num, steps)]
+        return self._rational(e0 + 1, out, self._den * m)
 
     # -- structure ---------------------------------------------------------
 
     def shift(self, k: int):
         """Multiply by var**k."""
-        return TruncatedSeries(self.var, self.offset + k, self.coeffs)
+        return self._with_window(self.var, self.offset + k)
 
     def retag(self, var: str):
         """Reinterpret exponents under a new variable tag (w = u^2 style substitutions)."""
-        return TruncatedSeries(var, self.offset, self.coeffs)
+        if var not in _VARS:
+            raise ValueError(f"unknown series variable {var!r}")
+        return self._with_window(var, self.offset)
 
     def truncate_to(self, known_max: int):
         if known_max > self.known_max:
@@ -210,8 +296,10 @@ class TruncatedSeries:
             )
         n = known_max - self.offset + 1
         if n < 1:
-            return TruncatedSeries(self.var, known_max, (Fraction(0),))
-        return TruncatedSeries(self.var, self.offset, self.coeffs[:n])
+            return zero_series(self.var, known_max)
+        if self._den is None:
+            return TruncatedSeries(self.var, self.offset, self._num[:n])
+        return self._rational(self.offset, self._num[:n], self._den)
 
     def sqrt_unit(self):
         """Square root of a series whose lowest tracked term is a rational square at even exponent."""
@@ -234,7 +322,7 @@ class TruncatedSeries:
             steps += 1
         for _ in range(steps + 1):
             t = (t + base / t) * Fraction(1, 2)
-        if (t * t).coeffs != base.coeffs[: len((t * t).coeffs)]:
+        if t * t != base:
             raise ArithmeticError("square-root iteration failed to verify")
         return t.shift(v // 2)
 
@@ -267,12 +355,11 @@ def _to_number(c, like):
 def monomial(var: str, coeff, exponent: int, known_max: int) -> TruncatedSeries:
     if known_max < exponent:
         raise ValueError("known_max below the monomial exponent")
-    pad = known_max - exponent
-    return TruncatedSeries(var, exponent, (coeff,) + (Fraction(0),) * pad)
+    return TruncatedSeries(var, exponent, (coeff,) + (0,) * (known_max - exponent))
 
 
 def zero_series(var: str, known_max: int) -> TruncatedSeries:
-    return TruncatedSeries(var, known_max, (Fraction(0),))
+    return TruncatedSeries(var, known_max, (0,))
 
 
 def from_coefficients(var: str, pairs: dict[int, Any], known_max: int) -> TruncatedSeries:
@@ -282,9 +369,9 @@ def from_coefficients(var: str, pairs: dict[int, Any], known_max: int) -> Trunca
     offset = min(pairs)
     if max(pairs) > known_max:
         raise ValueError("coefficient beyond the declared window")
-    out = [Fraction(0)] * (known_max - offset + 1)
+    out = [0] * (known_max - offset + 1)
     for e, c in pairs.items():
-        out[e - offset] = _normalize(c)
+        out[e - offset] = c
     return TruncatedSeries(var, offset, tuple(out))
 
 

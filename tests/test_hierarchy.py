@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from cubicmaps import hierarchy
 from cubicmaps.equilibrium import endpoint_series
 from cubicmaps.hierarchy import (
     StringHierarchy,
@@ -32,6 +33,18 @@ def test_g0_series_dual_route():
     assert [s.coefficient(j) for j in range(1, 6)] == G0_HEAD
     with pytest.raises(ValueError):
         compute_g0_series(0)
+
+
+@pytest.mark.parametrize("perturbed", [1, 2, 17, 33])
+def test_g0_series_dual_route_detects_a_wrong_coefficient(monkeypatch, perturbed):
+    # one closed-form coefficient off by 1: the Newton route must disagree,
+    # including at the top of the window, which only the last Newton step reaches
+    original = hierarchy.g0_coefficient
+    monkeypatch.setattr(
+        hierarchy, "g0_coefficient", lambda j: original(j) + (1 if j == perturbed else 0)
+    )
+    with pytest.raises(ArithmeticError, match="dual-route"):
+        compute_g0_series(33)
 
 
 def test_g2_coefficient_head():

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, workdps
 
 from cubicmaps.numbers import (
@@ -45,6 +47,37 @@ def test_inverse_and_division():
     assert (x / y) * y == x
     with pytest.raises(ZeroDivisionError):
         Qbeta.rational(0).inverse()
+
+
+def _inverse_by_elimination(x: Qbeta) -> Qbeta:
+    # reference: solve x * y = 1 as a 4x4 rational system on the beta-power basis
+    basis = [Qbeta(tuple(int(i == j) for j in range(4))) for i in range(4)]
+    cols = [(x * e).c for e in basis]
+    rows = [[cols[j][i] for j in range(4)] + [Fraction(int(i == 0))] for i in range(4)]
+    for col in range(4):
+        piv = next(r for r in range(col, 4) if rows[r][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(4):
+            if r != col:
+                f = rows[r][col]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
+    return Qbeta(tuple(row[4] for row in rows))
+
+
+qbeta_elements = st.tuples(*[st.fractions(min_value=-50, max_value=50, max_denominator=12)] * 4).map(Qbeta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(qbeta_elements)
+def test_inverse_by_conjugates_matches_elimination(x):
+    if not x:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        return
+    inv = x.inverse()
+    assert x * inv == Qbeta.rational(1)
+    assert inv == _inverse_by_elimination(x)
 
 
 def test_random_products_match_floats():

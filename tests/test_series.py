@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -173,3 +175,175 @@ def test_division_roundtrip_property(a, b):
 def test_derivative_of_product_rule(a):
     b = a * a
     assert_same_series(b.differentiate(), a.differentiate() * a * 2)
+
+
+# -- integer kernel against a Fraction reference ----------------------------
+# The references below read only the public offset/coeffs of their inputs and
+# compute with Fractions, exponent by exponent, sharing nothing with series.py.
+
+
+def _ref_terms(s):
+    return s.offset, list(s.coeffs)
+
+
+def _ref_mul(a, b):
+    (oa, ca), (ob, cb) = _ref_terms(a), _ref_terms(b)
+    n = min(len(ca), len(cb))
+    out = []
+    for k in range(n):
+        acc = Fraction(0)
+        for i in range(k + 1):
+            acc += ca[i] * cb[k - i]
+        out.append(acc)
+    return oa + ob, out
+
+
+def _ref_div(a, b):
+    (oa, ca), (ob, cb) = _ref_terms(a), _ref_terms(b)
+    v = next(i for i, c in enumerate(cb) if c)
+    cb = cb[v:]
+    n = min(len(ca), len(cb))
+    out = []
+    for i in range(n):
+        acc = ca[i]
+        for j in range(1, i + 1):
+            acc -= cb[j] * out[i - j]
+        out.append(acc / cb[0])
+    return oa - (ob + v), out
+
+
+def _ref_add(a, b):
+    (oa, ca), (ob, cb) = _ref_terms(a), _ref_terms(b)
+    lo = min(oa, ob)
+    hi = min(oa + len(ca), ob + len(cb)) - 1
+
+    def at(o, c, e):
+        return c[e - o] if o <= e < o + len(c) else Fraction(0)
+
+    return lo, [at(oa, ca, e) + at(ob, cb, e) for e in range(lo, hi + 1)]
+
+
+def _assert_matches(series, ref):
+    offset, coeffs = ref
+    assert series.known_max == offset + len(coeffs) - 1
+    for i, c in enumerate(coeffs):
+        assert series.coefficient(offset + i) == c
+    assert all(type(c) is Fraction for c in series.coeffs)
+    rebuilt = TruncatedSeries(series.var, offset, tuple(coeffs))
+    assert series == rebuilt and hash(series) == hash(rebuilt)
+
+
+exact_coeffs = st.one_of(
+    st.integers(min_value=-10**30, max_value=10**30),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**9),
+)
+kernel_series = st.builds(
+    lambda lead, body, offset: w_series([0] * lead + body, offset),
+    st.integers(min_value=0, max_value=3),  # leading zeros, stripped on construction
+    st.lists(st.one_of(st.just(0), exact_coeffs), min_size=1, max_size=12),
+    st.integers(min_value=-5, max_value=5),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_series, kernel_series)
+def test_mul_and_add_match_reference(a, b):
+    _assert_matches(a * b, _ref_mul(a, b))
+    _assert_matches(a + b, _ref_add(a, b))
+    _assert_matches(a - b, _ref_add(a, -b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_series, kernel_series)
+def test_div_matches_reference(a, b):
+    if b.is_zero():
+        with pytest.raises(ValueError):
+            _ = a / b
+        return
+    _assert_matches(a / b, _ref_div(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_series, st.integers(min_value=1, max_value=4), st.lists(exact_coeffs, min_size=1, max_size=10))
+def test_div_by_positive_valuation_matches_reference(a, v, body):
+    if not body[0]:
+        body[0] = 1
+    b = w_series(body, offset=v)
+    q = a / b
+    assert q.offset == a.offset - v
+    _assert_matches(q, _ref_div(a, b))
+
+
+@settings(max_examples=120, deadline=None)
+@given(kernel_series, exact_coeffs)
+def test_scalar_ops_match_reference(s, c):
+    c = Fraction(c)
+    offset, coeffs = _ref_terms(s)
+    _assert_matches(s * c, (offset, [x * c for x in coeffs]))
+    _assert_matches(c * s, (offset, [x * c for x in coeffs]))
+    if c:
+        _assert_matches(s / c, (offset, [x / c for x in coeffs]))
+    if s.known_max < 0:
+        with pytest.raises(BeyondHorizonError):
+            _ = s + c
+    else:
+        lo = min(offset, 0)
+        plus = [s.coefficient(e) for e in range(lo, s.known_max + 1)]
+        minus = [-x for x in plus]
+        plus[-lo] += c
+        minus[-lo] += c
+        _assert_matches(s + c, (lo, plus))
+        _assert_matches(c - s, (lo, minus))
+
+
+@settings(max_examples=120, deadline=None)
+@given(kernel_series)
+def test_calculus_matches_reference(s):
+    offset, coeffs = _ref_terms(s)
+    _assert_matches(s.differentiate(), (offset - 1, [c * (offset + i) for i, c in enumerate(coeffs)]))
+    if offset <= -1 < offset + len(coeffs) and coeffs[-1 - offset]:
+        with pytest.raises(ZeroDivisionError):
+            s.integrate()
+        return
+    ref = [c / (offset + i + 1) if offset + i != -1 else Fraction(0) for i, c in enumerate(coeffs)]
+    _assert_matches(s.integrate(), (offset + 1, ref))
+
+
+def test_zero_series_is_pinned_and_absorbing():
+    z = w_series([0, 0, 0], offset=-2)
+    assert z.is_zero() and z.offset == z.known_max == 0
+    assert z.coeffs == (Fraction(0),)
+    a = w_series([3, 1, 4, 1, 5], offset=-1)
+    assert (a * z).is_zero() and (a * z).known_max == -1
+    assert (z / a).is_zero()
+    with pytest.raises(ValueError):
+        _ = a / z
+    assert (a - a).is_zero() and (a - a).known_max == 3
+
+
+def test_coeffs_are_fractions_and_equality_is_by_value():
+    from_ints = w_series([0, 2, 4, 6], offset=-1)
+    from_fractions = w_series([Fraction(1), Fraction(2), Fraction(3)]) * 2
+    assert from_ints.offset == 0 and from_ints.coeffs == (2, 4, 6)
+    assert all(type(c) is Fraction for c in from_ints.coeffs)
+    assert from_ints == from_fractions and hash(from_ints) == hash(from_fractions)
+    halves = w_series([Fraction(1, 2), Fraction(3, 2)])
+    assert halves == w_series([Fraction(2, 4), Fraction(6, 4)])
+    assert halves != w_series([Fraction(1, 2), Fraction(3, 2)], offset=1)
+    assert halves != halves.retag(VAR_U2)
+    assert halves * 2 == w_series([1, 3]) and len({halves, halves * 1, halves + 0}) == 1
+    with pytest.raises(AttributeError):
+        halves.offset = 3
+    assert pickle.loads(pickle.dumps(halves)) == halves == copy.deepcopy(halves)
+
+
+def test_qbeta_coefficients_agree_with_the_integer_kernel():
+    from cubicmaps.numbers import Qbeta
+
+    a = w_series([3, Fraction(1, 2), -7, 2], offset=-1)
+    b = w_series([2, 5, Fraction(-1, 3), 9], offset=1)
+    qa = TruncatedSeries(VAR_W, a.offset, tuple(Qbeta.rational(c) for c in a.coeffs))
+    qb = TruncatedSeries(VAR_W, b.offset, tuple(Qbeta.rational(c) for c in b.coeffs))
+    for exact, element in ((a * b, qa * qb), (a / b, qa / qb), (a + b, qa + qb), (3 - a * 2, 3 - qa * 2)):
+        assert exact.offset == element.offset and exact.known_max == element.known_max
+        assert [Qbeta.rational(c) for c in exact.coeffs] == list(element.coeffs)

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 validation error (bad flags or out-of-domain
 input), 2 computation failure, 3 failed acceptance criterion under
-``reproduce``.  Errors go to stderr as a one-line JSON object.  The
+``reproduce``.  Errors go to stderr as a JSON object.  The
 CUBICMAPS_PRECISION environment variable overrides the per-command default
 decimal precision; an explicit --precision wins over both.
 """
@@ -10,6 +10,7 @@ decimal precision; an explicit --precision wins over both.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from fractions import Fraction
@@ -139,6 +140,10 @@ def _cmd_equilibrium(args) -> tuple[str, int]:
     u = _parse_fraction(args.u, "--u")
     if u < 0:
         raise ValidationError("--u must be nonnegative")
+    if args.samples < 2:
+        raise ValidationError("--samples must be >= 2")
+    if not (math.isfinite(args.zmax) and args.zmax > 0):
+        raise ValidationError("--zmax must be finite and positive")
     with workdps(precision + 25):
         eq = solve_endpoints(rational_to_mp(u), precision)
     phi = None
@@ -361,8 +366,12 @@ def main(argv=None) -> int:
         _emit_error("computation", f"{type(exc).__name__}: {exc}")
         return 2
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _emit_error("validation", f"cannot write --output: {exc}")
+            return 1
     else:
         sys.stdout.write(text)
     return code

@@ -188,13 +188,27 @@ def compute_K(consts: CriticalConstants, g: int, precision: int = 40) -> BigFloa
 
 @dataclass(frozen=True)
 class DeltaExpansion:
-    """Puiseux data at w_c in delta = sqrt(w_c - w), coefficients in Q[beta]."""
+    """Puiseux data at w_c in delta = sqrt(w_c - w): {exponent: Qbeta coefficient}.
+
+    Each map covers its whole known window, zeros included.
+    """
 
     order: int
-    g0: TruncatedSeries  # offset 0; coefficient(1) is C_0
-    b0: TruncatedSeries  # offset 0; coefficient(1) is D_0
-    g2: TruncatedSeries  # offset -4; coefficient(-4) is C_2
-    det: TruncatedSeries  # offset 1; coefficient(1) is 6 beta
+    g0: dict  # exponents 0..order; g0[1] is C_0
+    b0: dict  # exponents 0..order; b0[1] is D_0
+    g2: dict  # exponents -4..order-5; g2[-4] is C_2
+    det: dict  # exponents 0..order; det[1] is 6 beta
+
+
+def _lift(series: TruncatedSeries, beta_shift: int = 0) -> dict:
+    """{m: c_m beta^(m + beta_shift)} over min(offset, 0)..known_max of the x-series sum c_m x^m."""
+    out = {}
+    for m in range(min(series.offset, 0), series.known_max + 1):
+        k = m + beta_shift  # beta^k = 12^(k // 4) beta^(k % 4)
+        slot = [0, 0, 0, 0]
+        slot[k % 4] = series.coefficient(m) * Fraction(12) ** (k // 4)
+        out[m] = Qbeta(slot)
+    return out
 
 
 def delta_expansion(order: int) -> DeltaExpansion:
@@ -202,35 +216,32 @@ def delta_expansion(order: int) -> DeltaExpansion:
 
     The deviation e = g_hat0 - 1/108 satisfies e^2 + 72 e^3 = 2 w_c d^2 - d^4
     with d^2 = w_c - w; the branch with e ~ -(beta/18) d is the one the
-    subcritical series approaches (g_hat0 increases into w_c).  Solving
-    termwise gives exact delta-series for g_hat0, b_hat0, the determinant,
-    and via its closed form g_hat2, so the recursion amplitudes C_0, D_0,
-    C_2 can be read off an independent route.
+    subcritical series approaches (g_hat0 increases into w_c).  In x = beta d
+    the equation is rational, e^2 + 72 e^3 = x^2/324 - x^4/12 with
+    e ~ -x/18, so g_hat0, the determinant 1 - 108 g_hat0 and, via its closed
+    form, g_hat2 are rational x-series, and so is r in
+    b_hat0 = 1/6 - beta^2 r, r = (1/648 - x^2/12) / (6 g_hat0).  Lifting
+    x^m to beta^m d^m (beta^(m+2) d^m for r) gives the delta-series over
+    Q[beta], from which the recursion amplitudes C_0, D_0, C_2 can be read
+    off an independent route.
     """
     if order < 6:
         raise ValueError("need order >= 6 to expose the fourth-order pole of g_hat2")
-    e = {1: -BETA / 18}
-    _consistent(e[1] * e[1], 2 * W_CRITICAL, "branch slope squares to 2 w_c")
+    _consistent(BETA**2 / 324, 2 * W_CRITICAL, "x = beta delta turns 2 w_c delta^2 into x^2/324")
+    e = {1: Fraction(-1, 18)}
     for n in range(3, order + 2):
-        rhs = Qbeta.rational(-1 if n == 4 else 0)
-        square = sum((e[a] * e[n - a] for a in range(2, n - 1)), Qbeta.rational(0))
-        cube = Qbeta.rational(0)
-        for a in range(1, n - 1):
-            for b in range(1, n - a):
-                c = n - a - b
-                if c >= 1:
-                    cube = cube + e[a] * e[b] * e[c]
+        rhs = Fraction(-1, 12) if n == 4 else 0
+        square = sum(e[a] * e[n - a] for a in range(2, n - 1))
+        cube = sum(e[a] * e[b] * e[n - a - b] for a in range(1, n - 1) for b in range(1, n - a))
         e[n - 1] = (rhs - square - 72 * cube) / (2 * e[1])
-    coeffs = {0: Qbeta.rational(G0_AT_CRITICAL)}
-    coeffs.update({m: e[m] for m in range(1, order + 1)})
-    g0 = from_coefficients(VAR_DELTA, coeffs, order)
-    w_series = from_coefficients(
-        VAR_DELTA, {0: W_CRITICAL + Qbeta.rational(0), 2: Qbeta.rational(-1)}, order
-    )
+    # rational series in x, tagged delta: exponent m stands for x^m = beta^m delta^m
+    g0 = from_coefficients(VAR_DELTA, {0: G0_AT_CRITICAL, **e}, order)
     det = 1 - 108 * g0
-    b0 = (g0 - w_series) / (g0 * 6)
+    r = from_coefficients(VAR_DELTA, {0: Fraction(1, 648), 2: Fraction(-1, 12)}, order) / (6 * g0)
     g2 = (162 * g0 * (5 - 324 * g0)) / det**4
-    return DeltaExpansion(order=order, g0=g0, b0=b0, g2=g2, det=det)
+    b0 = _lift(-r, beta_shift=2)
+    b0[0] = b0[0] + Fraction(1, 6)
+    return DeltaExpansion(order=order, g0=_lift(g0), b0=b0, g2=_lift(g2), det=_lift(det))
 
 
 # -- numerical fits of the singular behavior --------------------------------

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from mpmath import mp, workdps
 
-from .quadrature import integrate, legendre_nodes
+from .quadrature import integrate
 from .series import VAR_U2, TruncatedSeries, monomial
 from .precision import BigFloat
 
@@ -143,7 +143,7 @@ def density_normalization(eq: EquilibriumData) -> BigFloat:
             h = c0 - 3 * u * s
             return mp.sin(2 * theta) ** 2 * h
 
-        val = integrate(f, mp.mpf(0), mp.pi / 2, max(64, dps // 2), dps) * width**2 / (4 * mp.pi)
+        val = integrate(f, mp.mpf(0), mp.pi / 2, max(64, dps // 2)) * width**2 / (4 * mp.pi)
         return BigFloat(value=val, dps=dps)
 
 
@@ -203,10 +203,10 @@ def phi_check(eq: EquilibriumData, samples: int = 12, zmax: float = 100.0) -> Ph
         ds = logspace(width / 100, d_left_max, samples)
         left = []
         d0 = ds[0]
-        phi = integrate(lambda t: dphi(a - d0 * t * t) * (-2 * d0 * t), mp.mpf(0), mp.mpf(1), n_nodes, dps)
+        phi = integrate(lambda t: dphi(a - d0 * t * t) * (-2 * d0 * t), mp.mpf(0), mp.mpf(1), n_nodes)
         left.append((a - d0, mp.re(phi)))
         for d_prev, d_next in zip(ds, ds[1:]):
-            phi += integrate(dphi, a - d_prev, a - d_next, n_nodes, dps)
+            phi += integrate(dphi, a - d_prev, a - d_next, n_nodes)
             left.append((a - d_next, mp.re(phi)))
 
         # gap (b, z0): same construction from b rightward
@@ -214,10 +214,10 @@ def phi_check(eq: EquilibriumData, samples: int = 12, zmax: float = 100.0) -> Ph
         d_gap_max = (z0 - b) * mp.mpf("0.999")
         ds = logspace(min(width / 100, d_gap_max / 10), d_gap_max, samples)
         d0 = ds[0]
-        phi_b = integrate(lambda t: dphi(b + d0 * t * t) * (2 * d0 * t), mp.mpf(0), mp.mpf(1), n_nodes, dps)
+        phi_b = integrate(lambda t: dphi(b + d0 * t * t) * (2 * d0 * t), mp.mpf(0), mp.mpf(1), n_nodes)
         gap.append((b + d0, mp.re(phi_b)))
         for d_prev, d_next in zip(ds, ds[1:]):
-            phi_b += integrate(dphi, b + d_prev, b + d_next, n_nodes, dps)
+            phi_b += integrate(dphi, b + d_prev, b + d_next, n_nodes)
             gap.append((b + d_next, mp.re(phi_b)))
 
         # ray from z0 at angle pi/3 (the asymptotic direction of the outer contour)
@@ -225,13 +225,13 @@ def phi_check(eq: EquilibriumData, samples: int = 12, zmax: float = 100.0) -> Ph
         if 3 * z0 * z0 / 4 >= mp.mpf(zmax) ** 2:
             raise ValueError(f"zmax={zmax} does not reach past z0={z0}; enlarge the window")
         r_edge = -z0 / 2 + mp.sqrt(mp.mpf(zmax) ** 2 - 3 * z0 * z0 / 4)
-        phi_z0 = phi_b + integrate(dphi, b + d_gap_max, z0, n_nodes, dps)
+        phi_z0 = phi_b + integrate(dphi, b + d_gap_max, z0, n_nodes)
         rs = logspace(width / 100, r_edge, samples)
         ray = []
         phi = phi_z0
         prev = mp.mpf(0)
         for r_next in rs:
-            phi += integrate(dphi, z0 + prev * direction, z0 + r_next * direction, n_nodes, dps)
+            phi += integrate(dphi, z0 + prev * direction, z0 + r_next * direction, n_nodes)
             ray.append((z0 + r_next * direction, mp.re(phi)))
             prev = r_next
 

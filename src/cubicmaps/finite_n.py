@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, workdps
-from mpmath.calculus.quadrature import GaussLegendre
 
 from .precision import BigFloat, rational_to_mp
+from .quadrature import gauss_legendre
 
 # Decay sectors for the ray angles, in units of pi.  The weight exp(-N V)
 # dies along a ray iff cos(2*theta) > 0 and cos(3*theta) <= 0, which is
@@ -74,23 +74,6 @@ def _as_mp(x):
     return mp.mpmathify(x)
 
 
-_GL = GaussLegendre(mp)
-_NODE_CACHE: dict = {}
-
-
-def _gl_nodes(requested: int, prec_bits: int):
-    # mpmath's degree-d rule carries 3 * 2^(d-1) abscissas
-    degree = 1
-    while 3 * 2 ** (degree - 1) < requested:
-        degree += 1
-    key = (degree, prec_bits)
-    nodes = _NODE_CACHE.get(key)
-    if nodes is None:
-        nodes = _GL.calc_nodes(degree, prec_bits)
-        _NODE_CACHE[key] = nodes
-    return nodes
-
-
 def _decay_rate(angle: Fraction, u: float, N: int, r: float) -> float:
     # natural-log decay exponent of |exp(-N V)| at radius r along the ray
     theta = math.pi * float(angle)
@@ -135,7 +118,7 @@ def _panel_count(cfg: ContourConfig, u: float, N: int, j_max: int, r_max: float,
 def _ray_moments(u_m, N: int, angle: Fraction, cfg: ContourConfig, max_order: int,
                  r_max: float, panels: int):
     """Outward moments along one ray: e^(i theta) * int_0^rmax (r e^(i theta))^j w dr."""
-    nodes = _gl_nodes(cfg.nodes_per_panel, mp.prec + 30)
+    nodes = gauss_legendre(cfg.nodes_per_panel)
     phase = mp.expjpi(mp.mpf(angle.numerator) / angle.denominator)
     acc = [mp.mpc(0)] * (max_order + 1)
     width = mp.mpf(r_max) / panels
@@ -167,7 +150,7 @@ def compute_moments(cfg: ContourConfig, u, N: int, max_order: int) -> list[BigFl
             raise ValueError("the coupling must be real and nonnegative")
         u_f = float(u_m)
         alpha = mp.mpc(cfg.alpha)
-        m = len(_gl_nodes(cfg.nodes_per_panel, mp.prec + 30))
+        m = len(gauss_legendre(cfg.nodes_per_panel))
 
         def outward(angle: Fraction):
             r_max = _ray_radius(cfg, angle, u_f, N, max_order)
@@ -423,6 +406,22 @@ class AsymptoticEntry:
     epsilon_beta: BigFloat
 
 
+def _asymptotic_entry(rec: RecurrenceData, u_m, N: int, precision: int) -> tuple[AsymptoticEntry, str]:
+    """Measured gamma^2_N and beta_N against the two-term prediction, with its branch tag."""
+    g_meas, b_meas = rec.gamma2[N], rec.beta[N]
+    pred_g, pred_b, branch = expansion_prediction(u_m, N, g_meas)
+    entry = AsymptoticEntry(
+        N=N,
+        gamma2=BigFloat(g_meas, precision),
+        beta=BigFloat(b_meas, precision),
+        gamma2_predicted=BigFloat(pred_g, precision),
+        beta_predicted=BigFloat(pred_b, precision),
+        epsilon_gamma=BigFloat(abs(g_meas - pred_g), precision),
+        epsilon_beta=BigFloat(abs(b_meas - pred_b), precision),
+    )
+    return entry, branch
+
+
 @dataclass(frozen=True)
 class AsymptoticReport:
     u: BigFloat
@@ -448,18 +447,8 @@ def check_asymptotic_expansion(u, N_list, precision: int = 80, alpha=1.0) -> Asy
         for N in sorted(N_list):
             moments = compute_moments(cfg, u_m, N, 2 * N + 1)
             rec = recurrence_from_moments(moments, N)
-            g_meas = rec.gamma2[N]
-            b_meas = rec.beta[N]
-            pred_g, pred_b, branch = expansion_prediction(u_m, N, g_meas)
-            entries.append(AsymptoticEntry(
-                N=N,
-                gamma2=BigFloat(g_meas, precision),
-                beta=BigFloat(b_meas, precision),
-                gamma2_predicted=BigFloat(pred_g, precision),
-                beta_predicted=BigFloat(pred_b, precision),
-                epsilon_gamma=BigFloat(abs(g_meas - pred_g), precision),
-                epsilon_beta=BigFloat(abs(b_meas - pred_b), precision),
-            ))
+            entry, branch = _asymptotic_entry(rec, u_m, N, precision)
+            entries.append(entry)
         g_ratios, b_ratios = [], []
         for prev, cur in zip(entries, entries[1:]):
             for eps_prev, eps_cur, sink in (
@@ -573,16 +562,7 @@ def build_report(u, N: int, precision: int = 120, alpha=1.0, n_max: int | None =
         window = [_as_mp(r1[n]) for n in r1 if lo_n <= n <= hi_n]
         window += [_as_mp(r2[n]) for n in r2 if lo_n <= n <= hi_n]
         worst = max(window)
-        pred_g, pred_b, branch = expansion_prediction(u_m, N, rec.gamma2[N])
-        entry = AsymptoticEntry(
-            N=N,
-            gamma2=BigFloat(rec.gamma2[N], precision),
-            beta=BigFloat(rec.beta[N], precision),
-            gamma2_predicted=BigFloat(pred_g, precision),
-            beta_predicted=BigFloat(pred_b, precision),
-            epsilon_gamma=BigFloat(abs(rec.gamma2[N] - pred_g), precision),
-            epsilon_beta=BigFloat(abs(rec.beta[N] - pred_b), precision),
-        )
+        entry, branch = _asymptotic_entry(rec, u_m, N, precision)
         toda = None
         if include_toda:
             toda = toda_residual(u_m, N, h_step, precision=precision, alpha=alpha)

@@ -74,6 +74,21 @@ def _taylor_weight(j: int) -> Fraction:
     return Fraction(1, factorial(2 * j) * 4**j)
 
 
+def _even_derivatives(g: Sequence[TruncatedSeries], b: Sequence[TruncatedSeries]):
+    """d2j(which, m, j): the memoised (2j)-th derivative of g[m] or b[m] (which = "g" or "b")."""
+    derivs: dict[tuple[str, int, int], TruncatedSeries] = {}
+
+    def d2j(which: str, m: int, j: int) -> TruncatedSeries:
+        if j == 0:
+            return (g if which == "g" else b)[m]
+        key = (which, m, j)
+        if key not in derivs:
+            derivs[key] = d2j(which, m, j - 1).differentiate().differentiate()
+        return derivs[key]
+
+    return d2j
+
+
 def solve_order_k(
     g_lower: Sequence[TruncatedSeries],
     b_lower: Sequence[TruncatedSeries],
@@ -90,16 +105,7 @@ def solve_order_k(
     if k < 1 or len(b_lower) != k:
         raise ValueError("need matching g and b prefixes of length k >= 1")
     g0, b0 = g_lower[0], b_lower[0]
-
-    derivs: dict[tuple[str, int, int], TruncatedSeries] = {}
-
-    def d2j(which: str, m: int, j: int) -> TruncatedSeries:
-        if j == 0:
-            return (g_lower if which == "g" else b_lower)[m]
-        key = (which, m, j)
-        if key not in derivs:
-            derivs[key] = d2j(which, m, j - 1).differentiate().differentiate()
-        return derivs[key]
+    d2j = _even_derivatives(g_lower, b_lower)
 
     r1 = None
     for m in range(k):  # j = k - m >= 1
@@ -168,16 +174,7 @@ def hat_equation_residuals(h: StringHierarchy) -> list[tuple[int, TruncatedSerie
     The k = 0 g-equation residual is g0*(1 - 6*b0) - w.
     """
     out = []
-    derivs: dict[tuple[str, int, int], TruncatedSeries] = {}
-
-    def d2j(which: str, m: int, j: int) -> TruncatedSeries:
-        if j == 0:
-            return (h.g_hat if which == "g" else h.b_hat)[m]
-        key = (which, m, j)
-        if key not in derivs:
-            derivs[key] = d2j(which, m, j - 1).differentiate().differentiate()
-        return derivs[key]
-
+    d2j = _even_derivatives(h.g_hat, h.b_hat)
     for k in range(h.max_k + 1):
         eq1 = None
         for m in range(k + 1):

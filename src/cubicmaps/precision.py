@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp, mpf, workdps
+from mpmath import mp, workdps
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,3 @@ def agreement_digits(a, b) -> float:
     if diff == 0:
         return mp.inf
     return float(-mp.log10(diff / scale))
-
-
-def close_to(a, b, digits: int) -> bool:
-    return agreement_digits(a, b) >= digits

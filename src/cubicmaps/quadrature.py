@@ -1,70 +1,42 @@
-"""Arbitrary-precision Gauss-Legendre quadrature with cached node tables.
+"""Arbitrary-precision Gauss-Legendre quadrature on mpmath's node tables.
 
 mpmath's quad() hides its nodes; the moment pipeline needs to reuse one node
-table across hundreds of integrand orders, so we compute Legendre roots by
-Newton iteration on the three-term recurrence and cache per (order, dps).
+table across hundreds of integrand orders, so the tables come straight from
+mpmath's ``GaussLegendre.calc_nodes`` and are cached here, per rule degree and
+working precision, for every caller in the package.
 """
 
 from __future__ import annotations
 
-from mpmath import mp, workdps
+from mpmath import mp
+from mpmath.calculus.quadrature import GaussLegendre
 
-_cache: dict[tuple[int, int], tuple[tuple, tuple]] = {}
-
-
-def _legendre_and_derivative(n: int, x):
-    p0, p1 = mp.mpf(1), x
-    for k in range(2, n + 1):
-        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-    dp = n * (x * p1 - p0) / (x * x - 1)
-    return p1, dp
+_RULE = GaussLegendre(mp)
+_cache: dict[tuple[int, int], list] = {}
 
 
-def legendre_nodes(n: int, dps: int) -> tuple[tuple, tuple]:
-    """Nodes and weights on [-1, 1], accurate to roughly dps digits."""
-    key = (n, dps)
-    if key in _cache:
-        return _cache[key]
-    with workdps(dps + 10):
-        nodes, weights = [], []
-        for k in range(1, n // 2 + 1):
-            x = mp.cos(mp.pi * (k - 0.25) / (n + 0.5))
-            for _ in range(60):
-                p, dp = _legendre_and_derivative(n, x)
-                dx = p / dp
-                x -= dx
-                if abs(dx) < mp.mpf(10) ** (-(dps + 5)):
-                    break
-            _, dp = _legendre_and_derivative(n, x)
-            w = 2 / ((1 - x * x) * dp * dp)
-            nodes.append(-x)  # fill ascending from the left
-            weights.append(w)
-        lower_n, lower_w = list(nodes), list(weights)
-        if n % 2:
-            x = mp.mpf(0)
-            _, dp = _legendre_and_derivative(n, x)
-            lower_n.append(x)
-            lower_w.append(2 / (dp * dp))
-        full_n = tuple(lower_n + [-x for x in reversed(nodes)])
-        full_w = tuple(lower_w + list(reversed(weights)))
-    _cache[key] = (full_n, full_w)
-    return _cache[key]
+def gauss_legendre(n: int) -> list:
+    """At least n (node, weight) pairs on [-1, 1], exact to the working precision.
+
+    mpmath's degree-d rule carries 3 * 2^(d-1) nodes, so the smallest such
+    rule with n or more nodes is returned; its table is computed 30 bits
+    above the current working precision.
+    """
+    degree = 1
+    while 3 * 2 ** (degree - 1) < n:
+        degree += 1
+    key = (degree, mp.prec + 30)
+    nodes = _cache.get(key)
+    if nodes is None:
+        nodes = _cache[key] = _RULE.calc_nodes(*key)
+    return nodes
 
 
-def integrate(f, a, b, n: int, dps: int):
+def integrate(f, a, b, n: int):
     """Gauss-Legendre integral of f over the straight segment [a, b] (complex ends allowed)."""
-    nodes, weights = legendre_nodes(n, dps)
     mid = (a + b) / 2
     half = (b - a) / 2
     acc = 0
-    for x, w in zip(nodes, weights):
+    for x, w in gauss_legendre(n):
         acc += w * f(mid + half * x)
     return acc * half
-
-
-def integrate_panels(f, breakpoints, n: int, dps: int):
-    """Sum of segment integrals over consecutive breakpoints."""
-    acc = 0
-    for lo, hi in zip(breakpoints, breakpoints[1:]):
-        acc += integrate(f, lo, hi, n, dps)
-    return acc

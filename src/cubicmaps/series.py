@@ -6,13 +6,13 @@ below the offset are exactly zero; exponents above ``known_max`` are unknown,
 not zero.  Every operation propagates the window by the min-horizon rule, so
 a coefficient can be read back only if it is fully determined by the inputs.
 
-A rational series is stored as a tuple of Python-int numerators over one
-positive common denominator, reduced by a single gcd per result; every
-operation on rational series is integer arithmetic (products are schoolbook
+Coefficients are rational.  A series is stored as a tuple of Python-int
+numerators over one positive common denominator, reduced by a single gcd per
+result; every operation is integer arithmetic (products are schoolbook
 convolutions, quotients a fraction-free triangular solve), and ``coeffs``
-exposes the same values as a cached tuple of ``fractions.Fraction``.  Series
-with coefficients in another exact ring (``cubicmaps.numbers.Qbeta``) keep
-their elements and use an element-wise loop.  Nothing here rounds.
+exposes the same values as a cached tuple of ``fractions.Fraction``.  Any
+other coefficient or scalar (a float, an mpf, an element of an extension
+field) raises ``TypeError``.  Nothing here rounds.
 """
 
 from __future__ import annotations
@@ -56,32 +56,27 @@ class TruncatedSeries:
             raise ValueError(f"unknown series variable {var!r}")
         if not coeffs:
             raise ValueError("series needs at least one tracked coefficient")
-        if all(isinstance(c, (int, Fraction)) for c in coeffs):
-            den = lcm(*(c.denominator for c in coeffs))
-            self._set(var, offset, [c.numerator * (den // c.denominator) for c in coeffs], den)
-        else:
-            self._set(var, offset, tuple(Fraction(c) if isinstance(c, int) else c for c in coeffs), None)
+        den = lcm(*(_require_rational(c).denominator for c in coeffs))
+        self._set(var, offset, [c.numerator * (den // c.denominator) for c in coeffs], den)
 
     def _set(self, var: str, offset: int, nums, den) -> None:
         # canonical form: leading coefficient nonzero, or a single zero pinned
-        # at known_max (the window below it is zero either way); a rational
-        # series (den an int) keeps its numerators coprime to a positive
-        # denominator, a series of ring elements (den None) keeps them as given
+        # at known_max (the window below it is zero either way); numerators
+        # coprime to a positive denominator
         lead, last = 0, len(nums) - 1
         while lead < last and not nums[lead]:
             lead += 1
         nums = tuple(nums[lead:])
         if not nums[0]:
             nums, den = (0,), 1
-        elif den is not None:
+        else:
             g = gcd(den, *nums)
             if den < 0:
                 g = -g
             if g != 1:
                 nums = tuple(x // g for x in nums)
                 den //= g
-        coeffs = nums if den is None else None
-        for name, value in (("var", var), ("offset", offset + lead), ("_num", nums), ("_den", den), ("_coeffs", coeffs)):
+        for name, value in (("var", var), ("offset", offset + lead), ("_num", nums), ("_den", den), ("_coeffs", None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -108,7 +103,7 @@ class TruncatedSeries:
 
     @property
     def coeffs(self) -> tuple:
-        """Tracked coefficients, zeros included, as Fractions (or ring elements)."""
+        """Tracked coefficients, zeros included, as Fractions."""
         if self._coeffs is None:
             den = self._den
             object.__setattr__(self, "_coeffs", tuple(Fraction(x, den) for x in self._num))
@@ -117,11 +112,8 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        if self.var != other.var or self.offset != other.offset:
-            return False
-        if self._den is not None and other._den is not None:
-            return self._den == other._den and self._num == other._num
-        return self.coeffs == other.coeffs
+        return (self.var == other.var and self.offset == other.offset
+                and self._den == other._den and self._num == other._num)
 
     def __hash__(self) -> int:
         return hash((self.var, self.offset, self.coeffs))
@@ -146,7 +138,7 @@ class TruncatedSeries:
                 f"exponent {exponent} beyond known window (max {self.known_max})"
             )
         if exponent < self.offset:
-            return self.coeffs[0] * 0
+            return Fraction(0)
         return self.coeffs[exponent - self.offset]
 
     def coefficients(self) -> dict[int, Any]:
@@ -165,10 +157,6 @@ class TruncatedSeries:
         self._check_var(other)
         offset = min(self.offset, other.offset)
         n = min(self.known_max, other.known_max) - offset + 1
-        if self._den is None or other._den is None:
-            a = _place(self.coeffs, self.offset - offset, n)
-            b = _place(other.coeffs, other.offset - offset, n)
-            return TruncatedSeries(self.var, offset, tuple(map(add, a, b)))
         da, db = self._den, other._den
         g = gcd(da, db)
         a = _place(self._num, self.offset - offset, n)
@@ -196,9 +184,7 @@ class TruncatedSeries:
         return (-self) + other
 
     def _scale(self, c):
-        if self._den is None or not isinstance(c, (int, Fraction)):
-            return TruncatedSeries(self.var, self.offset, tuple(x * c for x in self.coeffs))
-        p = c.numerator
+        p = _require_rational(c).numerator
         return self._rational(self.offset, [x * p for x in self._num], self._den * c.denominator)
 
     def __mul__(self, other):
@@ -207,26 +193,16 @@ class TruncatedSeries:
         self._check_var(other)
         n = min(len(self._num), len(other._num))
         offset = self.offset + other.offset
-        if self._den is None or other._den is None:
-            return TruncatedSeries(self.var, offset, tuple(_convolve(self.coeffs, other.coeffs, n)))
         return self._rational(offset, _convolve(self._num, other._num, n), self._den * other._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, TruncatedSeries):
-            return self._scale(Fraction(1) / other if isinstance(other, (int, Fraction)) else other.inverse())
+            return self._scale(Fraction(1) / _require_rational(other))
         self._check_var(other)
         offset = self.offset - other.valuation()  # canonical: the valuation is the offset
         n = min(len(self._num), len(other._num))
-        if self._den is None or other._den is None:
-            a, b = self.coeffs, other.coeffs
-            inv0 = 1 / b[0] if isinstance(b[0], Fraction) else b[0].inverse()
-            b1 = b[1:n]
-            out = []
-            for i in range(n):
-                out.append((a[i] - sum(map(mul, b1, reversed(out)))) * inv0)
-            return TruncatedSeries(self.var, offset, tuple(out))
         # a/b over the integers: with p the leading numerator of b, the
         # quotient's i-th coefficient is Q_i / p^(i+1), where
         # Q_i = a_i p^i - sum_j (b_j p^(j-1)) Q_(i-j) needs no division
@@ -260,8 +236,6 @@ class TruncatedSeries:
         """d/dvar.  The window slides down one exponent; length is preserved."""
         e0 = self.offset
         out = [c * (e0 + i) for i, c in enumerate(self._num)]
-        if self._den is None:
-            return TruncatedSeries(self.var, e0 - 1, tuple(out))
         return self._rational(e0 - 1, out, self._den)
 
     def integrate(self):
@@ -270,9 +244,6 @@ class TruncatedSeries:
         if e0 <= -1 <= self.known_max and self._num[-1 - e0]:
             raise ZeroDivisionError("antiderivative of a 1/var term")
         steps = [e0 + i + 1 or 1 for i in range(len(self._num))]  # the e = -1 slot is zero
-        if self._den is None:
-            out = tuple(c / Fraction(s) for c, s in zip(self._num, steps))
-            return TruncatedSeries(self.var, e0 + 1, out)
         m = lcm(*steps)
         out = [x * (m // s) for x, s in zip(self._num, steps)]
         return self._rational(e0 + 1, out, self._den * m)
@@ -297,8 +268,6 @@ class TruncatedSeries:
         n = known_max - self.offset + 1
         if n < 1:
             return zero_series(self.var, known_max)
-        if self._den is None:
-            return TruncatedSeries(self.var, self.offset, self._num[:n])
         return self._rational(self.offset, self._num[:n], self._den)
 
     def sqrt_unit(self):
@@ -308,8 +277,6 @@ class TruncatedSeries:
             raise ValueError("odd valuation has no series square root")
         base = self.shift(-v) if v else self
         c0 = base.coeffs[0]
-        if not isinstance(c0, Fraction):
-            raise TypeError("sqrt_unit needs rational coefficients")
         from math import isqrt
 
         rn, rd = isqrt(c0.numerator), isqrt(c0.denominator)
@@ -346,10 +313,17 @@ class TruncatedSeries:
         return f"<{body} + O({self.var}^{self.known_max + 1})>"
 
 
-def _to_number(c, like):
-    if isinstance(c, Fraction):
-        return (type(like)(c.numerator) / c.denominator) if not isinstance(like, (int, float)) else c.numerator / c.denominator
-    return c.evaluate(like)
+def _to_number(c: Fraction, like):
+    if isinstance(like, (int, float)):
+        return c.numerator / c.denominator
+    return type(like)(c.numerator) / c.denominator
+
+
+def _require_rational(c):
+    """c itself if it is an int or a Fraction; anything else raises TypeError."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"series coefficients and scalars must be int or Fraction, not {type(c).__name__}")
+    return c
 
 
 def monomial(var: str, coeff, exponent: int, known_max: int) -> TruncatedSeries:

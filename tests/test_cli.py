@@ -140,6 +140,14 @@ def test_equilibrium_rejects_bad_sampling(capsys, flag, value):
     assert error_type(err) == "validation"
 
 
+def test_equilibrium_growth_fit_needs_two_ray_samples(capsys):
+    # with 5 samples out to |z| = 50 the samples nearest 25 and 12.5 are one point
+    code, out, err = run_cli(capsys, "equilibrium", "--u", "1/20", "--samples", "5", "--zmax", "50")
+    assert code == 1 and out == ""
+    assert error_type(err) == "validation"
+    assert "coincide" in json.loads(err)["error"]["message"]
+
+
 def test_critical_payload(capsys):
     code, out, _ = run_cli(capsys, "critical", "--max-genus", "2", "--precision", "40")
     assert code == 0

@@ -88,6 +88,47 @@ def test_gaussian_recurrence(gaussian_data):
         assert max(abs(b) for b in rec.beta) < mp.mpf("1e-55")
 
 
+def _airy_moments(u, N, alpha, max_order, dps):
+    """Closed-form contour moments, independent of the quadrature.
+
+    With d = 1/(6u), lam = (3Nu)^(-1/3), s = N d lam / 2 and
+    P = lam exp(-N d^2/3), the shift z = d - lam t turns the weight into an
+    Airy integrand (DLMF 9.5), so c0 = P pi (Bi(s) + i(2 alpha - 1) Ai(s)) and
+    c1 = d c0 - lam P pi (Bi'(s) + i(2 alpha - 1) Ai'(s)); integration by parts
+    gives 3uN c_(j+2) = N c_(j+1) - j c_(j-1), so c2 = c1/(3u).
+    """
+    with workdps(dps):
+        u = rational_to_mp(u)
+        d = 1 / (6 * u)
+        lam = (3 * N * u) ** (-mp.mpf(1) / 3)
+        s = N * d * lam / 2
+        P = lam * mp.exp(-N * d * d / 3)
+        k = 1j * (2 * mp.mpc(alpha) - 1)
+        c0 = P * mp.pi * (mp.airybi(s) + k * mp.airyai(s))
+        c1 = d * c0 - lam * P * mp.pi * (mp.airybi(s, 1) + k * mp.airyai(s, 1))
+        c = [c0, c1, c1 / (3 * u)]
+        for j in range(1, max_order - 1):
+            c.append((N * c[j + 1] - j * c[j - 1]) / (3 * u * N))
+        return c[: max_order + 1]
+
+
+@pytest.mark.parametrize("alpha", [1, 0.3 + 0.7j])
+def test_moments_match_airy_closed_form(moments_60, alpha):
+    # alpha = 1 on the fixture table; complex alpha (three rays) through order
+    # 41, where one fixed-point scale shared by all nodes of a ray would keep
+    # only about 42 digits, because r^j amplifies the few bits of tail weights
+    if alpha == 1:
+        precision, N, moments = 60, 10, moments_60
+    else:
+        precision, N = 40, 6
+        moments = compute_moments(ContourConfig(alpha=alpha, precision=precision), U_TENTH, N, 41)
+    ref = _airy_moments(U_TENTH, N, alpha, len(moments) - 1, precision + 30)
+    with workdps(precision + 30):
+        for got, want in zip(moments, ref):
+            # the claimed digits plus 5 of the guard digits; measured 74.8 and 53.9
+            assert abs(got.value - want) <= abs(want) * mp.mpf(10) ** -(precision + 5)
+
+
 def test_precision_doubling(moments_60):
     m120 = compute_moments(ContourConfig(precision=120), U_TENTH, 10, 20)
     with workdps(140):
@@ -186,6 +227,17 @@ def test_orthogonality_recomputation(moments_60, rec_60):
             for m in range(n):
                 ip = inner_product(fine, rec_60.coefficients[n], rec_60.coefficients[m])
                 assert abs(ip.value) < mp.mpf("1e-60")  # measured 6.6e-76
+
+
+def test_condition_numbers_match_mpmath_inverse(moments_60, rec_60):
+    # one LU factorization per Hankel block serves the solve and the
+    # condition number; it must reproduce mpmath's inverse exactly
+    with workdps(rec_60.dps + 15):
+        c = [m.value for m in moments_60]
+        for n in range(1, 10):
+            M = mp.matrix([[c[i + j] for j in range(n)] for i in range(n)])
+            loss = float(mp.log10(mp.mnorm(M, 1) * mp.mnorm(mp.inverse(M), 1)))
+            assert rec_60.conditioning_loss[n] == loss
 
 
 def test_determinant_product(moments_60, rec_60):
@@ -313,7 +365,6 @@ def test_build_report_shape():
     assert rep.gamma2[0].value == 0
     assert rep.branch == "real"
     assert rep.toda is None
-    assert rep.gaps == ()
     with workdps(80):
         assert _as_mp(rep.max_string_residual) < mp.mpf("1e-60")
         assert isinstance(rep.asymptotic, AsymptoticEntry)

@@ -2,6 +2,7 @@
 
 import pytest
 from mpmath import mp, workdps
+from mpmath.calculus.quadrature import GaussLegendre
 
 from cubicmaps.quadrature import gauss_legendre, integrate
 
@@ -31,3 +32,18 @@ def test_segment_rule_is_exact_on_degree_2n_minus_1(n, dps):
         got = integrate(lambda z: z**k, a, b, n)
         exact = (b ** (k + 1) - a ** (k + 1)) / (k + 1)
         assert abs(got - exact) <= abs(exact) * mp.mpf(10) ** (5 - dps)
+
+
+@pytest.mark.parametrize("dps", [30, 80])
+@pytest.mark.parametrize("degree", range(1, 8))
+def test_nodes_match_mpmath_rule(degree, dps):
+    # mpmath's own Newton-Legendre tables are the reference: same rule sizes,
+    # same node order, agreement to the 30 bits kept above working precision
+    with workdps(dps):
+        ours = gauss_legendre(3 * 2 ** (degree - 1))
+        ref = GaussLegendre(mp).calc_nodes(degree, mp.prec + 30)
+        tol = mp.mpf(2) ** -(mp.prec + 30)
+        assert len(ours) == len(ref)
+    with workdps(2 * dps):
+        for (x, w), (x_ref, w_ref) in zip(ours, ref):
+            assert abs(x - x_ref) <= tol and abs(w - w_ref) <= tol

@@ -163,14 +163,53 @@ class PhiReport:
     zmax: float
 
 
-def phi_check(eq: EquilibriumData, samples: int = 12, zmax: float = 100.0) -> PhiReport:
-    """Verify Re phi > 0 along the contour tails by direct quadrature.
+def _tail_samples(eq: EquilibriumData, samples: int, zmax: float) -> tuple:
+    """(left, gap, ray): lists of (z, Re phi) at the sample points, at the current dps."""
+    u, x, y, a, b, z0 = eq.u, eq.x, eq.y, eq.a, eq.b, eq.z0
+    h0 = 1 - 6 * u * x
+    log_y = mp.log(y)
 
-    phi1(z) = (1/2) int_a^z sqrt(R) h, phi2 likewise from b; positivity is
-    sampled at log-spaced points on (-inf, a), on (b, z0), and on the ray
-    z0 + r e^{i pi/3}, out to |z| <= zmax.  The sampling window is heuristic:
-    growth ~ +u|z|^3/2 makes violations far out implausible, but only the
-    sampled points are actually checked.
+    def sample(z):
+        t, s = z - x, _sqrt_r(z, a, b)
+        return z, mp.re(h0 * t * s / 4 - u * s**3 / 2) - mp.log(abs(t + s)) + log_y
+
+    def logspace(lo, hi, k):
+        r = (hi / lo) ** (mp.mpf(1) / (k - 1))
+        return [lo * r**i for i in range(k)]
+
+    # left tail z = a - d; gap (b, z0) from b rightward
+    width = b - a
+    d_left_max = zmax + a if zmax + a > width else 2 * width
+    left = [sample(a - d) for d in logspace(width / 100, d_left_max, samples)]
+    d_gap_max = (z0 - b) * mp.mpf("0.999")
+    gap = [sample(b + d) for d in logspace(min(width / 100, d_gap_max / 10), d_gap_max, samples)]
+
+    # ray from z0 at angle pi/3 (the asymptotic direction of the outer contour)
+    direction = mp.exp(mp.mpc(0, mp.pi / 3))
+    if 3 * z0 * z0 / 4 >= mp.mpf(zmax) ** 2:
+        raise ValueError(f"zmax={zmax} does not reach past z0={z0}; enlarge the window")
+    r_edge = -z0 / 2 + mp.sqrt(mp.mpf(zmax) ** 2 - 3 * z0 * z0 / 4)
+    ray = [sample(z0 + r * direction) for r in logspace(width / 100, r_edge, samples)]
+    return left, gap, ray
+
+
+def phi_check(eq: EquilibriumData, samples: int = 12, zmax: float = 100.0) -> PhiReport:
+    """Verify Re phi > 0 along the contour tails from the closed-form antiderivative.
+
+    phi1(z) = (1/2) int_a^z sqrt(R) h, phi2 likewise from b.  With t = s - x,
+    S = sqrt((s-a)(s-b)) on the global branch (S^2 = t^2 - y^2) and
+    h0 = 1 - 6*u*x, the integrand is S (h0 - 3*u*t) / 2, and h0 y^2 = 4 makes
+
+        Phi(s) = h0 t S / 4 - u S^3 / 2 - log(t + S)
+
+    an antiderivative.  Re Phi(a) = Re Phi(b) = -log y, so both tails read
+    Re phi(z) = Re(h0 t S / 4 - u S^3 / 2) - log|t + S| + log y; only log|.|
+    enters, so the branch of the log does not matter, and no sampled path
+    crosses the cut [a, b].  Positivity is sampled at log-spaced points on
+    (-inf, a), on (b, z0), and on the ray z0 + r e^{i pi/3}, out to
+    |z| <= zmax.  The sampling window is heuristic: growth ~ +u|z|^3/2 makes
+    violations far out implausible, but only the sampled points are actually
+    checked.
 
     Also fits the cubic growth coefficient of Re phi2 on the ray (two-radius
     difference at |z| = zmax/2 and zmax/4) and reports it against -u/2 (what
@@ -181,60 +220,10 @@ def phi_check(eq: EquilibriumData, samples: int = 12, zmax: float = 100.0) -> Ph
         raise ValueError("phi_check needs u > 0")
     if eq.z0 == mp.inf:
         raise ValueError("no finite z0 at u = 0")
-    dps = eq.dps
-    n_nodes = 48
-    with workdps(dps + 15):
-        u, x, a, b, z0 = eq.u, eq.x, eq.a, eq.b, eq.z0
-        c0 = 1 - 3 * u * x
-
-        def dphi(s):
-            return _sqrt_r(s, a, b) * (c0 - 3 * u * s) / 2
-
-        def logspace(lo, hi, k):
-            r = (hi / lo) ** (mp.mpf(1) / (k - 1))
-            return [lo * r**i for i in range(k)]
-
-        width = b - a
+    with workdps(eq.dps + 15):
+        u = eq.u
+        left, gap, ray = _tail_samples(eq, samples, zmax)
         violations = []
-
-        # left tail: z = a - d, phi1 accumulated from a outward;
-        # first panel uses s = a - d0 * tau^2 to absorb the sqrt singularity
-        d_left_max = zmax + a if zmax + a > width else 2 * width
-        ds = logspace(width / 100, d_left_max, samples)
-        left = []
-        d0 = ds[0]
-        phi = integrate(lambda t: dphi(a - d0 * t * t) * (-2 * d0 * t), mp.mpf(0), mp.mpf(1), n_nodes)
-        left.append((a - d0, mp.re(phi)))
-        for d_prev, d_next in zip(ds, ds[1:]):
-            phi += integrate(dphi, a - d_prev, a - d_next, n_nodes)
-            left.append((a - d_next, mp.re(phi)))
-
-        # gap (b, z0): same construction from b rightward
-        gap = []
-        d_gap_max = (z0 - b) * mp.mpf("0.999")
-        ds = logspace(min(width / 100, d_gap_max / 10), d_gap_max, samples)
-        d0 = ds[0]
-        phi_b = integrate(lambda t: dphi(b + d0 * t * t) * (2 * d0 * t), mp.mpf(0), mp.mpf(1), n_nodes)
-        gap.append((b + d0, mp.re(phi_b)))
-        for d_prev, d_next in zip(ds, ds[1:]):
-            phi_b += integrate(dphi, b + d_prev, b + d_next, n_nodes)
-            gap.append((b + d_next, mp.re(phi_b)))
-
-        # ray from z0 at angle pi/3 (the asymptotic direction of the outer contour)
-        direction = mp.exp(mp.mpc(0, mp.pi / 3))
-        if 3 * z0 * z0 / 4 >= mp.mpf(zmax) ** 2:
-            raise ValueError(f"zmax={zmax} does not reach past z0={z0}; enlarge the window")
-        r_edge = -z0 / 2 + mp.sqrt(mp.mpf(zmax) ** 2 - 3 * z0 * z0 / 4)
-        phi_z0 = phi_b + integrate(dphi, b + d_gap_max, z0, n_nodes)
-        rs = logspace(width / 100, r_edge, samples)
-        ray = []
-        phi = phi_z0
-        prev = mp.mpf(0)
-        for r_next in rs:
-            phi += integrate(dphi, z0 + prev * direction, z0 + r_next * direction, n_nodes)
-            ray.append((z0 + r_next * direction, mp.re(phi)))
-            prev = r_next
-
         for pts, name in ((left, "left"), (gap, "gap"), (ray, "ray")):
             for z, re_phi in pts:
                 if not re_phi > 0:

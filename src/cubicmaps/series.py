@@ -109,6 +109,16 @@ class TruncatedSeries:
             object.__setattr__(self, "_coeffs", tuple(Fraction(x, den) for x in self._num))
         return self._coeffs
 
+    @property
+    def numerators(self) -> tuple:
+        """Tracked coefficients as Python-int numerators over ``denominator``."""
+        return self._num
+
+    @property
+    def denominator(self) -> int:
+        """The positive common denominator, coprime to the numerators."""
+        return self._den
+
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -347,6 +357,17 @@ def from_coefficients(var: str, pairs: dict[int, Any], known_max: int) -> Trunca
     for e, c in pairs.items():
         out[e - offset] = c
     return TruncatedSeries(var, offset, tuple(out))
+
+
+def from_numerators(var: str, offset: int, nums, den: int) -> TruncatedSeries:
+    """Series with coefficient nums[i] / den at exponent offset + i (ints, den nonzero)."""
+    if var not in _VARS:
+        raise ValueError(f"unknown series variable {var!r}")
+    if not nums:
+        raise ValueError("series needs at least one tracked coefficient")
+    out = object.__new__(TruncatedSeries)
+    out._set(var, offset, nums, den)
+    return out
 
 
 def assert_same_series(a: TruncatedSeries, b: TruncatedSeries, through: int | None = None) -> None:

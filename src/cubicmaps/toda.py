@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from types import MappingProxyType
 
 from mpmath import mp
@@ -26,7 +26,7 @@ from mpmath import mp
 from .hierarchy import build_hierarchy
 from .numbers import gamma_ratio, pochhammer
 from .precision import BigFloat
-from .series import VAR_U2, VAR_W, TruncatedSeries, from_coefficients
+from .series import VAR_U2, VAR_W, TruncatedSeries, from_numerators, zero_series
 
 # k = 0 subtraction-term coefficients: w and w^2 of the leading series
 _SUBTRACTED = {1: Fraction(1), 2: Fraction(36)}
@@ -51,17 +51,20 @@ def toda_integrate(k: int, ghat: TruncatedSeries) -> TruncatedSeries:
                 raise ValueError(
                     f"k = 0 subtraction term w^{j} is {ghat.coefficient(j)}, expected {expect}"
                 )
-    pairs: dict[int, Fraction] = {}
-    for j in range(ghat.offset, ghat.known_max + 1):
-        if k == 0 and j <= 2:
-            continue
-        c = ghat.coefficient(j)
+    # each slot scales by 2 / (72 d1 d2), all over one common denominator
+    lo = max(ghat.offset, 3) if k == 0 else ghat.offset
+    dens = []
+    for j in range(lo, ghat.known_max + 1):
         d1, d2 = 3 * j + 6 * k - 4, 3 * j + 6 * k - 6
         if d1 == 0 or d2 == 0:
             raise ArithmeticError(f"double integration hits a resonance at w^{j}, order {k}")
-        if c:
-            pairs[j + 2 * k - 2] = c * Fraction(2, 72 * d1 * d2)
-    return from_coefficients(VAR_U2, pairs, ghat.known_max + 2 * k - 2)
+        dens.append(36 * d1 * d2)
+    known_max = ghat.known_max + 2 * k - 2
+    if not dens:
+        return zero_series(VAR_U2, known_max)
+    common = lcm(*dens)
+    nums = [c * (common // d) for c, d in zip(ghat.numerators[lo - ghat.offset :], dens)]
+    return from_numerators(VAR_U2, lo + 2 * k - 2, nums, ghat.denominator * common)
 
 
 def free_energy_series(g_max: int, horizon: int) -> tuple:
@@ -94,15 +97,22 @@ def genus_table(g_max: int, j_max: int) -> GenusCoeffTable:
     counts: dict[tuple[int, int], int] = {}
     coeffs: dict[tuple[int, int], Fraction] = {}
     for g in range(g_max + 1):
+        s = series[g]
+        nums, den = s.numerators, s.denominator
+        fact = 1  # (2j)!
         for j in range(1, j_max + 1):
-            c = series[g].coefficient(j)
-            f = c * factorial(2 * j)
-            if f.denominator != 1 or f < 0:
-                raise ArithmeticError(f"graph count f(g={g}, j={j}) = {f} is not a nonnegative integer")
+            fact *= (2 * j - 1) * 2 * j
+            i = j - s.offset
+            num = nums[i] * fact if i >= 0 else 0
+            f, rem = divmod(num, den)
+            if rem or f < 0:
+                raise ArithmeticError(
+                    f"graph count f(g={g}, j={j}) = {Fraction(num, den)} is not a nonnegative integer"
+                )
             if 2 * j < 2 * g and f != 0:
                 raise ArithmeticError(f"count f(g={g}, j={j}) nonzero below the vertex threshold")
-            counts[(g, j)] = int(f)
-            coeffs[(g, j)] = c
+            counts[(g, j)] = f
+            coeffs[(g, j)] = s.coefficient(j)
     if counts.get((0, 1)) not in (None, 12):
         raise ArithmeticError("f(0, 1) must be 12")
     return GenusCoeffTable(

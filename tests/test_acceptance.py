@@ -2,7 +2,8 @@
 
 The checks live in cubicmaps.acceptance so that the `reproduce` subcommand
 and this suite run the identical code; a green run here is exit 0 there.
-Budgets are part of each criterion and enforced inside run_criterion.
+Budgets are part of each criterion and enforced inside run_criterion; each
+criterion runs once per session (the criterion_run fixture in conftest.py).
 """
 
 import pytest
@@ -18,8 +19,8 @@ def test_criteria_registry():
 
 
 @pytest.mark.parametrize("key", KEYS)
-def test_criterion(key, acceptance_log):
-    r = run_criterion(key)
+def test_criterion(key, acceptance_log, criterion_run):
+    r = criterion_run(key).result
     line = format_line(r)
     acceptance_log(line)
     print(line)

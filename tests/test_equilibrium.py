@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, workdps
 
+from cubicmaps.cli import main
 from cubicmaps.equilibrium import (
     EquilibriumData,
+    _sqrt_r,
+    _tail_samples,
     critical_coupling,
     density_at,
     density_normalization,
@@ -14,7 +18,7 @@ from cubicmaps.equilibrium import (
     phi_check,
     solve_endpoints,
 )
-from cubicmaps.precision import agreement_digits
+from cubicmaps.precision import agreement_digits, rational_to_mp
 
 
 def test_zero_coupling_is_semicircle():
@@ -135,3 +139,71 @@ def test_phi_rejects_zero_coupling():
     eq = solve_endpoints(0, precision=30)
     with pytest.raises(ValueError):
         phi_check(eq)
+
+
+def _phi_by_tanh_sinh(eq, left, gap, ray):
+    """Re phi at the same sample points, integrating dphi along each tail with mp.quad."""
+    u, x, a, b, z0 = eq.u, eq.x, eq.a, eq.b, eq.z0
+    c0 = 1 - 3 * u * x
+
+    def dphi(s):
+        return _sqrt_r(s, a, b) * (c0 - 3 * u * s) / 2
+
+    def walk(start, phi, points):
+        out = []
+        for z, _ in points:
+            phi += mp.quad(dphi, [start, z])
+            out.append(mp.re(phi))
+            start = z
+        return out
+
+    return walk(a, 0, left), walk(b, 0, gap), walk(z0, mp.quad(dphi, [b, z0]), ray)
+
+
+@pytest.mark.parametrize(
+    "u, precision",
+    [(Fraction(1, 60), 40), (Fraction(1, 20), 40), (Fraction(1, 14), 40), (Fraction(1, 20), 100)],
+    ids=["1/60-40", "1/20-40", "1/14-40", "1/20-100"],
+)
+def test_phi_closed_form_matches_quadrature(u, precision):
+    # the antiderivative against tanh-sinh quadrature of the integrand itself,
+    # at every left, gap and ray sample that phi_check takes at its defaults
+    with workdps(precision + 25):
+        eq = solve_endpoints(rational_to_mp(u), precision)
+    with workdps(precision + 15):
+        left, gap, ray = _tail_samples(eq, 12, 100.0)
+    with workdps(precision + 30):
+        quads = _phi_by_tanh_sinh(eq, left, gap, ray)
+        for pts, ref in zip((left, gap, ray), quads):
+            for (z, re_phi), want in zip(pts, ref):
+                assert agreement_digits(re_phi, want) >= precision + 5, (z, re_phi, want)
+
+
+# printed values a fixed 48-node Gauss-Legendre rule per panel got wrong: min_ray
+# to 9 significant digits at the critical coupling (the first ray panel starts at
+# the (z - b)^(3/2) point), min_ray to 98 and the growth fit to 80.5 at precision 100
+@pytest.mark.parametrize("u, precision", [
+    ("0.0731152229418051367121788278776110586200038106", 40),
+    ("1/20", 100),
+], ids=["critical-40", "1/20-100"])
+def test_printed_phi_values_carry_their_dps(capsys, u, precision):
+    assert main(["equilibrium", "--u", u, "--precision", str(precision)]) == 0
+    phi = json.loads(capsys.readouterr().out)["phi_report"]
+    with workdps(precision + 25):
+        eq = solve_endpoints(rational_to_mp(Fraction(u)), precision)
+    with workdps(precision + 15):
+        _, _, ray = _tail_samples(eq, 12, 100.0)
+    with workdps(precision + 40):
+        _, _, quad = _phi_by_tanh_sinh(eq, [], [], ray)
+
+        def nearest(target):
+            return min(range(len(ray)), key=lambda i: abs(abs(ray[i][0]) - target))
+
+        hi, lo = nearest(50), nearest(25)
+        want = {
+            "min_ray": min(quad),
+            "growth_coefficient": (quad[hi] - quad[lo]) / mp.re(ray[hi][0] ** 3 - ray[lo][0] ** 3),
+        }
+        got = {"min_ray": phi["min_ray"]["re_phi"], "growth_coefficient": phi["growth_coefficient"]}
+        for key, tag in got.items():
+            assert agreement_digits(mp.mpf(tag["value"]), want[key]) >= precision - 1, key

@@ -45,9 +45,10 @@ def gaussian_data():
 
 
 @pytest.fixture(scope="module")
-def report_20():
-    # criterion-scale run: u = 0.1, N = 20, working precision 8 * 31 = 248
-    return build_report(U_TENTH, 20, precision=120)
+def report_20(criterion_run):
+    # criterion-scale run: u = 0.1, N = 20, working precision 8 * 31 = 248,
+    # the call the `string` criterion makes, so the session computes it once
+    return criterion_run("string").call(build_report, U_TENTH, 20, precision=120)
 
 
 def test_contour_validation():
@@ -192,8 +193,9 @@ def test_report_expansion_entry(report_20):
         assert mp.im(_as_mp(entry.gamma2)) > 0
 
 
-def test_asymptotic_scaling():
-    rep = check_asymptotic_expansion(U_TENTH, [16, 32], precision=80)
+def test_asymptotic_scaling(criterion_run):
+    # the `remainder` criterion's own call
+    rep = criterion_run("remainder").call(check_asymptotic_expansion, U_TENTH, [16, 32], precision=80)
     with workdps(100):
         g_ratio = _as_mp(rep.gamma_ratios[0])
         b_ratio = _as_mp(rep.beta_ratios[0])
@@ -331,10 +333,11 @@ def test_tilde_moments_route():
         tilde_moments(moms, 0, 8)
 
 
-def test_toda_residual_criterion():
+def test_toda_residual_criterion(criterion_run):
     u = Fraction(2, 25)
-    first = toda_residual(u, 12, Fraction(1, 1000), precision=80)
-    half = toda_residual(u, 12, Fraction(1, 2000), precision=80)
+    run = criterion_run("toda")  # the criterion makes both calls
+    first = run.call(toda_residual, u, 12, Fraction(1, 1000), precision=80)
+    half = run.call(toda_residual, u, 12, Fraction(1, 2000), precision=80)
     with workdps(40):
         r1 = _as_mp(first)
         r2 = _as_mp(half)

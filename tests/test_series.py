@@ -15,7 +15,9 @@ from cubicmaps.series import (
     TruncatedSeries,
     assert_same_series,
     from_coefficients,
+    from_numerators,
     monomial,
+    zero_series,
 )
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=8)
@@ -353,3 +355,14 @@ def test_non_rational_coefficients_and_scalars_raise_type_error():
             with pytest.raises(TypeError):
                 op()
     assert a * True == a and a / Fraction(1, 2) == a * 2
+
+
+def test_numerators_round_trip():
+    s = TruncatedSeries(VAR_U2, 1, (Fraction(1, 2), Fraction(-2, 3), 0))
+    assert (s.numerators, s.denominator) == ((3, -4, 0), 6)
+    assert from_numerators(VAR_U2, 1, [-9, 12, 0], -18) == s  # reduced, denominator made positive
+    assert from_numerators(VAR_U2, 0, [0, 0], 7) == zero_series(VAR_U2, 1)
+    with pytest.raises(ValueError):
+        from_numerators("x", 0, [1], 1)
+    with pytest.raises(ValueError):
+        from_numerators(VAR_U2, 0, [], 1)

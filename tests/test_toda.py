@@ -4,8 +4,9 @@ from math import factorial
 import pytest
 from mpmath import mp
 
+import cubicmaps.toda as toda
 from cubicmaps.hierarchy import build_hierarchy
-from cubicmaps.series import TruncatedSeries, VAR_W
+from cubicmaps.series import TruncatedSeries, VAR_U2, VAR_W, monomial
 from cubicmaps.toda import (
     asymptotic_estimate,
     count_vs_estimate,
@@ -49,6 +50,33 @@ def test_first_correction_matches_direct_rule():
     F2 = toda_integrate(1, h.g_hat[1])
     for j in range(1, 11):
         assert F2.coefficient(j) == h.g_hat[1].coefficient(j) / (36 * 3 * j * (3 * j + 2))
+
+
+def test_integration_rule_at_every_order():
+    # the one-denominator integer route against the rule applied term by term
+    h = build_hierarchy(3, 12)
+    for k in range(4):
+        g_hat = h.g_hat[k]
+        F = toda_integrate(k, g_hat)
+        assert F.known_max == g_hat.known_max + 2 * k - 2
+        for j in range(g_hat.offset, g_hat.known_max + 1):
+            want = 0 if k == 0 and j <= 2 else g_hat.coefficient(j) * Fraction(
+                2, 72 * (3 * j + 6 * k - 4) * (3 * j + 6 * k - 6))
+            assert F.coefficient(j + 2 * k - 2) == want
+
+
+@pytest.mark.parametrize("g, j, coeff, message", [
+    (0, 1, Fraction(1, 4), "graph count f(g=0, j=1) = 1/2 is not a nonnegative integer"),
+    (0, 2, Fraction(-1, 24), "graph count f(g=0, j=2) = -1 is not a nonnegative integer"),
+    (2, 1, Fraction(1, 2), "count f(g=2, j=1) nonzero below the vertex threshold"),
+])
+def test_genus_table_rejects_bad_counts(monkeypatch, g, j, coeff, message):
+    good = free_energy_series(2, 3)
+    bad = good[g] + monomial(VAR_U2, coeff - good[g].coefficient(j), j, 3)
+    monkeypatch.setattr(toda, "free_energy_series", lambda g_max, j_max: good[:g] + (bad,) + good[g + 1 :])
+    with pytest.raises(ArithmeticError) as err:
+        genus_table(2, 3)
+    assert str(err.value) == message
 
 
 def test_closed_forms_head():

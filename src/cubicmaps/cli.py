@@ -157,7 +157,7 @@ def _cmd_equilibrium(args) -> tuple[str, int]:
         phi = {
             "all_positive": rep.all_positive,
             "min_left": point(rep.min_left),
-            "min_gap": point(rep.min_gap),
+            "min_gap": None if rep.min_gap is None else point(rep.min_gap),
             "min_ray": point(rep.min_ray),
             "violations": [
                 {"segment": name, **point((z, re_phi))} for name, z, re_phi in rep.violations

@@ -58,7 +58,6 @@ class CriticalConstants:
     D: tuple  # Qbeta amplitudes of b_hat[2k]; D[k] = 6 sqrt(3) C[k]
     A: tuple  # order-k right-hand-side amplitudes of the singular system (None at k=0)
     B: tuple
-    K: tuple  # BigFloat map-count amplitudes per genus, at 40 digits
     signs: tuple  # numeric sign of each C[k]; expected -1 then all +1
     w_c: Qbeta
     g0_at_wc: Fraction
@@ -115,14 +114,12 @@ def run_C_recursion(G: int) -> CriticalConstants:
         a_list.append(a_k)
         b_list.append(b_k)
     signs = tuple(_numeric_sign(c) for c in c_list)
-    k_vals = tuple(_amplitude_value(c_list[g], g, 40) for g in range(G + 1))
     return CriticalConstants(
         G=G,
         C=tuple(c_list),
         D=tuple(d_list),
         A=tuple(a_list),
         B=tuple(b_list),
-        K=k_vals,
         signs=signs,
         w_c=W_CRITICAL,
         g0_at_wc=G0_AT_CRITICAL,

@@ -28,6 +28,11 @@ def critical_coupling(dps: int):
         return mp.root(3, 4) / 18
 
 
+def _gap_tolerance(b, dps: int):
+    """Working tolerance on z0 - b at dps digits: a gap (b, z0) narrower than this is empty."""
+    return mp.mpf(10) ** (-(dps - 10)) * max(1, abs(b))
+
+
 @dataclass(frozen=True)
 class EquilibriumData:
     u: object
@@ -80,7 +85,7 @@ def solve_endpoints(u, precision: int = 40) -> EquilibriumData:
         y = 2 / mp.sqrt(one_minus)
         a, b = x - y, x + y
         z0 = 1 / (3 * u) - x
-        if z0 - b < -mp.mpf(10) ** (-(dps - 10)) * max(1, abs(b)):
+        if z0 - b < -_gap_tolerance(b, dps):
             raise ArithmeticError("double zero z0 fell inside the support")
         return EquilibriumData(u=u, x=x, y=y, a=a, b=b, z0=z0, critical=critical, dps=dps)
 
@@ -153,7 +158,7 @@ class PhiReport:
 
     all_positive: bool
     min_left: tuple  # (z, Re phi1) with smallest Re phi1 on (-inf, a)
-    min_gap: tuple  # worst sample on (b, z0)
+    min_gap: tuple | None  # worst sample on (b, z0); None when the gap is empty (u = u_c)
     min_ray: tuple  # worst sample on the pi/3 ray from z0
     violations: tuple
     growth_coefficient: object  # fitted z^3 coefficient of Re phi2 on the ray
@@ -164,7 +169,10 @@ class PhiReport:
 
 
 def _tail_samples(eq: EquilibriumData, samples: int, zmax: float) -> tuple:
-    """(left, gap, ray): lists of (z, Re phi) at the sample points, at the current dps."""
+    """(left, gap, ray): lists of (z, Re phi) at the sample points, at the current dps.
+
+    gap is empty when z0 - b is below working tolerance (the critical coupling).
+    """
     u, x, y, a, b, z0 = eq.u, eq.x, eq.y, eq.a, eq.b, eq.z0
     h0 = 1 - 6 * u * x
     log_y = mp.log(y)
@@ -181,8 +189,10 @@ def _tail_samples(eq: EquilibriumData, samples: int, zmax: float) -> tuple:
     width = b - a
     d_left_max = zmax + a if zmax + a > width else 2 * width
     left = [sample(a - d) for d in logspace(width / 100, d_left_max, samples)]
-    d_gap_max = (z0 - b) * mp.mpf("0.999")
-    gap = [sample(b + d) for d in logspace(min(width / 100, d_gap_max / 10), d_gap_max, samples)]
+    gap = []
+    if z0 - b > _gap_tolerance(b, eq.dps):
+        d_gap_max = (z0 - b) * mp.mpf("0.999")
+        gap = [sample(b + d) for d in logspace(min(width / 100, d_gap_max / 10), d_gap_max, samples)]
 
     # ray from z0 at angle pi/3 (the asymptotic direction of the outer contour)
     direction = mp.exp(mp.mpc(0, mp.pi / 3))
@@ -249,7 +259,7 @@ def phi_check(eq: EquilibriumData, samples: int = 12, zmax: float = 100.0) -> Ph
         return PhiReport(
             all_positive=not violations,
             min_left=worst(left),
-            min_gap=worst(gap),
+            min_gap=worst(gap) if gap else None,
             min_ray=worst(ray),
             violations=tuple(violations),
             growth_coefficient=growth,

@@ -75,7 +75,10 @@ def _taylor_weight(j: int) -> Fraction:
 
 
 def _even_derivatives(g: Sequence[TruncatedSeries], b: Sequence[TruncatedSeries]):
-    """d2j(which, m, j): the memoised (2j)-th derivative of g[m] or b[m] (which = "g" or "b")."""
+    """d2j(which, m, j): the memoised (2j)-th derivative of g[m] or b[m] (which = "g" or "b").
+
+    The memo reads g and b at call time, so one memo serves lists that grow.
+    """
     derivs: dict[tuple[str, int, int], TruncatedSeries] = {}
 
     def d2j(which: str, m: int, j: int) -> TruncatedSeries:
@@ -93,37 +96,47 @@ def solve_order_k(
     g_lower: Sequence[TruncatedSeries],
     b_lower: Sequence[TruncatedSeries],
     det: TruncatedSeries,
-) -> tuple[TruncatedSeries, TruncatedSeries]:
+    t_lower: Sequence[TruncatedSeries],
+    d2j,
+) -> tuple[TruncatedSeries, TruncatedSeries, TruncatedSeries]:
     """Next correction pair from all lower orders, by Cramer on the 2x2 system.
 
         6*g_k + (6*b0 - 1)*b_k = R1 = -6*sum g_m^(2j)/((2j)! 2^2j) - 3*sum b_m*b_m'
         (1 - 6*b0)*g_k - 6*g0*b_k = R2 = 6*sum g_m*b_m'^(2j)/((2j)! 2^2j)
 
-    with every sum over indices summing to k, all strictly below k.
+    with every sum over indices summing to k, all strictly below k.  R2 is
+    assembled from the completed anti-diagonal sums
+
+        T_n = sum_(m+j=n) b_m^(2j)/((2j)! 2^2j),   t_lower = (T_0, ..., T_(k-1)),
+
+    as R2 = 6 (g0 U_k + sum_(m=1..k-1) g_m T_(k-m)) with U_k = T_k - b_k, so
+    an order costs k products.  d2j is the build's derivative memo over
+    g_lower and b_lower (``_even_derivatives``).  Returns (g_k, b_k, T_k).
     """
     k = len(g_lower)
-    if k < 1 or len(b_lower) != k:
-        raise ValueError("need matching g and b prefixes of length k >= 1")
+    if k < 1 or len(b_lower) != k or len(t_lower) != k:
+        raise ValueError("need matching g, b and T prefixes of length k >= 1")
     g0, b0 = g_lower[0], b_lower[0]
-    d2j = _even_derivatives(g_lower, b_lower)
 
-    r1 = None
-    for m in range(k):  # j = k - m >= 1
-        term = d2j("g", m, k - m) * _taylor_weight(k - m)
-        r1 = term if r1 is None else r1 + term
+    r1 = d2j("g", 0, k) * _taylor_weight(k)
+    for m in range(1, k):
+        r1 = r1 + d2j("g", m, k - m) * _taylor_weight(k - m)
     r1 = r1 * (-6)
-    for m in range(1, k):  # ordered pairs m + m' = k, both <= k-1
-        r1 = r1 - b_lower[m] * b_lower[k - m] * 3
-    r2 = None
-    for m in range(k):
-        for mp in range(min(k - m, k - 1) + 1):
-            term = g_lower[m] * d2j("b", mp, k - m - mp) * _taylor_weight(k - m - mp)
-            r2 = term if r2 is None else r2 + term
+    for m in range(1, (k + 1) // 2):  # pairs m < m' with m + m' = k, each standing for two ordered pairs
+        r1 = r1 - b_lower[m] * b_lower[k - m] * 6
+    if k % 2 == 0:
+        r1 = r1 - b_lower[k // 2] * b_lower[k // 2] * 3
+    uk = d2j("b", 0, k) * _taylor_weight(k)
+    for m in range(1, k):
+        uk = uk + d2j("b", m, k - m) * _taylor_weight(k - m)
+    r2 = g0 * uk
+    for m in range(1, k):
+        r2 = r2 + g_lower[m] * t_lower[k - m]
     r2 = r2 * 6
 
     gk = (r1 * (g0 * -6) - (b0 * 6 - 1) * r2) / det
     bk = (r2 * 6 - (1 - b0 * 6) * r1) / det
-    return gk, bk
+    return gk, bk, uk + bk
 
 
 @dataclass(frozen=True)
@@ -140,6 +153,8 @@ def build_hierarchy(max_k: int, horizon: int) -> StringHierarchy:
 
     The leading series is padded by 2*max_k orders internally because each
     Taylor-shift derivative slides the known window down by one exponent.
+    Derivatives are taken once per build and the anti-diagonal sums T_n are
+    carried from order to order, so order k costs O(k) series products.
     """
     if max_k < 0 or horizon < 1:
         raise ValueError("need max_k >= 0 and horizon >= 1")
@@ -152,10 +167,13 @@ def build_hierarchy(max_k: int, horizon: int) -> StringHierarchy:
 
     g = [g0]
     b = [b0]
+    t = [b0]
+    d2j = _even_derivatives(g, b)
     for _ in range(max_k):
-        gk, bk = solve_order_k(g, b, det)
+        gk, bk, tk = solve_order_k(g, b, det, t, d2j)
         g.append(gk)
         b.append(bk)
+        t.append(tk)
 
     return StringHierarchy(
         max_k=max_k,

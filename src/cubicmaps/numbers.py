@@ -10,77 +10,121 @@ Two ingredients the expansion work needs constantly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-
-_ZERO4 = (Fraction(0),) * 4
+from math import factorial, gcd, lcm
 
 
-def _coerce4(x) -> tuple | None:
-    if isinstance(x, Qbeta):
-        return x.c
-    if isinstance(x, (int, Fraction)):
-        return (Fraction(x), Fraction(0), Fraction(0), Fraction(0))
+def _qbeta(n0: int, n1: int, n2: int, n3: int, den: int) -> "Qbeta":
+    """(n0 + n1 beta + n2 beta^2 + n3 beta^3) / den in canonical form (den != 0)."""
+    g = gcd(den, n0, n1, n2, n3)
+    if den < 0:
+        g = -g
+    out = object.__new__(Qbeta)
+    if g != 1:
+        n0, n1, n2, n3, den = n0 // g, n1 // g, n2 // g, n3 // g, den // g
+    object.__setattr__(out, "_n", (n0, n1, n2, n3))
+    object.__setattr__(out, "_den", den)
+    object.__setattr__(out, "_c", None)
+    return out
+
+
+def _ratio(x) -> tuple[int, int] | None:
+    """(numerator, denominator) of an int or Fraction operand, else None."""
+    if isinstance(x, int):
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     return None
 
 
-@dataclass(frozen=True)
 class Qbeta:
-    """c[0] + c[1]*beta + c[2]*beta^2 + c[3]*beta^3 with beta^4 = 12."""
+    """c[0] + c[1]*beta + c[2]*beta^2 + c[3]*beta^3 with beta^4 = 12.
 
-    c: tuple
+    Stored as four Python-int numerators over one positive common
+    denominator, coprime to them, so equal values have equal representations
+    and every operation is integer arithmetic with one gcd per result.
+    ``c`` exposes the components as a cached tuple of Fractions.  Immutable.
+    """
 
-    def __post_init__(self) -> None:
-        c = tuple(Fraction(x) for x in self.c)
+    __slots__ = ("_n", "_den", "_c")
+
+    def __init__(self, c) -> None:
+        c = tuple(Fraction(x) for x in c)
         if len(c) != 4:
             raise ValueError("Qbeta needs exactly 4 rational components")
-        object.__setattr__(self, "c", c)
+        den = lcm(*(x.denominator for x in c))
+        # reduced fractions over the lcm of their denominators are already coprime to it
+        nums = tuple(x.numerator * (den // x.denominator) for x in c)
+        for name, value in (("_n", nums), ("_den", den), ("_c", c)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Qbeta is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Qbeta is immutable")
+
+    def __reduce__(self):
+        return Qbeta, (self.c,)
+
+    @property
+    def c(self) -> tuple:
+        """The four components on 1, beta, beta^2, beta^3, as Fractions."""
+        if self._c is None:
+            den = self._den
+            object.__setattr__(self, "_c", tuple(Fraction(x, den) for x in self._n))
+        return self._c
 
     @staticmethod
     def rational(x) -> "Qbeta":
         return Qbeta((Fraction(x), 0, 0, 0))
 
     def __bool__(self) -> bool:
-        return any(self.c)
+        return any(self._n)
 
     def __add__(self, other):
-        o = _coerce4(other)
-        if o is None:
-            return NotImplemented
-        return Qbeta(tuple(a + b for a, b in zip(self.c, o)))
+        if isinstance(other, Qbeta):
+            bn, db = other._n, other._den
+        else:
+            r = _ratio(other)
+            if r is None:
+                return NotImplemented
+            bn, db = (r[0], 0, 0, 0), r[1]
+        an, da = self._n, self._den
+        g = gcd(da, db)
+        sa, sb = db // g, da // g
+        return _qbeta(*(x * sa + y * sb for x, y in zip(an, bn)), sa * da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Qbeta(tuple(-a for a in self.c))
+        n0, n1, n2, n3 = self._n
+        return _qbeta(-n0, -n1, -n2, -n3, self._den)
 
     def __sub__(self, other):
-        o = _coerce4(other)
-        if o is None:
+        if not isinstance(other, (Qbeta, int, Fraction)):
             return NotImplemented
-        return Qbeta(tuple(a - b for a, b in zip(self.c, o)))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = _coerce4(other)
-        if o is None:
+        a0, a1, a2, a3 = self._n
+        if isinstance(other, Qbeta):
+            b0, b1, b2, b3 = other._n
+            return _qbeta(
+                a0 * b0 + 12 * (a1 * b3 + a2 * b2 + a3 * b1),
+                a0 * b1 + a1 * b0 + 12 * (a2 * b3 + a3 * b2),
+                a0 * b2 + a1 * b1 + a2 * b0 + 12 * a3 * b3,
+                a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
+                self._den * other._den,
+            )
+        r = _ratio(other)
+        if r is None:
             return NotImplemented
-        out = [Fraction(0)] * 4
-        for i, a in enumerate(self.c):
-            if not a:
-                continue
-            for j, b in enumerate(o):
-                if not b:
-                    continue
-                k = i + j
-                if k < 4:
-                    out[k] += a * b
-                else:
-                    out[k - 4] += 12 * a * b
-        return Qbeta(tuple(out))
+        p, q = r
+        return _qbeta(a0 * p, a1 * p, a2 * p, a3 * p, self._den * q)
 
     __rmul__ = __mul__
 
@@ -88,40 +132,46 @@ class Qbeta:
         # sigma (beta -> -beta) gives x sigma(x) = a + b beta^2 in Q(beta^2);
         # tau (beta^2 -> -beta^2) then gives the rational norm
         # N = (a + b beta^2)(a - b beta^2) = a^2 - 12 b^2, and
-        # 1/x = sigma(x) (a - b beta^2) / N
-        c0, c1, c2, c3 = self.c
+        # 1/x = sigma(x) (a - b beta^2) / N; on numerators over d the
+        # norm picks up d^4, so 1/x = d sigma(n) (a - b beta^2) / N(n)
+        c0, c1, c2, c3 = self._n
         a = c0 * c0 + 12 * c2 * c2 - 24 * c1 * c3
         b = 2 * c0 * c2 - c1 * c1 - 12 * c3 * c3
         norm = a * a - 12 * b * b
         if not norm:
             raise ZeroDivisionError("Qbeta element is zero")
-        return Qbeta(
-            (
-                (c0 * a - 12 * c2 * b) / norm,
-                (12 * c3 * b - c1 * a) / norm,
-                (c2 * a - c0 * b) / norm,
-                (c1 * b - c3 * a) / norm,
-            )
+        d = self._den
+        return _qbeta(
+            (c0 * a - 12 * c2 * b) * d,
+            (12 * c3 * b - c1 * a) * d,
+            (c2 * a - c0 * b) * d,
+            (c1 * b - c3 * a) * d,
+            norm,
         )
 
     def __truediv__(self, other):
-        o = _coerce4(other)
-        if o is None:
+        if isinstance(other, Qbeta):
+            return self * other.inverse()
+        r = _ratio(other)
+        if r is None:
             return NotImplemented
-        return self * Qbeta(o).inverse()
+        p, q = r
+        if not p:
+            raise ZeroDivisionError("Qbeta division by zero")
+        a0, a1, a2, a3 = self._n
+        return _qbeta(a0 * q, a1 * q, a2 * q, a3 * q, self._den * p)
 
     def __rtruediv__(self, other):
-        o = _coerce4(other)
-        if o is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return Qbeta(o) * self.inverse()
+        return self.inverse() * other
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise TypeError("integer powers only")
         if n < 0:
             return self.inverse() ** (-n)
-        acc = Qbeta((1, 0, 0, 0))
+        acc = _qbeta(1, 0, 0, 0, 1)
         base = self
         while n:
             if n & 1:
@@ -131,14 +181,18 @@ class Qbeta:
         return acc
 
     def __eq__(self, other) -> bool:
-        o = _coerce4(other)
-        return NotImplemented if o is None else self.c == o
+        if isinstance(other, Qbeta):
+            return self._den == other._den and self._n == other._n
+        r = _ratio(other)
+        if r is None:
+            return NotImplemented
+        return self._n == (r[0], 0, 0, 0) and self._den == r[1]
 
     def __hash__(self) -> int:
         return hash(self.c)
 
     def is_rational(self) -> bool:
-        return not any(self.c[1:])
+        return not any(self._n[1:])
 
     def rational_part(self) -> Fraction:
         if not self.is_rational():
@@ -147,7 +201,7 @@ class Qbeta:
 
     def grades(self) -> set[int]:
         """beta-exponents with nonzero component (the Z/4 grading of the field)."""
-        return {i for i, x in enumerate(self.c) if x}
+        return {i for i, x in enumerate(self._n) if x}
 
     def evaluate(self, like):
         """Numeric value using the arithmetic of ``like`` (an mpf/mpc sample)."""

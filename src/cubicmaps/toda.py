@@ -23,6 +23,7 @@ from types import MappingProxyType
 
 from mpmath import mp
 
+from .critical import _amplitude_exact, run_C_recursion
 from .hierarchy import build_hierarchy
 from .numbers import gamma_ratio, pochhammer
 from .precision import BigFloat
@@ -175,23 +176,15 @@ def hypergeom_3f2_reduction_check(j: int) -> bool:
     return lhs == rhs
 
 
-# growth-rate amplitudes K_2g as q * (6 pi)^p, tabulated through genus 2;
-# the critical-point module re-derives these from the singular expansion
-_AMPLITUDES = {
-    0: (Fraction(1), Fraction(-1, 2)),
-    1: (Fraction(1, 48), Fraction(0)),
-    2: (Fraction(7, 1440), Fraction(-1, 2)),
-}
-
-
 def log_count_estimate(g: int, j: int, precision: int = 30):
-    """ln of K_2g (2j)! j^((5g-7)/2) u_c^(-2j), as an mpf at working precision."""
-    if g not in _AMPLITUDES:
-        raise ValueError("amplitude constant not tabulated beyond genus 2")
-    q, p = _AMPLITUDES[g]
+    """ln of K_2g (2j)! j^((5g-7)/2) u_c^(-2j), as an mpf at working precision.
+
+    K_2g = q (6 pi)^(n/2) is read exactly off the critical amplitude C_2g.
+    """
+    q, n = _amplitude_exact(run_C_recursion(g).C[g], g)
     with mp.workdps(precision + 20):
         ln_uc = mp.log(3) / 4 - mp.log(18)
-        ln_k = mp.log(q.numerator) - mp.log(q.denominator) + p * mp.log(6 * mp.pi)
+        ln_k = mp.log(q.numerator) - mp.log(q.denominator) + Fraction(n, 2) * mp.log(6 * mp.pi)
         return ln_k + mp.loggamma(2 * j + 1) + mp.mpf(5 * g - 7) / 2 * mp.log(j) - 2 * j * ln_uc
 
 

@@ -3,11 +3,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import mp, workdps
 
+import cubicmaps
 from cubicmaps import acceptance
 from cubicmaps.acceptance import CriterionResult
 from cubicmaps.cli import main
@@ -246,3 +251,14 @@ def test_computation_failure_exit(capsys, monkeypatch):
     monkeypatch.setattr("cubicmaps.cli.build_hierarchy", broken)
     code, _, err = run_cli(capsys, "hierarchy", "--max-k", "1", "--horizon", "3")
     assert code == 2 and error_type(err) == "computation"
+
+
+def test_python_dash_m_matches_main(capsys):
+    # the package runs uninstalled as `python -m cubicmaps`, with main()'s output and exit code
+    src = str(Path(cubicmaps.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv in (["critical", "--max-genus", "2"], ["critical", "--max-genus", "-1"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cubicmaps", *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)

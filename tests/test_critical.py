@@ -20,7 +20,6 @@ from cubicmaps.critical import (
 )
 from cubicmaps.hierarchy import build_hierarchy
 from cubicmaps.numbers import BETA, SQRT3, W_CRITICAL, Qbeta
-from cubicmaps.toda import _AMPLITUDES
 
 
 @pytest.fixture(scope="module")
@@ -103,8 +102,9 @@ def test_count_amplitude_values(consts):
             got = compute_K(consts, g, precision=40)
             assert got.dps == 40
             assert abs(got.value - target) < abs(target) * mp.mpf(10) ** -39
-    # same constants the asymptotic estimator uses
-    for g, (q, p) in _AMPLITUDES.items():
+    # the closed forms K_0, K_2, K_4 = q (6 pi)^p
+    closed = {0: (Fraction(1), Fraction(-1, 2)), 1: (Fraction(1, 48), 0), 2: (Fraction(7, 1440), Fraction(-1, 2))}
+    for g, (q, p) in closed.items():
         qq, n = _amplitude_exact(consts.C[g], g)
         assert (qq, Fraction(n, 2)) == (q, p)
     with pytest.raises(ValueError):

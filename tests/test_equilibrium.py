@@ -141,6 +141,22 @@ def test_phi_rejects_zero_coupling():
         phi_check(eq)
 
 
+def test_phi_check_at_critical_coupling_has_an_empty_gap(capsys):
+    # z0 meets b at u_c: the gap (b, z0) is empty, so nothing is sampled there
+    eq = solve_endpoints(critical_coupling(40), precision=40)
+    assert eq.critical
+    rep = phi_check(eq)
+    assert rep.min_gap is None
+    assert not [v for v in rep.violations if v[0] == "gap"]
+    assert rep.all_positive, rep.violations
+    assert rep.min_left[1] > 0 and rep.min_ray[1] > 0
+    assert main(["equilibrium", "--u", "0.0731152229418051367121788278776110586200038106"]) == 0
+    out = capsys.readouterr().out
+    phi = json.loads(out)["phi_report"]
+    assert '"min_gap": null' in out and phi["min_gap"] is None
+    assert phi["all_positive"] is True and phi["violations"] == []
+
+
 def _phi_by_tanh_sinh(eq, left, gap, ray):
     """Re phi at the same sample points, integrating dphi along each tail with mp.quad."""
     u, x, a, b, z0 = eq.u, eq.x, eq.a, eq.b, eq.z0

@@ -6,6 +6,7 @@ from cubicmaps import hierarchy
 from cubicmaps.equilibrium import endpoint_series
 from cubicmaps.hierarchy import (
     StringHierarchy,
+    _even_derivatives,
     build_hierarchy,
     compute_g0_series,
     g0_coefficient,
@@ -79,6 +80,22 @@ def test_hat_equations_hold_through_order_three():
         assert eq2.is_zero(), f"g-equation residual at order {k}: {eq2}"
 
 
+def test_hat_equations_hold_at_benchmark_scale():
+    # the deepest hierarchy job the benchmark runs, checked by direct O(k^2)
+    # substitution against the carried anti-diagonal sums of the build; each
+    # derivative costs the residual window two exponents, so the (9, 38) build,
+    # whose prefix is the (9, 20) one, is checked through w^20 at every order
+    h20, h38 = build_hierarchy(9, 20), build_hierarchy(9, 38)
+    for h in (h20, h38):
+        for k, eq1, eq2 in hat_equation_residuals(h):
+            assert eq1.is_zero(), f"b-equation residual at order {k}: {eq1}"
+            assert eq2.is_zero(), f"g-equation residual at order {k}: {eq2}"
+            assert min(eq1.known_max, eq2.known_max) >= h.horizon - 2 * k
+    for k in range(10):
+        assert h20.g_hat[k] == h38.g_hat[k].truncate_to(20)
+        assert h20.b_hat[k] == h38.b_hat[k].truncate_to(20)
+
+
 def test_determinant_is_invertible_unit():
     h = build_hierarchy(0, 15)
     assert h.det.coefficient(0) == 1
@@ -107,7 +124,10 @@ def test_u_variable_indexing_and_slope():
 
 def test_solve_order_k_rejects_bad_prefixes():
     h = build_hierarchy(1, 6)
+    d2j = _even_derivatives(h.g_hat, h.b_hat)
     with pytest.raises(ValueError):
-        solve_order_k([], [], h.det)
+        solve_order_k([], [], h.det, [], d2j)
     with pytest.raises(ValueError):
-        solve_order_k([h.g_hat[0]], [], h.det)
+        solve_order_k([h.g_hat[0]], [], h.det, [h.b_hat[0]], d2j)
+    with pytest.raises(ValueError):
+        solve_order_k([h.g_hat[0]], [h.b_hat[0]], h.det, [], d2j)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -127,3 +129,117 @@ def test_binomial_half_integer():
     assert binomial(5, 2) == 10
     assert binomial(Fraction(3, 2), 0) == 1
     assert pochhammer(Fraction(1, 2), 3) == Fraction(15, 8)
+
+
+# reference arithmetic on Fraction components: the componentwise loop with the
+# beta^4 = 12 fold, and the inverse by conjugates, as the field was first written
+def _ref_mul(a, b):
+    out = [Fraction(0)] * 4
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < 4:
+                out[i + j] += x * y
+            else:
+                out[i + j - 4] += 12 * x * y
+    return tuple(out)
+
+
+def _ref_inverse(x):
+    c0, c1, c2, c3 = x
+    a = c0 * c0 + 12 * c2 * c2 - 24 * c1 * c3
+    b = 2 * c0 * c2 - c1 * c1 - 12 * c3 * c3
+    norm = a * a - 12 * b * b
+    if not norm:
+        raise ZeroDivisionError
+    return ((c0 * a - 12 * c2 * b) / norm, (12 * c3 * b - c1 * a) / norm,
+            (c2 * a - c0 * b) / norm, (c1 * b - c3 * a) / norm)
+
+
+def _ref_pow(x, n):
+    if n < 0:
+        x, n = _ref_inverse(x), -n
+    acc = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+    for _ in range(n):
+        acc = _ref_mul(acc, x)
+    return acc
+
+
+def _lift(x):
+    return x if isinstance(x, tuple) else (Fraction(x), Fraction(0), Fraction(0), Fraction(0))
+
+
+fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+components = st.tuples(fractions, fractions, fractions, fractions)
+scalars = st.integers(-30, 30) | fractions
+
+
+@settings(max_examples=300, deadline=None)
+@given(components, components | scalars, st.integers(-3, 4))
+def test_integer_qbeta_matches_fraction_reference(a, other, n):
+    x = Qbeta(a)
+    y = Qbeta(other) if isinstance(other, tuple) else other
+    b = _lift(other)
+    assert (x + y).c == tuple(p + q for p, q in zip(a, b))
+    assert (y + x).c == (x + y).c
+    assert (x - y).c == tuple(p - q for p, q in zip(a, b))
+    assert (y - x).c == tuple(q - p for p, q in zip(a, b))
+    assert (x * y).c == _ref_mul(a, b) == (y * x).c
+    if any(b):
+        assert (x / y).c == _ref_mul(a, _ref_inverse(b))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    if any(a):
+        assert (y / x).c == _ref_mul(b, _ref_inverse(a))
+        assert (x**n).c == _ref_pow(a, n)
+    elif n < 0:
+        with pytest.raises(ZeroDivisionError):
+            x**n
+    # canonical form: a value computed through any route equals (and hashes as)
+    # the same value built from its reduced components
+    for value, want in ((x + y, tuple(p + q for p, q in zip(a, b))), (x * y, _ref_mul(a, b)), (-x, tuple(-p for p in a))):
+        assert value == Qbeta(want) and hash(value) == hash(Qbeta(want))
+        assert all(type(v) is Fraction for v in value.c)
+    if any(b):
+        assert x / y == Qbeta(_ref_mul(a, _ref_inverse(b)))
+    if any(a):
+        assert x.inverse() == Qbeta(_ref_inverse(a)) and x**n == Qbeta(_ref_pow(a, n))
+
+
+def test_qbeta_canonical_form_and_value_semantics():
+    # one value built over unequal denominators
+    x = Qbeta((Fraction(1, 2), Fraction(1, 3), 0, Fraction(-5, 6)))
+    y = Qbeta((Fraction(3, 4), 0, Fraction(1, 4), 0)) * Fraction(2, 3) + Qbeta(
+        (0, Fraction(2, 6), Fraction(-1, 6), Fraction(-10, 12))
+    )
+    assert x == y and hash(x) == hash(y) == hash(x.c)
+    assert {x: 1}[y] == 1
+    assert Qbeta((Fraction(6, 4), 0, 0, 0)) == Fraction(3, 2)
+    assert Qbeta.rational(7) == 7 and Qbeta.rational(0) == 0
+    assert x / -2 == x * Fraction(-1, 2) and Qbeta.rational(-4).inverse() == Fraction(-1, 4)
+    assert (BETA**2 / 2 - SQRT3) == 0 and not (BETA**2 / 2 - SQRT3)
+    assert all(type(v) is Fraction for v in x.c)
+    assert x.c == (Fraction(1, 2), Fraction(1, 3), Fraction(0), Fraction(-5, 6))
+    assert Qbeta((1, "2/3", 0.5, 0)).c == (1, Fraction(2, 3), Fraction(1, 2), 0)
+    with pytest.raises(ValueError):
+        Qbeta((1, 2, 3))
+    for attr in ("c", "_n", "_den", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, attr, (0, 0, 0, 0))
+    with pytest.raises(AttributeError):
+        del x.c
+    for clone in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+        assert clone == x and clone.c == x.c and hash(clone) == hash(x)
+        assert clone * BETA == x * BETA
+    zero = Qbeta((0, Fraction(0, 5), 0, 0))
+    assert zero == Qbeta.rational(0) and not zero
+    with pytest.raises(ZeroDivisionError):
+        zero.inverse()
+    with pytest.raises(ZeroDivisionError):
+        x / zero
+    with pytest.raises(ZeroDivisionError):
+        x / 0
+    with pytest.raises(ZeroDivisionError):
+        1 / zero
+    assert repr(x) == "Qbeta(1/2 + 1/3*b^1 + -5/6*b^3)"
+    assert repr(zero) == "Qbeta(0)"

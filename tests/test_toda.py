@@ -5,7 +5,9 @@ import pytest
 from mpmath import mp
 
 import cubicmaps.toda as toda
+from cubicmaps.critical import compute_K, run_C_recursion
 from cubicmaps.hierarchy import build_hierarchy
+from cubicmaps.precision import agreement_digits
 from cubicmaps.series import TruncatedSeries, VAR_U2, VAR_W, monomial
 from cubicmaps.toda import (
     asymptotic_estimate,
@@ -16,6 +18,7 @@ from cubicmaps.toda import (
     genus1_closed_form,
     genus_table,
     hypergeom_3f2_reduction_check,
+    log_count_estimate,
     toda_integrate,
 )
 
@@ -120,7 +123,27 @@ def test_asymptotic_estimate_magnitude():
     est = asymptotic_estimate(0, 1, 20)
     assert 1 < est.value < 150
     with pytest.raises(ValueError):
-        asymptotic_estimate(3, 10)
+        asymptotic_estimate(-1, 10)
+
+
+def test_log_count_estimate_reads_K_from_critical():
+    consts = run_C_recursion(8)
+    j = 50
+    with mp.workdps(50):
+        ln_uc = mp.log(3) / 4 - mp.log(18)
+        rest = mp.loggamma(2 * j + 1) - 2 * j * ln_uc
+        for g in range(3, 9):
+            ln_k = log_count_estimate(g, j, 30) - rest - mp.mpf(5 * g - 7) / 2 * mp.log(j)
+            assert agreement_digits(ln_k, mp.log(compute_K(consts, g, 40).value)) >= 30, g
+    # through genus 2 the same bits as the closed forms q (6 pi)^p
+    closed = {0: (Fraction(1), Fraction(-1, 2)), 1: (Fraction(1, 48), Fraction(0)), 2: (Fraction(7, 1440), Fraction(-1, 2))}
+    for g, (q, p) in closed.items():
+        for j in (1, 200, 400):
+            with mp.workdps(50):
+                ln_uc = mp.log(3) / 4 - mp.log(18)
+                ln_k = mp.log(q.numerator) - mp.log(q.denominator) + p * mp.log(6 * mp.pi)
+                want = ln_k + mp.loggamma(2 * j + 1) + mp.mpf(5 * g - 7) / 2 * mp.log(j) - 2 * j * ln_uc
+            assert log_count_estimate(g, j, 30) == want
 
 
 def test_genus2_asymptotics_extended_horizon():

@@ -231,6 +231,8 @@ def _cmd_validate(args) -> tuple[str, int]:
         raise ValidationError("--N must be >= 1")
     alpha = _parse_alpha(args.alpha)
     h_step = _parse_fraction(args.h_step, "--h-step")
+    if h_step <= 0:
+        raise ValidationError("--h-step must be positive")
     rep = build_report(
         u, args.N, precision=precision, alpha=alpha, n_max=args.n_max,
         include_toda=args.toda, h_step=h_step,

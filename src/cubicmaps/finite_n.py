@@ -32,45 +32,17 @@ from mpmath.libmp import from_man_exp, mpf_cos_sin, mpf_exp, to_fixed
 from .precision import BigFloat, rational_to_mp
 from .quadrature import gauss_legendre
 
-# Decay sectors for the ray angles, in units of pi.  The weight exp(-N V)
-# dies along a ray iff cos(2*theta) > 0 and cos(3*theta) <= 0, which is
-# exactly what these intervals guarantee for every u >= 0.
-_SECTOR_LEFT = (Fraction(5, 6), Fraction(7, 6))
-_SECTOR_UPPER = (Fraction(1, 6), Fraction(1, 4))
+# The contour comes in from infinity along the ray at angle pi and goes back
+# out along +pi/5 (weight alpha) or -pi/5 (weight 1 - alpha), angles in units
+# of pi.  |exp(-N V)| = exp(-N (cos(2 theta) r^2/2 - u cos(3 theta) r^3)) dies
+# along a ray for every u >= 0 when cos(2 theta) > 0 and cos(3 theta) < 0: at
+# pi these are 1 and -1, at +/-pi/5 they are cos(2 pi/5) and -cos(2 pi/5).
+_LEFT_ANGLE = Fraction(1)
+_EXIT_ANGLE = Fraction(1, 5)
+_NODES_PER_PANEL = 192  # Gauss-Legendre nodes on each panel of a ray
 
 _QUAD_GUARD = 15  # extra working digits behind any quadrature target
 _FIX_GUARD = 40  # fixed-point bits behind the working precision in the moment sums
-
-
-@dataclass(frozen=True)
-class ContourConfig:
-    """Two-ray integration contour and quadrature budget.
-
-    The contour runs in from infinity along the ray at angle_left * pi and
-    back out along +/- angle_right * pi; alpha weights the upper-exit copy
-    against the lower-exit mirror.  r_max = None lets each run choose its own
-    truncation radius from the tail bound; an explicit value is honored but
-    rejected when it cannot reach the configured precision.
-    """
-
-    alpha: complex = 1.0
-    angle_left: Fraction = Fraction(1)
-    angle_right: Fraction = Fraction(1, 5)
-    r_max: float | None = None
-    nodes_per_panel: int = 192
-    precision: int = 80
-
-    def __post_init__(self) -> None:
-        if not _SECTOR_LEFT[0] < self.angle_left < _SECTOR_LEFT[1]:
-            raise ValueError("left ray leaves its decay sector")
-        if not _SECTOR_UPPER[0] < self.angle_right < _SECTOR_UPPER[1]:
-            raise ValueError("exit ray leaves its decay sector")
-        if self.nodes_per_panel < 6:
-            raise ValueError("nodes_per_panel is too small for panel quadrature")
-        if self.precision < 15:
-            raise ValueError("precision below a useful floor")
-        if self.r_max is not None and self.r_max <= 0:
-            raise ValueError("r_max must be positive")
 
 
 def _as_mp(x):
@@ -89,18 +61,12 @@ def _decay_rate(angle: Fraction, u: float, N: int, r: float) -> float:
     return N * (c2 * r * r / 2 - u * c3 * r ** 3)
 
 
-def _ray_radius(cfg: ContourConfig, angle: Fraction, u: float, N: int, j_max: int) -> float:
-    target = (cfg.precision + 12) * math.log(10) + 5
+def _ray_radius(precision: int, angle: Fraction, u: float, N: int, j_max: int) -> float:
+    target = (precision + 12) * math.log(10) + 5
 
     def short(r: float) -> float:
         return target + (j_max + 1) * max(math.log(r), 0.0) - _decay_rate(angle, u, N, r)
 
-    if cfg.r_max is not None:
-        if short(cfg.r_max) > 0:
-            raise ValueError(
-                f"r_max = {cfg.r_max} cannot push the tail below the precision target"
-            )
-        return cfg.r_max
     r = 2.0
     while short(r) > 0:
         r *= 1.25
@@ -109,21 +75,21 @@ def _ray_radius(cfg: ContourConfig, angle: Fraction, u: float, N: int, j_max: in
     return r
 
 
-def _panel_count(cfg: ContourConfig, u: float, N: int, j_max: int, r_max: float, m: int) -> int:
+def _panel_count(precision: int, u: float, N: int, j_max: int, r_max: float) -> int:
     # Bernstein-ellipse estimate: an m-node panel of length L on which the
     # integrand's log-derivative is at most S errs like (e S L / 4m)^(2m),
     # so size L to push that under the quadrature target.
     slope = N * (r_max + 3 * u * r_max * r_max) + (j_max + 1) * math.sqrt(N)
-    digits = cfg.precision + _QUAD_GUARD + 5
+    m = _NODES_PER_PANEL
+    digits = precision + _QUAD_GUARD + 5
     bound = math.e * slope * r_max / (4 * m) * 10 ** (digits / (2 * m))
     panels = max(8, math.ceil(r_max * math.sqrt(N)), math.ceil(bound))
     if panels > 200_000:
-        raise ValueError("precision target unreachable with the configured panel budget")
+        raise ValueError("precision target unreachable within the panel budget")
     return panels
 
 
-def _ray_moments(u_m, N: int, angle: Fraction, cfg: ContourConfig, max_order: int,
-                 r_max: float, panels: int):
+def _ray_moments(u_m, N: int, angle: Fraction, max_order: int, r_max: float, panels: int):
     """Outward moments along one ray: e^(i theta) * int_0^rmax (r e^(i theta))^j w dr.
 
     With z = r e^(i theta), each node adds a complex weight
@@ -136,7 +102,7 @@ def _ray_moments(u_m, N: int, angle: Fraction, cfg: ContourConfig, max_order: in
     node exponent.
     """
     bits = mp.prec + _FIX_GUARD
-    table = gauss_legendre(cfg.nodes_per_panel)
+    table = gauss_legendre(_NODES_PER_PANEL)
     num, den = float(r_max).as_integer_ratio()
     hl = (num << bits) // (2 * panels * den)  # half the panel width
     xs = [to_fixed(x._mpf_, bits) for x, _ in table]
@@ -184,38 +150,47 @@ def _ray_moments(u_m, N: int, angle: Fraction, cfg: ContourConfig, max_order: in
     return acc
 
 
-def compute_moments(cfg: ContourConfig, u, N: int, max_order: int) -> list[BigFloat]:
-    """Contour moments c_j = int_Gamma z^j exp(-N V(z)) dz for j = 0..max_order."""
+def compute_moments(precision: int, u, N: int, max_order: int, alpha=1.0) -> list[BigFloat]:
+    """Contour moments c_j = int_Gamma z^j exp(-N V(z)) dz for j = 0..max_order.
+
+    Gamma comes in along the ray at pi and goes out along pi/5 with weight
+    alpha and along -pi/5 with weight 1 - alpha; `precision` is the number
+    of decimal digits the moments claim.
+    """
+    if precision < 15:
+        raise ValueError("precision below a useful floor")
     if N < 1:
         raise ValueError("N must be a positive integer")
     if max_order < 0:
         raise ValueError("max_order must be nonnegative")
-    wdps = cfg.precision + _QUAD_GUARD
-    with workdps(wdps):
+    with workdps(precision + _QUAD_GUARD):
         u_m = _as_mp(u)
         if mp.im(u_m) != 0 or u_m < 0:
             raise ValueError("the coupling must be real and nonnegative")
         u_f = float(u_m)
-        alpha = mp.mpc(cfg.alpha)
-        m = len(gauss_legendre(cfg.nodes_per_panel))
+        if not math.isfinite(u_f):
+            raise ValueError("the coupling is too large for the tail bound")
+        alpha = mp.mpc(alpha)
+        if not mp.isfinite(alpha):
+            raise ValueError("alpha must be finite")
 
         def outward(angle: Fraction):
-            r_max = _ray_radius(cfg, angle, u_f, N, max_order)
-            panels = _panel_count(cfg, u_f, N, max_order, r_max, m)
-            return _ray_moments(u_m, N, angle, cfg, max_order, r_max, panels)
+            r_max = _ray_radius(precision, angle, u_f, N, max_order)
+            panels = _panel_count(precision, u_f, N, max_order, r_max)
+            return _ray_moments(u_m, N, angle, max_order, r_max, panels)
 
         # the inbound left ray is shared by both contours, so its weight is 1
-        left = outward(cfg.angle_left)
+        left = outward(_LEFT_ANGLE)
         total = [-v for v in left]
         if alpha != 0:
-            upper = outward(cfg.angle_right)
+            upper = outward(_EXIT_ANGLE)
             for j in range(max_order + 1):
                 total[j] += alpha * upper[j]
         if alpha != 1:
-            lower = outward(-cfg.angle_right)
+            lower = outward(-_EXIT_ANGLE)
             for j in range(max_order + 1):
                 total[j] += (1 - alpha) * lower[j]
-        return [BigFloat(v, cfg.precision) for v in total]
+        return [BigFloat(v, precision) for v in total]
 
 
 def inner_product(moments, p_coeffs, q_coeffs) -> BigFloat:
@@ -251,9 +226,6 @@ class RecurrenceData:
     dps: int
     conditioning_loss: tuple
     cross_check_digits: float
-
-    def __iter__(self):
-        return iter((self.h, self.gamma2, self.beta))
 
 
 def _moment_against(coeffs, k: int, c) -> "mp.mpc":
@@ -330,7 +302,7 @@ def recurrence_from_moments(moments, n_max: int) -> RecurrenceData:
             solved[n] = a
             ref = coeffs[n]
             top = max(max(abs(v) for v in ref), mp.mpf(1))
-            dev = max(abs(a[i] - ref[i]) for i in range(n)) / top if n else mp.mpf(0)
+            dev = max(abs(a[i] - ref[i]) for i in range(n)) / top
             if dev > 0:
                 worst = min(worst, -mp.log10(dev))
             h_again = _moment_against(a + [mp.mpc(1)], n, c)
@@ -377,32 +349,6 @@ def string_residuals(data: RecurrenceData, u, N: int):
             lhs = data.gamma2[n] * (1 - 3 * u_m * (data.beta[n] + data.beta[n - 1]))
             r2[n] = BigFloat(abs(lhs - mp.mpf(n) / N), data.dps)
         return r1, r2
-
-
-def tilde_moments(moments, u, N: int) -> list[BigFloat]:
-    """Moments in the shifted, rescaled variable where the potential is -z^3/3 + t z.
-
-    Exact linear transform of the input table: each new moment is a binomial
-    combination of the old ones times the shared normalization.
-    """
-    dps = min(m.dps for m in moments)
-    with workdps(dps + _QUAD_GUARD):
-        u_m = _as_mp(u)
-        if u_m <= 0:
-            raise ValueError("the shift 1/(6u) needs u > 0")
-        c = [_as_mp(m) for m in moments]
-        d = 1 / (6 * u_m)
-        cube = mp.cbrt(3 * u_m)
-        norm = mp.exp(mp.mpf(N) / (108 * u_m ** 2))
-        out = []
-        for k in range(len(c)):
-            acc = mp.mpc(0)
-            term = mp.mpf(1)  # (-d)^(k-m) built from the m = k end downward
-            for m_idx in range(k, -1, -1):
-                acc += mp.binomial(k, m_idx) * term * c[m_idx]
-                term *= -d
-            out.append(BigFloat(cube ** (k + 1) * norm * acc, dps))
-        return out
 
 
 def _g0_branch(w, near):
@@ -486,20 +432,19 @@ class AsymptoticReport:
     beta_ratios: tuple
 
 
-def check_asymptotic_expansion(u, N_list, precision: int = 80, alpha=1.0) -> AsymptoticReport:
+def check_asymptotic_expansion(u, N_list, precision: int = 80) -> AsymptoticReport:
     """Distance of gamma^2_N and beta_N from the two-term 1/N^2 prediction.
 
     epsilon(N) should shrink like N^-4, so doubling N divides it by about 16;
     the consecutive ratios are reported alongside the per-N entries.  Report
     only: scaling conclusions are left to the caller.
     """
-    cfg = ContourConfig(alpha=alpha, precision=precision)
     entries = []
     branch = "unset"
     with workdps(precision + _QUAD_GUARD):
         u_m = _as_mp(u)
         for N in sorted(N_list):
-            moments = compute_moments(cfg, u_m, N, 2 * N + 1)
+            moments = compute_moments(precision, u_m, N, 2 * N + 1)
             rec = recurrence_from_moments(moments, N)
             entry, branch = _asymptotic_entry(rec, u_m, N, precision)
             entries.append(entry)
@@ -544,11 +489,10 @@ def toda_residual(u, N: int, h_step, precision: int = 80, alpha=1.0) -> BigFloat
         if h <= 0:
             raise ValueError("h_step must be positive")
         t0 = 1 / (4 * (3 * u_m) ** (mp.mpf(4) / 3))
-        cfg = ContourConfig(alpha=alpha, precision=wdps - _QUAD_GUARD)
         recs = []
         for t in (t0 - h, t0, t0 + h):
             u_t = _coupling_of_time(t)
-            moments = compute_moments(cfg, u_t, N, 2 * N + 1)
+            moments = compute_moments(wdps - _QUAD_GUARD, u_t, N, 2 * N + 1, alpha=alpha)
             recs.append(recurrence_from_moments(moments, N))
         lo, mid, hi = recs
         worst_loss = max(max(r.conditioning_loss) for r in recs)
@@ -605,10 +549,9 @@ def build_report(u, N: int, precision: int = 120, alpha=1.0, n_max: int | None =
     if n_max < N + 1:
         raise ValueError("n_max must reach N + 1 so gamma^2_{N+1} exists")
     wdps = max(80, 8 * n_max, precision)
-    cfg = ContourConfig(alpha=alpha, precision=wdps)
     with workdps(wdps + _QUAD_GUARD):
         u_m = _as_mp(u)
-        moments = compute_moments(cfg, u_m, N, 2 * n_max + 1)
+        moments = compute_moments(wdps, u_m, N, 2 * n_max + 1, alpha=alpha)
         rec = recurrence_from_moments(moments, n_max)
         r1, r2 = string_residuals(rec, u_m, N)
         lo_n, hi_n = N // 2, min(3 * N // 2, n_max)

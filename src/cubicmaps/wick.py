@@ -21,7 +21,9 @@ from .numbers import double_factorial
 
 ENGINE = "pure"
 
-MAX_VERTICES = 6  # (3p-1)!! leaves; p = 8 would be ~3.2e10, past the design budget
+# the census enumerates two branches of (3p-3)!! leaves each, of the (3p-1)!!
+# matchings; p = 8 would be 2 * 21!! ~ 2.7e10 leaves (23!! ~ 3.2e11), past the design budget
+MAX_VERTICES = 6
 
 
 def available_engines() -> tuple[str, ...]:

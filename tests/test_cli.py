@@ -184,6 +184,23 @@ def test_validate_payload(capsys):
     assert code2 == 0 and out2 == out  # byte-identical rerun
 
 
+@pytest.mark.parametrize("u, extra", [
+    ("1/20", ["--alpha", "nan"]),
+    ("1/20", ["--alpha", "inf"]),
+    ("1/20", ["--alpha", "1,nan"]),
+    ("1e400", []),
+    ("1/20", ["--h-step", "0"]),
+    ("1/20", ["--h-step=-1/1000"]),
+])
+def test_validate_rejects_bad_input(capsys, u, extra):
+    # a non-finite alpha would reach the Hankel pivot search, a coupling past
+    # the float range the panel count, and a nonpositive step is never used
+    # without --toda; all are bad input, not failed computations
+    code, out, err = run_cli(capsys, "validate", "--N", "3", "--u", u, "--precision", "30", *extra)
+    assert code == 1 and out == ""
+    assert error_type(err) == "validation"
+
+
 def test_env_precision(capsys, monkeypatch):
     monkeypatch.setenv("CUBICMAPS_PRECISION", "25")
     code, out, _ = run_cli(capsys, "equilibrium", "--u", "1/20", "--samples", "8")

@@ -7,7 +7,6 @@ from mpmath import mp, workdps
 
 from cubicmaps.finite_n import (
     AsymptoticEntry,
-    ContourConfig,
     _as_mp,
     _g0_branch,
     _slice_values,
@@ -18,7 +17,6 @@ from cubicmaps.finite_n import (
     inner_product,
     recurrence_from_moments,
     string_residuals,
-    tilde_moments,
     toda_residual,
 )
 from cubicmaps.hierarchy import build_hierarchy
@@ -30,7 +28,7 @@ U_TENTH = Fraction(1, 10)
 
 @pytest.fixture(scope="module")
 def moments_60():
-    return compute_moments(ContourConfig(precision=60), U_TENTH, 10, 20)
+    return compute_moments(60, U_TENTH, 10, 20)
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +38,7 @@ def rec_60(moments_60):
 
 @pytest.fixture(scope="module")
 def gaussian_data():
-    moms = compute_moments(ContourConfig(precision=50), 0, 8, 18)
+    moms = compute_moments(50, 0, 8, 18)
     return moms, recurrence_from_moments(moms, 8)
 
 
@@ -53,19 +51,15 @@ def report_20(criterion_run):
 
 def test_contour_validation():
     with pytest.raises(ValueError):
-        ContourConfig(angle_left=Fraction(3, 4))
+        compute_moments(8, U_TENTH, 10, 4)
     with pytest.raises(ValueError):
-        ContourConfig(angle_right=Fraction(1, 3))
+        compute_moments(40, Fraction(-1, 10), 8, 4)
+    # a coupling past the float range would leave the tail bound without a radius
     with pytest.raises(ValueError):
-        ContourConfig(nodes_per_panel=4)
-    with pytest.raises(ValueError):
-        ContourConfig(precision=8)
-    with pytest.raises(ValueError):
-        ContourConfig(r_max=-1.0)
-    with pytest.raises(ValueError):
-        compute_moments(ContourConfig(r_max=1.5, precision=60), U_TENTH, 10, 4)
-    with pytest.raises(ValueError):
-        compute_moments(ContourConfig(precision=40), Fraction(-1, 10), 8, 4)
+        compute_moments(40, Fraction(10) ** 400, 8, 4)
+    for alpha in (float("nan"), float("inf"), complex(1, float("nan"))):
+        with pytest.raises(ValueError):
+            compute_moments(40, U_TENTH, 8, 4, alpha=alpha)
 
 
 def test_gaussian_moments(gaussian_data):
@@ -122,7 +116,7 @@ def test_moments_match_airy_closed_form(moments_60, alpha):
         precision, N, moments = 60, 10, moments_60
     else:
         precision, N = 40, 6
-        moments = compute_moments(ContourConfig(alpha=alpha, precision=precision), U_TENTH, N, 41)
+        moments = compute_moments(precision, U_TENTH, N, 41, alpha=alpha)
     ref = _airy_moments(U_TENTH, N, alpha, len(moments) - 1, precision + 30)
     with workdps(precision + 30):
         for got, want in zip(moments, ref):
@@ -131,7 +125,7 @@ def test_moments_match_airy_closed_form(moments_60, alpha):
 
 
 def test_precision_doubling(moments_60):
-    m120 = compute_moments(ContourConfig(precision=120), U_TENTH, 10, 20)
+    m120 = compute_moments(120, U_TENTH, 10, 20)
     with workdps(140):
         agree = min(agreement_digits(a.value, b.value) for a, b in zip(moments_60, m120))
     assert agree >= 55  # measured 73.6
@@ -143,7 +137,7 @@ def test_precision_doubling(moments_60):
 
 def test_alpha_conjugation(moments_60):
     # the mirror contour carries the conjugate measure, exactly
-    mirror = compute_moments(ContourConfig(alpha=0.0, precision=60), U_TENTH, 10, 20)
+    mirror = compute_moments(60, U_TENTH, 10, 20, alpha=0.0)
     with workdps(75):
         dev = max(abs(mp.conj(a.value) - b.value) for a, b in zip(moments_60, mirror))
         assert dev < mp.mpf("1e-60")
@@ -153,8 +147,8 @@ def test_alpha_independence_subcritical():
     # below the critical coupling both contours see the same one-cut data up
     # to the complex-saddle term exp(-N/(54 u^2)); measured agreement 33.7 digits
     u = Fraction(1, 20)
-    plain = compute_moments(ContourConfig(precision=80), u, 16, 19)
-    mixed = compute_moments(ContourConfig(alpha=0.3 + 0.2j, precision=80), u, 16, 19)
+    plain = compute_moments(80, u, 16, 19)
+    mixed = compute_moments(80, u, 16, 19, alpha=0.3 + 0.2j)
     ra = recurrence_from_moments(plain, 9)
     rb = recurrence_from_moments(mixed, 9)
     with workdps(100):
@@ -166,8 +160,8 @@ def test_alpha_mixing_past_critical():
     # generic alpha mixes them at the amplified saddle scale (~1e-4 on the
     # moments at these parameters) and pointwise agreement collapses; this
     # documents the measured deviation rather than asserting independence.
-    plain = compute_moments(ContourConfig(precision=80), U_TENTH, 16, 19)
-    mixed = compute_moments(ContourConfig(alpha=0.3 + 0.2j, precision=80), U_TENTH, 16, 19)
+    plain = compute_moments(80, U_TENTH, 16, 19)
+    mixed = compute_moments(80, U_TENTH, 16, 19, alpha=0.3 + 0.2j)
     ra = recurrence_from_moments(plain, 9)
     rb = recurrence_from_moments(mixed, 9)
     with workdps(100):
@@ -220,15 +214,15 @@ def test_asymptotic_gaussian():
         assert _as_mp(rep.entries[0].epsilon_beta) < mp.mpf("1e-45")
 
 
-def test_orthogonality_recomputation(moments_60, rec_60):
-    # contract the monic coefficients against an independently configured
-    # quadrature; only genuine moment error survives
-    fine = compute_moments(ContourConfig(precision=75, nodes_per_panel=384), U_TENTH, 10, 14)
+def test_orthogonality_recomputation(rec_60):
+    # contract the monic coefficients against the Airy closed-form moments,
+    # which share no quadrature code; only genuine moment error survives
+    exact = [BigFloat(c, 75) for c in _airy_moments(U_TENTH, 10, 1, 14, 90)]
     with workdps(90):
         for n in range(1, 7):
             for m in range(n):
-                ip = inner_product(fine, rec_60.coefficients[n], rec_60.coefficients[m])
-                assert abs(ip.value) < mp.mpf("1e-60")  # measured 6.6e-76
+                ip = inner_product(exact, rec_60.coefficients[n], rec_60.coefficients[m])
+                assert abs(ip.value) < mp.mpf("1e-60")  # measured 1.5e-77
 
 
 def test_condition_numbers_match_mpmath_inverse(moments_60, rec_60):
@@ -308,20 +302,12 @@ def test_slice_functions_match_series():
         assert abs(b2 - tail_sum(h.b_hat[1])) / abs(b2) < mp.mpf("1e-25")
 
 
-def test_tilde_moments_route():
-    # the shifted-variable moments are an exact linear transform; their norms
-    # must reproduce h_n up to the shared normalization
+def test_shifted_time_identities():
+    # the two facts about the shifted variable that toda_residual relies on
     u = Fraction(1, 50)
-    moms = compute_moments(ContourConfig(precision=80), u, 8, 19)
-    rec = recurrence_from_moments(moms, 9)
-    shifted = recurrence_from_moments(tilde_moments(moms, u, 8), 9)
+    rec = recurrence_from_moments(compute_moments(80, u, 8, 19), 9)
     with workdps(100):
         um = _as_mp(u)
-        cube = mp.cbrt(3 * um)
-        norm = mp.exp(mp.mpf(8) / (108 * um ** 2))
-        for n in range(10):
-            ref = cube ** (2 * n + 1) * norm * rec.h[n]
-            assert abs(shifted.h[n] - ref) / abs(ref) < mp.mpf("1e-60")  # measured 1.4e-73
         # far from the critical point gamma-tilde^2 sits near 1/(2 sqrt t)
         t = 1 / (4 * (3 * um) ** (mp.mpf(4) / 3))
         gamma_tilde2 = rec.gamma2[8] / (2 * mp.sqrt(t))
@@ -329,8 +315,6 @@ def test_tilde_moments_route():
         # exact scalar identity behind the smooth part of the free energy
         ident = 1 / (108 * um ** 2) + mp.log(3 * um) / 3
         assert abs(ident - (2 * t ** mp.mpf("1.5") / 3 - mp.log(4 * t) / 4)) < mp.mpf("1e-55")
-    with pytest.raises(ValueError):
-        tilde_moments(moms, 0, 8)
 
 
 def test_toda_residual_criterion(criterion_run):
@@ -353,7 +337,7 @@ def test_recurrence_rejections():
     flat = [BigFloat(mp.mpf(1), 40) for _ in range(8)]
     with pytest.raises(ArithmeticError, match="n = 1"):
         recurrence_from_moments(flat, 3)
-    good = compute_moments(ContourConfig(precision=40), 0, 4, 9)
+    good = compute_moments(40, 0, 4, 9)
     with pytest.raises(ValueError):
         recurrence_from_moments(good, 0)
     with pytest.raises(ValueError):

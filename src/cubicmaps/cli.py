@@ -10,6 +10,7 @@ decimal precision; an explicit --precision wins over both.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -291,6 +292,7 @@ def _cmd_reproduce(args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 3 if failed else 0
 
 
+@functools.cache  # parse_args leaves the parser as it was, so every call can share one
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cubicmaps", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser, required=True)

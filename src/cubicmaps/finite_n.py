@@ -351,18 +351,44 @@ def string_residuals(data: RecurrenceData, u, N: int):
         return r1, r2
 
 
+_SMALL_W = 1 / 720  # 72|w| < 1/10: Newton for the small roots converges from y = 1 + 36 w
+
+
 def _g0_branch(w, near):
     """Root of 72 x^3 - x^2 + w^2 nearest to `near`: the continued leading slice."""
-    roots = mp.polyroots([mp.mpf(72), mp.mpf(-1), mp.mpf(0), w * w],
-                         extraprec=80, maxsteps=200)
+    if abs(w) < _SMALL_W:
+        # the roots x ~ +w and x ~ -w merge into a double root at 0 once w^2
+        # falls below the working precision, where mp.polyroots stalls; with
+        # x = s*y, s = +-w, they are the roots y ~ 1 of 72 s y^3 - y^2 + 1, and
+        # the third root follows from their sum 1/72; the couplings the
+        # expansion is checked at (|w| >= 1/400) stay on polyroots
+        small = [s * _unit_root(72 * s) for s in (w, -w)]
+        roots = small + [mp.mpf(1) / 72 - small[0] - small[1]]
+    else:
+        roots = mp.polyroots([mp.mpf(72), mp.mpf(-1), mp.mpf(0), w * w],
+                             extraprec=80, maxsteps=200)
     return min(roots, key=lambda r: abs(r - near))
 
 
+def _unit_root(c):
+    """Root y = 1 + c/2 + O(c^2) of c y^3 - y^2 + 1, for |c| < 1/10, by Newton."""
+    tol = mp.eps  # a step below it leaves an error of order its square
+    with extraprec(20):
+        y = 1 + c / 2
+        step = 1
+        while abs(step) >= tol:
+            step = (c * y ** 3 - y * y + 1) / (3 * c * y * y - 2 * y)
+            y -= step
+    return +y
+
+
 def _slice_values(g0, w):
-    # closed forms on any branch; det is the Cramer denominator 1 - 108 g0
+    # closed forms on any branch; det is the Cramer denominator 1 - 108 g0;
+    # b0 = (g0 - w)/(6 g0) with g0 - w = 72 g0^3/(g0 + w) from the cubic, which
+    # keeps it when g0 and w agree to working precision
     det = 1 - 108 * g0
     g2 = 162 * g0 * (5 - 324 * g0) / det ** 4
-    b0 = (g0 - w) / (6 * g0)
+    b0 = 12 * g0 * g0 / (g0 + w)
     b2 = 54 * w / (g0 * det ** 4)
     return g2, b0, b2
 

@@ -10,6 +10,14 @@ Reversing every rotation maps the branch t = 1 onto t = 2, and relabelling
 the other vertices (then rotating the one that holds t) maps every branch
 t >= 3 onto t = 3, preserving faces and components.  So only those two
 branches are enumerated, and ``census`` weights them 2 and 3(p-1).
+
+A branch is enumerated depth first, and each matching is classified as it
+is built, not walked again at its leaf.  Each pair placed updates the open
+chains of the partial face permutation (an edge that closes its own chain
+is a face) and a vertex union-find, and backtracking undoes both, so a pair
+costs O(1); the last pair of each matching is settled from the chain ends
+without recursion.  ``analyze`` stays the independent whole-matching
+classifier behind ``genus_of_pairing``.
 """
 
 from __future__ import annotations
@@ -87,27 +95,6 @@ def analyze(match, n: int) -> tuple[int, int]:
     return faces, comps
 
 
-def _recurse(match: list, n: int, out: list) -> None:
-    h = 0
-    while h < n and match[h] >= 0:
-        h += 1
-    if h == n:
-        faces, comps = analyze(match, n)
-        out[0] += 1
-        if comps == 1:
-            out[2 + ((n // 6 + 2 - faces) >> 1)] += 1
-        else:
-            out[1] += 1
-        return
-    for t in range(h + 1, n):
-        if match[t] < 0:
-            match[h] = t
-            match[t] = h
-            _recurse(match, n, out)
-            match[h] = -1
-            match[t] = -1
-
-
 def _max_genus(p: int) -> int:
     return (p // 2 + 1) // 2
 
@@ -123,12 +110,92 @@ def count_branch(p: int, first_partner: int):
     n = 3 * p
     if not 1 <= first_partner < n:
         raise ValueError("first partner out of range")
-    match = [-1] * n
-    match[0] = first_partner
-    match[first_partner] = 0
-    out = [0] * (3 + _max_genus(p))
-    _recurse(match, n, out)
-    return out[0], out[1], tuple(out[2:])
+    rot = _ROTATION
+    # Faces are the cycles of c -> rot[match[c]].  A partial matching defines
+    # that successor on its paired half-edges only, which leaves open chains:
+    # head[e] is the first half-edge of the chain that ends at e, tail[s] the
+    # last of the chain that starts at s (each read only at a chain's ends).
+    # Pairing h with t adds the edges h -> rot[t] and t -> rot[h]; an edge
+    # that closes its own chain is a face, any other joins two chains.
+    head = list(range(n))
+    tail = list(range(n))
+    parent = list(range(p))  # vertex union-find, unions undone on backtrack
+    by_faces = [0] * (n + 1)  # connected leaves by face count
+    leaves = [0, 0]  # total, disconnected
+
+    def descend(free, choices, faces, comps):
+        # pair free[0] with each of free[1:choices] in turn, then the rest
+        h = free[0]
+        rh = rot[h]
+        for i in range(1, choices):
+            t = free[i]
+            rt = rot[t]
+            f = faces
+            a = head[h]
+            b = tail[rt]
+            if a == rt:
+                f += 1
+            else:
+                tail[a] = b
+                head[b] = a
+            a2 = head[t]
+            b2 = tail[rh]
+            if a2 == rh:
+                f += 1
+            else:
+                tail[a2] = b2
+                head[b2] = a2
+            ra = h // 3
+            while parent[ra] != ra:
+                ra = parent[ra]
+            rb = t // 3
+            while parent[rb] != rb:
+                rb = parent[rb]
+            c = comps
+            if ra != rb:
+                parent[ra] = rb
+                c -= 1
+            rest = free[1:i] + free[i + 1:]
+            if len(rest) == 2:
+                # the last pair closes either two chains or, joined, one
+                x, y = rest
+                f += 2 if head[x] == rot[y] else 1
+                if c == 2:
+                    rx = x // 3
+                    while parent[rx] != rx:
+                        rx = parent[rx]
+                    ry = y // 3
+                    while parent[ry] != ry:
+                        ry = parent[ry]
+                    if rx != ry:
+                        c = 1
+                leaves[0] += 1
+                if c == 1:
+                    by_faces[f] += 1
+                else:
+                    leaves[1] += 1
+            else:
+                descend(rest, len(rest), f, c)
+            # undo in reverse order; a join overwrote one tail and one head
+            if ra != rb:
+                parent[ra] = ra
+            if a2 != rh:
+                tail[a2] = t
+                head[b2] = rh
+            if a != rt:
+                tail[a] = h
+                head[b] = rt
+
+    others = tuple(h for h in range(1, n) if h != first_partner)
+    descend((0, first_partner) + others, 2, 0, p)
+    genus_counts = [0] * (_max_genus(p) + 1)
+    for faces, count in enumerate(by_faces):
+        if count:
+            twice = p // 2 + 2 - faces
+            if twice % 2 or not 0 <= twice // 2 < len(genus_counts):
+                raise ArithmeticError(f"{faces} faces on a connected {p}-vertex map")
+            genus_counts[twice // 2] += count
+    return leaves[0], leaves[1], tuple(genus_counts)
 
 
 def genus_of_pairing(pairs) -> PairingTopology:

@@ -184,6 +184,23 @@ def test_validate_payload(capsys):
     assert code2 == 0 and out2 == out  # byte-identical rerun
 
 
+@pytest.mark.parametrize("u", ["1e-100", "1e-200"])
+def test_validate_tiny_coupling(capsys, u):
+    # w^2 = u^4 lies far below the working precision, so the leading cubic
+    # has two roots +-w that agree with 0 to that precision; the prediction
+    # must still come out, with beta_N ~ 6 s u at s = 1 + 1/(2N)
+    code, out, err = run_cli(capsys, "validate", "--N", "2", "--u", u, "--precision", "30")
+    assert code == 0, err
+    asymptotic = json.loads(out)["asymptotic"]
+    with workdps(40):
+        pred_gamma = as_number(asymptotic["gamma2_predicted"])
+        pred_beta = as_number(asymptotic["beta_predicted"])
+        assert abs(pred_gamma - 1) < mp.mpf(10) ** -25
+        assert abs(pred_beta / (mp.mpf("7.5") * mp.mpf(u)) - 1) < mp.mpf(10) ** -25
+        assert mp.isfinite(as_number(asymptotic["epsilon_gamma"]))
+        assert mp.isfinite(as_number(asymptotic["epsilon_beta"]))
+
+
 @pytest.mark.parametrize("u, extra", [
     ("1/20", ["--alpha", "nan"]),
     ("1/20", ["--alpha", "inf"]),

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,6 +86,39 @@ def test_branch_symmetry_classes(p):
     assert sum(b[1] for b in branches.values()) == c.disconnected
     genera = range(len(branches[1][2]))
     assert [sum(b[2][g] for b in branches.values()) for g in genera] == [c.connected[g] for g in genera]
+
+
+def _branch_matchings(p, t):
+    """Every matching of the 3p half-edges that pairs 0 with t, as (i, j) pair lists."""
+    def extend(free, pairs):
+        if not free:
+            yield pairs
+            return
+        h, rest = free[0], free[1:]
+        for k, j in enumerate(rest):
+            yield from extend(rest[:k] + rest[k + 1:], pairs + [(h, j)])
+
+    yield from extend([h for h in range(1, 3 * p) if h != t], [(0, t)])
+
+
+@pytest.mark.parametrize("p", [2, 4])
+def test_branches_match_per_matching_classifier(p):
+    # every branch, not only the representatives t = 1 and t = 3: the faces
+    # and components count_branch tracks pair by pair against analyze run on
+    # each whole matching
+    for t in range(1, 3 * p):
+        genera = Counter()
+        disconnected = 0
+        for pairs in _branch_matchings(p, t):
+            topology = genus_of_pairing(pairs)
+            if topology.connected:
+                genera[topology.genus] += 1
+            else:
+                disconnected += 1
+        total, branch_disconnected, branch_genera = count_branch(p, t)
+        assert total == sum(genera.values()) + disconnected == double_factorial(3 * p - 3)
+        assert branch_disconnected == disconnected
+        assert {g: c for g, c in enumerate(branch_genera) if c} == genera
 
 
 def test_census_rejects_bad_sizes():

@@ -5,10 +5,16 @@ lives in the quadrature: each ray is integrated panel-wise by Gauss-Legendre
 with a truncation radius taken from an explicit tail bound.  The moment sums
 run in fixed-point Python integers: every node contributes a complex weight
 times a real power of its radius, and the ray's phase is applied once per
-order.  Recurrence data is then extracted twice (a Stieltjes bordering pass,
-and a direct Hankel solve per degree, one LU factorization of each block
-serving both the solve and its condition number) so that conditioning loss
-shows up as a measured number instead of silently eating digits.
+order.  The weights take no exponential per node: along a ray the exponent
+-N V is a cubic in the panel index, so each node's weight steps from panel
+to panel by its first, second and third finite differences, the third one a
+constant K = exp(48 b3) shared by every node; three exponentials seed each
+node, and 3 * panels.bit_length() + 8 guard bits absorb the rounding, which
+grows like the cube of the panel index.  Recurrence data is then extracted
+twice (a Stieltjes bordering pass, and a direct Hankel solve per degree, one
+LU factorization of each block serving both the solve and its condition
+number) so that conditioning loss shows up as a measured number instead of
+silently eating digits.
 
 The string equations and the Toda relation are integration-by-parts and
 determinant identities of the moment data, valid wherever the Hankel minors
@@ -26,7 +32,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import lshift, mul, rshift
 
-from mpmath import extraprec, mp, workdps
+from mpmath import extraprec, mp, workdps, workprec
 from mpmath.libmp import from_man_exp, mpf_cos_sin, mpf_exp, to_fixed
 
 from .precision import BigFloat, rational_to_mp
@@ -61,7 +67,23 @@ def _decay_rate(angle: Fraction, u: float, N: int, r: float) -> float:
     return N * (c2 * r * r / 2 - u * c3 * r ** 3)
 
 
+def _decay_slope(angle: Fraction, u: float, N: int, r: float) -> float:
+    # r times the radial derivative of the decay exponent: |r^j exp(-N V)|
+    # peaks where this equals j, and falls beyond
+    theta = math.pi * float(angle)
+    return N * (math.cos(2 * theta) * r * r - 3 * u * math.cos(3 * theta) * r ** 3)
+
+
 def _ray_radius(precision: int, angle: Fraction, u: float, N: int, j_max: int) -> float:
+    """Truncation radius: the rung of the ladder 2 * 1.25^k where the tail bound closes.
+
+    Past the integrand's peak, where decay'(r) r >= j_max + 1, the tail
+    beyond r is at most r^(j_max + 1) |exp(-N V(r))|, and the bound asks that
+    to fall e^5 below 10^-(precision + 12) (with r^(j_max + 1) read as 1 for
+    r < 1).  The ladder climbs from r = 2 until the bound closes; if it
+    closes at once, as for large N, it steps down while it still closes and
+    r stays past the peak.
+    """
     target = (precision + 12) * math.log(10) + 5
 
     def short(r: float) -> float:
@@ -72,6 +94,8 @@ def _ray_radius(precision: int, angle: Fraction, u: float, N: int, j_max: int) -
         r *= 1.25
         if r > 1e6:
             raise ValueError("tail bound does not close; weight does not decay on this ray")
+    while short(r / 1.25) <= 0 and _decay_slope(angle, u, N, r / 1.25) >= j_max + 1:
+        r /= 1.25
     return r
 
 
@@ -89,64 +113,134 @@ def _panel_count(precision: int, u: float, N: int, j_max: int, r_max: float) -> 
     return panels
 
 
+def _normalized(re: int, im: int, exp: int, prec: int) -> tuple[int, int, int]:
+    # (re + i im) 2^exp rescaled so that max(|re|, |im|) has exactly prec bits
+    shift = max(abs(re), abs(im)).bit_length() - prec
+    if shift >= 0:
+        return re >> shift, im >> shift, exp + shift
+    return re << -shift, im << -shift, exp + shift
+
+
+def _exp_fixed(re: int, im: int, prec: int) -> tuple[int, int, int]:
+    """exp(re + i im) for fixed-point re, im with prec fraction bits, normalized."""
+    _, mag, exp, _ = mpf_exp(from_man_exp(re, -prec), prec)
+    if not im:
+        return _normalized(mag, 0, exp, prec)
+    cos, sin = mpf_cos_sin(from_man_exp(im, -prec), prec)
+    return _normalized(mag * to_fixed(cos, prec), mag * to_fixed(sin, prec), exp - prec, prec)
+
+
 def _ray_moments(u_m, N: int, angle: Fraction, max_order: int, r_max: float, panels: int):
     """Outward moments along one ray: e^(i theta) * int_0^rmax (r e^(i theta))^j w dr.
 
     With z = r e^(i theta), each node adds a complex weight
     W = wt * hl * exp(-N V(z)) times the real power r^j, and the phase
     e^(i (j+1) theta) multiplies each order's sum once at the end.  The sums
-    run on Python ints: r is fixed point with `bits` fraction bits, and each
-    weight is a pair of mantissas (real, imaginary) with its own binary
-    exponent, so a weight deep in the tail keeps its full relative precision
-    before r^j amplifies it.  Each order is summed exactly at the smallest
-    node exponent.
+    run on Python ints: r (in units of 2^-k) is fixed point with `bits`
+    fraction bits, and each weight is a pair of mantissas (real, imaginary)
+    with its own binary exponent, so a weight deep in the tail keeps its full
+    relative precision before r^j amplifies it.  Each order is summed exactly
+    at the smallest node exponent.  A real ray (theta = pi) carries one real
+    mantissa list.
+
+    No exponential is taken per node and panel.  The node x of panel p sits
+    at r = h s with s = 2p + 1 + x, where the exponent -N V(z) is the cubic
+    E(s) = b2 s^2 + b3 s^3; moving one panel out steps s by 2, so with the
+    differences D(s) = E(s + 2) - E(s) and F(s) = D(s + 2) - D(s), and the
+    third difference 48 b3, which is the same at every node,
+
+        w_(p+1) = w_p exp(D_p),  exp(D_(p+1)) = exp(D_p) exp(F_p),
+        exp(F_(p+1)) = exp(F_p) K,  K = exp(48 b3).
+
+    Each node seeds w, exp(D) and exp(F) at s = 1 + x, so a ray takes
+    3 * 192 + 1 exponentials whatever its panel count.  Each product rounds
+    once, and by panel p the roundings of F have passed through D into w
+    about p^3/6 times, which is also the order of the shift of E(s) from
+    holding b2 and b3 in fixed point; the recurrence therefore runs at
+    bits + 3 * panels.bit_length() + 8 bits, and each weight is cut to
+    `bits` for the sums.
     """
     bits = mp.prec + _FIX_GUARD
+    guard = 3 * panels.bit_length() + 8
+    prec = bits + guard
+    one = 1 << prec
+    # lengths are held in units of 2^-k, k >= 0 lifting the peak of the top
+    # order's integrand to at least 1/2 when a large N brings it lower, so that
+    # r, r^j and the node weights keep their bits in fixed point; the binary
+    # exponents take the 2^-k back
+    peak = r_max  # within a factor 2 above the peak once the halving stops
+    while _decay_slope(angle, float(u_m), N, peak / 2) >= max_order + 1:
+        peak /= 2
+    k = max(0, 1 - math.frexp(peak)[1])
     table = gauss_legendre(_NODES_PER_PANEL)
-    num, den = float(r_max).as_integer_ratio()
+    num, den = math.ldexp(r_max, k).as_integer_ratio()
     hl = (num << bits) // (2 * panels * den)  # half the panel width
     xs = [to_fixed(x._mpf_, bits) for x, _ in table]
-    whs = [to_fixed(w._mpf_, bits) * hl >> bits for _, w in table]
-    theta = mp.mpf(angle.numerator) / angle.denominator
-    # the exponent -N V(z) is a2 r^2 + a3 r^3 along the ray
-    a2 = -N * mp.expjpi(2 * theta) / 2
-    a3 = N * u_m * mp.expjpi(3 * theta)
-    a2r, a2i, a3r, a3i = (to_fixed(v._mpf_, bits) for v in (a2.real, a2.imag, a3.real, a3.imag))
+    whs = [to_fixed(w._mpf_, bits) * hl for _, w in table]  # 2 * bits fraction bits
+    with workprec(prec + 20):
+        h = mp.mpf((hl, -bits - k))
+        theta = mp.mpf(angle.numerator) / angle.denominator
+        b2 = -N * mp.expjpi(2 * theta) * h ** 2 / 2
+        b3 = N * u_m * mp.expjpi(3 * theta) * h ** 3
+        b2r, b2i, b3r, b3i = (to_fixed(v._mpf_, prec) for v in (b2.real, b2.imag, b3.real, b3.imag))
+    real = not (b2i or b3i)
+
+    def exp_cubic(c2: int, c3: int) -> tuple[int, int, int]:
+        # exp(b2 c2 + b3 c3) for fixed-point c2, c3
+        return _exp_fixed((b2r * c2 + b3r * c3) >> prec, (b2i * c2 + b3i * c3) >> prec, prec)
+
+    kr, ki, ke = exp_cubic(0, 48 * one)
     rs, res, ims, exps = [], [], [], []
-    for p in range(panels):
-        centre = (2 * p + 1) << bits
-        for x, wh in zip(xs, whs):
-            r = hl * (centre + x) >> bits
-            r2 = r * r >> bits
-            r3 = r2 * r >> bits
-            _, mag, mag_exp, _ = mpf_exp(from_man_exp((a2r * r2 + a3r * r3) >> bits, -bits), bits)
-            arg = (a2i * r2 + a3i * r3) >> bits
-            if arg:
-                cos, sin = mpf_cos_sin(from_man_exp(arg, -bits), bits)
-                cos, sin = to_fixed(cos, bits), to_fixed(sin, bits)
-            else:
-                cos, sin = 1 << bits, 0
-            mag *= wh
-            re, im = mag * cos, mag * sin
-            shift = max(abs(re), abs(im)).bit_length() - bits
-            if shift >= 0:
-                re, im = re >> shift, im >> shift
-            else:
-                re, im = re << -shift, im << -shift
-            rs.append(r)
-            res.append(re)
-            ims.append(im)
-            exps.append(mag_exp - 2 * bits + shift)
+    for x, wh in zip(xs, whs):
+        s = ((1 << bits) + x) << guard
+        s2 = s * s >> prec
+        s3 = s2 * s >> prec
+        wr, wi, we = exp_cubic(s2, s3)
+        wr, wi, we = _normalized(wr * wh, wi * wh, we - 2 * bits - k, prec)
+        dr, di, de = exp_cubic(4 * s + 4 * one, 6 * s2 + 12 * s + 8 * one)
+        fr, fi, fe = exp_cubic(8 * one, 24 * s + 48 * one)
+        rs.extend(hl * (((2 * p + 1) << bits) + x) >> bits for p in range(panels))
+        if real:
+            for _ in range(panels):
+                res.append(wr >> guard)
+                exps.append(we + guard)
+                wr *= dr
+                n = abs(wr).bit_length() - prec
+                wr >>= n
+                we += de + n
+                dr *= fr
+                n = abs(dr).bit_length() - prec
+                dr >>= n
+                de += fe + n
+                fr *= kr
+                n = abs(fr).bit_length() - prec
+                fr >>= n
+                fe += ke + n
+            continue
+        for _ in range(panels):
+            res.append(wr >> guard)
+            ims.append(wi >> guard)
+            exps.append(we + guard)
+            wr, wi = wr * dr - wi * di, wr * di + wi * dr
+            n = max(abs(wr), abs(wi)).bit_length() - prec
+            wr, wi, we = wr >> n, wi >> n, we + de + n
+            dr, di = dr * fr - di * fi, dr * fi + di * fr
+            n = max(abs(dr), abs(di)).bit_length() - prec
+            dr, di, de = dr >> n, di >> n, de + fe + n
+            fr, fi = fr * kr - fi * ki, fr * ki + fi * kr
+            n = max(abs(fr), abs(fi)).bit_length() - prec
+            fr, fi, fe = fr >> n, fi >> n, fe + ke + n
     low = min(exps)
     offsets = [e - low for e in exps]
+    parts = [res] if real else [res, ims]
+    del res, ims  # each order's lists go as the next order replaces them
     acc = []
     for j in range(max_order + 1):
         if j:
-            res = list(map(rshift, map(mul, res, rs), repeat(bits)))
-            ims = list(map(rshift, map(mul, ims, rs), repeat(bits)))
-        re = mp.mpf((sum(map(lshift, res, offsets)), low))
-        im = mp.mpf((sum(map(lshift, ims, offsets)), low))
-        acc.append(mp.mpc(re, im) * mp.expjpi(mp.mpf((j + 1) * angle.numerator) / angle.denominator))
+            for i, m in enumerate(parts):
+                parts[i] = list(map(rshift, map(mul, m, rs), repeat(bits)))
+        value = mp.mpc(*(mp.mpf((sum(map(lshift, m, offsets)), low - k * j)) for m in parts))
+        acc.append(value * mp.expjpi(mp.mpf((j + 1) * angle.numerator) / angle.denominator))
     return acc
 
 

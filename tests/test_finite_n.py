@@ -9,6 +9,9 @@ from cubicmaps.finite_n import (
     AsymptoticEntry,
     _as_mp,
     _g0_branch,
+    _panel_count,
+    _ray_moments,
+    _ray_radius,
     _slice_values,
     build_report,
     check_asymptotic_expansion,
@@ -22,6 +25,7 @@ from cubicmaps.finite_n import (
 from cubicmaps.hierarchy import build_hierarchy
 from cubicmaps.numbers import double_factorial
 from cubicmaps.precision import BigFloat, agreement_digits, rational_to_mp
+from cubicmaps.quadrature import gauss_legendre
 
 U_TENTH = Fraction(1, 10)
 
@@ -120,8 +124,79 @@ def test_moments_match_airy_closed_form(moments_60, alpha):
     ref = _airy_moments(U_TENTH, N, alpha, len(moments) - 1, precision + 30)
     with workdps(precision + 30):
         for got, want in zip(moments, ref):
-            # the claimed digits plus 5 of the guard digits; measured 74.8 and 53.9
+            # the claimed digits plus 5 of the guard digits; measured 75.0 and 54.1
             assert abs(got.value - want) <= abs(want) * mp.mpf(10) ** -(precision + 5)
+
+
+@pytest.mark.parametrize("angle", [Fraction(1), Fraction(1, 5)], ids=["pi", "pi/5"])
+def test_ray_recurrence_matches_direct_exponential(angle):
+    # the panel recurrence for the ray weights against exp(-N V(z)) taken
+    # outright at every node, 20 digits above the working precision; the ray
+    # is cut into more panels than its own bound asks for, about as many as
+    # criterion 9's rays (69 and 173), and at N = 1 the weight spans it, so
+    # nodes out to about panel 100 carry digits after the recurrence has
+    # compounded its p^3/6 roundings; measured 36.6 (pi) and 36.2 (pi/5)
+    precision, N, u, order = 20, 1, U_TENTH, 3
+    r_max = _ray_radius(precision, angle, float(u), N, order)
+    panels = 120
+    assert _panel_count(precision, float(u), N, order, r_max) < panels
+    with workdps(precision + 15):
+        u_m = _as_mp(u)
+        got = _ray_moments(u_m, N, angle, order, r_max, panels)
+        table = gauss_legendre(192)
+    with workdps(precision + 35):
+        theta = mp.mpf(angle.numerator) / angle.denominator
+        # -N V(z) = -N z^2/2 + N u z^3 at z = r e^(i theta)
+        a2 = -N * mp.expjpi(2 * theta) / 2
+        a3 = N * u_m * mp.expjpi(3 * theta)
+        h = mp.mpf(r_max) / (2 * panels)
+        nodes = [(h * x, h * w) for x, w in table]
+        want = [mp.mpc(0)] * (order + 1)
+        for p in range(panels):
+            centre = h * (2 * p + 1)
+            for hx, hw in nodes:
+                r = centre + hx
+                term = hw * mp.exp(r * r * (a2 + a3 * r))
+                for j in range(order + 1):
+                    want[j] += term
+                    term *= r
+        for j, (a, b) in enumerate(zip(got, want)):
+            b *= mp.expjpi((j + 1) * theta)
+            assert abs(a - b) <= abs(b) * mp.mpf(10) ** -(precision + 5)
+
+
+@pytest.mark.parametrize("u, radii, panels", [
+    (Fraction(2, 25), (7.62939453125, 14.901161193847656), (16, 30)),
+    (Fraction(1, 16), (9.5367431640625, 14.901161193847656), (20, 30)),
+], ids=["2/25", "1/16"])
+def test_validate_quadrature_decisions(u, radii, panels):
+    # the rays at pi and pi/5 of `validate --N 4 --precision 80` (orders
+    # through 15); a different node set would move every noise-level field
+    # of its output
+    for angle, r_want, p_want in zip((Fraction(1), Fraction(1, 5)), radii, panels):
+        r_max = _ray_radius(80, angle, float(u), 4, 15)
+        assert r_max == r_want
+        assert _panel_count(80, float(u), 4, 15, r_max) == p_want
+
+
+def test_radius_descends_at_large_N():
+    # at N = 10^6 the weight has died long before r = 2, so the radius steps
+    # down the ladder; kept at r = 2, each ray would need 41,312 panels
+    N, precision = 10 ** 6, 80
+    for angle, p_want in ((Fraction(1), 24), (Fraction(1, 5), 46)):
+        r_max = _ray_radius(precision, angle, 0.1, N, 3)
+        assert r_max < 0.05
+        assert _panel_count(precision, 0.1, N, 3, r_max) == p_want
+    # near the weight's peak r^j would shrink the fixed-point mantissas by
+    # several bits per order unless the ray's lengths are rescaled; the Airy
+    # recursion loses about 3 digits per order at this N, hence its 300 digits
+    ref = _airy_moments(U_TENTH, N, 1, 31, 300)
+    for order in (3, 31):
+        moments = compute_moments(precision, U_TENTH, N, order)
+        with workdps(300):
+            for got, want in zip(moments, ref):
+                # measured 92.9 (orders through 3) and 90.3 (through 31)
+                assert abs(got.value - want) <= abs(want) * mp.mpf(10) ** -(precision + 5)
 
 
 def test_precision_doubling(moments_60):

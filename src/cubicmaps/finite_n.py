@@ -1,20 +1,22 @@
-"""Finite-N orthogonal-polynomial data on the two-ray contours.
+"""Finite-N orthogonal-polynomial data on a smooth contour.
 
 Everything past the moments is linear algebra, so the analytic error budget
-lives in the quadrature: each ray is integrated panel-wise by Gauss-Legendre
-with a truncation radius taken from an explicit tail bound.  The moment sums
-run in fixed-point Python integers: every node contributes a complex weight
-times a real power of its radius, and the ray's phase is applied once per
-order.  The weights take no exponential per node: along a ray the exponent
--N V is a cubic in the panel index, so each node's weight steps from panel
-to panel by its first, second and third finite differences, the third one a
-constant K = exp(48 b3) shared by every node; three exponentials seed each
-node, and 3 * panels.bit_length() + 8 guard bits absorb the rounding, which
-grows like the cube of the panel index.  Recurrence data is then extracted
-twice (a Stieltjes bordering pass, and a direct Hankel solve per degree, one
-LU factorization of each block serving both the solve and its condition
-number) so that conditioning loss shows up as a measured number instead of
-silently eating digits.
+lives in the quadrature.  The contour is z = s zeta(t), zeta = t e^(i pi
+sigma/5), sigma = (1 + tanh(t/tau))/2: in from infinity along the ray at pi,
+out along pi/5; its mirror image goes out along -pi/5 and has the conjugate
+moments.  The integrand is analytic on the strip |Im t| < pi tau/2, so the
+trapezoidal rule with step h errs by at most 2 M(a)/(e^(2 pi a/h) - 1), M(a)
+the integrand's L1 norm on the lines Im t = +-a (Trefethen & Weideman, SIAM
+Rev. 56 (2014), Thm 5.1).  `_path_rule` takes a = pi tau/4, bounds M(a) from
+float samples, sets h = 1/n from it, cuts the sum where radial tail bounds on
+the path close, and takes the tau of a short ladder that needs the fewest
+nodes; the nodes t = k/n are exact at the working precision.  The moment
+sums run in fixed-point Python integers, each node's weight with its own
+binary exponent.  Recurrence data is then extracted twice (a Stieltjes
+bordering pass, and a direct Hankel solve per degree, one LU factorization
+of each block serving both the solve and its condition number) so that
+conditioning loss shows up as a measured number instead of silently eating
+digits.
 
 The string equations and the Toda relation are integration-by-parts and
 determinant identities of the moment data, valid wherever the Hankel minors
@@ -26,29 +28,37 @@ leading coefficient function.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import lshift, mul, rshift
+from operator import add, lshift, mul, rshift, sub
 
 from mpmath import extraprec, mp, workdps, workprec
 from mpmath.libmp import from_man_exp, mpf_cos_sin, mpf_exp, to_fixed
 
 from .precision import BigFloat, rational_to_mp
-from .quadrature import gauss_legendre
 
-# The contour comes in from infinity along the ray at angle pi and goes back
-# out along +pi/5 (weight alpha) or -pi/5 (weight 1 - alpha), angles in units
-# of pi.  |exp(-N V)| = exp(-N (cos(2 theta) r^2/2 - u cos(3 theta) r^3)) dies
-# along a ray for every u >= 0 when cos(2 theta) > 0 and cos(3 theta) < 0: at
-# pi these are 1 and -1, at +/-pi/5 they are cos(2 pi/5) and -cos(2 pi/5).
-_LEFT_ANGLE = Fraction(1)
-_EXIT_ANGLE = Fraction(1, 5)
-_NODES_PER_PANEL = 192  # Gauss-Legendre nodes on each panel of a ray
+# Along the path, |exp(-N V(s zeta))| = exp(-b r^2 cos(2 theta)/2 + c r^3 cos(3 theta))
+# at zeta = r e^(i theta).  Inbound, theta lies within pi/10 of pi, where both
+# terms decay; outbound, theta climbs from pi/10 to pi/5, and the cubic term
+# decays only once theta has passed pi/6, where cos(3 theta) turns negative.
+_COS_EXIT = math.cos(2 * math.pi / 5)  # the least cos(2 theta) outbound
+# for real t, zeta'(t) = e^(i pi sigma/5) (1 + i q) with q = (pi/10) x sech^2 x
+# at x = t/tau, and max_x |x| sech^2 x = 0.4477, so |zeta'| <= sqrt(1 + 0.1407^2)
+_DZETA_MAX = 1.01
+_TAUS = (1, 2, 3, 4, 6, 8, 12, 16)  # turning widths the rule may take; 8 is tried first
+_STEP = 0.5  # spacing of the float samples behind the rule's bounds
 
-_QUAD_GUARD = 15  # extra working digits behind any quadrature target
+# The strip and tail bounds that fix h = 1/n, tau and the node range are asked
+# for precision + _QUAD_GUARD digits relative to the integrand's L1 norm on
+# the path; the working precision, at which the nodes t = k/n are exact,
+# carries the same guard, and the moments are claimed to `precision`.
+_QUAD_GUARD = 15
 _FIX_GUARD = 40  # fixed-point bits behind the working precision in the moment sums
+_NODE_GUARD = 20  # bits behind those at which each node's weight is evaluated
 
 
 def _as_mp(x):
@@ -59,188 +69,186 @@ def _as_mp(x):
     return mp.mpmathify(x)
 
 
-def _decay_rate(angle: Fraction, u: float, N: int, r: float) -> float:
-    # natural-log decay exponent of |exp(-N V)| at radius r along the ray
-    theta = math.pi * float(angle)
-    c2 = math.cos(2 * theta)
-    c3 = math.cos(3 * theta)
-    return N * (c2 * r * r / 2 - u * c3 * r ** 3)
+def _path_scale(u_m, N: int):
+    """(s, b, c) with -N V(s zeta) = -b zeta^2/2 + c zeta^3 and max(b, c) = 1.
 
-
-def _decay_slope(angle: Fraction, u: float, N: int, r: float) -> float:
-    # r times the radial derivative of the decay exponent: |r^j exp(-N V)|
-    # peaks where this equals j, and falls beyond
-    theta = math.pi * float(angle)
-    return N * (math.cos(2 * theta) * r * r - 3 * u * math.cos(3 * theta) * r ** 3)
-
-
-def _ray_radius(precision: int, angle: Fraction, u: float, N: int, j_max: int) -> float:
-    """Truncation radius: the rung of the ladder 2 * 1.25^k where the tail bound closes.
-
-    Past the integrand's peak, where decay'(r) r >= j_max + 1, the tail
-    beyond r is at most r^(j_max + 1) |exp(-N V(r))|, and the bound asks that
-    to fall e^5 below 10^-(precision + 12) (with r^(j_max + 1) read as 1 for
-    r < 1).  The ladder climbs from r = 2 until the bound closes; if it
-    closes at once, as for large N, it steps down while it still closes and
-    r stays past the peak.
+    s = N^(-1/2) holds the Gaussian width at 1 in zeta whatever N is; when
+    the cubic term dominates at that scale (u^2 > N), s = (u N)^(-1/3) holds
+    the cubic at 1 instead.
     """
-    target = (precision + 12) * math.log(10) + 5
-
-    def short(r: float) -> float:
-        return target + (j_max + 1) * max(math.log(r), 0.0) - _decay_rate(angle, u, N, r)
-
-    r = 2.0
-    while short(r) > 0:
-        r *= 1.25
-        if r > 1e6:
-            raise ValueError("tail bound does not close; weight does not decay on this ray")
-    while short(r / 1.25) <= 0 and _decay_slope(angle, u, N, r / 1.25) >= j_max + 1:
-        r /= 1.25
-    return r
+    if u_m * u_m <= N:
+        s = 1 / mp.sqrt(N)
+        return s, mp.mpf(1), u_m * s
+    s = mp.cbrt(1 / (u_m * N))
+    return s, N * s * s, mp.mpf(1)
 
 
-def _panel_count(precision: int, u: float, N: int, j_max: int, r_max: float) -> int:
-    # Bernstein-ellipse estimate: an m-node panel of length L on which the
-    # integrand's log-derivative is at most S errs like (e S L / 4m)^(2m),
-    # so size L to push that under the quadrature target.
-    slope = N * (r_max + 3 * u * r_max * r_max) + (j_max + 1) * math.sqrt(N)
-    m = _NODES_PER_PANEL
-    digits = precision + _QUAD_GUARD + 5
-    bound = math.e * slope * r_max / (4 * m) * 10 ** (digits / (2 * m))
-    panels = max(8, math.ceil(r_max * math.sqrt(N)), math.ceil(bound))
-    if panels > 200_000:
-        raise ValueError("precision target unreachable within the panel budget")
-    return panels
+def _log_terms(t: complex, tau: int, b: float, c: float) -> tuple[float, float]:
+    """(log|exp(-b zeta^2/2 + c zeta^3) zeta'(t)|, log|zeta(t)|) at complex t."""
+    th = cmath.tanh(t / tau)
+    rot = cmath.exp(1j * math.pi * (1 + th) / 10)
+    zeta = t * rot
+    dzeta = rot * (1 + 1j * math.pi * t * (1 - th * th) / (10 * tau))
+    phi = zeta * zeta * (c * zeta - b / 2)
+    return phi.real + math.log(abs(dzeta)), math.log(abs(zeta))
 
 
-def _normalized(re: int, im: int, exp: int, prec: int) -> tuple[int, int, int]:
-    # (re + i im) 2^exp rescaled so that max(|re|, |im|) has exactly prec bits
-    shift = max(abs(re), abs(im)).bit_length() - prec
-    if shift >= 0:
-        return re >> shift, im >> shift, exp + shift
-    return re << -shift, im << -shift, exp + shift
+def _log_envelope(samples, j_max: int) -> list[float]:
+    """max over the samples (A, B) of A + j B for j = 0..j_max: with A, B from
+    `_log_terms`, the log of the largest sampled |zeta^j exp(...) zeta'|.  A
+    sample that another beats in both A and B never attains it."""
+    front = []
+    for A, B in sorted(samples, key=lambda p: -p[1]):
+        if not front or A > front[-1][0]:
+            front.append((A, B))
+    return [max(A + j * B for A, B in front) for j in range(j_max + 1)]
 
 
-def _exp_fixed(re: int, im: int, prec: int) -> tuple[int, int, int]:
-    """exp(re + i im) for fixed-point re, im with prec fraction bits, normalized."""
-    _, mag, exp, _ = mpf_exp(from_man_exp(re, -prec), prec)
-    if not im:
-        return _normalized(mag, 0, exp, prec)
-    cos, sin = mpf_cos_sin(from_man_exp(im, -prec), prec)
-    return _normalized(mag * to_fixed(cos, prec), mag * to_fixed(sin, prec), exp - prec, prec)
+def _grid(x0: float, x1: float) -> list[float]:
+    # midpoints of the _STEP cells of [x0, x1]; with x0 a multiple of _STEP,
+    # as on the real line, t = 0 (where zeta = 0) is never one
+    return [x0 + (k + 0.5) * _STEP for k in range(int((x1 - x0) / _STEP))]
 
 
-def _ray_moments(u_m, N: int, angle: Fraction, max_order: int, r_max: float, panels: int):
-    """Outward moments along one ray: e^(i theta) * int_0^rmax (r e^(i theta))^j w dr.
+def _radial_decay(t: float, tau: int, b: float, c: float, j_max: int) -> float | None:
+    """g(|t|) of the tail bound past t, or None while it does not hold yet.
 
-    With z = r e^(i theta), each node adds a complex weight
-    W = wt * hl * exp(-N V(z)) times the real power r^j, and the phase
-    e^(i (j+1) theta) multiplies each order's sum once at the end.  The sums
-    run on Python ints: r (in units of 2^-k) is fixed point with `bits`
-    fraction bits, and each weight is a pair of mantissas (real, imaginary)
-    with its own binary exponent, so a weight deep in the tail keeps its full
-    relative precision before r^j amplifies it.  Each order is summed exactly
-    at the smallest node exponent.  A real ray (theta = pi) carries one real
-    mantissa list.
+    Beyond t, arg zeta only moves further toward the ray it approaches, so
+    |exp(-b zeta^2/2 + c zeta^3)| <= exp(-g(|t'|)), g(r) = b c2 r^2/2 + c c3 r^3
+    with c2, c3 read at t.  Once r g'(r) >= j_max + 2, r^j exp(-g) falls faster
+    than 1/r^2 for every order j, so the tail integral and the tail of the
+    trapezoidal sum are both at most |zeta'| r^(j+1) exp(-g(r)); log |zeta'|
+    is taken off the returned g.
+    """
+    theta = math.pi * (1 + math.tanh(t / tau)) / 10
+    if t > 0:
+        c2, c3 = _COS_EXIT, -math.cos(3 * theta)
+        if c3 < 0:
+            return None
+    else:
+        # inbound, arg zeta = pi + theta with theta shrinking toward 0
+        c2, c3 = math.cos(2 * theta), math.cos(3 * theta)
+    r = abs(t)
+    if b * c2 * r * r + 3 * c * c3 * r ** 3 < j_max + 2:
+        return None
+    return b * c2 * r * r / 2 + c * c3 * r ** 3 - math.log(_DZETA_MAX)
 
-    No exponential is taken per node and panel.  The node x of panel p sits
-    at r = h s with s = 2p + 1 + x, where the exponent -N V(z) is the cubic
-    E(s) = b2 s^2 + b3 s^3; moving one panel out steps s by 2, so with the
-    differences D(s) = E(s + 2) - E(s) and F(s) = D(s + 2) - D(s), and the
-    third difference 48 b3, which is the same at every node,
 
-        w_(p+1) = w_p exp(D_p),  exp(D_(p+1)) = exp(D_p) exp(F_p),
-        exp(F_(p+1)) = exp(F_p) K,  K = exp(48 b3).
+@functools.lru_cache(maxsize=256)
+def _rule_for(target: float, b: float, c: float, j_max: int, tau: int) -> tuple[int, int, int, int]:
+    """(tau, n, k_lo, k_hi) meeting an error of e^-target relative to the path's L1 norm."""
 
-    Each node seeds w, exp(D) and exp(F) at s = 1 + x, so a ray takes
-    3 * 192 + 1 exponentials whatever its panel count.  Each product rounds
-    once, and by panel p the roundings of F have passed through D into w
-    about p^3/6 times, which is also the order of the shift of E(s) from
-    holding b2 and b3 in fixed point; the recurrence therefore runs at
-    bits + 3 * panels.bit_length() + 8 bits, and each weight is cut to
-    `bits` for the sums.
+    def edge(sign: int) -> float:
+        t = sign * _STEP
+        while _radial_decay(t, tau, b, c, j_max) is None:
+            t += sign * _STEP
+        return t
+
+    # outside this window the radial bound falls for every order, so the
+    # integrand's peaks lie inside it
+    lo, hi = edge(-1), edge(1)
+    m0 = _log_envelope([_log_terms(x, tau, b, c) for x in _grid(lo, hi)], j_max)
+
+    def closed(t: float) -> bool:
+        g, log_r = _radial_decay(t, tau, b, c, j_max), math.log(abs(t))
+        return all((j + 1) * log_r - g <= m - target for j, m in enumerate(m0))
+
+    while not closed(lo):
+        lo -= _STEP
+    while not closed(hi):
+        hi += _STEP
+    # M(a) on both lines Im t = +-a, out to where the exit ray's asymptotics
+    # decay on them (Re of the cubic turns negative by Re t = 9.3 a)
+    a = math.pi * tau / 4
+    x0, x1 = min(lo, -2 * a), max(hi, 10 * a)
+    ma = _log_envelope([_log_terms(complex(x, y), tau, b, c) for x in _grid(x0, x1) for y in (a, -a)], j_max)
+    # the largest sample times the window's length bounds each line integral;
+    # the path's own norm is read as its largest sample, the integrand's
+    # peaks being about unit width in t at the scale s
+    growth = max(p - q for p, q in zip(ma, m0)) + math.log(x1 - x0)
+    n = math.ceil((target + math.log(2) + growth) / (2 * math.pi * a))
+    return tau, n, math.floor(lo * n), math.ceil(hi * n)
+
+
+def _path_rule(precision: int, b: float, c: float, j_max: int) -> tuple[int, int, int, int]:
+    """(tau, n, k_lo, k_hi): turning width tau and the nodes t = k/n, k_lo <= k <= k_hi.
+
+    The strip and tail errors are each held below 10^-(precision +
+    _QUAD_GUARD) times the path's L1 norm, order by order.  A wide turn
+    allows a wide strip, but the strip's lines see the integrand grow, the
+    more so the larger the cubic; the ladder is walked from 8 while the node
+    count falls.
+    """
+    target = (precision + _QUAD_GUARD) * math.log(10)
+
+    def nodes(i: int) -> int:
+        _, _, k_lo, k_hi = _rule_for(target, b, c, j_max, _TAUS[i])
+        return k_hi - k_lo + 1
+
+    best = _TAUS.index(8)
+    for step in (1, -1):
+        i = best + step
+        while 0 <= i < len(_TAUS) and nodes(i) < nodes(best):
+            best, i = i, i + step
+    return _rule_for(target, b, c, j_max, _TAUS[best])
+
+
+def _fixed_cos_sin(x: int, prec: int) -> tuple[int, int]:
+    cos, sin = mpf_cos_sin(from_man_exp(x, -prec), prec)
+    return to_fixed(cos, prec), to_fixed(sin, prec)
+
+
+def _path_moments(s, b, c, max_order: int, tau: int, n: int, k_lo: int, k_hi: int):
+    """h * sum over k_lo <= k <= k_hi of z^j exp(-N V(z)) z'(t) at t = k h, h = 1/n.
+
+    Each node's weight W = exp(-b zeta^2/2 + c zeta^3) zeta'(t) is evaluated
+    in fixed point at `bits` + _NODE_GUARD bits and kept as two mantissas
+    (real, imaginary) of `bits` bits with its own binary exponent, so a
+    weight deep in the tail keeps its full relative precision before zeta^j
+    amplifies it.  zeta is fixed point with `bits` fraction bits, each order
+    multiplies every mantissa by it once, and each order is summed exactly
+    at the smallest node exponent; s^(j+1) h turns the zeta moments into z
+    moments.
     """
     bits = mp.prec + _FIX_GUARD
-    guard = 3 * panels.bit_length() + 8
-    prec = bits + guard
+    prec = bits + _NODE_GUARD
     one = 1 << prec
-    # lengths are held in units of 2^-k, k >= 0 lifting the peak of the top
-    # order's integrand to at least 1/2 when a large N brings it lower, so that
-    # r, r^j and the node weights keep their bits in fixed point; the binary
-    # exponents take the 2^-k back
-    peak = r_max  # within a factor 2 above the peak once the halving stops
-    while _decay_slope(angle, float(u_m), N, peak / 2) >= max_order + 1:
-        peak /= 2
-    k = max(0, 1 - math.frexp(peak)[1])
-    table = gauss_legendre(_NODES_PER_PANEL)
-    num, den = math.ldexp(r_max, k).as_integer_ratio()
-    hl = (num << bits) // (2 * panels * den)  # half the panel width
-    xs = [to_fixed(x._mpf_, bits) for x, _ in table]
-    whs = [to_fixed(w._mpf_, bits) * hl for _, w in table]  # 2 * bits fraction bits
-    with workprec(prec + 20):
-        h = mp.mpf((hl, -bits - k))
-        theta = mp.mpf(angle.numerator) / angle.denominator
-        b2 = -N * mp.expjpi(2 * theta) * h ** 2 / 2
-        b3 = N * u_m * mp.expjpi(3 * theta) * h ** 3
-        b2r, b2i, b3r, b3i = (to_fixed(v._mpf_, prec) for v in (b2.real, b2.imag, b3.real, b3.imag))
-    real = not (b2i or b3i)
-
-    def exp_cubic(c2: int, c3: int) -> tuple[int, int, int]:
-        # exp(b2 c2 + b3 c3) for fixed-point c2, c3
-        return _exp_fixed((b2r * c2 + b3r * c3) >> prec, (b2i * c2 + b3i * c3) >> prec, prec)
-
-    kr, ki, ke = exp_cubic(0, 48 * one)
-    rs, res, ims, exps = [], [], [], []
-    for x, wh in zip(xs, whs):
-        s = ((1 << bits) + x) << guard
-        s2 = s * s >> prec
-        s3 = s2 * s >> prec
-        wr, wi, we = exp_cubic(s2, s3)
-        wr, wi, we = _normalized(wr * wh, wi * wh, we - 2 * bits - k, prec)
-        dr, di, de = exp_cubic(4 * s + 4 * one, 6 * s2 + 12 * s + 8 * one)
-        fr, fi, fe = exp_cubic(8 * one, 24 * s + 48 * one)
-        rs.extend(hl * (((2 * p + 1) << bits) + x) >> bits for p in range(panels))
-        if real:
-            for _ in range(panels):
-                res.append(wr >> guard)
-                exps.append(we + guard)
-                wr *= dr
-                n = abs(wr).bit_length() - prec
-                wr >>= n
-                we += de + n
-                dr *= fr
-                n = abs(dr).bit_length() - prec
-                dr >>= n
-                de += fe + n
-                fr *= kr
-                n = abs(fr).bit_length() - prec
-                fr >>= n
-                fe += ke + n
-            continue
-        for _ in range(panels):
-            res.append(wr >> guard)
-            ims.append(wi >> guard)
-            exps.append(we + guard)
-            wr, wi = wr * dr - wi * di, wr * di + wi * dr
-            n = max(abs(wr), abs(wi)).bit_length() - prec
-            wr, wi, we = wr >> n, wi >> n, we + de + n
-            dr, di = dr * fr - di * fi, dr * fi + di * fr
-            n = max(abs(dr), abs(di)).bit_length() - prec
-            dr, di, de = dr >> n, di >> n, de + fe + n
-            fr, fi = fr * kr - fi * ki, fr * ki + fi * kr
-            n = max(abs(fr), abs(fi)).bit_length() - prec
-            fr, fi, fe = fr >> n, fi >> n, fe + ke + n
+    with workprec(prec + 10):
+        half_b, c_fix, pi5 = (to_fixed(v._mpf_, prec) for v in (b / 2, c, mp.pi / 5))
+    nodes = []
+    for k in range(k_lo, k_hi + 1):
+        t = (k << prec) // n
+        # sigma = 1/(1 + E) and sigma' = (2/tau) sigma (1 - sigma), E = exp(-2t/tau)
+        big_e = to_fixed(mpf_exp(from_man_exp(-2 * t // tau, -prec), prec), prec)
+        sigma = (one << prec) // (one + big_e)
+        dsigma = 2 * (sigma * (one - sigma) >> prec) // tau
+        cr, ci = _fixed_cos_sin(pi5 * sigma >> prec, prec)
+        zr, zi = t * cr >> prec, t * ci >> prec
+        q = (pi5 * t >> prec) * dsigma >> prec
+        dr, di = cr - (ci * q >> prec), ci + (cr * q >> prec)
+        # phi = zeta^2 (c zeta - b/2)
+        sr, si = (zr * zr - zi * zi) >> prec, 2 * zr * zi >> prec
+        fr, fi = (c_fix * zr >> prec) - half_b, c_fix * zi >> prec
+        _, man, exp, _ = mpf_exp(from_man_exp((sr * fr - si * fi) >> prec, -prec), prec)
+        er, ei = _fixed_cos_sin((sr * fi + si * fr) >> prec, prec)
+        # e^(i Im phi) zeta' has modulus >= 1 at 2 * prec fraction bits, so
+        # the cut to `bits` bits is a right shift
+        wr, wi = man * (er * dr - ei * di), man * (er * di + ei * dr)
+        shift = max(abs(wr), abs(wi)).bit_length() - bits
+        nodes.append((zr >> _NODE_GUARD, zi >> _NODE_GUARD, wr >> shift, wi >> shift, exp - 2 * prec + shift))
+    zrs, zis, res, ims, exps = map(list, zip(*nodes))
     low = min(exps)
     offsets = [e - low for e in exps]
-    parts = [res] if real else [res, ims]
-    del res, ims  # each order's lists go as the next order replaces them
     acc = []
+    scale = s / n
     for j in range(max_order + 1):
         if j:
-            for i, m in enumerate(parts):
-                parts[i] = list(map(rshift, map(mul, m, rs), repeat(bits)))
-        value = mp.mpc(*(mp.mpf((sum(map(lshift, m, offsets)), low - k * j)) for m in parts))
-        acc.append(value * mp.expjpi(mp.mpf((j + 1) * angle.numerator) / angle.denominator))
+            res, ims = (
+                list(map(rshift, map(sub, map(mul, res, zrs), map(mul, ims, zis)), repeat(bits))),
+                list(map(rshift, map(add, map(mul, res, zis), map(mul, ims, zrs)), repeat(bits))),
+            )
+        acc.append(mp.mpc(*(mp.mpf((sum(map(lshift, m, offsets)), low)) for m in (res, ims))) * scale)
+        scale *= s
     return acc
 
 
@@ -261,30 +269,17 @@ def compute_moments(precision: int, u, N: int, max_order: int, alpha=1.0) -> lis
         u_m = _as_mp(u)
         if mp.im(u_m) != 0 or u_m < 0:
             raise ValueError("the coupling must be real and nonnegative")
-        u_f = float(u_m)
-        if not math.isfinite(u_f):
+        if not math.isfinite(float(u_m)):
             raise ValueError("the coupling is too large for the tail bound")
         alpha = mp.mpc(alpha)
         if not mp.isfinite(alpha):
             raise ValueError("alpha must be finite")
-
-        def outward(angle: Fraction):
-            r_max = _ray_radius(precision, angle, u_f, N, max_order)
-            panels = _panel_count(precision, u_f, N, max_order, r_max)
-            return _ray_moments(u_m, N, angle, max_order, r_max, panels)
-
-        # the inbound left ray is shared by both contours, so its weight is 1
-        left = outward(_LEFT_ANGLE)
-        total = [-v for v in left]
-        if alpha != 0:
-            upper = outward(_EXIT_ANGLE)
-            for j in range(max_order + 1):
-                total[j] += alpha * upper[j]
-        if alpha != 1:
-            lower = outward(-_EXIT_ANGLE)
-            for j in range(max_order + 1):
-                total[j] += (1 - alpha) * lower[j]
-        return [BigFloat(v, precision) for v in total]
+        s, b, c = _path_scale(u_m, N)
+        rule = _path_rule(precision, float(b), float(c), max_order)
+        upper = _path_moments(s, b, c, max_order, *rule)
+        # the weight is real on the real axis, so the mirror path's moments
+        # are the conjugates
+        return [BigFloat(alpha * v + (1 - alpha) * mp.conj(v), precision) for v in upper]
 
 
 def inner_product(moments, p_coeffs, q_coeffs) -> BigFloat:
@@ -385,8 +380,10 @@ def recurrence_from_moments(moments, n_max: int) -> RecurrenceData:
                 inverse = [mp.U_solve(lu, mp.L_solve(lu, mp.unitvector(n, i), perm))
                            for i in range(1, n + 1)]
                 a = list(mp.U_solve(lu, mp.L_solve(lu, rhs, perm)))
+            # a 1x1 block has condition number 1 exactly; its computed product
+            # would only add a rounding residue of either sign
             inverse_norm = max(mp.fsum(col, absolute=True) for col in inverse)
-            loss = float(mp.log10(mp.mnorm(M, 1) * inverse_norm))
+            loss = 0.0 if n == 1 else float(mp.log10(mp.mnorm(M, 1) * inverse_norm))
             losses.append(loss)
             if loss > dps - 12:
                 raise ArithmeticError(

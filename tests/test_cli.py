@@ -201,6 +201,14 @@ def test_validate_tiny_coupling(capsys, u):
         assert mp.isfinite(as_number(asymptotic["epsilon_beta"]))
 
 
+def test_validate_cubic_dominated(capsys):
+    # u^2 > N: the contour's scale follows the cubic term, (u N)^(-1/3)
+    code, out, err = run_cli(capsys, "validate", "--N", "2", "--u", "5", "--precision", "30")
+    assert code == 0, err
+    with workdps(40):
+        assert as_number(json.loads(out)["max_string_residual"]) < mp.mpf(10) ** -30
+
+
 @pytest.mark.parametrize("u, extra", [
     ("1/20", ["--alpha", "nan"]),
     ("1/20", ["--alpha", "inf"]),
@@ -211,7 +219,7 @@ def test_validate_tiny_coupling(capsys, u):
 ])
 def test_validate_rejects_bad_input(capsys, u, extra):
     # a non-finite alpha would reach the Hankel pivot search, a coupling past
-    # the float range the panel count, and a nonpositive step is never used
+    # the float range the tail bound, and a nonpositive step is never used
     # without --toda; all are bad input, not failed computations
     code, out, err = run_cli(capsys, "validate", "--N", "3", "--u", u, "--precision", "30", *extra)
     assert code == 1 and out == ""

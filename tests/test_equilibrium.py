@@ -123,6 +123,30 @@ def test_density_normalization_and_h_zero():
         assert abs(density_at(eq, eq.z0)) < mp.mpf(10) ** -30
 
 
+@pytest.mark.parametrize("u", ["0", "0.02", "0.0657", "critical"])
+def test_resolvent_is_one_over_z_at_infinity(u):
+    # omega(z) = (V'(z) - h(z) sqrt((z-a)(z-b)))/2 is the Stieltjes transform
+    # of the density, so its Laurent series at infinity is 1/z + O(z^-2): the
+    # solver's endpoints must cancel the z and z^0 terms that V' alone
+    # carries and leave exactly 1/z.  The coefficients come from the
+    # trapezoidal rule on |z| = 64, which aliases in only (|b|/64)^64.
+    # Measured: at most 1.3e-58 off, except the z^0 term at the critical flag,
+    # 4.8e-42, where the double root is that of the exact u_c and the input
+    # is u_c rounded to the solver's 40 digits
+    precision = 40
+    eq = solve_endpoints(critical_coupling(precision) if u == "critical" else mp.mpf(u), precision)
+    assert eq.critical == (u == "critical")
+    radius, points = 64, 64
+    with workdps(precision + 20):
+        zs = [radius * mp.expjpi(2 * mp.mpf(k) / points) for k in range(points)]
+        omega = [(z - 3 * eq.u * z * z - (1 - 3 * eq.u * eq.x - 3 * eq.u * z) * _sqrt_r(z, eq.a, eq.b)) / 2
+                 for z in zs]
+        coeff = {n: mp.fsum(w * z ** -n for w, z in zip(omega, zs)) / points for n in (1, 0, -1)}
+        assert abs(coeff[1]) < mp.mpf(10) ** -precision
+        assert abs(coeff[0]) < mp.mpf(10) ** -precision
+        assert abs(coeff[-1] - 1) < mp.mpf(10) ** -precision
+
+
 def test_phi_positivity_and_growth():
     eq = solve_endpoints(mp.mpf("0.05"), precision=40)
     rep = phi_check(eq, samples=12, zmax=100.0)

@@ -9,9 +9,9 @@ from cubicmaps.finite_n import (
     AsymptoticEntry,
     _as_mp,
     _g0_branch,
-    _panel_count,
-    _ray_moments,
-    _ray_radius,
+    _path_moments,
+    _path_rule,
+    _path_scale,
     _slice_values,
     build_report,
     check_asymptotic_expansion,
@@ -25,7 +25,6 @@ from cubicmaps.finite_n import (
 from cubicmaps.hierarchy import build_hierarchy
 from cubicmaps.numbers import double_factorial
 from cubicmaps.precision import BigFloat, agreement_digits, rational_to_mp
-from cubicmaps.quadrature import gauss_legendre
 
 U_TENTH = Fraction(1, 10)
 
@@ -113,9 +112,9 @@ def _airy_moments(u, N, alpha, max_order, dps):
 
 @pytest.mark.parametrize("alpha", [1, 0.3 + 0.7j])
 def test_moments_match_airy_closed_form(moments_60, alpha):
-    # alpha = 1 on the fixture table; complex alpha (three rays) through order
-    # 41, where one fixed-point scale shared by all nodes of a ray would keep
-    # only about 42 digits, because r^j amplifies the few bits of tail weights
+    # alpha = 1 on the fixture table; complex alpha (both exit paths) through
+    # order 41, where z^j amplifies the few bits a weight deep in the tail
+    # would keep under one fixed-point scale shared by all nodes
     if alpha == 1:
         precision, N, moments = 60, 10, moments_60
     else:
@@ -124,78 +123,86 @@ def test_moments_match_airy_closed_form(moments_60, alpha):
     ref = _airy_moments(U_TENTH, N, alpha, len(moments) - 1, precision + 30)
     with workdps(precision + 30):
         for got, want in zip(moments, ref):
-            # the claimed digits plus 5 of the guard digits; measured 75.0 and 54.1
+            # the claimed digits plus 5 of the guard digits; measured 74.6 and 54.4
             assert abs(got.value - want) <= abs(want) * mp.mpf(10) ** -(precision + 5)
 
 
-@pytest.mark.parametrize("angle", [Fraction(1), Fraction(1, 5)], ids=["pi", "pi/5"])
-def test_ray_recurrence_matches_direct_exponential(angle):
-    # the panel recurrence for the ray weights against exp(-N V(z)) taken
-    # outright at every node, 20 digits above the working precision; the ray
-    # is cut into more panels than its own bound asks for, about as many as
-    # criterion 9's rays (69 and 173), and at N = 1 the weight spans it, so
-    # nodes out to about panel 100 carry digits after the recurrence has
-    # compounded its p^3/6 roundings; measured 36.6 (pi) and 36.2 (pi/5)
-    precision, N, u, order = 20, 1, U_TENTH, 3
-    r_max = _ray_radius(precision, angle, float(u), N, order)
-    panels = 120
-    assert _panel_count(precision, float(u), N, order, r_max) < panels
+def _rule(precision, u, N, order):
     with workdps(precision + 15):
-        u_m = _as_mp(u)
-        got = _ray_moments(u_m, N, angle, order, r_max, panels)
-        table = gauss_legendre(192)
+        _, b, c = _path_scale(rational_to_mp(u), N)
+        return _path_rule(precision, float(b), float(c), order)
+
+
+@pytest.mark.parametrize("u, N, order", [(U_TENTH, 4, 15), (Fraction(5), 2, 9)],
+                         ids=["gaussian-scale", "cubic-scale"])
+def test_path_sums_match_direct_exponential(u, N, order):
+    # the fixed-point node weights and order sums against exp(-N V(z)) taken
+    # outright at every node of the same rule, 20 digits above the working
+    # precision; at u = 5, N = 2 the path is scaled by (u N)^(-1/3), not
+    # N^(-1/2); measured 45.4 and 45.8 digits, the working precision
+    precision = 30
+    with workdps(precision + 15):
+        s, b, c = _path_scale(rational_to_mp(u), N)
+        tau, n, k_lo, k_hi = _path_rule(precision, float(b), float(c), order)
+        got = _path_moments(s, b, c, order, tau, n, k_lo, k_hi)
     with workdps(precision + 35):
-        theta = mp.mpf(angle.numerator) / angle.denominator
-        # -N V(z) = -N z^2/2 + N u z^3 at z = r e^(i theta)
-        a2 = -N * mp.expjpi(2 * theta) / 2
-        a3 = N * u_m * mp.expjpi(3 * theta)
-        h = mp.mpf(r_max) / (2 * panels)
-        nodes = [(h * x, h * w) for x, w in table]
+        u = rational_to_mp(u)
         want = [mp.mpc(0)] * (order + 1)
-        for p in range(panels):
-            centre = h * (2 * p + 1)
-            for hx, hw in nodes:
-                r = centre + hx
-                term = hw * mp.exp(r * r * (a2 + a3 * r))
-                for j in range(order + 1):
-                    want[j] += term
-                    term *= r
-        for j, (a, b) in enumerate(zip(got, want)):
-            b *= mp.expjpi((j + 1) * theta)
-            assert abs(a - b) <= abs(b) * mp.mpf(10) ** -(precision + 5)
+        for k in range(k_lo, k_hi + 1):
+            t = mp.mpf(k) / n
+            th = mp.tanh(t / tau)
+            rot = mp.expjpi((1 + th) / 10)
+            z = s * t * rot
+            dz = s * rot * (1 + 1j * mp.pi * t * (1 - th * th) / (10 * tau))
+            term = mp.exp(N * z * z * (u * z - mp.mpf(1) / 2)) * dz / n
+            for j in range(order + 1):
+                want[j] += term
+                term *= z
+        for a, w in zip(got, want):
+            assert abs(a - w) <= abs(w) * mp.mpf(10) ** -(precision + 5)
 
 
-@pytest.mark.parametrize("u, radii, panels", [
-    (Fraction(2, 25), (7.62939453125, 14.901161193847656), (16, 30)),
-    (Fraction(1, 16), (9.5367431640625, 14.901161193847656), (20, 30)),
+@pytest.mark.parametrize("u, rule, nodes", [
+    (Fraction(2, 25), (8, 8, -120, 192), 313),
+    (Fraction(1, 16), (8, 8, -128, 204), 333),
 ], ids=["2/25", "1/16"])
-def test_validate_quadrature_decisions(u, radii, panels):
-    # the rays at pi and pi/5 of `validate --N 4 --precision 80` (orders
-    # through 15); a different node set would move every noise-level field
-    # of its output
-    for angle, r_want, p_want in zip((Fraction(1), Fraction(1, 5)), radii, panels):
-        r_max = _ray_radius(80, angle, float(u), 4, 15)
-        assert r_max == r_want
-        assert _panel_count(80, float(u), 4, 15, r_max) == p_want
+def test_validate_quadrature_decisions(u, rule, nodes):
+    # the path of `validate --N 4 --precision 80` (orders through 15): turning
+    # width tau, step h = 1/n and nodes t = k h for k_lo <= k <= k_hi; a
+    # different node set would move every noise-level field of its output
+    tau, n, k_lo, k_hi = _rule(80, u, 4, 15)
+    assert (tau, n, k_lo, k_hi) == rule
+    assert k_hi - k_lo + 1 == nodes
+
+
+def test_cubic_dominated_moments():
+    # u^2 > N: the cubic term sets the path's scale, (u N)^(-1/3); measured 45.8
+    with workdps(45):
+        s, b, c = _path_scale(mp.mpf(5), 2)
+        assert c == 1 and abs(s ** 3 * 10 - 1) < mp.mpf(10) ** -40
+    ref = _airy_moments(Fraction(5), 2, 1, 9, 60)
+    moments = compute_moments(30, 5, 2, 9)
+    with workdps(60):
+        for got, want in zip(moments, ref):
+            assert abs(got.value - want) <= abs(want) * mp.mpf(10) ** -35
 
 
 def test_radius_descends_at_large_N():
-    # at N = 10^6 the weight has died long before r = 2, so the radius steps
-    # down the ladder; kept at r = 2, each ray would need 41,312 panels
+    # at N = 10^6 the path is scaled by N^(-1/2), so its node count stays
+    # that of N of order 1: 425 nodes through order 3 and 471 through 31
+    # (the two-ray rule needed 41,312 panels of 192 nodes at a fixed radius)
     N, precision = 10 ** 6, 80
-    for angle, p_want in ((Fraction(1), 24), (Fraction(1, 5), 46)):
-        r_max = _ray_radius(precision, angle, 0.1, N, 3)
-        assert r_max < 0.05
-        assert _panel_count(precision, 0.1, N, 3, r_max) == p_want
-    # near the weight's peak r^j would shrink the fixed-point mantissas by
-    # several bits per order unless the ray's lengths are rescaled; the Airy
-    # recursion loses about 3 digits per order at this N, hence its 300 digits
+    for order in (3, 31):
+        _, _, k_lo, k_hi = _rule(precision, U_TENTH, N, order)
+        assert k_hi - k_lo + 1 < 500
+    # z^j at the weight's scale shrinks by about 3 digits per order; the Airy
+    # recursion loses as much, hence its 300 digits
     ref = _airy_moments(U_TENTH, N, 1, 31, 300)
     for order in (3, 31):
         moments = compute_moments(precision, U_TENTH, N, order)
         with workdps(300):
             for got, want in zip(moments, ref):
-                # measured 92.9 (orders through 3) and 90.3 (through 31)
+                # measured 95.4 (orders through 3) and 94.5 (through 31)
                 assert abs(got.value - want) <= abs(want) * mp.mpf(10) ** -(precision + 5)
 
 
@@ -203,7 +210,7 @@ def test_precision_doubling(moments_60):
     m120 = compute_moments(120, U_TENTH, 10, 20)
     with workdps(140):
         agree = min(agreement_digits(a.value, b.value) for a, b in zip(moments_60, m120))
-    assert agree >= 55  # measured 73.6
+    assert agree >= 55  # measured 74.6
     r60 = recurrence_from_moments(moments_60, 9)
     r120 = recurrence_from_moments(m120, 9)
     with workdps(140):
@@ -231,7 +238,7 @@ def test_alpha_independence_subcritical():
 
 
 def test_alpha_mixing_past_critical():
-    # past the critical coupling the two rays carry conjugate branches, so a
+    # past the critical coupling the two exit paths carry conjugate branches, so a
     # generic alpha mixes them at the amplified saddle scale (~1e-4 on the
     # moments at these parameters) and pointwise agreement collapses; this
     # documents the measured deviation rather than asserting independence.
@@ -245,7 +252,7 @@ def test_alpha_mixing_past_critical():
 
 
 def test_string_residuals_criterion_scale(report_20):
-    # acceptance-level bound is 1e-90 on [10, 30]; measured worst 1.8e-242
+    # acceptance-level bound is 1e-90 on [10, 30]; measured worst 2.5e-245
     assert _as_mp(report_20.max_string_residual) < mp.mpf("1e-200")
     assert set(report_20.string_r1) == set(range(31))
     assert set(report_20.string_r2) == set(range(1, 32))
@@ -297,18 +304,25 @@ def test_orthogonality_recomputation(rec_60):
         for n in range(1, 7):
             for m in range(n):
                 ip = inner_product(exact, rec_60.coefficients[n], rec_60.coefficients[m])
-                assert abs(ip.value) < mp.mpf("1e-60")  # measured 1.5e-77
+                assert abs(ip.value) < mp.mpf("1e-60")  # measured 1.8e-77
 
 
 def test_condition_numbers_match_mpmath_inverse(moments_60, rec_60):
     # one LU factorization per Hankel block serves the solve and the
-    # condition number; it must reproduce mpmath's inverse exactly
+    # condition number; for n >= 2 it must reproduce mpmath's inverse bit for
+    # bit.  The 1x1 block has condition number 1 exactly, so its loss is
+    # exactly 0.0, where mpmath's product leaves a rounding residue of either
+    # sign (about -1.2e-76 here); that residue must sit below 10^-(dps - 5)
+    assert rec_60.conditioning_loss[1] == 0.0
     with workdps(rec_60.dps + 15):
         c = [m.value for m in moments_60]
         for n in range(1, 10):
             M = mp.matrix([[c[i + j] for j in range(n)] for i in range(n)])
             loss = float(mp.log10(mp.mnorm(M, 1) * mp.mnorm(mp.inverse(M), 1)))
-            assert rec_60.conditioning_loss[n] == loss
+            if n == 1:
+                assert abs(loss) < 10.0 ** -(rec_60.dps - 5)
+            else:
+                assert rec_60.conditioning_loss[n] == loss
 
 
 def test_determinant_product(moments_60, rec_60):
@@ -322,7 +336,7 @@ def test_determinant_product(moments_60, rec_60):
             prod = mp.mpc(1)
             for m in range(n + 1):
                 prod *= rec_60.h[m]
-            assert abs(mp.det(M) - prod) / abs(prod) < mp.mpf("1e-60")  # measured 3.8e-74
+            assert abs(mp.det(M) - prod) / abs(prod) < mp.mpf("1e-60")  # measured 4.9e-74
 
 
 def test_three_term_dual_route(moments_60, rec_60):
@@ -354,7 +368,7 @@ def test_three_term_dual_route(moments_60, rec_60):
                 abs(vec[i] - g_est * (below[i] if i < len(below) else 0))
                 for i in range(n + 2)
             )
-            assert worst < mp.mpf("1e-60")  # measured 1.5e-72
+            assert worst < mp.mpf("1e-60")  # measured 1.1e-72
 
 
 def test_slice_functions_match_series():

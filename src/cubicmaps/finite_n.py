@@ -12,11 +12,10 @@ float samples, sets h = 1/n from it, cuts the sum where radial tail bounds on
 the path close, and takes the tau of a short ladder that needs the fewest
 nodes; the nodes t = k/n are exact at the working precision.  The moment
 sums run in fixed-point Python integers, each node's weight with its own
-binary exponent.  Recurrence data is then extracted twice (a Stieltjes
-bordering pass, and a direct Hankel solve per degree, one LU factorization
-of each block serving both the solve and its condition number) so that
-conditioning loss shows up as a measured number instead of silently eating
-digits.
+binary exponent.  Recurrence data is then extracted twice, by a Stieltjes
+bordering pass and by one elimination of the Hankel matrix that also gives
+every block's condition number, so conditioning loss shows up as a measured
+number instead of silently eating digits.
 
 The string equations and the Toda relation are integration-by-parts and
 determinant identities of the moment data, valid wherever the Hankel minors
@@ -303,9 +302,9 @@ class RecurrenceData:
 
     h[n] is the squared norm, gamma2[n] = h[n]/h[n-1] (gamma2[0] fixed at 0),
     beta[n] the diagonal coefficient; coefficients[n] are the monic polynomial
-    coefficients from the bordering pass.  conditioning_loss[n] is the decimal
-    cost of the n-th Hankel block, cross_check_digits the worst agreement
-    between the bordering pass and the per-degree Hankel solves.
+    coefficients from the bordering pass.  conditioning_loss[n] is log10 of the
+    1-norm condition number of the leading n x n Hankel block, cross_check_digits
+    the worst agreement of p_n, h_n, beta_n with the Hankel elimination's.
     """
 
     h: tuple
@@ -322,7 +321,13 @@ def _moment_against(coeffs, k: int, c) -> "mp.mpc":
 
 
 def recurrence_from_moments(moments, n_max: int) -> RecurrenceData:
-    """h, gamma^2, beta for n <= n_max, with a Hankel-solve cross-check per degree."""
+    """h, gamma^2, beta for n <= n_max, cross-checked by a Hankel elimination.
+
+    The elimination does not pivot: its pivots h_n = det M_(n+1)/det M_n are
+    small only where the bordering pass has already raised.  It shares no
+    arithmetic with that pass's three-term recurrence, so their agreement is
+    a measurement.
+    """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if len(moments) < 2 * n_max + 2:
@@ -362,45 +367,40 @@ def recurrence_from_moments(moments, n_max: int) -> RecurrenceData:
                         p_next[i] -= gamma2[n] * a
                 p_prev, p_cur = p_cur, p_next
 
-        # independent route: solve each Hankel system outright and compare
-        losses = [0.0]
-        solved = {0: []}
-        worst = mp.inf
-        for n in range(1, n_max + 1):
-            M = mp.matrix(n, n)
-            rhs = mp.matrix(n, 1)
-            for k in range(n):
-                for j in range(n):
-                    M[k, j] = c[j + k]
-                rhs[k] = -c[n + k]
-            # one factorization, at the 10 extra bits lu_solve and inverse use,
-            # gives both the solve and the inverse columns of the condition number
-            with extraprec(10):
-                lu, perm = mp.LU_decomp(M)
-                inverse = [mp.U_solve(lu, mp.L_solve(lu, mp.unitvector(n, i), perm))
-                           for i in range(1, n + 1)]
-                a = list(mp.U_solve(lu, mp.L_solve(lu, rhs, perm)))
-            # a 1x1 block has condition number 1 exactly; its computed product
-            # would only add a rounding residue of either sign
-            inverse_norm = max(mp.fsum(col, absolute=True) for col in inverse)
-            loss = 0.0 if n == 1 else float(mp.log10(mp.mnorm(M, 1) * inverse_norm))
-            losses.append(loss)
-            if loss > dps - 12:
-                raise ArithmeticError(
-                    f"Hankel conditioning exceeds the precision budget at n = {n} "
-                    f"(about {loss:.0f} of {dps} digits)"
-                )
-            solved[n] = a
-            ref = coeffs[n]
-            top = max(max(abs(v) for v in ref), mp.mpf(1))
-            dev = max(abs(a[i] - ref[i]) for i in range(n)) / top
-            if dev > 0:
-                worst = min(worst, -mp.log10(dev))
-            h_again = _moment_against(a + [mp.mpc(1)], n, c)
-            worst = min(worst, _digits_between(h_again, h[n]))
-        for n in range(n_max):
-            lower = solved[n][n - 1] if n >= 1 else mp.mpc(0)
-            worst = min(worst, _digits_between(lower - solved[n + 1][n], beta[n]))
+        # independent route: one elimination M = L D L^T at the LU route's 10
+        # guard bits.  Row n of U = D L^T is row n of M less multiples of the
+        # rows above; the same multiples off e_n give row n of L^-1, that is p_n,
+        # and D[n] = h_n.  So M_n^-1 = sum_(k<n) p_k p_k^T / D[k] gains a term per degree
+        with extraprec(10):
+            rows, polys, losses, worst = [], [], [], mp.inf
+            inverse = [[mp.mpc(0)] * (n_max + 1) for _ in range(n_max + 1)]
+            mags = [abs(v) for v in c]
+            for n in range(n_max + 1):
+                loss = 0.0  # a block of size 0 or 1 has condition number 1 exactly
+                if n >= 2:
+                    inverse_norm = max(mp.fsum(r[:n], absolute=True) for r in inverse[:n])
+                    loss = float(mp.log10(max(mp.fsum(mags[j:j + n]) for j in range(n)) * inverse_norm))
+                losses.append(loss)
+                if loss > dps - 12:
+                    raise ArithmeticError(
+                        f"Hankel conditioning exceeds the precision budget at n = {n} "
+                        f"(about {loss:.0f} of {dps} digits)"
+                    )
+                row, p = c[n:n + n_max + 1], [mp.mpc(0)] * n + [mp.mpc(1)]
+                for k in range(n):
+                    m = row[k] / rows[k][k]
+                    row[k:] = [v - m * w for v, w in zip(row[k:], rows[k][k:])]
+                    p[:k + 1] = [v - m * w for v, w in zip(p, polys[k])]
+                rows.append(row)
+                polys.append(p)
+                for line, scaled in zip(inverse, [v / row[n] for v in p]):
+                    line[:n + 1] = [v + scaled * w for v, w in zip(line, p)]
+                top = max(max(abs(v) for v in coeffs[n]), mp.mpf(1))
+                dev = max(abs(a - b) for a, b in zip(p, coeffs[n])) / top
+                worst = min(worst, -mp.log10(dev), _digits_between(row[n], h[n]))
+            for n in range(n_max):
+                lower = polys[n][n - 1] if n >= 1 else mp.mpc(0)
+                worst = min(worst, _digits_between(lower - polys[n + 1][n], beta[n]))
 
         return RecurrenceData(
             h=tuple(h),

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, workdps
 
+from cubicmaps import finite_n
 from cubicmaps.finite_n import (
     AsymptoticEntry,
     _as_mp,
@@ -271,12 +272,13 @@ def test_report_expansion_entry(report_20):
 
 def test_asymptotic_scaling(criterion_run):
     # the `remainder` criterion's own call
-    rep = criterion_run("remainder").call(check_asymptotic_expansion, U_TENTH, [16, 32], precision=80)
+    rep = criterion_run("remainder").call(check_asymptotic_expansion, U_TENTH, [16, 32, 64], precision=80)
+    assert len(rep.gamma_ratios) == len(rep.beta_ratios) == 2
     with workdps(100):
-        g_ratio = _as_mp(rep.gamma_ratios[0])
-        b_ratio = _as_mp(rep.beta_ratios[0])
-        assert 2 ** mp.mpf("-4.5") < g_ratio < 2 ** mp.mpf("-3.5")  # measured 0.0678
-        assert mp.mpf(1) / 32 < b_ratio < mp.mpf(1) / 8  # measured 0.0872
+        for g_ratio in rep.gamma_ratios:  # measured 0.0678, 0.0626
+            assert 2 ** mp.mpf("-4.5") < _as_mp(g_ratio) < 2 ** mp.mpf("-3.5")
+        for b_ratio in rep.beta_ratios:  # measured 0.0872, 0.0672
+            assert mp.mpf(1) / 32 < _as_mp(b_ratio) < mp.mpf(1) / 8
         # at N = 32 the 1/N^2 term explains the gap to the leading slice
         e32 = rep.entries[1]
         u = _as_mp(U_TENTH)
@@ -308,21 +310,36 @@ def test_orthogonality_recomputation(rec_60):
 
 
 def test_condition_numbers_match_mpmath_inverse(moments_60, rec_60):
-    # one LU factorization per Hankel block serves the solve and the
-    # condition number; for n >= 2 it must reproduce mpmath's inverse bit for
-    # bit.  The 1x1 block has condition number 1 exactly, so its loss is
-    # exactly 0.0, where mpmath's product leaves a rounding residue of either
-    # sign (about -1.2e-76 here); that residue must sit below 10^-(dps - 5)
-    assert rec_60.conditioning_loss[1] == 0.0
-    with workdps(rec_60.dps + 15):
-        c = [m.value for m in moments_60]
-        for n in range(1, 10):
-            M = mp.matrix([[c[i + j] for j in range(n)] for i in range(n)])
-            loss = float(mp.log10(mp.mnorm(M, 1) * mp.mnorm(mp.inverse(M), 1)))
-            if n == 1:
-                assert abs(loss) < 10.0 ** -(rec_60.dps - 5)
-            else:
-                assert rec_60.conditioning_loss[n] == loss
+    # the elimination's inverses sum_(k<n) p_k p_k^T / h_k must give mpmath's
+    # inverse condition number bit for bit for n >= 2; mp.inverse shares no
+    # code with them.  The second table is criterion 10's N = 16 (up to 10.1
+    # digits lost), which pins the route past n = 9.  The 1x1 block has
+    # condition number 1 exactly, so its loss is exactly 0.0, where mpmath's
+    # product leaves a rounding residue of either sign (about -1.2e-76 on the
+    # first table); that residue must sit below 10^-(dps - 5)
+    moments_16 = compute_moments(80, U_TENTH, 16, 33)
+    for moments, rec in ((moments_60, rec_60), (moments_16, recurrence_from_moments(moments_16, 16))):
+        assert rec.conditioning_loss[1] == 0.0
+        with workdps(rec.dps + 15):
+            c = [m.value for m in moments]
+            for n in range(1, len(rec.h)):
+                M = mp.matrix([[c[i + j] for j in range(n)] for i in range(n)])
+                loss = float(mp.log10(mp.mnorm(M, 1) * mp.mnorm(mp.inverse(M), 1)))
+                if n == 1:
+                    assert abs(loss) < 10.0 ** -(rec.dps - 5)
+                else:
+                    assert rec.conditioning_loss[n] == loss
+
+
+def test_cross_check_sees_a_perturbed_bordering_pass(moments_60, rec_60, monkeypatch):
+    # only the bordering pass calls _moment_against; scaling it by 1 + 1e-40
+    # scales that pass's h_n (its beta and gamma^2 are ratios), which the
+    # elimination's pivots must expose: measured 40.0 digits, 72.8 clean.
+    # A route that re-read h_n through the same helper would not see it
+    exact = finite_n._moment_against
+    monkeypatch.setattr(finite_n, "_moment_against", lambda *args: exact(*args) * (1 + mp.mpf(10) ** -40))
+    assert rec_60.cross_check_digits > 70
+    assert recurrence_from_moments(moments_60, 9).cross_check_digits < 45
 
 
 def test_determinant_product(moments_60, rec_60):

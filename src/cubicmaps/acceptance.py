@@ -153,12 +153,12 @@ def _c_string():
 
 def _c_remainder():
     rep = check_asymptotic_expansion(Fraction(1, 10), [16, 32, 64], precision=80)
-    lo, hi = mp.mpf(2) ** mp.mpf("-4.5"), mp.mpf(2) ** mp.mpf("-3.5")
+    lo, hi = mp.mpf(2) ** mp.mpf("-4.25"), mp.mpf(2) ** mp.mpf("-3.75")
     ratios = [r.value for r in rep.gamma_ratios]
     shown = " and ".join(mp.nstr(r, 4) for r in ratios)
     if not all(lo < r < hi for r in ratios):
-        return False, f"remainder ratios {shown} not all inside (2^-4.5, 2^-3.5)"
-    return True, f"gamma^2 remainder shrinks by {shown} per doubling of N = 16, 32, 64 (within N^-3.5..N^-4.5)"
+        return False, f"remainder ratios {shown} not all inside (2^-4.25, 2^-3.75)"
+    return True, f"gamma^2 remainder shrinks by {shown} per doubling of N = 16, 32, 64 (within N^-3.75..N^-4.25)"
 
 
 def _c_toda():

@@ -70,15 +70,7 @@ def solve_endpoints(u, precision: int = 40) -> EquilibriumData:
             # double root of the cubic = root of its derivative that stays bounded
             x = (18 - mp.sqrt(108)) / (108 * u)
         else:
-            roots = mp.polyroots([18 * u * u, -9 * u, 1, -6 * u], maxsteps=200, extraprec=80)
-            real = [r.real for r in roots if abs(r.imag) < mp.mpf(10) ** (-(dps + 5))]
-            if not real:
-                raise ArithmeticError("no real root of the endpoint cubic; bracketing failed")
-            x = min(real)
-            for _ in range(4):  # Newton polish on the selected branch
-                p = ((18 * u * u * x - 9 * u) * x + 1) * x - 6 * u
-                dp = (54 * u * u * x - 18 * u) * x + 1
-                x -= p / dp
+            x = _center_root(u)
         one_minus = 1 - 6 * u * x
         if one_minus <= 0:
             raise ArithmeticError("1 - 6*u*x not positive; wrong root branch")
@@ -88,6 +80,28 @@ def solve_endpoints(u, precision: int = 40) -> EquilibriumData:
         if z0 - b < -_gap_tolerance(b, dps):
             raise ArithmeticError("double zero z0 fell inside the support")
         return EquilibriumData(u=u, x=x, y=y, a=a, b=b, z0=z0, critical=critical, dps=dps)
+
+
+def _center_root(u):
+    """Least positive root of 18 u^2 x^3 - 9 u x^2 + x - 6 u, for 0 < u < u_c, by Newton from 0.
+
+    Below that root the cubic rises (f' > 0 up to (18 - sqrt(108))/(108 u))
+    and is concave (f'' < 0 up to 1/(6u)), so every tangent lies above it:
+    the iterates climb monotonically and never overshoot.  A step that falls
+    below 2^10 eps x (or turns negative in rounding noise) marks convergence,
+    and one more step takes the quadratic gain.
+    """
+    def rise(x):
+        return -(((18 * u * u * x - 9 * u) * x + 1) * x - 6 * u) / ((54 * u * u * x - 18 * u) * x + 1)
+
+    tol = mp.ldexp(mp.eps, 10)
+    x = mp.zero
+    for _ in range(mp.prec):  # the climb halves the error at worst, near the double root at u_c
+        dx = rise(x)
+        x += dx
+        if dx < tol * x:
+            return x + rise(x)
+    raise ArithmeticError("Newton on the endpoint cubic did not settle")
 
 
 def endpoint_series(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
@@ -177,8 +191,12 @@ def _tail_samples(eq: EquilibriumData, samples: int, zmax: float) -> tuple:
     h0 = 1 - 6 * u * x
     log_y = mp.log(y)
 
-    def sample(z):
-        t, s = z - x, _sqrt_r(z, a, b)
+    def sample(z, sign=1):
+        # S with one square root: on the left tail both principal factors are
+        # i times a real root, so S = -sqrt((a-z)(b-z)) (sign -1), and in the
+        # gap S = +sqrt; on the ray z - a and z - b have argument in
+        # [0, pi/2), so S is the principal root of their product
+        t, s = z - x, sign * mp.sqrt((z - a) * (z - b))
         return z, mp.re(h0 * t * s / 4 - u * s**3 / 2) - mp.log(abs(t + s)) + log_y
 
     def logspace(lo, hi, k):
@@ -188,7 +206,7 @@ def _tail_samples(eq: EquilibriumData, samples: int, zmax: float) -> tuple:
     # left tail z = a - d; gap (b, z0) from b rightward
     width = b - a
     d_left_max = zmax + a if zmax + a > width else 2 * width
-    left = [sample(a - d) for d in logspace(width / 100, d_left_max, samples)]
+    left = [sample(a - d, -1) for d in logspace(width / 100, d_left_max, samples)]
     gap = []
     if z0 - b > _gap_tolerance(b, eq.dps):
         d_gap_max = (z0 - b) * mp.mpf("0.999")

@@ -447,18 +447,45 @@ _SMALL_W = 1 / 720  # 72|w| < 1/10: Newton for the small roots converges from y 
 
 def _g0_branch(w, near):
     """Root of 72 x^3 - x^2 + w^2 nearest to `near`: the continued leading slice."""
+    return min(_slice_roots(w), key=lambda r: abs(r - near))
+
+
+def _slice_roots(w):
+    """The three roots of 72 x^3 - x^2 + w^2 for real w > 0; real roots come back as mpf."""
     if abs(w) < _SMALL_W:
         # the roots x ~ +w and x ~ -w merge into a double root at 0 once w^2
-        # falls below the working precision, where mp.polyroots stalls; with
-        # x = s*y, s = +-w, they are the roots y ~ 1 of 72 s y^3 - y^2 + 1, and
-        # the third root follows from their sum 1/72; the couplings the
-        # expansion is checked at (|w| >= 1/400) stay on polyroots
+        # falls below the working precision; with x = s*y, s = +-w, they are
+        # the roots y ~ 1 of 72 s y^3 - y^2 + 1, and the third root follows
+        # from their sum 1/72
         small = [s * _unit_root(72 * s) for s in (w, -w)]
-        roots = small + [mp.mpf(1) / 72 - small[0] - small[1]]
-    else:
-        roots = mp.polyroots([mp.mpf(72), mp.mpf(-1), mp.mpf(0), w * w],
-                             extraprec=80, maxsteps=200)
-    return min(roots, key=lambda r: abs(r - near))
+        return small + [mp.mpf(1) / 72 - small[0] - small[1]]
+
+    def newton(x):
+        return x - ((72 * x - 1) * x * x + w * w) / ((216 * x - 2) * x)
+
+    tol = mp.ldexp(mp.eps, 10)
+    with extraprec(20):
+        # on x < 0 the cubic rises and is concave, from -72 w^3 at x = -w to
+        # w^2 at 0, so Newton from -w climbs to the real root r there without
+        # overshooting, until a step falls below 2^10 eps |r|, plus one step
+        r = -w
+        for _ in range(mp.prec):
+            r, last = newton(r), r
+            if r - last < tol * -r:
+                break
+        else:
+            raise ArithmeticError("Newton on the leading slice cubic did not settle")
+        r = newton(r)
+        # the other two solve x^2 - s x + p, s = 1/72 - r > 0, p = -w^2/(72 r),
+        # as q = (s + sqrt(s^2 - 4p))/2 and p/q, which forms no difference of
+        # nearly equal roots; two Newton steps polish each (a fixed count:
+        # near the double root at w^2 = 1/34992 a step's rounding noise can
+        # exceed any tolerance a stopping rule would use)
+        s, p = mp.mpf(1) / 72 - r, -w * w / (72 * r)
+        q = (s + mp.sqrt(s * s - 4 * p)) / 2
+        roots = [r] + [newton(newton(x)) for x in (q, p / q)]
+    # as mp.polyroots does, an imaginary part below eps is rounding noise on a real root
+    return [+x.real if abs(mp.im(x)) < mp.eps else +x for x in roots]
 
 
 def _unit_root(c):

@@ -201,6 +201,15 @@ def test_validate_tiny_coupling(capsys, u):
         assert mp.isfinite(as_number(asymptotic["epsilon_beta"]))
 
 
+def test_validate_small_coupling_keeps_prediction_digits(capsys):
+    # w = u^2 = 1e-60 sits far inside the leading slice's small-|w| route,
+    # which scales the two roots near +-w to y ~ 1; measured 1.1e-107
+    code, out, err = run_cli(capsys, "validate", "--N", "2", "--u", "1e-30", "--precision", "30")
+    assert code == 0, err
+    with workdps(40):
+        assert as_number(json.loads(out)["asymptotic"]["epsilon_gamma"]) < mp.mpf(10) ** -100
+
+
 def test_validate_cubic_dominated(capsys):
     # u^2 > N: the contour's scale follows the cubic term, (u N)^(-1/3)
     code, out, err = run_cli(capsys, "validate", "--N", "2", "--u", "5", "--precision", "30")

@@ -88,6 +88,29 @@ def test_critical_endpoints_exact():
         assert agreement_digits(eq.z0, eq.b) > 30
 
 
+def _endpoint_oracle_couplings(dps):
+    """u_c (1 - 10^-k) for every k short of the critical band, then 1e-30, 1/1000, 1/60..1/14."""
+    with workdps(dps + 20):  # the precision solve_endpoints reads u at
+        uc = critical_coupling(dps + 20)
+        near = [uc * (1 - mp.mpf(10) ** -k) for k in range(1, dps - 8)]
+        return near + [mp.mpf("1e-30"), mp.mpf(1) / 1000] + [mp.mpf(1) / d for d in range(14, 61)]
+
+
+@pytest.mark.parametrize("dps", [30, 40])
+def test_center_root_matches_polyroots(dps):
+    # mp.polyroots (Durand-Kerner) as the oracle for the Newton climb, on
+    # 18 X^3 - 9 X^2 + X - 6 u^2 with x = X/u, whose roots 6u^2, ~1/6, ~1/3
+    # stay O(1) however small u is; measured at least 41.0 digits at dps 30
+    # and 46.2 at dps 40, both at the k nearest the critical band
+    for u in _endpoint_oracle_couplings(dps):
+        eq = solve_endpoints(u, precision=dps)
+        assert not eq.critical
+        with workdps(dps + 40):
+            roots = mp.polyroots([18, -9, 1, -6 * u * u], extraprec=80)
+            want = min(r.real for r in roots if r.imag == 0) / u
+            assert agreement_digits(eq.x, want) >= dps, u
+
+
 def test_supercritical_rejected():
     with pytest.raises(ValueError):
         solve_endpoints(mp.mpf("0.08"), precision=30)

@@ -13,6 +13,7 @@ from cubicmaps.finite_n import (
     _path_moments,
     _path_rule,
     _path_scale,
+    _slice_roots,
     _slice_values,
     build_report,
     check_asymptotic_expansion,
@@ -276,7 +277,7 @@ def test_asymptotic_scaling(criterion_run):
     assert len(rep.gamma_ratios) == len(rep.beta_ratios) == 2
     with workdps(100):
         for g_ratio in rep.gamma_ratios:  # measured 0.0678, 0.0626
-            assert 2 ** mp.mpf("-4.5") < _as_mp(g_ratio) < 2 ** mp.mpf("-3.5")
+            assert 2 ** mp.mpf("-4.25") < _as_mp(g_ratio) < 2 ** mp.mpf("-3.75")
         for b_ratio in rep.beta_ratios:  # measured 0.0872, 0.0672
             assert mp.mpf(1) / 32 < _as_mp(b_ratio) < mp.mpf(1) / 8
         # at N = 32 the 1/N^2 term explains the gap to the leading slice
@@ -406,6 +407,41 @@ def test_slice_functions_match_series():
         assert abs(g2 - tail_sum(h.g_hat[1])) / abs(g2) < mp.mpf("1e-25")
         assert abs(b0 - tail_sum(h.b_hat[0])) / abs(b0) < mp.mpf("1e-25")
         assert abs(b2 - tail_sum(h.b_hat[1])) / abs(b2) < mp.mpf("1e-25")
+
+
+def _w_crit():
+    return 1 / mp.sqrt(34992)  # w = u_c^2: the leading slice's double root at x = 1/108
+
+
+@pytest.mark.parametrize("w", [
+    lambda: mp.mpf(1) / 2000,
+    lambda: mp.mpf(1) / 256,
+    lambda: mp.mpf(1) / 100,
+    lambda: _w_crit() * (1 - mp.mpf("1e-6")),
+    lambda: _w_crit() * (1 + mp.mpf("1e-6")),
+    lambda: (mp.mpf(2) / 25) ** 2,
+    lambda: (mp.mpf(1) / 5) ** 2,
+    lambda: (1 + mp.mpf(1) / 8) * (mp.mpf(1) / 16) ** 2,
+    lambda: (1 + mp.mpf(1) / 16) * (mp.mpf(1) / 10) ** 2,
+], ids=["1/2000", "1/256", "1/100", "wc-", "wc+", "(2/25)^2", "(1/5)^2", "9/8*(1/16)^2", "17/16*(1/10)^2"])
+def test_slice_roots_match_polyroots(w):
+    # all three roots of 72 x^3 - x^2 + w^2 against mp.polyroots at 40 more
+    # digits, on both sides of w_c and on half-shifted slices s u^2,
+    # s = 1 + 1/(2N); 1/2000 takes the small-|w| route.  Roots of a cubic with
+    # three real roots, and the real root past w_c, carry Im exactly 0:
+    # a printed prediction would otherwise come out as re/im
+    dps = 40
+    with workdps(dps):
+        w = w()
+        got = _slice_roots(w)
+    with workdps(dps + 40):
+        want = mp.polyroots([72, -1, 0, w * w], extraprec=80)
+        for r in want:  # measured at least 40.9 digits
+            assert max(agreement_digits(g, r) for g in got) >= dps
+        real = sum(1 for r in want if r.imag == 0)
+    assert real in (1, 3)
+    assert sum(1 for g in got if isinstance(g, mp.mpf)) == real
+    assert all(mp.im(g) != 0 for g in got if not isinstance(g, mp.mpf))
 
 
 def test_shifted_time_identities():

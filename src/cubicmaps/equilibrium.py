@@ -14,13 +14,10 @@ u_c = 3^(1/4)/18, where z0 collides with b.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from mpmath import mp, workdps
 
-from .quadrature import integrate
 from .series import VAR_U2, TruncatedSeries, monomial
-from .precision import BigFloat
 
 
 def critical_coupling(dps: int):
@@ -144,28 +141,6 @@ def density_at(eq: EquilibriumData, z):
         return _sqrt_r(z, eq.a, eq.b) * h / (2 * mp.pi * mp.mpc(0, 1))
 
 
-def density_normalization(eq: EquilibriumData) -> BigFloat:
-    """Integral of the density over [a, b], by quadrature at doubled precision.
-
-    The substitution s = a + (b-a) sin^2(theta) absorbs both endpoint
-    square-root singularities, leaving a smooth integrand for Gauss-Legendre.
-    """
-    dps = 2 * eq.dps
-    fine = solve_endpoints(eq.u, dps)  # re-solve so endpoint error cannot cap the check
-    with workdps(dps + 10):
-        a, b, u, x = fine.a, fine.b, fine.u, fine.x
-        width = b - a
-        c0 = 1 - 3 * u * x
-
-        def f(theta):
-            s = a + width * mp.sin(theta) ** 2
-            h = c0 - 3 * u * s
-            return mp.sin(2 * theta) ** 2 * h
-
-        val = integrate(f, mp.mpf(0), mp.pi / 2, max(64, dps // 2)) * width**2 / (4 * mp.pi)
-        return BigFloat(value=val, dps=dps)
-
-
 @dataclass(frozen=True)
 class PhiReport:
     """Sampled effective-potential landscape along the two contour tails."""
@@ -186,6 +161,8 @@ def _tail_samples(eq: EquilibriumData, samples: int, zmax: float) -> tuple:
     """(left, gap, ray): lists of (z, Re phi) at the sample points, at the current dps.
 
     gap is empty when z0 - b is below working tolerance (the critical coupling).
+    The ray needs zmax > z0 * sqrt(3) / 2 to reach |z| = zmax; phi_check
+    passes zmax >= 2 z0.
     """
     u, x, y, a, b, z0 = eq.u, eq.x, eq.y, eq.a, eq.b, eq.z0
     h0 = 1 - 6 * u * x
@@ -214,8 +191,6 @@ def _tail_samples(eq: EquilibriumData, samples: int, zmax: float) -> tuple:
 
     # ray from z0 at angle pi/3 (the asymptotic direction of the outer contour)
     direction = mp.exp(mp.mpc(0, mp.pi / 3))
-    if 3 * z0 * z0 / 4 >= mp.mpf(zmax) ** 2:
-        raise ValueError(f"zmax={zmax} does not reach past z0={z0}; enlarge the window")
     r_edge = -z0 / 2 + mp.sqrt(mp.mpf(zmax) ** 2 - 3 * z0 * z0 / 4)
     ray = [sample(z0 + r * direction) for r in logspace(width / 100, r_edge, samples)]
     return left, gap, ray
@@ -235,9 +210,11 @@ def phi_check(eq: EquilibriumData, samples: int = 12, zmax: float = 100.0) -> Ph
     enters, so the branch of the log does not matter, and no sampled path
     crosses the cut [a, b].  Positivity is sampled at log-spaced points on
     (-inf, a), on (b, z0), and on the ray z0 + r e^{i pi/3}, out to
-    |z| <= zmax.  The sampling window is heuristic: growth ~ +u|z|^3/2 makes
-    violations far out implausible, but only the sampled points are actually
-    checked.
+    |z| <= zmax.  A zmax below 2 z0 becomes 4 z0, the value reported: once
+    z0 passes zmax/2, every ray sample lies beyond both fit radii below, or
+    the ray cannot reach zmax at all.  The sampling window is heuristic:
+    growth ~ +u|z|^3/2 makes violations far out implausible, but only the
+    sampled points are actually checked.
 
     Also fits the cubic growth coefficient of Re phi2 on the ray (two-radius
     difference at |z| = zmax/2 and zmax/4) and reports it against -u/2 (what
@@ -248,6 +225,10 @@ def phi_check(eq: EquilibriumData, samples: int = 12, zmax: float = 100.0) -> Ph
         raise ValueError("phi_check needs u > 0")
     if eq.z0 == mp.inf:
         raise ValueError("no finite z0 at u = 0")
+    if zmax < 2 * eq.z0:
+        zmax = float(4 * eq.z0)
+        if mp.isinf(zmax):
+            raise ValueError(f"z0={eq.z0} puts zmax = 4 z0 past the float range")
     with workdps(eq.dps + 15):
         u = eq.u
         left, gap, ray = _tail_samples(eq, samples, zmax)

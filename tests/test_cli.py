@@ -127,7 +127,8 @@ def test_equilibrium_zero_coupling(capsys):
 
 
 def test_equilibrium_validation(capsys):
-    for bad_u in ("0.08", "-1/10", "abc"):
+    # at 1e-400 the ray window 4 z0 is past the float range of zmax
+    for bad_u in ("0.08", "-1/10", "abc", "1e-400"):
         code, _, err = run_cli(capsys, "equilibrium", "--u", bad_u)
         assert code == 1 and error_type(err) == "validation"
 
@@ -151,6 +152,23 @@ def test_equilibrium_growth_fit_needs_two_ray_samples(capsys):
     assert code == 1 and out == ""
     assert error_type(err) == "validation"
     assert "coincide" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("u", ["1/151", "1/1000", "1e-30", "1/150"])
+def test_equilibrium_window_follows_z0(capsys, u):
+    # past z0 = zmax/2 every ray sample would lie beyond both fit radii, so the
+    # default zmax 100 gives way to 4 z0 from u = 1/151 down; 1/150 keeps it
+    code, out, _ = run_cli(capsys, "equilibrium", "--u", u)
+    assert code == 0
+    payload = json.loads(out)
+    phi = payload["phi_report"]
+    assert phi["all_positive"] is True
+    with workdps(30):
+        zmax = mp.mpf(phi["zmax"]["value"])
+        if u == "1/150":
+            assert zmax == 100
+        else:
+            assert abs(zmax / (4 * as_number(payload["z0"])) - 1) < mp.mpf(10) ** -15
 
 
 def test_critical_payload(capsys):

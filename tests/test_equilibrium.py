@@ -13,7 +13,6 @@ from cubicmaps.equilibrium import (
     _tail_samples,
     critical_coupling,
     density_at,
-    density_normalization,
     endpoint_series,
     phi_check,
     solve_endpoints,
@@ -138,14 +137,6 @@ def test_discriminant_positive_on_grid():
             assert abs(1 - 6 * u * eq.x) > mp.mpf(10) ** -6
 
 
-def test_density_normalization_and_h_zero():
-    for ustr in ("0.02", "0.0657"):
-        eq = solve_endpoints(mp.mpf(ustr), precision=40)
-        norm = density_normalization(eq)
-        assert abs(norm.value - 1) < mp.mpf(10) ** -20
-        assert abs(density_at(eq, eq.z0)) < mp.mpf(10) ** -30
-
-
 @pytest.mark.parametrize("u", ["0", "0.02", "0.0657", "critical"])
 def test_resolvent_is_one_over_z_at_infinity(u):
     # omega(z) = (V'(z) - h(z) sqrt((z-a)(z-b)))/2 is the Stieltjes transform
@@ -168,6 +159,8 @@ def test_resolvent_is_one_over_z_at_infinity(u):
         assert abs(coeff[1]) < mp.mpf(10) ** -precision
         assert abs(coeff[0]) < mp.mpf(10) ** -precision
         assert abs(coeff[-1] - 1) < mp.mpf(10) ** -precision
+    if eq.z0 != mp.inf:  # h has its extra zero at z0 = 1/(3u) - x
+        assert abs(density_at(eq, eq.z0)) < mp.mpf(10) ** -30
 
 
 def test_phi_positivity_and_growth():

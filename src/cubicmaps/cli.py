@@ -19,10 +19,11 @@ from fractions import Fraction
 from mpmath import workdps
 
 from . import acceptance
-from .critical import compute_K, run_C_recursion
+from .critical import B0_AT_CRITICAL, G0_AT_CRITICAL, compute_K, run_C_recursion
 from .equilibrium import phi_check, solve_endpoints
 from .finite_n import build_report
 from .hierarchy import build_hierarchy
+from .numbers import W_CRITICAL
 from .precision import BigFloat, rational_to_mp
 from .serialize import (
     dump_csv,
@@ -189,9 +190,9 @@ def _cmd_critical(args) -> tuple[str, int]:
     consts = run_C_recursion(args.max_genus)
     payload = {
         "max_genus": consts.G,
-        "w_c": encode_qbeta(consts.w_c),
-        "g0_at_wc": encode_fraction(consts.g0_at_wc),
-        "b0_at_wc": encode_qbeta(consts.b0_at_wc),
+        "w_c": encode_qbeta(W_CRITICAL),
+        "g0_at_wc": encode_fraction(G0_AT_CRITICAL),
+        "b0_at_wc": encode_qbeta(B0_AT_CRITICAL),
         "amplitudes": [
             {
                 "g": g,

@@ -51,88 +51,63 @@ def _verify_critical_point() -> None:
 
 @dataclass(frozen=True)
 class CriticalConstants:
-    """Exact singular amplitudes at w_c, with their numeric shadows."""
+    """Exact singular amplitudes at w_c."""
 
     G: int
     C: tuple  # Qbeta amplitudes of g_hat[2k], k = 0..G
     D: tuple  # Qbeta amplitudes of b_hat[2k]; D[k] = 6 sqrt(3) C[k]
-    A: tuple  # order-k right-hand-side amplitudes of the singular system (None at k=0)
-    B: tuple
-    signs: tuple  # numeric sign of each C[k]; expected -1 then all +1
-    w_c: Qbeta
-    g0_at_wc: Fraction
-    b0_at_wc: Qbeta
+    signs: tuple  # sign of each C[k]; expected -1 then all +1
+
+
+def _next_C(c: list) -> Qbeta:
+    """C_2k from C_0..C_(2k-2) by the closed one-line recursion."""
+    k = len(c)
+    cross_cc = sum((c[m] * c[k - m] for m in range(1, k)), Qbeta.rational(0))
+    return _CRAMER_UNIT * ((5 * k - 6) * (5 * k - 4) * c[k - 1] / 48 + 54 * cross_cc)
 
 
 def run_C_recursion(G: int) -> CriticalConstants:
     """Exact C_2k/D_2k amplitudes through order G.
 
-    Each step solves the critically singular 2x2 system for order k.  The
-    right-hand-side amplitudes A_2k, B_2k are assembled in two ways (with
-    b_hat data, and with it eliminated through D = 6 sqrt(3) C) and the
-    solved C_2k is checked against the closed one-line recursion
+    C_2k comes from the closed one-line recursion
 
         C_2k = (beta^3/72) ((5k-6)(5k-4) C_{2k-2}/48 + 54 sum C_2m C_2m'),
 
-    so a slip in any route raises instead of propagating.
+    and D_2k = 6 sqrt(3) C_2k.  Each order is checked against the critically
+    singular 2x2 system: its right-hand side A_2k, B_2k is assembled from the
+    D data and solved by Cramer, and the solution must equal both C_2k and
+    D_2k, so a slip in the recursion raises instead of propagating.
     """
     if G < 0:
         raise ValueError("need G >= 0")
     _verify_critical_point()
     c_list = [-BETA / 18]
     d_list = [-(BETA**3) / 6]
-    a_list: list = [None]
-    b_list: list = [None]
     for k in range(1, G + 1):
+        c_k = _next_C(c_list)
+        d_k = 6 * SQRT3 * c_k
         poly = Fraction((5 * k - 6) * (5 * k - 4))
         zero = Qbeta.rational(0)
-        cross_cc = sum((c_list[m] * c_list[k - m] for m in range(1, k)), zero)
         cross_cd = sum((c_list[m] * d_list[k - m] for m in range(1, k)), zero)
         cross_dd = sum((d_list[m] * d_list[k - m] for m in range(1, k)), zero)
         a_k = Fraction(-3, 16) * poly * c_list[k - 1] - 3 * cross_dd
         b_k = Fraction(1, 576) * poly * d_list[k - 1] + 6 * cross_cd
-        _consistent(
-            a_k,
-            Fraction(-3, 16) * poly * c_list[k - 1] - 324 * cross_cc,
-            f"A at order {k}, b-hat elimination",
-        )
-        _consistent(
-            b_k,
-            SQRT3 * (poly * c_list[k - 1] / 96 + 36 * cross_cc),
-            f"B at order {k}, b-hat elimination",
-        )
-        c_k = _CRAMER_UNIT * (-a_k / 18 + SQRT3 * b_k / 3)
-        d_k = _CRAMER_UNIT * (-SQRT3 * a_k / 3 + 6 * b_k)
-        _consistent(
-            c_k,
-            _CRAMER_UNIT * (poly * c_list[k - 1] / 48 + 54 * cross_cc),
-            f"C at order {k}, closed recursion",
-        )
-        _consistent(d_k, 6 * SQRT3 * c_k, f"D = 6 sqrt(3) C at order {k}")
+        _consistent(_CRAMER_UNIT * (-a_k / 18 + SQRT3 * b_k / 3), c_k, f"C at order {k}, singular system")
+        _consistent(_CRAMER_UNIT * (-SQRT3 * a_k / 3 + 6 * b_k), d_k, f"D at order {k}, singular system")
         c_list.append(c_k)
         d_list.append(d_k)
-        a_list.append(a_k)
-        b_list.append(b_k)
-    signs = tuple(_numeric_sign(c) for c in c_list)
-    return CriticalConstants(
-        G=G,
-        C=tuple(c_list),
-        D=tuple(d_list),
-        A=tuple(a_list),
-        B=tuple(b_list),
-        signs=signs,
-        w_c=W_CRITICAL,
-        g0_at_wc=G0_AT_CRITICAL,
-        b0_at_wc=B0_AT_CRITICAL,
-    )
+    return CriticalConstants(G=G, C=tuple(c_list), D=tuple(d_list), signs=tuple(map(_sign, c_list)))
 
 
-def _numeric_sign(x: Qbeta) -> int:
-    with workdps(30):
-        v = x.evaluate(mp.mpf(1))
-    if v == 0:
+def _sign(x: Qbeta) -> int:
+    """Sign of a beta-monomial: that of its one nonzero component, since beta > 0."""
+    grades = x.grades()
+    if len(grades) > 1:
+        raise ArithmeticError(f"{x} is not a beta-monomial; grades {sorted(grades)}")
+    if not grades:
         return 0
-    return 1 if v > 0 else -1
+    q = x.c[grades.pop()]
+    return 1 if q > 0 else -1
 
 
 def _amplitude_exact(c2g: Qbeta, g: int) -> tuple[Fraction, int]:

@@ -189,10 +189,11 @@ def _tail_samples(eq: EquilibriumData, samples: int, zmax: float) -> tuple:
         d_gap_max = (z0 - b) * mp.mpf("0.999")
         gap = [sample(b + d) for d in logspace(min(width / 100, d_gap_max / 10), d_gap_max, samples)]
 
-    # ray from z0 at angle pi/3 (the asymptotic direction of the outer contour)
+    # ray from z0 at angle pi/3 (the asymptotic direction of the outer contour);
+    # its grid starts at z0/1000 once z0 > 10 width, so it scales with z0
     direction = mp.exp(mp.mpc(0, mp.pi / 3))
     r_edge = -z0 / 2 + mp.sqrt(mp.mpf(zmax) ** 2 - 3 * z0 * z0 / 4)
-    ray = [sample(z0 + r * direction) for r in logspace(width / 100, r_edge, samples)]
+    ray = [sample(z0 + r * direction) for r in logspace(max(width / 100, z0 / 1000), r_edge, samples)]
     return left, gap, ray
 
 

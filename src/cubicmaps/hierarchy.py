@@ -21,7 +21,7 @@ from math import factorial
 from typing import Sequence
 
 from .numbers import binomial, gamma_ratio
-from .series import VAR_U2, VAR_W, TruncatedSeries, assert_same_series, from_coefficients, monomial
+from .series import VAR_U2, VAR_W, TruncatedSeries, assert_same_series, monomial
 
 
 def g0_coefficient(j: int) -> Fraction:
@@ -43,30 +43,27 @@ def g2_coefficient(j: int) -> Fraction:
 
 
 def compute_g0_series(horizon: int) -> TruncatedSeries:
-    """Leading series two ways (closed form and Newton on the cubic), asserted equal.
+    """Leading series from the closed form, certified by its cubic.
 
-    The Newton route works on H = g0/w, which satisfies 72 w H^3 - H^2 + 1 = 0
-    with unit seed H = 1; the valuation of the residual doubles per step, so
-    step k works through w^(2^k) only, its unknown tail padded with zeros,
-    until the window reaches the full horizon.  A mismatch with the closed
-    form is a hard failure, not a warning.
+    H = g0/w satisfies 72 w H^3 - H^2 + 1 = 0.  The w^n coefficient of that
+    residual is -2 H_0 H_n plus terms in H_0..H_(n-1), so with H_0 pinned to 1
+    a residual that is zero from w^0 through w^(horizon-1) fixes every
+    coefficient; the pin excludes the other branch, (-1)^j c_j, which zeroes
+    the residual too.  A failed certificate is a hard failure, not a warning.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     closed = TruncatedSeries(VAR_W, 1, tuple(g0_coefficient(j) for j in range(1, horizon + 1)))
-
-    H = monomial(VAR_W, 1, 0, 0)
-    while H.known_max < horizon - 1:
-        H = from_coefficients(VAR_W, H.coefficients(), min(max(2 * H.known_max, 1), horizon - 1))
-        h2 = H * H
-        f = (h2 * H).shift(1) * 72 - h2 + 1
-        df = h2.shift(1) * 216 - H * 2
-        H = H - f / df
-    newton = H.shift(1)
-    try:
-        assert_same_series(closed, newton, through=horizon)
-    except AssertionError as exc:
-        raise ArithmeticError(f"dual-route leading series mismatch: {exc}") from exc
+    if closed.coefficient(1) != 1:  # offset is the valuation, so this also pins offset 1
+        raise ArithmeticError(f"leading series certificate: g0 = {closed!r} does not start at 1*w^1")
+    H = closed.shift(-1)
+    h2 = H * H
+    residual = (h2 * H).shift(1) * 72 - h2 + 1
+    if not residual.is_zero() or residual.known_max != horizon - 1:
+        raise ArithmeticError(
+            f"leading series certificate: 72 w H^3 - H^2 + 1 = {residual!r}, "
+            f"expected 0 through w^{horizon - 1}"
+        )
     return closed
 
 

@@ -79,13 +79,13 @@ class GenusCoeffTable:
     g_max: int
     j_max: int
     counts: MappingProxyType  # (g, j) -> int, the connected graph count f^(2g)_{2j}
-    series_coefficients: MappingProxyType  # (g, j) -> Fraction, F-series coefficient
 
     def count(self, g: int, j: int) -> int:
         return self.counts[(g, j)]
 
     def coefficient(self, g: int, j: int) -> Fraction:
-        return self.series_coefficients[(g, j)]
+        """F-series coefficient of u^(2j): the count over (2j)!."""
+        return Fraction(self.counts[(g, j)], factorial(2 * j))
 
 
 def genus_table(g_max: int, j_max: int) -> GenusCoeffTable:
@@ -96,7 +96,6 @@ def genus_table(g_max: int, j_max: int) -> GenusCoeffTable:
     """
     series = free_energy_series(g_max, j_max)
     counts: dict[tuple[int, int], int] = {}
-    coeffs: dict[tuple[int, int], Fraction] = {}
     for g in range(g_max + 1):
         s = series[g]
         nums, den = s.numerators, s.denominator
@@ -113,15 +112,9 @@ def genus_table(g_max: int, j_max: int) -> GenusCoeffTable:
             if 2 * j < 2 * g and f != 0:
                 raise ArithmeticError(f"count f(g={g}, j={j}) nonzero below the vertex threshold")
             counts[(g, j)] = f
-            coeffs[(g, j)] = s.coefficient(j)
     if counts.get((0, 1)) not in (None, 12):
         raise ArithmeticError("f(0, 1) must be 12")
-    return GenusCoeffTable(
-        g_max=g_max,
-        j_max=j_max,
-        counts=MappingProxyType(counts),
-        series_coefficients=MappingProxyType(coeffs),
-    )
+    return GenusCoeffTable(g_max=g_max, j_max=j_max, counts=MappingProxyType(counts))
 
 
 def genus0_closed_form(j: int) -> Fraction:

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, workdps
 
+from cubicmaps import critical
 from cubicmaps.critical import (
     B0_AT_CRITICAL,
+    G0_AT_CRITICAL,
     CriticalConstants,
     _amplitude_exact,
     _neville_to_zero,
@@ -39,21 +41,26 @@ def test_published_amplitudes(consts):
     assert consts.D[0] == -(BETA**3) / 6
     for k in range(consts.G + 1):
         assert consts.D[k] == 6 * SQRT3 * consts.C[k]
-    assert consts.w_c == W_CRITICAL
-    assert consts.g0_at_wc == Fraction(1, 108)
-    assert consts.b0_at_wc == (6 - BETA**2) / 36
+    assert G0_AT_CRITICAL == Fraction(1, 108)
+    assert B0_AT_CRITICAL == (6 - BETA**2) / 36
     # numeric shadow of D_0 = -2^(1/2) 3^(-1/4)
     with workdps(30):
         target = -mp.sqrt(2) / mp.root(3, 4)
         assert abs(consts.D[0].evaluate(mp.mpf(1)) - target) < mp.mpf(10) ** -28
 
 
-def test_intermediate_amplitudes(consts):
-    # order-1 right-hand side, solved by hand from the singular 2x2 system
-    assert consts.A[0] is None and consts.B[0] is None
-    assert consts.A[1] == -BETA / 96
-    assert consts.B[1] == BETA**3 / 3456
-    assert len(consts.A) == consts.G + 1 == len(consts.B)
+def test_singular_system_check_detects_a_wrong_C(monkeypatch):
+    # the closed recursion off by a rational at one order: the Cramer solution
+    # of the order-k singular system, built from the D data, must disagree
+    original = critical._next_C
+
+    def perturbed(c):
+        return original(c) + (Fraction(1, 10**9) if len(c) == 3 else 0)
+
+    monkeypatch.setattr(critical, "_next_C", perturbed)
+    run_C_recursion(2)
+    with pytest.raises(ArithmeticError, match="C at order 3, singular system"):
+        run_C_recursion(5)
 
 
 def test_signs_and_grades(consts):
@@ -61,6 +68,10 @@ def test_signs_and_grades(consts):
     assert all(s == 1 for s in consts.signs[1:])
     for k in range(consts.G + 1):
         assert consts.C[k].grades() <= {(1 - k) % 4}
+    # the sign is read off the one nonzero beta-grade; a sum of grades has none
+    assert critical._sign(-BETA**3 / 7) == -1 and critical._sign(Qbeta.rational(0)) == 0
+    with pytest.raises(ArithmeticError, match="not a beta-monomial"):
+        critical._sign(1 - BETA)
 
 
 def test_critical_point_identities():
@@ -115,7 +126,7 @@ def test_delta_expansion_dual_route(consts):
     de = delta_expansion(10)
     assert de.g0[0] == Qbeta.rational(Fraction(1, 108))
     assert de.g0[1] == consts.C[0]
-    assert de.b0[0] == consts.b0_at_wc
+    assert de.b0[0] == B0_AT_CRITICAL
     assert de.b0[1] == consts.D[0]
     assert min(de.g2) == -4
     assert de.g2[-4] == consts.C[1]

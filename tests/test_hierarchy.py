@@ -20,7 +20,7 @@ from cubicmaps.series import assert_same_series, monomial, VAR_U2, VAR_W
 
 
 # leading coefficients 1, 36, 3240, 373248, 48498912 pin the closed form;
-# the Newton cross-check runs inside compute_g0_series on every call
+# the cubic's residual certificate runs inside compute_g0_series on every call
 G0_HEAD = [1, 36, 3240, 373248, 48498912]
 
 
@@ -38,13 +38,21 @@ def test_g0_series_dual_route():
 
 @pytest.mark.parametrize("perturbed", [1, 2, 17, 33])
 def test_g0_series_dual_route_detects_a_wrong_coefficient(monkeypatch, perturbed):
-    # one closed-form coefficient off by 1: the Newton route must disagree,
-    # including at the top of the window, which only the last Newton step reaches
+    # one closed-form coefficient off by 1: the residual of the cubic must be
+    # nonzero, including at the top of the window, its last certified exponent
     original = hierarchy.g0_coefficient
     monkeypatch.setattr(
         hierarchy, "g0_coefficient", lambda j: original(j) + (1 if j == perturbed else 0)
     )
-    with pytest.raises(ArithmeticError, match="dual-route"):
+    with pytest.raises(ArithmeticError, match="leading series certificate"):
+        compute_g0_series(33)
+
+
+def test_g0_series_certificate_rejects_the_other_branch(monkeypatch):
+    # (-1)^j c_j also zeroes 72 w H^3 - H^2 + 1; only the pin H_0 = 1 rejects it
+    original = hierarchy.g0_coefficient
+    monkeypatch.setattr(hierarchy, "g0_coefficient", lambda j: (-1) ** j * original(j))
+    with pytest.raises(ArithmeticError, match="leading series certificate"):
         compute_g0_series(33)
 
 

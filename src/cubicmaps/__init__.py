@@ -7,7 +7,7 @@ Subpackage map:
 * ``hierarchy`` -- string-equation hierarchy for the recurrence coefficients
 * ``toda`` -- Toda-flow integration to free-energy series and map counts
 * ``critical`` -- critical-point constants, amplitude asymptotics, Painleve I
-* ``wick`` -- brute-force pairing census oracle, enumerated by symmetry class
+* ``wick`` -- exact pairing census oracle, enumerated by orbit-weighted descent
 * ``finite_n`` -- contour moments, orthogonal recurrences, finite-N validation
 * ``serialize`` -- tagged, deterministic JSON/CSV encoding
 * ``acceptance`` -- the twelve release checks behind ``cubicmaps reproduce``

@@ -77,12 +77,14 @@ def _c_closed_forms():
     return True, "closed forms match the Toda pipeline for 1 <= j <= 20, exactly"
 
 
-# connected counts by genus and disconnected count of the p = 6 census
+# connected counts by genus and disconnected count of the p = 6 and p = 8 censuses
 _CENSUS6 = ({0: 9797760, 1: 19362240, 2: 3061800}, 2237625)
+_CENSUS8 = ({0: 45148078080, 1: 164367221760, 2: 89414357760}, 17304485625)
 
 
 def _c_oracle():
-    for p in (2, 4, 6):
+    frozen = {6: _CENSUS6, 8: _CENSUS8}
+    for p in (2, 4, 6, 8):
         j = p // 2
         g_top = (p + 2) // 4
         table = genus_table(g_top, j)
@@ -95,9 +97,9 @@ def _c_oracle():
             return False, f"p={p}: connected counts {observed} != {expected}"
         if cen.disconnected != cen.total - sum(cen.connected.values()):
             return False, f"p={p}: disconnected count inconsistent with the total"
-        if p == 6 and (cen.connected, cen.disconnected) != _CENSUS6:
-            return False, f"p=6: census {cen.connected}, {cen.disconnected} disconnected != frozen {_CENSUS6}"
-    return True, "pairing census matches f(2g, 2j) for p=2,4,6 and the frozen p=6 counts; totals (3p-1)!!"
+        if p in frozen and (cen.connected, cen.disconnected) != frozen[p]:
+            return False, f"p={p}: census {cen.connected}, {cen.disconnected} disconnected != frozen {frozen[p]}"
+    return True, "pairing census matches f(2g, 2j) for p=2,4,6,8 and the frozen p=6,8 counts; totals (3p-1)!!"
 
 
 def _c_critical():
@@ -201,7 +203,7 @@ CRITERIA = (
     ("genus1", "genus-1 free-energy coefficients", 1.0, _c_genus1),
     ("genus2", "genus-2 free-energy coefficients", 5.0, _c_genus2),
     ("closed-forms", "closed-form counts vs Toda pipeline", 10.0, _c_closed_forms),
-    ("oracle6", "pairing census vs counts through p=6", 1200.0, _c_oracle),
+    ("oracle6", "pairing census vs counts through p=8", 1200.0, _c_oracle),
     ("critical", "exact singular amplitudes and count constants", 1.0, _c_critical),
     ("painleve", "amplitude recursion is Painleve I", 1.0, _c_painleve),
     ("asymptotics", "large-j count estimates", 30.0, _c_asymptotics),

@@ -162,7 +162,7 @@ def _tail_samples(eq: EquilibriumData, samples: int, zmax: float) -> tuple:
 
     gap is empty when z0 - b is below working tolerance (the critical coupling).
     The ray needs zmax > z0 * sqrt(3) / 2 to reach |z| = zmax; phi_check
-    passes zmax >= 2 z0.
+    passes zmax >= 4 z0.
     """
     u, x, y, a, b, z0 = eq.u, eq.x, eq.y, eq.a, eq.b, eq.z0
     h0 = 1 - 6 * u * x
@@ -211,9 +211,10 @@ def phi_check(eq: EquilibriumData, samples: int = 12, zmax: float = 100.0) -> Ph
     enters, so the branch of the log does not matter, and no sampled path
     crosses the cut [a, b].  Positivity is sampled at log-spaced points on
     (-inf, a), on (b, z0), and on the ray z0 + r e^{i pi/3}, out to
-    |z| <= zmax.  A zmax below 2 z0 becomes 4 z0, the value reported: once
-    z0 passes zmax/2, every ray sample lies beyond both fit radii below, or
-    the ray cannot reach zmax at all.  The sampling window is heuristic:
+    |z| <= zmax.  A zmax below 4 z0 becomes 4 z0, the value reported: once
+    z0 passes zmax/4, the lower fit radius below sits where the cubic term
+    of Re phi does not yet dominate, and past zmax/2 every ray sample lies
+    beyond both fit radii.  The sampling window is heuristic:
     growth ~ +u|z|^3/2 makes violations far out implausible, but only the
     sampled points are actually checked.
 
@@ -226,7 +227,7 @@ def phi_check(eq: EquilibriumData, samples: int = 12, zmax: float = 100.0) -> Ph
         raise ValueError("phi_check needs u > 0")
     if eq.z0 == mp.inf:
         raise ValueError("no finite z0 at u = 0")
-    if zmax < 2 * eq.z0:
+    if zmax < 4 * eq.z0:
         zmax = float(4 * eq.z0)
         if mp.isinf(zmax):
             raise ValueError(f"z0={eq.z0} puts zmax = 4 z0 past the float range")

@@ -1,23 +1,26 @@
-"""Brute-force census of vertex matchings, the combinatorial oracle.
+"""Exact census of vertex matchings, the combinatorial oracle.
 
 Every matching of the 3p half-edges of p trivalent vertices is classified
 by face count (cycles of rotation-after-matching) and vertex connectivity,
 and the result tallied by genus.  Totals are exact integers; nothing is
 sampled.
 
-The matchings split into 3p-1 branches by the partner t of half-edge 0.
-Reversing every rotation maps the branch t = 1 onto t = 2, and relabelling
-the other vertices (then rotating the one that holds t) maps every branch
-t >= 3 onto t = 3, preserving faces and components.  So only those two
-branches are enumerated, and ``census`` weights them 2 and 3(p-1).
+Matchings are built depth first, half-edge h = free[0] taking its partner
+at each level.  Relabelling the vertices that no placed pair touches (other
+than h's own), and rotating them, fixes h and every placed pair and commutes
+with the rotation, so it changes neither faces nor components.  The free
+half-edges on those k vertices are therefore one orbit of 3k partners: only
+the first is paired, with weight 3k, and each leaf adds the product of the
+weights above it to the tallies.  At p = 8 that is 46,895 leaves for the
+23!! matchings.
 
-A branch is enumerated depth first, and each matching is classified as it
-is built, not walked again at its leaf.  Each pair placed updates the open
-chains of the partial face permutation (an edge that closes its own chain
-is a face) and a vertex union-find, and backtracking undoes both, so a pair
-costs O(1); the last pair of each matching is settled from the chain ends
-without recursion.  ``analyze`` stays the independent whole-matching
-classifier behind ``genus_of_pairing``.
+Each matching is classified as it is built, not walked again at its leaf.
+Each pair placed updates the open chains of the partial face permutation
+(an edge that closes its own chain is a face) and a vertex union-find, and
+backtracking undoes both, so a pair costs O(1); the last pair of each
+matching is settled from the chain ends without recursion.  ``analyze``
+stays the independent whole-matching classifier behind
+``genus_of_pairing``.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from .numbers import double_factorial
 
 ENGINE = "pure"
 
-# the census enumerates two branches of (3p-3)!! leaves each, of the (3p-1)!!
-# matchings; p = 8 would be 2 * 21!! ~ 2.7e10 leaves (23!! ~ 3.2e11), past the design budget
-MAX_VERTICES = 6
+# p = 8 enumerates 46,895 weighted leaves in about 0.1 s; p = 10 would enumerate
+# 1,402,050 (about 3 s) and reach genus 3, past the genus-2 table census reports
+MAX_VERTICES = 8
 
 
 def available_engines() -> tuple[str, ...]:
@@ -99,17 +102,17 @@ def _max_genus(p: int) -> int:
     return (p // 2 + 1) // 2
 
 
-def count_branch(p: int, first_partner: int):
-    """Totals over all matchings that pair half-edge 0 with ``first_partner``.
+def census(p: int) -> PairingCensus:
+    """Full exact census over all (3p-1)!! matchings of p trivalent vertices.
 
-    Returns (total, disconnected, genus_counts) with genus_counts running
-    from genus 0 to the maximal genus a connected p-vertex map can reach.
+    One weighted descent (see the module docstring): each enumerated leaf
+    stands for the product of the orbit sizes chosen on its way down, and
+    the weighted total must be (3p-1)!!.
     """
     if p % 2 or not 2 <= p <= MAX_VERTICES:
         raise ValueError(f"p must be even with 2 <= p <= {MAX_VERTICES}")
+    start = time.perf_counter()
     n = 3 * p
-    if not 1 <= first_partner < n:
-        raise ValueError("first partner out of range")
     rot = _ROTATION
     # Faces are the cycles of c -> rot[match[c]].  A partial matching defines
     # that successor on its paired half-edges only, which leaves open chains:
@@ -120,14 +123,31 @@ def count_branch(p: int, first_partner: int):
     head = list(range(n))
     tail = list(range(n))
     parent = list(range(p))  # vertex union-find, unions undone on backtrack
-    by_faces = [0] * (n + 1)  # connected leaves by face count
-    leaves = [0, 0]  # total, disconnected
+    by_faces = [0] * (n + 1)  # weighted connected leaves by face count
+    leaves = [0, 0]  # weighted total, disconnected
 
-    def descend(free, choices, faces, comps):
-        # pair free[0] with each of free[1:choices] in turn, then the rest
+    def descend(free, faces, comps, weight):
+        # free is sorted, so an untouched vertex v is a run 3v, 3v+1, 3v+2 of
+        # it; h = free[0] lies below every such run.  The partners on those
+        # k runs form one orbit: only the first is paired, weighted 3k.
         h = free[0]
         rh = rot[h]
-        for i in range(1, choices):
+        m = len(free)
+        choices = []
+        first = untouched = 0
+        i = 1
+        while i < m:
+            if free[i] % 3 == 0 and i + 2 < m and free[i + 2] == free[i] + 2:
+                if not untouched:
+                    first = i
+                untouched += 1
+                i += 3
+            else:
+                choices.append((i, weight))
+                i += 1
+        if untouched:
+            choices.append((first, 3 * untouched * weight))
+        for i, w in choices:
             t = free[i]
             rt = rot[t]
             f = faces
@@ -169,13 +189,13 @@ def count_branch(p: int, first_partner: int):
                         ry = parent[ry]
                     if rx != ry:
                         c = 1
-                leaves[0] += 1
+                leaves[0] += w
                 if c == 1:
-                    by_faces[f] += 1
+                    by_faces[f] += w
                 else:
-                    leaves[1] += 1
+                    leaves[1] += w
             else:
-                descend(rest, len(rest), f, c)
+                descend(rest, f, c, w)
             # undo in reverse order; a join overwrote one tail and one head
             if ra != rb:
                 parent[ra] = ra
@@ -186,16 +206,27 @@ def count_branch(p: int, first_partner: int):
                 tail[a] = h
                 head[b] = rt
 
-    others = tuple(h for h in range(1, n) if h != first_partner)
-    descend((0, first_partner) + others, 2, 0, p)
-    genus_counts = [0] * (_max_genus(p) + 1)
+    descend(tuple(range(n)), 0, p, 1)
+    total, disconnected = leaves
+    if total != double_factorial(3 * p - 1):
+        raise ArithmeticError(f"weighted total {total} != (3p-1)!!")
+    tallies = [0] * (_max_genus(p) + 1)
     for faces, count in enumerate(by_faces):
         if count:
             twice = p // 2 + 2 - faces
-            if twice % 2 or not 0 <= twice // 2 < len(genus_counts):
+            if twice % 2 or not 0 <= twice // 2 < len(tallies):
                 raise ArithmeticError(f"{faces} faces on a connected {p}-vertex map")
-            genus_counts[twice // 2] += count
-    return leaves[0], leaves[1], tuple(genus_counts)
+            tallies[twice // 2] += count
+    elapsed_ms = int(round(1000 * (time.perf_counter() - start)))
+    table_max = min(p // 2, 2)
+    connected = {g: (tallies[g] if g < len(tallies) else 0) for g in range(table_max + 1)}
+    return PairingCensus(
+        vertices=p,
+        total=total,
+        connected=connected,
+        disconnected=disconnected,
+        elapsed_ms=elapsed_ms,
+    )
 
 
 def genus_of_pairing(pairs) -> PairingTopology:
@@ -229,34 +260,3 @@ def genus_of_pairing(pairs) -> PairingTopology:
             raise ArithmeticError("Euler count is not an even nonnegative integer")
         genus = twice // 2
     return PairingTopology(vertices=p, faces=faces, components=comps, genus=genus)
-
-
-def census(p: int) -> PairingCensus:
-    """Full exact census over all (3p-1)!! matchings of p trivalent vertices.
-
-    Enumerates the branches t = 1 and t = 3 of the partner of half-edge 0
-    and weights them by their class sizes, 2 and 3(p-1).  Each enumerated
-    branch must hold (3p-3)!! leaves, which makes the weighted total
-    (3p-1)!!.
-    """
-    if p % 2 or not 2 <= p <= MAX_VERTICES:
-        raise ValueError(f"p must be even with 2 <= p <= {MAX_VERTICES}")
-    start = time.perf_counter()
-    classes = ((2, count_branch(p, 1)), (3 * (p - 1), count_branch(p, 3)))
-    leaves = double_factorial(3 * p - 3)
-    for _, (branch_total, _, _) in classes:
-        if branch_total != leaves:
-            raise ArithmeticError(f"branch total {branch_total} != (3p-3)!!")
-    total = sum(w * part[0] for w, part in classes)
-    disconnected = sum(w * part[1] for w, part in classes)
-    tallies = [sum(w * part[2][g] for w, part in classes) for g in range(_max_genus(p) + 1)]
-    elapsed_ms = int(round(1000 * (time.perf_counter() - start)))
-    table_max = min(p // 2, 2)
-    connected = {g: (tallies[g] if g < len(tallies) else 0) for g in range(table_max + 1)}
-    return PairingCensus(
-        vertices=p,
-        total=total,
-        connected=connected,
-        disconnected=disconnected,
-        elapsed_ms=elapsed_ms,
-    )

@@ -6,12 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cubicmaps.numbers import double_factorial
 from cubicmaps.toda import genus_table
-from cubicmaps.wick import (
-    MAX_VERTICES,
-    census,
-    count_branch,
-    genus_of_pairing,
-)
+from cubicmaps.wick import MAX_VERTICES, census, genus_of_pairing
 
 # two trivalent vertices: the parallel matching traces one 6-face, the
 # twisted one traces three faces
@@ -49,10 +44,12 @@ def test_pairing_validation():
 CENSUS_TABLE = {
     2: ({0: 12, 1: 3}, 0),
     4: ({0: 5184, 1: 4536, 2: 0}, 675),
+    6: ({0: 9797760, 1: 19362240, 2: 3061800}, 2237625),
+    8: ({0: 45148078080, 1: 164367221760, 2: 89414357760}, 17304485625),
 }
 
 
-@pytest.mark.parametrize("p", [2, 4])
+@pytest.mark.parametrize("p", [2, 4, 6, 8])
 def test_census_frozen_values(p):
     c = census(p)
     connected, disconnected = CENSUS_TABLE[p]
@@ -65,31 +62,15 @@ def test_census_frozen_values(p):
 def test_census_counts_equal_genus_coefficients():
     # the oracle equivalence: enumerated connected counts per genus against
     # the analytic table, p = 2j vertices
-    table = genus_table(2, 2)
-    for p in (2, 4):
+    table = genus_table(2, 4)
+    for p in (2, 4, 6, 8):
         c = census(p)
         for g, count in c.connected.items():
             assert count == table.count(g, p // 2)
 
 
-@pytest.mark.parametrize("p", [2, 4])
-def test_branch_symmetry_classes(p):
-    # every branch of the partner t of half-edge 0 equals its class
-    # representative, and the unweighted sum over all 3p-1 branches is the
-    # census: the independent check of the weights 2 and 3(p-1)
-    branches = {t: count_branch(p, t) for t in range(1, 3 * p)}
-    for t, branch in branches.items():
-        assert branch == branches[1 if t <= 2 else 3]
-        assert branch[0] == double_factorial(3 * p - 3)
-    c = census(p)
-    assert sum(b[0] for b in branches.values()) == c.total
-    assert sum(b[1] for b in branches.values()) == c.disconnected
-    genera = range(len(branches[1][2]))
-    assert [sum(b[2][g] for b in branches.values()) for g in genera] == [c.connected[g] for g in genera]
-
-
-def _branch_matchings(p, t):
-    """Every matching of the 3p half-edges that pairs 0 with t, as (i, j) pair lists."""
+def _matchings(p):
+    """Every matching of the 3p half-edges, as (i, j) pair lists."""
     def extend(free, pairs):
         if not free:
             yield pairs
@@ -98,27 +79,27 @@ def _branch_matchings(p, t):
         for k, j in enumerate(rest):
             yield from extend(rest[:k] + rest[k + 1:], pairs + [(h, j)])
 
-    yield from extend([h for h in range(1, 3 * p) if h != t], [(0, t)])
+    yield from extend(list(range(3 * p)), [])
 
 
 @pytest.mark.parametrize("p", [2, 4])
-def test_branches_match_per_matching_classifier(p):
-    # every branch, not only the representatives t = 1 and t = 3: the faces
-    # and components count_branch tracks pair by pair against analyze run on
-    # each whole matching
-    for t in range(1, 3 * p):
-        genera = Counter()
-        disconnected = 0
-        for pairs in _branch_matchings(p, t):
-            topology = genus_of_pairing(pairs)
-            if topology.connected:
-                genera[topology.genus] += 1
-            else:
-                disconnected += 1
-        total, branch_disconnected, branch_genera = count_branch(p, t)
-        assert total == sum(genera.values()) + disconnected == double_factorial(3 * p - 3)
-        assert branch_disconnected == disconnected
-        assert {g: c for g, c in enumerate(branch_genera) if c} == genera
+def test_census_matches_per_matching_classifier(p):
+    # the orbit weights against no symmetry at all: analyze run on each of
+    # the (3p-1)!! whole matchings, tallied bin by bin
+    genera = Counter()
+    disconnected = total = 0
+    for pairs in _matchings(p):
+        topology = genus_of_pairing(pairs)
+        total += 1
+        if topology.connected:
+            genera[topology.genus] += 1
+        else:
+            disconnected += 1
+    c = census(p)
+    assert total == c.total == double_factorial(3 * p - 1)
+    assert c.disconnected == disconnected
+    assert c.connected == {g: genera[g] for g in range(min(p // 2, 2) + 1)}
+    assert set(genera) <= set(c.connected)
 
 
 def test_census_rejects_bad_sizes():
@@ -126,8 +107,6 @@ def test_census_rejects_bad_sizes():
         census(3)
     with pytest.raises(ValueError):
         census(MAX_VERTICES + 2)
-    with pytest.raises(ValueError):
-        count_branch(4, 12)  # half-edge 0 has partners 1..3p-1 only
 
 
 @settings(max_examples=60, deadline=None)

@@ -20,51 +20,49 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .numbers import binomial, gamma_ratio
-from .series import VAR_U2, VAR_W, TruncatedSeries, assert_same_series, monomial
+from .series import VAR_W, TruncatedSeries, from_numerators
 
 
-def g0_coefficient(j: int) -> Fraction:
-    """w^j coefficient of the leading series: Gamma(3j/2-1) 72^(j-1) / (2 Gamma(j) Gamma(j/2+1))."""
-    if j < 1:
-        raise ValueError("coefficients start at w^1")
-    ratio = gamma_ratio(Fraction(3 * j, 2) - 1, Fraction(j, 2) + 1)
-    return ratio * 72 ** (j - 1) / (2 * factorial(j - 1))
+def g0_coefficients(n: int) -> list[int]:
+    """c_1..c_n, the w^j coefficients of the leading series g0, by their term ratio.
+
+    c_(j+2) = 3888 (3j-2)(3j+2) c_j / ((j+1)(j+2)) from c_1 = 1 and c_2 = 36,
+    the ratio of Gamma(3j/2-1) 72^(j-1) / (2 Gamma(j) Gamma(j/2+1)) two steps
+    apart.  Every c_j is an integer, so the division is exact; the cubic's
+    certificate in ``compute_g0_series`` checks every value anyway.
+    """
+    c = [1, 36][:n]
+    for j in range(1, n - 1):
+        c.append(3888 * (3 * j - 2) * (3 * j + 2) * c[j - 1] // ((j + 1) * (j + 2)))
+    return c
 
 
-def g2_coefficient(j: int) -> Fraction:
-    """w^j coefficient of the first correction, as the finite residue sum."""
-    if j < 1:
-        raise ValueError("coefficients start at w^1")
-    acc = Fraction(0)
-    for m in range(j):
-        acc += binomial(Fraction(3 * j, 2) - m - 1, j - m - 1) * (m + 1) * (m + 5) * Fraction(3, 2) ** m
-    return 162 * 72 ** (j - 1) * acc
+def compute_g0_series(horizon: int) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """Leading pair (g0, b0): g0 by its term ratio, b0 from the cubic's certificate.
 
-
-def compute_g0_series(horizon: int) -> TruncatedSeries:
-    """Leading series from the closed form, certified by its cubic.
-
-    H = g0/w satisfies 72 w H^3 - H^2 + 1 = 0.  The w^n coefficient of that
-    residual is -2 H_0 H_n plus terms in H_0..H_(n-1), so with H_0 pinned to 1
-    a residual that is zero from w^0 through w^(horizon-1) fixes every
-    coefficient; the pin excludes the other branch, (-1)^j c_j, which zeroes
-    the residual too.  A failed certificate is a hard failure, not a warning.
+    H = g0/w satisfies 72 w H^3 - H^2 + 1 = 0.  With R = H - 72 w H^2 that
+    residual is 1 - H R, whose w^n coefficient is -2 H_0 H_n plus terms in
+    H_0..H_(n-1), so with H_0 pinned to 1 a residual that is zero from w^0
+    through w^(horizon-1) fixes every coefficient; the pin excludes the other
+    branch, (-1)^j c_j, which zeroes the residual too.  A failed certificate
+    is a hard failure, not a warning.  Once it holds, R = 1/H = w/g0 through
+    w^(horizon-1), so b0 = (1 - R)/6 solves g0 (1 - 6 b0) = w with no series
+    division.  g0 is known through w^horizon, b0 through w^(horizon-1).
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    closed = TruncatedSeries(VAR_W, 1, tuple(g0_coefficient(j) for j in range(1, horizon + 1)))
-    if closed.coefficient(1) != 1:  # offset is the valuation, so this also pins offset 1
-        raise ArithmeticError(f"leading series certificate: g0 = {closed!r} does not start at 1*w^1")
-    H = closed.shift(-1)
-    h2 = H * H
-    residual = (h2 * H).shift(1) * 72 - h2 + 1
+    g0 = from_numerators(VAR_W, 1, g0_coefficients(horizon), 1)
+    if g0.coefficient(1) != 1:  # offset is the valuation, so this also pins offset 1
+        raise ArithmeticError(f"leading series certificate: g0 = {g0!r} does not start at 1*w^1")
+    H = g0.shift(-1)
+    R = H - (H * H).shift(1) * 72
+    residual = 1 - H * R
     if not residual.is_zero() or residual.known_max != horizon - 1:
         raise ArithmeticError(
-            f"leading series certificate: 72 w H^3 - H^2 + 1 = {residual!r}, "
+            f"leading series certificate: 1 - H (H - 72 w H^2) = {residual!r}, "
             f"expected 0 through w^{horizon - 1}"
         )
-    return closed
+    return g0, (1 - R) * Fraction(1, 6)
 
 
 def _taylor_weight(j: int) -> Fraction:
@@ -150,17 +148,18 @@ def build_hierarchy(max_k: int, horizon: int) -> StringHierarchy:
 
     The leading series is padded by 2*max_k orders internally because each
     Taylor-shift derivative slides the known window down by one exponent.
-    Derivatives are taken once per build and the anti-diagonal sums T_n are
-    carried from order to order, so order k costs O(k) series products.
+    The leading pair comes from ``compute_g0_series``: g0 by its term ratio,
+    certified by the cubic's residual, and b0 = (1 - R)/6 from that
+    certificate, so the leading slice takes two series products and no
+    division.  Derivatives are taken once per build and the anti-diagonal
+    sums T_n are carried from order to order, so order k costs O(k) series
+    products.
     """
     if max_k < 0 or horizon < 1:
         raise ValueError("need max_k >= 0 and horizon >= 1")
     pad = horizon + 2 * max_k + 2
-    g0 = compute_g0_series(pad)
-    w1 = monomial(VAR_W, 1, 1, pad)
-    b0 = (g0 - w1) / (g0 * 6)
+    g0, b0 = compute_g0_series(pad)
     det = 1 - g0 * 108
-    assert_same_series((1 - b0 * 6) ** 2 - g0 * 36, det)
 
     g = [g0]
     b = [b0]
@@ -179,61 +178,3 @@ def build_hierarchy(max_k: int, horizon: int) -> StringHierarchy:
         b_hat=tuple(s.truncate_to(horizon) for s in b),
         det=det.truncate_to(horizon),
     )
-
-
-def hat_equation_residuals(h: StringHierarchy) -> list[tuple[int, TruncatedSeries, TruncatedSeries]]:
-    """Substitute the computed hierarchy back into the full string equations.
-
-    Returns (k, residual of the b-equation, residual of the g-equation) for
-    every order; all residuals must be zero series through their windows.
-    The k = 0 g-equation residual is g0*(1 - 6*b0) - w.
-    """
-    out = []
-    d2j = _even_derivatives(h.g_hat, h.b_hat)
-    for k in range(h.max_k + 1):
-        eq1 = None
-        for m in range(k + 1):
-            term = d2j("g", m, k - m) * (6 * _taylor_weight(k - m))
-            eq1 = term if eq1 is None else eq1 + term
-        for m in range(k + 1):
-            eq1 = eq1 + h.b_hat[m] * h.b_hat[k - m] * 3
-        eq1 = eq1 - h.b_hat[k]
-        eq2 = h.g_hat[k]
-        for m in range(k + 1):
-            for mp in range(k - m + 1):
-                eq2 = eq2 - h.g_hat[m] * d2j("b", mp, k - m - mp) * (6 * _taylor_weight(k - m - mp))
-        if k == 0:
-            eq2 = eq2 - monomial(VAR_W, 1, 1, h.horizon)
-        out.append((k, eq1, eq2))
-    return out
-
-
-def g2_closed_form(horizon: int) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """First-correction pair from the resolved rational forms.
-
-    g2 = 162 g0 (5 - 324 g0) / (1 - 108 g0)^4,  b2 = 54 w / (g0 (1 - 108 g0)^4).
-    """
-    g0 = compute_g0_series(horizon + 2)
-    d4 = (1 - g0 * 108) ** 4
-    g2 = (g0 * 162) * (5 - g0 * 324) / d4
-    b2 = monomial(VAR_W, 54, 1, horizon + 2) / (g0 * d4)
-    return g2.truncate_to(horizon), b2.truncate_to(horizon)
-
-
-def to_u_variable(h: StringHierarchy, k: int, kind: str = "g", s: Fraction = Fraction(1)) -> TruncatedSeries:
-    """Map a w-series hierarchy member to the coupling variable at slope s.
-
-    Exponents count powers of u^2: the g-member of order k becomes
-    u^(4k-2) g_hat(s u^2), an even function of u; the b-member becomes
-    u^(4k-1) b_hat(s u^2), returned as the even cofactor of one overall u.
-    """
-    if kind not in ("g", "b"):
-        raise ValueError("kind must be 'g' or 'b'")
-    if not 0 <= k <= h.max_k:
-        raise ValueError(f"order {k} outside computed range")
-    src = (h.g_hat if kind == "g" else h.b_hat)[k]
-    s = Fraction(s)
-    if s != 1:
-        coeffs = tuple(c * s ** (src.offset + i) for i, c in enumerate(src.coeffs))
-        src = TruncatedSeries(VAR_W, src.offset, coeffs)
-    return src.retag(VAR_U2).shift(2 * k - 1)

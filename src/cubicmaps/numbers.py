@@ -286,17 +286,6 @@ def gamma_ratio(a: Fraction, b: Fraction) -> Fraction:
     return ratio if steps >= 0 else 1 / ratio
 
 
-def binomial(a, k: int) -> Fraction:
-    """Generalized binomial C(a, k) = a(a-1)...(a-k+1)/k! for rational a."""
-    if k < 0:
-        return Fraction(0)
-    a = Fraction(a)
-    num = Fraction(1)
-    for i in range(k):
-        num *= a - i
-    return num / factorial(k)
-
-
 def pochhammer(a, m: int) -> Fraction:
     """Rising factorial (a)_m."""
     a = Fraction(a)

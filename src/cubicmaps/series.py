@@ -368,19 +368,3 @@ def from_numerators(var: str, offset: int, nums, den: int) -> TruncatedSeries:
     out = object.__new__(TruncatedSeries)
     out._set(var, offset, nums, den)
     return out
-
-
-def assert_same_series(a: TruncatedSeries, b: TruncatedSeries, through: int | None = None) -> None:
-    """Raise unless a and b agree on the overlap of their windows (or through a given exponent)."""
-    if a.var != b.var:
-        raise AssertionError(f"variable mismatch {a.var!r} vs {b.var!r}")
-    hi = min(a.known_max, b.known_max)
-    if through is not None:
-        if through > hi:
-            raise BeyondHorizonError(f"comparison through {through} exceeds known windows")
-        hi = through
-    lo = min(a.offset, b.offset)
-    for e in range(lo, hi + 1):
-        ca, cb = a.coefficient(e), b.coefficient(e)
-        if ca != cb:
-            raise AssertionError(f"coefficient mismatch at exponent {e}: {ca} != {cb}")

@@ -1,0 +1,54 @@
+"""The benchmark's independent checks, run against the package in tier-1.
+
+``perfbench/checks.py`` counts maps by the Goulden-Jackson triangulation
+recurrence, which shares no code with the string equations or the Toda
+flow, and ``perfbench/golden/`` holds the byte fingerprints of the exact
+workloads' outputs.  Both are loaded from their files, as the benchmark
+itself loads them, so the package never imports the benchmark.
+"""
+
+import contextlib
+import importlib.util
+import io
+from pathlib import Path
+
+import pytest
+
+from cubicmaps import cli
+from cubicmaps.toda import genus_table
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_counts_match_triangulation_recurrence_through_genus_12():
+    triangulations = _perfbench_module("checks").Triangulations()
+    table = genus_table(12, 120)
+    for g in range(13):
+        for j in range(1, 121):
+            assert triangulations.count(g, j) == table.count(g, j), (g, j)
+
+
+golden = _perfbench_module("golden")
+EXACT = ("exact-long", "exact-deep")
+RECORDS = {key: record for workload in EXACT for key, record in golden.load(workload).items()}
+
+
+def test_exact_golden_records_exist():
+    # an empty record set would leave the replay below with no cases
+    assert all(golden.load(workload) for workload in EXACT)
+
+
+@pytest.mark.parametrize("key", sorted(RECORDS))
+def test_exact_golden_outputs_replay(key):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(key.split())
+    assert code == 0
+    assert golden.compare(RECORDS[key], golden.fingerprint(out.getvalue())) == []

@@ -9,14 +9,18 @@ from cubicmaps.hierarchy import (
     _even_derivatives,
     build_hierarchy,
     compute_g0_series,
+    g0_coefficients,
+    solve_order_k,
+)
+from cubicmaps.series import monomial, VAR_U2, VAR_W
+from oracles import (
+    assert_same_series,
     g0_coefficient,
     g2_closed_form,
     g2_coefficient,
     hat_equation_residuals,
-    solve_order_k,
     to_u_variable,
 )
-from cubicmaps.series import assert_same_series, monomial, VAR_U2, VAR_W
 
 
 # leading coefficients 1, 36, 3240, 373248, 48498912 pin the closed form;
@@ -28,30 +32,50 @@ def test_g0_closed_form_head():
     assert [g0_coefficient(j) for j in range(1, 6)] == G0_HEAD
 
 
+def test_g0_term_ratio_matches_gamma_closed_form():
+    # the integer term ratio against the Gamma closed form, an independent route
+    assert g0_coefficients(200) == [g0_coefficient(j) for j in range(1, 201)]
+    assert g0_coefficients(1) == [1] and g0_coefficients(2) == [1, 36]
+
+
 def test_g0_series_dual_route():
-    s = compute_g0_series(33)  # odd horizon exercises the half-integer gamma path
-    assert s.offset == 1
-    assert [s.coefficient(j) for j in range(1, 6)] == G0_HEAD
+    g0, b0 = compute_g0_series(33)
+    assert g0.offset == 1 and g0.known_max == 33
+    assert [g0.coefficient(j) for j in range(1, 6)] == G0_HEAD
+    assert b0.offset == 1 and b0.known_max == 32
     with pytest.raises(ValueError):
         compute_g0_series(0)
 
 
+@pytest.mark.parametrize("horizon", [1, 2, 3, 33, 134])
+def test_b0_from_certificate_matches_series_division(horizon):
+    # b0 = (1 - R)/6 from the certificate against the division route
+    # b0 = (g0 - w)/(6 g0), through the horizon and in the same window
+    g0, b0 = compute_g0_series(horizon)
+    divided = (g0 - monomial(VAR_W, 1, 1, horizon)) / (g0 * 6)
+    assert b0 == divided
+    assert b0.known_max == horizon - 1
+
+
+def _perturbed_coefficients(monkeypatch, change):
+    original = hierarchy.g0_coefficients
+    monkeypatch.setattr(
+        hierarchy, "g0_coefficients", lambda n: [change(j, c) for j, c in enumerate(original(n), start=1)]
+    )
+
+
 @pytest.mark.parametrize("perturbed", [1, 2, 17, 33])
 def test_g0_series_dual_route_detects_a_wrong_coefficient(monkeypatch, perturbed):
-    # one closed-form coefficient off by 1: the residual of the cubic must be
+    # one term-ratio coefficient off by 1: the residual of the cubic must be
     # nonzero, including at the top of the window, its last certified exponent
-    original = hierarchy.g0_coefficient
-    monkeypatch.setattr(
-        hierarchy, "g0_coefficient", lambda j: original(j) + (1 if j == perturbed else 0)
-    )
+    _perturbed_coefficients(monkeypatch, lambda j, c: c + (1 if j == perturbed else 0))
     with pytest.raises(ArithmeticError, match="leading series certificate"):
         compute_g0_series(33)
 
 
 def test_g0_series_certificate_rejects_the_other_branch(monkeypatch):
     # (-1)^j c_j also zeroes 72 w H^3 - H^2 + 1; only the pin H_0 = 1 rejects it
-    original = hierarchy.g0_coefficient
-    monkeypatch.setattr(hierarchy, "g0_coefficient", lambda j: (-1) ** j * original(j))
+    _perturbed_coefficients(monkeypatch, lambda j, c: (-1) ** j * c)
     with pytest.raises(ArithmeticError, match="leading series certificate"):
         compute_g0_series(33)
 

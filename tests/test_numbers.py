@@ -15,13 +15,13 @@ from cubicmaps.numbers import (
     SQRT3,
     W_CRITICAL,
     Qbeta,
-    binomial,
     double_factorial,
     gamma_exact,
     gamma_ratio,
     pochhammer,
 )
 from cubicmaps.precision import agreement_digits
+from oracles import binomial
 
 
 def test_beta_fourth_power():

@@ -13,12 +13,12 @@ from cubicmaps.series import (
     VAR_W,
     BeyondHorizonError,
     TruncatedSeries,
-    assert_same_series,
     from_coefficients,
     from_numerators,
     monomial,
     zero_series,
 )
+from oracles import assert_same_series
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=8)
 

@@ -3,10 +3,10 @@
 Subpackage map:
 
 * ``series``, ``numbers``, ``precision`` -- exact arithmetic substrate
-* ``equilibrium`` -- endpoint system, spectral density, phi-function checks
+* ``equilibrium`` -- endpoint system and phi-function checks
 * ``hierarchy`` -- string-equation hierarchy for the recurrence coefficients
 * ``toda`` -- Toda-flow integration to free-energy series and map counts
-* ``critical`` -- critical-point constants, amplitude asymptotics, Painleve I
+* ``critical`` -- exact critical amplitudes, count amplitudes K_2g, Painleve I
 * ``wick`` -- exact pairing census oracle, enumerated by orbit-weighted descent
 * ``finite_n`` -- contour moments, orthogonal recurrences, finite-N validation
 * ``serialize`` -- tagged, deterministic JSON/CSV encoding

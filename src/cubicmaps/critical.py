@@ -6,11 +6,10 @@ vanishes and each hierarchy member develops a power singularity
     g_hat[2k] ~ C_2k (w_c - w)^((1-5k)/2),    b_hat[2k] ~ D_2k (...same power),
 
 with all amplitudes in Q[beta]/(beta^4 - 12).  This module computes them
-exactly (recursion in k), cross-checks them by a direct local expansion of
-the endpoint cubic and by numerical fits to high-order series coefficients,
-converts them into the leading growth of the genus-g map counts, and
-verifies termwise that their generating function satisfies a Painleve-I
-type equation.
+exactly by a recursion in k, checks every order against the critically
+singular 2x2 system, converts them into the leading growth of the genus-g
+map counts, and verifies termwise that their generating function satisfies
+a Painleve-I type equation.
 """
 
 from __future__ import annotations
@@ -20,10 +19,8 @@ from fractions import Fraction
 
 from mpmath import mp, workdps
 
-from .hierarchy import StringHierarchy
 from .numbers import BETA, SQRT3, W_CRITICAL, Qbeta, gamma_exact
 from .precision import BigFloat, rational_to_mp
-from .series import VAR_DELTA, TruncatedSeries, from_coefficients
 
 G0_AT_CRITICAL = Fraction(1, 108)
 B0_AT_CRITICAL = Qbeta((Fraction(1, 6), 0, Fraction(-1, 36), 0))  # (3 - sqrt(3))/18
@@ -153,152 +150,6 @@ def compute_K(consts: CriticalConstants, g: int, precision: int = 40) -> BigFloa
     if not 0 <= g <= consts.G:
         raise ValueError(f"genus {g} outside computed range 0..{consts.G}")
     return _amplitude_value(consts.C[g], g, precision)
-
-
-# -- direct local expansion at the critical point ---------------------------
-
-
-@dataclass(frozen=True)
-class DeltaExpansion:
-    """Puiseux data at w_c in delta = sqrt(w_c - w): {exponent: Qbeta coefficient}.
-
-    Each map covers its whole known window, zeros included.
-    """
-
-    order: int
-    g0: dict  # exponents 0..order; g0[1] is C_0
-    b0: dict  # exponents 0..order; b0[1] is D_0
-    g2: dict  # exponents -4..order-5; g2[-4] is C_2
-    det: dict  # exponents 0..order; det[1] is 6 beta
-
-
-def _lift(series: TruncatedSeries, beta_shift: int = 0) -> dict:
-    """{m: c_m beta^(m + beta_shift)} over min(offset, 0)..known_max of the x-series sum c_m x^m."""
-    out = {}
-    for m in range(min(series.offset, 0), series.known_max + 1):
-        k = m + beta_shift  # beta^k = 12^(k // 4) beta^(k % 4)
-        slot = [0, 0, 0, 0]
-        slot[k % 4] = series.coefficient(m) * Fraction(12) ** (k // 4)
-        out[m] = Qbeta(slot)
-    return out
-
-
-def delta_expansion(order: int) -> DeltaExpansion:
-    """Expand the hierarchy's leading data locally at w_c, no recursion involved.
-
-    The deviation e = g_hat0 - 1/108 satisfies e^2 + 72 e^3 = 2 w_c d^2 - d^4
-    with d^2 = w_c - w; the branch with e ~ -(beta/18) d is the one the
-    subcritical series approaches (g_hat0 increases into w_c).  In x = beta d
-    the equation is rational, e^2 + 72 e^3 = x^2/324 - x^4/12 with
-    e ~ -x/18, so g_hat0, the determinant 1 - 108 g_hat0 and, via its closed
-    form, g_hat2 are rational x-series, and so is r in
-    b_hat0 = 1/6 - beta^2 r, r = (1/648 - x^2/12) / (6 g_hat0).  Lifting
-    x^m to beta^m d^m (beta^(m+2) d^m for r) gives the delta-series over
-    Q[beta], from which the recursion amplitudes C_0, D_0, C_2 can be read
-    off an independent route.
-    """
-    if order < 6:
-        raise ValueError("need order >= 6 to expose the fourth-order pole of g_hat2")
-    _consistent(BETA**2 / 324, 2 * W_CRITICAL, "x = beta delta turns 2 w_c delta^2 into x^2/324")
-    e = {1: Fraction(-1, 18)}
-    for n in range(3, order + 2):
-        rhs = Fraction(-1, 12) if n == 4 else 0
-        square = sum(e[a] * e[n - a] for a in range(2, n - 1))
-        cube = sum(e[a] * e[b] * e[n - a - b] for a in range(1, n - 1) for b in range(1, n - a))
-        e[n - 1] = (rhs - square - 72 * cube) / (2 * e[1])
-    # rational series in x, tagged delta: exponent m stands for x^m = beta^m delta^m
-    g0 = from_coefficients(VAR_DELTA, {0: G0_AT_CRITICAL, **e}, order)
-    det = 1 - 108 * g0
-    r = from_coefficients(VAR_DELTA, {0: Fraction(1, 648), 2: Fraction(-1, 12)}, order) / (6 * g0)
-    g2 = (162 * g0 * (5 - 324 * g0)) / det**4
-    b0 = _lift(-r, beta_shift=2)
-    b0[0] = b0[0] + Fraction(1, 6)
-    return DeltaExpansion(order=order, g0=_lift(g0), b0=b0, g2=_lift(g2), det=_lift(det))
-
-
-# -- numerical fits of the singular behavior --------------------------------
-
-
-@dataclass(frozen=True)
-class SingularFit:
-    """Extrapolated singular amplitude and location from series coefficients."""
-
-    order: int
-    exponent: Fraction  # (1 - 5k)/2
-    amplitude: BigFloat
-    amplitude_error: BigFloat  # extrapolation-table estimate, not a bound
-    radius: BigFloat  # fitted singularity location; target w_c
-    radius_error: BigFloat
-    points: int
-
-
-_FIT_POINTS = 12
-
-
-def critical_leading(
-    h: StringHierarchy, k: int, delta_horizon: int, determinant: bool = False
-) -> SingularFit:
-    """Fit the leading singular coefficient of g_hat[2k] at w_c.
-
-    If f = C (w_c - w)^alpha + milder terms, alpha = (1-5k)/2, then
-
-        c_j ~ C w_c^(alpha-j) j^(-alpha-1) / Gamma(-alpha)
-
-    with corrections in integer powers of j^(-1/2) (the local expansion
-    steps by half powers, and the only other branch point, at -w_c, is a
-    regular point of this branch).  The normalized tail and the coefficient
-    ratio c_{j-1}/c_j -> w_c are both extrapolated to j -> infinity by
-    Neville's scheme in j^(-1/2).  With determinant=True fits the
-    determinant series instead (k must be 0, amplitude target 6 beta).
-    """
-    if determinant and k != 0:
-        raise ValueError("determinant fit is a k = 0 object")
-    if not 0 <= k <= h.max_k:
-        raise ValueError(f"order {k} outside hierarchy range 0..{h.max_k}")
-    if delta_horizon > h.horizon:
-        raise ValueError(f"delta_horizon {delta_horizon} beyond horizon {h.horizon}")
-    if delta_horizon < 3 * _FIT_POINTS:
-        raise ValueError("insufficient horizon for a stable fit (need >= 36)")
-    series = h.det if determinant else h.g_hat[k]
-    alpha = Fraction(1 - 5 * k, 2)
-    wdps = 60 + 2 * _FIT_POINTS
-    with workdps(wdps):
-        wc = mp.sqrt(3) / 324
-        gam = mp.gamma(rational_to_mp(-alpha))
-        xs, amps, ratios = [], [], []
-        for j in range(delta_horizon - _FIT_POINTS + 1, delta_horizon + 1):
-            c_j = series.coefficient(j)
-            c_prev = series.coefficient(j - 1)
-            t = rational_to_mp(c_j) * wc ** rational_to_mp(j - alpha)
-            t *= gam * mp.mpf(j) ** rational_to_mp(alpha + 1)
-            xs.append(1 / mp.sqrt(j))
-            amps.append(t)
-            ratios.append(rational_to_mp(Fraction(c_prev, c_j)))
-        amp, amp_err = _neville_to_zero(xs, amps)
-        rad, rad_err = _neville_to_zero(xs, ratios)
-    return SingularFit(
-        order=k,
-        exponent=alpha,
-        amplitude=BigFloat(amp, wdps),
-        amplitude_error=BigFloat(amp_err, wdps),
-        radius=BigFloat(rad, wdps),
-        radius_error=BigFloat(rad_err, wdps),
-        points=_FIT_POINTS,
-    )
-
-
-def _neville_to_zero(xs, ys):
-    """Polynomial extrapolation to x = 0 with a last-two-columns error estimate."""
-    tab = list(ys)
-    n = len(tab)
-    prev = tab[0]
-    for m in range(1, n):
-        for i in range(n - m):
-            tab[i] = (xs[i + m] * tab[i] - xs[i] * tab[i + 1]) / (xs[i + m] - xs[i])
-        if m == n - 2:
-            prev = tab[0]
-    err = 8 * abs(tab[0] - prev)
-    return tab[0], err
 
 
 # -- Painleve I consistency --------------------------------------------------

@@ -1,4 +1,4 @@
-"""Equilibrium measure of the cubic model: endpoints, density, contour positivity.
+"""Equilibrium measure of the cubic model: endpoints and contour positivity.
 
 The eigenvalue density in the one-cut regime is
 
@@ -8,7 +8,9 @@ supported on [a, b] with a = x - y, b = x + y.  The center x solves the cubic
 18 u^2 x^3 - 9 u x^2 + x - 6 u = 0 on the branch with x -> 0 as u -> 0, the
 half-width is y = 2/sqrt(1 - 6 u x), and z0 = 1/(3u) - x is the extra zero of
 h.  One-cut regularity (z0 > b) holds up to the critical coupling
-u_c = 3^(1/4)/18, where z0 collides with b.
+u_c = 3^(1/4)/18, where z0 collides with b.  This module solves for the
+endpoints, numerically and as series in u^2, and samples the effective
+potential along the contour tails; it does not evaluate rho itself.
 """
 
 from __future__ import annotations
@@ -125,20 +127,6 @@ def endpoint_series(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
         raise ArithmeticError("endpoint series iteration did not close")
     Y = 2 / (1 - X.shift(1) * 6).sqrt_unit()
     return X.truncate_to(order), Y.truncate_to(order)
-
-
-def _sqrt_r(z, a, b):
-    # principal factors: the global branch with cut on [a,b], ~ +z at +infinity;
-    # on the upper side of the cut this is the boundary value from above
-    return mp.sqrt(z - a) * mp.sqrt(z - b)
-
-
-def density_at(eq: EquilibriumData, z):
-    """rho(z) with the principal branch; real and nonnegative on (a, b)."""
-    with workdps(eq.dps + 10):
-        z = mp.mpmathify(z)
-        h = 1 - 3 * eq.u * eq.x - 3 * eq.u * z
-        return _sqrt_r(z, eq.a, eq.b) * h / (2 * mp.pi * mp.mpc(0, 1))
 
 
 @dataclass(frozen=True)

@@ -281,21 +281,6 @@ def compute_moments(precision: int, u, N: int, max_order: int, alpha=1.0) -> lis
         return [BigFloat(alpha * v + (1 - alpha) * mp.conj(v), precision) for v in upper]
 
 
-def inner_product(moments, p_coeffs, q_coeffs) -> BigFloat:
-    """<p, q> = sum_{i,j} p_i q_j c_{i+j} against precomputed moments (no conjugation)."""
-    dps = min(m.dps for m in moments)
-    with workdps(dps + _QUAD_GUARD):
-        c = [_as_mp(m) for m in moments]
-        if len(p_coeffs) + len(q_coeffs) - 1 > len(c):
-            raise ValueError("moment table too short for this product")
-        acc = mp.mpc(0)
-        for i, pi in enumerate(p_coeffs):
-            pi = _as_mp(pi)
-            for j, qj in enumerate(q_coeffs):
-                acc += pi * _as_mp(qj) * c[i + j]
-        return BigFloat(acc, dps)
-
-
 @dataclass(frozen=True)
 class RecurrenceData:
     """Monic recurrence data extracted from a moment table.

@@ -100,11 +100,6 @@ def dump_json(payload) -> str:
     return json.dumps(payload, indent=2, ensure_ascii=True) + "\n"
 
 
-def rational_cell(q: Fraction) -> str:
-    """CSV form: num/den, with /1 collapsed (str of Fraction does both)."""
-    return str(Fraction(q))
-
-
 def dump_csv(header: list, rows: list) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

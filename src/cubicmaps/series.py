@@ -24,9 +24,8 @@ from typing import Any
 
 VAR_U2 = "u2"  # exponent counts powers of u^2 (even series in the coupling)
 VAR_W = "w"  # w = s*u^2
-VAR_DELTA = "delta"  # delta = sqrt(w_c - w), for half-integer critical exponents
 
-_VARS = (VAR_U2, VAR_W, VAR_DELTA)
+_VARS = (VAR_U2, VAR_W)
 
 
 class BeyondHorizonError(IndexError):
@@ -248,16 +247,6 @@ class TruncatedSeries:
         out = [c * (e0 + i) for i, c in enumerate(self._num)]
         return self._rational(e0 - 1, out, self._den)
 
-    def integrate(self):
-        """Antiderivative with zero constant term; pole at exponent -1 raises."""
-        e0 = self.offset
-        if e0 <= -1 <= self.known_max and self._num[-1 - e0]:
-            raise ZeroDivisionError("antiderivative of a 1/var term")
-        steps = [e0 + i + 1 or 1 for i in range(len(self._num))]  # the e = -1 slot is zero
-        m = lcm(*steps)
-        out = [x * (m // s) for x, s in zip(self._num, steps)]
-        return self._rational(e0 + 1, out, self._den * m)
-
     # -- structure ---------------------------------------------------------
 
     def shift(self, k: int):
@@ -344,19 +333,6 @@ def monomial(var: str, coeff, exponent: int, known_max: int) -> TruncatedSeries:
 
 def zero_series(var: str, known_max: int) -> TruncatedSeries:
     return TruncatedSeries(var, known_max, (0,))
-
-
-def from_coefficients(var: str, pairs: dict[int, Any], known_max: int) -> TruncatedSeries:
-    """Series from {exponent: coefficient}; untouched slots up to known_max are zero."""
-    if not pairs:
-        return zero_series(var, known_max)
-    offset = min(pairs)
-    if max(pairs) > known_max:
-        raise ValueError("coefficient beyond the declared window")
-    out = [0] * (known_max - offset + 1)
-    for e, c in pairs.items():
-        out[e - offset] = c
-    return TruncatedSeries(var, offset, tuple(out))
 
 
 def from_numerators(var: str, offset: int, nums, den: int) -> TruncatedSeries:

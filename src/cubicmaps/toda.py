@@ -9,9 +9,12 @@ genus-k free-energy series F^(2k)(u).  Each w-term c_j contributes
     2 c_j / (72 (3j+6k-4)(3j+6k-6))  at  u^(2(j+2k-2)),
 
 except that for k = 0 the j = 1, 2 terms are the subtracted non-decaying
-pieces (the t^(3/2) and log parts) and must be excluded.  The resulting
-coefficients, times (2j)!, are nonnegative integers: they count connected
-3-valent labeled graphs of genus k on 2j vertices.
+pieces (the t^(3/2) and log parts) and must be excluded; ``toda_integrate``
+refuses a k = 0 window whose w and w^2 coefficients are not exactly 1 and 36.
+The resulting coefficients, times (2j)!, are nonnegative integers: they
+count connected 3-valent labeled graphs of genus k on 2j vertices.  The
+genus-0 and genus-1 closed forms of those counts, and their large-j
+estimate from the critical amplitudes, complete the module.
 """
 
 from __future__ import annotations
@@ -125,13 +128,6 @@ def genus0_closed_form(j: int) -> Fraction:
     return 72**j * factorial(2 * j) * ratio / (2 * factorial(j + 2))
 
 
-def _hyp_2f1_terminating(a, b, c, z: Fraction, terms: int) -> Fraction:
-    acc = Fraction(0)
-    for m in range(terms):
-        acc += pochhammer(a, m) * pochhammer(b, m) / (pochhammer(c, m) * factorial(m)) * z**m
-    return acc
-
-
 def _genus1_hyp_sum(j: int) -> Fraction:
     """3F2(-j+1, 2, 6; 5, -3j/2+1; 3/2), terminating after j terms."""
     acc = Fraction(0)
@@ -152,23 +148,6 @@ def genus1_closed_form(j: int) -> Fraction:
     return prefactor * _genus1_hyp_sum(j)
 
 
-def hypergeom_3f2_reduction_check(j: int) -> bool:
-    """Exact check of the contiguous-parameter reduction to two 2F1 sums.
-
-    The 3F2 has numerator parameter 6 = denominator parameter 5 + 1, so
-    it collapses to 2F1(-j+1, 2; -3j/2+1) plus a rational multiple of
-    2F1(-j+2, 3; -3j/2+2), all terminating.
-    """
-    if j < 2:
-        raise ValueError("reduction needs j >= 2")
-    z = Fraction(3, 2)
-    lhs = _genus1_hyp_sum(j)
-    first = _hyp_2f1_terminating(-j + 1, 2, Fraction(-3 * j, 2) + 1, z, j)
-    second = _hyp_2f1_terminating(-j + 2, 3, Fraction(-3 * j, 2) + 2, z, max(j - 1, 1))
-    rhs = first + Fraction(6 * (j - 1), 5 * (3 * j - 2)) * second
-    return lhs == rhs
-
-
 def log_count_estimate(g: int, j: int, precision: int = 30):
     """ln of K_2g (2j)! j^((5g-7)/2) u_c^(-2j), as an mpf at working precision.
 
@@ -181,60 +160,8 @@ def log_count_estimate(g: int, j: int, precision: int = 30):
         return ln_k + mp.loggamma(2 * j + 1) + mp.mpf(5 * g - 7) / 2 * mp.log(j) - 2 * j * ln_uc
 
 
-def asymptotic_estimate(g: int, j: int, precision: int = 30) -> BigFloat:
-    """Large-j estimate K_2g (2j)! j^((5g-7)/2) u_c^(-2j), computed in log space."""
-    with mp.workdps(precision + 20):
-        return BigFloat(mp.exp(log_count_estimate(g, j, precision)), precision)
-
-
 def count_vs_estimate(g: int, j: int, f_exact: Fraction, precision: int = 30) -> BigFloat:
     """Ratio of an exact count to its asymptotic estimate (log-space throughout)."""
     with mp.workdps(precision + 20):
         ln_f = mp.log(mp.mpf(f_exact.numerator)) - mp.log(mp.mpf(f_exact.denominator))
         return BigFloat(mp.exp(ln_f - log_count_estimate(g, j, precision)), precision)
-
-
-@dataclass(frozen=True)
-class DecayFit:
-    """Constants of the t -> infinity template (4a0/3) t^(3/2) - (a1/72) ln t + C + D t."""
-
-    order: int
-    a0: BigFloat
-    a1: BigFloat
-    C: BigFloat
-    D: BigFloat
-    check_residual: BigFloat  # relative mismatch at a fifth sample point
-
-
-def decay_constants(k: int, precision: int = 50, horizon: int = 14, t_base: float = 1.0e6) -> DecayFit:
-    """Fit the large-t behavior of F~^(2k)(t) and read off the decay constants.
-
-    For k = 0 the function is 2 t^(3/2)/3 - ln(4t)/4 + F^(0)(u(t)); for k >= 1
-    it is F^(2k)(u(t)) alone.  Expected values: (1/2, 18, -ln2/2, 0) at k = 0,
-    all zero at higher order.  Sample points are spread geometrically so the
-    four basis functions stay well separated.
-    """
-    F = free_energy_series(k, horizon)[k]
-    with mp.workdps(precision + 30):
-        def f_tilde(t):
-            u2 = t ** mp.mpf("-1.5") / 72
-            val = F.evaluate(u2)
-            if k == 0:
-                val += 2 * t ** mp.mpf("1.5") / 3 - mp.log(4 * t) / 4
-            return val
-
-        ts = [mp.mpf(t_base) * 3**i for i in range(4)]
-        rows = [[t ** mp.mpf("1.5"), t, mp.log(t), mp.mpf(1)] for t in ts]
-        rhs = [f_tilde(t) for t in ts]
-        sol = mp.lu_solve(mp.matrix(rows), mp.matrix(rhs))
-        t5 = mp.mpf(t_base) * 3**4
-        model = sol[0] * t5 ** mp.mpf("1.5") + sol[1] * t5 + sol[2] * mp.log(t5) + sol[3]
-        rel = abs(f_tilde(t5) - model) / (1 + abs(f_tilde(t5)))
-        return DecayFit(
-            order=k,
-            a0=BigFloat(mp.mpf(3) / 4 * sol[0], precision),
-            a1=BigFloat(-72 * sol[2], precision),
-            C=BigFloat(sol[3], precision),
-            D=BigFloat(sol[1], precision),
-            check_residual=BigFloat(rel, precision),
-        )

@@ -18,9 +18,9 @@ Each matching is classified as it is built, not walked again at its leaf.
 Each pair placed updates the open chains of the partial face permutation
 (an edge that closes its own chain is a face) and a vertex union-find, and
 backtracking undoes both, so a pair costs O(1); the last pair of each
-matching is settled from the chain ends without recursion.  ``analyze``
-stays the independent whole-matching classifier behind
-``genus_of_pairing``.
+matching is settled from the chain ends without recursion.  An independent
+classifier of whole matchings, walked one at a time, lives with the test
+oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -42,20 +42,6 @@ def available_engines() -> tuple[str, ...]:
 
 
 @dataclass(frozen=True)
-class PairingTopology:
-    """Classification of one explicit matching."""
-
-    vertices: int
-    faces: int
-    components: int
-    genus: int | None  # None when the map is disconnected
-
-    @property
-    def connected(self) -> bool:
-        return self.components == 1
-
-
-@dataclass(frozen=True)
 class PairingCensus:
     vertices: int
     total: int
@@ -66,36 +52,6 @@ class PairingCensus:
 
 # counterclockwise rotation to the next half-edge on the same vertex
 _ROTATION = tuple(h - h % 3 + (h % 3 + 1) % 3 for h in range(3 * MAX_VERTICES))
-
-
-def analyze(match, n: int) -> tuple[int, int]:
-    """(faces, vertex components) of a complete matching on n half-edges."""
-    visited = [False] * n
-    faces = 0
-    for h0 in range(n):
-        if visited[h0]:
-            continue
-        faces += 1
-        c = h0
-        while not visited[c]:
-            visited[c] = True
-            c = _ROTATION[match[c]]
-    p = n // 3
-    parent = list(range(p))
-    comps = p
-    for h in range(n):
-        j = match[h]
-        if j > h:
-            ra = h // 3
-            while parent[ra] != ra:
-                ra = parent[ra]
-            rb = j // 3
-            while parent[rb] != rb:
-                rb = parent[rb]
-            if ra != rb:
-                parent[ra] = rb
-                comps -= 1
-    return faces, comps
 
 
 def _max_genus(p: int) -> int:
@@ -227,36 +183,3 @@ def census(p: int) -> PairingCensus:
         disconnected=disconnected,
         elapsed_ms=elapsed_ms,
     )
-
-
-def genus_of_pairing(pairs) -> PairingTopology:
-    """Classify an explicit matching given as (i, j) half-edge pairs.
-
-    Half-edge h sits on vertex h // 3.  The matching must be a fixed-point-free
-    involution covering 0..3p-1 for an even vertex count p.
-    """
-    pairs = [(int(i), int(j)) for i, j in pairs]
-    n = 2 * len(pairs)
-    if n % 3:
-        raise ValueError(f"{n} half-edges do not form trivalent vertices")
-    p = n // 3
-    if p % 2:
-        raise ValueError(f"odd vertex count {p} admits no odd-moment pairing")
-    match = [-1] * n
-    for i, j in pairs:
-        if i == j:
-            raise ValueError(f"half-edge {i} paired with itself")
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"half-edge pair ({i}, {j}) out of range for n={n}")
-        if match[i] >= 0 or match[j] >= 0:
-            raise ValueError(f"half-edge reused in pair ({i}, {j})")
-        match[i] = j
-        match[j] = i
-    faces, comps = analyze(match, n)
-    genus = None
-    if comps == 1:
-        twice = p // 2 + 2 - faces
-        if twice % 2 or twice < 0:
-            raise ArithmeticError("Euler count is not an even nonnegative integer")
-        genus = twice // 2
-    return PairingTopology(vertices=p, faces=faces, components=comps, genus=genus)

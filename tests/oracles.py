@@ -1,20 +1,36 @@
-"""Test-only oracles for the series and hierarchy layers.
+"""Test-only oracles: second routes to what the package computes one way.
 
-Each is a second route to a quantity the package computes one way: the
-Gamma closed form of the leading series, the residue sum and rational forms
-of the first correction (with the generalized binomial they need), direct
-substitution into the string equations, the map to the coupling variable,
-and coefficientwise series comparison.  The package itself never calls them.
+The package itself never calls them.  By layer:
+
+* series and hierarchy: coefficientwise series comparison, a series built
+  from an {exponent: coefficient} map, the Gamma closed form of the leading
+  series, the residue sum and rational forms of the first correction (with
+  the generalized binomial they need), direct substitution into the string
+  equations, and the map to the coupling variable;
+* critical: Neville fits of the singular amplitudes C_2k and of w_c from
+  the high-order series coefficients;
+* wick: a whole-matching classifier of faces, components and genus, with
+  its own rotation, for any even vertex count;
+* finite_n and equilibrium: the moment-table inner product and the
+  equilibrium density rho(z).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
+from mpmath import mp, workdps
+
+from cubicmaps.equilibrium import EquilibriumData
+from cubicmaps.finite_n import _QUAD_GUARD, _as_mp
 from cubicmaps.hierarchy import StringHierarchy, _even_derivatives, _taylor_weight, compute_g0_series
 from cubicmaps.numbers import gamma_ratio
-from cubicmaps.series import VAR_U2, VAR_W, BeyondHorizonError, TruncatedSeries, monomial
+from cubicmaps.precision import BigFloat, rational_to_mp
+from cubicmaps.series import VAR_U2, VAR_W, BeyondHorizonError, TruncatedSeries, monomial, zero_series
+
+# -- series and hierarchy --------------------------------------------------
 
 
 def assert_same_series(a: TruncatedSeries, b: TruncatedSeries, through: int | None = None) -> None:
@@ -31,6 +47,19 @@ def assert_same_series(a: TruncatedSeries, b: TruncatedSeries, through: int | No
         ca, cb = a.coefficient(e), b.coefficient(e)
         if ca != cb:
             raise AssertionError(f"coefficient mismatch at exponent {e}: {ca} != {cb}")
+
+
+def from_coefficients(var: str, pairs: dict, known_max: int) -> TruncatedSeries:
+    """Series from {exponent: coefficient}; untouched slots up to known_max are zero."""
+    if not pairs:
+        return zero_series(var, known_max)
+    offset = min(pairs)
+    if max(pairs) > known_max:
+        raise ValueError("coefficient beyond the declared window")
+    out = [0] * (known_max - offset + 1)
+    for e, c in pairs.items():
+        out[e - offset] = c
+    return TruncatedSeries(var, offset, tuple(out))
 
 
 def binomial(a, k: int) -> Fraction:
@@ -118,3 +147,202 @@ def to_u_variable(h: StringHierarchy, k: int, kind: str = "g", s: Fraction = Fra
         coeffs = tuple(c * s ** (src.offset + i) for i, c in enumerate(src.coeffs))
         src = TruncatedSeries(VAR_W, src.offset, coeffs)
     return src.retag(VAR_U2).shift(2 * k - 1)
+
+
+# -- critical --------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SingularFit:
+    """Extrapolated singular amplitude and location from series coefficients."""
+
+    order: int
+    exponent: Fraction  # (1 - 5k)/2
+    amplitude: BigFloat
+    amplitude_error: BigFloat  # extrapolation-table estimate, not a bound
+    radius: BigFloat  # fitted singularity location; target w_c
+    radius_error: BigFloat
+    points: int
+
+
+_FIT_POINTS = 12
+
+
+def critical_leading(
+    h: StringHierarchy, k: int, delta_horizon: int, determinant: bool = False
+) -> SingularFit:
+    """Fit the leading singular coefficient of g_hat[2k] at w_c.
+
+    If f = C (w_c - w)^alpha + milder terms, alpha = (1-5k)/2, then
+
+        c_j ~ C w_c^(alpha-j) j^(-alpha-1) / Gamma(-alpha)
+
+    with corrections in integer powers of j^(-1/2) (the local expansion
+    steps by half powers, and the only other branch point, at -w_c, is a
+    regular point of this branch).  The normalized tail and the coefficient
+    ratio c_{j-1}/c_j -> w_c are both extrapolated to j -> infinity by
+    Neville's scheme in j^(-1/2).  With determinant=True fits the
+    determinant series instead (k must be 0, amplitude target 6 beta).
+    """
+    if determinant and k != 0:
+        raise ValueError("determinant fit is a k = 0 object")
+    if not 0 <= k <= h.max_k:
+        raise ValueError(f"order {k} outside hierarchy range 0..{h.max_k}")
+    if delta_horizon > h.horizon:
+        raise ValueError(f"delta_horizon {delta_horizon} beyond horizon {h.horizon}")
+    if delta_horizon < 3 * _FIT_POINTS:
+        raise ValueError("insufficient horizon for a stable fit (need >= 36)")
+    series = h.det if determinant else h.g_hat[k]
+    alpha = Fraction(1 - 5 * k, 2)
+    wdps = 60 + 2 * _FIT_POINTS
+    with workdps(wdps):
+        wc = mp.sqrt(3) / 324
+        gam = mp.gamma(rational_to_mp(-alpha))
+        xs, amps, ratios = [], [], []
+        for j in range(delta_horizon - _FIT_POINTS + 1, delta_horizon + 1):
+            c_j = series.coefficient(j)
+            c_prev = series.coefficient(j - 1)
+            t = rational_to_mp(c_j) * wc ** rational_to_mp(j - alpha)
+            t *= gam * mp.mpf(j) ** rational_to_mp(alpha + 1)
+            xs.append(1 / mp.sqrt(j))
+            amps.append(t)
+            ratios.append(rational_to_mp(Fraction(c_prev, c_j)))
+        amp, amp_err = _neville_to_zero(xs, amps)
+        rad, rad_err = _neville_to_zero(xs, ratios)
+    return SingularFit(
+        order=k,
+        exponent=alpha,
+        amplitude=BigFloat(amp, wdps),
+        amplitude_error=BigFloat(amp_err, wdps),
+        radius=BigFloat(rad, wdps),
+        radius_error=BigFloat(rad_err, wdps),
+        points=_FIT_POINTS,
+    )
+
+
+def _neville_to_zero(xs, ys):
+    """Polynomial extrapolation to x = 0 with a last-two-columns error estimate."""
+    tab = list(ys)
+    n = len(tab)
+    prev = tab[0]
+    for m in range(1, n):
+        for i in range(n - m):
+            tab[i] = (xs[i + m] * tab[i] - xs[i] * tab[i + 1]) / (xs[i + m] - xs[i])
+        if m == n - 2:
+            prev = tab[0]
+    err = 8 * abs(tab[0] - prev)
+    return tab[0], err
+
+
+# -- wick ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PairingTopology:
+    """Classification of one explicit matching."""
+
+    vertices: int
+    faces: int
+    components: int
+    genus: int | None  # None when the map is disconnected
+
+    @property
+    def connected(self) -> bool:
+        return self.components == 1
+
+
+def analyze(match, n: int) -> tuple[int, int]:
+    """(faces, vertex components) of a complete matching on n half-edges."""
+    # counterclockwise rotation to the next half-edge on the same vertex
+    rotation = [h - h % 3 + (h % 3 + 1) % 3 for h in range(n)]
+    visited = [False] * n
+    faces = 0
+    for h0 in range(n):
+        if visited[h0]:
+            continue
+        faces += 1
+        c = h0
+        while not visited[c]:
+            visited[c] = True
+            c = rotation[match[c]]
+    p = n // 3
+    parent = list(range(p))
+    comps = p
+    for h in range(n):
+        j = match[h]
+        if j > h:
+            ra = h // 3
+            while parent[ra] != ra:
+                ra = parent[ra]
+            rb = j // 3
+            while parent[rb] != rb:
+                rb = parent[rb]
+            if ra != rb:
+                parent[ra] = rb
+                comps -= 1
+    return faces, comps
+
+
+def genus_of_pairing(pairs) -> PairingTopology:
+    """Classify an explicit matching given as (i, j) half-edge pairs.
+
+    Half-edge h sits on vertex h // 3.  The matching must be a fixed-point-free
+    involution covering 0..3p-1 for an even vertex count p.
+    """
+    pairs = [(int(i), int(j)) for i, j in pairs]
+    n = 2 * len(pairs)
+    if n % 3:
+        raise ValueError(f"{n} half-edges do not form trivalent vertices")
+    p = n // 3
+    if p % 2:
+        raise ValueError(f"odd vertex count {p} admits no odd-moment pairing")
+    match = [-1] * n
+    for i, j in pairs:
+        if i == j:
+            raise ValueError(f"half-edge {i} paired with itself")
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"half-edge pair ({i}, {j}) out of range for n={n}")
+        if match[i] >= 0 or match[j] >= 0:
+            raise ValueError(f"half-edge reused in pair ({i}, {j})")
+        match[i] = j
+        match[j] = i
+    faces, comps = analyze(match, n)
+    genus = None
+    if comps == 1:
+        twice = p // 2 + 2 - faces
+        if twice % 2 or twice < 0:
+            raise ArithmeticError("Euler count is not an even nonnegative integer")
+        genus = twice // 2
+    return PairingTopology(vertices=p, faces=faces, components=comps, genus=genus)
+
+
+# -- finite_n and equilibrium ----------------------------------------------
+
+
+def inner_product(moments, p_coeffs, q_coeffs) -> BigFloat:
+    """<p, q> = sum_{i,j} p_i q_j c_{i+j} against precomputed moments (no conjugation)."""
+    dps = min(m.dps for m in moments)
+    with workdps(dps + _QUAD_GUARD):
+        c = [_as_mp(m) for m in moments]
+        if len(p_coeffs) + len(q_coeffs) - 1 > len(c):
+            raise ValueError("moment table too short for this product")
+        acc = mp.mpc(0)
+        for i, pi in enumerate(p_coeffs):
+            pi = _as_mp(pi)
+            for j, qj in enumerate(q_coeffs):
+                acc += pi * _as_mp(qj) * c[i + j]
+        return BigFloat(acc, dps)
+
+
+def _sqrt_r(z, a, b):
+    # principal factors: the global branch with cut on [a,b], ~ +z at +infinity;
+    # on the upper side of the cut this is the boundary value from above
+    return mp.sqrt(z - a) * mp.sqrt(z - b)
+
+
+def density_at(eq: EquilibriumData, z):
+    """rho(z) with the principal branch; real and nonnegative on (a, b)."""
+    with workdps(eq.dps + 10):
+        z = mp.mpmathify(z)
+        h = 1 - 3 * eq.u * eq.x - 3 * eq.u * z
+        return _sqrt_r(z, eq.a, eq.b) * h / (2 * mp.pi * mp.mpc(0, 1))

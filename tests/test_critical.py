@@ -1,4 +1,6 @@
-"""Critical-point amplitudes: recursion, local expansion, fits, Painleve I."""
+"""Critical-point amplitudes: recursion and its singular-system check, count
+amplitudes, Painleve I, and the Neville fits of ``oracles.critical_leading``
+against the recursion."""
 
 from fractions import Fraction
 
@@ -13,15 +15,13 @@ from cubicmaps.critical import (
     G0_AT_CRITICAL,
     CriticalConstants,
     _amplitude_exact,
-    _neville_to_zero,
     compute_K,
-    critical_leading,
-    delta_expansion,
     painleve_check,
     run_C_recursion,
 )
 from cubicmaps.hierarchy import build_hierarchy
 from cubicmaps.numbers import BETA, SQRT3, W_CRITICAL, Qbeta
+from oracles import _neville_to_zero, critical_leading
 
 
 @pytest.fixture(scope="module")
@@ -120,63 +120,6 @@ def test_count_amplitude_values(consts):
         assert (qq, Fraction(n, 2)) == (q, p)
     with pytest.raises(ValueError):
         compute_K(consts, consts.G + 1)
-
-
-def test_delta_expansion_dual_route(consts):
-    de = delta_expansion(10)
-    assert de.g0[0] == Qbeta.rational(Fraction(1, 108))
-    assert de.g0[1] == consts.C[0]
-    assert de.b0[0] == B0_AT_CRITICAL
-    assert de.b0[1] == consts.D[0]
-    assert min(de.g2) == -4
-    assert de.g2[-4] == consts.C[1]
-    assert de.det[0] == Qbeta.rational(0)
-    assert de.det[1] == 6 * BETA
-    with pytest.raises(ValueError):
-        delta_expansion(4)
-
-
-def _window(d):
-    # (valuation, known_max) of a {exponent: coefficient} map over a whole window
-    return min((m for m in d if d[m]), default=max(d)), max(d)
-
-
-def _mul(a, b):
-    # product through the last exponent both windows determine
-    (va, ha), (vb, hb) = _window(a), _window(b)
-    top = min(va + hb, ha + vb)
-    zero = Qbeta.rational(0)
-    return {e: sum((a[i] * b[e - i] for i in range(va, ha + 1) if vb <= e - i <= hb), zero)
-            for e in range(va + vb, top + 1)}
-
-
-def _assert_equal_through(lhs, rhs, top):
-    zero = Qbeta.rational(0)
-    for e in range(min(*lhs, *rhs), top + 1):
-        assert lhs.get(e, zero) == rhs.get(e, zero), e
-
-
-def test_delta_expansion_identities_over_the_whole_window():
-    # the defining relations, re-derived coefficient by coefficient in Q(beta)
-    order = 12
-    de = delta_expansion(order)
-    assert sorted(de.g0) == sorted(de.b0) == sorted(de.det) == list(range(order + 1))
-    assert sorted(de.g2) == list(range(-4, order - 4))
-    w = {e: Qbeta.rational(0) for e in range(order + 1)}
-    w[0], w[2] = W_CRITICAL, Qbeta.rational(-1)
-    g0, b0, det, g2 = de.g0, de.b0, de.det, de.g2
-    g0_sq = _mul(g0, g0)
-    cubic = {e: 72 * c - g0_sq[e] for e, c in _mul(g0_sq, g0).items()}
-    w_sq = _mul(w, w)
-    _assert_equal_through(cubic, {e: -c for e, c in w_sq.items()}, order)
-    one_minus = {e: (1 if e == 0 else 0) - 6 * c for e, c in b0.items()}
-    _assert_equal_through(_mul(one_minus, g0), w, order)
-    _assert_equal_through(det, {e: (1 if e == 0 else 0) - 108 * c for e, c in g0.items()}, order)
-    det4 = _mul(_mul(det, det), _mul(det, det))
-    lhs = _mul(g2, det4)
-    rhs = _mul({e: 162 * c for e, c in g0.items()}, {e: (5 if e == 0 else 0) - 324 * c for e, c in g0.items()})
-    assert max(lhs) == order - 1  # g2 is known through order - 5, det^4 from exponent 4 on
-    _assert_equal_through(lhs, rhs, max(lhs))
 
 
 def test_fit_leading_order(consts, h60):

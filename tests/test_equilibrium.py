@@ -8,16 +8,14 @@ from mpmath import mp, workdps
 
 from cubicmaps.cli import main
 from cubicmaps.equilibrium import (
-    EquilibriumData,
-    _sqrt_r,
     _tail_samples,
     critical_coupling,
-    density_at,
     endpoint_series,
     phi_check,
     solve_endpoints,
 )
 from cubicmaps.precision import agreement_digits, rational_to_mp
+from oracles import _sqrt_r, density_at
 
 
 def test_zero_coupling_is_semicircle():

@@ -19,7 +19,6 @@ from cubicmaps.finite_n import (
     check_asymptotic_expansion,
     compute_moments,
     expansion_prediction,
-    inner_product,
     recurrence_from_moments,
     string_residuals,
     toda_residual,
@@ -27,6 +26,7 @@ from cubicmaps.finite_n import (
 from cubicmaps.hierarchy import build_hierarchy
 from cubicmaps.numbers import double_factorial
 from cubicmaps.precision import BigFloat, agreement_digits, rational_to_mp
+from oracles import inner_product
 
 U_TENTH = Fraction(1, 10)
 

@@ -1,0 +1,52 @@
+"""The package ships only code that its CLI, criteria or benchmark run.
+
+A top-level ``def`` or ``class`` in ``src/cubicmaps`` counts as used when
+its name appears, outside its own definition, in ``src/cubicmaps`` or
+``perfbench`` as an identifier, an attribute, an imported name, or a part
+of a dotted string constant (the benchmark's tracer names what it wraps as
+strings such as ``"TruncatedSeries.__mul__"``).  Test-only oracles belong
+in ``tests/oracles.py``.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cubicmaps"
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def _names(tree) -> Counter:
+    """Every name the subtree refers to, counted once per reference."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and _DOTTED.fullmatch(node.value):
+            out.update(node.value.split("."))
+    return out
+
+
+def unused_definitions() -> list[str]:
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    scanned = dict(trees)
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        scanned[path] = ast.parse(path.read_text(), str(path))
+    uses = sum((_names(tree) for tree in scanned.values()), Counter())
+    unused = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if uses[node.name] - _names(node)[node.name] <= 0:
+                    unused.append(f"{path.stem}.{node.name}")
+    return unused
+
+
+def test_every_top_level_definition_has_a_caller():
+    assert unused_definitions() == []

@@ -14,7 +14,6 @@ from cubicmaps.serialize import (
     encode_qbeta,
     encode_series,
     encode_value,
-    rational_cell,
 )
 from cubicmaps.series import VAR_W, monomial
 
@@ -67,6 +66,5 @@ def test_dump_shapes():
     text = dump_json({"a": 1})
     assert text.endswith("}\n")
     assert json.loads(text) == {"a": 1}
-    csv_text = dump_csv(["x", "y"], [[1, rational_cell(Fraction(3, 2))]])
-    assert csv_text == "x,y\n1,3/2\n"
-    assert rational_cell(Fraction(189)) == "189"
+    csv_text = dump_csv(["x", "y"], [[1, Fraction(3, 2)], [2, Fraction(189)]])
+    assert csv_text == "x,y\n1,3/2\n2,189\n"

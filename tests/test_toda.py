@@ -10,14 +10,11 @@ from cubicmaps.hierarchy import build_hierarchy
 from cubicmaps.precision import agreement_digits
 from cubicmaps.series import TruncatedSeries, VAR_U2, VAR_W, monomial
 from cubicmaps.toda import (
-    asymptotic_estimate,
     count_vs_estimate,
-    decay_constants,
     free_energy_series,
     genus0_closed_form,
     genus1_closed_form,
     genus_table,
-    hypergeom_3f2_reduction_check,
     log_count_estimate,
     toda_integrate,
 )
@@ -94,13 +91,6 @@ def test_closed_forms_match_pipeline():
         assert genus1_closed_form(j) == F[1].coefficient(j) * factorial(2 * j)
 
 
-def test_hypergeometric_reduction():
-    for j in (2, 3, 15):
-        assert hypergeom_3f2_reduction_check(j)
-    with pytest.raises(ValueError):
-        hypergeom_3f2_reduction_check(1)
-
-
 def test_genus_table_invariants():
     t = genus_table(2, 6)
     assert t.count(0, 1) == 12
@@ -116,14 +106,6 @@ def test_asymptotic_ratio_at_j200():
     r1 = count_vs_estimate(1, 200, genus1_closed_form(200), 30)
     assert abs(r0.value - 1) < 0.02
     assert abs(r1.value - 1) < 0.10
-
-
-def test_asymptotic_estimate_magnitude():
-    # j = 1 estimate should at least be on the scale of the true count
-    est = asymptotic_estimate(0, 1, 20)
-    assert 1 < est.value < 150
-    with pytest.raises(ValueError):
-        asymptotic_estimate(-1, 10)
 
 
 def test_log_count_estimate_reads_K_from_critical():
@@ -144,6 +126,8 @@ def test_log_count_estimate_reads_K_from_critical():
                 ln_k = mp.log(q.numerator) - mp.log(q.denominator) + p * mp.log(6 * mp.pi)
                 want = ln_k + mp.loggamma(2 * j + 1) + mp.mpf(5 * g - 7) / 2 * mp.log(j) - 2 * j * ln_uc
             assert log_count_estimate(g, j, 30) == want
+    with pytest.raises(ValueError):
+        log_count_estimate(-1, 10)
 
 
 def test_genus2_asymptotics_extended_horizon():
@@ -153,20 +137,3 @@ def test_genus2_asymptotics_extended_horizon():
     assert f.denominator == 1 and f > 0
     r = count_vs_estimate(2, 400, f, 30)
     assert abs(r.value - 1) < 0.10
-
-
-def test_decay_constants_leading():
-    d = decay_constants(0)
-    assert abs(d.a0.value - mp.mpf(1) / 2) < 1e-8
-    assert abs(d.a1.value - 18) < 1e-6
-    assert abs(d.C.value + mp.log(2) / 2) < 1e-6
-    assert abs(d.D.value) < 1e-12
-    assert d.check_residual.value < 1e-8
-
-
-def test_decay_constants_vanish_at_higher_order():
-    d = decay_constants(1)
-    for v in (d.a0.value, d.a1.value, d.C.value, d.D.value):
-        assert abs(v) < 1e-6
-    assert abs(d.D.value) < 1e-12
-    assert d.check_residual.value < 1e-8

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from cubicmaps.numbers import double_factorial
 from cubicmaps.toda import genus_table
-from cubicmaps.wick import MAX_VERTICES, census, genus_of_pairing
+from cubicmaps.wick import MAX_VERTICES, census
+from oracles import genus_of_pairing
 
 # two trivalent vertices: the parallel matching traces one 6-face, the
 # twisted one traces three faces
@@ -23,11 +24,14 @@ def test_two_vertex_topologies():
 
 
 def test_disconnected_pairing():
-    two_thetas = [(0, 3), (1, 4), (2, 5), (6, 9), (7, 10), (8, 11)]
-    d = genus_of_pairing(two_thetas)
-    assert d.components == 2
-    assert d.genus is None
-    assert not d.connected
+    # torus thetas side by side on half-edges 6i..6i+5; five are p = 10, past
+    # the census range
+    for count in (2, 5):
+        thetas = [(6 * i + a, 6 * i + a + 3) for i in range(count) for a in range(3)]
+        d = genus_of_pairing(thetas)
+        assert (d.vertices, d.faces, d.components) == (2 * count, count, count)
+        assert d.genus is None
+        assert not d.connected
 
 
 def test_pairing_validation():

@@ -3,7 +3,7 @@
 Subpackage map:
 
 * ``series``, ``numbers``, ``precision`` -- exact arithmetic substrate
-* ``equilibrium`` -- endpoint system and phi-function checks
+* ``equilibrium`` -- one-cut leading slice, endpoint system and phi-function checks
 * ``hierarchy`` -- string-equation hierarchy for the recurrence coefficients
 * ``toda`` -- Toda-flow integration to free-energy series and map counts
 * ``critical`` -- exact critical amplitudes, count amplitudes K_2g, Painleve I

@@ -16,15 +16,13 @@ import os
 import sys
 from fractions import Fraction
 
-from mpmath import workdps
-
 from . import acceptance
 from .critical import B0_AT_CRITICAL, G0_AT_CRITICAL, compute_K, run_C_recursion
 from .equilibrium import phi_check, solve_endpoints
 from .finite_n import build_report
 from .hierarchy import build_hierarchy
 from .numbers import W_CRITICAL
-from .precision import BigFloat, rational_to_mp
+from .precision import BigFloat
 from .serialize import (
     dump_csv,
     dump_json,
@@ -146,8 +144,7 @@ def _cmd_equilibrium(args) -> tuple[str, int]:
         raise ValidationError("--samples must be >= 2")
     if not (math.isfinite(args.zmax) and args.zmax > 0):
         raise ValidationError("--zmax must be finite and positive")
-    with workdps(precision + 25):
-        eq = solve_endpoints(rational_to_mp(u), precision)
+    eq = solve_endpoints(u, precision)
     phi = None
     if u > 0:
         rep = phi_check(eq, samples=args.samples, zmax=args.zmax)

@@ -1,25 +1,32 @@
-"""Equilibrium measure of the cubic model: endpoints and contour positivity.
+"""Equilibrium measure of the cubic model: the leading slice, endpoints and contour positivity.
 
 The eigenvalue density in the one-cut regime is
 
     rho(z) = (1/2*pi*i) * sqrt((z-a)(z-b)) * h(z),    h(z) = 1 - 3*u*x - 3*u*z,
 
-supported on [a, b] with a = x - y, b = x + y.  The center x solves the cubic
-18 u^2 x^3 - 9 u x^2 + x - 6 u = 0 on the branch with x -> 0 as u -> 0, the
-half-width is y = 2/sqrt(1 - 6 u x), and z0 = 1/(3u) - x is the extra zero of
-h.  One-cut regularity (z0 > b) holds up to the critical coupling
-u_c = 3^(1/4)/18, where z0 collides with b.  This module solves for the
-endpoints, numerically and as series in u^2, and samples the effective
-potential along the contour tails; it does not evaluate rho itself.
+supported on [a, b] with a = x - y, b = x + y.  The endpoints are the
+leading slice of the string equations at w = u^2: g0 solves the cubic
+72 g0^3 - g0^2 + w^2 = 0 on the branch g0 = w + 36 w^2 + ..., the center is
+x = b0/u with b0 = (g0 - w)/(6 g0), and the half-width is y = 2 sqrt(g0/w),
+so x solves 18 u^2 x^3 - 9 u x^2 + x - 6 u = 0.  z0 = 1/(3u) - x is the
+extra zero of h.  One-cut regularity (z0 > b) holds up to the critical
+coupling u_c = 3^(1/4)/18, where z0 collides with b and g0 reaches the
+slice's double root 1/108.  This module owns the numeric slice, which
+``finite_n`` continues past u_c, solves for the endpoints, numerically and
+as series in u^2 read off ``hierarchy``'s exact leading pair, and samples
+the effective potential along the contour tails; it does not evaluate rho
+itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath import mp, workdps
+from mpmath import extraprec, mp, workdps
 
-from .series import VAR_U2, TruncatedSeries, monomial
+from .hierarchy import compute_g0_series
+from .precision import as_mp
+from .series import VAR_U2, TruncatedSeries
 
 
 def critical_coupling(dps: int):
@@ -45,14 +52,18 @@ class EquilibriumData:
 
 
 def solve_endpoints(u, precision: int = 40) -> EquilibriumData:
-    """Endpoint data on the branch continuous from x(0) = 0.
+    """Endpoint data on the branch continuous from x(0) = 0, read off the leading slice.
 
-    Accepts 0 <= u <= u_c; exactly-critical input (to working tolerance) is
-    flagged and solved on the double-root branch, u beyond u_c raises.
+    u (an mpf, int, Fraction or BigFloat) is read at precision + 20 digits.
+    g0 = ``_g0_branch(w, w)`` at w = u^2 is the root that starts as
+    w + 36 w^2, then x = b0/u and y = 2 sqrt(g0/w).  Accepts 0 <= u <= u_c;
+    exactly-critical input (to working tolerance) is flagged and reads the
+    slice at its double root, g0 = 1/108 at w = u_c^2, so only x = b0/u sees
+    the input; u beyond u_c raises.
     """
     dps = precision
     with workdps(dps + 20):
-        u = mp.mpf(u)
+        u = mp.mpf(as_mp(u))
         if u < 0:
             raise ValueError("coupling must be nonnegative")
         uc = critical_coupling(dps + 20)
@@ -66,14 +77,15 @@ def solve_endpoints(u, precision: int = 40) -> EquilibriumData:
                 z0=mp.inf, critical=False, dps=dps,
             )
         if critical:
-            # double root of the cubic = root of its derivative that stays bounded
-            x = (18 - mp.sqrt(108)) / (108 * u)
+            # the slice's double root g0 = 1/108 at w_c = u_c^2 = 1/sqrt(34992)
+            w, g0 = 1 / mp.sqrt(34992), mp.mpf(1) / 108
         else:
-            x = _center_root(u)
-        one_minus = 1 - 6 * u * x
-        if one_minus <= 0:
-            raise ArithmeticError("1 - 6*u*x not positive; wrong root branch")
-        y = 2 / mp.sqrt(one_minus)
+            w = u * u
+            g0 = _g0_branch(w, w)
+        if not (isinstance(g0, mp.mpf) and g0 > 0):
+            raise ArithmeticError(f"leading slice root g0={g0} is not real and positive")
+        x = _slice_b0(g0, w) / u
+        y = 2 * mp.sqrt(g0 / w)
         a, b = x - y, x + y
         z0 = 1 / (3 * u) - x
         if z0 - b < -_gap_tolerance(b, dps):
@@ -81,51 +93,89 @@ def solve_endpoints(u, precision: int = 40) -> EquilibriumData:
         return EquilibriumData(u=u, x=x, y=y, a=a, b=b, z0=z0, critical=critical, dps=dps)
 
 
-def _center_root(u):
-    """Least positive root of 18 u^2 x^3 - 9 u x^2 + x - 6 u, for 0 < u < u_c, by Newton from 0.
+_SMALL_W = 1 / 720  # 72|w| < 1/10: Newton for the small roots converges from y = 1 + 36 w
 
-    Below that root the cubic rises (f' > 0 up to (18 - sqrt(108))/(108 u))
-    and is concave (f'' < 0 up to 1/(6u)), so every tangent lies above it:
-    the iterates climb monotonically and never overshoot.  A step that falls
-    below 2^10 eps x (or turns negative in rounding noise) marks convergence,
-    and one more step takes the quadratic gain.
-    """
-    def rise(x):
-        return -(((18 * u * u * x - 9 * u) * x + 1) * x - 6 * u) / ((54 * u * u * x - 18 * u) * x + 1)
+
+def _g0_branch(w, near):
+    """Root of 72 x^3 - x^2 + w^2 nearest to `near`: the continued leading slice."""
+    return min(_slice_roots(w), key=lambda r: abs(r - near))
+
+
+def _slice_roots(w):
+    """The three roots of 72 x^3 - x^2 + w^2 for real w > 0; real roots come back as mpf."""
+    if abs(w) < _SMALL_W:
+        # the roots x ~ +w and x ~ -w merge into a double root at 0 once w^2
+        # falls below the working precision; with x = s*y, s = +-w, they are
+        # the roots y ~ 1 of 72 s y^3 - y^2 + 1, and the third root follows
+        # from their sum 1/72
+        small = [s * _unit_root(72 * s) for s in (w, -w)]
+        return small + [mp.mpf(1) / 72 - small[0] - small[1]]
+
+    def newton(x):
+        return x - ((72 * x - 1) * x * x + w * w) / ((216 * x - 2) * x)
 
     tol = mp.ldexp(mp.eps, 10)
-    x = mp.zero
-    for _ in range(mp.prec):  # the climb halves the error at worst, near the double root at u_c
-        dx = rise(x)
-        x += dx
-        if dx < tol * x:
-            return x + rise(x)
-    raise ArithmeticError("Newton on the endpoint cubic did not settle")
+    with extraprec(20):
+        # on x < 0 the cubic rises and is concave, from -72 w^3 at x = -w to
+        # w^2 at 0, so Newton from -w climbs to the real root r there without
+        # overshooting, until a step falls below 2^10 eps |r|, plus one step
+        r = -w
+        for _ in range(mp.prec):
+            r, last = newton(r), r
+            if r - last < tol * -r:
+                break
+        else:
+            raise ArithmeticError("Newton on the leading slice cubic did not settle")
+        r = newton(r)
+        # the other two solve x^2 - s x + p, s = 1/72 - r > 0, p = -w^2/(72 r),
+        # as q = (s + sqrt(s^2 - 4p))/2 and p/q, which forms no difference of
+        # nearly equal roots; two Newton steps polish each (a fixed count:
+        # near the double root at w^2 = 1/34992 a step's rounding noise can
+        # exceed any tolerance a stopping rule would use)
+        s, p = mp.mpf(1) / 72 - r, -w * w / (72 * r)
+        q = (s + mp.sqrt(s * s - 4 * p)) / 2
+        roots = [r] + [newton(newton(x)) for x in (q, p / q)]
+    # as mp.polyroots does, an imaginary part below eps is rounding noise on a real root
+    return [+x.real if abs(mp.im(x)) < mp.eps else +x for x in roots]
+
+
+def _unit_root(c):
+    """Root y = 1 + c/2 + O(c^2) of c y^3 - y^2 + 1, for |c| < 1/10, by Newton."""
+    tol = mp.eps  # a step below it leaves an error of order its square
+    with extraprec(20):
+        y = 1 + c / 2
+        step = 1
+        while abs(step) >= tol:
+            step = (c * y ** 3 - y * y + 1) / (3 * c * y * y - 2 * y)
+            y -= step
+    return +y
+
+
+def _slice_b0(g0, w):
+    """b0 = (g0 - w)/(6 g0) on any branch, as 12 g0^2/(g0 + w): g0 - w = 72 g0^3/(g0 + w)
+    by the cubic, which keeps b0 when g0 and w agree to working precision."""
+    return 12 * g0 * g0 / (g0 + w)
 
 
 def endpoint_series(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     """Exact expansions of the endpoint center and half-width in the coupling.
 
     Returns (X, Y) in the u^2 variable, with x(u) = u * X(u^2) (the center is
-    an odd function of u) and y(u) = Y(u^2).  X solves
-    18 q^2 X^3 - 9 q X^2 + X - 6 = 0 term by term, q = u^2.
+    an odd function of u) and y(u) = Y(u^2).  Both are read off the leading
+    pair of ``compute_g0_series`` at w = u^2: X = b0/w and Y = 2 sqrt(g0/w).
+    The center cubic 18 q^2 X^3 - 9 q X^2 + X - 6 = 0, q = u^2, must then
+    close exactly through the returned window: it ties b0 to the endpoint
+    center, and a residual is a hard failure.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    X = monomial(VAR_U2, 6, 0, order)
-    steps = 0
-    while (1 << steps) <= order + 1:
-        steps += 1
-    for _ in range(steps + 1):
-        q2 = X * X
-        f = (q2 * X).shift(2) * 18 - q2.shift(1) * 9 + X - 6
-        df = q2.shift(2) * 54 - X.shift(1) * 18 + 1
-        X = X - f / df
+    g0, b0 = compute_g0_series(order + 2)
+    X = b0.shift(-1).retag(VAR_U2)
     q2 = X * X
     residual = (q2 * X).shift(2) * 18 - q2.shift(1) * 9 + X - 6
     if not residual.is_zero():
-        raise ArithmeticError("endpoint series iteration did not close")
-    Y = 2 / (1 - X.shift(1) * 6).sqrt_unit()
+        raise ArithmeticError(f"center cubic residual {residual!r} of the leading slice is not zero")
+    Y = g0.shift(-1).retag(VAR_U2).sqrt_unit() * 2
     return X.truncate_to(order), Y.truncate_to(order)
 
 

@@ -38,7 +38,8 @@ from operator import add, lshift, mul, rshift, sub
 from mpmath import extraprec, mp, workdps, workprec
 from mpmath.libmp import from_man_exp, mpf_cos_sin, mpf_exp, to_fixed
 
-from .precision import BigFloat, rational_to_mp
+from .equilibrium import _g0_branch, _slice_b0
+from .precision import BigFloat, as_mp
 
 # Along the path, |exp(-N V(s zeta))| = exp(-b r^2 cos(2 theta)/2 + c r^3 cos(3 theta))
 # at zeta = r e^(i theta).  Inbound, theta lies within pi/10 of pi, where both
@@ -58,14 +59,6 @@ _STEP = 0.5  # spacing of the float samples behind the rule's bounds
 _QUAD_GUARD = 15
 _FIX_GUARD = 40  # fixed-point bits behind the working precision in the moment sums
 _NODE_GUARD = 20  # bits behind those at which each node's weight is evaluated
-
-
-def _as_mp(x):
-    if isinstance(x, BigFloat):
-        return mp.mpmathify(x.value)
-    if isinstance(x, Fraction):
-        return rational_to_mp(x)
-    return mp.mpmathify(x)
 
 
 def _path_scale(u_m, N: int):
@@ -265,7 +258,7 @@ def compute_moments(precision: int, u, N: int, max_order: int, alpha=1.0) -> lis
     if max_order < 0:
         raise ValueError("max_order must be nonnegative")
     with workdps(precision + _QUAD_GUARD):
-        u_m = _as_mp(u)
+        u_m = as_mp(u)
         if mp.im(u_m) != 0 or u_m < 0:
             raise ValueError("the coupling must be real and nonnegative")
         if not math.isfinite(float(u_m)):
@@ -320,7 +313,7 @@ def recurrence_from_moments(moments, n_max: int) -> RecurrenceData:
     dps = min(m.dps for m in moments)
     wdps = dps + _QUAD_GUARD
     with workdps(wdps):
-        c = [_as_mp(m) for m in moments]
+        c = [as_mp(m) for m in moments]
         scale = abs(c[0])
         if scale == 0:
             raise ArithmeticError("vanishing zeroth moment; no orthogonal family exists")
@@ -415,7 +408,7 @@ def string_residuals(data: RecurrenceData, u, N: int):
     """
     n_max = len(data.h) - 1
     with workdps(data.dps + _QUAD_GUARD):
-        u_m = _as_mp(u)
+        u_m = as_mp(u)
         r1 = {}
         for n in range(n_max):
             lhs = 3 * u_m * (data.gamma2[n + 1] + data.beta[n] ** 2 + data.gamma2[n])
@@ -427,73 +420,14 @@ def string_residuals(data: RecurrenceData, u, N: int):
         return r1, r2
 
 
-_SMALL_W = 1 / 720  # 72|w| < 1/10: Newton for the small roots converges from y = 1 + 36 w
-
-
-def _g0_branch(w, near):
-    """Root of 72 x^3 - x^2 + w^2 nearest to `near`: the continued leading slice."""
-    return min(_slice_roots(w), key=lambda r: abs(r - near))
-
-
-def _slice_roots(w):
-    """The three roots of 72 x^3 - x^2 + w^2 for real w > 0; real roots come back as mpf."""
-    if abs(w) < _SMALL_W:
-        # the roots x ~ +w and x ~ -w merge into a double root at 0 once w^2
-        # falls below the working precision; with x = s*y, s = +-w, they are
-        # the roots y ~ 1 of 72 s y^3 - y^2 + 1, and the third root follows
-        # from their sum 1/72
-        small = [s * _unit_root(72 * s) for s in (w, -w)]
-        return small + [mp.mpf(1) / 72 - small[0] - small[1]]
-
-    def newton(x):
-        return x - ((72 * x - 1) * x * x + w * w) / ((216 * x - 2) * x)
-
-    tol = mp.ldexp(mp.eps, 10)
-    with extraprec(20):
-        # on x < 0 the cubic rises and is concave, from -72 w^3 at x = -w to
-        # w^2 at 0, so Newton from -w climbs to the real root r there without
-        # overshooting, until a step falls below 2^10 eps |r|, plus one step
-        r = -w
-        for _ in range(mp.prec):
-            r, last = newton(r), r
-            if r - last < tol * -r:
-                break
-        else:
-            raise ArithmeticError("Newton on the leading slice cubic did not settle")
-        r = newton(r)
-        # the other two solve x^2 - s x + p, s = 1/72 - r > 0, p = -w^2/(72 r),
-        # as q = (s + sqrt(s^2 - 4p))/2 and p/q, which forms no difference of
-        # nearly equal roots; two Newton steps polish each (a fixed count:
-        # near the double root at w^2 = 1/34992 a step's rounding noise can
-        # exceed any tolerance a stopping rule would use)
-        s, p = mp.mpf(1) / 72 - r, -w * w / (72 * r)
-        q = (s + mp.sqrt(s * s - 4 * p)) / 2
-        roots = [r] + [newton(newton(x)) for x in (q, p / q)]
-    # as mp.polyroots does, an imaginary part below eps is rounding noise on a real root
-    return [+x.real if abs(mp.im(x)) < mp.eps else +x for x in roots]
-
-
-def _unit_root(c):
-    """Root y = 1 + c/2 + O(c^2) of c y^3 - y^2 + 1, for |c| < 1/10, by Newton."""
-    tol = mp.eps  # a step below it leaves an error of order its square
-    with extraprec(20):
-        y = 1 + c / 2
-        step = 1
-        while abs(step) >= tol:
-            step = (c * y ** 3 - y * y + 1) / (3 * c * y * y - 2 * y)
-            y -= step
-    return +y
-
-
 def _slice_values(g0, w):
-    # closed forms on any branch; det is the Cramer denominator 1 - 108 g0;
-    # b0 = (g0 - w)/(6 g0) with g0 - w = 72 g0^3/(g0 + w) from the cubic, which
-    # keeps it when g0 and w agree to working precision
+    # the 1/N^2 terms (g2, b2) in closed form on any branch of the leading
+    # slice g0 (``equilibrium._g0_branch``); det is the Cramer denominator
+    # 1 - 108 g0
     det = 1 - 108 * g0
     g2 = 162 * g0 * (5 - 324 * g0) / det ** 4
-    b0 = 12 * g0 * g0 / (g0 + w)
     b2 = 54 * w / (g0 * det ** 4)
-    return g2, b0, b2
+    return g2, b2
 
 
 def expansion_prediction(u, N: int, gamma2_near):
@@ -503,18 +437,18 @@ def expansion_prediction(u, N: int, gamma2_near):
     gamma2_near (measured data) selects the branch of the leading cubic; past
     the critical coupling that branch is complex and the choice matters.
     """
-    u_m = _as_mp(u)
+    u_m = as_mp(u)
     if u_m == 0:
         return mp.mpf(1), mp.mpf(0), "gaussian"
     w1 = u_m ** 2
-    g0 = _g0_branch(w1, _as_mp(gamma2_near) * w1)
-    g2, _, _ = _slice_values(g0, w1)
+    g0 = _g0_branch(w1, as_mp(gamma2_near) * w1)
+    g2, _ = _slice_values(g0, w1)
     pred_gamma = g0 / w1 + (u_m ** 2 * g2) / N ** 2
     s = 1 + mp.mpf(1) / (2 * N)
     ws = s * u_m ** 2
     g0s = _g0_branch(ws, g0)
-    _, b0s, b2s = _slice_values(g0s, ws)
-    pred_beta = b0s / u_m + (u_m ** 3 * b2s) / N ** 2
+    _, b2s = _slice_values(g0s, ws)
+    pred_beta = _slice_b0(g0s, ws) / u_m + (u_m ** 3 * b2s) / N ** 2
     if abs(mp.im(g0)) < mp.mpf(10) ** (-mp.dps // 2):
         branch = "real"
     elif mp.im(g0) > 0:
@@ -571,7 +505,7 @@ def check_asymptotic_expansion(u, N_list, precision: int = 80) -> AsymptoticRepo
     entries = []
     branch = "unset"
     with workdps(precision + _QUAD_GUARD):
-        u_m = _as_mp(u)
+        u_m = as_mp(u)
         for N in sorted(N_list):
             moments = compute_moments(precision, u_m, N, 2 * N + 1)
             rec = recurrence_from_moments(moments, N)
@@ -583,8 +517,8 @@ def check_asymptotic_expansion(u, N_list, precision: int = 80) -> AsymptoticRepo
                 (prev.epsilon_gamma, cur.epsilon_gamma, g_ratios),
                 (prev.epsilon_beta, cur.epsilon_beta, b_ratios),
             ):
-                ep = _as_mp(eps_prev)
-                ratio = _as_mp(eps_cur) / ep if ep > 0 else mp.inf
+                ep = as_mp(eps_prev)
+                ratio = as_mp(eps_cur) / ep if ep > 0 else mp.inf
                 sink.append(BigFloat(ratio, precision))
         return AsymptoticReport(
             u=BigFloat(u_m, precision),
@@ -611,10 +545,10 @@ def toda_residual(u, N: int, h_step, precision: int = 80, alpha=1.0) -> BigFloat
     """
     wdps = max(precision, 8 * (N + 1)) + 30
     with workdps(wdps):
-        u_m = _as_mp(u)
+        u_m = as_mp(u)
         if u_m <= 0:
             raise ValueError("the time map needs u > 0")
-        h = _as_mp(h_step)
+        h = as_mp(h_step)
         if h <= 0:
             raise ValueError("h_step must be positive")
         t0 = 1 / (4 * (3 * u_m) ** (mp.mpf(4) / 3))
@@ -679,13 +613,13 @@ def build_report(u, N: int, precision: int = 120, alpha=1.0, n_max: int | None =
         raise ValueError("n_max must reach N + 1 so gamma^2_{N+1} exists")
     wdps = max(80, 8 * n_max, precision)
     with workdps(wdps + _QUAD_GUARD):
-        u_m = _as_mp(u)
+        u_m = as_mp(u)
         moments = compute_moments(wdps, u_m, N, 2 * n_max + 1, alpha=alpha)
         rec = recurrence_from_moments(moments, n_max)
         r1, r2 = string_residuals(rec, u_m, N)
         lo_n, hi_n = N // 2, min(3 * N // 2, n_max)
-        window = [_as_mp(r1[n]) for n in r1 if lo_n <= n <= hi_n]
-        window += [_as_mp(r2[n]) for n in r2 if lo_n <= n <= hi_n]
+        window = [as_mp(r1[n]) for n in r1 if lo_n <= n <= hi_n]
+        window += [as_mp(r2[n]) for n in r2 if lo_n <= n <= hi_n]
         worst = max(window)
         entry, branch = _asymptotic_entry(rec, u_m, N, precision)
         toda = None
@@ -697,12 +631,12 @@ def build_report(u, N: int, precision: int = 120, alpha=1.0, n_max: int | None =
             alpha=complex(alpha),
             precision=precision,
             n_max=n_max,
-            moments=tuple(BigFloat(_as_mp(m), precision) for m in moments),
+            moments=tuple(BigFloat(as_mp(m), precision) for m in moments),
             h=tuple(BigFloat(v, precision) for v in rec.h),
             gamma2=tuple(BigFloat(v, precision) for v in rec.gamma2),
             beta=tuple(BigFloat(v, precision) for v in rec.beta),
-            string_r1={n: BigFloat(_as_mp(v), precision) for n, v in r1.items()},
-            string_r2={n: BigFloat(_as_mp(v), precision) for n, v in r2.items()},
+            string_r1={n: BigFloat(as_mp(v), precision) for n, v in r1.items()},
+            string_r2={n: BigFloat(as_mp(v), precision) for n, v in r2.items()},
             max_string_residual=BigFloat(worst, precision),
             conditioning_loss=rec.conditioning_loss,
             cross_check_digits=rec.cross_check_digits,

@@ -25,6 +25,15 @@ def rational_to_mp(q: Fraction):
     return mp.mpf(q.numerator) / q.denominator
 
 
+def as_mp(x):
+    """An mpmath number from an mpf, mpc, int, float, Fraction or BigFloat; a Fraction is rounded at the current dps."""
+    if isinstance(x, BigFloat):
+        return mp.mpmathify(x.value)
+    if isinstance(x, Fraction):
+        return rational_to_mp(x)
+    return mp.mpmathify(x)
+
+
 def agreement_digits(a, b) -> float:
     """Common decimal digits of two scalars: -log10 of the relative difference."""
     a, b = mp.mpmathify(a), mp.mpmathify(b)

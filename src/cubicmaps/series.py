@@ -227,10 +227,6 @@ class TruncatedSeries:
         nums = [x * powers[n - 1 - i] * other._den for i, x in enumerate(q)]
         return self._rational(offset, nums, powers[n] * self._den)
 
-    def __rtruediv__(self, other):
-        one = monomial(self.var, 1, 0, len(self._num) - 1)
-        return (one / self) * other
-
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 1:
             raise ValueError("only positive integer powers are tracked exactly")

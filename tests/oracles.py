@@ -4,9 +4,10 @@ The package itself never calls them.  By layer:
 
 * series and hierarchy: coefficientwise series comparison, a series built
   from an {exponent: coefficient} map, the Gamma closed form of the leading
-  series, the residue sum and rational forms of the first correction (with
-  the generalized binomial they need), direct substitution into the string
-  equations, and the map to the coupling variable;
+  series and the Lagrange-Buermann form of its powers, the residue sum and
+  rational forms of the first correction (with the generalized binomial
+  they need), direct substitution into the string equations, and the map
+  to the coupling variable;
 * critical: Neville fits of the singular amplitudes C_2k and of w_c from
   the high-order series coefficients;
 * wick: a whole-matching classifier of faces, components and genus, with
@@ -24,10 +25,10 @@ from math import factorial
 from mpmath import mp, workdps
 
 from cubicmaps.equilibrium import EquilibriumData
-from cubicmaps.finite_n import _QUAD_GUARD, _as_mp
+from cubicmaps.finite_n import _QUAD_GUARD
 from cubicmaps.hierarchy import StringHierarchy, _even_derivatives, _taylor_weight, compute_g0_series
 from cubicmaps.numbers import gamma_ratio
-from cubicmaps.precision import BigFloat, rational_to_mp
+from cubicmaps.precision import BigFloat, as_mp, rational_to_mp
 from cubicmaps.series import VAR_U2, VAR_W, BeyondHorizonError, TruncatedSeries, monomial, zero_series
 
 # -- series and hierarchy --------------------------------------------------
@@ -79,6 +80,25 @@ def g0_coefficient(j: int) -> Fraction:
         raise ValueError("coefficients start at w^1")
     ratio = gamma_ratio(Fraction(3 * j, 2) - 1, Fraction(j, 2) + 1)
     return ratio * 72 ** (j - 1) / (2 * factorial(j - 1))
+
+
+def h_power_coefficient(alpha, n: int) -> Fraction:
+    """[w^n] H^alpha for H = g0/w, the root of H = (1 - 72 w H)^(-1/2) with H(0) = 1.
+
+    With t = w H = w phi(t), phi(t) = (1 - 72 t)^(-1/2), Lagrange-Buermann
+    gives 72^n (alpha/2) ((n + alpha)/2 + 1)_(n-1) / n! for n >= 1, with
+    (c)_m the rising factorial; alpha is any rational.
+    """
+    if n < 0:
+        raise ValueError("coefficients start at w^0")
+    if n == 0:
+        return Fraction(1)
+    alpha = Fraction(alpha)
+    c = (n + alpha) / 2 + 1
+    rising = Fraction(1)
+    for i in range(n - 1):
+        rising *= c + i
+    return 72**n * alpha / 2 * rising / factorial(n)
 
 
 def g2_coefficient(j: int) -> Fraction:
@@ -323,14 +343,14 @@ def inner_product(moments, p_coeffs, q_coeffs) -> BigFloat:
     """<p, q> = sum_{i,j} p_i q_j c_{i+j} against precomputed moments (no conjugation)."""
     dps = min(m.dps for m in moments)
     with workdps(dps + _QUAD_GUARD):
-        c = [_as_mp(m) for m in moments]
+        c = [as_mp(m) for m in moments]
         if len(p_coeffs) + len(q_coeffs) - 1 > len(c):
             raise ValueError("moment table too short for this product")
         acc = mp.mpc(0)
         for i, pi in enumerate(p_coeffs):
-            pi = _as_mp(pi)
+            pi = as_mp(pi)
             for j, qj in enumerate(q_coeffs):
-                acc += pi * _as_mp(qj) * c[i + j]
+                acc += pi * as_mp(qj) * c[i + j]
         return BigFloat(acc, dps)
 
 

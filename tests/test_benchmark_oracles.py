@@ -2,9 +2,10 @@
 
 ``perfbench/checks.py`` counts maps by the Goulden-Jackson triangulation
 recurrence, which shares no code with the string equations or the Toda
-flow, and ``perfbench/golden/`` holds the byte fingerprints of the exact
-workloads' outputs.  Both are loaded from their files, as the benchmark
-itself loads them, so the package never imports the benchmark.
+flow, and ``perfbench/golden/`` holds the fingerprints of every workload's
+outputs: exact bytes, and approximate values to their tagged digits.  Both
+are loaded from their files, as the benchmark itself loads them, so the
+package never imports the benchmark.
 """
 
 import contextlib
@@ -37,7 +38,23 @@ def test_counts_match_triangulation_recurrence_through_genus_12():
 
 golden = _perfbench_module("golden")
 EXACT = ("exact-long", "exact-deep")
-RECORDS = {key: record for workload in EXACT for key, record in golden.load(workload).items()}
+NUMERIC = tuple(w for w in _perfbench_module("workloads").WORKLOADS if w not in EXACT)  # finite-n, census
+
+
+def _records(workloads):
+    return {key: record for workload in workloads for key, record in golden.load(workload).items()}
+
+
+RECORDS = _records(EXACT)
+NUMERIC_RECORDS = _records(NUMERIC)
+
+
+def _replay(key, record):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(key.split())
+    assert code == 0
+    assert golden.compare(record, golden.fingerprint(out.getvalue())) == []
 
 
 def test_exact_golden_records_exist():
@@ -47,8 +64,16 @@ def test_exact_golden_records_exist():
 
 @pytest.mark.parametrize("key", sorted(RECORDS))
 def test_exact_golden_outputs_replay(key):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(key.split())
-    assert code == 0
-    assert golden.compare(RECORDS[key], golden.fingerprint(out.getvalue())) == []
+    _replay(key, RECORDS[key])
+
+
+def test_numeric_golden_records_exist():
+    assert NUMERIC and all(golden.load(workload) for workload in NUMERIC)
+
+
+@pytest.mark.parametrize("key", sorted(NUMERIC_RECORDS))
+def test_numeric_golden_outputs_replay(key):
+    # equilibrium, validate and census jobs: exact fields byte for byte (the
+    # census wall clock aside), approx values to their tagged dps less the
+    # golden margin
+    _replay(key, NUMERIC_RECORDS[key])

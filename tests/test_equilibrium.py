@@ -15,7 +15,7 @@ from cubicmaps.equilibrium import (
     solve_endpoints,
 )
 from cubicmaps.precision import agreement_digits, rational_to_mp
-from oracles import _sqrt_r, density_at
+from oracles import _sqrt_r, density_at, g0_coefficient, h_power_coefficient
 
 
 def test_zero_coupling_is_semicircle():
@@ -45,6 +45,18 @@ def test_series_satisfy_defining_relations():
     assert cubic.is_zero()
     hw = Y * Y * (1 - X.shift(1) * 6) - 4
     assert hw.is_zero()
+
+
+def test_endpoint_series_match_lagrange_burmann():
+    # X = b0/w and Y = 2 sqrt(g0/w) come from the hierarchy's leading pair;
+    # the oracle is the closed form of the powers of H = g0/w, which shares
+    # nothing with its term ratio: X_n = -[w^(n+1)] H^(-1)/6, Y_n = 2 [w^n] H^(1/2)
+    X, Y = endpoint_series(20)
+    for n in range(21):
+        assert X.coefficient(n) == -h_power_coefficient(-1, n + 1) / 6, n
+        assert Y.coefficient(n) == 2 * h_power_coefficient(Fraction(1, 2), n), n
+    # and at alpha = 1 the closed form is g0/w itself
+    assert all(h_power_coefficient(1, n) == g0_coefficient(n + 1) for n in range(21))
 
 
 def test_numeric_root_matches_series():
@@ -86,19 +98,24 @@ def test_critical_endpoints_exact():
 
 
 def _endpoint_oracle_couplings(dps):
-    """u_c (1 - 10^-k) for every k short of the critical band, then 1e-30, 1/1000, 1/60..1/14."""
+    """u_c (1 - 10^-k) for every k short of the critical band, u^2 = (1 +- 10^-6)/720, then
+    1e-30, 1/1000, 1/60..1/14."""
     with workdps(dps + 20):  # the precision solve_endpoints reads u at
         uc = critical_coupling(dps + 20)
         near = [uc * (1 - mp.mpf(10) ** -k) for k in range(1, dps - 8)]
-        return near + [mp.mpf("1e-30"), mp.mpf(1) / 1000] + [mp.mpf(1) / d for d in range(14, 61)]
+        switch = [mp.sqrt((1 + s * mp.mpf(10) ** -6) / 720) for s in (-1, 1)]
+        return near + switch + [mp.mpf("1e-30"), mp.mpf(1) / 1000] + [mp.mpf(1) / d for d in range(14, 61)]
 
 
 @pytest.mark.parametrize("dps", [30, 40])
-def test_center_root_matches_polyroots(dps):
-    # mp.polyroots (Durand-Kerner) as the oracle for the Newton climb, on
-    # 18 X^3 - 9 X^2 + X - 6 u^2 with x = X/u, whose roots 6u^2, ~1/6, ~1/3
-    # stay O(1) however small u is; measured at least 41.0 digits at dps 30
-    # and 46.2 at dps 40, both at the k nearest the critical band
+def test_solve_endpoints_matches_polyroots(dps):
+    # mp.polyroots (Durand-Kerner) as the oracle for the leading-slice
+    # solver, on 18 X^3 - 9 X^2 + X - 6 u^2 with x = X/u, whose roots 6u^2,
+    # ~1/6, ~1/3 stay O(1) however small u is, and y = 2/sqrt(1 - 6ux); the
+    # couplings include both sides of u^2 = 1/720, where the slice solver
+    # switches from the small-root Newton to the climb from -w; measured at
+    # least 41.4 digits at dps 30 and 46.7 at dps 40, both at the k nearest
+    # the critical band
     for u in _endpoint_oracle_couplings(dps):
         eq = solve_endpoints(u, precision=dps)
         assert not eq.critical
@@ -106,6 +123,14 @@ def test_center_root_matches_polyroots(dps):
             roots = mp.polyroots([18, -9, 1, -6 * u * u], extraprec=80)
             want = min(r.real for r in roots if r.imag == 0) / u
             assert agreement_digits(eq.x, want) >= dps, u
+            assert agreement_digits(eq.y, 2 / mp.sqrt(1 - 6 * u * want)) >= dps, u
+
+
+def test_fraction_coupling_reads_as_its_mp_value():
+    # a Fraction is read at the solver's working precision, precision + 20
+    with workdps(50):
+        u = rational_to_mp(Fraction(1, 20))
+    assert solve_endpoints(Fraction(1, 20), 30) == solve_endpoints(u, 30)
 
 
 def test_supercritical_rejected():
@@ -222,8 +247,7 @@ def _phi_by_tanh_sinh(eq, left, gap, ray):
 def test_phi_closed_form_matches_quadrature(u, precision):
     # the antiderivative against tanh-sinh quadrature of the integrand itself,
     # at every left, gap and ray sample that phi_check takes at its defaults
-    with workdps(precision + 25):
-        eq = solve_endpoints(rational_to_mp(u), precision)
+    eq = solve_endpoints(u, precision)
     with workdps(precision + 15):
         left, gap, ray = _tail_samples(eq, 12, 100.0)
     with workdps(precision + 30):
@@ -243,8 +267,7 @@ def test_phi_closed_form_matches_quadrature(u, precision):
 def test_printed_phi_values_carry_their_dps(capsys, u, precision):
     assert main(["equilibrium", "--u", u, "--precision", str(precision)]) == 0
     phi = json.loads(capsys.readouterr().out)["phi_report"]
-    with workdps(precision + 25):
-        eq = solve_endpoints(rational_to_mp(Fraction(u)), precision)
+    eq = solve_endpoints(Fraction(u), precision)
     with workdps(precision + 15):
         _, _, ray = _tail_samples(eq, 12, 100.0)
     with workdps(precision + 40):

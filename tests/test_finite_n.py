@@ -8,12 +8,9 @@ from mpmath import mp, workdps
 from cubicmaps import finite_n
 from cubicmaps.finite_n import (
     AsymptoticEntry,
-    _as_mp,
-    _g0_branch,
     _path_moments,
     _path_rule,
     _path_scale,
-    _slice_roots,
     _slice_values,
     build_report,
     check_asymptotic_expansion,
@@ -23,9 +20,10 @@ from cubicmaps.finite_n import (
     string_residuals,
     toda_residual,
 )
+from cubicmaps.equilibrium import _g0_branch, _slice_b0, _slice_roots
 from cubicmaps.hierarchy import build_hierarchy
 from cubicmaps.numbers import double_factorial
-from cubicmaps.precision import BigFloat, agreement_digits, rational_to_mp
+from cubicmaps.precision import BigFloat, agreement_digits, as_mp, rational_to_mp
 from oracles import inner_product
 
 U_TENTH = Fraction(1, 10)
@@ -255,7 +253,7 @@ def test_alpha_mixing_past_critical():
 
 def test_string_residuals_criterion_scale(report_20):
     # acceptance-level bound is 1e-90 on [10, 30]; measured worst 2.5e-245
-    assert _as_mp(report_20.max_string_residual) < mp.mpf("1e-200")
+    assert as_mp(report_20.max_string_residual) < mp.mpf("1e-200")
     assert set(report_20.string_r1) == set(range(31))
     assert set(report_20.string_r2) == set(range(1, 32))
     assert report_20.cross_check_digits > 230
@@ -266,9 +264,9 @@ def test_report_expansion_entry(report_20):
     entry = report_20.asymptotic
     assert report_20.branch == "upper"
     with workdps(140):
-        eps = _as_mp(entry.epsilon_gamma)
+        eps = as_mp(entry.epsilon_gamma)
         assert mp.mpf("1e-7") < eps < mp.mpf("1e-5")  # N^-4 scale at N = 20
-        assert mp.im(_as_mp(entry.gamma2)) > 0
+        assert mp.im(as_mp(entry.gamma2)) > 0
 
 
 def test_asymptotic_scaling(criterion_run):
@@ -277,16 +275,16 @@ def test_asymptotic_scaling(criterion_run):
     assert len(rep.gamma_ratios) == len(rep.beta_ratios) == 2
     with workdps(100):
         for g_ratio in rep.gamma_ratios:  # measured 0.0678, 0.0626
-            assert 2 ** mp.mpf("-4.25") < _as_mp(g_ratio) < 2 ** mp.mpf("-3.75")
+            assert 2 ** mp.mpf("-4.25") < as_mp(g_ratio) < 2 ** mp.mpf("-3.75")
         for b_ratio in rep.beta_ratios:  # measured 0.0872, 0.0672
-            assert mp.mpf(1) / 32 < _as_mp(b_ratio) < mp.mpf(1) / 8
+            assert mp.mpf(1) / 32 < as_mp(b_ratio) < mp.mpf(1) / 8
         # at N = 32 the 1/N^2 term explains the gap to the leading slice
         e32 = rep.entries[1]
-        u = _as_mp(U_TENTH)
+        u = as_mp(U_TENTH)
         w = u * u
-        g0 = _g0_branch(w, _as_mp(e32.gamma2) * w)
-        g2, _, _ = _slice_values(g0, w)
-        lead_gap = abs(_as_mp(e32.gamma2) - g0 / w)
+        g0 = _g0_branch(w, as_mp(e32.gamma2) * w)
+        g2, _ = _slice_values(g0, w)
+        lead_gap = abs(as_mp(e32.gamma2) - g0 / w)
         g2_term = abs(u * u * g2) / 32 ** 2
         assert abs(lead_gap - g2_term) / g2_term < 0.25  # measured 5e-4
 
@@ -295,8 +293,8 @@ def test_asymptotic_gaussian():
     rep = check_asymptotic_expansion(0, [8], precision=50)
     assert rep.branch == "gaussian"
     with workdps(70):
-        assert _as_mp(rep.entries[0].epsilon_gamma) < mp.mpf("1e-45")
-        assert _as_mp(rep.entries[0].epsilon_beta) < mp.mpf("1e-45")
+        assert as_mp(rep.entries[0].epsilon_gamma) < mp.mpf("1e-45")
+        assert as_mp(rep.entries[0].epsilon_beta) < mp.mpf("1e-45")
 
 
 def test_orthogonality_recomputation(rec_60):
@@ -402,7 +400,8 @@ def test_slice_functions_match_series():
 
         g0_ref = tail_sum(h.g_hat[0])
         g0 = _g0_branch(w, g0_ref)
-        g2, b0, b2 = _slice_values(g0, w)
+        g2, b2 = _slice_values(g0, w)
+        b0 = _slice_b0(g0, w)
         assert abs(g0 - g0_ref) < mp.mpf("1e-40")
         assert abs(g2 - tail_sum(h.g_hat[1])) / abs(g2) < mp.mpf("1e-25")
         assert abs(b0 - tail_sum(h.b_hat[0])) / abs(b0) < mp.mpf("1e-25")
@@ -449,7 +448,7 @@ def test_shifted_time_identities():
     u = Fraction(1, 50)
     rec = recurrence_from_moments(compute_moments(80, u, 8, 19), 9)
     with workdps(100):
-        um = _as_mp(u)
+        um = as_mp(u)
         # far from the critical point gamma-tilde^2 sits near 1/(2 sqrt t)
         t = 1 / (4 * (3 * um) ** (mp.mpf(4) / 3))
         gamma_tilde2 = rec.gamma2[8] / (2 * mp.sqrt(t))
@@ -465,8 +464,8 @@ def test_toda_residual_criterion(criterion_run):
     first = run.call(toda_residual, u, 12, Fraction(1, 1000), precision=80)
     half = run.call(toda_residual, u, 12, Fraction(1, 2000), precision=80)
     with workdps(40):
-        r1 = _as_mp(first)
-        r2 = _as_mp(half)
+        r1 = as_mp(first)
+        r2 = as_mp(half)
         assert r1 < mp.mpf("1e-6")  # measured 3.26e-7; acceptance asks 1e-4
         assert mp.mpf("3.9") < r1 / r2 < mp.mpf("4.1")  # measured 3.9999874
     with pytest.raises(ValueError):
@@ -495,9 +494,9 @@ def test_build_report_shape():
     assert rep.branch == "real"
     assert rep.toda is None
     with workdps(80):
-        assert _as_mp(rep.max_string_residual) < mp.mpf("1e-60")
+        assert as_mp(rep.max_string_residual) < mp.mpf("1e-60")
         assert isinstance(rep.asymptotic, AsymptoticEntry)
-        assert _as_mp(rep.asymptotic.epsilon_gamma) < mp.mpf("1e-4")
+        assert as_mp(rep.asymptotic.epsilon_gamma) < mp.mpf("1e-4")
     with pytest.raises(ValueError):
         build_report(Fraction(1, 20), 6, n_max=5)
 
@@ -507,8 +506,8 @@ def test_string_residual_indexing(rec_60):
     assert set(r1) == set(range(9))
     assert set(r2) == set(range(1, 10))
     with workdps(75):
-        assert max(_as_mp(v) for v in r1.values()) < mp.mpf("1e-55")
-        assert max(_as_mp(v) for v in r2.values()) < mp.mpf("1e-55")
+        assert max(as_mp(v) for v in r1.values()) < mp.mpf("1e-55")
+        assert max(as_mp(v) for v in r2.values()) < mp.mpf("1e-55")
 
 
 def test_expansion_prediction_branches(rec_60):

@@ -77,8 +77,8 @@ def solve_endpoints(u, precision: int = 40) -> EquilibriumData:
                 z0=mp.inf, critical=False, dps=dps,
             )
         if critical:
-            # the slice's double root g0 = 1/108 at w_c = u_c^2 = 1/sqrt(34992)
-            w, g0 = 1 / mp.sqrt(34992), mp.mpf(1) / 108
+            # the slice's double root g0 = 1/108 at w_c = u_c^2
+            w, g0 = uc * uc, mp.mpf(1) / 108
         else:
             w = u * u
             g0 = _g0_branch(w, w)

@@ -126,9 +126,7 @@ def _c_critical():
 
 def _c_painleve():
     consts = run_C_recursion(9)
-    rep = painleve_check(consts, 8)  # raises if no single q works
-    if rep.nu_normalization != Qbeta.rational(1):
-        return False, f"nu * (-2 C_0) = {rep.nu_normalization} != 1"
+    rep = painleve_check(consts, 8)  # raises if no single q works or nu * (-2 C_0) != 1
     ratio = rep.q_over_inv_8mu
     return True, f"one q through genus 8 ({rep.orders_verified} orders beyond leading); nu*(-2C_0)=1; q/(1/(8mu)) = {ratio}"
 

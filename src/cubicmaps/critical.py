@@ -9,7 +9,8 @@ with all amplitudes in Q[beta]/(beta^4 - 12).  This module computes them
 exactly by a recursion in k, checks every order against the critically
 singular 2x2 system, converts them into the leading growth of the genus-g
 map counts, and verifies termwise that their generating function satisfies
-a Painleve-I type equation.
+a Painleve-I type equation whose rescaling to the standard form
+Y'' = 6 Y^2 + tau is checked as identities in Q[beta], with no floats.
 """
 
 from __future__ import annotations
@@ -155,6 +156,15 @@ def compute_K(consts: CriticalConstants, g: int, precision: int = 40) -> BigFloa
 # -- Painleve I consistency --------------------------------------------------
 
 
+# The rescaling to Painleve I in standard form, Y'' = 6 Y^2 + tau, has
+# t = -c tau and lambda = 2^(3/10) 3^(5/4) on the amplitude function, with
+# c = 2^(-3/5).  It enters only through c^2/lambda = 2^(-3/2) 3^(-5/4) =
+# 1/(6 beta) and lambda c^3 = 2^(-3/2) 3^(5/4) = 3 beta/4, both in the field
+# (their product is c^5 = 1/8).
+_C2_OVER_LAMBDA = 1 / (6 * BETA)
+_LAMBDA_C3 = 3 * BETA / 4
+
+
 @dataclass(frozen=True)
 class PainleveReport:
     """Termwise substitution of y(t) = sum C_2g t^((1-5g)/2) into y'' = q (y^2 - C_0^2 t)."""
@@ -162,26 +172,20 @@ class PainleveReport:
     G: int
     q: Qbeta  # unique coefficient fixed by the leading order
     orders_verified: int  # higher orders checked to vanish exactly
-    mu: Qbeta  # recursion normalization beta^3/3456
-    nu: Qbeta  # recursion normalization 3 beta^3/4
-    nu_normalization: Qbeta  # nu * (-2 C_0), exactly 1
-    q_over_inv_8mu: Qbeta  # q / (1/(8 mu))
-    matches_inv_8mu: bool
-    matches_inv_8mu_c0: bool
-    standard_form_q: Qbeta  # the reading validated by the (c, lambda) rescaling
-    standard_form_deviation: BigFloat
+    q_over_inv_8mu: Qbeta  # q / (1/(8 mu)), mu = beta^3/3456 the recursion normalization
 
 
 def painleve_check(consts: CriticalConstants, G: int) -> PainleveReport:
-    """Verify the amplitude recursion is a Painleve-I series, and report which q.
+    """Verify the amplitude recursion is a Painleve-I series, exactly in Q(beta).
 
     Matching t^((2-5s)/2): C_{2(s-1)} (25(s-1)^2 - 1)/4 = q sum_{a+b=s} C_2a C_2b.
     s = 1 fixes q; s = 2..G must then vanish identically or the recursion is
-    inconsistent (fatal).  The recursion's own normalization constants mu, nu
-    admit two readings of q, 1/(8 mu) versus 1/(8 mu C_0), which differ; the
-    report carries the termwise q, its ratio to 1/(8 mu), and a 40-digit check
-    of the standard-form rescaling t = -c tau, u = lambda y (u'' = 6 u^2 + tau
-    with c = 2^(-3/5), lambda = 2^(3/10) 3^(5/4)), which singles out 1/(8 mu).
+    inconsistent.  The recursion's normalization nu = 3 beta^3/4 must equal
+    -1/(2 C_0), and the rescaling (c, lambda) to the standard form
+    Y'' = 6 Y^2 + tau must hold with the recursion's coefficient
+    q C_0 = 1/(8 mu) = 36 beta: (c^2/lambda) q C_0 = 6 and
+    (lambda c^3) q C_0^3 = 1.  Every check is an identity in the field, and a
+    failed one raises ``ArithmeticError``.
     """
     if G < 1:
         raise ValueError("need G >= 1")
@@ -201,28 +205,8 @@ def painleve_check(consts: CriticalConstants, G: int) -> PainleveReport:
         if lhs(g) != q * pair_sum(g + 1):
             raise ArithmeticError(f"no single quadratic coefficient works at order {g}")
         verified += 1
-    mu = _CRAMER_UNIT / 48
-    nu = _CRAMER_UNIT * 54
-    _consistent(nu, Qbeta.rational(-1) / (2 * c[0]), "nu = -1/(2 C_0)")
-    inv_8mu = Qbeta.rational(1) / (8 * mu)
-    with workdps(45):
-        scale = mp.power(2, mp.mpf(-3) / 5)
-        lam = mp.power(2, mp.mpf(3) / 10) * mp.power(3, mp.mpf(5) / 4)
-        q_num = inv_8mu.evaluate(mp.mpf(1))
-        c0_num = c[0].evaluate(mp.mpf(1))
-        dev1 = abs(scale**2 * q_num / lam - 6)
-        dev2 = abs(lam * scale**3 * q_num * c0_num**2 - 1)
-        deviation = BigFloat(max(dev1, dev2), 40)
-    return PainleveReport(
-        G=G,
-        q=q,
-        orders_verified=verified,
-        mu=mu,
-        nu=nu,
-        nu_normalization=nu * (-2 * c[0]),
-        q_over_inv_8mu=q * 8 * mu,
-        matches_inv_8mu=q == inv_8mu,
-        matches_inv_8mu_c0=q == inv_8mu / c[0],
-        standard_form_q=inv_8mu,
-        standard_form_deviation=deviation,
-    )
+    _consistent(_CRAMER_UNIT * 54, Qbeta.rational(-1) / (2 * c[0]), "nu = -1/(2 C_0)")
+    qc0 = q * c[0]
+    _consistent(_C2_OVER_LAMBDA * qc0, Qbeta.rational(6), "standard form (c^2/lambda) q C_0 = 6")
+    _consistent(_LAMBDA_C3 * qc0 * c[0] * c[0], Qbeta.rational(1), "standard form (lambda c^3) q C_0^3 = 1")
+    return PainleveReport(G=G, q=q, orders_verified=verified, q_over_inv_8mu=q * _CRAMER_UNIT / 6)

@@ -59,7 +59,8 @@ def solve_endpoints(u, precision: int = 40) -> EquilibriumData:
     w + 36 w^2, then x = b0/u and y = 2 sqrt(g0/w).  Accepts 0 <= u <= u_c;
     exactly-critical input (to working tolerance) is flagged and reads the
     slice at its double root, g0 = 1/108 at w = u_c^2, so only x = b0/u sees
-    the input; u beyond u_c raises.
+    the input; u beyond u_c raises.  At 1 - u/u_c = 10^-k, k > 30, g0, x and
+    y are computed with ceil(k/2) - 15 more digits and rounded back.
     """
     dps = precision
     with workdps(dps + 20):
@@ -79,13 +80,21 @@ def solve_endpoints(u, precision: int = 40) -> EquilibriumData:
         if critical:
             # the slice's double root g0 = 1/108 at w_c = u_c^2
             w, g0 = uc * uc, mp.mpf(1) / 108
+            extra = 0
         else:
-            w = u * u
-            g0 = _g0_branch(w, w)
-        if not (isinstance(g0, mp.mpf) and g0 > 0):
-            raise ArithmeticError(f"leading slice root g0={g0} is not real and positive")
-        x = _slice_b0(g0, w) / u
-        y = 2 * mp.sqrt(g0 / w)
+            # next to u_c the root sits next to that double root and loses
+            # about half the digits of 1 - u/u_c; add what the 20 guard
+            # digits do not cover, which is nothing while 1 - u/u_c > 1e-30
+            extra = max(0, int(mp.ceil(-mp.log10(1 - u / uc) / 2)) - 15)
+        with workdps(dps + 20 + extra):
+            if not critical:
+                w = u * u
+                g0 = _g0_branch(w, w)
+            if not (isinstance(g0, mp.mpf) and g0 > 0):
+                raise ArithmeticError(f"leading slice root g0={g0} is not real and positive")
+            x = _slice_b0(g0, w) / u
+            y = 2 * mp.sqrt(g0 / w)
+        x, y = +x, +y  # rounded back to precision + 20 digits
         a, b = x - y, x + y
         z0 = 1 / (3 * u) - x
         if z0 - b < -_gap_tolerance(b, dps):

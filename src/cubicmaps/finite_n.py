@@ -492,15 +492,14 @@ class AsymptoticReport:
     branch: str
     entries: tuple
     gamma_ratios: tuple
-    beta_ratios: tuple
 
 
 def check_asymptotic_expansion(u, N_list, precision: int = 80) -> AsymptoticReport:
     """Distance of gamma^2_N and beta_N from the two-term 1/N^2 prediction.
 
     epsilon(N) should shrink like N^-4, so doubling N divides it by about 16;
-    the consecutive ratios are reported alongside the per-N entries.  Report
-    only: scaling conclusions are left to the caller.
+    the consecutive ratios of epsilon_gamma are reported alongside the per-N
+    entries.  Report only: scaling conclusions are left to the caller.
     """
     entries = []
     branch = "unset"
@@ -511,22 +510,17 @@ def check_asymptotic_expansion(u, N_list, precision: int = 80) -> AsymptoticRepo
             rec = recurrence_from_moments(moments, N)
             entry, branch = _asymptotic_entry(rec, u_m, N, precision)
             entries.append(entry)
-        g_ratios, b_ratios = [], []
+        g_ratios = []
         for prev, cur in zip(entries, entries[1:]):
-            for eps_prev, eps_cur, sink in (
-                (prev.epsilon_gamma, cur.epsilon_gamma, g_ratios),
-                (prev.epsilon_beta, cur.epsilon_beta, b_ratios),
-            ):
-                ep = as_mp(eps_prev)
-                ratio = as_mp(eps_cur) / ep if ep > 0 else mp.inf
-                sink.append(BigFloat(ratio, precision))
+            ep = as_mp(prev.epsilon_gamma)
+            ratio = as_mp(cur.epsilon_gamma) / ep if ep > 0 else mp.inf
+            g_ratios.append(BigFloat(ratio, precision))
         return AsymptoticReport(
             u=BigFloat(u_m, precision),
             precision=precision,
             branch=branch,
             entries=tuple(entries),
             gamma_ratios=tuple(g_ratios),
-            beta_ratios=tuple(b_ratios),
         )
 
 

@@ -203,26 +203,9 @@ class Qbeta:
         """beta-exponents with nonzero component (the Z/4 grading of the field)."""
         return {i for i, x in enumerate(self._n) if x}
 
-    def evaluate(self, like):
-        """Numeric value using the arithmetic of ``like`` (an mpf/mpc sample)."""
-        beta = _beta_like(like)
-        acc = beta * 0
-        for a in reversed(self.c):
-            acc = acc * beta + type(beta)(a.numerator) / a.denominator
-        return acc
-
     def __repr__(self) -> str:
         parts = [f"{a}*b^{i}" if i else f"{a}" for i, a in enumerate(self.c) if a]
         return "Qbeta(" + (" + ".join(parts) or "0") + ")"
-
-
-def _beta_like(like):
-    if isinstance(like, (int, float)):
-        return 12.0 ** 0.25
-    # mpmath scalar: use its context at current working precision
-    from mpmath import mp
-
-    return mp.root(12, 4)
 
 
 BETA = Qbeta((0, 1, 0, 0))
@@ -284,12 +267,3 @@ def gamma_ratio(a: Fraction, b: Fraction) -> Fraction:
         out *= f
     ratio = Fraction(out, den ** abs(steps))
     return ratio if steps >= 0 else 1 / ratio
-
-
-def pochhammer(a, m: int) -> Fraction:
-    """Rising factorial (a)_m."""
-    a = Fraction(a)
-    out = Fraction(1)
-    for i in range(m):
-        out *= a + i
-    return out

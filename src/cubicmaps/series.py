@@ -227,14 +227,6 @@ class TruncatedSeries:
         nums = [x * powers[n - 1 - i] * other._den for i, x in enumerate(q)]
         return self._rational(offset, nums, powers[n] * self._den)
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 1:
-            raise ValueError("only positive integer powers are tracked exactly")
-        acc = self
-        for _ in range(n - 1):
-            acc = acc * self
-        return acc
-
     # -- calculus ----------------------------------------------------------
 
     def differentiate(self):
@@ -288,15 +280,6 @@ class TruncatedSeries:
             raise ArithmeticError("square-root iteration failed to verify")
         return t.shift(v // 2)
 
-    def evaluate(self, x):
-        """Numeric partial sum over the tracked window (mpmath or float scalars)."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + _to_number(c, x)
-        if self.offset:
-            acc = acc * x**self.offset
-        return acc
-
     def __repr__(self) -> str:
         shown = []
         for e, c in sorted(self.coefficients().items()):
@@ -306,12 +289,6 @@ class TruncatedSeries:
                 break
         body = " + ".join(shown) if shown else "0"
         return f"<{body} + O({self.var}^{self.known_max + 1})>"
-
-
-def _to_number(c: Fraction, like):
-    if isinstance(like, (int, float)):
-        return c.numerator / c.denominator
-    return type(like)(c.numerator) / c.denominator
 
 
 def _require_rational(c):

@@ -28,7 +28,7 @@ from mpmath import mp
 
 from .critical import _amplitude_exact, run_C_recursion
 from .hierarchy import build_hierarchy
-from .numbers import gamma_ratio, pochhammer
+from .numbers import gamma_ratio
 from .precision import BigFloat
 from .series import VAR_U2, VAR_W, TruncatedSeries, from_numerators, zero_series
 
@@ -129,13 +129,16 @@ def genus0_closed_form(j: int) -> Fraction:
 
 
 def _genus1_hyp_sum(j: int) -> Fraction:
-    """3F2(-j+1, 2, 6; 5, -3j/2+1; 3/2), terminating after j terms."""
-    acc = Fraction(0)
-    z = Fraction(3, 2)
-    for m in range(j):
-        num = pochhammer(-j + 1, m) * pochhammer(2, m) * pochhammer(6, m)
-        den = pochhammer(5, m) * pochhammer(Fraction(-3 * j, 2) + 1, m) * factorial(m)
-        acc += num / den * z**m
+    """3F2(-j+1, 2, 6; 5, -3j/2+1; 3/2), terminating after j terms.
+
+    Each term follows from the last by the ratio
+    t_(m+1)/t_m = (m-j+1)(m+2)(m+6) (3/2) / ((m+5)(m+1-3j/2)(m+1)),
+    whose denominator never vanishes for m < j - 1.
+    """
+    term = acc = Fraction(1)
+    for m in range(j - 1):
+        term *= Fraction(3 * (m - j + 1) * (m + 2) * (m + 6), (m + 5) * (2 * m + 2 - 3 * j) * (m + 1))
+        acc += term
     return acc
 
 

@@ -7,9 +7,11 @@ The package itself never calls them.  By layer:
   series and the Lagrange-Buermann form of its powers, the residue sum and
   rational forms of the first correction (with the generalized binomial
   they need), direct substitution into the string equations, and the map
-  to the coupling variable;
-* critical: Neville fits of the singular amplitudes C_2k and of w_c from
-  the high-order series coefficients;
+  to the coupling variable; the numeric value of a truncated series;
+* toda: the genus-1 3F2 sum with every term rebuilt from Pochhammer symbols;
+* critical: the numeric value of a Q(beta) element, and Neville fits of the
+  singular amplitudes C_2k and of w_c from the high-order series
+  coefficients;
 * wick: a whole-matching classifier of faces, components and genus, with
   its own rotation, for any even vertex count;
 * finite_n and equilibrium: the moment-table inner product and the
@@ -27,7 +29,7 @@ from mpmath import mp, workdps
 from cubicmaps.equilibrium import EquilibriumData
 from cubicmaps.finite_n import _QUAD_GUARD
 from cubicmaps.hierarchy import StringHierarchy, _even_derivatives, _taylor_weight, compute_g0_series
-from cubicmaps.numbers import gamma_ratio
+from cubicmaps.numbers import Qbeta, gamma_ratio
 from cubicmaps.precision import BigFloat, as_mp, rational_to_mp
 from cubicmaps.series import VAR_U2, VAR_W, BeyondHorizonError, TruncatedSeries, monomial, zero_series
 
@@ -48,6 +50,14 @@ def assert_same_series(a: TruncatedSeries, b: TruncatedSeries, through: int | No
         ca, cb = a.coefficient(e), b.coefficient(e)
         if ca != cb:
             raise AssertionError(f"coefficient mismatch at exponent {e}: {ca} != {cb}")
+
+
+def series_value(s: TruncatedSeries, x):
+    """Partial sum of s over its tracked window at x, in the arithmetic of x (an mpf or mpc)."""
+    acc = 0
+    for c in reversed(s.coeffs):
+        acc = acc * x + rational_to_mp(c)
+    return acc * x**s.offset
 
 
 def from_coefficients(var: str, pairs: dict, known_max: int) -> TruncatedSeries:
@@ -117,7 +127,9 @@ def g2_closed_form(horizon: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     g2 = 162 g0 (5 - 324 g0) / (1 - 108 g0)^4,  b2 = 54 w / (g0 (1 - 108 g0)^4).
     """
     g0, _ = compute_g0_series(horizon + 2)
-    d4 = (1 - g0 * 108) ** 4
+    d = 1 - g0 * 108
+    d2 = d * d
+    d4 = d2 * d2
     g2 = (g0 * 162) * (5 - g0 * 324) / d4
     b2 = monomial(VAR_W, 54, 1, horizon + 2) / (g0 * d4)
     return g2.truncate_to(horizon), b2.truncate_to(horizon)
@@ -169,7 +181,39 @@ def to_u_variable(h: StringHierarchy, k: int, kind: str = "g", s: Fraction = Fra
     return src.retag(VAR_U2).shift(2 * k - 1)
 
 
+# -- toda ----------------------------------------------------------------
+
+
+def pochhammer(a, m: int) -> Fraction:
+    """Rising factorial (a)_m."""
+    a = Fraction(a)
+    out = Fraction(1)
+    for i in range(m):
+        out *= a + i
+    return out
+
+
+def genus1_hyp_sum(j: int) -> Fraction:
+    """3F2(-j+1, 2, 6; 5, -3j/2+1; 3/2) with every term built from its Pochhammer symbols."""
+    acc = Fraction(0)
+    z = Fraction(3, 2)
+    for m in range(j):
+        num = pochhammer(-j + 1, m) * pochhammer(2, m) * pochhammer(6, m)
+        den = pochhammer(5, m) * pochhammer(Fraction(-3 * j, 2) + 1, m) * factorial(m)
+        acc += num / den * z**m
+    return acc
+
+
 # -- critical --------------------------------------------------------------
+
+
+def qbeta_value(x: Qbeta):
+    """x as an mpf at the working precision, by Horner's rule in beta = 12^(1/4)."""
+    beta = mp.root(12, 4)
+    acc = mp.mpf(0)
+    for c in reversed(x.c):
+        acc = acc * beta + rational_to_mp(c)
+    return acc
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mpmath import mp, workdps
 
 from cubicmaps import critical
+from cubicmaps.acceptance import run_criterion
 from cubicmaps.critical import (
     B0_AT_CRITICAL,
     G0_AT_CRITICAL,
@@ -21,7 +22,7 @@ from cubicmaps.critical import (
 )
 from cubicmaps.hierarchy import build_hierarchy
 from cubicmaps.numbers import BETA, SQRT3, W_CRITICAL, Qbeta
-from oracles import _neville_to_zero, critical_leading
+from oracles import _neville_to_zero, critical_leading, qbeta_value
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +47,7 @@ def test_published_amplitudes(consts):
     # numeric shadow of D_0 = -2^(1/2) 3^(-1/4)
     with workdps(30):
         target = -mp.sqrt(2) / mp.root(3, 4)
-        assert abs(consts.D[0].evaluate(mp.mpf(1)) - target) < mp.mpf(10) ** -28
+        assert abs(qbeta_value(consts.D[0]) - target) < mp.mpf(10) ** -28
 
 
 def test_singular_system_check_detects_a_wrong_C(monkeypatch):
@@ -93,7 +94,7 @@ def test_count_amplitude_reduction(consts):
     with workdps(50):
         u_c = mp.root(3, 4) / 18
         for g in range(7):
-            direct = 6 * mp.root(3, 4) * consts.C[g].evaluate(mp.mpf(1))
+            direct = 6 * mp.root(3, 4) * qbeta_value(consts.C[g])
             direct /= mp.gamma(mp.mpf(5 * g - 1) / 2) * u_c**g
             q, n = _amplitude_exact(consts.C[g], g)
             folded = mp.mpf(q.numerator) / q.denominator
@@ -126,7 +127,7 @@ def test_fit_leading_order(consts, h60):
     fit = critical_leading(h60, 0, 60)
     assert fit.exponent == Fraction(1, 2)
     with workdps(45):
-        exact = consts.C[0].evaluate(mp.mpf(1))
+        exact = qbeta_value(consts.C[0])
         assert abs(fit.amplitude.value - exact) < abs(exact) / 100
         assert abs(fit.radius.value - mp.sqrt(3) / 324) < mp.mpf(10) ** -8
         assert float(fit.radius_error.value) < 1e-6
@@ -143,7 +144,7 @@ def test_fit_order_one(consts, h60):
 def test_fit_determinant(h60):
     fit = critical_leading(h60, 0, 60, determinant=True)
     with workdps(45):
-        target = (6 * BETA).evaluate(mp.mpf(1))
+        target = qbeta_value(6 * BETA)
         assert abs(fit.amplitude.value - target) < target / 100
 
 
@@ -151,7 +152,7 @@ def test_fit_matches_recursion_within_reported_error(consts, h60):
     for k in range(4):
         fit = critical_leading(h60, k, 60)
         with workdps(45):
-            exact = consts.C[k].evaluate(mp.mpf(1))
+            exact = qbeta_value(consts.C[k])
             assert abs(fit.amplitude.value - exact) < fit.amplitude_error.value
             assert abs(fit.radius.value - mp.sqrt(3) / 324) < fit.radius_error.value
 
@@ -171,14 +172,18 @@ def test_painleve_report(consts):
     rep = painleve_check(consts, 9)
     assert rep.q == Qbeta.rational(-648)
     assert rep.orders_verified == 8
-    assert rep.mu == BETA**3 / 3456
-    assert rep.nu == 3 * BETA**3 / 4
-    assert rep.nu_normalization == Qbeta.rational(1)
     assert rep.q_over_inv_8mu == Qbeta((0, 0, 0, Fraction(-3, 2)))
-    assert not rep.matches_inv_8mu
-    assert rep.matches_inv_8mu_c0
-    assert rep.standard_form_q == 36 * BETA
-    assert float(rep.standard_form_deviation.value) < 1e-38
+    # q C_0 = 1/(8 mu) = 36 beta, the reading the standard-form rescaling needs
+    assert rep.q * consts.C[0] == 36 * BETA
+
+
+def test_painleve_standard_form_detects_a_wrong_rescaling(monkeypatch):
+    # lambda c^3 = 3 beta/4; a wrong constant breaks (lambda c^3) q C_0^3 = 1
+    monkeypatch.setattr(critical, "_LAMBDA_C3", 3 * BETA / 5)
+    with pytest.raises(ArithmeticError, match="standard form"):
+        painleve_check(run_C_recursion(9), 8)
+    result = run_criterion("painleve")
+    assert not result.passed and "ArithmeticError" in result.detail
 
 
 def test_painleve_preconditions(consts):

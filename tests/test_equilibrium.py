@@ -15,7 +15,7 @@ from cubicmaps.equilibrium import (
     solve_endpoints,
 )
 from cubicmaps.precision import agreement_digits, rational_to_mp
-from oracles import _sqrt_r, density_at, g0_coefficient, h_power_coefficient
+from oracles import _sqrt_r, density_at, g0_coefficient, h_power_coefficient, series_value
 
 
 def test_zero_coupling_is_semicircle():
@@ -64,7 +64,7 @@ def test_numeric_root_matches_series():
     eq = solve_endpoints(u, precision=40)
     X, _ = endpoint_series(6)
     with workdps(50):
-        partial = u * X.evaluate(u * u)
+        partial = u * series_value(X, u * u)
         # remainder bounded by the first omitted term (positive coefficients, u well inside)
         omitted = 2 * abs(X.coefficient(6)) * u ** 13
         assert abs(eq.x - partial) < omitted
@@ -107,20 +107,22 @@ def _endpoint_oracle_couplings(dps):
         return near + switch + [mp.mpf("1e-30"), mp.mpf(1) / 1000] + [mp.mpf(1) / d for d in range(14, 61)]
 
 
-@pytest.mark.parametrize("dps", [30, 40])
+@pytest.mark.parametrize("dps", [30, 40, 50, 60])
 def test_solve_endpoints_matches_polyroots(dps):
     # mp.polyroots (Durand-Kerner) as the oracle for the leading-slice
     # solver, on 18 X^3 - 9 X^2 + X - 6 u^2 with x = X/u, whose roots 6u^2,
     # ~1/6, ~1/3 stay O(1) however small u is, and y = 2/sqrt(1 - 6ux); the
     # couplings include both sides of u^2 = 1/720, where the slice solver
-    # switches from the small-root Newton to the climb from -w; measured at
-    # least 41.4 digits at dps 30 and 46.7 at dps 40, both at the k nearest
-    # the critical band
+    # switches from the small-root Newton to the climb from -w; the k nearest
+    # the critical band, 21, 31, 41 and 51, is where the root sits next to the
+    # slice's double root; measured at least 41.4, 47.7, 57.0 and 66.6 digits
+    # at dps 30, 40, 50 and 60 (with 20 fixed guard digits, dps 60 holds only
+    # 56.8 at k = 51)
     for u in _endpoint_oracle_couplings(dps):
         eq = solve_endpoints(u, precision=dps)
         assert not eq.critical
         with workdps(dps + 40):
-            roots = mp.polyroots([18, -9, 1, -6 * u * u], extraprec=80)
+            roots = mp.polyroots([18, -9, 1, -6 * u * u], maxsteps=200, extraprec=80)
             want = min(r.real for r in roots if r.imag == 0) / u
             assert agreement_digits(eq.x, want) >= dps, u
             assert agreement_digits(eq.y, 2 / mp.sqrt(1 - 6 * u * want)) >= dps, u

@@ -1,11 +1,13 @@
 """The package ships only code that its CLI, criteria or benchmark run.
 
-A top-level ``def`` or ``class`` in ``src/cubicmaps`` counts as used when
-its name appears, outside its own definition, in ``src/cubicmaps`` or
-``perfbench`` as an identifier, an attribute, an imported name, or a part
-of a dotted string constant (the benchmark's tracer names what it wraps as
-strings such as ``"TruncatedSeries.__mul__"``).  Test-only oracles belong
-in ``tests/oracles.py``.
+A top-level ``def`` or ``class`` in ``src/cubicmaps``, and each non-dunder
+method, property and annotated (dataclass) field of a class there, counts
+as used when its name appears, outside its own definition, in
+``src/cubicmaps`` or ``perfbench`` as an identifier, an attribute, an
+imported name, or a part of a dotted string constant (the benchmark's
+tracer names what it wraps as strings such as
+``"TruncatedSeries.__mul__"``).  A keyword argument that only sets a field
+is not a use.  Test-only oracles belong in ``tests/oracles.py``.
 """
 
 import ast
@@ -41,11 +43,29 @@ def unused_definitions() -> list[str]:
     uses = sum((_names(tree) for tree in scanned.values()), Counter())
     unused = []
     for path, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if uses[node.name] - _names(node)[node.name] <= 0:
-                    unused.append(f"{path.stem}.{node.name}")
+        for node, name, label in _definitions(tree):
+            if uses[name] - _names(node)[name] <= 0:
+                unused.append(f"{path.stem}.{label}")
     return unused
+
+
+def _definitions(tree):
+    """(node, name, label) of each top-level def and class, and of each
+    class's non-dunder methods, properties and annotated (dataclass) fields."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node, node.name, node.name
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for member in node.body:
+            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = member.name
+            elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                name = member.target.id
+            else:
+                continue
+            if not (name.startswith("__") and name.endswith("__")):
+                yield member, name, f"{node.name}.{name}"
 
 
 def test_every_top_level_definition_has_a_caller():

@@ -18,6 +18,7 @@ from cubicmaps.toda import (
     log_count_estimate,
     toda_integrate,
 )
+from oracles import genus1_hyp_sum
 
 # genus 0..2 free-energy heads through u^10
 F0_HEAD = [6, 216, 13608, 1119744, Fraction(540416448, 5)]
@@ -82,6 +83,11 @@ def test_genus_table_rejects_bad_counts(monkeypatch, g, j, coeff, message):
 def test_closed_forms_head():
     assert [genus0_closed_form(j) for j in (1, 2, 3)] == [12, 5184, 9797760]
     assert [genus1_closed_form(j) for j in (1, 2, 3)] == [3, 4536, 19362240]
+
+
+def test_genus1_sum_by_term_ratio_matches_pochhammer_form():
+    for j in list(range(1, 61)) + [200]:
+        assert toda._genus1_hyp_sum(j) == genus1_hyp_sum(j), j
 
 
 def test_closed_forms_match_pipeline():

@@ -99,9 +99,8 @@ def _cmd_expand(args) -> tuple[str, int]:
     if args.format == "csv":
         rows = []
         for j in range(1, args.max_j + 1):
-            f = Fraction(table.count(g, j))
             c = table.coefficient(g, j)
-            rows.append([g, j, f.numerator, f.denominator, c.numerator, c.denominator])
+            rows.append([g, j, table.count(g, j), 1, c.numerator, c.denominator])
         return dump_csv(["g", "j", "f_num", "f_den", "F_coeff_num", "F_coeff_den"], rows), 0
     payload = {
         "genus": g,
@@ -110,7 +109,7 @@ def _cmd_expand(args) -> tuple[str, int]:
             {
                 "g": g,
                 "j": j,
-                "f": encode_fraction(Fraction(table.count(g, j))),
+                "f": encode_fraction(table.count(g, j)),
                 "F_coeff": encode_fraction(table.coefficient(g, j)),
             }
             for j in range(1, args.max_j + 1)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from typing import Sequence
 
 from .series import VAR_W, TruncatedSeries, from_numerators
@@ -65,34 +64,11 @@ def compute_g0_series(horizon: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     return g0, (1 - R) * Fraction(1, 6)
 
 
-def _taylor_weight(j: int) -> Fraction:
-    return Fraction(1, factorial(2 * j) * 4**j)
-
-
-def _even_derivatives(g: Sequence[TruncatedSeries], b: Sequence[TruncatedSeries]):
-    """d2j(which, m, j): the memoised (2j)-th derivative of g[m] or b[m] (which = "g" or "b").
-
-    The memo reads g and b at call time, so one memo serves lists that grow.
-    """
-    derivs: dict[tuple[str, int, int], TruncatedSeries] = {}
-
-    def d2j(which: str, m: int, j: int) -> TruncatedSeries:
-        if j == 0:
-            return (g if which == "g" else b)[m]
-        key = (which, m, j)
-        if key not in derivs:
-            derivs[key] = d2j(which, m, j - 1).differentiate().differentiate()
-        return derivs[key]
-
-    return d2j
-
-
 def solve_order_k(
     g_lower: Sequence[TruncatedSeries],
     b_lower: Sequence[TruncatedSeries],
     det: TruncatedSeries,
     t_lower: Sequence[TruncatedSeries],
-    d2j,
 ) -> tuple[TruncatedSeries, TruncatedSeries, TruncatedSeries]:
     """Next correction pair from all lower orders, by Cramer on the 2x2 system.
 
@@ -105,25 +81,26 @@ def solve_order_k(
         T_n = sum_(m+j=n) b_m^(2j)/((2j)! 2^2j),   t_lower = (T_0, ..., T_(k-1)),
 
     as R2 = 6 (g0 U_k + sum_(m=1..k-1) g_m T_(k-m)) with U_k = T_k - b_k, so
-    an order costs k products.  d2j is the build's derivative memo over
-    g_lower and b_lower (``_even_derivatives``).  Returns (g_k, b_k, T_k).
+    an order costs k products.  Each Taylor term s^(2j)/((2j)! 2^2j) is one
+    binomial pass over s (``TruncatedSeries.even_taylor_term``).  Returns
+    (g_k, b_k, T_k).
     """
     k = len(g_lower)
     if k < 1 or len(b_lower) != k or len(t_lower) != k:
         raise ValueError("need matching g, b and T prefixes of length k >= 1")
     g0, b0 = g_lower[0], b_lower[0]
 
-    r1 = d2j("g", 0, k) * _taylor_weight(k)
+    r1 = g0.even_taylor_term(k)
     for m in range(1, k):
-        r1 = r1 + d2j("g", m, k - m) * _taylor_weight(k - m)
+        r1 = r1 + g_lower[m].even_taylor_term(k - m)
     r1 = r1 * (-6)
     for m in range(1, (k + 1) // 2):  # pairs m < m' with m + m' = k, each standing for two ordered pairs
         r1 = r1 - b_lower[m] * b_lower[k - m] * 6
     if k % 2 == 0:
         r1 = r1 - b_lower[k // 2] * b_lower[k // 2] * 3
-    uk = d2j("b", 0, k) * _taylor_weight(k)
+    uk = b0.even_taylor_term(k)
     for m in range(1, k):
-        uk = uk + d2j("b", m, k - m) * _taylor_weight(k - m)
+        uk = uk + b_lower[m].even_taylor_term(k - m)
     r2 = g0 * uk
     for m in range(1, k):
         r2 = r2 + g_lower[m] * t_lower[k - m]
@@ -146,14 +123,14 @@ class StringHierarchy:
 def build_hierarchy(max_k: int, horizon: int) -> StringHierarchy:
     """Solve the hierarchy through correction order max_k, exact to the w-horizon.
 
-    The leading series is padded by 2*max_k orders internally because each
-    Taylor-shift derivative slides the known window down by one exponent.
+    The leading series is padded by 2*max_k orders internally because the
+    Taylor term s^(2j) slides the known window down by 2j exponents.
     The leading pair comes from ``compute_g0_series``: g0 by its term ratio,
     certified by the cubic's residual, and b0 = (1 - R)/6 from that
     certificate, so the leading slice takes two series products and no
-    division.  Derivatives are taken once per build and the anti-diagonal
-    sums T_n are carried from order to order, so order k costs O(k) series
-    products.
+    division.  Each Taylor term is one binomial pass over a lower order and
+    the anti-diagonal sums T_n are carried from order to order, so order k
+    costs O(k) series products.
     """
     if max_k < 0 or horizon < 1:
         raise ValueError("need max_k >= 0 and horizon >= 1")
@@ -164,9 +141,8 @@ def build_hierarchy(max_k: int, horizon: int) -> StringHierarchy:
     g = [g0]
     b = [b0]
     t = [b0]
-    d2j = _even_derivatives(g, b)
     for _ in range(max_k):
-        gk, bk, tk = solve_order_k(g, b, det, t, d2j)
+        gk, bk, tk = solve_order_k(g, b, det, t)
         g.append(gk)
         b.append(bk)
         t.append(tk)

@@ -75,6 +75,16 @@ class Qbeta:
             object.__setattr__(self, "_c", tuple(Fraction(x, den) for x in self._n))
         return self._c
 
+    @property
+    def numerators(self) -> tuple:
+        """The four components as Python-int numerators over ``denominator``."""
+        return self._n
+
+    @property
+    def denominator(self) -> int:
+        """The positive common denominator, coprime to the numerators jointly."""
+        return self._den
+
     @staticmethod
     def rational(x) -> "Qbeta":
         return Qbeta((Fraction(x), 0, 0, 0))

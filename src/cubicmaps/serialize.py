@@ -1,31 +1,37 @@
 """Deterministic JSON and CSV encoding of the package's numeric types.
 
 Every number carries a tag: exact rationals travel as decimal-string
-numerator/denominator pairs, algebraic values as four rational components
-on the beta-power basis, floats as a value string plus the decimal
-precision they were computed at.  Nothing exact is ever converted to a
-float on the way out.  Key order is fixed at construction, so identical
-inputs produce identical bytes.
+numerator/denominator pairs (a series or Q(beta) element's from its integer
+numerators, one gcd each), algebraic values as four rational components on
+the beta-power basis, floats as a value string plus the decimal precision
+they were computed at.  Nothing exact is ever converted to a float on the
+way out.  Key order is fixed at construction, so identical inputs produce
+identical bytes.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
+from math import gcd
 
 from mpmath import mp, workdps
 
 from .numbers import Qbeta
 from .precision import BigFloat
 
-# beta is the positive real fourth root in all numeric shadows
-QBETA_RELATION = "beta^4 = 12"
+QBETA_RELATION = "beta^4 = 12"  # beta is its positive real root
 
 
-def encode_fraction(q: Fraction) -> dict:
-    q = Fraction(q)
+def _exact(num: int, den: int) -> dict:
+    """num/den (den > 0) in lowest terms."""
+    g = gcd(num, den)
+    return {"kind": "exact", "num": str(num // g), "den": str(den // g)}
+
+
+def encode_fraction(q: Fraction | int) -> dict:
     return {"kind": "exact", "num": str(q.numerator), "den": str(q.denominator)}
 
 
@@ -34,7 +40,7 @@ def encode_qbeta(x: Qbeta) -> dict:
     return {
         "kind": "exact-algebraic",
         "relation": QBETA_RELATION,
-        "components": [encode_fraction(c) for c in x.c],
+        "components": [_exact(n, x.denominator) for n in x.numerators],
     }
 
 
@@ -63,9 +69,7 @@ def encode_float(x: float, dps: int = 17) -> dict:
 
 def encode_value(x):
     """Tag a single numeric leaf; ints pass through as native JSON."""
-    if isinstance(x, bool) or x is None:
-        return x
-    if isinstance(x, int):
+    if x is None or isinstance(x, (int, str)):  # bool is an int
         return x
     if isinstance(x, Fraction):
         return encode_fraction(x)
@@ -75,8 +79,6 @@ def encode_value(x):
         return encode_bigfloat(x)
     if isinstance(x, float):
         return encode_float(x)
-    if isinstance(x, str):
-        return x
     if isinstance(x, (list, tuple)):
         return [encode_value(v) for v in x]
     if isinstance(x, dict):
@@ -92,12 +94,45 @@ def encode_series(s) -> dict:
         "variable": s.var,
         "offset": s.offset,
         "known_max": s.known_max,
-        "coefficients": [encode_value(c) for c in s.coeffs],
+        "coefficients": [_exact(n, s.denominator) for n in s.numerators],
     }
 
 
+def _write(x, indent: str, out: list) -> None:
+    if isinstance(x, str):
+        out.append(_quote(x))
+    elif x is None or x is True or x is False:
+        out.append("null" if x is None else "true" if x else "false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, dict):
+        inner, sep = indent + "  ", "{\n"
+        for k, v in x.items():
+            if not isinstance(k, str):
+                raise TypeError(f"JSON object keys must be str, not {type(k).__name__}")
+            out.append(sep + inner + _quote(k) + ": ")
+            _write(v, inner, out)
+            sep = ",\n"
+        out.append("\n" + indent + "}" if x else "{}")
+    elif isinstance(x, (list, tuple)):
+        inner, sep = indent + "  ", "[\n"
+        for v in x:
+            out.append(sep + inner)
+            _write(v, inner, out)
+            sep = ",\n"
+        out.append("\n" + indent + "]" if x else "[]")
+    else:
+        raise TypeError(f"no JSON encoding for {type(x).__name__}; numbers need a tag before dumping")
+
+
 def dump_json(payload) -> str:
-    return json.dumps(payload, indent=2, ensure_ascii=True) + "\n"
+    """``json.dumps(payload, indent=2, ensure_ascii=True) + "\\n"`` in one pass; only
+    dicts with str keys, lists, tuples, str, int, bool and None, so an untagged
+    float raises TypeError."""
+    out: list = []
+    _write(payload, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def dump_csv(header: list, rows: list) -> str:

@@ -18,7 +18,7 @@ field) raises ``TypeError``.  Nothing here rounds.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add, mul
 from typing import Any
 
@@ -229,11 +229,16 @@ class TruncatedSeries:
 
     # -- calculus ----------------------------------------------------------
 
-    def differentiate(self):
-        """d/dvar.  The window slides down one exponent; length is preserved."""
-        e0 = self.offset
-        out = [c * (e0 + i) for i, c in enumerate(self._num)]
-        return self._rational(e0 - 1, out, self._den)
+    def even_taylor_term(self, j: int):
+        """s^(2j) / ((2j)! 4^j): var^e gets binom(e + 2j, 2j) s_(e+2j) / 4^j.
+
+        The window slides down 2j exponents and keeps its length, as 2j
+        derivatives would leave it.  For e + 2j < 0 the generalized binomial
+        binom(-n, 2j) = binom(n + 2j - 1, 2j) applies (2j is even).
+        """
+        k, e0 = 2 * j, self.offset
+        out = [x * (comb(e, k) if e >= 0 else comb(k - e - 1, k)) for e, x in enumerate(self._num, e0)]
+        return self._rational(e0 - k, out, self._den << k)
 
     # -- structure ---------------------------------------------------------
 

@@ -6,8 +6,9 @@ The package itself never calls them.  By layer:
   from an {exponent: coefficient} map, the Gamma closed form of the leading
   series and the Lagrange-Buermann form of its powers, the residue sum and
   rational forms of the first correction (with the generalized binomial
-  they need), direct substitution into the string equations, and the map
-  to the coupling variable; the numeric value of a truncated series;
+  they need), direct substitution into the string equations with its
+  Taylor terms by repeated differentiation, and the map to the coupling
+  variable; the numeric value of a truncated series;
 * toda: the genus-1 3F2 sum with every term rebuilt from Pochhammer symbols;
 * critical: the numeric value of a Q(beta) element, and Neville fits of the
   singular amplitudes C_2k and of w_c from the high-order series
@@ -28,10 +29,18 @@ from mpmath import mp, workdps
 
 from cubicmaps.equilibrium import EquilibriumData
 from cubicmaps.finite_n import _QUAD_GUARD
-from cubicmaps.hierarchy import StringHierarchy, _even_derivatives, _taylor_weight, compute_g0_series
+from cubicmaps.hierarchy import StringHierarchy, compute_g0_series
 from cubicmaps.numbers import Qbeta, gamma_ratio
 from cubicmaps.precision import BigFloat, as_mp, rational_to_mp
-from cubicmaps.series import VAR_U2, VAR_W, BeyondHorizonError, TruncatedSeries, monomial, zero_series
+from cubicmaps.series import (
+    VAR_U2,
+    VAR_W,
+    BeyondHorizonError,
+    TruncatedSeries,
+    from_numerators,
+    monomial,
+    zero_series,
+)
 
 # -- series and hierarchy --------------------------------------------------
 
@@ -135,6 +144,32 @@ def g2_closed_form(horizon: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     return g2.truncate_to(horizon), b2.truncate_to(horizon)
 
 
+def differentiate(s: TruncatedSeries) -> TruncatedSeries:
+    """d/dvar.  The window slides down one exponent; length is preserved."""
+    e0 = s.offset
+    return from_numerators(s.var, e0 - 1, [x * (e0 + i) for i, x in enumerate(s.numerators)], s.denominator)
+
+
+def taylor_weight(j: int) -> Fraction:
+    return Fraction(1, factorial(2 * j) * 4**j)
+
+
+def even_derivatives(g, b):
+    """d2j(which, m, j): the memoised (2j)-th derivative of g[m] or b[m] (which = "g" or "b"),
+    by repeated ``differentiate``, a different route from ``even_taylor_term``."""
+    derivs: dict[tuple[str, int, int], TruncatedSeries] = {}
+
+    def d2j(which: str, m: int, j: int) -> TruncatedSeries:
+        if j == 0:
+            return (g if which == "g" else b)[m]
+        key = (which, m, j)
+        if key not in derivs:
+            derivs[key] = differentiate(differentiate(d2j(which, m, j - 1)))
+        return derivs[key]
+
+    return d2j
+
+
 def hat_equation_residuals(h: StringHierarchy) -> list[tuple[int, TruncatedSeries, TruncatedSeries]]:
     """Substitute the computed hierarchy back into the full string equations.
 
@@ -143,11 +178,11 @@ def hat_equation_residuals(h: StringHierarchy) -> list[tuple[int, TruncatedSerie
     The k = 0 g-equation residual is g0*(1 - 6*b0) - w.
     """
     out = []
-    d2j = _even_derivatives(h.g_hat, h.b_hat)
+    d2j = even_derivatives(h.g_hat, h.b_hat)
     for k in range(h.max_k + 1):
         eq1 = None
         for m in range(k + 1):
-            term = d2j("g", m, k - m) * (6 * _taylor_weight(k - m))
+            term = d2j("g", m, k - m) * (6 * taylor_weight(k - m))
             eq1 = term if eq1 is None else eq1 + term
         for m in range(k + 1):
             eq1 = eq1 + h.b_hat[m] * h.b_hat[k - m] * 3
@@ -155,7 +190,7 @@ def hat_equation_residuals(h: StringHierarchy) -> list[tuple[int, TruncatedSerie
         eq2 = h.g_hat[k]
         for m in range(k + 1):
             for mp in range(k - m + 1):
-                eq2 = eq2 - h.g_hat[m] * d2j("b", mp, k - m - mp) * (6 * _taylor_weight(k - m - mp))
+                eq2 = eq2 - h.g_hat[m] * d2j("b", mp, k - m - mp) * (6 * taylor_weight(k - m - mp))
         if k == 0:
             eq2 = eq2 - monomial(VAR_W, 1, 1, h.horizon)
         out.append((k, eq1, eq2))

@@ -5,7 +5,6 @@ import pytest
 from cubicmaps import hierarchy
 from cubicmaps.hierarchy import (
     StringHierarchy,
-    _even_derivatives,
     build_hierarchy,
     compute_g0_series,
     g0_coefficients,
@@ -147,10 +146,9 @@ def test_u_variable_indexing_and_slope():
 
 def test_solve_order_k_rejects_bad_prefixes():
     h = build_hierarchy(1, 6)
-    d2j = _even_derivatives(h.g_hat, h.b_hat)
     with pytest.raises(ValueError):
-        solve_order_k([], [], h.det, [], d2j)
+        solve_order_k([], [], h.det, [])
     with pytest.raises(ValueError):
-        solve_order_k([h.g_hat[0]], [], h.det, [h.b_hat[0]], d2j)
+        solve_order_k([h.g_hat[0]], [], h.det, [h.b_hat[0]])
     with pytest.raises(ValueError):
-        solve_order_k([h.g_hat[0]], [h.b_hat[0]], h.det, [], d2j)
+        solve_order_k([h.g_hat[0]], [h.b_hat[0]], h.det, [])

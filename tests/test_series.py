@@ -17,7 +17,7 @@ from cubicmaps.series import (
     monomial,
     zero_series,
 )
-from oracles import assert_same_series, from_coefficients
+from oracles import assert_same_series, binomial, differentiate, from_coefficients, taylor_weight
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=8)
 
@@ -91,7 +91,7 @@ def test_divide_then_multiply_roundtrip():
 
 def test_differentiate_slides_window():
     s = w_series([1, 36, 3240], offset=1)  # known to w^3
-    d = s.differentiate()
+    d = differentiate(s)
     assert d.coefficient(0) == 1
     assert d.coefficient(1) == 72
     assert d.coefficient(2) == 3 * 3240
@@ -164,7 +164,7 @@ def test_division_roundtrip_property(a, b):
 @given(series_strategy)
 def test_derivative_of_product_rule(a):
     b = a * a
-    assert_same_series(b.differentiate(), a.differentiate() * a * 2)
+    assert_same_series(differentiate(b), differentiate(a) * a * 2)
 
 
 # -- integer kernel against a Fraction reference ----------------------------
@@ -290,7 +290,23 @@ def test_scalar_ops_match_reference(s, c):
 @given(kernel_series)
 def test_calculus_matches_reference(s):
     offset, coeffs = _ref_terms(s)
-    _assert_matches(s.differentiate(), (offset - 1, [c * (offset + i) for i, c in enumerate(coeffs)]))
+    _assert_matches(differentiate(s), (offset - 1, [c * (offset + i) for i, c in enumerate(coeffs)]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(kernel_series, st.builds(lambda n, o: w_series([0] * n, o),
+                                          st.integers(1, 4), st.integers(-5, 5))),
+       st.integers(min_value=0, max_value=6))
+def test_even_taylor_term_matches_repeated_differentiation(s, j):
+    # against 2j derivatives times 1/((2j)! 4^j), and against the
+    # generalized binomial on Fractions, so both the comb and the 4^j shift show
+    d = s
+    for _ in range(2 * j):
+        d = differentiate(d)
+    t = s.even_taylor_term(j)
+    assert t == d * taylor_weight(j)
+    offset, coeffs = _ref_terms(s)
+    _assert_matches(t, (offset - 2 * j, [c * binomial(offset + i, 2 * j) / 4**j for i, c in enumerate(coeffs)]))
 
 
 def test_zero_series_is_pinned_and_absorbing():

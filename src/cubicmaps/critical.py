@@ -5,12 +5,16 @@ vanishes and each hierarchy member develops a power singularity
 
     g_hat[2k] ~ C_2k (w_c - w)^((1-5k)/2),    b_hat[2k] ~ D_2k (...same power),
 
-with all amplitudes in Q[beta]/(beta^4 - 12).  This module computes them
-exactly by a recursion in k, checks every order against the critically
-singular 2x2 system, converts them into the leading growth of the genus-g
-map counts, and verifies termwise that their generating function satisfies
-a Painleve-I type equation whose rescaling to the standard form
-Y'' = 6 Y^2 + tau is checked as identities in Q[beta], with no floats.
+with all amplitudes in Q[beta]/(beta^4 - 12).  Each C_2k is a single
+beta-monomial, Y_k beta^(1-k) / (18 576^k) with Y_k an integer, so this
+module runs the recursion in k on the integers Y_k and lifts each order
+into the field once.  Every order is checked in Q[beta] against the
+critically singular 2x2 system, solved by Cramer.  The module converts the
+amplitudes into the leading growth of the genus-g map counts, and verifies
+termwise that their generating function satisfies a Painleve-I type
+equation, with no floats.  Two identities in Q[beta] then check it against
+the source's rescaling (c, lambda) to the standard form Y'' = 6 Y^2 + tau,
+whose constants are taken as given.
 """
 
 from __future__ import annotations
@@ -20,14 +24,14 @@ from fractions import Fraction
 
 from mpmath import mp, workdps
 
-from .numbers import BETA, SQRT3, W_CRITICAL, Qbeta, gamma_exact
+from .numbers import BETA, SQRT3, W_CRITICAL, Qbeta, _qbeta, gamma_exact
 from .precision import BigFloat, rational_to_mp
 
 G0_AT_CRITICAL = Fraction(1, 108)
 B0_AT_CRITICAL = Qbeta((Fraction(1, 6), 0, Fraction(-1, 36), 0))  # (3 - sqrt(3))/18
 
-# Inverse slope of the determinant at w_c: 1/(2^(3/2) 3^(5/4)) = beta^3/72.
-# Keeping it as a field element is what lets the recursion stay exact.
+# Inverse slope of the determinant at w_c: 1/(2^(3/2) 3^(5/4)) = beta^3/72,
+# the unit of the Cramer solve, kept as a field element.
 _CRAMER_UNIT = BETA**3 / 72
 
 
@@ -57,43 +61,95 @@ class CriticalConstants:
     signs: tuple  # sign of each C[k]; expected -1 then all +1
 
 
-def _next_C(c: list) -> Qbeta:
-    """C_2k from C_0..C_(2k-2) by the closed one-line recursion."""
-    k = len(c)
-    cross_cc = sum((c[m] * c[k - m] for m in range(1, k)), Qbeta.rational(0))
-    return _CRAMER_UNIT * ((5 * k - 6) * (5 * k - 4) * c[k - 1] / 48 + 54 * cross_cc)
+def _monomial(n: int, den: int, r: int) -> Qbeta:
+    """n beta^r / den in the field, from integers: beta^r = 12^q beta^e with r = 4q + e."""
+    q, e = divmod(r, 4)
+    if q >= 0:
+        n *= 12**q
+    else:
+        den *= 12 ** (-q)
+    nums = [0, 0, 0, 0]
+    nums[e] = n
+    return _qbeta(*nums, den)
+
+
+def _graded_integer(x: Qbeta, r: int, den: int, what: str) -> int:
+    """The integer n with x = n beta^r / den; raises unless x has exactly that form."""
+    q, e = divmod(r, 4)
+    if x.grades() - {e}:
+        raise ArithmeticError(f"critical recursion inconsistency: {what} has beta-grades {sorted(x.grades())}")
+    n, rem = divmod(x.numerators[e] * den * 12 ** max(-q, 0), x.denominator * 12 ** max(q, 0))
+    if rem:
+        raise ArithmeticError(f"critical recursion inconsistency: {what} is not an integer over {den}")
+    return n
+
+
+def _pair_sum(v: list, k: int) -> int:
+    """sum_(m=1..k-1) v_m v_(k-m), with each symmetric pair multiplied once."""
+    total = 2 * sum(v[m] * v[k - m] for m in range(1, (k + 1) // 2))
+    if k % 2 == 0:
+        total += v[k // 2] * v[k // 2]
+    return total
+
+
+def _next_Y(y: list) -> int:
+    """Y_k from Y_0..Y_(k-1): 2(5k-6)(5k-4) Y_(k-1) + (1/2) sum_(m=1..k-1) Y_m Y_(k-m).
+
+    Every Y_m with m >= 1 is even, so the half is exact on integers.
+    """
+    k = len(y)
+    return 2 * (5 * k - 6) * (5 * k - 4) * y[k - 1] + _pair_sum(y, k) // 2
+
+
+# Cramer's rule on the singular 2x2 system at order k, times its unit beta^3/72:
+# C_2k = unit (-A_2k/18 + sqrt(3) B_2k/3) and D_2k = unit (-sqrt(3) A_2k/3 + 6 B_2k).
+_CRAMER_C = (_CRAMER_UNIT * Fraction(-1, 18), _CRAMER_UNIT * SQRT3 / 3)
+_CRAMER_D = (-_CRAMER_UNIT * SQRT3 / 3, _CRAMER_UNIT * 6)
+_D_OVER_C = 6 * SQRT3
 
 
 def run_C_recursion(G: int) -> CriticalConstants:
     """Exact C_2k/D_2k amplitudes through order G.
 
-    C_2k comes from the closed one-line recursion
+    The closed one-line recursion
 
         C_2k = (beta^3/72) ((5k-6)(5k-4) C_{2k-2}/48 + 54 sum C_2m C_2m'),
 
-    and D_2k = 6 sqrt(3) C_2k.  Each order is checked against the critically
-    singular 2x2 system: its right-hand side A_2k, B_2k is assembled from the
-    D data and solved by Cramer, and the solution must equal both C_2k and
+    divided by its grade and rescaled, runs on integers:
+    C_2k = Y_k beta^(1-k) / (18 576^k) with Y_0 = -1 and
+    Y_k = 2(5k-6)(5k-4) Y_(k-1) + (1/2) sum_(m=1..k-1) Y_m Y_(k-m).  Each
+    order is lifted into Q(beta) once, and D_2k = 6 sqrt(3) C_2k there.
+
+    Each order is checked against the critically singular 2x2 system in
+    Q(beta): its right-hand side A_2k, B_2k is assembled from the C and D
+    data, whose cross sums are integer dot products over the graded integers
+    Y_m and Z_m (D_2m = Z_m beta^(3-m) / (18 576^m), read back off the field
+    element), and solved by Cramer; the solution must equal both C_2k and
     D_2k, so a slip in the recursion raises instead of propagating.
     """
     if G < 0:
         raise ValueError("need G >= 0")
     _verify_critical_point()
+    y = [-1]
     c_list = [-BETA / 18]
     d_list = [-(BETA**3) / 6]
+    z = [_graded_integer(d_list[0], 3, 18, "D at order 0")]
     for k in range(1, G + 1):
-        c_k = _next_C(c_list)
-        d_k = 6 * SQRT3 * c_k
-        poly = Fraction((5 * k - 6) * (5 * k - 4))
-        zero = Qbeta.rational(0)
-        cross_cd = sum((c_list[m] * d_list[k - m] for m in range(1, k)), zero)
-        cross_dd = sum((d_list[m] * d_list[k - m] for m in range(1, k)), zero)
-        a_k = Fraction(-3, 16) * poly * c_list[k - 1] - 3 * cross_dd
-        b_k = Fraction(1, 576) * poly * d_list[k - 1] + 6 * cross_cd
-        _consistent(_CRAMER_UNIT * (-a_k / 18 + SQRT3 * b_k / 3), c_k, f"C at order {k}, singular system")
-        _consistent(_CRAMER_UNIT * (-SQRT3 * a_k / 3 + 6 * b_k), d_k, f"D at order {k}, singular system")
+        y.append(_next_Y(y))
+        scale = 18 * 576**k
+        c_k = _monomial(y[k], scale, 1 - k)
+        d_k = _D_OVER_C * c_k
+        # C_2m D_2m' and D_2m D_2m' over 18^2 576^k, of grades 4 - k and 6 - k
+        cross_cd = _monomial(sum(y[m] * z[k - m] for m in range(1, k)), 18 * scale, 4 - k)
+        cross_dd = _monomial(_pair_sum(z, k), 18 * scale, 6 - k)
+        poly = (5 * k - 6) * (5 * k - 4)
+        a_k = Fraction(-3 * poly, 16) * c_list[k - 1] - 3 * cross_dd
+        b_k = Fraction(poly, 576) * d_list[k - 1] + 6 * cross_cd
+        _consistent(_CRAMER_C[0] * a_k + _CRAMER_C[1] * b_k, c_k, f"C at order {k}, singular system")
+        _consistent(_CRAMER_D[0] * a_k + _CRAMER_D[1] * b_k, d_k, f"D at order {k}, singular system")
         c_list.append(c_k)
         d_list.append(d_k)
+        z.append(_graded_integer(d_k, 3 - k, scale, f"D at order {k}"))
     return CriticalConstants(G=G, C=tuple(c_list), D=tuple(d_list), signs=tuple(map(_sign, c_list)))
 
 
@@ -156,11 +212,14 @@ def compute_K(consts: CriticalConstants, g: int, precision: int = 40) -> BigFloa
 # -- Painleve I consistency --------------------------------------------------
 
 
-# The rescaling to Painleve I in standard form, Y'' = 6 Y^2 + tau, has
-# t = -c tau and lambda = 2^(3/10) 3^(5/4) on the amplitude function, with
-# c = 2^(-3/5).  It enters only through c^2/lambda = 2^(-3/2) 3^(-5/4) =
-# 1/(6 beta) and lambda c^3 = 2^(-3/2) 3^(5/4) = 3 beta/4, both in the field
-# (their product is c^5 = 1/8).
+# The source's rescaling to Painleve I in standard form, Y'' = 6 Y^2 + tau,
+# has t = -c tau and lambda = 2^(3/10) 3^(5/4) on the amplitude function,
+# with c = 2^(-3/5).  Its constants are taken as given, not derived: they
+# enter only through c^2/lambda = 2^(-3/2) 3^(-5/4) = 1/(6 beta) and
+# lambda c^3 = 2^(-3/2) 3^(5/4) = 3 beta/4, both in the field (their product
+# is c^5 = 1/8).  Substituting t = gamma tau, y = alpha Y literally into
+# y'' = q (y^2 - C_0^2 t) would instead need gamma^5 = -6/(q C_0)^2, about
+# -1/748, not -1/8.
 _C2_OVER_LAMBDA = 1 / (6 * BETA)
 _LAMBDA_C3 = 3 * BETA / 4
 
@@ -181,11 +240,14 @@ def painleve_check(consts: CriticalConstants, G: int) -> PainleveReport:
     Matching t^((2-5s)/2): C_{2(s-1)} (25(s-1)^2 - 1)/4 = q sum_{a+b=s} C_2a C_2b.
     s = 1 fixes q; s = 2..G must then vanish identically or the recursion is
     inconsistent.  The recursion's normalization nu = 3 beta^3/4 must equal
-    -1/(2 C_0), and the rescaling (c, lambda) to the standard form
-    Y'' = 6 Y^2 + tau must hold with the recursion's coefficient
-    q C_0 = 1/(8 mu) = 36 beta: (c^2/lambda) q C_0 = 6 and
-    (lambda c^3) q C_0^3 = 1.  Every check is an identity in the field, and a
-    failed one raises ``ArithmeticError``.
+    -1/(2 C_0).  Two identities then check the recursion against the
+    source's standard-form constants (c, lambda), taken as given, with the
+    recursion's coefficient q C_0 = 1/(8 mu) = 36 beta:
+    (c^2/lambda) q C_0 = 6 and (lambda c^3) q C_0^3 = 1.  They do not derive
+    the rescaling: substituting t = gamma tau, y = alpha Y literally into
+    y'' = q (y^2 - C_0^2 t) gives Y'' = 6 Y^2 + tau only for
+    gamma^5 = -6/(q C_0)^2, about -1/748, not -c^5 = -1/8.  Every check is an
+    identity in the field, and a failed one raises ``ArithmeticError``.
     """
     if G < 1:
         raise ValueError("need G >= 1")

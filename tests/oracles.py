@@ -10,9 +10,9 @@ The package itself never calls them.  By layer:
   Taylor terms by repeated differentiation, and the map to the coupling
   variable; the numeric value of a truncated series;
 * toda: the genus-1 3F2 sum with every term rebuilt from Pochhammer symbols;
-* critical: the numeric value of a Q(beta) element, and Neville fits of the
-  singular amplitudes C_2k and of w_c from the high-order series
-  coefficients;
+* critical: the numeric value of a Q(beta) element, the amplitude
+  recursion run in Q(beta) itself, and Neville fits of the singular
+  amplitudes C_2k and of w_c from the high-order series coefficients;
 * wick: a whole-matching classifier of faces, components and genus, with
   its own rotation, for any even vertex count;
 * finite_n and equilibrium: the moment-table inner product and the
@@ -30,7 +30,7 @@ from mpmath import mp, workdps
 from cubicmaps.equilibrium import EquilibriumData
 from cubicmaps.finite_n import _QUAD_GUARD
 from cubicmaps.hierarchy import StringHierarchy, compute_g0_series
-from cubicmaps.numbers import Qbeta, gamma_ratio
+from cubicmaps.numbers import BETA, SQRT3, Qbeta, gamma_ratio
 from cubicmaps.precision import BigFloat, as_mp, rational_to_mp
 from cubicmaps.series import (
     VAR_U2,
@@ -249,6 +249,20 @@ def qbeta_value(x: Qbeta):
     for c in reversed(x.c):
         acc = acc * beta + rational_to_mp(c)
     return acc
+
+
+def critical_amplitudes(G: int) -> tuple[list, list]:
+    """C_2k and D_2k = 6 sqrt(3) C_2k for k = 0..G, by the closed one-line
+    recursion run in Q(beta) itself:
+
+        C_2k = (beta^3/72) ((5k-6)(5k-4) C_{2k-2}/48 + 54 sum_(m=1..k-1) C_2m C_2(k-m)).
+    """
+    unit = BETA**3 / 72
+    c = [-BETA / 18]
+    for k in range(1, G + 1):
+        cross_cc = sum((c[m] * c[k - m] for m in range(1, k)), Qbeta.rational(0))
+        c.append(unit * ((5 * k - 6) * (5 * k - 4) * c[k - 1] / 48 + 54 * cross_cc))
+    return c, [6 * SQRT3 * x for x in c]
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from cubicmaps.critical import (
 )
 from cubicmaps.hierarchy import build_hierarchy
 from cubicmaps.numbers import BETA, SQRT3, W_CRITICAL, Qbeta
-from oracles import _neville_to_zero, critical_leading, qbeta_value
+from oracles import _neville_to_zero, critical_amplitudes, critical_leading, qbeta_value
 
 
 @pytest.fixture(scope="module")
@@ -50,18 +50,51 @@ def test_published_amplitudes(consts):
         assert abs(qbeta_value(consts.D[0]) - target) < mp.mpf(10) ** -28
 
 
+def test_integer_route_matches_qbeta_recursion():
+    # the integer route lifted into the field against the recursion run in
+    # Q(beta), element by element; signs against the numeric values
+    c, d = critical_amplitudes(60)
+    consts = run_C_recursion(60)
+    assert list(consts.C) == c
+    assert list(consts.D) == d
+    with workdps(30):
+        assert list(consts.signs) == [1 if qbeta_value(x) > 0 else -1 for x in c]
+
+
+def test_integer_step_values():
+    # Y_1 = 2 and Y_2 = 98 give the published C_2 = 1/5184 and C_4; every
+    # Y_k past Y_0 is even, which the half in the step relies on
+    y = [-1]
+    for _ in range(60):
+        y.append(critical._next_Y(y))
+    assert y[1:5] == [2, 98, 19600, 8824802]
+    assert all(v % 2 == 0 for v in y[1:])
+
+
 def test_singular_system_check_detects_a_wrong_C(monkeypatch):
-    # the closed recursion off by a rational at one order: the Cramer solution
-    # of the order-k singular system, built from the D data, must disagree
-    original = critical._next_C
+    # the integer step off by 2 at one order: the Cramer solution of the
+    # order-k singular system, built from the D data, must disagree
+    original = critical._next_Y
 
-    def perturbed(c):
-        return original(c) + (Fraction(1, 10**9) if len(c) == 3 else 0)
+    def perturbed(y):
+        return original(y) + (2 if len(y) == 3 else 0)
 
-    monkeypatch.setattr(critical, "_next_C", perturbed)
+    monkeypatch.setattr(critical, "_next_Y", perturbed)
     run_C_recursion(2)
     with pytest.raises(ArithmeticError, match="C at order 3, singular system"):
         run_C_recursion(5)
+
+
+def test_graded_integer_rejects_an_off_grade_D():
+    # D_2k = Z_k beta^(3-k) / (18 576^k) is read back only from that one grade
+    consts = run_C_recursion(3)
+    scale = 18 * 576**3
+    z3 = critical._graded_integer(consts.D[3], 0, scale, "D at order 3")
+    assert critical._monomial(z3, scale, 0) == consts.D[3]
+    with pytest.raises(ArithmeticError, match="D at order 3 has beta-grades"):
+        critical._graded_integer(consts.D[3] + BETA / scale, 0, scale, "D at order 3")
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        critical._graded_integer(consts.D[3] / 11, 0, scale, "D at order 3")
 
 
 def test_signs_and_grades(consts):

@@ -9,12 +9,13 @@ with all amplitudes in Q[beta]/(beta^4 - 12).  Each C_2k is a single
 beta-monomial, Y_k beta^(1-k) / (18 576^k) with Y_k an integer, so this
 module runs the recursion in k on the integers Y_k and lifts each order
 into the field once.  Every order is checked in Q[beta] against the
-critically singular 2x2 system, solved by Cramer.  The module converts the
-amplitudes into the leading growth of the genus-g map counts, and verifies
-termwise that their generating function satisfies a Painleve-I type
-equation, with no floats.  Two identities in Q[beta] then check it against
-the source's rescaling (c, lambda) to the standard form Y'' = 6 Y^2 + tau,
-whose constants are taken as given.
+critically singular 2x2 system, solved by Cramer.  The signs of the C_2k
+and the leading growth constants K_2g of the genus-g map counts are read
+off the integers Y_k.  The module also verifies termwise that the
+amplitudes' generating function satisfies a Painleve-I type equation, with
+no floats.  Two identities in Q[beta] then check it against the source's
+rescaling (c, lambda) to the standard form Y'' = 6 Y^2 + tau, whose
+constants are taken as given.
 """
 
 from __future__ import annotations
@@ -150,63 +151,37 @@ def run_C_recursion(G: int) -> CriticalConstants:
         c_list.append(c_k)
         d_list.append(d_k)
         z.append(_graded_integer(d_k, 3 - k, scale, f"D at order {k}"))
-    return CriticalConstants(G=G, C=tuple(c_list), D=tuple(d_list), signs=tuple(map(_sign, c_list)))
-
-
-def _sign(x: Qbeta) -> int:
-    """Sign of a beta-monomial: that of its one nonzero component, since beta > 0."""
-    grades = x.grades()
-    if len(grades) > 1:
-        raise ArithmeticError(f"{x} is not a beta-monomial; grades {sorted(grades)}")
-    if not grades:
-        return 0
-    q = x.c[grades.pop()]
-    return 1 if q > 0 else -1
+    # every lift factor is positive, so C_2k has the sign of Y_k
+    signs = tuple((v > 0) - (v < 0) for v in y)
+    return CriticalConstants(G=G, C=tuple(c_list), D=tuple(d_list), signs=signs)
 
 
 def _amplitude_exact(c2g: Qbeta, g: int) -> tuple[Fraction, int]:
     """Reduce 6*3^(1/4) C_2g / (Gamma((5g-1)/2) u_c^g) to (q, n): K = q (6 pi)^(n/2).
 
-    C_2g is a single beta-monomial of grade (1-g) mod 4; the half-integer
-    Gamma values contribute the sqrt(pi), tracked via n, so the rational
-    amplitudes come out exactly rational.
+    With C_2g = Y_g beta^(1-g) / (18 576^g) and u_c = 3^(1/4)/18 this is
+    K_2g = Y_g 6^((1-g)/2) / (3 32^g Gamma((5g-1)/2)).  Y_g is read back off
+    the field element, which raises unless C_2g has exactly that form.  For
+    odd g the Gamma value is rational and so is K; for even g it is r sqrt(pi)
+    and the remaining sqrt(6) / sqrt(pi) makes K rational over sqrt(6 pi).
     """
-    grade = (1 - g) % 4
-    extra = c2g.grades() - {grade}
-    if extra:
-        raise ArithmeticError(f"C_{2 * g} has unexpected beta-grades {sorted(extra)}")
-    q = c2g.c[grade]
-    two = grade  # running exponent of 2^(1/2)
-    three = grade  # running exponent of 3^(1/4)
-    q *= 6
-    three += 1
-    q *= Fraction(18) ** g  # 1/u_c^g = 18^g 3^(-g/4)
-    three -= g
-    gval, has_sqrt_pi = gamma_exact(Fraction(5 * g - 1, 2))
-    q /= gval
-    n = -1 if has_sqrt_pi else 0
-    two -= n
-    three -= 2 * n
-    if two % 2 or three % 4:
-        raise ArithmeticError("map-count amplitude is not rational * (6 pi)^(n/2)")
-    q *= Fraction(2) ** (two // 2) * Fraction(3) ** (three // 4)
-    return q, n
-
-
-def _amplitude_value(c2g: Qbeta, g: int, precision: int) -> BigFloat:
-    q, n = _amplitude_exact(c2g, g)
-    with workdps(precision + 10):
-        v = rational_to_mp(q)
-        if n == -1:
-            v = v / mp.sqrt(6 * mp.pi)
-    return BigFloat(v, precision)
+    y = _graded_integer(c2g, 1 - g, 18 * 576**g, f"C_{2 * g}")
+    r = gamma_exact(Fraction(5 * g - 1, 2))[0]
+    if g % 2:
+        return Fraction(y, 3 * 32**g * 6 ** ((g - 1) // 2)) / r, 0
+    return Fraction(2 * y, 32**g * 6 ** (g // 2)) / r, -1
 
 
 def compute_K(consts: CriticalConstants, g: int, precision: int = 40) -> BigFloat:
     """Leading large-size amplitude of the genus-g count coefficients."""
     if not 0 <= g <= consts.G:
         raise ValueError(f"genus {g} outside computed range 0..{consts.G}")
-    return _amplitude_value(consts.C[g], g, precision)
+    q, n = _amplitude_exact(consts.C[g], g)
+    with workdps(precision + 10):
+        v = rational_to_mp(q)
+        if n == -1:
+            v = v / mp.sqrt(6 * mp.pi)
+    return BigFloat(v, precision)
 
 
 # -- Painleve I consistency --------------------------------------------------

@@ -487,8 +487,6 @@ def _asymptotic_entry(rec: RecurrenceData, u_m, N: int, precision: int) -> tuple
 
 @dataclass(frozen=True)
 class AsymptoticReport:
-    u: BigFloat
-    precision: int
     branch: str
     entries: tuple
     gamma_ratios: tuple
@@ -516,8 +514,6 @@ def check_asymptotic_expansion(u, N_list, precision: int = 80) -> AsymptoticRepo
             ratio = as_mp(cur.epsilon_gamma) / ep if ep > 0 else mp.inf
             g_ratios.append(BigFloat(ratio, precision))
         return AsymptoticReport(
-            u=BigFloat(u_m, precision),
-            precision=precision,
             branch=branch,
             entries=tuple(entries),
             gamma_ratios=tuple(g_ratios),

@@ -199,7 +199,10 @@ class Qbeta:
         return self._n == (r[0], 0, 0, 0) and self._den == r[1]
 
     def __hash__(self) -> int:
-        return hash(self.c)
+        # a rational element hashes as the Fraction (or int) it equals
+        if self.is_rational():
+            return hash(Fraction(self._n[0], self._den))
+        return hash((self._n, self._den))
 
     def is_rational(self) -> bool:
         return not any(self._n[1:])
@@ -253,27 +256,3 @@ def gamma_exact(x: Fraction) -> tuple[Fraction, bool]:
         return Fraction(factorial(2 * n), 4**n * factorial(n)), True
     m = -n
     return Fraction((-4) ** m * factorial(m), factorial(2 * m)), True
-
-
-def gamma_ratio(a: Fraction, b: Fraction) -> Fraction:
-    """Gamma(a)/Gamma(b) for a - b a (possibly negative) integer; exact, sqrt(pi)-free.
-
-    Valid whenever no Gamma pole is crossed with integer arguments; for
-    half-integer arguments every factor is finite and nonzero.
-    """
-    a, b = Fraction(a), Fraction(b)
-    d = a - b
-    if d.denominator != 1:
-        raise ValueError(f"Gamma ratio needs integer offset, got {a} vs {b}")
-    steps = int(d)
-    # product of the factors low + i, i < |steps|, over their common denominator
-    low = b if steps >= 0 else a
-    num, den = low.numerator, low.denominator
-    out = 1
-    for i in range(abs(steps)):
-        f = num + i * den
-        if f == 0:
-            raise ZeroDivisionError("Gamma pole crossed at 0")
-        out *= f
-    ratio = Fraction(out, den ** abs(steps))
-    return ratio if steps >= 0 else 1 / ratio

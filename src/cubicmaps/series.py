@@ -125,7 +125,7 @@ class TruncatedSeries:
                 and self._den == other._den and self._num == other._num)
 
     def __hash__(self) -> int:
-        return hash((self.var, self.offset, self.coeffs))
+        return hash((self.var, self.offset, self._num, self._den))
 
     @property
     def known_max(self) -> int:

@@ -28,7 +28,7 @@ from mpmath import mp
 
 from .critical import _amplitude_exact, run_C_recursion
 from .hierarchy import build_hierarchy
-from .numbers import gamma_ratio
+from .numbers import gamma_exact
 from .precision import BigFloat
 from .series import VAR_U2, VAR_W, TruncatedSeries, from_numerators, zero_series
 
@@ -79,8 +79,6 @@ def free_energy_series(g_max: int, horizon: int) -> tuple:
 
 @dataclass(frozen=True)
 class GenusCoeffTable:
-    g_max: int
-    j_max: int
     counts: MappingProxyType  # (g, j) -> int, the connected graph count f^(2g)_{2j}
 
     def count(self, g: int, j: int) -> int:
@@ -117,14 +115,14 @@ def genus_table(g_max: int, j_max: int) -> GenusCoeffTable:
             counts[(g, j)] = f
     if counts.get((0, 1)) not in (None, 12):
         raise ArithmeticError("f(0, 1) must be 12")
-    return GenusCoeffTable(g_max=g_max, j_max=j_max, counts=MappingProxyType(counts))
+    return GenusCoeffTable(counts=MappingProxyType(counts))
 
 
 def genus0_closed_form(j: int) -> Fraction:
     """Planar count: 72^j Gamma(3j/2) (2j)! / (2 Gamma(j+3) Gamma(j/2+1))."""
     if j < 1:
         raise ValueError("counts start at j = 1")
-    ratio = gamma_ratio(Fraction(3 * j, 2), Fraction(j, 2) + 1)
+    ratio = gamma_exact(Fraction(3 * j, 2))[0] / gamma_exact(Fraction(j, 2) + 1)[0]
     return 72**j * factorial(2 * j) * ratio / (2 * factorial(j + 2))
 
 
@@ -146,7 +144,7 @@ def genus1_closed_form(j: int) -> Fraction:
     """Torus count via the terminating hypergeometric sum."""
     if j < 1:
         raise ValueError("counts start at j = 1")
-    ratio = gamma_ratio(Fraction(3 * j, 2), Fraction(j, 2) + 1)
+    ratio = gamma_exact(Fraction(3 * j, 2))[0] / gamma_exact(Fraction(j, 2) + 1)[0]
     prefactor = 5 * 72**j * factorial(2 * j) * ratio / (48 * (3 * j + 2) * factorial(j))
     return prefactor * _genus1_hyp_sum(j)
 

@@ -30,7 +30,7 @@ from mpmath import mp, workdps
 from cubicmaps.equilibrium import EquilibriumData
 from cubicmaps.finite_n import _QUAD_GUARD
 from cubicmaps.hierarchy import StringHierarchy, compute_g0_series
-from cubicmaps.numbers import BETA, SQRT3, Qbeta, gamma_ratio
+from cubicmaps.numbers import BETA, SQRT3, Qbeta, gamma_exact
 from cubicmaps.precision import BigFloat, as_mp, rational_to_mp
 from cubicmaps.series import (
     VAR_U2,
@@ -97,7 +97,7 @@ def g0_coefficient(j: int) -> Fraction:
     """w^j coefficient of the leading series: Gamma(3j/2-1) 72^(j-1) / (2 Gamma(j) Gamma(j/2+1))."""
     if j < 1:
         raise ValueError("coefficients start at w^1")
-    ratio = gamma_ratio(Fraction(3 * j, 2) - 1, Fraction(j, 2) + 1)
+    ratio = gamma_exact(Fraction(3 * j, 2) - 1)[0] / gamma_exact(Fraction(j, 2) + 1)[0]
     return ratio * 72 ** (j - 1) / (2 * factorial(j - 1))
 
 

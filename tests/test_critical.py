@@ -102,10 +102,6 @@ def test_signs_and_grades(consts):
     assert all(s == 1 for s in consts.signs[1:])
     for k in range(consts.G + 1):
         assert consts.C[k].grades() <= {(1 - k) % 4}
-    # the sign is read off the one nonzero beta-grade; a sum of grades has none
-    assert critical._sign(-BETA**3 / 7) == -1 and critical._sign(Qbeta.rational(0)) == 0
-    with pytest.raises(ArithmeticError, match="not a beta-monomial"):
-        critical._sign(1 - BETA)
 
 
 def test_critical_point_identities():
@@ -124,16 +120,23 @@ def test_count_amplitude_reduction(consts):
     assert _amplitude_exact(consts.C[3], 3) == (Fraction(245, 5308416), 0)
     assert _amplitude_exact(consts.C[4], 4) == (Fraction(37079, 5337446400), -1)
     # oracle: evaluate the defining ratio 6*3^(1/4) C_2g / (Gamma((5g-1)/2) u_c^g)
+    # for every genus the benchmark's critical jobs print, and past them
+    deep = run_C_recursion(40)
     with workdps(50):
         u_c = mp.root(3, 4) / 18
-        for g in range(7):
-            direct = 6 * mp.root(3, 4) * qbeta_value(consts.C[g])
+        for g in range(41):
+            direct = 6 * mp.root(3, 4) * qbeta_value(deep.C[g])
             direct /= mp.gamma(mp.mpf(5 * g - 1) / 2) * u_c**g
-            q, n = _amplitude_exact(consts.C[g], g)
+            q, n = _amplitude_exact(deep.C[g], g)
             folded = mp.mpf(q.numerator) / q.denominator
             if n == -1:
                 folded /= mp.sqrt(6 * mp.pi)
             assert abs(direct - folded) < abs(direct) * mp.mpf(10) ** -45
+    # Y_g is read back off the one grade 1 - g; any other component raises
+    with pytest.raises(ArithmeticError, match="C_6 has beta-grades"):
+        _amplitude_exact(consts.C[3] + BETA, 3)
+    with pytest.raises(ArithmeticError, match="C_6 is not an integer"):
+        _amplitude_exact(consts.C[3] / 11, 3)
 
 
 def test_count_amplitude_values(consts):

@@ -17,7 +17,6 @@ from cubicmaps.numbers import (
     Qbeta,
     double_factorial,
     gamma_exact,
-    gamma_ratio,
 )
 from cubicmaps.precision import agreement_digits
 from oracles import binomial, pochhammer, qbeta_value
@@ -112,17 +111,6 @@ def test_gamma_exact_integer_and_half():
         gamma_exact(Fraction(0))
 
 
-def test_gamma_ratio():
-    assert gamma_ratio(Fraction(9, 2), Fraction(5, 2)) == Fraction(35, 4)
-    assert gamma_ratio(Fraction(5, 2), Fraction(9, 2)) == Fraction(4, 35)
-    assert gamma_ratio(Fraction(7), Fraction(4)) == 120
-    # consistency with the explicit values
-    a, b = Fraction(11, 2), Fraction(3, 2)
-    ra, ha = gamma_exact(a)
-    rb, hb = gamma_exact(b)
-    assert ha == hb and gamma_ratio(a, b) == ra / rb
-
-
 def test_binomial_half_integer():
     assert binomial(Fraction(1, 2), 2) == Fraction(-1, 8)
     assert binomial(5, 2) == 10
@@ -205,13 +193,23 @@ def test_integer_qbeta_matches_fraction_reference(a, other, n):
         assert x.inverse() == Qbeta(_ref_inverse(a)) and x**n == Qbeta(_ref_pow(a, n))
 
 
+def test_qbeta_rational_hashes_as_its_fraction():
+    # equal values hash equally across types, so a rational element is found
+    # in a set or dict keyed by the int or Fraction it equals, and back
+    assert hash(Qbeta.rational(Fraction(3, 2))) == hash(Fraction(3, 2))
+    assert hash(Qbeta.rational(3)) == hash(3) and hash(Qbeta.rational(0)) == hash(0)
+    assert 3 in {Qbeta.rational(3)} and Qbeta.rational(3) in {3}
+    assert Fraction(-5, 7) in {Qbeta.rational(Fraction(-5, 7)): 1}
+    assert BETA / 2 in {Qbeta((0, Fraction(1, 2), 0, 0))}
+
+
 def test_qbeta_canonical_form_and_value_semantics():
     # one value built over unequal denominators
     x = Qbeta((Fraction(1, 2), Fraction(1, 3), 0, Fraction(-5, 6)))
     y = Qbeta((Fraction(3, 4), 0, Fraction(1, 4), 0)) * Fraction(2, 3) + Qbeta(
         (0, Fraction(2, 6), Fraction(-1, 6), Fraction(-10, 12))
     )
-    assert x == y and hash(x) == hash(y) == hash(x.c)
+    assert x == y and hash(x) == hash(y)
     assert {x: 1}[y] == 1
     assert Qbeta((Fraction(6, 4), 0, 0, 0)) == Fraction(3, 2)
     assert Qbeta.rational(7) == 7 and Qbeta.rational(0) == 0

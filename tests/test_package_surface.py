@@ -70,3 +70,43 @@ def _definitions(tree):
 
 def test_every_top_level_definition_has_a_caller():
     assert unused_definitions() == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def unread_dataclass_fields() -> list[str]:
+    """Fields of a package dataclass that nothing reads as an attribute.
+
+    A field counts as read when ``<expr>.<field>`` is loaded anywhere in
+    ``src/cubicmaps``, ``perfbench`` or ``tests``; setting it through the
+    constructor is not a read.  Reads are matched by name alone, so a field
+    whose name some other object also carries stays hidden even when no
+    code reads it (``AsymptoticReport.u`` was one, beside every report and
+    equilibrium that has a ``.u``).
+    """
+    paths = [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").rglob("*.py"), *(ROOT / "tests").glob("*.py")]
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)):
+                continue
+            for member in node.body:
+                if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                    if member.target.id not in read:
+                        unread.append(f"{path.stem}.{node.name}.{member.target.id}")
+    return unread
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_dataclass_fields() == []

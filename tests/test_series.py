@@ -327,6 +327,8 @@ def test_coeffs_are_fractions_and_equality_is_by_value():
     assert from_ints.offset == 0 and from_ints.coeffs == (2, 4, 6)
     assert all(type(c) is Fraction for c in from_ints.coeffs)
     assert from_ints == from_fractions and hash(from_ints) == hash(from_fractions)
+    squared = from_ints * from_ints
+    assert hash(squared) == hash(w_series([4, 16, 40])) and squared._coeffs is None  # hashed on integers
     halves = w_series([Fraction(1, 2), Fraction(3, 2)])
     assert halves == w_series([Fraction(2, 4), Fraction(6, 4)])
     assert halves != w_series([Fraction(1, 2), Fraction(3, 2)], offset=1)

@@ -422,8 +422,8 @@ def string_residuals(data: RecurrenceData, u, N: int):
 
 def _slice_values(g0, w):
     # the 1/N^2 terms (g2, b2) in closed form on any branch of the leading
-    # slice g0 (``equilibrium._g0_branch``); det is the Cramer denominator
-    # 1 - 108 g0
+    # slice g0 (``equilibrium._g0_branch``); det = 1 - 108 g0 is the
+    # hierarchy's determinant, which divides each order once
     det = 1 - 108 * g0
     g2 = 162 * g0 * (5 - 324 * g0) / det ** 4
     b2 = 54 * w / (g0 * det ** 4)

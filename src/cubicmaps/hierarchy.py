@@ -9,8 +9,8 @@ equations.  The leading orders obey
 equivalently the cubic 72*g0^3 - g0^2 + w^2 = 0, and each correction pair
 (g_{2k}, b_{2k}) solves a 2x2 linear system whose right-hand side collects
 Taylor-shifted derivatives of lower orders with weights 1/((2j)! 2^(2j)).
-The determinant D(w) = 1 - 108*g0(w) is a unit in the series ring, so the
-whole hierarchy stays exact rational arithmetic.
+Eliminating g_{2k} leaves b_{2k} times D(w) = 1 - 108*g0(w), a unit in the
+series ring, so the whole hierarchy stays exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .series import VAR_W, TruncatedSeries, from_numerators
+from .series import VAR_W, TruncatedSeries, even_taylor_sum, from_numerators, product_sum
 
 
 def g0_coefficients(n: int) -> list[int]:
@@ -70,44 +70,33 @@ def solve_order_k(
     det: TruncatedSeries,
     t_lower: Sequence[TruncatedSeries],
 ) -> tuple[TruncatedSeries, TruncatedSeries, TruncatedSeries]:
-    """Next correction pair from all lower orders, by Cramer on the 2x2 system.
+    """Next correction pair from all lower orders, by elimination on the 2x2 system.
 
-        6*g_k + (6*b0 - 1)*b_k = R1 = -6*sum g_m^(2j)/((2j)! 2^2j) - 3*sum b_m*b_m'
-        (1 - 6*b0)*g_k - 6*g0*b_k = R2 = 6*sum g_m*b_m'^(2j)/((2j)! 2^2j)
+        6*g_k - R*b_k = R1 = -6*sum g_m^(2j)/((2j)! 2^2j) - 3*sum b_m*b_m'
+        R*g_k - 6*g0*b_k = R2 = 6*sum g_m*b_m'^(2j)/((2j)! 2^2j)
 
-    with every sum over indices summing to k, all strictly below k.  R2 is
-    assembled from the completed anti-diagonal sums
+    with R = 1 - 6*b0 and every sum over indices summing to k, all strictly
+    below k.  Since R^2 - 36*g0 = det, b_k*det = 6*R2 - R*R1 and then
+    6*g_k = R1 + R*b_k.  R2 is assembled from the carried anti-diagonal sums
 
         T_n = sum_(m+j=n) b_m^(2j)/((2j)! 2^2j),   t_lower = (T_0, ..., T_(k-1)),
 
-    as R2 = 6 (g0 U_k + sum_(m=1..k-1) g_m T_(k-m)) with U_k = T_k - b_k, so
-    an order costs k products.  Each Taylor term s^(2j)/((2j)! 2^2j) is one
-    binomial pass over s (``TruncatedSeries.even_taylor_term``).  Returns
-    (g_k, b_k, T_k).
+    as R2 = 6 (g0 U_k + sum_(m=1..k-1) g_m T_(k-m)) with U_k = T_k - b_k.  Each
+    anti-diagonal is one ``even_taylor_sum`` or ``product_sum``; beside them an
+    order costs one division and the products R*R1 and R*b_k.  Returns (g_k, b_k, T_k).
     """
     k = len(g_lower)
     if k < 1 or len(b_lower) != k or len(t_lower) != k:
         raise ValueError("need matching g, b and T prefixes of length k >= 1")
     g0, b0 = g_lower[0], b_lower[0]
+    r = 1 - b0 * 6
 
-    r1 = g0.even_taylor_term(k)
-    for m in range(1, k):
-        r1 = r1 + g_lower[m].even_taylor_term(k - m)
-    r1 = r1 * (-6)
-    for m in range(1, (k + 1) // 2):  # pairs m < m' with m + m' = k, each standing for two ordered pairs
-        r1 = r1 - b_lower[m] * b_lower[k - m] * 6
-    if k % 2 == 0:
-        r1 = r1 - b_lower[k // 2] * b_lower[k // 2] * 3
-    uk = b0.even_taylor_term(k)
-    for m in range(1, k):
-        uk = uk + b_lower[m].even_taylor_term(k - m)
-    r2 = g0 * uk
-    for m in range(1, k):
-        r2 = r2 + g_lower[m] * t_lower[k - m]
-    r2 = r2 * 6
-
-    gk = (r1 * (g0 * -6) - (b0 * 6 - 1) * r2) / det
-    bk = (r2 * 6 - (1 - b0 * 6) * r1) / det
+    r1 = even_taylor_sum((g_lower[m], k - m) for m in range(k)) * -6
+    if k > 1:  # pairs m < m' with m + m' = k stand for two ordered pairs
+        r1 = r1 + product_sum((-6 if 2 * m < k else -3, b_lower[m], b_lower[k - m]) for m in range(1, k // 2 + 1))
+    uk = even_taylor_sum((b_lower[m], k - m) for m in range(k))
+    bk = product_sum([(36, g0, uk), *((36, g_lower[m], t_lower[k - m]) for m in range(1, k)), (-1, r, r1)]) / det
+    gk = (r1 + r * bk) * Fraction(1, 6)
     return gk, bk, uk + bk
 
 
@@ -123,18 +112,17 @@ class StringHierarchy:
 def build_hierarchy(max_k: int, horizon: int) -> StringHierarchy:
     """Solve the hierarchy through correction order max_k, exact to the w-horizon.
 
-    The leading series is padded by 2*max_k orders internally because the
-    Taylor term s^(2j) slides the known window down by 2j exponents.
-    The leading pair comes from ``compute_g0_series``: g0 by its term ratio,
-    certified by the cubic's residual, and b0 = (1 - R)/6 from that
-    certificate, so the leading slice takes two series products and no
-    division.  Each Taylor term is one binomial pass over a lower order and
-    the anti-diagonal sums T_n are carried from order to order, so order k
-    costs O(k) series products.
+    Order k slides the known windows of the leading pair down by 2k exponents
+    (the Taylor term s^(2k)), so the leading series is padded by 2*max_k
+    exponents, and by one at max_k = 0, where b0, known one exponent short of
+    g0, is itself an output.  The leading pair comes from
+    ``compute_g0_series``: g0 by its term ratio, certified by the cubic's
+    residual, and b0 = (1 - R)/6 from that certificate, with no division.
+    Each order divides once, by det; the anti-diagonal sums T_n are carried.
     """
     if max_k < 0 or horizon < 1:
         raise ValueError("need max_k >= 0 and horizon >= 1")
-    pad = horizon + 2 * max_k + 2
+    pad = horizon + max(2 * max_k, 1)
     g0, b0 = compute_g0_series(pad)
     det = 1 - g0 * 108
 

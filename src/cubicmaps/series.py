@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd, lcm
+from itertools import repeat
 from operator import add, mul
 from typing import Any
 
@@ -30,19 +31,6 @@ _VARS = (VAR_U2, VAR_W)
 
 class BeyondHorizonError(IndexError):
     """Requested coefficient lies above the series' known window."""
-
-
-def _place(values, lo: int, n: int) -> list:
-    """n slots holding values from slot lo on, zero elsewhere (values cut at n)."""
-    lo = min(lo, n)
-    body = list(values[: n - lo])
-    return [0] * lo + body + [0] * (n - lo - len(body))
-
-
-def _convolve(a, b, n: int) -> list:
-    """First n coefficients of the product of two coefficient runs of length >= n."""
-    rb = b[n - 1 :: -1]
-    return [sum(map(mul, a, rb[n - 1 - k :])) for k in range(n)]
 
 
 class TruncatedSeries:
@@ -163,25 +151,18 @@ class TruncatedSeries:
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
             return self._add_scalar(other)
-        self._check_var(other)
-        offset = min(self.offset, other.offset)
-        n = min(self.known_max, other.known_max) - offset + 1
-        da, db = self._den, other._den
-        g = gcd(da, db)
-        a = _place(self._num, self.offset - offset, n)
-        b = _place(other._num, other.offset - offset, n)
-        if db != g:
-            a = [x * (db // g) for x in a]
-        if da != g:
-            b = [x * (da // g) for x in b]
-        return self._rational(offset, list(map(add, a, b)), da // g * db)
+        return even_taylor_sum(((self, 0), (other, 0)))
 
     __radd__ = __add__
 
     def _add_scalar(self, c):
         if self.known_max < 0:
             raise BeyondHorizonError("window ends below exponent 0")
-        return self + monomial(self.var, c, 0, self.known_max)
+        q, lo = _require_rational(c).denominator, min(self.offset, 0)
+        g = gcd(self._den, q)  # the constant joins the exponent-0 numerator
+        nums = [0] * (self.offset - lo) + [x * (q // g) for x in self._num]
+        nums[-lo] += c.numerator * (self._den // g)
+        return self._rational(lo, nums, self._den // g * q)
 
     def __neg__(self):
         return self._scale(-1)
@@ -199,10 +180,7 @@ class TruncatedSeries:
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return self._scale(other)
-        self._check_var(other)
-        n = min(len(self._num), len(other._num))
-        offset = self.offset + other.offset
-        return self._rational(offset, _convolve(self._num, other._num, n), self._den * other._den)
+        return product_sum(((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -226,19 +204,6 @@ class TruncatedSeries:
             q.append(a[i] * powers[i] - sum(map(mul, b1, reversed(q))))
         nums = [x * powers[n - 1 - i] * other._den for i, x in enumerate(q)]
         return self._rational(offset, nums, powers[n] * self._den)
-
-    # -- calculus ----------------------------------------------------------
-
-    def even_taylor_term(self, j: int):
-        """s^(2j) / ((2j)! 4^j): var^e gets binom(e + 2j, 2j) s_(e+2j) / 4^j.
-
-        The window slides down 2j exponents and keeps its length, as 2j
-        derivatives would leave it.  For e + 2j < 0 the generalized binomial
-        binom(-n, 2j) = binom(n + 2j - 1, 2j) applies (2j is even).
-        """
-        k, e0 = 2 * j, self.offset
-        out = [x * (comb(e, k) if e >= 0 else comb(k - e - 1, k)) for e, x in enumerate(self._num, e0)]
-        return self._rational(e0 - k, out, self._den << k)
 
     # -- structure ---------------------------------------------------------
 
@@ -275,7 +240,7 @@ class TruncatedSeries:
         if rn * rn != c0.numerator or rd * rd != c0.denominator:
             raise ValueError(f"leading coefficient {c0} is not a rational square")
         n = len(base.coeffs)
-        t = monomial(self.var, Fraction(rn, rd), 0, base.known_max)
+        t = zero_series(self.var, base.known_max) + Fraction(rn, rd)
         steps = 0
         while (1 << steps) <= n:
             steps += 1
@@ -303,12 +268,6 @@ def _require_rational(c):
     return c
 
 
-def monomial(var: str, coeff, exponent: int, known_max: int) -> TruncatedSeries:
-    if known_max < exponent:
-        raise ValueError("known_max below the monomial exponent")
-    return TruncatedSeries(var, exponent, (coeff,) + (0,) * (known_max - exponent))
-
-
 def zero_series(var: str, known_max: int) -> TruncatedSeries:
     return TruncatedSeries(var, known_max, (0,))
 
@@ -322,3 +281,56 @@ def from_numerators(var: str, offset: int, nums, den: int) -> TruncatedSeries:
     out = object.__new__(TruncatedSeries)
     out._set(var, offset, nums, den)
     return out
+
+
+def product_sum(terms) -> TruncatedSeries:
+    """Sum of c*a*b over (c, a, b) terms with int weights c, in one pass over one denominator.
+
+    The window is the min-horizon rule over the products, then their sum;
+    only coefficients inside it are computed, into one integer accumulator
+    reduced by one gcd.  A square (a is b) sums each symmetric pair once.
+    """
+    terms = list(terms)
+    lo = min(a.offset + b.offset for _, a, b in terms)
+    acc = [0] * (min(a.offset + b.offset + min(len(a._num), len(b._num)) for _, a, b in terms) - lo)
+    den = lcm(*(a._den * b._den for _, a, b in terms))
+    for c, a, b in terms:
+        terms[0][1]._check_var(a)
+        a._check_var(b)
+        o = a.offset + b.offset - lo
+        n = len(acc) - o
+        c *= den // (a._den * b._den)
+        x = a._num
+        if a is b:
+            for k in range(n):
+                s = 2 * sum(map(mul, x[: (k + 1) // 2], x[k : k // 2 : -1]))
+                acc[o + k] += c * (s if k % 2 else s + x[k // 2] ** 2)
+        elif n > 0:
+            x = [v * c for v in x[:n]] if c != 1 else x
+            ry = b._num[n - 1 :: -1]
+            for k in range(n):
+                acc[o + k] += sum(map(mul, x, ry[n - 1 - k :]))
+    return terms[0][1]._rational(lo, acc, den)
+
+
+def even_taylor_sum(terms) -> TruncatedSeries:
+    """Sum of s^(2j) / ((2j)! 4^j) over (s, j) terms, in one binomial pass over one denominator.
+
+    In one term var^e gets binom(e + 2j, 2j) s_(e+2j) / 4^j: its window
+    slides down 2j exponents and keeps its length, as 2j derivatives would
+    leave it.  For e + 2j < 0 the generalized binomial binom(-n, 2j) =
+    binom(n + 2j - 1, 2j) applies (2j is even).  The sum's window is the
+    min-horizon rule over the terms; with every j = 0 it is a plain sum (``+``).
+    """
+    terms = [(s, 2 * j) for s, j in terms]
+    lo = min(s.offset - k for s, k in terms)
+    acc = [0] * (min(s.known_max - k for s, k in terms) - lo + 1)
+    den = lcm(*(s._den << k for s, k in terms))
+    for s, k in terms:
+        terms[0][0]._check_var(s)
+        o = s.offset - k - lo
+        n = max(len(acc) - o, 0)
+        scale = den // (s._den << k)
+        weights = (scale * comb(e, k) if e >= 0 else scale * comb(k - e - 1, k) for e in range(s.offset, s.offset + n))
+        acc[o : o + n] = map(add, acc[o : o + n], map(mul, s._num, weights if k else repeat(scale, n)))
+    return terms[0][0]._rational(lo, acc, den)

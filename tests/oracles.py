@@ -38,11 +38,17 @@ from cubicmaps.series import (
     BeyondHorizonError,
     TruncatedSeries,
     from_numerators,
-    monomial,
     zero_series,
 )
 
 # -- series and hierarchy --------------------------------------------------
+
+
+def monomial(var: str, coeff, exponent: int, known_max: int) -> TruncatedSeries:
+    """coeff * var^exponent, known through known_max."""
+    if known_max < exponent:
+        raise ValueError("known_max below the monomial exponent")
+    return TruncatedSeries(var, exponent, (coeff,) + (0,) * (known_max - exponent))
 
 
 def assert_same_series(a: TruncatedSeries, b: TruncatedSeries, through: int | None = None) -> None:
@@ -156,7 +162,7 @@ def taylor_weight(j: int) -> Fraction:
 
 def even_derivatives(g, b):
     """d2j(which, m, j): the memoised (2j)-th derivative of g[m] or b[m] (which = "g" or "b"),
-    by repeated ``differentiate``, a different route from ``even_taylor_term``."""
+    by repeated ``differentiate``, a different route from ``series.even_taylor_sum``."""
     derivs: dict[tuple[str, int, int], TruncatedSeries] = {}
 
     def d2j(which: str, m: int, j: int) -> TruncatedSeries:

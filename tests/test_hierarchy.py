@@ -10,13 +10,14 @@ from cubicmaps.hierarchy import (
     g0_coefficients,
     solve_order_k,
 )
-from cubicmaps.series import monomial, VAR_U2, VAR_W
+from cubicmaps.series import TruncatedSeries, VAR_U2, VAR_W
 from oracles import (
     assert_same_series,
     g0_coefficient,
     g2_closed_form,
     g2_coefficient,
     hat_equation_residuals,
+    monomial,
     to_u_variable,
 )
 
@@ -152,3 +153,19 @@ def test_solve_order_k_rejects_bad_prefixes():
         solve_order_k([h.g_hat[0]], [], h.det, [h.b_hat[0]])
     with pytest.raises(ValueError):
         solve_order_k([h.g_hat[0]], [h.b_hat[0]], h.det, [])
+
+
+@pytest.mark.parametrize("max_k, horizon", [(0, 5), (1, 12), (9, 20), (3, 40)])
+def test_build_hierarchy_divides_once_per_order(monkeypatch, max_k, horizon):
+    # the leading slice needs no division and each order one, by the determinant
+    divisors = []
+    original = TruncatedSeries.__truediv__
+
+    def counted(self, other):
+        divisors.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__truediv__", counted)
+    h = build_hierarchy(max_k, horizon)
+    assert len(divisors) == max_k
+    assert all(d.truncate_to(horizon) == h.det for d in divisors)

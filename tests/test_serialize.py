@@ -18,7 +18,8 @@ from cubicmaps.serialize import (
     encode_series,
     encode_value,
 )
-from cubicmaps.series import VAR_U2, VAR_W, from_numerators, monomial
+from cubicmaps.series import VAR_U2, VAR_W, from_numerators
+from oracles import monomial
 
 
 def test_fraction_tags():

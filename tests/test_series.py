@@ -13,11 +13,12 @@ from cubicmaps.series import (
     VAR_W,
     BeyondHorizonError,
     TruncatedSeries,
+    even_taylor_sum,
     from_numerators,
-    monomial,
+    product_sum,
     zero_series,
 )
-from oracles import assert_same_series, binomial, differentiate, from_coefficients, taylor_weight
+from oracles import assert_same_series, binomial, differentiate, from_coefficients, monomial, taylor_weight
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=8)
 
@@ -239,6 +240,7 @@ kernel_series = st.builds(
 @given(kernel_series, kernel_series)
 def test_mul_and_add_match_reference(a, b):
     _assert_matches(a * b, _ref_mul(a, b))
+    _assert_matches(a * a, _ref_mul(a, a))  # the square kernel
     _assert_matches(a + b, _ref_add(a, b))
     _assert_matches(a - b, _ref_add(a, -b))
 
@@ -293,20 +295,62 @@ def test_calculus_matches_reference(s):
     _assert_matches(differentiate(s), (offset - 1, [c * (offset + i) for i, c in enumerate(coeffs)]))
 
 
+zero_kernel_series = st.builds(lambda n, o: w_series([0] * n, o), st.integers(1, 4), st.integers(-5, 5))
+
+
 @settings(max_examples=120, deadline=None)
-@given(st.one_of(kernel_series, st.builds(lambda n, o: w_series([0] * n, o),
-                                          st.integers(1, 4), st.integers(-5, 5))),
-       st.integers(min_value=0, max_value=6))
+@given(st.one_of(kernel_series, zero_kernel_series), st.integers(min_value=0, max_value=6))
 def test_even_taylor_term_matches_repeated_differentiation(s, j):
-    # against 2j derivatives times 1/((2j)! 4^j), and against the
-    # generalized binomial on Fractions, so both the comb and the 4^j shift show
+    # a one-term sum against 2j derivatives times 1/((2j)! 4^j), and against
+    # the generalized binomial on Fractions, so both the comb and the 4^j shift show
     d = s
     for _ in range(2 * j):
         d = differentiate(d)
-    t = s.even_taylor_term(j)
+    t = even_taylor_sum([(s, j)])
     assert t == d * taylor_weight(j)
     offset, coeffs = _ref_terms(s)
     _assert_matches(t, (offset - 2 * j, [c * binomial(offset + i, 2 * j) / 4**j for i, c in enumerate(coeffs)]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.tuples(st.one_of(kernel_series, zero_kernel_series), st.integers(0, 5)), min_size=1, max_size=5))
+def test_even_taylor_sum_matches_single_terms(terms):
+    # one pass over one denominator against the sum of one-term sums: the
+    # same values in the same window, the lowest shifted offset through the
+    # lowest shifted known_max
+    expected = even_taylor_sum(terms[:1])
+    for term in terms[1:]:
+        expected = expected + even_taylor_sum([term])
+    got = even_taylor_sum(terms)
+    assert got == expected and got.known_max == min(s.known_max - 2 * j for s, j in terms)
+
+
+def _twin(s):
+    # an equal series that is a different object, so a * _twin(a) is no square
+    return from_numerators(s.var, s.offset, s.numerators, s.denominator)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(kernel_series, zero_kernel_series), min_size=1, max_size=4),
+       st.lists(st.tuples(st.integers(-7, 7), st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=5))
+def test_product_sum_matches_chained_products(pool, picks):
+    # weighted products summed in one pass against `*` and `+` one at a time,
+    # value and window both; picking the same series twice makes a square
+    terms = [(c, pool[i % len(pool)], pool[j % len(pool)]) for c, i, j in picks]
+    expected = None
+    for c, a, b in terms:
+        p = a * _twin(b) * c
+        expected = p if expected is None else expected + p
+    got = product_sum(terms)
+    assert got == expected and got.known_max == expected.known_max
+
+
+def test_product_sum_rejects_mixed_variables():
+    a = w_series([1, 2])
+    with pytest.raises(ValueError):
+        product_sum([(1, a, a), (1, a, a.retag(VAR_U2))])
+    with pytest.raises(ValueError):
+        even_taylor_sum([(a, 1), (a.retag(VAR_U2), 0)])
 
 
 def test_zero_series_is_pinned_and_absorbing():

@@ -8,7 +8,7 @@ import cubicmaps.toda as toda
 from cubicmaps.critical import compute_K, run_C_recursion
 from cubicmaps.hierarchy import build_hierarchy
 from cubicmaps.precision import agreement_digits
-from cubicmaps.series import TruncatedSeries, VAR_U2, VAR_W, monomial
+from cubicmaps.series import TruncatedSeries, VAR_U2, VAR_W
 from cubicmaps.toda import (
     count_vs_estimate,
     free_energy_series,
@@ -18,7 +18,7 @@ from cubicmaps.toda import (
     log_count_estimate,
     toda_integrate,
 )
-from oracles import genus1_hyp_sum
+from oracles import genus1_hyp_sum, monomial
 
 # genus 0..2 free-energy heads through u^10
 F0_HEAD = [6, 216, 13608, 1119744, Fraction(540416448, 5)]

@@ -12,10 +12,10 @@ float samples, sets h = 1/n from it, cuts the sum where radial tail bounds on
 the path close, and takes the tau of a short ladder that needs the fewest
 nodes; the nodes t = k/n are exact at the working precision.  The moment
 sums run in fixed-point Python integers, each node's weight with its own
-binary exponent.  Recurrence data is then extracted twice, by a Stieltjes
-bordering pass and by one elimination of the Hankel matrix that also gives
-every block's condition number, so conditioning loss shows up as a measured
-number instead of silently eating digits.
+binary exponent.  Recurrence data is then extracted twice: by a Stieltjes
+bordering pass in mpmath, and by one elimination of the Hankel matrix in
+fixed-point integers that also gives every block's condition number, so
+conditioning loss shows up as a measured number instead of eating digits.
 
 The string equations and the Toda relation are integration-by-parts and
 determinant identities of the moment data, valid wherever the Hankel minors
@@ -35,7 +35,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import add, lshift, mul, rshift, sub
 
-from mpmath import extraprec, mp, workdps, workprec
+from mpmath import mp, workdps, workprec
 from mpmath.libmp import from_man_exp, mpf_cos_sin, mpf_exp, to_fixed
 
 from .equilibrium import _g0_branch, _slice_b0
@@ -59,6 +59,7 @@ _STEP = 0.5  # spacing of the float samples behind the rule's bounds
 _QUAD_GUARD = 15
 _FIX_GUARD = 40  # fixed-point bits behind the working precision in the moment sums
 _NODE_GUARD = 20  # bits behind those at which each node's weight is evaluated
+_HANKEL_GUARD = 40  # bits past the working precision that the Hankel elimination keeps on its least moment
 
 
 def _path_scale(u_m, N: int):
@@ -282,7 +283,7 @@ class RecurrenceData:
     beta[n] the diagonal coefficient; coefficients[n] are the monic polynomial
     coefficients from the bordering pass.  conditioning_loss[n] is log10 of the
     1-norm condition number of the leading n x n Hankel block, cross_check_digits
-    the worst agreement of p_n, h_n, beta_n with the Hankel elimination's.
+    the worst agreement in digits of p_n, h_n, beta_n with the fixed-point elimination's.
     """
 
     h: tuple
@@ -298,13 +299,24 @@ def _moment_against(coeffs, k: int, c) -> "mp.mpc":
     return mp.fsum(a * c[i + k] for i, a in enumerate(coeffs))
 
 
+def _fixed(v, bits: int) -> tuple[int, int]:
+    return tuple(to_fixed(part, bits) for part in mp.mpc(v)._mpc_)
+
+
+def _axpy(y, m, x, bits: int):
+    """y + m x on split (real list, imaginary list) fixed-point vectors, m = (re, im) at `bits` fraction bits."""
+    (yr, yi), (mr, mi), (xr, xi) = y, m, x
+    return (list(map(add, yr, map(rshift, map(sub, map(mul, xr, repeat(mr)), map(mul, xi, repeat(mi))), repeat(bits)))),
+            list(map(add, yi, map(rshift, map(add, map(mul, xi, repeat(mr)), map(mul, xr, repeat(mi))), repeat(bits)))))
+
+
 def recurrence_from_moments(moments, n_max: int) -> RecurrenceData:
     """h, gamma^2, beta for n <= n_max, cross-checked by a Hankel elimination.
 
-    The elimination does not pivot: its pivots h_n = det M_(n+1)/det M_n are
-    small only where the bordering pass has already raised.  It shares no
-    arithmetic with that pass's three-term recurrence, so their agreement is
-    a measurement.
+    The elimination runs on split real and imaginary Python integers, and it
+    does not pivot: its pivots h_n = det M_(n+1)/det M_n are small only where
+    the bordering pass has already raised.  It shares no arithmetic with that
+    pass's mpmath three-term recurrence, so their agreement is a measurement.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -345,41 +357,52 @@ def recurrence_from_moments(moments, n_max: int) -> RecurrenceData:
                         p_next[i] -= gamma2[n] * a
                 p_prev, p_cur = p_cur, p_next
 
-        # independent route: one elimination M = L D L^T at the LU route's 10
-        # guard bits.  Row n of U = D L^T is row n of M less multiples of the
-        # rows above; the same multiples off e_n give row n of L^-1, that is p_n,
-        # and D[n] = h_n.  So M_n^-1 = sum_(k<n) p_k p_k^T / D[k] gains a term per degree
-        with extraprec(10):
-            rows, polys, losses, worst = [], [], [], mp.inf
-            inverse = [[mp.mpc(0)] * (n_max + 1) for _ in range(n_max + 1)]
-            mags = [abs(v) for v in c]
-            for n in range(n_max + 1):
-                loss = 0.0  # a block of size 0 or 1 has condition number 1 exactly
-                if n >= 2:
-                    inverse_norm = max(mp.fsum(r[:n], absolute=True) for r in inverse[:n])
-                    loss = float(mp.log10(max(mp.fsum(mags[j:j + n]) for j in range(n)) * inverse_norm))
-                losses.append(loss)
-                if loss > dps - 12:
-                    raise ArithmeticError(
-                        f"Hankel conditioning exceeds the precision budget at n = {n} "
-                        f"(about {loss:.0f} of {dps} digits)"
-                    )
-                row, p = c[n:n + n_max + 1], [mp.mpc(0)] * n + [mp.mpc(1)]
-                for k in range(n):
-                    m = row[k] / rows[k][k]
-                    row[k:] = [v - m * w for v, w in zip(row[k:], rows[k][k:])]
-                    p[:k + 1] = [v - m * w for v, w in zip(p, polys[k])]
-                rows.append(row)
-                polys.append(p)
-                for line, scaled in zip(inverse, [v / row[n] for v in p]):
-                    line[:n + 1] = [v + scaled * w for v, w in zip(line, p)]
-                top = max(max(abs(v) for v in coeffs[n]), mp.mpf(1))
-                dev = max(abs(a - b) for a, b in zip(p, coeffs[n])) / top
-                worst = min(worst, -mp.log10(dev), _digits_between(row[n], h[n]))
-            for n in range(n_max):
-                lower = polys[n][n - 1] if n >= 1 else mp.mpc(0)
-                worst = min(worst, _digits_between(lower - polys[n + 1][n], beta[n]))
+        # independent route: one elimination M = L D L^T in fixed point.  Row k of
+        # U = D L^T is row k of M less multiples of the rows above; the same multiples
+        # off e_k give p_k, row k of L^-1, and D[k] = h_k.  Row n is reduced in w =
+        # [p_n so far | its columns from k on] by [p_k | U_k past column k] / h_k, and
+        # M_n^-1 = sum_(k<n) p_k p_k^T / h_k.  Elimination errs absolutely (Higham 2002,
+        # ch. 9); the moments enter over 2^e, e the largest's binary exponent, at F bits,
+        # enough that the least moment above 2^(e - working bits) keeps working + guard bits
+        e = max(map(mp.mag, c))
+        F = mp.prec + _HANKEL_GUARD + e - min(s for s in map(mp.mag, c) if s > e - mp.prec)
+        cr, ci = zip(*(_fixed(v, F - e) for v in c))
+        mags = list(map(math.isqrt, map(add, map(mul, cr, cr), map(mul, ci, ci))))
+        rows, inverse, losses = [], [], []
+        worst, lower, floor_h, floor_b = Fraction(0), (0, 0), *(_fixed(mp.mpf(10) ** -6, f)[0] for f in (F - e, F))
 
+        def gap(a, b, floor):  # max |a_j - b_j|^2 / max(|a_j|^2, |b_j|^2, floor^2)
+            return Fraction(max((x - u) ** 2 + (y - v) ** 2 for (x, y), (u, v) in zip(a, b)),
+                            max(floor * floor, *(x * x + y * y for x, y in a + b)))
+
+        for n in range(n_max + 1):
+            loss = 0.0  # a block of size 0 or 1 has condition number 1 exactly
+            if n >= 2:
+                inverse_norm = max(sum(map(math.isqrt, map(add, map(mul, r, r), map(mul, i, i)))) for r, i in inverse)
+                moment_norm = max(sum(mags[j:j + n]) for j in range(n))
+                loss = float(mp.log10(mp.mpf((moment_norm * inverse_norm, -2 * F))))
+            losses.append(loss)
+            if loss > dps - 12:
+                raise ArithmeticError(f"Hankel conditioning exceeds the precision budget at n = {n} "
+                                      f"(about {loss:.0f} of {dps} digits)")
+            w = (list(cr[n:n + n_max + 1]), list(ci[n:n + n_max + 1]))
+            for k, r in enumerate(rows):
+                m = (-w[0][k], -w[1][k])
+                w[0][k] = w[1][k] = 0
+                w = _axpy(w, m, r, F)
+            (hr, hi), w[0][n], w[1][n] = (w[0][n], w[1][n]), 1 << F, 0  # h_n out, p_n's leading 1 in
+            inv_h = ((hr << 2 * F) // (hr * hr + hi * hi), (-hi << 2 * F) // (hr * hr + hi * hi))
+            rows.append(_axpy((repeat(0), repeat(0)), inv_h, w, F))
+            inverse = [_axpy((r[0] + [0], r[1] + [0]), m, w, F)
+                       for r, m in zip(inverse + [([0] * n, [0] * n)], zip(*rows[n]))]
+            worst = max(worst, gap(list(zip(*w))[:n + 1], [_fixed(v, F) for v in coeffs[n]], 1 << F),
+                        gap([(hr, hi)], [_fixed(h[n], F - e)], floor_h))
+            if n >= 1:
+                below = (lower[0] - w[0][n - 1], lower[1] - w[1][n - 1])
+                worst, lower = max(worst, gap([below], [_fixed(beta[n - 1], F)], floor_b)), (w[0][n - 1], w[1][n - 1])
+
+        # worst is the largest squared relative gap
+        digits = (math.log10(worst.denominator) - math.log10(worst.numerator)) / 2 if worst else math.inf
         return RecurrenceData(
             h=tuple(h),
             gamma2=tuple(gamma2),
@@ -387,16 +410,8 @@ def recurrence_from_moments(moments, n_max: int) -> RecurrenceData:
             coefficients=tuple(coeffs),
             dps=dps,
             conditioning_loss=tuple(losses),
-            cross_check_digits=float(worst),
+            cross_check_digits=digits,
         )
-
-
-def _digits_between(a, b) -> float:
-    scale = max(abs(a), abs(b), mp.mpf(1) / 10 ** 6)
-    dev = abs(a - b) / scale
-    if dev == 0:
-        return mp.inf
-    return -mp.log10(dev)
 
 
 def string_residuals(data: RecurrenceData, u, N: int):

@@ -309,26 +309,51 @@ def test_orthogonality_recomputation(rec_60):
                 assert abs(ip.value) < mp.mpf("1e-60")  # measured 1.8e-77
 
 
-def test_condition_numbers_match_mpmath_inverse(moments_60, rec_60):
+def test_condition_numbers_match_mpmath_inverse(moments_60, rec_60, gaussian_data):
     # the elimination's inverses sum_(k<n) p_k p_k^T / h_k must give mpmath's
     # inverse condition number bit for bit for n >= 2; mp.inverse shares no
     # code with them.  The second table is criterion 10's N = 16 (up to 10.1
     # digits lost), which pins the route past n = 9.  The 1x1 block has
     # condition number 1 exactly, so its loss is exactly 0.0, where mpmath's
     # product leaves a rounding residue of either sign (about -1.2e-76 on the
-    # first table); that residue must sit below 10^-(dps - 5)
+    # first table); that residue must sit below 10^-(dps - 5).  The last three
+    # tables press the fixed-point elimination hardest: at u = 0 the odd
+    # moments sit at the noise floor, at u = 1e-100 (`validate --N 2 --u 1e-100
+    # --precision 30` on 30-digit moments) 100 digits below the even ones, and
+    # at N = 64 the blocks lose 30.4 digits by n = 40 (mp.inverse there takes
+    # 2 s, so four degrees).  Their cross-checks must stay within a digit of
+    # the floating-point elimination's 63.8, 46.0 and 77.7 digits
     moments_16 = compute_moments(80, U_TENTH, 16, 33)
-    for moments, rec in ((moments_60, rec_60), (moments_16, recurrence_from_moments(moments_16, 16))):
+    tiny = compute_moments(30, Fraction(1, 10 ** 100), 2, 9)
+    far = compute_moments(80, Fraction(1, 1000), 64, 81)
+    tables = [
+        (moments_60, rec_60, range(1, 10), None),
+        (moments_16, recurrence_from_moments(moments_16, 16), range(1, 17), None),
+        (*gaussian_data, range(1, 9), 62.7),
+        (tiny, recurrence_from_moments(tiny, 4), range(1, 5), 45.0),
+        (far, recurrence_from_moments(far, 40), (1, 2, 20, 40), 76.7),
+    ]
+    for moments, rec, degrees, floor in tables:
         assert rec.conditioning_loss[1] == 0.0
+        assert floor is None or rec.cross_check_digits > floor
         with workdps(rec.dps + 15):
             c = [m.value for m in moments]
-            for n in range(1, len(rec.h)):
+            for n in degrees:
                 M = mp.matrix([[c[i + j] for j in range(n)] for i in range(n)])
                 loss = float(mp.log10(mp.mnorm(M, 1) * mp.mnorm(mp.inverse(M), 1)))
                 if n == 1:
                     assert abs(loss) < 10.0 ** -(rec.dps - 5)
                 else:
                     assert rec.conditioning_loss[n] == loss
+
+
+def test_conditioning_budget_raises_at_the_failing_degree():
+    # 15-digit moments leave dps - 12 = 3 digits for conditioning; the
+    # Gaussian blocks at N = 8 lose 2.56 digits at n = 5 and past 3 at n = 6
+    moments = compute_moments(15, 0, 8, 17)
+    assert max(recurrence_from_moments(moments, 5).conditioning_loss) < 3
+    with pytest.raises(ArithmeticError, match=r"precision budget at n = 6 \(about 3 of 15 digits\)"):
+        recurrence_from_moments(moments, 8)
 
 
 def test_cross_check_sees_a_perturbed_bordering_pass(moments_60, rec_60, monkeypatch):

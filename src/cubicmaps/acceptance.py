@@ -11,8 +11,8 @@ cannot hide the others.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from mpmath import mp, workdps
 
@@ -25,8 +25,7 @@ from .toda import count_vs_estimate, free_energy_series, genus0_closed_form, gen
 from .wick import census
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     index: int
     key: str
     title: str

@@ -16,7 +16,6 @@ import os
 import sys
 from fractions import Fraction
 
-from . import acceptance
 from .critical import B0_AT_CRITICAL, G0_AT_CRITICAL, compute_K, run_C_recursion
 from .equilibrium import phi_check, solve_endpoints
 from .finite_n import build_report
@@ -273,6 +272,8 @@ def _cmd_validate(args) -> tuple[str, int]:
 
 
 def _cmd_reproduce(args) -> tuple[str, int]:
+    from . import acceptance  # only reproduce needs the suite, so other commands skip its import
+
     skip = tuple(s.strip() for s in args.skip.split(",") if s.strip()) if args.skip else ()
     results = acceptance.run_all(skip=skip)
     lines = [acceptance.format_line(r) for r in results]

@@ -20,8 +20,8 @@ constants are taken as given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from mpmath import mp, workdps
 
@@ -52,8 +52,7 @@ def _verify_critical_point() -> None:
     _consistent(_CRAMER_UNIT * (6 * BETA), Qbeta.rational(1), "determinant slope unit")
 
 
-@dataclass(frozen=True)
-class CriticalConstants:
+class CriticalConstants(NamedTuple):
     """Exact singular amplitudes at w_c."""
 
     G: int
@@ -199,8 +198,7 @@ _C2_OVER_LAMBDA = 1 / (6 * BETA)
 _LAMBDA_C3 = 3 * BETA / 4
 
 
-@dataclass(frozen=True)
-class PainleveReport:
+class PainleveReport(NamedTuple):
     """Termwise substitution of y(t) = sum C_2g t^((1-5g)/2) into y'' = q (y^2 - C_0^2 t)."""
 
     G: int

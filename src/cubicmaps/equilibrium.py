@@ -20,7 +20,7 @@ itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from mpmath import extraprec, mp, workdps
 
@@ -39,8 +39,7 @@ def _gap_tolerance(b, dps: int):
     return mp.mpf(10) ** (-(dps - 10)) * max(1, abs(b))
 
 
-@dataclass(frozen=True)
-class EquilibriumData:
+class EquilibriumData(NamedTuple):
     u: object
     x: object
     y: object
@@ -188,8 +187,7 @@ def endpoint_series(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     return X.truncate_to(order), Y.truncate_to(order)
 
 
-@dataclass(frozen=True)
-class PhiReport:
+class PhiReport(NamedTuple):
     """Sampled effective-potential landscape along the two contour tails."""
 
     all_positive: bool

@@ -30,10 +30,10 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import add, lshift, mul, rshift, sub
+from typing import NamedTuple
 
 from mpmath import mp, workdps, workprec
 from mpmath.libmp import from_man_exp, mpf_cos_sin, mpf_exp, to_fixed
@@ -275,8 +275,7 @@ def compute_moments(precision: int, u, N: int, max_order: int, alpha=1.0) -> lis
         return [BigFloat(alpha * v + (1 - alpha) * mp.conj(v), precision) for v in upper]
 
 
-@dataclass(frozen=True)
-class RecurrenceData:
+class RecurrenceData(NamedTuple):
     """Monic recurrence data extracted from a moment table.
 
     h[n] is the squared norm, gamma2[n] = h[n]/h[n-1] (gamma2[0] fixed at 0),
@@ -473,8 +472,7 @@ def expansion_prediction(u, N: int, gamma2_near):
     return pred_gamma, pred_beta, branch
 
 
-@dataclass(frozen=True)
-class AsymptoticEntry:
+class AsymptoticEntry(NamedTuple):
     N: int
     gamma2: BigFloat
     beta: BigFloat
@@ -500,8 +498,7 @@ def _asymptotic_entry(rec: RecurrenceData, u_m, N: int, precision: int) -> tuple
     return entry, branch
 
 
-@dataclass(frozen=True)
-class AsymptoticReport:
+class AsymptoticReport(NamedTuple):
     branch: str
     entries: tuple
     gamma_ratios: tuple
@@ -580,8 +577,7 @@ def toda_residual(u, N: int, h_step, precision: int = 80, alpha=1.0) -> BigFloat
         return BigFloat(abs(d2 / h ** 2 - gamma_tilde2), precision)
 
 
-@dataclass(frozen=True)
-class FiniteNReport:
+class FiniteNReport(NamedTuple):
     """Everything the finite-N validation measures at one (u, N)."""
 
     N: int

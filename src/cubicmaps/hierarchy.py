@@ -15,9 +15,8 @@ series ring, so the whole hierarchy stays exact rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .series import VAR_W, TruncatedSeries, even_taylor_sum, from_numerators, product_sum
 
@@ -100,8 +99,7 @@ def solve_order_k(
     return gk, bk, uk + bk
 
 
-@dataclass(frozen=True)
-class StringHierarchy:
+class StringHierarchy(NamedTuple):
     max_k: int
     horizon: int
     g_hat: tuple  # TruncatedSeries per correction order k = 0..max_k

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from mpmath import mp, workdps
 
 
-@dataclass(frozen=True)
-class BigFloat:
+class BigFloat(NamedTuple):
     """A computed value together with the decimal precision it was computed at."""
 
     value: object  # mpf or mpc

@@ -11,8 +11,6 @@ identical bytes.
 
 from __future__ import annotations
 
-import csv
-import io
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
@@ -23,6 +21,7 @@ from .numbers import Qbeta
 from .precision import BigFloat
 
 QBETA_RELATION = "beta^4 = 12"  # beta is its positive real root
+_CSV_QUOTED = frozenset(',"\r\n')  # csv.writer quotes a cell holding one (\r on some Pythons)
 
 
 def _exact(num: int, den: int) -> dict:
@@ -79,7 +78,7 @@ def encode_value(x):
         return encode_bigfloat(x)
     if isinstance(x, float):
         return encode_float(x)
-    if isinstance(x, (list, tuple)):
+    if type(x) in (list, tuple):  # a NamedTuple record is not a list of values
         return [encode_value(v) for v in x]
     if isinstance(x, dict):
         return {str(k): encode_value(v) for k, v in x.items()}
@@ -114,7 +113,7 @@ def _write(x, indent: str, out: list) -> None:
             _write(v, inner, out)
             sep = ",\n"
         out.append("\n" + indent + "}" if x else "{}")
-    elif isinstance(x, (list, tuple)):
+    elif type(x) in (list, tuple):  # a NamedTuple record is a tuple, but no JSON array
         inner, sep = indent + "  ", "[\n"
         for v in x:
             out.append(sep + inner)
@@ -127,8 +126,8 @@ def _write(x, indent: str, out: list) -> None:
 
 def dump_json(payload) -> str:
     """``json.dumps(payload, indent=2, ensure_ascii=True) + "\\n"`` in one pass; only
-    dicts with str keys, lists, tuples, str, int, bool and None, so an untagged
-    float raises TypeError."""
+    dicts with str keys, plain lists and tuples, str, int, bool and None, so an
+    untagged float or a record such as ``BigFloat`` raises TypeError."""
     out: list = []
     _write(payload, "", out)
     out.append("\n")
@@ -136,8 +135,19 @@ def dump_json(payload) -> str:
 
 
 def dump_csv(header: list, rows: list) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    """What ``csv.writer(buf, lineterminator="\\n")`` writes for the header and
+    rows, for cells that need no quoting: ints, Fractions (as ``num/den``), and
+    strs without a comma, quote or line break that are not a row's only cell
+    while empty.  Any other cell raises TypeError rather than be written
+    differently."""
+    lines = []
+    for row in (header, *rows):
+        for cell in row:
+            if isinstance(cell, str):
+                if _CSV_QUOTED.intersection(cell) or (cell == "" and len(row) == 1):
+                    raise TypeError(f"CSV cell {cell!r} would need quoting")
+            elif not isinstance(cell, (int, Fraction)):
+                raise TypeError(f"no CSV encoding for {type(cell).__name__}")
+        lines.append(",".join(map(str, row)))
+    lines.append("")
+    return "\n".join(lines)

@@ -19,10 +19,10 @@ estimate from the critical amplitudes, complete the module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 from types import MappingProxyType
+from typing import NamedTuple
 
 from mpmath import mp
 
@@ -77,8 +77,7 @@ def free_energy_series(g_max: int, horizon: int) -> tuple:
     return tuple(toda_integrate(k, h.g_hat[k]).truncate_to(horizon) for k in range(g_max + 1))
 
 
-@dataclass(frozen=True)
-class GenusCoeffTable:
+class GenusCoeffTable(NamedTuple):
     counts: MappingProxyType  # (g, j) -> int, the connected graph count f^(2g)_{2j}
 
     def count(self, g: int, j: int) -> int:

@@ -26,7 +26,7 @@ oracles in ``tests/oracles.py``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .numbers import double_factorial
 
@@ -41,8 +41,7 @@ def available_engines() -> tuple[str, ...]:
     return (ENGINE,)
 
 
-@dataclass(frozen=True)
-class PairingCensus:
+class PairingCensus(NamedTuple):
     vertices: int
     total: int
     connected: dict[int, int]  # genus -> count

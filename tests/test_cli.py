@@ -16,6 +16,7 @@ import cubicmaps
 from cubicmaps import acceptance
 from cubicmaps.acceptance import CriterionResult
 from cubicmaps.cli import main
+from cubicmaps.toda import genus_table
 
 F2_COLUMN = [Fraction(3, 2), Fraction(189), Fraction(26892), Fraction(4076568), Fraction(3213210384, 5)]
 
@@ -46,6 +47,21 @@ def test_expand_csv_column(capsys):
     assert [r[0] for r in rows[1:]] == ["1"] * 5
     counts = [Fraction(int(r[2]), int(r[3])) for r in rows[1:]]
     assert counts[0] == 3 and counts[1] == 4536
+
+
+@pytest.mark.parametrize("g", [0, 1])
+@pytest.mark.parametrize("max_j", [1, 60, 130])
+def test_expand_csv_is_what_csv_writer_prints(capsys, g, max_j):
+    code, out, err = run_cli(capsys, "expand", "--genus", str(g), "--max-j", str(max_j), "--format", "csv")
+    assert code == 0 and err == ""
+    table = genus_table(g, max_j)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["g", "j", "f_num", "f_den", "F_coeff_num", "F_coeff_den"])
+    for j in range(1, max_j + 1):
+        c = table.coefficient(g, j)
+        writer.writerow([g, j, table.count(g, j), 1, c.numerator, c.denominator])
+    assert out == buf.getvalue()
 
 
 def test_expand_json(capsys):
@@ -323,10 +339,30 @@ def test_computation_failure_exit(capsys, monkeypatch):
     assert code == 2 and error_type(err) == "computation"
 
 
+def _uninstalled_env() -> dict:
+    src = str(Path(cubicmaps.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_cold_import_skips_suite_and_unused_stdlib():
+    # `import cubicmaps.cli` is the start-up cost of every process; the suite is
+    # imported by `reproduce` alone, and no record needs dataclasses or csv
+    # (counted only if the import loads them, not the interpreter's site start-up)
+    env = _uninstalled_env()
+    probe = ("import sys; before = set(sys.modules); import cubicmaps.cli; "
+             "print(sorted(set(sys.modules) - before & {'dataclasses', 'csv', 'cubicmaps.acceptance'}))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    skip = ",".join(key for key in acceptance.KEYS if key != "genus0")
+    proc = subprocess.run([sys.executable, "-m", "cubicmaps", "reproduce", "--skip", skip],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "[genus0] PASS" in proc.stdout and "1 passed, 0 failed, 11 skipped" in proc.stdout
+
+
 def test_python_dash_m_matches_main(capsys):
     # the package runs uninstalled as `python -m cubicmaps`, with main()'s output and exit code
-    src = str(Path(cubicmaps.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _uninstalled_env()
     for argv in (["critical", "--max-genus", "2"], ["critical", "--max-genus", "-1"]):
         proc = subprocess.run(
             [sys.executable, "-m", "cubicmaps", *argv], capture_output=True, text=True, env=env, timeout=120

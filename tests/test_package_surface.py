@@ -1,7 +1,7 @@
 """The package ships only code that its CLI, criteria or benchmark run.
 
 A top-level ``def`` or ``class`` in ``src/cubicmaps``, and each non-dunder
-method, property and annotated (dataclass) field of a class there, counts
+method, property and annotated (record) field of a class there, counts
 as used when its name appears, outside its own definition, in
 ``src/cubicmaps`` or ``perfbench`` as an identifier, an attribute, an
 imported name, or a part of a dotted string constant (the benchmark's
@@ -51,7 +51,7 @@ def unused_definitions() -> list[str]:
 
 def _definitions(tree):
     """(node, name, label) of each top-level def and class, and of each
-    class's non-dunder methods, properties and annotated (dataclass) fields."""
+    class's non-dunder methods, properties and annotated (record) fields."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node, node.name, node.name
@@ -72,7 +72,21 @@ def test_every_top_level_definition_has_a_caller():
     assert unused_definitions() == []
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
+# the package's result records, each a typing.NamedTuple
+RECORDS = {
+    "precision.BigFloat", "equilibrium.EquilibriumData", "equilibrium.PhiReport",
+    "critical.CriticalConstants", "critical.PainleveReport", "hierarchy.StringHierarchy",
+    "toda.GenusCoeffTable", "wick.PairingCensus", "finite_n.RecurrenceData",
+    "finite_n.AsymptoticEntry", "finite_n.AsymptoticReport", "finite_n.FiniteNReport",
+    "acceptance.CriterionResult",
+}
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """A ``class X(NamedTuple)`` or a class under a ``@dataclass`` decorator."""
+    for base in node.bases:
+        if isinstance(base, ast.Name) and base.id == "NamedTuple":
+            return True
     for deco in node.decorator_list:
         target = deco.func if isinstance(deco, ast.Call) else deco
         if isinstance(target, ast.Name) and target.id == "dataclass":
@@ -80,8 +94,18 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
-def unread_dataclass_fields() -> list[str]:
-    """Fields of a package dataclass that nothing reads as an attribute.
+def _records() -> dict:
+    """``module.Class`` -> ClassDef of every record class in the package."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.ClassDef) and _is_record(node):
+                out[f"{path.stem}.{node.name}"] = node
+    return out
+
+
+def unread_record_fields() -> list[str]:
+    """Fields of a package record that nothing reads as an attribute.
 
     A field counts as read when ``<expr>.<field>`` is loaded anywhere in
     ``src/cubicmaps``, ``perfbench`` or ``tests``; setting it through the
@@ -97,16 +121,14 @@ def unread_dataclass_fields() -> list[str]:
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
     unread = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text(), str(path)).body:
-            if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)):
-                continue
-            for member in node.body:
-                if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
-                    if member.target.id not in read:
-                        unread.append(f"{path.stem}.{node.name}.{member.target.id}")
+    for label, node in _records().items():
+        for member in node.body:
+            if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                if member.target.id not in read:
+                    unread.append(f"{label}.{member.target.id}")
     return unread
 
 
-def test_every_dataclass_field_is_read():
-    assert unread_dataclass_fields() == []
+def test_every_record_field_is_read():
+    assert set(_records()) == RECORDS  # a scan that finds no record would pass on nothing
+    assert unread_record_fields() == []

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ from cubicmaps.serialize import (
     encode_value,
 )
 from cubicmaps.series import VAR_U2, VAR_W, from_numerators
+from cubicmaps.wick import PairingCensus, census
 from oracles import monomial
 
 
@@ -115,6 +118,35 @@ def test_dump_json_empty_and_nested_containers():
 def test_dump_json_refuses_untagged_values(bad):
     with pytest.raises(TypeError):
         dump_json(bad)
+
+
+def test_dump_json_refuses_records():
+    # a NamedTuple record is a tuple, but it must be tagged field by field, not dumped as an array;
+    # the last two hold only plain JSON values, so nothing else in them raises
+    for record in (census(2), BigFloat(mp.mpf(1), 20), BigFloat(3, 20), PairingCensus(2, 15, {}, 0, 0)):
+        with pytest.raises(TypeError):
+            dump_json(record)
+        with pytest.raises(TypeError):
+            dump_json({"nested": [record]})
+    with pytest.raises(TypeError):
+        encode_value(census(2))
+
+
+def test_dump_csv_is_what_csv_writer_prints():
+    header = ["g", "j", "", " spaced ", "tab\there", "it's", "#"]
+    rows = [[0, -1, 10**400, Fraction(-3, 2), Fraction(189), "x", ""], [], [7]]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    assert dump_csv(header, rows) == buf.getvalue()
+
+
+@pytest.mark.parametrize("bad", [",", '"', "a\nb", "a\rb", "", 0.5, None, mp.mpf(1), BigFloat(mp.mpf(1), 20)])
+def test_dump_csv_refuses_cells_it_cannot_write_unquoted(bad):
+    # "" alone in its row is the one empty cell csv.writer quotes
+    with pytest.raises(TypeError):
+        dump_csv(["x"], [[bad]])
 
 
 @pytest.mark.parametrize("argv", [

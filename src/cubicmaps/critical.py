@@ -9,13 +9,13 @@ with all amplitudes in Q[beta]/(beta^4 - 12).  Each C_2k is a single
 beta-monomial, Y_k beta^(1-k) / (18 576^k) with Y_k an integer, so this
 module runs the recursion in k on the integers Y_k and lifts each order
 into the field once.  Every order is checked in Q[beta] against the
-critically singular 2x2 system, solved by Cramer.  The signs of the C_2k
-and the leading growth constants K_2g of the genus-g map counts are read
-off the integers Y_k.  The module also verifies termwise that the
-amplitudes' generating function satisfies a Painleve-I type equation, with
-no floats.  Two identities in Q[beta] then check it against the source's
-rescaling (c, lambda) to the standard form Y'' = 6 Y^2 + tau, whose
-constants are taken as given.
+critically singular 2x2 system, solved by Cramer.  The record keeps the
+Y_k beside the field elements, and the signs of the C_2k and the leading
+growth constants K_2g of the genus-g map counts are read off them.  The
+module also verifies termwise that the amplitudes' generating function
+satisfies a Painleve-I type equation, with no floats.  Two identities in
+Q[beta] then check it against the source's rescaling (c, lambda) to the
+standard form Y'' = 6 Y^2 + tau, whose constants are taken as given.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ class CriticalConstants(NamedTuple):
     """Exact singular amplitudes at w_c."""
 
     G: int
+    Y: tuple  # integers Y_k with C[k] = Y_k beta^(1-k) / (18 576^k)
     C: tuple  # Qbeta amplitudes of g_hat[2k], k = 0..G
     D: tuple  # Qbeta amplitudes of b_hat[2k]; D[k] = 6 sqrt(3) C[k]
     signs: tuple  # sign of each C[k]; expected -1 then all +1
@@ -71,17 +72,6 @@ def _monomial(n: int, den: int, r: int) -> Qbeta:
     nums = [0, 0, 0, 0]
     nums[e] = n
     return _qbeta(*nums, den)
-
-
-def _graded_integer(x: Qbeta, r: int, den: int, what: str) -> int:
-    """The integer n with x = n beta^r / den; raises unless x has exactly that form."""
-    q, e = divmod(r, 4)
-    if x.grades() - {e}:
-        raise ArithmeticError(f"critical recursion inconsistency: {what} has beta-grades {sorted(x.grades())}")
-    n, rem = divmod(x.numerators[e] * den * 12 ** max(-q, 0), x.denominator * 12 ** max(q, 0))
-    if rem:
-        raise ArithmeticError(f"critical recursion inconsistency: {what} is not an integer over {den}")
-    return n
 
 
 def _pair_sum(v: list, k: int) -> int:
@@ -122,10 +112,11 @@ def run_C_recursion(G: int) -> CriticalConstants:
 
     Each order is checked against the critically singular 2x2 system in
     Q(beta): its right-hand side A_2k, B_2k is assembled from the C and D
-    data, whose cross sums are integer dot products over the graded integers
-    Y_m and Z_m (D_2m = Z_m beta^(3-m) / (18 576^m), read back off the field
-    element), and solved by Cramer; the solution must equal both C_2k and
-    D_2k, so a slip in the recursion raises instead of propagating.
+    data, whose cross sums are integer dot products over the Y_m (with
+    D_2m = Z_m beta^(3-m) / (18 576^m), Z_m = 3 Y_m, which the D comparison
+    verifies at every order), and solved by Cramer; the solution must equal
+    both C_2k and D_2k, so a slip in the recursion raises instead of
+    propagating.
     """
     if G < 0:
         raise ValueError("need G >= 0")
@@ -133,15 +124,15 @@ def run_C_recursion(G: int) -> CriticalConstants:
     y = [-1]
     c_list = [-BETA / 18]
     d_list = [-(BETA**3) / 6]
-    z = [_graded_integer(d_list[0], 3, 18, "D at order 0")]
     for k in range(1, G + 1):
         y.append(_next_Y(y))
         scale = 18 * 576**k
         c_k = _monomial(y[k], scale, 1 - k)
         d_k = _D_OVER_C * c_k
         # C_2m D_2m' and D_2m D_2m' over 18^2 576^k, of grades 4 - k and 6 - k
-        cross_cd = _monomial(sum(y[m] * z[k - m] for m in range(1, k)), 18 * scale, 4 - k)
-        cross_dd = _monomial(_pair_sum(z, k), 18 * scale, 6 - k)
+        cross_yy = _pair_sum(y, k)
+        cross_cd = _monomial(3 * cross_yy, 18 * scale, 4 - k)
+        cross_dd = _monomial(9 * cross_yy, 18 * scale, 6 - k)
         poly = (5 * k - 6) * (5 * k - 4)
         a_k = Fraction(-3 * poly, 16) * c_list[k - 1] - 3 * cross_dd
         b_k = Fraction(poly, 576) * d_list[k - 1] + 6 * cross_cd
@@ -149,22 +140,20 @@ def run_C_recursion(G: int) -> CriticalConstants:
         _consistent(_CRAMER_D[0] * a_k + _CRAMER_D[1] * b_k, d_k, f"D at order {k}, singular system")
         c_list.append(c_k)
         d_list.append(d_k)
-        z.append(_graded_integer(d_k, 3 - k, scale, f"D at order {k}"))
     # every lift factor is positive, so C_2k has the sign of Y_k
     signs = tuple((v > 0) - (v < 0) for v in y)
-    return CriticalConstants(G=G, C=tuple(c_list), D=tuple(d_list), signs=signs)
+    return CriticalConstants(G=G, Y=tuple(y), C=tuple(c_list), D=tuple(d_list), signs=signs)
 
 
-def _amplitude_exact(c2g: Qbeta, g: int) -> tuple[Fraction, int]:
+def _amplitude_exact(y: int, g: int) -> tuple[Fraction, int]:
     """Reduce 6*3^(1/4) C_2g / (Gamma((5g-1)/2) u_c^g) to (q, n): K = q (6 pi)^(n/2).
 
     With C_2g = Y_g beta^(1-g) / (18 576^g) and u_c = 3^(1/4)/18 this is
-    K_2g = Y_g 6^((1-g)/2) / (3 32^g Gamma((5g-1)/2)).  Y_g is read back off
-    the field element, which raises unless C_2g has exactly that form.  For
-    odd g the Gamma value is rational and so is K; for even g it is r sqrt(pi)
-    and the remaining sqrt(6) / sqrt(pi) makes K rational over sqrt(6 pi).
+    K_2g = Y_g 6^((1-g)/2) / (3 32^g Gamma((5g-1)/2)), from the integer
+    y = Y_g.  For odd g the Gamma value is rational and so is K; for even g
+    it is r sqrt(pi) and the remaining sqrt(6) / sqrt(pi) makes K rational
+    over sqrt(6 pi).
     """
-    y = _graded_integer(c2g, 1 - g, 18 * 576**g, f"C_{2 * g}")
     r = gamma_exact(Fraction(5 * g - 1, 2))[0]
     if g % 2:
         return Fraction(y, 3 * 32**g * 6 ** ((g - 1) // 2)) / r, 0
@@ -175,7 +164,7 @@ def compute_K(consts: CriticalConstants, g: int, precision: int = 40) -> BigFloa
     """Leading large-size amplitude of the genus-g count coefficients."""
     if not 0 <= g <= consts.G:
         raise ValueError(f"genus {g} outside computed range 0..{consts.G}")
-    q, n = _amplitude_exact(consts.C[g], g)
+    q, n = _amplitude_exact(consts.Y[g], g)
     with workdps(precision + 10):
         v = rational_to_mp(q)
         if n == -1:

@@ -554,6 +554,10 @@ def toda_residual(u, N: int, h_step, precision: int = 80, alpha=1.0) -> BigFloat
         if h <= 0:
             raise ValueError("h_step must be positive")
         t0 = 1 / (4 * (3 * u_m) ** (mp.mpf(4) / 3))
+        if h >= t0:
+            raise ValueError(
+                f"h_step = {mp.nstr(h, 6)} must be below t0(u) = 1/(4 (3u)^(4/3)) = {mp.nstr(t0, 6)}"
+            )
         recs = []
         for t in (t0 - h, t0, t0 + h):
             u_t = _coupling_of_time(t)

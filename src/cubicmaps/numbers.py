@@ -3,7 +3,8 @@
 Two ingredients the expansion work needs constantly:
 
 * ``Qbeta`` -- the number field Q[beta] with beta^4 = 12
-  (beta = 2^(1/2) * 3^(1/4)), where every critical-region constant lives.
+  (beta = 2^(1/2) * 3^(1/4)), where every critical-region constant lives,
+  held as integer numerators over one denominator and nothing else.
 * exact Gamma-function reductions at integer and half-integer arguments,
   so coefficient formulas never touch floating point.
 """
@@ -24,7 +25,6 @@ def _qbeta(n0: int, n1: int, n2: int, n3: int, den: int) -> "Qbeta":
         n0, n1, n2, n3, den = n0 // g, n1 // g, n2 // g, n3 // g, den // g
     object.__setattr__(out, "_n", (n0, n1, n2, n3))
     object.__setattr__(out, "_den", den)
-    object.__setattr__(out, "_c", None)
     return out
 
 
@@ -43,10 +43,10 @@ class Qbeta:
     Stored as four Python-int numerators over one positive common
     denominator, coprime to them, so equal values have equal representations
     and every operation is integer arithmetic with one gcd per result.
-    ``c`` exposes the components as a cached tuple of Fractions.  Immutable.
+    ``c`` builds the components as Fractions when asked.  Immutable.
     """
 
-    __slots__ = ("_n", "_den", "_c")
+    __slots__ = ("_n", "_den")
 
     def __init__(self, c) -> None:
         c = tuple(Fraction(x) for x in c)
@@ -55,8 +55,8 @@ class Qbeta:
         den = lcm(*(x.denominator for x in c))
         # reduced fractions over the lcm of their denominators are already coprime to it
         nums = tuple(x.numerator * (den // x.denominator) for x in c)
-        for name, value in (("_n", nums), ("_den", den), ("_c", c)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_n", nums)
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Qbeta is immutable")
@@ -65,15 +65,12 @@ class Qbeta:
         raise AttributeError("Qbeta is immutable")
 
     def __reduce__(self):
-        return Qbeta, (self.c,)
+        return _qbeta, (*self._n, self._den)
 
     @property
     def c(self) -> tuple:
         """The four components on 1, beta, beta^2, beta^3, as Fractions."""
-        if self._c is None:
-            den = self._den
-            object.__setattr__(self, "_c", tuple(Fraction(x, den) for x in self._n))
-        return self._c
+        return tuple(Fraction(x, self._den) for x in self._n)
 
     @property
     def numerators(self) -> tuple:
@@ -210,11 +207,7 @@ class Qbeta:
     def rational_part(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} has irrational components")
-        return self.c[0]
-
-    def grades(self) -> set[int]:
-        """beta-exponents with nonzero component (the Z/4 grading of the field)."""
-        return {i for i, x in enumerate(self._n) if x}
+        return Fraction(self._n[0], self._den)
 
     def __repr__(self) -> str:
         parts = [f"{a}*b^{i}" if i else f"{a}" for i, a in enumerate(self.c) if a]

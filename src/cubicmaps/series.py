@@ -9,9 +9,10 @@ a coefficient can be read back only if it is fully determined by the inputs.
 Coefficients are rational.  A series is stored as a tuple of Python-int
 numerators over one positive common denominator, reduced by a single gcd per
 result; every operation is integer arithmetic (products are schoolbook
-convolutions, quotients a fraction-free triangular solve), and ``coeffs``
-exposes the same values as a cached tuple of ``fractions.Fraction``.  Any
-other coefficient or scalar (a float, an mpf, an element of an extension
+convolutions, quotients a fraction-free triangular solve), and every result
+is built from its numerators by ``from_numerators``.  ``coeffs`` and
+``coefficient`` build ``fractions.Fraction`` values when asked.  Any other
+coefficient or scalar (a float, an mpf, an element of an extension
 field) raises ``TypeError``.  Nothing here rounds.
 """
 
@@ -36,17 +37,17 @@ class BeyondHorizonError(IndexError):
 class TruncatedSeries:
     """Immutable; equal (and equally hashed) when variable, offset and coefficients agree."""
 
-    __slots__ = ("var", "offset", "_num", "_den", "_coeffs")
+    __slots__ = ("var", "offset", "_num", "_den")
 
     def __init__(self, var: str, offset: int, coeffs) -> None:
-        if var not in _VARS:
-            raise ValueError(f"unknown series variable {var!r}")
-        if not coeffs:
-            raise ValueError("series needs at least one tracked coefficient")
         den = lcm(*(_require_rational(c).denominator for c in coeffs))
         self._set(var, offset, [c.numerator * (den // c.denominator) for c in coeffs], den)
 
     def _set(self, var: str, offset: int, nums, den) -> None:
+        if var not in _VARS:
+            raise ValueError(f"unknown series variable {var!r}")
+        if not nums:
+            raise ValueError("series needs at least one tracked coefficient")
         # canonical form: leading coefficient nonzero, or a single zero pinned
         # at known_max (the window below it is zero either way); numerators
         # coprime to a positive denominator
@@ -63,7 +64,7 @@ class TruncatedSeries:
             if g != 1:
                 nums = tuple(x // g for x in nums)
                 den //= g
-        for name, value in (("var", var), ("offset", offset + lead), ("_num", nums), ("_den", den), ("_coeffs", None)):
+        for name, value in (("var", var), ("offset", offset + lead), ("_num", nums), ("_den", den)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -73,28 +74,12 @@ class TruncatedSeries:
         raise AttributeError("TruncatedSeries is immutable")
 
     def __reduce__(self):
-        return TruncatedSeries, (self.var, self.offset, self.coeffs)
-
-    def _rational(self, offset: int, nums, den: int) -> "TruncatedSeries":
-        out = object.__new__(TruncatedSeries)
-        out._set(self.var, offset, nums, den)
-        return out
-
-    def _with_window(self, var: str, offset: int) -> "TruncatedSeries":
-        out = object.__new__(TruncatedSeries)
-        for name in self.__slots__:
-            object.__setattr__(out, name, getattr(self, name))
-        object.__setattr__(out, "var", var)
-        object.__setattr__(out, "offset", offset)
-        return out
+        return from_numerators, (self.var, self.offset, self._num, self._den)
 
     @property
     def coeffs(self) -> tuple:
         """Tracked coefficients, zeros included, as Fractions."""
-        if self._coeffs is None:
-            den = self._den
-            object.__setattr__(self, "_coeffs", tuple(Fraction(x, den) for x in self._num))
-        return self._coeffs
+        return tuple(Fraction(x, self._den) for x in self._num)
 
     @property
     def numerators(self) -> tuple:
@@ -136,7 +121,7 @@ class TruncatedSeries:
             )
         if exponent < self.offset:
             return Fraction(0)
-        return self.coeffs[exponent - self.offset]
+        return Fraction(self._num[exponent - self.offset], self._den)
 
     def coefficients(self) -> dict[int, Any]:
         """Nonzero tracked coefficients keyed by exponent."""
@@ -162,7 +147,7 @@ class TruncatedSeries:
         g = gcd(self._den, q)  # the constant joins the exponent-0 numerator
         nums = [0] * (self.offset - lo) + [x * (q // g) for x in self._num]
         nums[-lo] += c.numerator * (self._den // g)
-        return self._rational(lo, nums, self._den // g * q)
+        return from_numerators(self.var, lo, nums, self._den // g * q)
 
     def __neg__(self):
         return self._scale(-1)
@@ -175,7 +160,7 @@ class TruncatedSeries:
 
     def _scale(self, c):
         p = _require_rational(c).numerator
-        return self._rational(self.offset, [x * p for x in self._num], self._den * c.denominator)
+        return from_numerators(self.var, self.offset, [x * p for x in self._num], self._den * c.denominator)
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -203,19 +188,17 @@ class TruncatedSeries:
         for i in range(n):
             q.append(a[i] * powers[i] - sum(map(mul, b1, reversed(q))))
         nums = [x * powers[n - 1 - i] * other._den for i, x in enumerate(q)]
-        return self._rational(offset, nums, powers[n] * self._den)
+        return from_numerators(self.var, offset, nums, powers[n] * self._den)
 
     # -- structure ---------------------------------------------------------
 
     def shift(self, k: int):
         """Multiply by var**k."""
-        return self._with_window(self.var, self.offset + k)
+        return from_numerators(self.var, self.offset + k, self._num, self._den)
 
     def retag(self, var: str):
         """Reinterpret exponents under a new variable tag (w = u^2 style substitutions)."""
-        if var not in _VARS:
-            raise ValueError(f"unknown series variable {var!r}")
-        return self._with_window(var, self.offset)
+        return from_numerators(var, self.offset, self._num, self._den)
 
     def truncate_to(self, known_max: int):
         if known_max > self.known_max:
@@ -225,7 +208,7 @@ class TruncatedSeries:
         n = known_max - self.offset + 1
         if n < 1:
             return zero_series(self.var, known_max)
-        return self._rational(self.offset, self._num[:n], self._den)
+        return from_numerators(self.var, self.offset, self._num[:n], self._den)
 
     def sqrt_unit(self):
         """Square root of a series whose lowest tracked term is a rational square at even exponent."""
@@ -233,13 +216,13 @@ class TruncatedSeries:
         if v % 2:
             raise ValueError("odd valuation has no series square root")
         base = self.shift(-v) if v else self
-        c0 = base.coeffs[0]
+        c0 = Fraction(base._num[0], base._den)
         from math import isqrt
 
         rn, rd = isqrt(c0.numerator), isqrt(c0.denominator)
         if rn * rn != c0.numerator or rd * rd != c0.denominator:
             raise ValueError(f"leading coefficient {c0} is not a rational square")
-        n = len(base.coeffs)
+        n = len(base._num)
         t = zero_series(self.var, base.known_max) + Fraction(rn, rd)
         steps = 0
         while (1 << steps) <= n:
@@ -274,10 +257,6 @@ def zero_series(var: str, known_max: int) -> TruncatedSeries:
 
 def from_numerators(var: str, offset: int, nums, den: int) -> TruncatedSeries:
     """Series with coefficient nums[i] / den at exponent offset + i (ints, den nonzero)."""
-    if var not in _VARS:
-        raise ValueError(f"unknown series variable {var!r}")
-    if not nums:
-        raise ValueError("series needs at least one tracked coefficient")
     out = object.__new__(TruncatedSeries)
     out._set(var, offset, nums, den)
     return out
@@ -310,7 +289,7 @@ def product_sum(terms) -> TruncatedSeries:
             ry = b._num[n - 1 :: -1]
             for k in range(n):
                 acc[o + k] += sum(map(mul, x, ry[n - 1 - k :]))
-    return terms[0][1]._rational(lo, acc, den)
+    return from_numerators(terms[0][1].var, lo, acc, den)
 
 
 def even_taylor_sum(terms) -> TruncatedSeries:
@@ -333,4 +312,4 @@ def even_taylor_sum(terms) -> TruncatedSeries:
         scale = den // (s._den << k)
         weights = (scale * comb(e, k) if e >= 0 else scale * comb(k - e - 1, k) for e in range(s.offset, s.offset + n))
         acc[o : o + n] = map(add, acc[o : o + n], map(mul, s._num, weights if k else repeat(scale, n)))
-    return terms[0][0]._rational(lo, acc, den)
+    return from_numerators(terms[0][0].var, lo, acc, den)

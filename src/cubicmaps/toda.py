@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from mpmath import mp
 
-from .critical import _amplitude_exact, run_C_recursion
+from .critical import compute_K, run_C_recursion
 from .hierarchy import build_hierarchy
 from .numbers import gamma_exact
 from .precision import BigFloat
@@ -151,13 +151,12 @@ def genus1_closed_form(j: int) -> Fraction:
 def log_count_estimate(g: int, j: int, precision: int = 30):
     """ln of K_2g (2j)! j^((5g-7)/2) u_c^(-2j), as an mpf at working precision.
 
-    K_2g = q (6 pi)^(n/2) is read exactly off the critical amplitude C_2g.
+    K_2g is ``compute_K`` on the critical constants through genus g.
     """
-    q, n = _amplitude_exact(run_C_recursion(g).C[g], g)
+    k = compute_K(run_C_recursion(g), g, precision + 20).value
     with mp.workdps(precision + 20):
         ln_uc = mp.log(3) / 4 - mp.log(18)
-        ln_k = mp.log(q.numerator) - mp.log(q.denominator) + Fraction(n, 2) * mp.log(6 * mp.pi)
-        return ln_k + mp.loggamma(2 * j + 1) + mp.mpf(5 * g - 7) / 2 * mp.log(j) - 2 * j * ln_uc
+        return mp.log(k) + mp.loggamma(2 * j + 1) + mp.mpf(5 * g - 7) / 2 * mp.log(j) - 2 * j * ln_uc
 
 
 def count_vs_estimate(g: int, j: int, f_exact: Fraction, precision: int = 30) -> BigFloat:

@@ -257,6 +257,11 @@ def qbeta_value(x: Qbeta):
     return acc
 
 
+def grades(x: Qbeta) -> set[int]:
+    """beta-exponents with a nonzero component (the Z/4 grading of the field)."""
+    return {i for i, n in enumerate(x.numerators) if n}
+
+
 def critical_amplitudes(G: int) -> tuple[list, list]:
     """C_2k and D_2k = 6 sqrt(3) C_2k for k = 0..G, by the closed one-line
     recursion run in Q(beta) itself:

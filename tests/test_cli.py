@@ -16,7 +16,11 @@ import cubicmaps
 from cubicmaps import acceptance
 from cubicmaps.acceptance import CriterionResult
 from cubicmaps.cli import main
+from cubicmaps.critical import run_C_recursion
+from cubicmaps.numbers import BETA, Qbeta
+from cubicmaps.precision import agreement_digits
 from cubicmaps.toda import genus_table
+from oracles import critical_amplitudes, qbeta_value
 
 F2_COLUMN = [Fraction(3, 2), Fraction(189), Fraction(26892), Fraction(4076568), Fraction(3213210384, 5)]
 
@@ -201,6 +205,32 @@ def test_critical_payload(capsys):
         assert abs(k0 - 1 / mp.sqrt(6 * mp.pi)) < mp.mpf(10) ** -35
 
 
+def test_critical_matches_the_qbeta_oracle_through_genus_60(capsys):
+    # the CLI payload against the recursion run in Q(beta) itself, and K
+    # against the defining ratio 6 3^(1/4) C_2g / (Gamma((5g-1)/2) u_c^g)
+    precision = 40
+    code, out, err = run_cli(capsys, "critical", "--max-genus", "60", "--precision", str(precision))
+    assert code == 0 and err == ""
+    amplitudes = json.loads(out)["amplitudes"]
+    c, d = critical_amplitudes(60)
+    assert [a["g"] for a in amplitudes] == list(range(61))
+
+    def decode(tag):
+        return Qbeta(tuple(Fraction(int(x["num"]), int(x["den"])) for x in tag["components"]))
+
+    with workdps(precision + 20):
+        u_c = mp.root(3, 4) / 18
+        for g, a in enumerate(amplitudes):
+            assert decode(a["C"]) == c[g] and decode(a["D"]) == d[g]
+            assert a["sign"] == (1 if qbeta_value(c[g]) > 0 else -1)
+            direct = 6 * mp.root(3, 4) * qbeta_value(c[g]) / (mp.gamma(mp.mpf(5 * g - 1) / 2) * u_c**g)
+            assert a["K"]["dps"] == precision
+            assert agreement_digits(as_number(a["K"]), direct) >= precision - 1, g
+    # C_2k = Y_k beta^(1-k) / (18 576^k) with the integers the record carries
+    y = run_C_recursion(60).Y
+    assert all(c[k] == Fraction(y[k], 18 * 576**k) * BETA ** (1 - k) for k in range(61))
+
+
 def test_validate_payload(capsys):
     args = ("validate", "--N", "4", "--u", "1/20", "--precision", "30")
     code, out, _ = run_cli(capsys, *args)
@@ -268,6 +298,17 @@ def test_validate_rejects_bad_input(capsys, u, extra):
     code, out, err = run_cli(capsys, "validate", "--N", "3", "--u", u, "--precision", "30", *extra)
     assert code == 1 and out == ""
     assert error_type(err) == "validation"
+
+
+@pytest.mark.parametrize("step", ["2", "5/4"])
+def test_validate_toda_step_past_t0(capsys, step):
+    # t0(1/10) = 1/(4 (3/10)^(4/3)) ~ 1.2448: a step at or past it would move
+    # the lower time sample to t0 - h <= 0, off the real coupling axis
+    code, out, err = run_cli(capsys, "validate", "--N", "2", "--u", "1/10", "--toda", "--h-step", step)
+    assert code == 1 and out == ""
+    message = json.loads(err)["error"]["message"]
+    assert error_type(err) == "validation"
+    assert "h_step" in message and "t0(u)" in message and "1.24483" in message
 
 
 def test_env_precision(capsys, monkeypatch):

@@ -19,7 +19,7 @@ from cubicmaps.numbers import (
     gamma_exact,
 )
 from cubicmaps.precision import agreement_digits
-from oracles import binomial, pochhammer, qbeta_value
+from oracles import binomial, grades, pochhammer, qbeta_value
 
 
 def test_beta_fourth_power():
@@ -91,10 +91,18 @@ def test_random_products_match_floats():
             assert abs(lhs - rhs) <= mp.mpf(10) ** (-40) * max(1, abs(lhs))
 
 
+def test_irrational_element_survives_pickle_and_deepcopy():
+    x = (BETA**3 - 7 * BETA + Fraction(2, 9)) / 5
+    for clone in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+        assert type(clone) is Qbeta and clone == x and hash(clone) == hash(x)
+        assert (clone.numerators, clone.denominator) == (x.numerators, x.denominator) == ((2, -63, 0, 9), 45)
+        assert clone.c == x.c and clone.inverse() == x.inverse()
+
+
 def test_grades():
-    assert (BETA**3).grades() == {3}
-    assert (BETA**5).grades() == {1}  # beta^4 = 12 reduces the grade mod 4
-    assert Qbeta((1, 0, 2, 0)).grades() == {0, 2}
+    assert grades(BETA**3) == {3}
+    assert grades(BETA**5) == {1}  # beta^4 = 12 reduces the grade mod 4
+    assert grades(Qbeta((1, 0, 2, 0))) == {0, 2}
 
 
 def test_double_factorial():

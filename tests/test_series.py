@@ -372,7 +372,7 @@ def test_coeffs_are_fractions_and_equality_is_by_value():
     assert all(type(c) is Fraction for c in from_ints.coeffs)
     assert from_ints == from_fractions and hash(from_ints) == hash(from_fractions)
     squared = from_ints * from_ints
-    assert hash(squared) == hash(w_series([4, 16, 40])) and squared._coeffs is None  # hashed on integers
+    assert hash(squared) == hash(w_series([4, 16, 40]))
     halves = w_series([Fraction(1, 2), Fraction(3, 2)])
     assert halves == w_series([Fraction(2, 4), Fraction(6, 4)])
     assert halves != w_series([Fraction(1, 2), Fraction(3, 2)], offset=1)
@@ -381,6 +381,32 @@ def test_coeffs_are_fractions_and_equality_is_by_value():
     with pytest.raises(AttributeError):
         halves.offset = 3
     assert pickle.loads(pickle.dumps(halves)) == halves == copy.deepcopy(halves)
+
+
+@given(series_strategy, series_strategy)
+def test_coefficient_reads_the_coeffs_window(a, b):
+    for s in (a, b, a * b, a - b):
+        assert all(type(c) is Fraction for c in s.coeffs)
+        for e in range(s.offset - 3, s.known_max + 1):
+            want = s.coeffs[e - s.offset] if e >= s.offset else 0
+            assert type(s.coefficient(e)) is Fraction and s.coefficient(e) == want
+        with pytest.raises(BeyondHorizonError):
+            s.coefficient(s.known_max + 1)
+
+
+@pytest.mark.parametrize("s", [
+    zero_series(VAR_W, 4),
+    zero_series(VAR_U2, -2),
+    w_series([Fraction(-3, 4), 0, 5, Fraction(1, 6)], offset=-3),
+    TruncatedSeries(VAR_U2, 2, (Fraction(7, 2), -1, Fraction(2, 9))),
+    from_numerators(VAR_U2, -1, [0, 6, -4, 9], 15),
+])
+def test_pickle_and_deepcopy_round_trip(s):
+    for clone in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s), copy.copy(s)):
+        assert type(clone) is TruncatedSeries and clone == s and hash(clone) == hash(s)
+        assert (clone.var, clone.offset, clone.known_max) == (s.var, s.offset, s.known_max)
+        assert (clone.numerators, clone.denominator) == (s.numerators, s.denominator)
+        assert clone.coeffs == s.coeffs and clone * s == s * s
 
 
 def test_non_rational_coefficients_and_scalars_raise_type_error():

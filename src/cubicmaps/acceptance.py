@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 from mpmath import mp, workdps
@@ -52,18 +53,6 @@ def _series_check(g: int, expected) -> tuple[bool, str]:
     if got != expected:
         return False, f"F^({2 * g}) coefficients {got} != {expected}"
     return True, f"F^({2 * g}) coefficients of u^2..u^{2 * len(expected)} exact"
-
-
-def _c_genus0():
-    return _series_check(0, _F0)
-
-
-def _c_genus1():
-    return _series_check(1, _F2)
-
-
-def _c_genus2():
-    return _series_check(2, _F4)
 
 
 def _c_closed_forms():
@@ -196,9 +185,9 @@ def _c_endpoints():
 
 # (key, title, budget in seconds, callable)
 CRITERIA = (
-    ("genus0", "planar free-energy coefficients", 1.0, _c_genus0),
-    ("genus1", "genus-1 free-energy coefficients", 1.0, _c_genus1),
-    ("genus2", "genus-2 free-energy coefficients", 5.0, _c_genus2),
+    ("genus0", "planar free-energy coefficients", 1.0, partial(_series_check, 0, _F0)),
+    ("genus1", "genus-1 free-energy coefficients", 1.0, partial(_series_check, 1, _F2)),
+    ("genus2", "genus-2 free-energy coefficients", 5.0, partial(_series_check, 2, _F4)),
     ("closed-forms", "closed-form counts vs Toda pipeline", 10.0, _c_closed_forms),
     ("oracle6", "pairing census vs counts through p=8", 1200.0, _c_oracle),
     ("critical", "exact singular amplitudes and count constants", 1.0, _c_critical),

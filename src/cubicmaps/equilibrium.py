@@ -5,21 +5,24 @@ The eigenvalue density in the one-cut regime is
     rho(z) = (1/2*pi*i) * sqrt((z-a)(z-b)) * h(z),    h(z) = 1 - 3*u*x - 3*u*z,
 
 supported on [a, b] with a = x - y, b = x + y.  The endpoints are the
-leading slice of the string equations at w = u^2: g0 solves the cubic
-72 g0^3 - g0^2 + w^2 = 0 on the branch g0 = w + 36 w^2 + ..., the center is
-x = b0/u with b0 = (g0 - w)/(6 g0), and the half-width is y = 2 sqrt(g0/w),
-so x solves 18 u^2 x^3 - 9 u x^2 + x - 6 u = 0.  z0 = 1/(3u) - x is the
-extra zero of h.  One-cut regularity (z0 > b) holds up to the critical
-coupling u_c = 3^(1/4)/18, where z0 collides with b and g0 reaches the
-slice's double root 1/108.  This module owns the numeric slice, which
-``finite_n`` continues past u_c, solves for the endpoints, numerically and
-as series in u^2 read off ``hierarchy``'s exact leading pair, and samples
-the effective potential along the contour tails; it does not evaluate rho
-itself.
+leading slice of the string equations at w = u^2, solved in H = g0/w:
+72 w H^3 - H^2 + 1 = 0 on the branch H = 1 + 36 w + ..., the center is
+x = b0/u with b0 = (H - 1)/(6 H), and the half-width is y = 2 sqrt(H), so
+x solves 18 u^2 x^3 - 9 u x^2 + x - 6 u = 0.  z0 = 1/(3u) - x is the extra
+zero of h.  One-cut regularity (z0 > b) holds up to the critical coupling
+u_c = 3^(1/4)/18, where z0 collides with b and H reaches the slice's double
+root sqrt(3).  This module owns the numeric slice in H, with one root route
+at every w > 0 (a Newton climb to the negative root, the other two from
+the deflated quadratic), its b0 and closed-form 1/N^2 terms, which
+``finite_n`` continues past u_c; it solves for the endpoints, numerically
+and as series in u^2 read off ``hierarchy``'s exact leading pair, and
+samples the effective potential along the contour tails; it does not
+evaluate rho itself.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple
 
 from mpmath import extraprec, mp, workdps
@@ -54,12 +57,13 @@ def solve_endpoints(u, precision: int = 40) -> EquilibriumData:
     """Endpoint data on the branch continuous from x(0) = 0, read off the leading slice.
 
     u (an mpf, int, Fraction or BigFloat) is read at precision + 20 digits.
-    g0 = ``_g0_branch(w, w)`` at w = u^2 is the root that starts as
-    w + 36 w^2, then x = b0/u and y = 2 sqrt(g0/w).  Accepts 0 <= u <= u_c;
+    H = ``slice_root(w, 1)`` at w = u^2 is the root H = g0/w that starts as
+    1 + 36 w, then x = b0/u and y = 2 sqrt(H).  Accepts 0 <= u <= u_c;
     exactly-critical input (to working tolerance) is flagged and reads the
-    slice at its double root, g0 = 1/108 at w = u_c^2, so only x = b0/u sees
-    the input; u beyond u_c raises.  At 1 - u/u_c = 10^-k, k > 30, g0, x and
-    y are computed with ceil(k/2) - 15 more digits and rounded back.
+    slice at its double root, H = sqrt(3) (g0 = 1/108) at w = u_c^2, so only
+    x = b0/u sees the input; u beyond u_c raises.  At 1 - u/u_c = 10^-k,
+    k > 30, H, x and y are computed with ceil(k/2) - 15 more digits and
+    rounded back.
     """
     dps = precision
     with workdps(dps + 20):
@@ -77,8 +81,9 @@ def solve_endpoints(u, precision: int = 40) -> EquilibriumData:
                 z0=mp.inf, critical=False, dps=dps,
             )
         if critical:
-            # the slice's double root g0 = 1/108 at w_c = u_c^2
-            w, g0 = uc * uc, mp.mpf(1) / 108
+            # the slice's double root H = sqrt(3), read as g0/w_c with g0 = 1/108
+            w = uc * uc
+            H = mp.mpf(1) / 108 / w
             extra = 0
         else:
             # next to u_c the root sits next to that double root and loses
@@ -88,11 +93,11 @@ def solve_endpoints(u, precision: int = 40) -> EquilibriumData:
         with workdps(dps + 20 + extra):
             if not critical:
                 w = u * u
-                g0 = _g0_branch(w, w)
-            if not (isinstance(g0, mp.mpf) and g0 > 0):
-                raise ArithmeticError(f"leading slice root g0={g0} is not real and positive")
-            x = _slice_b0(g0, w) / u
-            y = 2 * mp.sqrt(g0 / w)
+                H = slice_root(w, 1)
+            if not (isinstance(H, mp.mpf) and H > 0):
+                raise ArithmeticError(f"leading slice root H={H} is not real and positive")
+            x = slice_b0(H, w) / u
+            y = 2 * mp.sqrt(H)
         x, y = +x, +y  # rounded back to precision + 20 digits
         a, b = x - y, x + y
         z0 = 1 / (3 * u) - x
@@ -101,33 +106,27 @@ def solve_endpoints(u, precision: int = 40) -> EquilibriumData:
         return EquilibriumData(u=u, x=x, y=y, a=a, b=b, z0=z0, critical=critical, dps=dps)
 
 
-_SMALL_W = 1 / 720  # 72|w| < 1/10: Newton for the small roots converges from y = 1 + 36 w
+def slice_roots(w):
+    """The three roots H = g0/w of the leading slice 72 w H^3 - H^2 + 1 = 0 for real w > 0.
 
-
-def _g0_branch(w, near):
-    """Root of 72 x^3 - x^2 + w^2 nearest to `near`: the continued leading slice."""
-    return min(_slice_roots(w), key=lambda r: abs(r - near))
-
-
-def _slice_roots(w):
-    """The three roots of 72 x^3 - x^2 + w^2 for real w > 0; real roots come back as mpf."""
-    if abs(w) < _SMALL_W:
-        # the roots x ~ +w and x ~ -w merge into a double root at 0 once w^2
-        # falls below the working precision; with x = s*y, s = +-w, they are
-        # the roots y ~ 1 of 72 s y^3 - y^2 + 1, and the third root follows
-        # from their sum 1/72
-        small = [s * _unit_root(72 * s) for s in (w, -w)]
-        return small + [mp.mpf(1) / 72 - small[0] - small[1]]
-
-    def newton(x):
-        return x - ((72 * x - 1) * x * x + w * w) / ((216 * x - 2) * x)
-
+    With c = 72 w, c H^3 - H^2 + 1 rises and is concave on H < 0, from -c at
+    H = -1 to 1 at 0, so Newton from -1 climbs to the negative root r without
+    overshooting, until a step falls below 2^10 eps |r|, plus one step.  The
+    other two roots solve H^2 - s H + p, s = 1/c - r > 0, p = -1/(c r), as
+    q = (s + sqrt(s^2 - 4p))/2 and p/q, which forms no difference of nearly
+    equal roots; two Newton steps polish each (a fixed count: near the double
+    root H = sqrt(3) at w_c = u_c^2 a step's rounding noise can exceed any
+    tolerance a stopping rule would use).  The roots are rounded once, at the
+    working precision; real roots come back as mpf.
+    """
     tol = mp.ldexp(mp.eps, 10)
     with extraprec(20):
-        # on x < 0 the cubic rises and is concave, from -72 w^3 at x = -w to
-        # w^2 at 0, so Newton from -w climbs to the real root r there without
-        # overshooting, until a step falls below 2^10 eps |r|, plus one step
-        r = -w
+        c = 72 * w
+
+        def newton(h):
+            return h - ((c * h - 1) * h * h + 1) / ((3 * c * h - 2) * h)
+
+        r = mp.mpf(-1)
         for _ in range(mp.prec):
             r, last = newton(r), r
             if r - last < tol * -r:
@@ -135,34 +134,30 @@ def _slice_roots(w):
         else:
             raise ArithmeticError("Newton on the leading slice cubic did not settle")
         r = newton(r)
-        # the other two solve x^2 - s x + p, s = 1/72 - r > 0, p = -w^2/(72 r),
-        # as q = (s + sqrt(s^2 - 4p))/2 and p/q, which forms no difference of
-        # nearly equal roots; two Newton steps polish each (a fixed count:
-        # near the double root at w^2 = 1/34992 a step's rounding noise can
-        # exceed any tolerance a stopping rule would use)
-        s, p = mp.mpf(1) / 72 - r, -w * w / (72 * r)
+        s, p = 1 / c - r, -1 / (c * r)
         q = (s + mp.sqrt(s * s - 4 * p)) / 2
-        roots = [r] + [newton(newton(x)) for x in (q, p / q)]
+        roots = [r] + [newton(newton(h)) for h in (q, p / q)]
     # as mp.polyroots does, an imaginary part below eps is rounding noise on a real root
-    return [+x.real if abs(mp.im(x)) < mp.eps else +x for x in roots]
+    return [+h.real if abs(mp.im(h)) < mp.eps else +h for h in roots]
 
 
-def _unit_root(c):
-    """Root y = 1 + c/2 + O(c^2) of c y^3 - y^2 + 1, for |c| < 1/10, by Newton."""
-    tol = mp.eps  # a step below it leaves an error of order its square
-    with extraprec(20):
-        y = 1 + c / 2
-        step = 1
-        while abs(step) >= tol:
-            step = (c * y ** 3 - y * y + 1) / (3 * c * y * y - 2 * y)
-            y -= step
-    return +y
+def slice_root(w, near):
+    """Root H of the leading slice at w nearest to `near`: the continued branch."""
+    return min(slice_roots(w), key=lambda h: abs(h - near))
 
 
-def _slice_b0(g0, w):
-    """b0 = (g0 - w)/(6 g0) on any branch, as 12 g0^2/(g0 + w): g0 - w = 72 g0^3/(g0 + w)
-    by the cubic, which keeps b0 when g0 and w agree to working precision."""
-    return 12 * g0 * g0 / (g0 + w)
+def slice_b0(H, w):
+    """b0 = (g0 - w)/(6 g0) at g0 = w H on any branch, as 12 w H^2/(H + 1): the slice
+    makes H - 1 = 72 w H^3/(H + 1), which keeps b0 when H is next to 1."""
+    return 12 * w * H * H / (H + 1)
+
+
+def slice_corrections(H, w):
+    """The 1/N^2 terms (g2, b2) in closed form at g0 = w H on any branch of the slice;
+    det = 1 - 108 g0 is the hierarchy's determinant, which divides each order once."""
+    g0 = w * H
+    det4 = (1 - 108 * g0) ** 4
+    return 162 * g0 * (5 - 324 * g0) / det4, 54 / (H * det4)
 
 
 def endpoint_series(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
@@ -170,10 +165,11 @@ def endpoint_series(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
 
     Returns (X, Y) in the u^2 variable, with x(u) = u * X(u^2) (the center is
     an odd function of u) and y(u) = Y(u^2).  Both are read off the leading
-    pair of ``compute_g0_series`` at w = u^2: X = b0/w and Y = 2 sqrt(g0/w).
-    The center cubic 18 q^2 X^3 - 9 q X^2 + X - 6 = 0, q = u^2, must then
-    close exactly through the returned window: it ties b0 to the endpoint
-    center, and a residual is a hard failure.
+    pair of ``compute_g0_series`` at w = u^2: X = b0/w and Y = 2 sqrt(H),
+    H = g0/w, by the square-root recurrence.  The center cubic
+    18 q^2 X^3 - 9 q X^2 + X - 6 = 0, q = u^2, must then close exactly
+    through the returned window, which ties b0 to the endpoint center, and
+    Y^2 = 4 H must hold exactly; a residual is a hard failure.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -183,7 +179,14 @@ def endpoint_series(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     residual = (q2 * X).shift(2) * 18 - q2.shift(1) * 9 + X - 6
     if not residual.is_zero():
         raise ArithmeticError(f"center cubic residual {residual!r} of the leading slice is not zero")
-    Y = g0.shift(-1).retag(VAR_U2).sqrt_unit() * 2
+    H = g0.shift(-1).retag(VAR_U2)
+    # Y = 2 sqrt(H): Y^2 = 4 H with Y_0 = 2 gives Y_n = H_n - (1/4) sum_(m=1..n-1) Y_m Y_(n-m)
+    Y = [Fraction(2)]
+    for n, h in enumerate(H.coeffs[1:], start=1):
+        Y.append(h - sum((Y[m] * Y[n - m] for m in range(1, n)), Fraction(0)) / 4)
+    Y = TruncatedSeries(VAR_U2, 0, Y)
+    if Y * Y != H * 4:
+        raise ArithmeticError(f"half-width series {Y!r} does not square to 4 g0/w")
     return X.truncate_to(order), Y.truncate_to(order)
 
 

@@ -38,7 +38,7 @@ from typing import NamedTuple
 from mpmath import mp, workdps, workprec
 from mpmath.libmp import from_man_exp, mpf_cos_sin, mpf_exp, to_fixed
 
-from .equilibrium import _g0_branch, _slice_b0
+from .equilibrium import slice_b0, slice_corrections, slice_root
 from .precision import BigFloat, as_mp
 
 # Along the path, |exp(-N V(s zeta))| = exp(-b r^2 cos(2 theta)/2 + c r^3 cos(3 theta))
@@ -434,16 +434,6 @@ def string_residuals(data: RecurrenceData, u, N: int):
         return r1, r2
 
 
-def _slice_values(g0, w):
-    # the 1/N^2 terms (g2, b2) in closed form on any branch of the leading
-    # slice g0 (``equilibrium._g0_branch``); det = 1 - 108 g0 is the
-    # hierarchy's determinant, which divides each order once
-    det = 1 - 108 * g0
-    g2 = 162 * g0 * (5 - 324 * g0) / det ** 4
-    b2 = 54 * w / (g0 * det ** 4)
-    return g2, b2
-
-
 def expansion_prediction(u, N: int, gamma2_near):
     """(predicted gamma^2_N, predicted beta_N, branch tag) from the closed forms.
 
@@ -455,17 +445,17 @@ def expansion_prediction(u, N: int, gamma2_near):
     if u_m == 0:
         return mp.mpf(1), mp.mpf(0), "gaussian"
     w1 = u_m ** 2
-    g0 = _g0_branch(w1, as_mp(gamma2_near) * w1)
-    g2, _ = _slice_values(g0, w1)
-    pred_gamma = g0 / w1 + (u_m ** 2 * g2) / N ** 2
+    H = slice_root(w1, as_mp(gamma2_near))
+    g2, _ = slice_corrections(H, w1)
+    pred_gamma = H + (u_m ** 2 * g2) / N ** 2
     s = 1 + mp.mpf(1) / (2 * N)
     ws = s * u_m ** 2
-    g0s = _g0_branch(ws, g0)
-    _, b2s = _slice_values(g0s, ws)
-    pred_beta = _slice_b0(g0s, ws) / u_m + (u_m ** 3 * b2s) / N ** 2
-    if abs(mp.im(g0)) < mp.mpf(10) ** (-mp.dps // 2):
+    Hs = slice_root(ws, H / s)
+    _, b2s = slice_corrections(Hs, ws)
+    pred_beta = slice_b0(Hs, ws) / u_m + (u_m ** 3 * b2s) / N ** 2
+    if abs(mp.im(H)) < mp.mpf(10) ** (-mp.dps // 2):
         branch = "real"
-    elif mp.im(g0) > 0:
+    elif mp.im(H) > 0:
         branch = "upper"
     else:
         branch = "lower"

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from mpmath import mp, workdps
+from mpmath import mp
 
 
 class BigFloat(NamedTuple):
@@ -13,10 +13,6 @@ class BigFloat(NamedTuple):
 
     value: object  # mpf or mpc
     dps: int
-
-    def __str__(self) -> str:
-        with workdps(self.dps):
-            return mp.nstr(self.value, self.dps)
 
 
 def rational_to_mp(q: Fraction):

@@ -210,29 +210,6 @@ class TruncatedSeries:
             return zero_series(self.var, known_max)
         return from_numerators(self.var, self.offset, self._num[:n], self._den)
 
-    def sqrt_unit(self):
-        """Square root of a series whose lowest tracked term is a rational square at even exponent."""
-        v = self.valuation()
-        if v % 2:
-            raise ValueError("odd valuation has no series square root")
-        base = self.shift(-v) if v else self
-        c0 = Fraction(base._num[0], base._den)
-        from math import isqrt
-
-        rn, rd = isqrt(c0.numerator), isqrt(c0.denominator)
-        if rn * rn != c0.numerator or rd * rd != c0.denominator:
-            raise ValueError(f"leading coefficient {c0} is not a rational square")
-        n = len(base._num)
-        t = zero_series(self.var, base.known_max) + Fraction(rn, rd)
-        steps = 0
-        while (1 << steps) <= n:
-            steps += 1
-        for _ in range(steps + 1):
-            t = (t + base / t) * Fraction(1, 2)
-        if t * t != base:
-            raise ArithmeticError("square-root iteration failed to verify")
-        return t.shift(v // 2)
-
     def __repr__(self) -> str:
         shown = []
         for e, c in sorted(self.coefficients().items()):

@@ -267,8 +267,8 @@ def test_validate_tiny_coupling(capsys, u):
 
 
 def test_validate_small_coupling_keeps_prediction_digits(capsys):
-    # w = u^2 = 1e-60 sits far inside the leading slice's small-|w| route,
-    # which scales the two roots near +-w to y ~ 1; measured 1.1e-107
+    # at w = u^2 = 1e-60 the leading slice's root H = g0/w rounds to 1, so the
+    # predicted gamma^2 keeps the measured one's last bit; measured 1.1e-107
     code, out, err = run_cli(capsys, "validate", "--N", "2", "--u", "1e-30", "--precision", "30")
     assert code == 0, err
     with workdps(40):

@@ -112,8 +112,7 @@ def test_solve_endpoints_matches_polyroots(dps):
     # mp.polyroots (Durand-Kerner) as the oracle for the leading-slice
     # solver, on 18 X^3 - 9 X^2 + X - 6 u^2 with x = X/u, whose roots 6u^2,
     # ~1/6, ~1/3 stay O(1) however small u is, and y = 2/sqrt(1 - 6ux); the
-    # couplings include both sides of u^2 = 1/720, where the slice solver
-    # switches from the small-root Newton to the climb from -w; the k nearest
+    # couplings include u^2 = (1 +- 10^-6)/720 and 1e-30; the k nearest
     # the critical band, 21, 31, 41 and 51, is where the root sits next to the
     # slice's double root; measured at least 41.4, 47.7, 57.0 and 66.6 digits
     # at dps 30, 40, 50 and 60 (with 20 fixed guard digits, dps 60 holds only

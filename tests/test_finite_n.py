@@ -11,7 +11,6 @@ from cubicmaps.finite_n import (
     _path_moments,
     _path_rule,
     _path_scale,
-    _slice_values,
     build_report,
     check_asymptotic_expansion,
     compute_moments,
@@ -20,7 +19,7 @@ from cubicmaps.finite_n import (
     string_residuals,
     toda_residual,
 )
-from cubicmaps.equilibrium import _g0_branch, _slice_b0, _slice_roots
+from cubicmaps.equilibrium import slice_b0, slice_corrections, slice_root, slice_roots
 from cubicmaps.hierarchy import build_hierarchy
 from cubicmaps.numbers import double_factorial
 from cubicmaps.precision import BigFloat, agreement_digits, as_mp, rational_to_mp
@@ -283,9 +282,9 @@ def test_asymptotic_scaling(criterion_run):
         e32 = rep.entries[1]
         u = as_mp(U_TENTH)
         w = u * u
-        g0 = _g0_branch(w, as_mp(e32.gamma2) * w)
-        g2, _ = _slice_values(g0, w)
-        lead_gap = abs(as_mp(e32.gamma2) - g0 / w)
+        H = slice_root(w, as_mp(e32.gamma2))
+        g2, _ = slice_corrections(H, w)
+        lead_gap = abs(as_mp(e32.gamma2) - H)
         g2_term = abs(u * u * g2) / 32 ** 2
         assert abs(lead_gap - g2_term) / g2_term < 0.25  # measured 5e-4
 
@@ -425,20 +424,22 @@ def test_slice_functions_match_series():
             )
 
         g0_ref = tail_sum(h.g_hat[0])
-        g0 = _g0_branch(w, g0_ref)
-        g2, b2 = _slice_values(g0, w)
-        b0 = _slice_b0(g0, w)
-        assert abs(g0 - g0_ref) < mp.mpf("1e-40")
+        H = slice_root(w, g0_ref / w)
+        g2, b2 = slice_corrections(H, w)
+        b0 = slice_b0(H, w)
+        assert abs(w * H - g0_ref) < mp.mpf("1e-40")
         assert abs(g2 - tail_sum(h.g_hat[1])) / abs(g2) < mp.mpf("1e-25")
         assert abs(b0 - tail_sum(h.b_hat[0])) / abs(b0) < mp.mpf("1e-25")
         assert abs(b2 - tail_sum(h.b_hat[1])) / abs(b2) < mp.mpf("1e-25")
 
 
 def _w_crit():
-    return 1 / mp.sqrt(34992)  # w = u_c^2: the leading slice's double root at x = 1/108
+    return 1 / mp.sqrt(34992)  # w = u_c^2: the leading slice's double root at H = sqrt(3)
 
 
 @pytest.mark.parametrize("w", [
+    lambda: mp.mpf("1e-200"),
+    lambda: mp.mpf("1e-60"),
     lambda: mp.mpf(1) / 2000,
     lambda: mp.mpf(1) / 256,
     lambda: mp.mpf(1) / 100,
@@ -448,20 +449,25 @@ def _w_crit():
     lambda: (mp.mpf(1) / 5) ** 2,
     lambda: (1 + mp.mpf(1) / 8) * (mp.mpf(1) / 16) ** 2,
     lambda: (1 + mp.mpf(1) / 16) * (mp.mpf(1) / 10) ** 2,
-], ids=["1/2000", "1/256", "1/100", "wc-", "wc+", "(2/25)^2", "(1/5)^2", "9/8*(1/16)^2", "17/16*(1/10)^2"])
+    lambda: mp.mpf("1e20"),
+], ids=["1e-200", "1e-60", "1/2000", "1/256", "1/100", "wc-", "wc+", "(2/25)^2", "(1/5)^2", "9/8*(1/16)^2",
+        "17/16*(1/10)^2", "1e20"])
 def test_slice_roots_match_polyroots(w):
-    # all three roots of 72 x^3 - x^2 + w^2 against mp.polyroots at 40 more
-    # digits, on both sides of w_c and on half-shifted slices s u^2,
-    # s = 1 + 1/(2N); 1/2000 takes the small-|w| route.  Roots of a cubic with
-    # three real roots, and the real root past w_c, carry Im exactly 0:
-    # a printed prediction would otherwise come out as re/im
+    # all three roots H = g0/w of 72 w H^3 - H^2 + 1 against mp.polyroots at
+    # 40 more digits, on both sides of w_c and on half-shifted slices s u^2,
+    # s = 1 + 1/(2N); at w = 1e-60 and 1e-200 the roots near -1 and 1 sit
+    # about 60 and 200 orders below the third, and at w = 1e20 (u = 1e10) the
+    # climb from -1 runs longest.  Roots of a cubic with three real roots, and the
+    # real root past w_c, carry Im exactly 0: a printed prediction would
+    # otherwise come out as re/im
     dps = 40
     with workdps(dps):
         w = w()
-        got = _slice_roots(w)
+        got = slice_roots(w)
     with workdps(dps + 40):
-        want = mp.polyroots([72, -1, 0, w * w], extraprec=80)
-        for r in want:  # measured at least 40.9 digits
+        # 200 bits more: with 80, Durand-Kerner does not settle at w = 1e-60
+        want = mp.polyroots([72 * w, -1, 0, 1], extraprec=200)
+        for r in want:  # measured at least 41.1 digits
             assert max(agreement_digits(g, r) for g in got) >= dps
         real = sum(1 for r in want if r.imag == 0)
     assert real in (1, 3)

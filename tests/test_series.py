@@ -99,18 +99,6 @@ def test_differentiate_slides_window():
     assert d.known_max == 2
 
 
-def test_sqrt_unit_roundtrip():
-    s = w_series([Fraction(9, 4), 3, 7, -2])
-    r = s.sqrt_unit()
-    assert r.coefficient(0) == Fraction(3, 2)
-    assert_same_series(r * r, s)
-
-
-def test_sqrt_rejects_nonsquare_lead():
-    with pytest.raises(ValueError):
-        w_series([2, 1]).sqrt_unit()
-
-
 def test_var_mixing_rejected():
     a = w_series([1, 2])
     b = TruncatedSeries(VAR_U2, 0, (Fraction(1),))

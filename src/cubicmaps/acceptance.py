@@ -168,7 +168,9 @@ def _c_endpoints():
             return False, "critical coupling not flagged"
         a_t = mp.root(27, 4) - mp.root(243, 4)
         b_t = mp.root(27, 4) + mp.root(3, 4)
+        # read at 60 digits, the agreement past that is rounding, not accuracy
         digits = min(
+            60.0,
             agreement_digits(eq.z0, eq.b),
             agreement_digits(eq.a, a_t),
             agreement_digits(eq.b, b_t),

@@ -1,18 +1,22 @@
 """Finite-N orthogonal-polynomial data on a smooth contour.
 
 Everything past the moments is linear algebra, so the analytic error budget
-lives in the quadrature.  The contour is z = s zeta(t), zeta = t e^(i pi
-sigma/5), sigma = (1 + tanh(t/tau))/2: in from infinity along the ray at pi,
-out along pi/5; its mirror image goes out along -pi/5 and has the conjugate
-moments.  The integrand is analytic on the strip |Im t| < pi tau/2, so the
-trapezoidal rule with step h errs by at most 2 M(a)/(e^(2 pi a/h) - 1), M(a)
-the integrand's L1 norm on the lines Im t = +-a (Trefethen & Weideman, SIAM
-Rev. 56 (2014), Thm 5.1).  `_path_rule` takes a = pi tau/4, bounds M(a) from
-float samples, sets h = 1/n from it, cuts the sum where radial tail bounds on
-the path close, and takes the tau of a short ladder that needs the fewest
-nodes; the nodes t = k/n are exact at the working precision.  The moment
-sums run in fixed-point Python integers, each node's weight with its own
-binary exponent.  Recurrence data is then extracted twice: by a Stieltjes
+lives in the quadrature.  The contour is z = s zeta(t), zeta = t (1 + (omega
+- 1) sigma), omega = e^(i pi/5), sigma = (1 + tanh(t/tau))/2: in from infinity
+along the ray at pi, out along pi/5, turned between them along the chord from
+1 to omega; its mirror image goes out along -pi/5 and has the conjugate
+moments.  sigma's poles are tanh's, so the integrand is analytic on the strip
+|Im t| < pi tau/2, and the trapezoidal rule with step h errs by at most
+2 M(a)/(e^(2 pi a/h) - 1), M(a) the integrand's L1 norm on the lines
+Im t = +-a (Trefethen & Weideman, SIAM Rev. 56 (2014), Thm 5.1).
+`_path_rule` takes a = pi tau/4, bounds M(a) from float samples, sets h = 1/n
+from it, cuts the sum where radial tail bounds on the path close, and takes
+the tau of a short ladder that needs the fewest nodes; the nodes t = k/n are
+exact at the working precision.  The chord turn costs no transcendental per
+node: sigma = 1/(1 + E_k) with E_k = e^(-2k/(n tau)) a geometric progression,
+so each node pays one exponential and one cosine-sine pair, both of -N V.
+The moment sums run in fixed-point Python integers, each node's weight with
+its own binary exponent.  Recurrence data is then extracted twice: by a Stieltjes
 bordering pass in mpmath, and by one elimination of the Hankel matrix in
 fixed-point integers that also gives every block's condition number, so
 conditioning loss shows up as a measured number instead of eating digits.
@@ -46,9 +50,13 @@ from .precision import BigFloat, as_mp
 # terms decay; outbound, theta climbs from pi/10 to pi/5, and the cubic term
 # decays only once theta has passed pi/6, where cos(3 theta) turns negative.
 _COS_EXIT = math.cos(2 * math.pi / 5)  # the least cos(2 theta) outbound
-# for real t, zeta'(t) = e^(i pi sigma/5) (1 + i q) with q = (pi/10) x sech^2 x
-# at x = t/tau, and max_x |x| sech^2 x = 0.4477, so |zeta'| <= sqrt(1 + 0.1407^2)
-_DZETA_MAX = 1.01
+_CHORD = cmath.exp(1j * math.pi / 5) - 1  # omega - 1
+# for real t, zeta'(t) = rho + (omega - 1) x sech^2(x)/2 with rho = 1 + (omega -
+# 1) sigma and x = t/tau, where |rho| <= 1, |omega - 1| = 2 sin(pi/10) and
+# max_x |x| sech^2 x = 0.4477, so |zeta'| <= 1.1384; |zeta| = |t| |rho| with
+# |rho|^2 = 1 - 2 (1 - cos(pi/5)) sigma (1 - sigma) growing outward, so
+# d|zeta|/d|t| >= |rho| >= cos(pi/10), and |zeta'| <= 1.197 d|zeta|/d|t|
+_DZETA_MAX = 1.2
 _TAUS = (1, 2, 3, 4, 6, 8, 12, 16)  # turning widths the rule may take; 8 is tried first
 _STEP = 0.5  # spacing of the float samples behind the rule's bounds
 
@@ -60,6 +68,7 @@ _QUAD_GUARD = 15
 _FIX_GUARD = 40  # fixed-point bits behind the working precision in the moment sums
 _NODE_GUARD = 20  # bits behind those at which each node's weight is evaluated
 _HANKEL_GUARD = 40  # bits past the working precision that the Hankel elimination keeps on its least moment
+_NORM_BITS = 100  # bits the largest entry of M_n^-1 keeps in the condition numbers' 1-norms
 
 
 def _path_scale(u_m, N: int):
@@ -76,12 +85,17 @@ def _path_scale(u_m, N: int):
     return s, N * s * s, mp.mpf(1)
 
 
+def _turn(t, tau: int):
+    """(rho, sigma') with zeta = t rho on the chord turn, at real or complex t."""
+    th = cmath.tanh(t / tau)
+    return 1 + _CHORD * (1 + th) / 2, (1 - th * th) / (2 * tau)
+
+
 def _log_terms(t: complex, tau: int, b: float, c: float) -> tuple[float, float]:
     """(log|exp(-b zeta^2/2 + c zeta^3) zeta'(t)|, log|zeta(t)|) at complex t."""
-    th = cmath.tanh(t / tau)
-    rot = cmath.exp(1j * math.pi * (1 + th) / 10)
-    zeta = t * rot
-    dzeta = rot * (1 + 1j * math.pi * t * (1 - th * th) / (10 * tau))
+    rho, dsigma = _turn(t, tau)
+    zeta = t * rho
+    dzeta = rho + _CHORD * t * dsigma
     phi = zeta * zeta * (c * zeta - b / 2)
     return phi.real + math.log(abs(dzeta)), math.log(abs(zeta))
 
@@ -103,17 +117,19 @@ def _grid(x0: float, x1: float) -> list[float]:
     return [x0 + (k + 0.5) * _STEP for k in range(int((x1 - x0) / _STEP))]
 
 
-def _radial_decay(t: float, tau: int, b: float, c: float, j_max: int) -> float | None:
-    """g(|t|) of the tail bound past t, or None while it does not hold yet.
+def _radial_decay(t: float, tau: int, b: float, c: float, j_max: int) -> tuple[float, float] | None:
+    """(g(r), log r) of the tail bound past t, r = |zeta(t)|, or None while it does not hold yet.
 
-    Beyond t, arg zeta only moves further toward the ray it approaches, so
-    |exp(-b zeta^2/2 + c zeta^3)| <= exp(-g(|t'|)), g(r) = b c2 r^2/2 + c c3 r^3
-    with c2, c3 read at t.  Once r g'(r) >= j_max + 2, r^j exp(-g) falls faster
-    than 1/r^2 for every order j, so the tail integral and the tail of the
-    trapezoidal sum are both at most |zeta'| r^(j+1) exp(-g(r)); log |zeta'|
-    is taken off the returned g.
+    Beyond t, arg zeta only moves further toward the ray it approaches and
+    |zeta| only grows, so |exp(-b zeta^2/2 + c zeta^3)| <= exp(-g(|zeta|)),
+    g(r) = b c2 r^2/2 + c c3 r^3 with c2, c3 read at t.  Once r g'(r) >=
+    j_max + 2, r^j exp(-g) falls faster than 1/r^2 for every order j, so the
+    tail integral, taken in r, and the tail of the trapezoidal sum are both
+    at most (|zeta'|/(d|zeta|/dt)) r^(j+1) exp(-g(r)); log _DZETA_MAX is taken
+    off the returned g.
     """
-    theta = math.pi * (1 + math.tanh(t / tau)) / 10
+    rho, _ = _turn(t, tau)
+    theta = cmath.phase(rho)
     if t > 0:
         c2, c3 = _COS_EXIT, -math.cos(3 * theta)
         if c3 < 0:
@@ -121,10 +137,10 @@ def _radial_decay(t: float, tau: int, b: float, c: float, j_max: int) -> float |
     else:
         # inbound, arg zeta = pi + theta with theta shrinking toward 0
         c2, c3 = math.cos(2 * theta), math.cos(3 * theta)
-    r = abs(t)
+    r = abs(t * rho)
     if b * c2 * r * r + 3 * c * c3 * r ** 3 < j_max + 2:
         return None
-    return b * c2 * r * r / 2 + c * c3 * r ** 3 - math.log(_DZETA_MAX)
+    return b * c2 * r * r / 2 + c * c3 * r ** 3 - math.log(_DZETA_MAX), math.log(r)
 
 
 @functools.lru_cache(maxsize=256)
@@ -143,7 +159,7 @@ def _rule_for(target: float, b: float, c: float, j_max: int, tau: int) -> tuple[
     m0 = _log_envelope([_log_terms(x, tau, b, c) for x in _grid(lo, hi)], j_max)
 
     def closed(t: float) -> bool:
-        g, log_r = _radial_decay(t, tau, b, c, j_max), math.log(abs(t))
+        g, log_r = _radial_decay(t, tau, b, c, j_max)
         return all((j + 1) * log_r - g <= m - target for j, m in enumerate(m0))
 
     while not closed(lo):
@@ -191,6 +207,24 @@ def _fixed_cos_sin(x: int, prec: int) -> tuple[int, int]:
     return to_fixed(cos, prec), to_fixed(sin, prec)
 
 
+def _turning_factors(n: int, tau: int, k_max: int, prec: int) -> list[int]:
+    """E_k = e^(-2k/(n tau)) for k = 0..k_max, fixed point at `prec` fraction bits.
+
+    A geometric progression from E_0 = 1 by the ratio e^(-2/(n tau)), run at
+    g = bit_length(k_max) + 2 guard bits: the ratio errs by under 1.01 units of
+    the guarded last place and each step truncates, so E_k errs there by
+    under 2.01 k < 2^g units, and cut to `prec` bits every E_k is within 2
+    units of its last place of the exact value.
+    """
+    guard = k_max.bit_length() + 2
+    p = prec + guard
+    ratio = to_fixed(mpf_exp(from_man_exp(-(2 << (p + 10)) // (n * tau), -(p + 10)), p + 10), p)
+    factors = [1 << p]
+    for _ in range(k_max):
+        factors.append(factors[-1] * ratio >> p)
+    return [e >> guard for e in factors]
+
+
 def _path_moments(s, b, c, max_order: int, tau: int, n: int, k_lo: int, k_hi: int):
     """h * sum over k_lo <= k <= k_hi of z^j exp(-N V(z)) z'(t) at t = k h, h = 1/n.
 
@@ -198,34 +232,42 @@ def _path_moments(s, b, c, max_order: int, tau: int, n: int, k_lo: int, k_hi: in
     in fixed point at `bits` + _NODE_GUARD bits and kept as two mantissas
     (real, imaginary) of `bits` bits with its own binary exponent, so a
     weight deep in the tail keeps its full relative precision before zeta^j
-    amplifies it.  zeta is fixed point with `bits` fraction bits, each order
-    multiplies every mantissa by it once, and each order is summed exactly
-    at the smallest node exponent; s^(j+1) h turns the zeta moments into z
-    moments.
+    amplifies it.  The turn needs no transcendental per node: sigma comes from
+    `_turning_factors` and omega = (1 + sqrt 5)/4 + i sin(pi/5) is algebraic.
+    zeta is fixed point with `bits` fraction bits, each order multiplies every
+    mantissa by it once, and each order is summed exactly at the smallest node
+    exponent; s^(j+1) h turns the zeta moments into z moments.
     """
     bits = mp.prec + _FIX_GUARD
     prec = bits + _NODE_GUARD
     one = 1 << prec
     with workprec(prec + 10):
-        half_b, c_fix, pi5 = (to_fixed(v._mpf_, prec) for v in (b / 2, c, mp.pi / 5))
+        half_b, c_fix = (to_fixed(v._mpf_, prec) for v in (b / 2, c))
+    # omega - 1 = (cos(pi/5) - 1, sin(pi/5)), cos(pi/5) = (1 + sqrt 5)/4
+    cos5 = (one + math.isqrt(5 << 2 * prec)) >> 2
+    ar, ai = cos5 - one, math.isqrt((one << prec) - cos5 * cos5)
+    turning = _turning_factors(n, tau, max(-k_lo, k_hi), prec)
     nodes = []
     for k in range(k_lo, k_hi + 1):
         t = (k << prec) // n
-        # sigma = 1/(1 + E) and sigma' = (2/tau) sigma (1 - sigma), E = exp(-2t/tau)
-        big_e = to_fixed(mpf_exp(from_man_exp(-2 * t // tau, -prec), prec), prec)
-        sigma = (one << prec) // (one + big_e)
+        # sigma = 1/(1 + E_|k|) for k >= 0 and sigma(-t) = 1 - sigma(t);
+        # sigma' = (2/tau) sigma (1 - sigma)
+        sigma = (one << prec) // (one + turning[abs(k)])
+        if k < 0:
+            sigma = one - sigma
         dsigma = 2 * (sigma * (one - sigma) >> prec) // tau
-        cr, ci = _fixed_cos_sin(pi5 * sigma >> prec, prec)
-        zr, zi = t * cr >> prec, t * ci >> prec
-        q = (pi5 * t >> prec) * dsigma >> prec
-        dr, di = cr - (ci * q >> prec), ci + (cr * q >> prec)
+        # zeta = t rho, rho = 1 + (omega - 1) sigma, zeta' = rho + (omega - 1) t sigma'
+        rr, ri = one + (ar * sigma >> prec), ai * sigma >> prec
+        zr, zi = t * rr >> prec, t * ri >> prec
+        q = t * dsigma >> prec
+        dr, di = rr + (ar * q >> prec), ri + (ai * q >> prec)
         # phi = zeta^2 (c zeta - b/2)
         sr, si = (zr * zr - zi * zi) >> prec, 2 * zr * zi >> prec
         fr, fi = (c_fix * zr >> prec) - half_b, c_fix * zi >> prec
         _, man, exp, _ = mpf_exp(from_man_exp((sr * fr - si * fi) >> prec, -prec), prec)
         er, ei = _fixed_cos_sin((sr * fi + si * fr) >> prec, prec)
-        # e^(i Im phi) zeta' has modulus >= 1 at 2 * prec fraction bits, so
-        # the cut to `bits` bits is a right shift
+        # e^(i Im phi) zeta' has modulus >= cos(pi/10) at 2 * prec fraction
+        # bits, so the cut to `bits` bits is a right shift
         wr, wi = man * (er * dr - ei * di), man * (er * di + ei * dr)
         shift = max(abs(wr), abs(wi)).bit_length() - bits
         nodes.append((zr >> _NODE_GUARD, zi >> _NODE_GUARD, wr >> shift, wi >> shift, exp - 2 * prec + shift))
@@ -377,9 +419,16 @@ def recurrence_from_moments(moments, n_max: int) -> RecurrenceData:
         for n in range(n_max + 1):
             loss = 0.0  # a block of size 0 or 1 has condition number 1 exactly
             if n >= 2:
-                inverse_norm = max(sum(map(math.isqrt, map(add, map(mul, r, r), map(mul, i, i)))) for r, i in inverse)
+                # shifted right until the largest entry keeps _NORM_BITS bits, the
+                # entries give the norm, which is at least that entry, to under
+                # 6n 2^-_NORM_BITS relative, far below what the float loss resolves
+                top = max(max(max(r), -min(r), max(i), -min(i)) for r, i in inverse).bit_length()
+                cut = max(0, top - _NORM_BITS)
+                inverse_norm = max(sum(map(math.isqrt, map(add, map(mul, r, r), map(mul, i, i))))
+                                   for r, i in (([*map(rshift, r, repeat(cut))], [*map(rshift, i, repeat(cut))])
+                                                for r, i in inverse))
                 moment_norm = max(sum(mags[j:j + n]) for j in range(n))
-                loss = float(mp.log10(mp.mpf((moment_norm * inverse_norm, -2 * F))))
+                loss = float(mp.log10(mp.mpf((moment_norm * inverse_norm, cut - 2 * F))))
             losses.append(loss)
             if loss > dps - 12:
                 raise ArithmeticError(f"Hankel conditioning exceeds the precision budget at n = {n} "

@@ -25,3 +25,9 @@ def test_criterion(key, acceptance_log, criterion_run):
     acceptance_log(line)
     print(line)
     assert r.passed, f"{r.key} ({r.title}): {r.detail}"
+
+
+def test_endpoint_agreement_capped_at_working_precision(criterion_run):
+    # the endpoints agree with their closed forms to the last bit of the 60
+    # digits they are compared at; the detail reports those digits, not rounding
+    assert "closed-form endpoints to 60.0 digits" in criterion_run("endpoints").result.detail

@@ -1,9 +1,10 @@
 """Finite-N moments, recurrence data, and the identity diagnostics built on them."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, workdps
+from mpmath import mp, workdps, workprec
 
 from cubicmaps import finite_n
 from cubicmaps.finite_n import (
@@ -136,9 +137,10 @@ def _rule(precision, u, N, order):
                          ids=["gaussian-scale", "cubic-scale"])
 def test_path_sums_match_direct_exponential(u, N, order):
     # the fixed-point node weights and order sums against exp(-N V(z)) taken
-    # outright at every node of the same rule, 20 digits above the working
-    # precision; at u = 5, N = 2 the path is scaled by (u N)^(-1/3), not
-    # N^(-1/2); measured 45.4 and 45.8 digits, the working precision
+    # outright at every node of the same rule on the chord turn zeta = t (1 +
+    # (omega - 1) sigma), 20 digits above the working precision; at u = 5,
+    # N = 2 the path is scaled by (u N)^(-1/3), not N^(-1/2); measured 45.4
+    # and 45.8 digits, the working precision
     precision = 30
     with workdps(precision + 15):
         s, b, c = _path_scale(rational_to_mp(u), N)
@@ -146,19 +148,78 @@ def test_path_sums_match_direct_exponential(u, N, order):
         got = _path_moments(s, b, c, order, tau, n, k_lo, k_hi)
     with workdps(precision + 35):
         u = rational_to_mp(u)
+        chord = mp.expjpi(mp.mpf(1) / 5) - 1
         want = [mp.mpc(0)] * (order + 1)
         for k in range(k_lo, k_hi + 1):
             t = mp.mpf(k) / n
             th = mp.tanh(t / tau)
-            rot = mp.expjpi((1 + th) / 10)
-            z = s * t * rot
-            dz = s * rot * (1 + 1j * mp.pi * t * (1 - th * th) / (10 * tau))
+            sigma, dsigma = (1 + th) / 2, (1 - th * th) / (2 * tau)
+            z = s * t * (1 + chord * sigma)
+            dz = s * (1 + chord * (sigma + t * dsigma))
             term = mp.exp(N * z * z * (u * z - mp.mpf(1) / 2)) * dz / n
             for j in range(order + 1):
                 want[j] += term
                 term *= z
         for a, w in zip(got, want):
             assert abs(a - w) <= abs(w) * mp.mpf(10) ** -(precision + 5)
+
+
+def test_turn_speed_bound():
+    # the tail bounds integrate in r = |zeta| and pay |zeta'|/(d|zeta|/dt) <=
+    # _DZETA_MAX for it; sampled every tau/200 out to 30 tau on each side, for
+    # every turning width the rule may take, |zeta| also grows outward
+    worst = 0.0
+    for tau in finite_n._TAUS:
+        for k in range(-6000, 6000):
+            t = (k + 0.5) * tau / 200
+            rho, dsigma = finite_n._turn(t, tau)
+            zeta, dzeta = t * rho, rho + finite_n._CHORD * t * dsigma
+            outward = (zeta.conjugate() * dzeta).real / abs(zeta) * (1 if t > 0 else -1)
+            assert outward > 0
+            worst = max(worst, abs(dzeta) / outward)
+    # the stated bound 1.1384/cos(pi/10) = 1.197 against the sampled 1.0091
+    assert worst <= finite_n._DZETA_MAX
+    assert 1.1384 / math.cos(math.pi / 10) <= finite_n._DZETA_MAX
+
+
+VALIDATE_RULES = [(8, 8, -120, 192), (8, 8, -128, 204)]  # `validate --N 4 --precision 80` at u 2/25, 1/16
+
+
+def test_turning_factors_within_two_ulps():
+    # the geometric E_k against e^(-2k/(n tau)) at every node of both
+    # validate rules, at the bits _path_moments evaluates its nodes with
+    with workdps(95):
+        prec = mp.prec + finite_n._FIX_GUARD + finite_n._NODE_GUARD
+    for tau, n, k_lo, k_hi in VALIDATE_RULES:
+        k_max = max(-k_lo, k_hi)
+        factors = finite_n._turning_factors(n, tau, k_max, prec)
+        assert len(factors) == k_max + 1 and factors[0] == 1 << prec
+        with workprec(prec + 60):
+            for k, e in enumerate(factors):
+                assert abs(e - mp.exp(mp.mpf(-2 * k) / (n * tau)) * 2 ** prec) < 2
+
+
+def test_one_exponential_and_one_cosine_sine_per_node(monkeypatch):
+    # the turn itself costs no transcendental: each node pays the exponential
+    # and the cosine-sine pair of -N V, and the setup one exponential (the
+    # turning factors' ratio)
+    calls = {"exp": 0, "cos_sin": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(finite_n, "mpf_exp", counted("exp", finite_n.mpf_exp))
+    monkeypatch.setattr(finite_n, "mpf_cos_sin", counted("cos_sin", finite_n.mpf_cos_sin))
+    for u, (tau, n, k_lo, k_hi) in zip((Fraction(2, 25), Fraction(1, 16)), VALIDATE_RULES):
+        calls.update(exp=0, cos_sin=0)
+        with workdps(95):
+            s, b, c = _path_scale(rational_to_mp(u), 4)
+            _path_moments(s, b, c, 15, tau, n, k_lo, k_hi)
+        nodes = k_hi - k_lo + 1
+        assert calls == {"exp": nodes + 1, "cos_sin": nodes}
 
 
 @pytest.mark.parametrize("u, rule, nodes", [

@@ -22,14 +22,20 @@ evaluate rho itself.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
 from mpmath import extraprec, mp, workdps
+from mpmath.libmp import from_man_exp, mpf_log, to_fixed
 
 from .hierarchy import compute_g0_series
 from .precision import as_mp
 from .series import VAR_U2, TruncatedSeries
+
+
+# fraction bits phi_check's fixed-point samples carry past the working precision
+_PHI_GUARD = 20
 
 
 def critical_coupling(dps: int):
@@ -205,44 +211,76 @@ class PhiReport(NamedTuple):
     zmax: float
 
 
-def _tail_samples(eq: EquilibriumData, samples: int, zmax: float) -> tuple:
-    """(left, gap, ray): lists of (z, Re phi) at the sample points, at the current dps.
+def _tail_samples(eq: EquilibriumData, samples: int, zmax: float, bits: int) -> tuple:
+    """(left, gap, ray): lists of (Re z, Im z, Re phi) at the sample points, as
+    fixed-point integers with `bits` fraction bits.
 
-    gap is empty when z0 - b is below working tolerance (the critical coupling).
-    The ray needs zmax > z0 * sqrt(3) / 2 to reach |z| = zmax; phi_check
-    passes zmax >= 4 z0.
+    u enters through its exact mantissa and exponent, so it keeps its relative
+    digits however small it is.  Each left or gap sample pays one isqrt and one
+    mpf_log, each ray sample two isqrts and one mpf_log; each log-spaced grid
+    takes one mpf ratio.  gap is empty when z0 - b is below working tolerance
+    (the critical coupling).  The ray needs zmax > z0 * sqrt(3) / 2 to reach
+    |z| = zmax; phi_check passes zmax >= 4 z0.
     """
-    u, x, y, a, b, z0 = eq.u, eq.x, eq.y, eq.a, eq.b, eq.z0
-    h0 = 1 - 6 * u * x
-    log_y = mp.log(y)
+    one = 1 << bits
+    x, y, a, b, z0 = (to_fixed(v._mpf_, bits) for v in (eq.x, eq.y, eq.a, eq.b, eq.z0))
+    _, u_man, u_exp, _ = eq.u._mpf_  # u < 1, so u_exp < 0
+    h0 = one - (6 * u_man * x >> -u_exp)
+    log_y = to_fixed(mpf_log(eq.y._mpf_, bits), bits)
 
-    def sample(z, sign=1):
-        # S with one square root: on the left tail both principal factors are
-        # i times a real root, so S = -sqrt((a-z)(b-z)) (sign -1), and in the
-        # gap S = +sqrt; on the ray z - a and z - b have argument in
-        # [0, pi/2), so S is the principal root of their product
-        t, s = z - x, sign * mp.sqrt((z - a) * (z - b))
-        return z, mp.re(h0 * t * s / 4 - u * s**3 / 2) - mp.log(abs(t + s)) + log_y
+    def re_phi(tr, ti, sr, si):
+        # Re(h0 t S/4 - u S^3/2) - log|t + S| + log y, with log|q| = log(|q|^2)/2
+        cube = sr * ((sr * sr - 3 * si * si) >> bits) >> bits
+        poly = (h0 * ((tr * sr - ti * si) >> bits) >> (bits + 2)) - (u_man * cube >> (1 - u_exp))
+        qr, qi = tr + sr, ti + si
+        return poly - (to_fixed(mpf_log(from_man_exp(qr * qr + qi * qi, -2 * bits), bits), bits) >> 1) + log_y
 
-    def logspace(lo, hi, k):
-        r = (hi / lo) ** (mp.mpf(1) / (k - 1))
-        return [lo * r**i for i in range(k)]
+    def logspace(lo, hi):
+        ratio = to_fixed(mp.root(mp.mpf(hi) / lo, samples - 1)._mpf_, bits)
+        pts = [lo]
+        for _ in range(samples - 1):
+            pts.append(pts[-1] * ratio >> bits)
+        return pts
+
+    def real_tail(z_at, sign, ds):
+        # z = a - d (sign -1) or b + d (sign +1): t = sign (y + d), and the
+        # principal factors make S = sign sqrt((z - a)(z - b)) = sign sqrt(d (d + 2y))
+        out = []
+        for d in ds:
+            t, s = y + d, math.isqrt(d * (d + 2 * y))
+            out.append((z_at + sign * d, 0, re_phi(sign * t, 0, sign * s, 0)))
+        return out
 
     # left tail z = a - d; gap (b, z0) from b rightward
     width = b - a
-    d_left_max = zmax + a if zmax + a > width else 2 * width
-    left = [sample(a - d, -1) for d in logspace(width / 100, d_left_max, samples)]
+    zm = to_fixed(mp.mpf(zmax)._mpf_, bits)
+    left = real_tail(a, -1, logspace(width // 100, zm + a if zm + a > width else 2 * width))
     gap = []
-    if z0 - b > _gap_tolerance(b, eq.dps):
-        d_gap_max = (z0 - b) * mp.mpf("0.999")
-        gap = [sample(b + d) for d in logspace(min(width / 100, d_gap_max / 10), d_gap_max, samples)]
+    if eq.z0 - eq.b > _gap_tolerance(eq.b, eq.dps):
+        d_gap_max = (z0 - b) * 999 // 1000
+        gap = real_tail(b, 1, logspace(min(width // 100, d_gap_max // 10), d_gap_max))
 
-    # ray from z0 at angle pi/3 (the asymptotic direction of the outer contour);
-    # its grid starts at z0/1000 once z0 > 10 width, so it scales with z0
-    direction = mp.exp(mp.mpc(0, mp.pi / 3))
-    r_edge = -z0 / 2 + mp.sqrt(mp.mpf(zmax) ** 2 - 3 * z0 * z0 / 4)
-    ray = [sample(z0 + r * direction) for r in logspace(max(width / 100, z0 / 1000), r_edge, samples)]
+    # ray z0 + r (1/2 + i sqrt(3)/2) at angle pi/3 (the asymptotic direction of
+    # the outer contour); its grid starts at z0/1000 once z0 > 10 width, so it
+    # scales with z0.  z - a and z - b have argument in [0, pi/2), so S is the
+    # principal root of w = (z - a)(z - b): Re S = sqrt((|w| + Re w)/2), and
+    # Re w > -|w|/2 keeps that sum free of cancellation
+    half_sqrt3 = math.isqrt(3 << 2 * bits) >> 1
+    r_edge = math.isqrt(zm * zm - (3 * z0 * z0 >> 2)) - (z0 >> 1)
+    ray = []
+    for r in logspace(max(width // 100, z0 // 1000), r_edge):
+        zr, zi = z0 + (r >> 1), r * half_sqrt3 >> bits
+        ea, eb = zr - a, zr - b
+        wr, wi = (ea * eb - zi * zi) >> bits, zi * (ea + eb) >> bits
+        sr = math.isqrt((math.isqrt(wr * wr + wi * wi) + wr) << (bits - 1))
+        ray.append((zr, zi, re_phi(zr - x, zi, sr, (wi << (bits - 1)) // sr)))
     return left, gap, ray
+
+
+def _as_mp(sample, bits: int) -> tuple:
+    """(z, Re phi) at the current precision from a fixed-point sample (Re z, Im z, Re phi); z is real off the ray."""
+    zr, zi, re = (mp.mpf((v, -bits)) for v in sample)
+    return (mp.mpc(zr, zi) if zi else zr), re
 
 
 def phi_check(eq: EquilibriumData, samples: int = 12, zmax: float = 100.0) -> PhiReport:
@@ -266,6 +304,12 @@ def phi_check(eq: EquilibriumData, samples: int = 12, zmax: float = 100.0) -> Ph
     growth ~ +u|z|^3/2 makes violations far out implausible, but only the
     sampled points are actually checked.
 
+    The samples are evaluated in fixed point at the working precision
+    (dps + 15 digits) plus _PHI_GUARD bits; each Re phi is good to a few
+    units in its last fraction bit times its largest term.  The sign test,
+    the worst sample of each tail and the fit's sample choice read those
+    integers, and only the reported values become mpf.
+
     Also fits the cubic growth coefficient of Re phi2 on the ray (two-radius
     difference at |z| = zmax/2 and zmax/4) and reports it against -u/2 (what
     the integrand's large-z expansion gives) and -u/3 (the rate quoted in the
@@ -275,42 +319,51 @@ def phi_check(eq: EquilibriumData, samples: int = 12, zmax: float = 100.0) -> Ph
         raise ValueError("phi_check needs u > 0")
     if eq.z0 == mp.inf:
         raise ValueError("no finite z0 at u = 0")
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
+    if not (math.isfinite(zmax) and zmax > 0):
+        raise ValueError("zmax must be finite and positive")
     if zmax < 4 * eq.z0:
         zmax = float(4 * eq.z0)
         if mp.isinf(zmax):
             raise ValueError(f"z0={eq.z0} puts zmax = 4 z0 past the float range")
     with workdps(eq.dps + 15):
-        u = eq.u
-        left, gap, ray = _tail_samples(eq, samples, zmax)
-        violations = []
-        for pts, name in ((left, "left"), (gap, "gap"), (ray, "ray")):
-            for z, re_phi in pts:
-                if not re_phi > 0:
-                    violations.append((name, z, re_phi))
+        bits = mp.prec + _PHI_GUARD
+        left, gap, ray = _tail_samples(eq, samples, zmax, bits)
+
+        tails = (("left", left), ("gap", gap), ("ray", ray))
+        violations = tuple((name, *_as_mp(p, bits)) for name, pts in tails for p in pts if not p[2] > 0)
 
         # growth fit, differencing the two ray samples nearest |z| = zmax/2, zmax/4
-        def nearest(target):
-            return min(ray, key=lambda zr: abs(abs(zr[0]) - target))
+        moduli = [math.isqrt(zr * zr + zi * zi) for zr, zi, _ in ray]
+        zm = to_fixed(mp.mpf(zmax)._mpf_, bits)
 
-        (z_hi, re_hi), (z_lo, re_lo) = nearest(zmax / 2), nearest(zmax / 4)
-        if z_hi == z_lo:
+        def nearest(target):
+            return min(range(len(ray)), key=lambda i: abs(moduli[i] - target))
+
+        hi, lo = nearest(zm >> 1), nearest(zm >> 2)
+        if hi == lo:
             raise ValueError(
                 f"the ray samples nearest |z| = zmax/2 and zmax/4 coincide ({samples} samples "
                 f"up to zmax={zmax}); raise samples for the growth fit"
             )
-        growth = (re_hi - re_lo) / mp.re(z_hi**3 - z_lo**3)
-        vs_half = abs(growth / (-u / 2) - 1)
-        vs_third = abs(growth / (-u / 3) - 1)
+
+        def re_cube(zr, zi, _):  # Re z^3 at 2 * bits fraction bits
+            return zr * ((zr * zr - 3 * zi * zi) >> bits)
+
+        growth = mp.mpf((ray[hi][2] - ray[lo][2], -bits)) / mp.mpf((re_cube(*ray[hi]) - re_cube(*ray[lo]), -2 * bits))
+        vs_half = abs(growth / (-eq.u / 2) - 1)
+        vs_third = abs(growth / (-eq.u / 3) - 1)
 
         def worst(pts):
-            return min(pts, key=lambda zr: zr[1])
+            return _as_mp(min(pts, key=lambda p: p[2]), bits)
 
         return PhiReport(
             all_positive=not violations,
             min_left=worst(left),
             min_gap=worst(gap) if gap else None,
             min_ray=worst(ray),
-            violations=tuple(violations),
+            violations=violations,
             growth_coefficient=growth,
             vs_half_u=vs_half,
             vs_third_u=vs_third,

@@ -15,7 +15,8 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 
-from mpmath import mp, workdps
+from mpmath import mp
+from mpmath.libmp import to_str
 
 from .numbers import Qbeta
 from .precision import BigFloat
@@ -44,8 +45,9 @@ def encode_qbeta(x: Qbeta) -> dict:
 
 
 def _mp_str(v, dps: int) -> str:
-    with workdps(dps):
-        return mp.nstr(v, dps)
+    # what mp.nstr(v, dps) prints for an mpf: to_str takes its fixed/exponent
+    # thresholds from dps, not from the context's precision
+    return to_str(v._mpf_, dps)
 
 
 def encode_bigfloat(x: BigFloat) -> dict:

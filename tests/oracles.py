@@ -464,6 +464,14 @@ def _sqrt_r(z, a, b):
     return mp.sqrt(z - a) * mp.sqrt(z - b)
 
 
+def re_phi_terms(eq: EquilibriumData, z) -> tuple:
+    """The four terms of Re phi(z) = Re(h0 t S/4) - Re(u S^3/2) - log|t + S| + log y at the current
+    dps, t = z - x, h0 = 1 - 6 u x, S on the global branch; their sum is the closed form phi_check samples."""
+    t, s = z - eq.x, _sqrt_r(z, eq.a, eq.b)
+    h0 = 1 - 6 * eq.u * eq.x
+    return mp.re(h0 * t * s / 4), -mp.re(eq.u * s**3 / 2), -mp.log(abs(t + s)), mp.log(eq.y)
+
+
 def density_at(eq: EquilibriumData, z):
     """rho(z) with the principal branch; real and nonnegative on (a, b)."""
     with workdps(eq.dps + 10):

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import json
+import math
+import sys
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, workdps
 
+from cubicmaps import equilibrium
 from cubicmaps.cli import main
 from cubicmaps.equilibrium import (
+    _PHI_GUARD,
+    _as_mp,
     _tail_samples,
     critical_coupling,
     endpoint_series,
@@ -15,7 +20,7 @@ from cubicmaps.equilibrium import (
     solve_endpoints,
 )
 from cubicmaps.precision import agreement_digits, rational_to_mp
-from oracles import _sqrt_r, density_at, g0_coefficient, h_power_coefficient, series_value
+from oracles import _sqrt_r, density_at, g0_coefficient, h_power_coefficient, re_phi_terms, series_value
 
 
 def test_zero_coupling_is_semicircle():
@@ -205,6 +210,93 @@ def test_phi_rejects_zero_coupling():
         phi_check(eq)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"samples": 1}, "samples must be >= 2"),
+    ({"samples": 0}, "samples must be >= 2"),
+    ({"samples": -3}, "samples must be >= 2"),
+    ({"zmax": math.nan}, "zmax must be finite and positive"),
+    ({"zmax": math.inf}, "zmax must be finite and positive"),
+    ({"zmax": -1.0}, "zmax must be finite and positive"),
+], ids=["samples-1", "samples-0", "samples-neg", "zmax-nan", "zmax-inf", "zmax-neg"])
+def test_phi_check_rejects_bad_sampling(kwargs, message):
+    # the library call states what the CLI's --samples and --zmax checks state;
+    # samples=1 and a nan or infinite zmax used to raise ZeroDivisionError
+    eq = solve_endpoints(Fraction(1, 20), 40)
+    with pytest.raises(ValueError, match=message):
+        phi_check(eq, **kwargs)
+
+
+def _fixed_tails(eq):
+    """phi_check's fixed-point (left, gap, ray) samples at its defaults (zmax 100, or 4 z0 past
+    25), and their fraction bits."""
+    with workdps(eq.dps + 15):
+        bits = mp.prec + _PHI_GUARD
+        return _tail_samples(eq, 12, max(100.0, float(4 * eq.z0)), bits), bits
+
+
+def _phi_points(eq):
+    """The same samples as (z, Re phi) lists at phi_check's working precision."""
+    tails, bits = _fixed_tails(eq)
+    with workdps(eq.dps + 15):
+        return [[_as_mp(p, bits) for p in pts] for pts in tails]
+
+
+@pytest.mark.parametrize("dps", [40, 100, 200])
+@pytest.mark.parametrize("u", ["1e-300", "1e-30", "1/1000", "1/14", "critical"])
+def test_fixed_point_samples_match_closed_form(u, dps):
+    # every left, gap and ray sample of the fixed-point route against the same
+    # closed form in mpf at dps + 30, to dps + 5 digits of the largest of its
+    # four terms, so a cancelling gap minimum is held to its real error.  u
+    # enters through its exact mantissa: held as a fixed-point value, 1e-300
+    # would drop the cubic term, which is the largest term far out on the ray.
+    # Measured: at least dps + 20.3 digits
+    eq = solve_endpoints(critical_coupling(dps) if u == "critical" else Fraction(u), dps)
+    tails, bits = _fixed_tails(eq)
+    assert [len(pts) for pts in tails] == [12, 0 if u == "critical" else 12, 12]
+    with workdps(dps + 30):
+        for pts in tails:
+            for sample in pts:
+                z, re_phi = _as_mp(sample, bits)
+                terms = re_phi_terms(eq, z)
+                err = abs(re_phi - mp.fsum(terms))
+                assert err <= mp.mpf(10) ** -(dps + 5) * max(abs(v) for v in terms), (z, re_phi)
+
+
+def test_phi_check_takes_one_log_per_sample(monkeypatch):
+    # each sample pays one mpf_log, and phi_check one more for log y; each left
+    # or gap sample one isqrt, each ray sample three (|w| and Re S of its root,
+    # and |z| for the growth fit), the setup two (sqrt 3 and the ray's edge).
+    # Nothing in the call takes an mpf square root or hypot or an mpc product
+    calls = {"log": 0, "isqrt": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(equilibrium, "mpf_log", counted("log", equilibrium.mpf_log))
+    monkeypatch.setattr(math, "isqrt", counted("isqrt", math.isqrt))
+    banned = {"mpf_sqrt", "mpf_hypot", "mpc_sqrt", "mpc_abs", "mpc_mul", "mpc_mul_mpf", "mpc_mul_int"}
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name in banned:
+            seen.append(frame.f_code.co_name)
+
+    for u in (Fraction(1, 30), critical_coupling(40)):
+        eq = solve_endpoints(u, 40)
+        calls.update(log=0, isqrt=0)
+        sys.setprofile(profile)
+        try:
+            rep = phi_check(eq)
+        finally:
+            sys.setprofile(None)
+        gap = 0 if eq.critical else 12
+        assert calls == {"log": 12 + gap + 12 + 1, "isqrt": 12 + gap + 3 * 12 + 2}, u
+        assert seen == [] and rep.all_positive
+
+
 def test_phi_check_at_critical_coupling_has_an_empty_gap(capsys):
     # z0 meets b at u_c: the gap (b, z0) is empty, so nothing is sampled there
     eq = solve_endpoints(critical_coupling(40), precision=40)
@@ -249,8 +341,7 @@ def test_phi_closed_form_matches_quadrature(u, precision):
     # the antiderivative against tanh-sinh quadrature of the integrand itself,
     # at every left, gap and ray sample that phi_check takes at its defaults
     eq = solve_endpoints(u, precision)
-    with workdps(precision + 15):
-        left, gap, ray = _tail_samples(eq, 12, 100.0)
+    left, gap, ray = _phi_points(eq)
     with workdps(precision + 30):
         quads = _phi_by_tanh_sinh(eq, left, gap, ray)
         for pts, ref in zip((left, gap, ray), quads):
@@ -269,8 +360,7 @@ def test_printed_phi_values_carry_their_dps(capsys, u, precision):
     assert main(["equilibrium", "--u", u, "--precision", str(precision)]) == 0
     phi = json.loads(capsys.readouterr().out)["phi_report"]
     eq = solve_endpoints(Fraction(u), precision)
-    with workdps(precision + 15):
-        _, _, ray = _tail_samples(eq, 12, 100.0)
+    _, _, ray = _phi_points(eq)
     with workdps(precision + 40):
         _, _, quad = _phi_by_tanh_sinh(eq, [], [], ray)
 

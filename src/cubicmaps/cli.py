@@ -9,12 +9,12 @@ decimal precision; an explicit --precision wins over both.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import math
 import os
+import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .critical import B0_AT_CRITICAL, G0_AT_CRITICAL, compute_K, run_C_recursion
 from .equilibrium import phi_check, solve_endpoints
@@ -37,14 +37,6 @@ from .wick import ENGINE, census
 
 class ValidationError(ValueError):
     """Bad flags or out-of-domain input; like every ValueError, it exits 1."""
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage, which is reserved for
-    # computation failures here; route usage errors through the same
-    # validation path as domain errors instead
-    def error(self, message):
-        raise ValidationError(message)
 
 
 def _default_precision(fallback: int) -> int:
@@ -285,61 +277,193 @@ def _cmd_reproduce(args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 3 if failed else 0
 
 
-@functools.cache  # parse_args leaves the parser as it was, so every call can share one
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="cubicmaps", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser, required=True)
+_REQUIRED = object()  # the default of a flag that must be given
+_HELP = ("-h", "--help")
+_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"  # argparse's test for a value that starts with -
+_U = (str, _REQUIRED, "coupling, as a rational (1/10 or 0.1)")
+_OUTPUT = (str, None, "write the result to this file instead of stdout")
 
-    p = sub.add_parser("expand", help="map counts and free-energy coefficients at one genus")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--max-j", type=int, required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--output", default=None)
-    p.set_defaults(fn=_cmd_expand)
+# command: (handler, summary, flags), each flag: (type or choices, default, help);
+# the type bool makes a switch, the default _REQUIRED a flag that must be given
+_COMMANDS = {
+    "expand": (_cmd_expand, "map counts and free-energy coefficients at one genus", {
+        "--genus": (int, _REQUIRED, "genus g"),
+        "--max-j": (int, _REQUIRED, "last j; the maps have 2j cubic vertices"),
+        "--format": (("json", "csv"), "json", "output format"),
+        "--output": _OUTPUT,
+    }),
+    "hierarchy": (_cmd_hierarchy, "exact string-equation correction series in the scaled variable", {
+        "--max-k": (int, _REQUIRED, "last correction order k"),
+        "--horizon": (int, _REQUIRED, "coefficients kept in each series"),
+        "--output": _OUTPUT,
+    }),
+    "equilibrium": (_cmd_equilibrium, "support endpoints and contour positivity at one coupling", {
+        "--u": _U,
+        "--precision": (int, None, "decimal digits (default 40, or CUBICMAPS_PRECISION)"),
+        "--samples": (int, 12, "samples on each contour tail"),
+        "--zmax": (float, 100.0, "outer radius of the sampled tails"),
+        "--output": _OUTPUT,
+    }),
+    "critical": (_cmd_critical, "exact singular amplitudes and count constants", {
+        "--max-genus": (int, _REQUIRED, "last genus g"),
+        "--precision": (int, None, "decimal digits of K (default 40, or CUBICMAPS_PRECISION)"),
+        "--output": _OUTPUT,
+    }),
+    "oracle": (_cmd_oracle, "exhaustive pairing census at p cubic vertices", {
+        "--vertices": (int, _REQUIRED, "cubic vertices p, even"),
+        "--workers": (int, 1, "echoed in the output; the census runs in one process"),
+        "--output": _OUTPUT,
+    }),
+    "validate": (_cmd_validate, "finite-N recurrence data, string residuals, expansion check", {
+        "--N": (int, _REQUIRED, "matrix size N"),
+        "--u": _U,
+        "--precision": (int, None, "decimal digits (default 120, or CUBICMAPS_PRECISION)"),
+        "--alpha": (str, "1", "contour mixing weight, re or re,im"),
+        "--n-max": (int, None, "last recurrence index n (default floor(3N/2) + 1)"),
+        "--toda": (bool, False, "include the second-difference residual"),
+        "--h-step": (str, "1/1000", "time step of the --toda second difference"),
+        "--output": _OUTPUT,
+    }),
+    "reproduce": (_cmd_reproduce, "run the acceptance suite, one pass/fail line per criterion", {
+        "--skip": (str, "", "comma-separated criterion keys, e.g. oracle6"),
+        "--output": _OUTPUT,
+    }),
+}
 
-    p = sub.add_parser("hierarchy", help="exact string-equation correction series in the scaled variable")
-    p.add_argument("--max-k", type=int, required=True)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--output", default=None)
-    p.set_defaults(fn=_cmd_hierarchy)
 
-    p = sub.add_parser("equilibrium", help="support endpoints and contour positivity at one coupling")
-    p.add_argument("--u", required=True, help="coupling, as a rational (1/10 or 0.1)")
-    p.add_argument("--precision", type=int, default=None)
-    p.add_argument("--samples", type=int, default=12)
-    p.add_argument("--zmax", type=float, default=100.0)
-    p.add_argument("--output", default=None)
-    p.set_defaults(fn=_cmd_equilibrium)
+def _read_option(token: str, names) -> tuple | None:
+    """argparse's reading of one token: None for a value, else (flag, explicit value or None).
 
-    p = sub.add_parser("critical", help="exact singular amplitudes and count constants")
-    p.add_argument("--max-genus", type=int, required=True)
-    p.add_argument("--precision", type=int, default=None)
-    p.add_argument("--output", default=None)
-    p.set_defaults(fn=_cmd_critical)
+    The flag is None for an option the command does not have.  A long option
+    may be cut to a unique prefix; -h may carry its value glued on.
+    """
+    if not token.startswith("-"):
+        return None
+    if token in names:
+        return token, None
+    if len(token) == 1:
+        return None
+    head, eq, tail = token.partition("=")
+    if eq and head in names:
+        return head, tail
+    if token[1] == "-":
+        matches = [name for name in names if name.startswith(head)]
+        if len(matches) > 1:
+            raise ValidationError(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], tail if eq else None
+    elif token.startswith("-h"):
+        return "-h", token[2:]
+    if " " in token or re.match(_NEGATIVE_NUMBER, token):  # compiled on first use, not at import
+        return None
+    return None, None
 
-    p = sub.add_parser("oracle", help="exhaustive pairing census at p cubic vertices")
-    p.add_argument("--vertices", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1, help="echoed in the output; the census runs in one process")
-    p.add_argument("--output", default=None)
-    p.set_defaults(fn=_cmd_oracle)
 
-    p = sub.add_parser("validate", help="finite-N recurrence data, string residuals, expansion check")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--u", required=True, help="coupling, as a rational (1/10 or 0.1)")
-    p.add_argument("--precision", type=int, default=None)
-    p.add_argument("--alpha", default="1", help="contour mixing weight, re or re,im")
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--toda", action="store_true", help="include the second-difference residual")
-    p.add_argument("--h-step", default="1/1000")
-    p.add_argument("--output", default=None)
-    p.set_defaults(fn=_cmd_validate)
+def _value(flag: str, kind, text: str):
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise ValidationError(
+                f"argument {flag}: invalid choice: {text!r} (choose from {', '.join(map(repr, kind))})"
+            )
+        return text
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValidationError(f"argument {flag}: invalid {kind.__name__} value: {text!r}") from None
 
-    p = sub.add_parser("reproduce", help="run the acceptance suite, one pass/fail line per criterion")
-    p.add_argument("--skip", default="", help="comma-separated criterion keys, e.g. oracle6")
-    p.add_argument("--output", default=None)
-    p.set_defaults(fn=_cmd_reproduce)
 
-    return parser
+def _help(flag: str, explicit: str | None, command: str | None) -> SimpleNamespace:
+    """A namespace whose handler prints the command list, or one command's flags, to stdout."""
+    # -hh reads as -h -h; any other value after -h, or after --help=, is an error
+    rest = (explicit.lstrip("h") or None) if flag == "-h" and explicit else explicit
+    if rest is not None:
+        raise ValidationError(f"argument -h/--help: ignored explicit argument {rest!r}")
+    if command is None:
+        head = f"usage: cubicmaps <command> [flags]\n\n{__doc__.splitlines()[0]}\n\ncommands:\n"
+        rows = [(name, summary) for name, (_, summary, _) in _COMMANDS.items()]
+        foot = "\n`cubicmaps <command> --help` lists the flags of one command.\n"
+    else:
+        _, summary, flags = _COMMANDS[command]
+        head, foot, rows = f"usage: cubicmaps {command} [flags]\n\n{summary}\n\nflags:\n", "", []
+        for name, (kind, default, about) in flags.items():
+            if isinstance(kind, tuple):
+                name += " {" + ",".join(kind) + "}"
+            elif kind is not bool:
+                name += " " + kind.__name__.upper()
+            if default is _REQUIRED:
+                about = "required; " + about
+            elif default not in (None, False, ""):
+                about += f" (default {default})"
+            rows.append((name, about))
+        rows.append(("-h, --help", "print this help"))
+    width = 2 + max(len(left) for left, _ in rows)
+    page = head + "".join(f"  {left:<{width}}{right}\n" for left, right in rows) + foot
+    return SimpleNamespace(fn=lambda args: (page, 0), output=None)
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read argv against the flag table as the former argparse front end did.
+
+    Same values, same attribute names, and every usage error as a
+    ValidationError with argparse's message.  A flag's value is the next
+    token or follows "="; a token that starts with "-" is a value only if it
+    reads as a negative number.  The last of a repeated flag wins.  The one
+    difference: "--flag=--" gives the flag the text "--", where argparse
+    dropped the "--" and set the flag to an empty list.
+    """
+    extras = []
+    for at, token in enumerate(argv):
+        read = None if token == "--" else _read_option(token, _HELP)
+        if read is None:
+            if token != "--" or at + 1 < len(argv):  # a lone trailing "--" is no command
+                break
+            extras.append(token)
+        elif read[0] is None:
+            extras.append(token)
+        else:
+            return _help(*read, None)
+    else:
+        raise ValidationError("the following arguments are required: command")
+    command = _value("command", tuple(_COMMANDS), argv[at])
+    fn, _, flags = _COMMANDS[command]
+    names = _HELP + tuple(flags)
+    tokens = argv[at + 1:]
+    # every token is read before any is taken, so an ambiguous prefix fails
+    # first; after the first "--" every token is a value, and "--" itself is
+    # neither a value nor a flag
+    reads = []
+    for token in tokens:
+        if token == "--":
+            reads += [(None, None)] + [None] * (len(tokens) - len(reads) - 1)
+            break
+        reads.append(_read_option(token, names))
+    values = {flag: default for flag, (_, default, _) in flags.items()}
+    i = 0
+    while i < len(tokens):
+        read = reads[i]
+        i += 1
+        if read is None or read[0] is None:
+            extras.append(tokens[i - 1])
+            continue
+        flag, explicit = read
+        if flag in _HELP:
+            return _help(flag, explicit, command)
+        kind = flags[flag][0]
+        if explicit is None and kind is not bool:
+            if i == len(tokens) or reads[i] is not None:
+                raise ValidationError(f"argument {flag}: expected one argument")
+            explicit = tokens[i]
+            i += 1
+        elif explicit is not None and kind is bool:
+            raise ValidationError(f"argument {flag}: ignored explicit argument {explicit!r}")
+        values[flag] = True if kind is bool else _value(flag, kind, explicit)
+    missing = [flag for flag, value in values.items() if value is _REQUIRED]
+    if missing:
+        raise ValidationError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise ValidationError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=command, fn=fn, **{flag.lstrip("-").replace("-", "_"): value
+                                                      for flag, value in values.items()})
 
 
 def _emit_error(kind: str, message: str) -> None:
@@ -347,9 +471,8 @@ def _emit_error(kind: str, message: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         text, code = args.fn(args)
     except ValueError as exc:
         _emit_error("validation", str(exc))

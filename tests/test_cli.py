@@ -15,7 +15,7 @@ from mpmath import mp, workdps
 import cubicmaps
 from cubicmaps import acceptance
 from cubicmaps.acceptance import CriterionResult
-from cubicmaps.cli import main
+from cubicmaps.cli import _parse_args, main
 from cubicmaps.critical import run_C_recursion
 from cubicmaps.numbers import BETA, Qbeta
 from cubicmaps.precision import agreement_digits
@@ -371,6 +371,83 @@ def test_usage_errors(capsys):
     assert code == 1 and error_type(err) == "validation"
 
 
+# argv -> every attribute the former argparse front end parsed from it
+PARSED = [
+    (["expand", "--gen", "1", "--max", "2"],
+     {"command": "expand", "genus": 1, "max_j": 2, "format": "json", "output": None, "fn": "_cmd_expand"}),
+    (["hierarchy", "--max-k=3", "--horizon", "8", "--horizon", "9"],
+     {"command": "hierarchy", "max_k": 3, "horizon": 9, "output": None, "fn": "_cmd_hierarchy"}),
+    (["equilibrium", "--u", "1/20", "--samples", "8", "--zmax=50", "--output", "out.json"],
+     {"command": "equilibrium", "u": "1/20", "precision": None, "samples": 8, "zmax": 50.0,
+      "output": "out.json", "fn": "_cmd_equilibrium"}),
+    (["critical", "--max-genus", "-1"],
+     {"command": "critical", "max_genus": -1, "precision": None, "output": None, "fn": "_cmd_critical"}),
+    (["oracle", "--vertices", "4", "--workers", "1"],
+     {"command": "oracle", "vertices": 4, "workers": 1, "output": None, "fn": "_cmd_oracle"}),
+    (["validate", "--N", "4", "--u", "1/20", "--toda", "--h-step=-1/1000", "--alpha=-0.5,1", "--n-max", "7",
+      "--prec", "30"],
+     {"command": "validate", "N": 4, "u": "1/20", "precision": 30, "alpha": "-0.5,1", "n_max": 7, "toda": True,
+      "h_step": "-1/1000", "output": None, "fn": "_cmd_validate"}),
+    (["reproduce", "--skip", "oracle6,string"],
+     {"command": "reproduce", "skip": "oracle6,string", "output": None, "fn": "_cmd_reproduce"}),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PARSED, ids=[argv[0] for argv, _ in PARSED])
+def test_flag_table_parses_as_argparse_did(argv, expected):
+    # defaults, --flag=value, unique prefixes, a repeated flag (the last wins),
+    # the --toda switch and values that read as negative numbers
+    parsed = dict(vars(_parse_args(argv)))
+    parsed["fn"] = parsed["fn"].__name__
+    assert parsed == expected
+
+
+# argv -> the usage-error message the former argparse front end printed
+USAGE_ERRORS = [
+    ([], "the following arguments are required: command"),
+    (["no-such-command"], "argument command: invalid choice: 'no-such-command' (choose from 'expand', "
+     "'hierarchy', 'equilibrium', 'critical', 'oracle', 'validate', 'reproduce')"),
+    (["expand"], "the following arguments are required: --genus, --max-j"),
+    (["expand", "--genus", "zero", "--max-j", "1"], "argument --genus: invalid int value: 'zero'"),
+    (["expand", "--genus", "1", "--max-j", "2", "--format", "xml"],
+     "argument --format: invalid choice: 'xml' (choose from 'json', 'csv')"),
+    (["expand", "--genus", "1", "--max-j", "2", "--foo"], "unrecognized arguments: --foo"),
+    (["expand", "--genus"], "argument --genus: expected one argument"),
+    (["validate", "--N", "4", "--u", "1/20", "--toda=1"], "argument --toda: ignored explicit argument '1'"),
+    (["oracle", "--vertices", "4", "extra"], "unrecognized arguments: extra"),
+    (["equilibrium", "--u", "1/20", "--zmax", "x"], "argument --zmax: invalid float value: 'x'"),
+    (["equilibrium", "--u", "-1/10"], "argument --u: expected one argument"),
+    (["hierarchy", "--max-k", "1", "--h", "3"], "ambiguous option: --h could match --help, --horizon"),
+    (["validate", "--N", "4", "--u", "1/20", "--", "--toda"], "unrecognized arguments: -- --toda"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS, ids=[" ".join(argv) or "empty" for argv, _ in USAGE_ERRORS])
+def test_usage_errors_match_argparse(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == '{\n  "error": {\n    "type": "validation",\n    "message": ' + json.dumps(message) + "\n  }\n}\n"
+
+
+COMMANDS = [argv[0] for argv, _ in PARSED]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"]] + [[cmd, "-h"] for cmd in COMMANDS] + [["oracle", "--help"]])
+def test_help_lists_every_flag(capsys, argv):
+    # help goes to stdout and exits 0, even with a required flag missing
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    if len(argv) == 1:
+        assert out.startswith("usage: cubicmaps <command>")
+        assert all(f"\n  {cmd} " in out for cmd in COMMANDS)
+    else:
+        parsed = next(expected for args, expected in PARSED if args[0] == argv[0])
+        flags = ["--" + name.replace("_", "-") for name in parsed if name not in ("command", "fn")]
+        assert out.startswith(f"usage: cubicmaps {argv[0]} ")
+        assert all(f"\n  {flag} " in out for flag in flags)
+        assert "-h, --help" in out
+
+
 def test_computation_failure_exit(capsys, monkeypatch):
     def broken(max_k, horizon):
         raise ArithmeticError("forced")
@@ -387,13 +464,23 @@ def _uninstalled_env() -> dict:
 
 def test_cold_import_skips_suite_and_unused_stdlib():
     # `import cubicmaps.cli` is the start-up cost of every process; the suite is
-    # imported by `reproduce` alone, and no record needs dataclasses or csv
+    # imported by `reproduce` alone, no record needs dataclasses or csv, and the
+    # flag table needs no argparse, nor the gettext and locale it pulls in
     # (counted only if the import loads them, not the interpreter's site start-up)
     env = _uninstalled_env()
-    probe = ("import sys; before = set(sys.modules); import cubicmaps.cli; "
-             "print(sorted(set(sys.modules) - before & {'dataclasses', 'csv', 'cubicmaps.acceptance'}))")
+    probe = """if True:
+        import io, sys
+        from contextlib import redirect_stdout
+        unused = {"dataclasses", "csv", "cubicmaps.acceptance", "argparse", "gettext", "locale"}
+        before = set(sys.modules)
+        import cubicmaps.cli
+        after_import = sorted(set(sys.modules) - before & unused)
+        with redirect_stdout(io.StringIO()):
+            code = cubicmaps.cli.main(["critical", "--max-genus", "2"])
+        print(after_import, code, sorted(set(sys.modules) - before & unused))
+    """
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[] 0 []\n", "")
     skip = ",".join(key for key in acceptance.KEYS if key != "genus0")
     proc = subprocess.run([sys.executable, "-m", "cubicmaps", "reproduce", "--skip", skip],
                           capture_output=True, text=True, env=env, timeout=120)

@@ -2,16 +2,13 @@
 
 Exit codes: 0 success, 1 validation error (bad flags or out-of-domain
 input), 2 computation failure, 3 failed acceptance criterion under
-``reproduce``.  Errors go to stderr as a JSON object.  The
-CUBICMAPS_PRECISION environment variable overrides the per-command default
-decimal precision; an explicit --precision wins over both.
+``reproduce``.  Errors go to stderr as a JSON object.  Each command's
+flags, with their defaults, are one row of ``_COMMANDS``.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import re
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -23,6 +20,7 @@ from .hierarchy import build_hierarchy
 from .numbers import W_CRITICAL
 from .precision import BigFloat
 from .serialize import (
+    FLOAT_DPS,
     dump_csv,
     dump_json,
     encode_bigfloat,
@@ -39,25 +37,10 @@ class ValidationError(ValueError):
     """Bad flags or out-of-domain input; like every ValueError, it exits 1."""
 
 
-def _default_precision(fallback: int) -> int:
-    raw = os.environ.get("CUBICMAPS_PRECISION")
-    if raw is None:
-        return fallback
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValidationError(f"CUBICMAPS_PRECISION={raw!r} is not an integer") from None
-    if value < 15:
-        raise ValidationError("CUBICMAPS_PRECISION must be at least 15")
-    return value
-
-
-def _resolve_precision(args, fallback: int) -> int:
-    if args.precision is not None:
-        if args.precision < 15:
-            raise ValidationError("--precision must be at least 15")
-        return args.precision
-    return _default_precision(fallback)
+def _precision(args) -> int:
+    if args.precision < 15:
+        raise ValidationError("--precision must be at least 15")
+    return args.precision
 
 
 def _parse_fraction(text: str, flag: str) -> Fraction:
@@ -126,7 +109,7 @@ def _cmd_hierarchy(args) -> tuple[str, int]:
 
 
 def _cmd_equilibrium(args) -> tuple[str, int]:
-    precision = _resolve_precision(args, 40)
+    precision = _precision(args)
     u = _parse_fraction(args.u, "--u")
     if u < 0:
         raise ValidationError("--u must be nonnegative")
@@ -171,7 +154,7 @@ def _cmd_equilibrium(args) -> tuple[str, int]:
 
 
 def _cmd_critical(args) -> tuple[str, int]:
-    precision = _resolve_precision(args, 40)
+    precision = _precision(args)
     if args.max_genus < 0:
         raise ValidationError("--max-genus must be >= 0")
     consts = run_C_recursion(args.max_genus)
@@ -214,7 +197,7 @@ def _cmd_oracle(args) -> tuple[str, int]:
 
 
 def _cmd_validate(args) -> tuple[str, int]:
-    precision = _resolve_precision(args, 120)
+    precision = _precision(args)
     u = _parse_fraction(args.u, "--u")
     if args.N < 1:
         raise ValidationError("--N must be >= 1")
@@ -235,7 +218,7 @@ def _cmd_validate(args) -> tuple[str, int]:
     payload = {
         "N": rep.N,
         "u": encode_bigfloat(rep.u),
-        "alpha": {"kind": "approx", "re": repr(alpha_c.real), "im": repr(alpha_c.imag), "dps": 17},
+        "alpha": {"kind": "approx", "re": repr(alpha_c.real), "im": repr(alpha_c.imag), "dps": FLOAT_DPS},
         "precision": rep.precision,
         "n_max": rep.n_max,
         "moments": [encode_bigfloat(m) for m in rep.moments],
@@ -279,7 +262,6 @@ def _cmd_reproduce(args) -> tuple[str, int]:
 
 _REQUIRED = object()  # the default of a flag that must be given
 _HELP = ("-h", "--help")
-_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"  # argparse's test for a value that starts with -
 _U = (str, _REQUIRED, "coupling, as a rational (1/10 or 0.1)")
 _OUTPUT = (str, None, "write the result to this file instead of stdout")
 
@@ -299,14 +281,14 @@ _COMMANDS = {
     }),
     "equilibrium": (_cmd_equilibrium, "support endpoints and contour positivity at one coupling", {
         "--u": _U,
-        "--precision": (int, None, "decimal digits (default 40, or CUBICMAPS_PRECISION)"),
+        "--precision": (int, 40, "decimal digits"),
         "--samples": (int, 12, "samples on each contour tail"),
         "--zmax": (float, 100.0, "outer radius of the sampled tails"),
         "--output": _OUTPUT,
     }),
     "critical": (_cmd_critical, "exact singular amplitudes and count constants", {
         "--max-genus": (int, _REQUIRED, "last genus g"),
-        "--precision": (int, None, "decimal digits of K (default 40, or CUBICMAPS_PRECISION)"),
+        "--precision": (int, 40, "decimal digits of K"),
         "--output": _OUTPUT,
     }),
     "oracle": (_cmd_oracle, "exhaustive pairing census at p cubic vertices", {
@@ -317,7 +299,7 @@ _COMMANDS = {
     "validate": (_cmd_validate, "finite-N recurrence data, string residuals, expansion check", {
         "--N": (int, _REQUIRED, "matrix size N"),
         "--u": _U,
-        "--precision": (int, None, "decimal digits (default 120, or CUBICMAPS_PRECISION)"),
+        "--precision": (int, 120, "decimal digits"),
         "--alpha": (str, "1", "contour mixing weight, re or re,im"),
         "--n-max": (int, None, "last recurrence index n (default floor(3N/2) + 1)"),
         "--toda": (bool, False, "include the second-difference residual"),
@@ -329,34 +311,6 @@ _COMMANDS = {
         "--output": _OUTPUT,
     }),
 }
-
-
-def _read_option(token: str, names) -> tuple | None:
-    """argparse's reading of one token: None for a value, else (flag, explicit value or None).
-
-    The flag is None for an option the command does not have.  A long option
-    may be cut to a unique prefix; -h may carry its value glued on.
-    """
-    if not token.startswith("-"):
-        return None
-    if token in names:
-        return token, None
-    if len(token) == 1:
-        return None
-    head, eq, tail = token.partition("=")
-    if eq and head in names:
-        return head, tail
-    if token[1] == "-":
-        matches = [name for name in names if name.startswith(head)]
-        if len(matches) > 1:
-            raise ValidationError(f"ambiguous option: {token} could match {', '.join(matches)}")
-        if matches:
-            return matches[0], tail if eq else None
-    elif token.startswith("-h"):
-        return "-h", token[2:]
-    if " " in token or re.match(_NEGATIVE_NUMBER, token):  # compiled on first use, not at import
-        return None
-    return None, None
 
 
 def _value(flag: str, kind, text: str):
@@ -372,12 +326,8 @@ def _value(flag: str, kind, text: str):
         raise ValidationError(f"argument {flag}: invalid {kind.__name__} value: {text!r}") from None
 
 
-def _help(flag: str, explicit: str | None, command: str | None) -> SimpleNamespace:
+def _help(command: str | None) -> SimpleNamespace:
     """A namespace whose handler prints the command list, or one command's flags, to stdout."""
-    # -hh reads as -h -h; any other value after -h, or after --help=, is an error
-    rest = (explicit.lstrip("h") or None) if flag == "-h" and explicit else explicit
-    if rest is not None:
-        raise ValidationError(f"argument -h/--help: ignored explicit argument {rest!r}")
     if command is None:
         head = f"usage: cubicmaps <command> [flags]\n\n{__doc__.splitlines()[0]}\n\ncommands:\n"
         rows = [(name, summary) for name, (_, summary, _) in _COMMANDS.items()]
@@ -402,66 +352,45 @@ def _help(flag: str, explicit: str | None, command: str | None) -> SimpleNamespa
 
 
 def _parse_args(argv: list[str]) -> SimpleNamespace:
-    """Read argv against the flag table as the former argparse front end did.
+    """Read argv against the flag table.
 
-    Same values, same attribute names, and every usage error as a
-    ValidationError with argparse's message.  A flag's value is the next
-    token or follows "="; a token that starts with "-" is a value only if it
-    reads as a negative number.  The last of a repeated flag wins.  The one
-    difference: "--flag=--" gives the flag the text "--", where argparse
-    dropped the "--" and set the flag to an empty list.
+    The first token names the command, or is -h/--help.  After it each token
+    is -h/--help, a full flag name or --flag=value; a value flag takes the
+    next token, whatever it starts with, and the last of a repeated flag
+    wins.  Every other token is unrecognized, and is reported before a missing
+    flag, so a misspelt flag names itself.  Usage errors are ValidationErrors,
+    in argparse's wording where argparse had one.
     """
-    extras = []
-    for at, token in enumerate(argv):
-        read = None if token == "--" else _read_option(token, _HELP)
-        if read is None:
-            if token != "--" or at + 1 < len(argv):  # a lone trailing "--" is no command
-                break
-            extras.append(token)
-        elif read[0] is None:
-            extras.append(token)
-        else:
-            return _help(*read, None)
-    else:
+    if not argv:
         raise ValidationError("the following arguments are required: command")
-    command = _value("command", tuple(_COMMANDS), argv[at])
+    if argv[0] in _HELP:
+        return _help(None)
+    command = _value("command", tuple(_COMMANDS), argv[0])
     fn, _, flags = _COMMANDS[command]
-    names = _HELP + tuple(flags)
-    tokens = argv[at + 1:]
-    # every token is read before any is taken, so an ambiguous prefix fails
-    # first; after the first "--" every token is a value, and "--" itself is
-    # neither a value nor a flag
-    reads = []
-    for token in tokens:
-        if token == "--":
-            reads += [(None, None)] + [None] * (len(tokens) - len(reads) - 1)
-            break
-        reads.append(_read_option(token, names))
     values = {flag: default for flag, (_, default, _) in flags.items()}
-    i = 0
-    while i < len(tokens):
-        read = reads[i]
-        i += 1
-        if read is None or read[0] is None:
-            extras.append(tokens[i - 1])
-            continue
-        flag, explicit = read
-        if flag in _HELP:
-            return _help(flag, explicit, command)
-        kind = flags[flag][0]
-        if explicit is None and kind is not bool:
-            if i == len(tokens) or reads[i] is not None:
+    extras = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in _HELP:
+            return _help(command)
+        flag, eq, text = token.partition("=")
+        kind = flags[flag][0] if flag in flags else None
+        if kind is None:
+            extras.append(token)
+        elif kind is bool:
+            if eq:
+                raise ValidationError(f"argument {flag}: ignored explicit argument {text!r}")
+            values[flag] = True
+        else:
+            text = text if eq else next(tokens, None)
+            if text is None:
                 raise ValidationError(f"argument {flag}: expected one argument")
-            explicit = tokens[i]
-            i += 1
-        elif explicit is not None and kind is bool:
-            raise ValidationError(f"argument {flag}: ignored explicit argument {explicit!r}")
-        values[flag] = True if kind is bool else _value(flag, kind, explicit)
+            values[flag] = _value(flag, kind, text)
+    if extras:
+        raise ValidationError(f"unrecognized arguments: {' '.join(extras)}")
     missing = [flag for flag, value in values.items() if value is _REQUIRED]
     if missing:
         raise ValidationError(f"the following arguments are required: {', '.join(missing)}")
-    if extras:
-        raise ValidationError(f"unrecognized arguments: {' '.join(extras)}")
     return SimpleNamespace(command=command, fn=fn, **{flag.lstrip("-").replace("-", "_"): value
                                                       for flag, value in values.items()})
 

@@ -22,6 +22,7 @@ from .numbers import Qbeta
 from .precision import BigFloat
 
 QBETA_RELATION = "beta^4 = 12"  # beta is its positive real root
+FLOAT_DPS = 17  # the dps tag of a double: 17 significant digits round-trip it
 _CSV_QUOTED = frozenset(',"\r\n')  # csv.writer quotes a cell holding one (\r on some Pythons)
 
 
@@ -63,9 +64,9 @@ def encode_bigfloat(x: BigFloat) -> dict:
     return {"kind": "approx", "value": _mp_str(real, x.dps), "dps": x.dps}
 
 
-def encode_float(x: float, dps: int = 17) -> dict:
+def encode_float(x: float) -> dict:
     # repr round-trips, so the string is exact for the double it came from
-    return {"kind": "approx", "value": repr(float(x)), "dps": dps}
+    return {"kind": "approx", "value": repr(float(x)), "dps": FLOAT_DPS}
 
 
 def encode_value(x):

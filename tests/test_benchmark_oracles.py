@@ -37,8 +37,9 @@ def test_counts_match_triangulation_recurrence_through_genus_12():
 
 
 golden = _perfbench_module("golden")
+workloads = _perfbench_module("workloads")
 EXACT = ("exact-long", "exact-deep")
-NUMERIC = tuple(w for w in _perfbench_module("workloads").WORKLOADS if w not in EXACT)  # finite-n, census
+NUMERIC = tuple(w for w in workloads.WORKLOADS if w not in EXACT)  # finite-n, census
 
 
 def _records(workloads):
@@ -77,3 +78,12 @@ def test_numeric_golden_outputs_replay(key):
     # census wall clock aside), approx values to their tagged dps less the
     # golden margin
     _replay(key, NUMERIC_RECORDS[key])
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_parser_reads_every_benchmark_argv(workload):
+    # the flag grammar covers all the benchmark sends: every job of seeds 0-9
+    # at its nominal 25 s parses, with no usage error and no help page
+    for seed in range(10):
+        for argv in workloads.make_jobs(workload, seed, 25):
+            assert cli._parse_args(argv).command == argv[0], argv

@@ -311,15 +311,23 @@ def test_validate_toda_step_past_t0(capsys, step):
     assert "h_step" in message and "t0(u)" in message and "1.24483" in message
 
 
-def test_env_precision(capsys, monkeypatch):
-    monkeypatch.setenv("CUBICMAPS_PRECISION", "25")
-    code, out, _ = run_cli(capsys, "equilibrium", "--u", "1/20", "--samples", "8")
-    assert code == 0 and json.loads(out)["x"]["dps"] == 25
-    code, out, _ = run_cli(capsys, "equilibrium", "--u", "1/20", "--precision", "20", "--samples", "8")
-    assert code == 0 and json.loads(out)["x"]["dps"] == 20
-    monkeypatch.setenv("CUBICMAPS_PRECISION", "2")
-    code, _, err = run_cli(capsys, "equilibrium", "--u", "1/20")
-    assert code == 1 and error_type(err) == "validation"
+PRECISION_DEFAULTS = [
+    (["equilibrium", "--u", "1/20"], 40),
+    (["critical", "--max-genus", "2"], 40),
+    (["validate", "--N", "2", "--u", "1/20"], 120),
+]
+
+
+@pytest.mark.parametrize("argv, default", PRECISION_DEFAULTS, ids=[argv[0] for argv, _ in PRECISION_DEFAULTS])
+def test_precision_default_and_floor(capsys, argv, default):
+    # the default lives in the flag table, so the help page shows it
+    assert _parse_args(argv).precision == default
+    code, out, _ = run_cli(capsys, argv[0], "--help")
+    assert code == 0
+    assert next(line for line in out.splitlines() if "--precision" in line).endswith(f"(default {default})")
+    code, out, err = run_cli(capsys, *argv, "--precision", "14")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {"type": "validation", "message": "--precision must be at least 15"}
 
 
 def test_output_file(capsys, tmp_path):
@@ -371,21 +379,21 @@ def test_usage_errors(capsys):
     assert code == 1 and error_type(err) == "validation"
 
 
-# argv -> every attribute the former argparse front end parsed from it
+# argv -> every attribute parsed from it
 PARSED = [
-    (["expand", "--gen", "1", "--max", "2"],
+    (["expand", "--genus", "1", "--max-j", "2"],
      {"command": "expand", "genus": 1, "max_j": 2, "format": "json", "output": None, "fn": "_cmd_expand"}),
     (["hierarchy", "--max-k=3", "--horizon", "8", "--horizon", "9"],
      {"command": "hierarchy", "max_k": 3, "horizon": 9, "output": None, "fn": "_cmd_hierarchy"}),
     (["equilibrium", "--u", "1/20", "--samples", "8", "--zmax=50", "--output", "out.json"],
-     {"command": "equilibrium", "u": "1/20", "precision": None, "samples": 8, "zmax": 50.0,
+     {"command": "equilibrium", "u": "1/20", "precision": 40, "samples": 8, "zmax": 50.0,
       "output": "out.json", "fn": "_cmd_equilibrium"}),
     (["critical", "--max-genus", "-1"],
-     {"command": "critical", "max_genus": -1, "precision": None, "output": None, "fn": "_cmd_critical"}),
+     {"command": "critical", "max_genus": -1, "precision": 40, "output": None, "fn": "_cmd_critical"}),
     (["oracle", "--vertices", "4", "--workers", "1"],
      {"command": "oracle", "vertices": 4, "workers": 1, "output": None, "fn": "_cmd_oracle"}),
-    (["validate", "--N", "4", "--u", "1/20", "--toda", "--h-step=-1/1000", "--alpha=-0.5,1", "--n-max", "7",
-      "--prec", "30"],
+    (["validate", "--N", "4", "--u", "1/20", "--toda", "--h-step", "-1/1000", "--alpha", "-0.5,1", "--n-max", "7",
+      "--precision", "30"],
      {"command": "validate", "N": 4, "u": "1/20", "precision": 30, "alpha": "-0.5,1", "n_max": 7, "toda": True,
       "h_step": "-1/1000", "output": None, "fn": "_cmd_validate"}),
     (["reproduce", "--skip", "oracle6,string"],
@@ -395,14 +403,15 @@ PARSED = [
 
 @pytest.mark.parametrize("argv, expected", PARSED, ids=[argv[0] for argv, _ in PARSED])
 def test_flag_table_parses_as_argparse_did(argv, expected):
-    # defaults, --flag=value, unique prefixes, a repeated flag (the last wins),
-    # the --toda switch and values that read as negative numbers
+    # defaults, --flag=value, a repeated flag (the last wins), the --toda
+    # switch and values that start with "-", numbers or not
     parsed = dict(vars(_parse_args(argv)))
     parsed["fn"] = parsed["fn"].__name__
     assert parsed == expected
 
 
-# argv -> the usage-error message the former argparse front end printed
+# argv -> its exit-1 error message, byte for byte; a usage error in argparse's
+# wording where argparse had one, a value that starts with "-" at its own check
 USAGE_ERRORS = [
     ([], "the following arguments are required: command"),
     (["no-such-command"], "argument command: invalid choice: 'no-such-command' (choose from 'expand', "
@@ -416,9 +425,11 @@ USAGE_ERRORS = [
     (["validate", "--N", "4", "--u", "1/20", "--toda=1"], "argument --toda: ignored explicit argument '1'"),
     (["oracle", "--vertices", "4", "extra"], "unrecognized arguments: extra"),
     (["equilibrium", "--u", "1/20", "--zmax", "x"], "argument --zmax: invalid float value: 'x'"),
-    (["equilibrium", "--u", "-1/10"], "argument --u: expected one argument"),
-    (["hierarchy", "--max-k", "1", "--h", "3"], "ambiguous option: --h could match --help, --horizon"),
-    (["validate", "--N", "4", "--u", "1/20", "--", "--toda"], "unrecognized arguments: -- --toda"),
+    (["equilibrium", "--u", "-1/10"], "--u must be nonnegative"),
+    (["validate", "--N", "4", "--u", "1/20", "--h-step", "-1/1000"], "--h-step must be positive"),
+    (["hierarchy", "--max-k", "1", "--h", "3"], "unrecognized arguments: --h 3"),
+    (["expand", "--gen", "1", "--max-j", "2"], "unrecognized arguments: --gen 1"),
+    (["validate", "--N", "4", "--u", "1/20", "--", "--toda"], "unrecognized arguments: --"),  # "--" ends no flags
 ]
 
 

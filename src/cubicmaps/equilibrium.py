@@ -171,8 +171,8 @@ def endpoint_series(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
 
     Returns (X, Y) in the u^2 variable, with x(u) = u * X(u^2) (the center is
     an odd function of u) and y(u) = Y(u^2).  Both are read off the leading
-    pair of ``compute_g0_series`` at w = u^2: X = b0/w and Y = 2 sqrt(H),
-    H = g0/w, by the square-root recurrence.  The center cubic
+    pair of ``compute_g0_series``, dilated from v = 18 w to w = u^2: X = b0/w
+    and Y = 2 sqrt(H), H = g0/w, by the square-root recurrence.  The center cubic
     18 q^2 X^3 - 9 q X^2 + X - 6 = 0, q = u^2, must then close exactly
     through the returned window, which ties b0 to the endpoint center, and
     Y^2 = 4 H must hold exactly; a residual is a hard failure.
@@ -180,12 +180,12 @@ def endpoint_series(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     if order < 1:
         raise ValueError("order must be >= 1")
     g0, b0 = compute_g0_series(order + 2)
-    X = b0.shift(-1).retag(VAR_U2)
+    X = b0.dilate(18, VAR_U2).shift(-1)
     q2 = X * X
     residual = (q2 * X).shift(2) * 18 - q2.shift(1) * 9 + X - 6
     if not residual.is_zero():
         raise ArithmeticError(f"center cubic residual {residual!r} of the leading slice is not zero")
-    H = g0.shift(-1).retag(VAR_U2)
+    H = g0.dilate(18, VAR_U2).shift(-1)
     # Y = 2 sqrt(H): Y^2 = 4 H with Y_0 = 2 gives Y_n = H_n - (1/4) sum_(m=1..n-1) Y_m Y_(n-m)
     Y = [Fraction(2)]
     for n, h in enumerate(H.coeffs[1:], start=1):

@@ -20,14 +20,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd, lcm
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import add, mul
 from typing import Any
 
 VAR_U2 = "u2"  # exponent counts powers of u^2 (even series in the coupling)
 VAR_W = "w"  # w = s*u^2
+VAR_V = "v"  # v = 18 w, the string hierarchy's own variable
 
-_VARS = (VAR_U2, VAR_W)
+_VARS = (VAR_U2, VAR_W, VAR_V)
 
 
 class BeyondHorizonError(IndexError):
@@ -160,7 +161,8 @@ class TruncatedSeries:
 
     def _scale(self, c):
         p = _require_rational(c).numerator
-        return from_numerators(self.var, self.offset, [x * p for x in self._num], self._den * c.denominator)
+        g = gcd(p, self._den)  # cancelled up front, so an integer c leaves no gcd to divide out
+        return from_numerators(self.var, self.offset, [x * (p // g) for x in self._num], self._den // g * c.denominator)
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -180,9 +182,7 @@ class TruncatedSeries:
         # Q_i = a_i p^i - sum_j (b_j p^(j-1)) Q_(i-j) needs no division
         a, b = self._num, other._num
         p = b[0]
-        powers = [1]
-        for _ in range(n):
-            powers.append(powers[-1] * p)
+        powers = list(accumulate(repeat(p, n), mul, initial=1))
         b1 = list(map(mul, b[1:n], powers))
         q: list = []
         for i in range(n):
@@ -196,9 +196,19 @@ class TruncatedSeries:
         """Multiply by var**k."""
         return from_numerators(self.var, self.offset + k, self._num, self._den)
 
-    def retag(self, var: str):
-        """Reinterpret exponents under a new variable tag (w = u^2 style substitutions)."""
-        return from_numerators(var, self.offset, self._num, self._den)
+    def dilate(self, c, var: str):
+        """Substitute self.var = c * var (c nonzero): coefficient e times c^e; c = 1 renames the variable."""
+        p, q = _require_rational(c).numerator, c.denominator
+        if not p:
+            raise ValueError("dilation by zero")
+        lo, hi, n = self.offset, self.known_max, len(self._num)
+        # x_e p^e / q^e = x_e p^(e-lo) q^(hi-e) * p^lo / q^hi, over one denominator
+        up, den = p ** max(lo, 0) * q ** max(-hi, 0), self._den * p ** max(-lo, 0) * q ** max(hi, 0)
+        g = gcd(up, den)
+        nums = list(map(mul, self._num, accumulate(repeat(p, n - 1), mul, initial=up // g)))
+        if q != 1:
+            nums = list(map(mul, nums, reversed(list(accumulate(repeat(q, n - 1), mul, initial=1)))))
+        return from_numerators(var, lo, nums, den // g)
 
     def truncate_to(self, known_max: int):
         if known_max > self.known_max:
@@ -270,23 +280,24 @@ def product_sum(terms) -> TruncatedSeries:
 
 
 def even_taylor_sum(terms) -> TruncatedSeries:
-    """Sum of s^(2j) / ((2j)! 4^j) over (s, j) terms, in one binomial pass over one denominator.
+    """Sum of 81^j s^(2j) / (2j)! over (s, j) terms, in one binomial pass over one denominator.
 
-    In one term var^e gets binom(e + 2j, 2j) s_(e+2j) / 4^j: its window
-    slides down 2j exponents and keeps its length, as 2j derivatives would
-    leave it.  For e + 2j < 0 the generalized binomial binom(-n, 2j) =
-    binom(n + 2j - 1, 2j) applies (2j is even).  The sum's window is the
-    min-horizon rule over the terms; with every j = 0 it is a plain sum (``+``).
+    81^j/(2j)! = 9^(2j)/(2j)!: a shift by 9 in v = 18 w (1/2 in w).  In one
+    term var^e gets the integer weight 81^j binom(e + 2j, 2j) times s_(e+2j):
+    its window slides down 2j exponents and keeps its length, as 2j derivatives
+    would leave it.  For e + 2j < 0 binom(-n, 2j) = binom(n + 2j - 1, 2j)
+    applies (2j is even).  The window is the min-horizon rule over the terms;
+    with every j = 0 it is a plain sum (``+``).
     """
     terms = [(s, 2 * j) for s, j in terms]
     lo = min(s.offset - k for s, k in terms)
     acc = [0] * (min(s.known_max - k for s, k in terms) - lo + 1)
-    den = lcm(*(s._den << k for s, k in terms))
+    den = lcm(*(s._den for s, _ in terms))
     for s, k in terms:
         terms[0][0]._check_var(s)
         o = s.offset - k - lo
         n = max(len(acc) - o, 0)
-        scale = den // (s._den << k)
+        scale = den // s._den * 9**k
         weights = (scale * comb(e, k) if e >= 0 else scale * comb(k - e - 1, k) for e in range(s.offset, s.offset + n))
         acc[o : o + n] = map(add, acc[o : o + n], map(mul, s._num, weights if k else repeat(scale, n)))
     return from_numerators(terms[0][0].var, lo, acc, den)

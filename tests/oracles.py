@@ -29,7 +29,7 @@ from mpmath import mp, workdps
 
 from cubicmaps.equilibrium import EquilibriumData
 from cubicmaps.finite_n import _QUAD_GUARD
-from cubicmaps.hierarchy import StringHierarchy, compute_g0_series
+from cubicmaps.hierarchy import StringHierarchy
 from cubicmaps.numbers import BETA, SQRT3, Qbeta, gamma_exact
 from cubicmaps.precision import BigFloat, as_mp, rational_to_mp
 from cubicmaps.series import (
@@ -139,9 +139,11 @@ def g2_coefficient(j: int) -> Fraction:
 def g2_closed_form(horizon: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     """First-correction pair from the resolved rational forms.
 
-    g2 = 162 g0 (5 - 324 g0) / (1 - 108 g0)^4,  b2 = 54 w / (g0 (1 - 108 g0)^4).
+    g2 = 162 g0 (5 - 324 g0) / (1 - 108 g0)^4,  b2 = 54 w / (g0 (1 - 108 g0)^4),
+
+    with g0 in w from its Gamma closed form, not from the package's v-series.
     """
-    g0, _ = compute_g0_series(horizon + 2)
+    g0 = TruncatedSeries(VAR_W, 1, tuple(g0_coefficient(j) for j in range(1, horizon + 3)))
     d = 1 - g0 * 108
     d2 = d * d
     d4 = d2 * d2
@@ -216,10 +218,8 @@ def to_u_variable(h: StringHierarchy, k: int, kind: str = "g", s: Fraction = Fra
         raise ValueError(f"order {k} outside computed range")
     src = (h.g_hat if kind == "g" else h.b_hat)[k]
     s = Fraction(s)
-    if s != 1:
-        coeffs = tuple(c * s ** (src.offset + i) for i, c in enumerate(src.coeffs))
-        src = TruncatedSeries(VAR_W, src.offset, coeffs)
-    return src.retag(VAR_U2).shift(2 * k - 1)
+    coeffs = tuple(c * s ** (src.offset + i) for i, c in enumerate(src.coeffs))
+    return TruncatedSeries(VAR_U2, src.offset, coeffs).shift(2 * k - 1)
 
 
 # -- toda ----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """In-process runs of the command-line surface: payload shapes and exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -66,6 +67,19 @@ def test_expand_csv_is_what_csv_writer_prints(capsys, g, max_j):
         c = table.coefficient(g, j)
         writer.writerow([g, j, table.count(g, j), 1, c.numerator, c.denominator])
     assert out == buf.getvalue()
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("expand --genus 1 --max-j 130 --format csv", "2158329184194f287b7f12d2f1a867de75ecd667bca748fcf98f86c0a5b0e25a"),
+    ("expand --genus 0 --max-j 60 --format json", "569d2dd0b8e49ee0b735d8511eda04d981261aa7172260b1ce3ce14c8e041c0d"),
+    ("hierarchy --max-k 9 --horizon 20", "9ce52dbdc2916b3b66076d02e1b2f9a918221506deeac359c29c91a853aa3ed9"),
+])
+def test_exact_output_is_frozen(capsys, argv, digest):
+    # sha256 of stdout, recorded when the hierarchy ran in w: the v route
+    # must print the same bytes
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_expand_json(capsys):

@@ -10,7 +10,7 @@ from cubicmaps.hierarchy import (
     g0_coefficients,
     solve_order_k,
 )
-from cubicmaps.series import TruncatedSeries, VAR_U2, VAR_W
+from cubicmaps.series import TruncatedSeries, VAR_U2, VAR_V, VAR_W
 from oracles import (
     assert_same_series,
     g0_coefficient,
@@ -32,25 +32,38 @@ def test_g0_closed_form_head():
 
 
 def test_g0_term_ratio_matches_gamma_closed_form():
-    # the integer term ratio against the Gamma closed form, an independent route
-    assert g0_coefficients(200) == [g0_coefficient(j) for j in range(1, 201)]
-    assert g0_coefficients(1) == [1] and g0_coefficients(2) == [1, 36]
+    # the integer term ratio in v, dilated to w, against the Gamma closed form, an independent route
+    closed = [g0_coefficient(j) for j in range(1, 201)]
+    g0 = compute_g0_series(200)[0].dilate(18, VAR_W)
+    assert [g0.coefficient(j) for j in range(1, 201)] == closed
+    assert [h * 18**j for j, h in enumerate(g0_coefficients(200))] == closed
+    assert g0_coefficients(1) == [1] and g0_coefficients(2) == [1, 2]
 
 
 def test_g0_series_dual_route():
     g0, b0 = compute_g0_series(33)
     assert g0.offset == 1 and g0.known_max == 33
-    assert [g0.coefficient(j) for j in range(1, 6)] == G0_HEAD
+    assert [g0.dilate(18, VAR_W).coefficient(j) for j in range(1, 6)] == G0_HEAD
     assert b0.offset == 1 and b0.known_max == 32
     with pytest.raises(ValueError):
         compute_g0_series(0)
 
 
+def test_leading_pair_is_integral_in_v():
+    # v = 18 w cancels the 2^(3j) 3^(2j) of the w coefficients: one small
+    # denominator each, numerators under half the bits of g0's w coefficients
+    g0, b0 = compute_g0_series(134)
+    assert (g0.var, b0.var) == (VAR_V, VAR_V)
+    assert (g0.denominator, b0.denominator) == (18, 3)
+    assert max(abs(x).bit_length() for x in g0.numerators + b0.numerators) <= 440
+    assert max(abs(x).bit_length() for x in g0.dilate(18, VAR_W).numerators) > 900
+
+
 @pytest.mark.parametrize("horizon", [1, 2, 3, 33, 134])
 def test_b0_from_certificate_matches_series_division(horizon):
     # b0 = (1 - R)/6 from the certificate against the division route
-    # b0 = (g0 - w)/(6 g0), through the horizon and in the same window
-    g0, b0 = compute_g0_series(horizon)
+    # b0 = (g0 - w)/(6 g0) in w, through the horizon and in the same window
+    g0, b0 = (s.dilate(18, VAR_W) for s in compute_g0_series(horizon))
     divided = (g0 - monomial(VAR_W, 1, 1, horizon)) / (g0 * 6)
     assert b0 == divided
     assert b0.known_max == horizon - 1
@@ -65,7 +78,7 @@ def _perturbed_coefficients(monkeypatch, change):
 
 @pytest.mark.parametrize("perturbed", [1, 2, 17, 33])
 def test_g0_series_dual_route_detects_a_wrong_coefficient(monkeypatch, perturbed):
-    # one term-ratio coefficient off by 1: the residual of the cubic must be
+    # one term-ratio numerator in v off by 1: the residual of the cubic must be
     # nonzero, including at the top of the window, its last certified exponent
     _perturbed_coefficients(monkeypatch, lambda j, c: c + (1 if j == perturbed else 0))
     with pytest.raises(ArithmeticError, match="leading series certificate"):
@@ -73,7 +86,7 @@ def test_g0_series_dual_route_detects_a_wrong_coefficient(monkeypatch, perturbed
 
 
 def test_g0_series_certificate_rejects_the_other_branch(monkeypatch):
-    # (-1)^j c_j also zeroes 72 w H^3 - H^2 + 1; only the pin H_0 = 1 rejects it
+    # -H(-v), numerators (-1)^j h_(j-1), also zeroes 4 v H^3 - H^2 + 1; only the pin H_0 = 1 rejects it
     _perturbed_coefficients(monkeypatch, lambda j, c: (-1) ** j * c)
     with pytest.raises(ArithmeticError, match="leading series certificate"):
         compute_g0_series(33)
@@ -115,9 +128,11 @@ def test_hat_equations_hold_at_benchmark_scale():
     # the deepest hierarchy job the benchmark runs, checked by direct O(k^2)
     # substitution against the carried anti-diagonal sums of the build; each
     # derivative costs the residual window two exponents, so the (9, 38) build,
-    # whose prefix is the (9, 20) one, is checked through w^20 at every order
+    # whose prefix is the (9, 20) one, is checked through w^20 at every order;
+    # (1, 132) is the build behind the longest expand job, checked in w with
+    # 1/((2j)! 4^j) weights, apart from the v route of the build
     h20, h38 = build_hierarchy(9, 20), build_hierarchy(9, 38)
-    for h in (h20, h38):
+    for h in (h20, h38, build_hierarchy(1, 132)):
         for k, eq1, eq2 in hat_equation_residuals(h):
             assert eq1.is_zero(), f"b-equation residual at order {k}: {eq1}"
             assert eq2.is_zero(), f"g-equation residual at order {k}: {eq2}"
@@ -168,4 +183,4 @@ def test_build_hierarchy_divides_once_per_order(monkeypatch, max_k, horizon):
     monkeypatch.setattr(TruncatedSeries, "__truediv__", counted)
     h = build_hierarchy(max_k, horizon)
     assert len(divisors) == max_k
-    assert all(d.truncate_to(horizon) == h.det for d in divisors)
+    assert all(d.truncate_to(horizon).dilate(18, VAR_W) == h.det for d in divisors)

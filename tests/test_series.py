@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import pickle
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from cubicmaps.series import (
     VAR_U2,
+    VAR_V,
     VAR_W,
     BeyondHorizonError,
     TruncatedSeries,
@@ -18,7 +20,7 @@ from cubicmaps.series import (
     product_sum,
     zero_series,
 )
-from oracles import assert_same_series, binomial, differentiate, from_coefficients, monomial, taylor_weight
+from oracles import assert_same_series, binomial, differentiate, from_coefficients, monomial
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=8)
 
@@ -101,17 +103,32 @@ def test_differentiate_slides_window():
 
 def test_var_mixing_rejected():
     a = w_series([1, 2])
-    b = TruncatedSeries(VAR_U2, 0, (Fraction(1),))
-    with pytest.raises(ValueError):
-        _ = a + b
+    for var in (VAR_U2, VAR_V):
+        b = TruncatedSeries(var, 0, (Fraction(1),))
+        for op in (lambda: a + b, lambda: b - a, lambda: a * b, lambda: b / a):
+            with pytest.raises(ValueError):
+                op()
 
 
 def test_retag_and_shift():
     g = w_series([1, 36], offset=1)
-    f = g.retag(VAR_U2).shift(-1)
+    f = g.dilate(1, VAR_U2).shift(-1)
     assert f.var == VAR_U2
     assert f.coefficient(0) == 1
     assert f.coefficient(1) == 36
+
+
+@given(series_strategy, st.fractions(min_value=-30, max_value=30, max_denominator=30).filter(bool))
+def test_dilation_matches_reference_and_inverts(s, c):
+    # coefficient e times c^e at either offset sign, and back by 1/c to the
+    # same series: v = 18 w to w and w to v is the identity
+    d = s.dilate(c, VAR_V)
+    assert d.var == VAR_V and d.offset == s.offset and d.known_max == s.known_max
+    assert d.coeffs == tuple(x * c ** (s.offset + i) for i, x in enumerate(s.coeffs))
+    assert d.dilate(1 / c, VAR_W) == s
+    assert s.dilate(Fraction(1, 18), VAR_V).dilate(18, VAR_W) == s == s.dilate(18, VAR_V).dilate(Fraction(1, 18), VAR_W)
+    with pytest.raises(ValueError):
+        s.dilate(0, VAR_V)
 
 
 def test_from_coefficients_and_accessors():
@@ -289,15 +306,15 @@ zero_kernel_series = st.builds(lambda n, o: w_series([0] * n, o), st.integers(1,
 @settings(max_examples=120, deadline=None)
 @given(st.one_of(kernel_series, zero_kernel_series), st.integers(min_value=0, max_value=6))
 def test_even_taylor_term_matches_repeated_differentiation(s, j):
-    # a one-term sum against 2j derivatives times 1/((2j)! 4^j), and against
-    # the generalized binomial on Fractions, so both the comb and the 4^j shift show
+    # a one-term sum against 2j derivatives times 81^j/(2j)!, and against
+    # the generalized binomial on Fractions, so both the comb and the 81^j weight show
     d = s
     for _ in range(2 * j):
         d = differentiate(d)
     t = even_taylor_sum([(s, j)])
-    assert t == d * taylor_weight(j)
+    assert t == d * Fraction(81**j, factorial(2 * j))
     offset, coeffs = _ref_terms(s)
-    _assert_matches(t, (offset - 2 * j, [c * binomial(offset + i, 2 * j) / 4**j for i, c in enumerate(coeffs)]))
+    _assert_matches(t, (offset - 2 * j, [c * binomial(offset + i, 2 * j) * 81**j for i, c in enumerate(coeffs)]))
 
 
 @settings(max_examples=120, deadline=None)
@@ -336,9 +353,9 @@ def test_product_sum_matches_chained_products(pool, picks):
 def test_product_sum_rejects_mixed_variables():
     a = w_series([1, 2])
     with pytest.raises(ValueError):
-        product_sum([(1, a, a), (1, a, a.retag(VAR_U2))])
+        product_sum([(1, a, a), (1, a, a.dilate(1, VAR_U2))])
     with pytest.raises(ValueError):
-        even_taylor_sum([(a, 1), (a.retag(VAR_U2), 0)])
+        even_taylor_sum([(a, 1), (a.dilate(1, VAR_U2), 0)])
 
 
 def test_zero_series_is_pinned_and_absorbing():
@@ -364,7 +381,7 @@ def test_coeffs_are_fractions_and_equality_is_by_value():
     halves = w_series([Fraction(1, 2), Fraction(3, 2)])
     assert halves == w_series([Fraction(2, 4), Fraction(6, 4)])
     assert halves != w_series([Fraction(1, 2), Fraction(3, 2)], offset=1)
-    assert halves != halves.retag(VAR_U2)
+    assert halves != halves.dilate(1, VAR_U2)
     assert halves * 2 == w_series([1, 3]) and len({halves, halves * 1, halves + 0}) == 1
     with pytest.raises(AttributeError):
         halves.offset = 3

@@ -72,10 +72,10 @@ _CENSUS8 = ({0: 45148078080, 1: 164367221760, 2: 89414357760}, 17304485625)
 
 def _c_oracle():
     frozen = {6: _CENSUS6, 8: _CENSUS8}
+    table = genus_table(2, 4)
     for p in (2, 4, 6, 8):
         j = p // 2
         g_top = (p + 2) // 4
-        table = genus_table(g_top, j)
         expected = {g: table.count(g, j) for g in range(g_top + 1) if table.count(g, j)}
         cen = census(p)
         if cen.total != double_factorial(3 * p - 1):

@@ -103,7 +103,7 @@ def _cmd_hierarchy(args) -> tuple[str, int]:
         "horizon": h.horizon,
         "g_hat": [encode_series(s) for s in h.g_hat],
         "b_hat": [encode_series(s) for s in h.b_hat],
-        "det": encode_series(h.det),
+        "det": encode_series(1 - h.g_hat[0] * 108),
     }
     return dump_json(payload), 0
 

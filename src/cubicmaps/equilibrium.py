@@ -11,9 +11,10 @@ x = b0/u with b0 = (H - 1)/(6 H), and the half-width is y = 2 sqrt(H), so
 x solves 18 u^2 x^3 - 9 u x^2 + x - 6 u = 0.  z0 = 1/(3u) - x is the extra
 zero of h.  One-cut regularity (z0 > b) holds up to the critical coupling
 u_c = 3^(1/4)/18, where z0 collides with b and H reaches the slice's double
-root sqrt(3).  This module owns the numeric slice in H, with one root route
-at every w > 0 (a Newton climb to the negative root, the other two from
-the deflated quadratic), its b0 and closed-form 1/N^2 terms, which
+root sqrt(3).  This module owns the numeric slice in H, solved at every
+w > 0 for the one branch root a caller asks for (a Newton climb to the
+negative root, then the nearer member of the deflated quadratic's pair,
+polished), its b0 and closed-form 1/N^2 terms, which
 ``finite_n`` continues past u_c; it solves for the endpoints, numerically
 and as series in u^2 read off ``hierarchy``'s exact leading pair, and
 samples the effective potential along the contour tails; it does not
@@ -112,18 +113,19 @@ def solve_endpoints(u, precision: int = 40) -> EquilibriumData:
         return EquilibriumData(u=u, x=x, y=y, a=a, b=b, z0=z0, critical=critical, dps=dps)
 
 
-def slice_roots(w):
-    """The three roots H = g0/w of the leading slice 72 w H^3 - H^2 + 1 = 0 for real w > 0.
+def slice_root(w, near):
+    """Root H = g0/w of the leading slice 72 w H^3 - H^2 + 1 = 0 at real w > 0: of
+    the two roots besides the negative one, the one nearer `near` (the continued branch).
 
     With c = 72 w, c H^3 - H^2 + 1 rises and is concave on H < 0, from -c at
     H = -1 to 1 at 0, so Newton from -1 climbs to the negative root r without
     overshooting, until a step falls below 2^10 eps |r|, plus one step.  The
     other two roots solve H^2 - s H + p, s = 1/c - r > 0, p = -1/(c r), as
     q = (s + sqrt(s^2 - 4p))/2 and p/q, which forms no difference of nearly
-    equal roots; two Newton steps polish each (a fixed count: near the double
-    root H = sqrt(3) at w_c = u_c^2 a step's rounding noise can exceed any
-    tolerance a stopping rule would use).  The roots are rounded once, at the
-    working precision; real roots come back as mpf.
+    equal roots.  The one nearer `near` gets two Newton steps (a fixed count:
+    near the double root H = sqrt(3) at w_c = u_c^2 a step's rounding noise can
+    exceed any tolerance a stopping rule would use) and is rounded once, at the
+    working precision; a real root comes back as mpf.
     """
     tol = mp.ldexp(mp.eps, 10)
     with extraprec(20):
@@ -142,14 +144,9 @@ def slice_roots(w):
         r = newton(r)
         s, p = 1 / c - r, -1 / (c * r)
         q = (s + mp.sqrt(s * s - 4 * p)) / 2
-        roots = [r] + [newton(newton(h)) for h in (q, p / q)]
+        h = newton(newton(min((q, p / q), key=lambda h: abs(h - near))))
     # as mp.polyroots does, an imaginary part below eps is rounding noise on a real root
-    return [+h.real if abs(mp.im(h)) < mp.eps else +h for h in roots]
-
-
-def slice_root(w, near):
-    """Root H of the leading slice at w nearest to `near`: the continued branch."""
-    return min(slice_roots(w), key=lambda h: abs(h - near))
+    return +h.real if abs(mp.im(h)) < mp.eps else +h
 
 
 def slice_b0(H, w):

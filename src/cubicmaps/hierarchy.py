@@ -109,7 +109,6 @@ class StringHierarchy(NamedTuple):
     horizon: int
     g_hat: tuple  # TruncatedSeries per correction order k = 0..max_k
     b_hat: tuple
-    det: TruncatedSeries  # D(w) = 1 - 108 g0, the system determinant
 
 
 def build_hierarchy(max_k: int, horizon: int) -> StringHierarchy:
@@ -143,5 +142,4 @@ def build_hierarchy(max_k: int, horizon: int) -> StringHierarchy:
         horizon=horizon,
         g_hat=tuple(s.truncate_to(horizon).dilate(18, VAR_W) for s in g),
         b_hat=tuple(s.truncate_to(horizon).dilate(18, VAR_W) for s in b),
-        det=det.truncate_to(horizon).dilate(18, VAR_W),
     )

@@ -316,7 +316,7 @@ def critical_leading(
         raise ValueError(f"delta_horizon {delta_horizon} beyond horizon {h.horizon}")
     if delta_horizon < 3 * _FIT_POINTS:
         raise ValueError("insufficient horizon for a stable fit (need >= 36)")
-    series = h.det if determinant else h.g_hat[k]
+    series = 1 - h.g_hat[0] * 108 if determinant else h.g_hat[k]
     alpha = Fraction(1 - 5 * k, 2)
     wdps = 60 + 2 * _FIT_POINTS
     with workdps(wdps):

@@ -132,8 +132,11 @@ def test_hierarchy_series(capsys):
     g0 = payload["g_hat"][0]
     assert g0["variable"] == "w" and g0["offset"] == 1
     assert [c["num"] for c in g0["coefficients"]] == ["1", "36", "3240"]
-    assert payload["det"]["coefficients"][0]["num"] == "1"
     assert len(payload["b_hat"]) == 2
+    det = payload["det"]
+    want = [Fraction(1), *(-108 * Fraction(c["num"]) / Fraction(c["den"]) for c in g0["coefficients"])]
+    assert det["offset"] == 0
+    assert [Fraction(c["num"]) / Fraction(c["den"]) for c in det["coefficients"]] == want
 
 
 def test_equilibrium_payload(capsys):

@@ -20,7 +20,7 @@ from cubicmaps.finite_n import (
     string_residuals,
     toda_residual,
 )
-from cubicmaps.equilibrium import slice_b0, slice_corrections, slice_root, slice_roots
+from cubicmaps.equilibrium import slice_b0, slice_corrections, slice_root
 from cubicmaps.hierarchy import build_hierarchy
 from cubicmaps.numbers import double_factorial
 from cubicmaps.precision import BigFloat, agreement_digits, as_mp, rational_to_mp
@@ -514,26 +514,34 @@ def _w_crit():
 ], ids=["1e-200", "1e-60", "1/2000", "1/256", "1/100", "wc-", "wc+", "(2/25)^2", "(1/5)^2", "9/8*(1/16)^2",
         "17/16*(1/10)^2", "1e20"])
 def test_slice_roots_match_polyroots(w):
-    # all three roots H = g0/w of 72 w H^3 - H^2 + 1 against mp.polyroots at
-    # 40 more digits, on both sides of w_c and on half-shifted slices s u^2,
-    # s = 1 + 1/(2N); at w = 1e-60 and 1e-200 the roots near -1 and 1 sit
-    # about 60 and 200 orders below the third, and at w = 1e20 (u = 1e10) the
-    # climb from -1 runs longest.  Roots of a cubic with three real roots, and the
-    # real root past w_c, carry Im exactly 0: a printed prediction would
-    # otherwise come out as re/im
+    # slice_root against mp.polyroots at 40 more digits, on both sides of w_c and
+    # on half-shifted slices s u^2, s = 1 + 1/(2N); at w = 1e-60 and 1e-200 the
+    # roots near -1 and 1 sit about 60 and 200 orders below the third, and at
+    # w = 1e20 (u = 1e10) the climb from -1 runs longest.  Roots of a cubic with
+    # three real roots, and the real root past w_c, carry Im exactly 0: a printed
+    # prediction would otherwise come out as re/im
     dps = 40
     with workdps(dps):
         w = w()
-        got = slice_roots(w)
     with workdps(dps + 40):
         # 200 bits more: with 80, Durand-Kerner does not settle at w = 1e-60
-        want = mp.polyroots([72 * w, -1, 0, 1], extraprec=200)
-        for r in want:  # measured at least 41.1 digits
-            assert max(agreement_digits(g, r) for g in got) >= dps
-        real = sum(1 for r in want if r.imag == 0)
-    assert real in (1, 3)
-    assert sum(1 for g in got if isinstance(g, mp.mpf)) == real
-    assert all(mp.im(g) != 0 for g in got if not isinstance(g, mp.mpf))
+        roots = mp.polyroots([72 * w, -1, 0, 1], extraprec=200)
+    r = min(roots, key=lambda h: mp.re(h))  # the negative root; the pair has Re = (1/(72 w) - r)/2 > 0
+    pair = [h for h in roots if h is not r]
+    with workdps(dps):
+        for h in pair:  # measured at least 41.1 digits
+            got = slice_root(w, h)
+            assert agreement_digits(got, h) >= dps
+            assert isinstance(got, mp.mpf) == (mp.im(h) == 0)
+            assert isinstance(got, mp.mpf) or mp.im(got) != 0
+        got = slice_root(w, r)
+        assert mp.re(got) > 0
+        assert max(agreement_digits(got, h) for h in pair) >= dps
+        if all(mp.im(h) == 0 for h in roots):
+            assert agreement_digits(slice_root(w, 1), min(pair)) >= dps
+        else:
+            assert w > _w_crit()
+    assert sum(1 for h in roots if mp.im(h) == 0) in (1, 3)
 
 
 def test_shifted_time_identities():

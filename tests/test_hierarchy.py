@@ -143,10 +143,10 @@ def test_hat_equations_hold_at_benchmark_scale():
 
 
 def test_determinant_is_invertible_unit():
-    h = build_hierarchy(0, 15)
-    assert h.det.coefficient(0) == 1
-    assert h.det.coefficient(1) == -108
-    product = (monomial(VAR_W, 1, 0, h.det.known_max) / h.det) * h.det
+    det = 1 - build_hierarchy(0, 15).g_hat[0] * 108
+    assert det.coefficient(0) == 1
+    assert det.coefficient(1) == -108
+    product = (monomial(VAR_W, 1, 0, det.known_max) / det) * det
     assert_same_series(product, monomial(VAR_W, 1, 0, product.known_max))
 
 
@@ -162,12 +162,13 @@ def test_u_variable_indexing_and_slope():
 
 def test_solve_order_k_rejects_bad_prefixes():
     h = build_hierarchy(1, 6)
+    det = 1 - h.g_hat[0] * 108
     with pytest.raises(ValueError):
-        solve_order_k([], [], h.det, [])
+        solve_order_k([], [], det, [])
     with pytest.raises(ValueError):
-        solve_order_k([h.g_hat[0]], [], h.det, [h.b_hat[0]])
+        solve_order_k([h.g_hat[0]], [], det, [h.b_hat[0]])
     with pytest.raises(ValueError):
-        solve_order_k([h.g_hat[0]], [h.b_hat[0]], h.det, [])
+        solve_order_k([h.g_hat[0]], [h.b_hat[0]], det, [])
 
 
 @pytest.mark.parametrize("max_k, horizon", [(0, 5), (1, 12), (9, 20), (3, 40)])
@@ -183,4 +184,5 @@ def test_build_hierarchy_divides_once_per_order(monkeypatch, max_k, horizon):
     monkeypatch.setattr(TruncatedSeries, "__truediv__", counted)
     h = build_hierarchy(max_k, horizon)
     assert len(divisors) == max_k
-    assert all(d.truncate_to(horizon).dilate(18, VAR_W) == h.det for d in divisors)
+    det = 1 - h.g_hat[0] * 108
+    assert all(d.truncate_to(horizon).dilate(18, VAR_W) == det for d in divisors)

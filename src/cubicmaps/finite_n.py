@@ -16,10 +16,16 @@ exact at the working precision.  The chord turn costs no transcendental per
 node: sigma = 1/(1 + E_k) with E_k = e^(-2k/(n tau)) a geometric progression,
 so each node pays one exponential and one cosine-sine pair, both of -N V.
 The moment sums run in fixed-point Python integers, each node's weight with
-its own binary exponent.  Recurrence data is then extracted twice: by a Stieltjes
-bordering pass in mpmath, and by one elimination of the Hankel matrix in
-fixed-point integers that also gives every block's condition number, so
-conditioning loss shows up as a measured number instead of eating digits.
+its own binary exponent.  The nodes are independent terms, so they split
+into consecutive chunks, which with 2 or more usable CPUs this process and
+forked children share, each taking the next chunk as it finishes one.  Each
+chunk returns its order sums exact at its least binary exponent; shifted to
+the least exponent of all and added, they give the serial sums bit for bit
+however the nodes were split and shared.  Recurrence data is then
+extracted twice: by a Stieltjes bordering pass in mpmath, and by one
+elimination of the Hankel matrix in fixed-point integers that also gives
+every block's condition number, so conditioning loss shows up as a measured
+number instead of eating digits.
 
 The string equations and the Toda relation are integration-by-parts and
 determinant identities of the moment data, valid wherever the Hankel minors
@@ -33,9 +39,12 @@ from __future__ import annotations
 
 import cmath
 import functools
+import marshal
 import math
+import os
+import sys
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, lshift, mul, rshift, sub
 from typing import NamedTuple
 
@@ -69,6 +78,13 @@ _FIX_GUARD = 40  # fixed-point bits behind the working precision in the moment s
 _NODE_GUARD = 20  # bits behind those at which each node's weight is evaluated
 _HANKEL_GUARD = 40  # bits past the working precision that the Hankel elimination keeps on its least moment
 _NORM_BITS = 100  # bits the largest entry of M_n^-1 keeps in the condition numbers' 1-norms
+# least nodes per process sharing the moment sums: on a 2-core host a fork
+# round trip cost 2-3.5 ms and a node 75-150 us at 80 digits, so 100 nodes
+# repay a fork a few times over
+_PROCESS_NODES = 100
+# chunks of nodes per process: a process that finishes early idles for at
+# most one chunk, while the one beside it ends its last
+_CHUNKS_PER_PROCESS = 8
 
 
 def _path_scale(u_m, N: int):
@@ -225,28 +241,114 @@ def _turning_factors(n: int, tau: int, k_max: int, prec: int) -> list[int]:
     return [e >> guard for e in factors]
 
 
-def _path_moments(s, b, c, max_order: int, tau: int, n: int, k_lo: int, k_hi: int):
-    """h * sum over k_lo <= k <= k_hi of z^j exp(-N V(z)) z'(t) at t = k h, h = 1/n.
+def _process_count(nodes: int) -> int:
+    """How many processes `_path_moments` shares its nodes among: this one and forked children.
+
+    More than one only where forking is sound and pays: `os.fork` exists, no
+    second Python thread runs (a child would inherit the locks it holds), at
+    least 2 CPUs are usable, and each process gets at least _PROCESS_NODES nodes.
+    """
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, nodes // _PROCESS_NODES))
+
+
+def _chunk_ranges(k_lo: int, k_hi: int, chunks: int) -> list[tuple[int, int]]:
+    """`chunks` consecutive ranges (lo, hi), lo <= k <= hi, of sizes within one, that partition k_lo..k_hi."""
+    size, extra = divmod(k_hi - k_lo + 1, chunks)
+    ranges = []
+    for i in range(chunks):
+        hi = k_lo + size + (i < extra) - 1
+        ranges.append((k_lo, hi))
+        k_lo = hi + 1
+    return ranges
+
+
+def _shared_map(fn, arg_list: list, processes: int) -> list:
+    """[fn(*args) for args in arg_list], shared by this process and processes - 1 forked children.
+
+    The indices of arg_list (at most 256) wait in a pipe, one byte each, and
+    every process takes the next as it finishes one, so a process on a busy
+    core takes fewer.  A child sends its {index: result} back through a
+    pipe of its own as marshal bytes and always leaves by os._exit, with
+    status 1 on any exception (a parent that is gone shows as a broken
+    pipe).  Where a fork raises OSError, the processes already running take
+    its share.  Every child is reaped before this returns or raises; a
+    nonzero status or a short payload raises.
+    """
+    tasks, fill = os.pipe()
+    with open(fill, "wb") as pipe:
+        pipe.write(bytes(range(len(arg_list))))
+
+    def take() -> dict:
+        done = {}
+        while index := os.read(tasks, 1):
+            done[index[0]] = fn(*arg_list[index[0]])
+        return done
+
+    children = {}  # pid -> the read end of its pipe
+    try:
+        for _ in range(processes - 1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(r)
+                    with open(w, "wb") as pipe:
+                        pipe.write(marshal.dumps(take()))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children[pid] = open(r, "rb")
+        done = take()
+        payloads = [pipe.read() for pipe in children.values()]
+    finally:
+        # a child still writing sees its pipe close, so no wait below can hang
+        os.close(tasks)
+        for pipe in children.values():
+            pipe.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in children]
+    for status, data in zip(statuses, payloads):
+        if status:
+            raise RuntimeError(f"a moment process exited with wait status {status}")
+        try:
+            done.update(marshal.loads(data))
+        except (EOFError, ValueError):
+            raise RuntimeError("a moment process sent a short payload") from None
+    return [done[i] for i in range(len(arg_list))]
+
+
+def _node_sums(k_lo: int, k_hi: int, n: int, tau: int, max_order: int, bits: int,
+               half_b: int, c_fix: int, turning: list) -> tuple[int, list, list]:
+    """(low, re, im): order j's weighted sum over nodes k_lo..k_hi is (re[j] + i im[j]) 2^low.
 
     Each node's weight W = exp(-b zeta^2/2 + c zeta^3) zeta'(t) is evaluated
     in fixed point at `bits` + _NODE_GUARD bits and kept as two mantissas
     (real, imaginary) of `bits` bits with its own binary exponent, so a
     weight deep in the tail keeps its full relative precision before zeta^j
     amplifies it.  The turn needs no transcendental per node: sigma comes from
-    `_turning_factors` and omega = (1 + sqrt 5)/4 + i sin(pi/5) is algebraic.
+    the turning factors and omega = (1 + sqrt 5)/4 + i sin(pi/5) is algebraic.
     zeta is fixed point with `bits` fraction bits, each order multiplies every
-    mantissa by it once, and each order is summed exactly at the smallest node
-    exponent; s^(j+1) h turns the zeta moments into z moments.
+    mantissa by it once, and each order is summed exactly at the range's
+    least node exponent, low.
     """
-    bits = mp.prec + _FIX_GUARD
     prec = bits + _NODE_GUARD
     one = 1 << prec
-    with workprec(prec + 10):
-        half_b, c_fix = (to_fixed(v._mpf_, prec) for v in (b / 2, c))
     # omega - 1 = (cos(pi/5) - 1, sin(pi/5)), cos(pi/5) = (1 + sqrt 5)/4
     cos5 = (one + math.isqrt(5 << 2 * prec)) >> 2
     ar, ai = cos5 - one, math.isqrt((one << prec) - cos5 * cos5)
-    turning = _turning_factors(n, tau, max(-k_lo, k_hi), prec)
     nodes = []
     for k in range(k_lo, k_hi + 1):
         t = (k << prec) // n
@@ -274,15 +376,46 @@ def _path_moments(s, b, c, max_order: int, tau: int, n: int, k_lo: int, k_hi: in
     zrs, zis, res, ims, exps = map(list, zip(*nodes))
     low = min(exps)
     offsets = [e - low for e in exps]
-    acc = []
-    scale = s / n
+    re_sums, im_sums = [], []
     for j in range(max_order + 1):
         if j:
             res, ims = (
                 list(map(rshift, map(sub, map(mul, res, zrs), map(mul, ims, zis)), repeat(bits))),
                 list(map(rshift, map(add, map(mul, res, zis), map(mul, ims, zrs)), repeat(bits))),
             )
-        acc.append(mp.mpc(*(mp.mpf((sum(map(lshift, m, offsets)), low)) for m in (res, ims))) * scale)
+        re_sums.append(sum(map(lshift, res, offsets)))
+        im_sums.append(sum(map(lshift, ims, offsets)))
+    return low, re_sums, im_sums
+
+
+def _path_moments(s, b, c, max_order: int, tau: int, n: int, k_lo: int, k_hi: int):
+    """h * sum over k_lo <= k <= k_hi of z^j exp(-N V(z)) z'(t) at t = k h, h = 1/n.
+
+    `_node_sums` forms each chunk of nodes' order sums exactly on integers,
+    _CHUNKS_PER_PROCESS chunks for each of the `_process_count` processes
+    that share them; shifted to the least exponent over all chunks and
+    added, they are the one-chunk sums bit for bit, however the nodes were
+    split and whichever process took a chunk.  s^(j+1) h turns the zeta
+    moments into z moments.
+    """
+    bits = mp.prec + _FIX_GUARD
+    prec = bits + _NODE_GUARD
+    with workprec(prec + 10):
+        half_b, c_fix = (to_fixed(v._mpf_, prec) for v in (b / 2, c))
+    turning = _turning_factors(n, tau, max(-k_lo, k_hi), prec)
+    nodes = k_hi - k_lo + 1
+    processes = _process_count(nodes)
+    # `_shared_map` hands out chunk indices as single bytes
+    ranges = _chunk_ranges(k_lo, k_hi, min(nodes, 256, _CHUNKS_PER_PROCESS * processes))
+    chunks = _shared_map(_node_sums, [(lo, hi, n, tau, max_order, bits, half_b, c_fix, turning) for lo, hi in ranges],
+                         processes)
+    low = min(e for e, _, _ in chunks)
+    acc = []
+    scale = s / n
+    for j in range(max_order + 1):
+        re = sum(res[j] << e - low for e, res, _ in chunks)
+        im = sum(ims[j] << e - low for e, _, ims in chunks)
+        acc.append(mp.mpc(mp.mpf((re, low)), mp.mpf((im, low))) * scale)
         scale *= s
     return acc
 
@@ -409,7 +542,9 @@ def recurrence_from_moments(moments, n_max: int) -> RecurrenceData:
         F = mp.prec + _HANKEL_GUARD + e - min(s for s in map(mp.mag, c) if s > e - mp.prec)
         cr, ci = zip(*(_fixed(v, F - e) for v in c))
         mags = list(map(math.isqrt, map(add, map(mul, cr, cr), map(mul, ci, ci))))
-        rows, inverse, losses = [], [], []
+        # M_n^-1 row-major in split real and imaginary lists, S entries a row, zero past column n - 1
+        S = n_max + 1
+        rows, inv_r, inv_i, losses = [], [], [], []
         worst, lower, floor_h, floor_b = Fraction(0), (0, 0), *(_fixed(mp.mpf(10) ** -6, f)[0] for f in (F - e, F))
 
         def gap(a, b, floor):  # max |a_j - b_j|^2 / max(|a_j|^2, |b_j|^2, floor^2)
@@ -422,11 +557,11 @@ def recurrence_from_moments(moments, n_max: int) -> RecurrenceData:
                 # shifted right until the largest entry keeps _NORM_BITS bits, the
                 # entries give the norm, which is at least that entry, to under
                 # 6n 2^-_NORM_BITS relative, far below what the float loss resolves
-                top = max(max(max(r), -min(r), max(i), -min(i)) for r, i in inverse).bit_length()
+                top = max(max(inv_r), -min(inv_r), max(inv_i), -min(inv_i)).bit_length()
                 cut = max(0, top - _NORM_BITS)
-                inverse_norm = max(sum(map(math.isqrt, map(add, map(mul, r, r), map(mul, i, i))))
-                                   for r, i in (([*map(rshift, r, repeat(cut))], [*map(rshift, i, repeat(cut))])
-                                                for r, i in inverse))
+                r, i = [*map(rshift, inv_r, repeat(cut))], [*map(rshift, inv_i, repeat(cut))]
+                mods = [*map(math.isqrt, map(add, map(mul, r, r), map(mul, i, i)))]
+                inverse_norm = max(sum(mods[j:j + S]) for j in range(0, n * S, S))
                 moment_norm = max(sum(mags[j:j + n]) for j in range(n))
                 loss = float(mp.log10(mp.mpf((moment_norm * inverse_norm, cut - 2 * F))))
             losses.append(loss)
@@ -441,8 +576,12 @@ def recurrence_from_moments(moments, n_max: int) -> RecurrenceData:
             (hr, hi), w[0][n], w[1][n] = (w[0][n], w[1][n]), 1 << F, 0  # h_n out, p_n's leading 1 in
             inv_h = ((hr << 2 * F) // (hr * hr + hi * hi), (-hi << 2 * F) // (hr * hr + hi * hi))
             rows.append(_axpy((repeat(0), repeat(0)), inv_h, w, F))
-            inverse = [_axpy((r[0] + [0], r[1] + [0]), m, w, F)
-                       for r, m in zip(inverse + [([0] * n, [0] * n)], zip(*rows[n]))]
+            # M_(n+1)^-1 = M_n^-1 + p_n p_n^T / h_n in one pass over rows 0..n: row i
+            # gains rows[n][i] times p_n = w[:n + 1], at F bits
+            xr, xi = ((v[:n + 1] + [0] * (S - n - 1)) * (n + 1) for v in w)
+            mr, mi = ([*chain.from_iterable(map(repeat, v[:n + 1], repeat(S)))] for v in rows[n])
+            inv_r = [*map(add, chain(inv_r, repeat(0)), map(rshift, map(sub, map(mul, xr, mr), map(mul, xi, mi)), repeat(F)))]
+            inv_i = [*map(add, chain(inv_i, repeat(0)), map(rshift, map(add, map(mul, xi, mr), map(mul, xr, mi)), repeat(F)))]
             worst = max(worst, gap(list(zip(*w))[:n + 1], [_fixed(v, F) for v in coeffs[n]], 1 << F),
                         gap([(hr, hi)], [_fixed(h[n], F - e)], floor_h))
             if n >= 1:

@@ -111,8 +111,8 @@ class StringHierarchy(NamedTuple):
     b_hat: tuple
 
 
-def build_hierarchy(max_k: int, horizon: int) -> StringHierarchy:
-    """Solve the hierarchy in v through correction order max_k; return it in w, exact to the horizon.
+def _solve_in_v(max_k: int, horizon: int) -> tuple[list, list]:
+    """g_hat[k] and b_hat[k] for k = 0..max_k as v-series, exact through v^horizon.
 
     Order k slides the known windows of the leading pair down by 2k exponents
     (the Taylor term s^(2k)), so the leading series is padded by 2*max_k
@@ -121,6 +121,8 @@ def build_hierarchy(max_k: int, horizon: int) -> StringHierarchy:
     ``compute_g0_series``: g0 by its term ratio, certified by the cubic's
     residual, and b0 = (1 - R)/6 from that certificate, with no division.
     Each order divides once, by det; the anti-diagonal sums T_n are carried.
+    Callers cut each series to the horizon and dilate it to w = v/18, only
+    the ones they read.
     """
     if max_k < 0 or horizon < 1:
         raise ValueError("need max_k >= 0 and horizon >= 1")
@@ -136,7 +138,12 @@ def build_hierarchy(max_k: int, horizon: int) -> StringHierarchy:
         g.append(gk)
         b.append(bk)
         t.append(tk)
+    return g, b
 
+
+def build_hierarchy(max_k: int, horizon: int) -> StringHierarchy:
+    """Solve the hierarchy in v through correction order max_k; return it in w, exact to the horizon."""
+    g, b = _solve_in_v(max_k, horizon)
     return StringHierarchy(
         max_k=max_k,
         horizon=horizon,

@@ -27,7 +27,7 @@ from typing import NamedTuple
 from mpmath import mp
 
 from .critical import compute_K, run_C_recursion
-from .hierarchy import build_hierarchy
+from .hierarchy import _solve_in_v
 from .numbers import gamma_exact
 from .precision import BigFloat
 from .series import VAR_U2, VAR_W, TruncatedSeries, from_numerators, zero_series
@@ -72,9 +72,10 @@ def toda_integrate(k: int, ghat: TruncatedSeries) -> TruncatedSeries:
 
 
 def free_energy_series(g_max: int, horizon: int) -> tuple:
-    """F^(0)..F^(2 g_max) through u^(2 horizon), one hierarchy build."""
-    h = build_hierarchy(g_max, horizon + 2)
-    return tuple(toda_integrate(k, h.g_hat[k]).truncate_to(horizon) for k in range(g_max + 1))
+    """F^(0)..F^(2 g_max) through u^(2 horizon), one hierarchy solve; only g_hat is taken to w."""
+    g, _ = _solve_in_v(g_max, horizon + 2)
+    return tuple(toda_integrate(k, s.truncate_to(horizon + 2).dilate(18, VAR_W)).truncate_to(horizon)
+                 for k, s in enumerate(g))
 
 
 class GenusCoeffTable(NamedTuple):

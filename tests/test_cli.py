@@ -516,6 +516,29 @@ def test_cold_import_skips_suite_and_unused_stdlib():
     assert "[genus0] PASS" in proc.stdout and "1 passed, 0 failed, 11 skipped" in proc.stdout
 
 
+def test_cold_import_and_forked_moments_load_no_process_or_thread_module():
+    # the moment chunks fork with os.fork and send marshal bytes through a
+    # pipe, so neither `import cubicmaps.cli` nor a `validate` run, whose
+    # moments fork on a host with 2 or more CPUs, loads a process pool, a
+    # thread or pickle module (counted against the interpreter's own start-up)
+    env = _uninstalled_env()
+    probe = """if True:
+        import io, sys
+        from contextlib import redirect_stdout
+        banned = {"multiprocessing", "concurrent", "subprocess", "pickle", "threading"}
+        before = set(sys.modules)
+        def loaded():
+            return sorted(m for m in set(sys.modules) - before if m.split(".")[0] in banned)
+        import cubicmaps.cli
+        after_import = loaded()
+        with redirect_stdout(io.StringIO()):
+            code = cubicmaps.cli.main(["validate", "--N", "4", "--u", "2/25", "--precision", "80"])
+        print(after_import, code, loaded())
+    """
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[] 0 []\n", "")
+
+
 def test_python_dash_m_matches_main(capsys):
     # the package runs uninstalled as `python -m cubicmaps`, with main()'s output and exit code
     env = _uninstalled_env()

@@ -1,6 +1,11 @@
 """Finite-N moments, recurrence data, and the identity diagnostics built on them."""
 
+import contextlib
 import math
+import os
+import signal
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -211,6 +216,8 @@ def test_one_exponential_and_one_cosine_sine_per_node(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    # a forked chunk's calls would not reach this process's counter
+    monkeypatch.setattr(finite_n, "_process_count", lambda nodes: 1)
     monkeypatch.setattr(finite_n, "mpf_exp", counted("exp", finite_n.mpf_exp))
     monkeypatch.setattr(finite_n, "mpf_cos_sin", counted("cos_sin", finite_n.mpf_cos_sin))
     for u, (tau, n, k_lo, k_hi) in zip((Fraction(2, 25), Fraction(1, 16)), VALIDATE_RULES):
@@ -220,6 +227,159 @@ def test_one_exponential_and_one_cosine_sine_per_node(monkeypatch):
             _path_moments(s, b, c, 15, tau, n, k_lo, k_hi)
         nodes = k_hi - k_lo + 1
         assert calls == {"exp": nodes + 1, "cos_sin": nodes}
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the node chunks are shared with forked processes")
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    # a hang in the fork-and-reap path fails the test instead of stalling the run
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _validate_moments(u, N):
+    # the moments `validate --N N --precision 80` takes: orders through 2 n_max + 1
+    # at working precision max(80, 8 n_max)
+    n_max = 3 * N // 2 + 1
+    precision = max(80, 8 * n_max)
+    with workdps(precision + 15):
+        s, b, c = _path_scale(rational_to_mp(u), N)
+        rule = _path_rule(precision, float(b), float(c), 2 * n_max + 1)
+        return lambda: _path_moments(s, b, c, 2 * n_max + 1, *rule)
+
+
+@needs_fork
+@pytest.mark.parametrize("u, N", [(Fraction(2, 25), 4), (Fraction(1, 16), 4), (Fraction(2, 25), 8)],
+                         ids=["2/25-N4", "1/16-N4", "2/25-N8"])
+def test_node_chunks_merge_bit_identically(u, N, monkeypatch):
+    # every chunk sums its nodes exactly at its own least exponent, so any
+    # split (8 chunks a process) among any processes, merged at the least
+    # exponent of all, gives the same moments
+    moments = _validate_moments(u, N)
+    runs = {}
+    for processes in (1, 2, 3):
+        monkeypatch.setattr(finite_n, "_process_count", lambda nodes, p=processes: p)
+        with _deadline(60):
+            runs[processes] = moments()
+        _no_child_left()
+    assert runs[2] == runs[1] and runs[3] == runs[1]
+    assert all(isinstance(v, mp.mpc) for v in runs[1])
+
+
+def test_chunk_ranges_partition_the_nodes():
+    for k_lo, k_hi in ((-120, 192), (-128, 204), (0, 0), (-5, 4), (3, 1000)):
+        nodes = list(range(k_lo, k_hi + 1))
+        for chunks in range(1, min(len(nodes), 17) + 1):
+            ranges = finite_n._chunk_ranges(k_lo, k_hi, chunks)
+            assert len(ranges) == chunks
+            assert [k for lo, hi in ranges for k in range(lo, hi + 1)] == nodes
+            sizes = [hi - lo + 1 for lo, hi in ranges]
+            assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+
+
+def test_process_count_forks_only_where_it_is_sound_and_pays(monkeypatch):
+    # one process per usable CPU, each with at least _PROCESS_NODES nodes; one
+    # process with a single CPU or a second Python thread running
+    least = finite_n._PROCESS_NODES
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    if hasattr(os, "fork"):
+        assert [finite_n._process_count(n) for n in (1, 2 * least - 1, 2 * least, 3 * least, 100 * least)] == [1, 1, 2, 3, 4]
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert finite_n._process_count(100 * least) == 1
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert finite_n._process_count(100 * least) == 1
+
+
+@needs_fork
+def test_shared_chunks_come_back_in_order_whoever_takes_them():
+    # the child lags on every chunk, so the parent takes more of them; the
+    # results are still in chunk order, each taken exactly once
+    parent = os.getpid()
+
+    def work(i):
+        if os.getpid() != parent:
+            time.sleep(0.02)
+        return [i, os.getpid() == parent]
+
+    with _deadline(60):
+        out = finite_n._shared_map(work, [(i,) for i in range(24)], 2)
+    _no_child_left()
+    assert [i for i, _ in out] == list(range(24))
+    assert sum(by_parent for _, by_parent in out) >= 12
+
+
+@needs_fork
+def test_failing_child_raises_and_is_reaped(monkeypatch):
+    parent = os.getpid()
+    node_sums = finite_n._node_sums
+    first = [True]
+
+    def failing_in_child(*args):
+        if os.getpid() != parent:
+            raise ValueError("chunk failed")
+        if first:  # the child takes a chunk meanwhile
+            first.pop()
+            time.sleep(0.5)
+        return node_sums(*args)
+
+    monkeypatch.setattr(finite_n, "_process_count", lambda nodes: 2)
+    monkeypatch.setattr(finite_n, "_node_sums", failing_in_child)
+    with _deadline(60), pytest.raises(RuntimeError, match="exited with wait status 256"):
+        compute_moments(80, Fraction(2, 25), 4, 15)
+    _no_child_left()
+
+
+@needs_fork
+def test_parent_failure_reaps_a_child_blocked_on_its_pipe():
+    # the child's payload overfills its pipe; the parent fails before it reads
+    # it, and closing the read end lets the child leave instead of hanging
+    parent = os.getpid()
+
+    def work(i):
+        if os.getpid() == parent:
+            raise ArithmeticError("parent chunk failed")
+        return 1 << (1 << 23)
+
+    with _deadline(60), pytest.raises(ArithmeticError, match="parent chunk failed"):
+        finite_n._shared_map(work, [(0,), (1,)], 2)
+    _no_child_left()
+
+
+@needs_fork
+def test_failed_fork_computes_the_chunks_in_process(monkeypatch):
+    moments = _validate_moments(Fraction(2, 25), 4)
+    monkeypatch.setattr(finite_n, "_process_count", lambda nodes: 1)
+    want = moments()
+
+    def no_fork():
+        raise OSError("no process left")
+
+    monkeypatch.setattr(finite_n, "_process_count", lambda nodes: 3)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert moments() == want
+    _no_child_left()
 
 
 @pytest.mark.parametrize("u, rule, nodes", [

@@ -10,7 +10,9 @@ equivalently the cubic 72*g0^3 - g0^2 + w^2 = 0, and each correction pair
 (g_{2k}, b_{2k}) solves a 2x2 linear system whose right-hand side collects
 Taylor-shifted derivatives of lower orders with weights 1/((2j)! 2^(2j)).
 Eliminating g_{2k} leaves b_{2k} times D(w) = 1 - 108*g0(w), a unit in the
-series ring, so the whole hierarchy stays exact rational arithmetic.  It is
+series ring, so the whole hierarchy stays exact rational arithmetic.  A last
+order whose b_{2k} nothing reads, as in the free energy, is solved for
+g_{2k} alone with one product fewer, two at the first order.  It is
 solved in v = 18 w, which cancels the 2^(3j) 3^(2j) in g0's w^j coefficient:
 H = g0/w is integral, g0 and b0 have denominators 18 and 3, and the Taylor
 weights 81^j/(2j)! act as integers, so products run on integers half as long.
@@ -68,6 +70,25 @@ def compute_g0_series(horizon: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     return from_numerators(VAR_V, 1, h, 18), (1 - R) * Fraction(1, 6)
 
 
+def _order_terms(
+    g_lower: Sequence[TruncatedSeries],
+    b_lower: Sequence[TruncatedSeries],
+    t_lower: Sequence[TruncatedSeries],
+) -> tuple[TruncatedSeries, TruncatedSeries, list]:
+    """R1, U_k and the anti-diagonal pairs (g_m, T_(k-m)), m = 1..k-1, of order k = len(g_lower).
+
+    Both finishers, ``solve_order_k`` and ``solve_g_order_k``, read these.
+    """
+    k = len(g_lower)
+    if k < 1 or len(b_lower) != k or len(t_lower) != k:
+        raise ValueError("need matching g, b and T prefixes of length k >= 1")
+    r1 = even_taylor_sum((g_lower[m], k - m) for m in range(k)) * -6
+    if k > 1:  # pairs m < m' with m + m' = k stand for two ordered pairs
+        r1 = r1 + product_sum((-6 if 2 * m < k else -3, b_lower[m], b_lower[k - m]) for m in range(1, k // 2 + 1))
+    uk = even_taylor_sum((b_lower[m], k - m) for m in range(k))
+    return r1, uk, [(g_lower[m], t_lower[k - m]) for m in range(1, k)]
+
+
 def solve_order_k(
     g_lower: Sequence[TruncatedSeries],
     b_lower: Sequence[TruncatedSeries],
@@ -86,22 +107,40 @@ def solve_order_k(
         T_n = sum_(m+j=n) 81^j b_m^(2j)/(2j)!,   t_lower = (T_0, ..., T_(k-1)),
 
     as R2 = 6 (g0 U_k + sum_(m=1..k-1) g_m T_(k-m)) with U_k = T_k - b_k.  Each
-    anti-diagonal is one ``even_taylor_sum`` or ``product_sum``; beside them an
-    order costs one division and the products R*R1 and R*b_k.  Returns (g_k, b_k, T_k).
+    anti-diagonal is one ``even_taylor_sum`` or ``product_sum``; b_k costs k + 1
+    products and one division, g_k one product more, R*b_k.  Returns (g_k, b_k, T_k).
     """
-    k = len(g_lower)
-    if k < 1 or len(b_lower) != k or len(t_lower) != k:
-        raise ValueError("need matching g, b and T prefixes of length k >= 1")
-    g0, b0 = g_lower[0], b_lower[0]
-    r = 1 - b0 * 6
-
-    r1 = even_taylor_sum((g_lower[m], k - m) for m in range(k)) * -6
-    if k > 1:  # pairs m < m' with m + m' = k stand for two ordered pairs
-        r1 = r1 + product_sum((-6 if 2 * m < k else -3, b_lower[m], b_lower[k - m]) for m in range(1, k // 2 + 1))
-    uk = even_taylor_sum((b_lower[m], k - m) for m in range(k))
-    bk = product_sum([(36, g0, uk), *((36, g_lower[m], t_lower[k - m]) for m in range(1, k)), (-1, r, r1)]) / det
+    r1, uk, cross = _order_terms(g_lower, b_lower, t_lower)
+    g0, r = g_lower[0], 1 - b_lower[0] * 6
+    bk = product_sum([(36, g0, uk), *((36, g, t) for g, t in cross), (-1, r, r1)]) / det
     gk = (r1 + r * bk) * Fraction(1, 6)
     return gk, bk, uk + bk
+
+
+def solve_g_order_k(
+    g_lower: Sequence[TruncatedSeries],
+    b_lower: Sequence[TruncatedSeries],
+    det: TruncatedSeries,
+    t_lower: Sequence[TruncatedSeries],
+) -> TruncatedSeries:
+    """g_k alone, for a last order whose b_k and T_k nothing reads; the inputs of ``solve_order_k``.
+
+    On the certified leading pair of ``compute_g0_series`` two identities hold
+    exactly through its window: R*g0 = v/18, since R = 1/H there and
+    g0 = v H/18, and R^2 - 36*g0 = det.  Putting b_k*det = 6*R2 - R*R1 into
+    6*g_k*det = R1*det + R*b_k*det and using both leaves
+
+        6*g_k*det = -36*g0*R1 + 2*v*U_k + 36*R*sum_(m=1..k-1) g_m T_(k-m),
+
+    with no b_k.  At k = 1 the sum is empty, g_1 = (v U_1/3 - 6 g0 R1)/det,
+    one product and the division where ``solve_order_k`` takes three products;
+    at k >= 2 it saves one product.  Valid in v on that pair only.
+    """
+    r1, uk, cross = _order_terms(g_lower, b_lower, t_lower)
+    terms = [(-6, g_lower[0], r1)]
+    if cross:
+        terms.append((6, 1 - b_lower[0] * 6, product_sum((1, g, t) for g, t in cross)))
+    return (product_sum(terms) + uk.shift(1) * Fraction(1, 3)) / det
 
 
 class StringHierarchy(NamedTuple):
@@ -111,18 +150,21 @@ class StringHierarchy(NamedTuple):
     b_hat: tuple
 
 
-def _solve_in_v(max_k: int, horizon: int) -> tuple[list, list]:
-    """g_hat[k] and b_hat[k] for k = 0..max_k as v-series, exact through v^horizon.
+def _solve_in_v(max_k: int, horizon: int) -> tuple[list, list, list, TruncatedSeries]:
+    """Orders k < max_k (order 0 at max_k = 0) as v-series: g_hat, b_hat, T lists and det.
 
     Order k slides the known windows of the leading pair down by 2k exponents
     (the Taylor term s^(2k)), so the leading series is padded by 2*max_k
     exponents, and by one at max_k = 0, where b0, known one exponent short of
-    g0, is itself an output.  The leading pair comes from
+    g0, is itself an output; order max_k, added by a caller's finisher, is
+    then exact through v^horizon.  The leading pair comes from
     ``compute_g0_series``: g0 by its term ratio, certified by the cubic's
     residual, and b0 = (1 - R)/6 from that certificate, with no division.
     Each order divides once, by det; the anti-diagonal sums T_n are carried.
-    Callers cut each series to the horizon and dilate it to w = v/18, only
-    the ones they read.
+    ``build_hierarchy`` finishes with ``solve_order_k``, which also forms b_max_k,
+    and ``toda.free_energy_series`` with ``solve_g_order_k``, which forms g_max_k
+    alone.  Callers cut each series to the horizon and dilate it to w = v/18,
+    only the ones they read.
     """
     if max_k < 0 or horizon < 1:
         raise ValueError("need max_k >= 0 and horizon >= 1")
@@ -133,17 +175,21 @@ def _solve_in_v(max_k: int, horizon: int) -> tuple[list, list]:
     g = [g0]
     b = [b0]
     t = [b0]
-    for _ in range(max_k):
+    for _ in range(max_k - 1):
         gk, bk, tk = solve_order_k(g, b, det, t)
         g.append(gk)
         b.append(bk)
         t.append(tk)
-    return g, b
+    return g, b, t, det
 
 
 def build_hierarchy(max_k: int, horizon: int) -> StringHierarchy:
     """Solve the hierarchy in v through correction order max_k; return it in w, exact to the horizon."""
-    g, b = _solve_in_v(max_k, horizon)
+    g, b, t, det = _solve_in_v(max_k, horizon)
+    if max_k:
+        gk, bk, _ = solve_order_k(g, b, det, t)
+        g.append(gk)
+        b.append(bk)
     return StringHierarchy(
         max_k=max_k,
         horizon=horizon,

@@ -27,7 +27,7 @@ from typing import NamedTuple
 from mpmath import mp
 
 from .critical import compute_K, run_C_recursion
-from .hierarchy import _solve_in_v
+from .hierarchy import _solve_in_v, solve_g_order_k
 from .numbers import gamma_exact
 from .precision import BigFloat
 from .series import VAR_U2, VAR_W, TruncatedSeries, from_numerators, zero_series
@@ -72,8 +72,15 @@ def toda_integrate(k: int, ghat: TruncatedSeries) -> TruncatedSeries:
 
 
 def free_energy_series(g_max: int, horizon: int) -> tuple:
-    """F^(0)..F^(2 g_max) through u^(2 horizon), one hierarchy solve; only g_hat is taken to w."""
-    g, _ = _solve_in_v(g_max, horizon + 2)
+    """F^(0)..F^(2 g_max) through u^(2 horizon) from g_hat alone.
+
+    One hierarchy solve whose last order forms g_hat[g_max] by
+    ``solve_g_order_k``, skipping the b_hat it would not read; only g_hat is
+    taken to w.
+    """
+    g, b, t, det = _solve_in_v(g_max, horizon + 2)
+    if g_max:
+        g.append(solve_g_order_k(g, b, det, t))
     return tuple(toda_integrate(k, s.truncate_to(horizon + 2).dilate(18, VAR_W)).truncate_to(horizon)
                  for k, s in enumerate(g))
 

@@ -28,12 +28,24 @@ def _perfbench_module(name):
     return module
 
 
+TRIANGULATIONS = _perfbench_module("checks").Triangulations()
+
+
 def test_counts_match_triangulation_recurrence_through_genus_12():
-    triangulations = _perfbench_module("checks").Triangulations()
     table = genus_table(12, 120)
     for g in range(13):
         for j in range(1, 121):
-            assert triangulations.count(g, j) == table.count(g, j), (g, j)
+            assert TRIANGULATIONS.count(g, j) == table.count(g, j), (g, j)
+
+
+@pytest.mark.parametrize("g_max", range(1, 9))
+def test_every_genus_as_last_order_matches_triangulation_recurrence(g_max):
+    # genus_table solves its top genus by the g-only last order, so each
+    # g_max sends a different genus through it; the genus-12 table sends one
+    table = genus_table(g_max, 60)
+    for g in range(g_max + 1):
+        for j in range(1, 61):
+            assert TRIANGULATIONS.count(g, j) == table.count(g, j), (g, j)
 
 
 golden = _perfbench_module("golden")

@@ -8,6 +8,7 @@ from cubicmaps.hierarchy import (
     build_hierarchy,
     compute_g0_series,
     g0_coefficients,
+    solve_g_order_k,
     solve_order_k,
 )
 from cubicmaps.series import TruncatedSeries, VAR_U2, VAR_V, VAR_W
@@ -186,3 +187,13 @@ def test_build_hierarchy_divides_once_per_order(monkeypatch, max_k, horizon):
     assert len(divisors) == max_k
     det = 1 - h.g_hat[0] * 108
     assert all(d.truncate_to(horizon).dilate(18, VAR_W) == det for d in divisors)
+
+
+@pytest.mark.parametrize("max_k, horizon", [(k, h) for k in range(1, 9) for h in (1, 2, 5, 40)] + [(1, 132)])
+def test_g_only_last_order_matches_full_step(max_k, horizon):
+    # the two finishers of the last order, coefficient for coefficient in the
+    # same window; the g-only window must reach the horizon too
+    g, b, t, det = hierarchy._solve_in_v(max_k, horizon)
+    gk = solve_g_order_k(g, b, det, t)
+    assert gk.known_max >= horizon
+    assert gk.truncate_to(horizon).dilate(18, VAR_W) == build_hierarchy(max_k, horizon).g_hat[max_k]

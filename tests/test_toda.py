@@ -4,6 +4,8 @@ from math import factorial
 import pytest
 from mpmath import mp
 
+import cubicmaps.hierarchy as hierarchy
+import cubicmaps.series as series
 import cubicmaps.toda as toda
 from cubicmaps.critical import compute_K, run_C_recursion
 from cubicmaps.hierarchy import build_hierarchy
@@ -96,6 +98,32 @@ def test_closed_forms_match_pipeline():
     for j in range(1, 131):
         assert genus0_closed_form(j) == F[0].coefficient(j) * factorial(2 * j)
         assert genus1_closed_form(j) == F[1].coefficient(j) * factorial(2 * j)
+
+
+@pytest.mark.parametrize("solve, pairs", [(free_energy_series, 3), (build_hierarchy, 5)])
+def test_g_only_last_order_forms_one_product(monkeypatch, solve, pairs):
+    # the certificate of the leading slice takes two product pairs, H*H and
+    # H*R; order 1 then takes three in solve_order_k and one, g0*R1, in the
+    # g-only finisher that free_energy_series ends on; one division each
+    counted, divisors = [], []
+    product_sum, divide = series.product_sum, TruncatedSeries.__truediv__
+
+    def counted_product_sum(terms):
+        terms = list(terms)
+        counted.append(len(terms))
+        return product_sum(terms)
+
+    def counted_divide(self, other):
+        if isinstance(other, TruncatedSeries):
+            divisors.append(other)
+        return divide(self, other)
+
+    monkeypatch.setattr(series, "product_sum", counted_product_sum)
+    monkeypatch.setattr(hierarchy, "product_sum", counted_product_sum)
+    monkeypatch.setattr(TruncatedSeries, "__truediv__", counted_divide)
+    solve(1, 130)
+    assert sum(counted) == pairs
+    assert len(divisors) == 1
 
 
 def test_genus_table_invariants():

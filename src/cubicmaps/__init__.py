@@ -2,7 +2,8 @@
 
 Subpackage map:
 
-* ``series``, ``numbers``, ``precision`` -- exact arithmetic substrate
+* ``series``, ``numbers`` -- exact arithmetic substrate
+* ``precision`` -- ``BigFloat`` (a float with the dps it was computed at) and mpmath conversions
 * ``equilibrium`` -- one-cut leading slice, endpoint system and phi-function checks
 * ``hierarchy`` -- string-equation hierarchy for the recurrence coefficients
 * ``toda`` -- Toda-flow integration to free-energy series and map counts

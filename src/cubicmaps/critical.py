@@ -23,8 +23,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from mpmath import mp, workdps
-
 from .numbers import BETA, SQRT3, W_CRITICAL, Qbeta, _qbeta, gamma_exact
 from .precision import BigFloat, rational_to_mp
 
@@ -162,6 +160,8 @@ def _amplitude_exact(y: int, g: int) -> tuple[Fraction, int]:
 
 def compute_K(consts: CriticalConstants, g: int, precision: int = 40) -> BigFloat:
     """Leading large-size amplitude of the genus-g count coefficients."""
+    from mpmath import mp, workdps
+
     if not 0 <= g <= consts.G:
         raise ValueError(f"genus {g} outside computed range 0..{consts.G}")
     q, n = _amplitude_exact(consts.Y[g], g)

@@ -27,9 +27,6 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from mpmath import extraprec, mp, workdps
-from mpmath.libmp import from_man_exp, mpf_log, to_fixed
-
 from .hierarchy import compute_g0_series
 from .precision import as_mp
 from .series import VAR_U2, TruncatedSeries
@@ -40,12 +37,16 @@ _PHI_GUARD = 20
 
 
 def critical_coupling(dps: int):
+    from mpmath import mp, workdps
+
     with workdps(dps):
         return mp.root(3, 4) / 18
 
 
 def _gap_tolerance(b, dps: int):
     """Working tolerance on z0 - b at dps digits: a gap (b, z0) narrower than this is empty."""
+    from mpmath import mp
+
     return mp.mpf(10) ** (-(dps - 10)) * max(1, abs(b))
 
 
@@ -72,6 +73,8 @@ def solve_endpoints(u, precision: int = 40) -> EquilibriumData:
     k > 30, H, x and y are computed with ceil(k/2) - 15 more digits and
     rounded back.
     """
+    from mpmath import mp, workdps
+
     dps = precision
     with workdps(dps + 20):
         u = mp.mpf(as_mp(u))
@@ -127,6 +130,8 @@ def slice_root(w, near):
     exceed any tolerance a stopping rule would use) and is rounded once, at the
     working precision; a real root comes back as mpf.
     """
+    from mpmath import extraprec, mp
+
     tol = mp.ldexp(mp.eps, 10)
     with extraprec(20):
         c = 72 * w
@@ -219,6 +224,9 @@ def _tail_samples(eq: EquilibriumData, samples: int, zmax: float, bits: int) -> 
     (the critical coupling).  The ray needs zmax > z0 * sqrt(3) / 2 to reach
     |z| = zmax; phi_check passes zmax >= 4 z0.
     """
+    from mpmath import mp
+    from mpmath.libmp import from_man_exp, mpf_log, to_fixed
+
     one = 1 << bits
     x, y, a, b, z0 = (to_fixed(v._mpf_, bits) for v in (eq.x, eq.y, eq.a, eq.b, eq.z0))
     _, u_man, u_exp, _ = eq.u._mpf_  # u < 1, so u_exp < 0
@@ -276,6 +284,8 @@ def _tail_samples(eq: EquilibriumData, samples: int, zmax: float, bits: int) -> 
 
 def _as_mp(sample, bits: int) -> tuple:
     """(z, Re phi) at the current precision from a fixed-point sample (Re z, Im z, Re phi); z is real off the ray."""
+    from mpmath import mp
+
     zr, zi, re = (mp.mpf((v, -bits)) for v in sample)
     return (mp.mpc(zr, zi) if zi else zr), re
 
@@ -312,6 +322,9 @@ def phi_check(eq: EquilibriumData, samples: int = 12, zmax: float = 100.0) -> Ph
     the integrand's large-z expansion gives) and -u/3 (the rate quoted in the
     source analysis; the two disagree, so both deviations are reported).
     """
+    from mpmath import mp, workdps
+    from mpmath.libmp import to_fixed
+
     if not (0 < eq.u):
         raise ValueError("phi_check needs u > 0")
     if eq.z0 == mp.inf:

@@ -48,9 +48,6 @@ from itertools import chain, repeat
 from operator import add, lshift, mul, rshift, sub
 from typing import NamedTuple
 
-from mpmath import mp, workdps, workprec
-from mpmath.libmp import from_man_exp, mpf_cos_sin, mpf_exp, to_fixed
-
 from .equilibrium import slice_b0, slice_corrections, slice_root
 from .precision import BigFloat, as_mp
 
@@ -94,6 +91,8 @@ def _path_scale(u_m, N: int):
     the cubic term dominates at that scale (u^2 > N), s = (u N)^(-1/3) holds
     the cubic at 1 instead.
     """
+    from mpmath import mp
+
     if u_m * u_m <= N:
         s = 1 / mp.sqrt(N)
         return s, mp.mpf(1), u_m * s
@@ -218,11 +217,6 @@ def _path_rule(precision: int, b: float, c: float, j_max: int) -> tuple[int, int
     return _rule_for(target, b, c, j_max, _TAUS[best])
 
 
-def _fixed_cos_sin(x: int, prec: int) -> tuple[int, int]:
-    cos, sin = mpf_cos_sin(from_man_exp(x, -prec), prec)
-    return to_fixed(cos, prec), to_fixed(sin, prec)
-
-
 def _turning_factors(n: int, tau: int, k_max: int, prec: int) -> list[int]:
     """E_k = e^(-2k/(n tau)) for k = 0..k_max, fixed point at `prec` fraction bits.
 
@@ -232,6 +226,8 @@ def _turning_factors(n: int, tau: int, k_max: int, prec: int) -> list[int]:
     under 2.01 k < 2^g units, and cut to `prec` bits every E_k is within 2
     units of its last place of the exact value.
     """
+    from mpmath.libmp import from_man_exp, mpf_exp, to_fixed
+
     guard = k_max.bit_length() + 2
     p = prec + guard
     ratio = to_fixed(mpf_exp(from_man_exp(-(2 << (p + 10)) // (n * tau), -(p + 10)), p + 10), p)
@@ -344,6 +340,8 @@ def _node_sums(k_lo: int, k_hi: int, n: int, tau: int, max_order: int, bits: int
     mantissa by it once, and each order is summed exactly at the range's
     least node exponent, low.
     """
+    from mpmath.libmp import from_man_exp, mpf_cos_sin, mpf_exp, to_fixed
+
     prec = bits + _NODE_GUARD
     one = 1 << prec
     # omega - 1 = (cos(pi/5) - 1, sin(pi/5)), cos(pi/5) = (1 + sqrt 5)/4
@@ -367,7 +365,8 @@ def _node_sums(k_lo: int, k_hi: int, n: int, tau: int, max_order: int, bits: int
         sr, si = (zr * zr - zi * zi) >> prec, 2 * zr * zi >> prec
         fr, fi = (c_fix * zr >> prec) - half_b, c_fix * zi >> prec
         _, man, exp, _ = mpf_exp(from_man_exp((sr * fr - si * fi) >> prec, -prec), prec)
-        er, ei = _fixed_cos_sin((sr * fi + si * fr) >> prec, prec)
+        cos, sin = mpf_cos_sin(from_man_exp((sr * fi + si * fr) >> prec, -prec), prec)
+        er, ei = to_fixed(cos, prec), to_fixed(sin, prec)
         # e^(i Im phi) zeta' has modulus >= cos(pi/10) at 2 * prec fraction
         # bits, so the cut to `bits` bits is a right shift
         wr, wi = man * (er * dr - ei * di), man * (er * di + ei * dr)
@@ -398,6 +397,9 @@ def _path_moments(s, b, c, max_order: int, tau: int, n: int, k_lo: int, k_hi: in
     split and whichever process took a chunk.  s^(j+1) h turns the zeta
     moments into z moments.
     """
+    from mpmath import mp, workprec
+    from mpmath.libmp import to_fixed
+
     bits = mp.prec + _FIX_GUARD
     prec = bits + _NODE_GUARD
     with workprec(prec + 10):
@@ -427,6 +429,8 @@ def compute_moments(precision: int, u, N: int, max_order: int, alpha=1.0) -> lis
     alpha and along -pi/5 with weight 1 - alpha; `precision` is the number
     of decimal digits the moments claim.
     """
+    from mpmath import mp, workdps
+
     if precision < 15:
         raise ValueError("precision below a useful floor")
     if N < 1:
@@ -470,11 +474,9 @@ class RecurrenceData(NamedTuple):
 
 
 def _moment_against(coeffs, k: int, c) -> "mp.mpc":
+    from mpmath import mp
+
     return mp.fsum(a * c[i + k] for i, a in enumerate(coeffs))
-
-
-def _fixed(v, bits: int) -> tuple[int, int]:
-    return tuple(to_fixed(part, bits) for part in mp.mpc(v)._mpc_)
 
 
 def _axpy(y, m, x, bits: int):
@@ -492,6 +494,12 @@ def recurrence_from_moments(moments, n_max: int) -> RecurrenceData:
     the bordering pass has already raised.  It shares no arithmetic with that
     pass's mpmath three-term recurrence, so their agreement is a measurement.
     """
+    from mpmath import mp, workdps
+    from mpmath.libmp import to_fixed
+
+    def fixed(v, bits: int) -> tuple[int, int]:
+        return tuple(to_fixed(part, bits) for part in mp.mpc(v)._mpc_)
+
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if len(moments) < 2 * n_max + 2:
@@ -499,7 +507,7 @@ def recurrence_from_moments(moments, n_max: int) -> RecurrenceData:
     dps = min(m.dps for m in moments)
     wdps = dps + _QUAD_GUARD
     with workdps(wdps):
-        c = [as_mp(m) for m in moments]
+        c = [mp.mpmathify(m.value) for m in moments]
         scale = abs(c[0])
         if scale == 0:
             raise ArithmeticError("vanishing zeroth moment; no orthogonal family exists")
@@ -540,12 +548,12 @@ def recurrence_from_moments(moments, n_max: int) -> RecurrenceData:
         # enough that the least moment above 2^(e - working bits) keeps working + guard bits
         e = max(map(mp.mag, c))
         F = mp.prec + _HANKEL_GUARD + e - min(s for s in map(mp.mag, c) if s > e - mp.prec)
-        cr, ci = zip(*(_fixed(v, F - e) for v in c))
+        cr, ci = zip(*(fixed(v, F - e) for v in c))
         mags = list(map(math.isqrt, map(add, map(mul, cr, cr), map(mul, ci, ci))))
         # M_n^-1 row-major in split real and imaginary lists, S entries a row, zero past column n - 1
         S = n_max + 1
         rows, inv_r, inv_i, losses = [], [], [], []
-        worst, lower, floor_h, floor_b = Fraction(0), (0, 0), *(_fixed(mp.mpf(10) ** -6, f)[0] for f in (F - e, F))
+        worst, lower, floor_h, floor_b = Fraction(0), (0, 0), *(fixed(mp.mpf(10) ** -6, f)[0] for f in (F - e, F))
 
         def gap(a, b, floor):  # max |a_j - b_j|^2 / max(|a_j|^2, |b_j|^2, floor^2)
             return Fraction(max((x - u) ** 2 + (y - v) ** 2 for (x, y), (u, v) in zip(a, b)),
@@ -582,11 +590,11 @@ def recurrence_from_moments(moments, n_max: int) -> RecurrenceData:
             mr, mi = ([*chain.from_iterable(map(repeat, v[:n + 1], repeat(S)))] for v in rows[n])
             inv_r = [*map(add, chain(inv_r, repeat(0)), map(rshift, map(sub, map(mul, xr, mr), map(mul, xi, mi)), repeat(F)))]
             inv_i = [*map(add, chain(inv_i, repeat(0)), map(rshift, map(add, map(mul, xi, mr), map(mul, xr, mi)), repeat(F)))]
-            worst = max(worst, gap(list(zip(*w))[:n + 1], [_fixed(v, F) for v in coeffs[n]], 1 << F),
-                        gap([(hr, hi)], [_fixed(h[n], F - e)], floor_h))
+            worst = max(worst, gap(list(zip(*w))[:n + 1], [fixed(v, F) for v in coeffs[n]], 1 << F),
+                        gap([(hr, hi)], [fixed(h[n], F - e)], floor_h))
             if n >= 1:
                 below = (lower[0] - w[0][n - 1], lower[1] - w[1][n - 1])
-                worst, lower = max(worst, gap([below], [_fixed(beta[n - 1], F)], floor_b)), (w[0][n - 1], w[1][n - 1])
+                worst, lower = max(worst, gap([below], [fixed(beta[n - 1], F)], floor_b)), (w[0][n - 1], w[1][n - 1])
 
         # worst is the largest squared relative gap
         digits = (math.log10(worst.denominator) - math.log10(worst.numerator)) / 2 if worst else math.inf
@@ -608,6 +616,8 @@ def string_residuals(data: RecurrenceData, u, N: int):
     n < n_max.  Second: gamma2[n] (1 - 3u (beta[n] + beta[n-1])) - n/N, for
     1 <= n <= n_max.  Both vanish identically for exact moments.
     """
+    from mpmath import mp, workdps
+
     n_max = len(data.h) - 1
     with workdps(data.dps + _QUAD_GUARD):
         u_m = as_mp(u)
@@ -629,6 +639,8 @@ def expansion_prediction(u, N: int, gamma2_near):
     gamma2_near (measured data) selects the branch of the leading cubic; past
     the critical coupling that branch is complex and the choice matters.
     """
+    from mpmath import mp
+
     u_m = as_mp(u)
     if u_m == 0:
         return mp.mpf(1), mp.mpf(0), "gaussian"
@@ -689,6 +701,8 @@ def check_asymptotic_expansion(u, N_list, precision: int = 80) -> AsymptoticRepo
     the consecutive ratios of epsilon_gamma are reported alongside the per-N
     entries.  Report only: scaling conclusions are left to the caller.
     """
+    from mpmath import mp, workdps
+
     entries = []
     branch = "unset"
     with workdps(precision + _QUAD_GUARD):
@@ -711,6 +725,8 @@ def check_asymptotic_expansion(u, N_list, precision: int = 80) -> AsymptoticRepo
 
 
 def _coupling_of_time(t):
+    from mpmath import mp
+
     return 1 / (3 * (4 * t) ** mp.mpf("0.75"))
 
 
@@ -723,6 +739,8 @@ def toda_residual(u, N: int, h_step, precision: int = 80, alpha=1.0) -> BigFloat
     h_n(t+h) h_n(t-h) / h_n(t)^2, which sits near 1 so the principal log is
     branch-safe even for complex h_n.
     """
+    from mpmath import mp, workdps
+
     wdps = max(precision, 8 * (N + 1)) + 30
     with workdps(wdps):
         u_m = as_mp(u)
@@ -790,6 +808,8 @@ def build_report(u, N: int, precision: int = 120, alpha=1.0, n_max: int | None =
     Hankel block raises with the failing degree rather than reporting a
     shortened table.
     """
+    from mpmath import workdps
+
     if n_max is None:
         n_max = 3 * N // 2 + 1
     if n_max < N + 1:
@@ -801,8 +821,8 @@ def build_report(u, N: int, precision: int = 120, alpha=1.0, n_max: int | None =
         rec = recurrence_from_moments(moments, n_max)
         r1, r2 = string_residuals(rec, u_m, N)
         lo_n, hi_n = N // 2, min(3 * N // 2, n_max)
-        window = [as_mp(r1[n]) for n in r1 if lo_n <= n <= hi_n]
-        window += [as_mp(r2[n]) for n in r2 if lo_n <= n <= hi_n]
+        window = [r1[n].value for n in r1 if lo_n <= n <= hi_n]
+        window += [r2[n].value for n in r2 if lo_n <= n <= hi_n]
         worst = max(window)
         entry, branch = _asymptotic_entry(rec, u_m, N, precision)
         toda = None
@@ -814,12 +834,12 @@ def build_report(u, N: int, precision: int = 120, alpha=1.0, n_max: int | None =
             alpha=complex(alpha),
             precision=precision,
             n_max=n_max,
-            moments=tuple(BigFloat(as_mp(m), precision) for m in moments),
+            moments=tuple(BigFloat(m.value, precision) for m in moments),
             h=tuple(BigFloat(v, precision) for v in rec.h),
             gamma2=tuple(BigFloat(v, precision) for v in rec.gamma2),
             beta=tuple(BigFloat(v, precision) for v in rec.beta),
-            string_r1={n: BigFloat(as_mp(v), precision) for n, v in r1.items()},
-            string_r2={n: BigFloat(as_mp(v), precision) for n, v in r2.items()},
+            string_r1={n: BigFloat(v.value, precision) for n, v in r1.items()},
+            string_r2={n: BigFloat(v.value, precision) for n, v in r2.items()},
             max_string_residual=BigFloat(worst, precision),
             conditioning_loss=rec.conditioning_loss,
             cross_check_digits=rec.cross_check_digits,

@@ -1,11 +1,13 @@
-"""Small helpers around mpmath so every numeric result states its precision."""
+"""Small helpers around mpmath so every numeric result states its precision.
+
+Each helper imports mpmath when it is called, so a process that needs only
+``BigFloat`` from here, as the exact commands do, never loads it.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import NamedTuple
-
-from mpmath import mp
 
 
 class BigFloat(NamedTuple):
@@ -17,11 +19,15 @@ class BigFloat(NamedTuple):
 
 def rational_to_mp(q: Fraction):
     """Exact-to-working-precision conversion (one rounding, at current dps)."""
+    from mpmath import mp
+
     return mp.mpf(q.numerator) / q.denominator
 
 
 def as_mp(x):
     """An mpmath number from an mpf, mpc, int, float, Fraction or BigFloat; a Fraction is rounded at the current dps."""
+    from mpmath import mp
+
     if isinstance(x, BigFloat):
         return mp.mpmathify(x.value)
     if isinstance(x, Fraction):
@@ -31,6 +37,8 @@ def as_mp(x):
 
 def agreement_digits(a, b) -> float:
     """Common decimal digits of two scalars: -log10 of the relative difference."""
+    from mpmath import mp
+
     a, b = mp.mpmathify(a), mp.mpmathify(b)
     scale = max(abs(a), abs(b))
     if scale == 0:

@@ -15,9 +15,6 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 
-from mpmath import mp
-from mpmath.libmp import to_str
-
 from .numbers import Qbeta
 from .precision import BigFloat
 
@@ -45,23 +42,21 @@ def encode_qbeta(x: Qbeta) -> dict:
     }
 
 
-def _mp_str(v, dps: int) -> str:
-    # what mp.nstr(v, dps) prints for an mpf: to_str takes its fixed/exponent
-    # thresholds from dps, not from the context's precision
-    return to_str(v._mpf_, dps)
-
-
 def encode_bigfloat(x: BigFloat) -> dict:
     v = x.value
+    # an mpmath number carries its context, so printing it imports nothing;
+    # nstr(mpf, dps) is to_str(mpf._mpf_, dps), with its fixed/exponent
+    # thresholds from dps, not from the context's precision
+    nstr = v.context.nstr
     if hasattr(v, "imag") and v.imag != 0:
         return {
             "kind": "approx",
-            "re": _mp_str(v.real, x.dps),
-            "im": _mp_str(v.imag, x.dps),
+            "re": nstr(v.real, x.dps),
+            "im": nstr(v.imag, x.dps),
             "dps": x.dps,
         }
     real = v.real if hasattr(v, "real") else v
-    return {"kind": "approx", "value": _mp_str(real, x.dps), "dps": x.dps}
+    return {"kind": "approx", "value": nstr(real, x.dps), "dps": x.dps}
 
 
 def encode_float(x: float) -> dict:
@@ -85,7 +80,9 @@ def encode_value(x):
         return [encode_value(v) for v in x]
     if isinstance(x, dict):
         return {str(k): encode_value(v) for k, v in x.items()}
-    if isinstance(x, (mp.mpf, mp.mpc)):
+    from mpmath import mpc, mpf  # on the way to a TypeError only, so no leaf pays the import
+
+    if isinstance(x, (mpf, mpc)):
         raise TypeError("raw mpmath values need a BigFloat wrapper to record their precision")
     raise TypeError(f"no JSON encoding for {type(x).__name__}")
 

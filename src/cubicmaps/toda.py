@@ -24,8 +24,6 @@ from math import factorial, lcm
 from types import MappingProxyType
 from typing import NamedTuple
 
-from mpmath import mp
-
 from .critical import compute_K, run_C_recursion
 from .hierarchy import _solve_in_v, solve_g_order_k
 from .numbers import gamma_exact
@@ -161,6 +159,8 @@ def log_count_estimate(g: int, j: int, precision: int = 30):
 
     K_2g is ``compute_K`` on the critical constants through genus g.
     """
+    from mpmath import mp
+
     k = compute_K(run_C_recursion(g), g, precision + 20).value
     with mp.workdps(precision + 20):
         ln_uc = mp.log(3) / 4 - mp.log(18)
@@ -169,6 +169,8 @@ def log_count_estimate(g: int, j: int, precision: int = 30):
 
 def count_vs_estimate(g: int, j: int, f_exact: Fraction, precision: int = 30) -> BigFloat:
     """Ratio of an exact count to its asymptotic estimate (log-space throughout)."""
+    from mpmath import mp
+
     with mp.workdps(precision + 20):
         ln_f = mp.log(mp.mpf(f_exact.numerator)) - mp.log(mp.mpf(f_exact.denominator))
         return BigFloat(mp.exp(ln_f - log_count_estimate(g, j, precision)), precision)

@@ -494,21 +494,33 @@ def test_cold_import_skips_suite_and_unused_stdlib():
     # `import cubicmaps.cli` is the start-up cost of every process; the suite is
     # imported by `reproduce` alone, no record needs dataclasses or csv, and the
     # flag table needs no argparse, nor the gettext and locale it pulls in
-    # (counted only if the import loads them, not the interpreter's site start-up)
+    # (counted only if the import loads them, not the interpreter's site start-up).
+    # mpmath is imported by the functions that compute in floating point, so
+    # neither the import nor an exact command loads it, and `critical`, the
+    # first float command here, still runs in the same interpreter
     env = _uninstalled_env()
     probe = """if True:
         import io, sys
         from contextlib import redirect_stdout
         unused = {"dataclasses", "csv", "cubicmaps.acceptance", "argparse", "gettext", "locale"}
         before = set(sys.modules)
+        def mpmath_loaded():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "mpmath")
         import cubicmaps.cli
         after_import = sorted(set(sys.modules) - before & unused)
+        mpmath_seen = [mpmath_loaded()]
+        exact = (["expand", "--genus", "1", "--max-j", "8"], ["expand", "--genus", "1", "--max-j", "8", "--format", "csv"],
+                 ["hierarchy", "--max-k", "2", "--horizon", "6"], ["oracle", "--vertices", "4"])
+        codes = []
         with redirect_stdout(io.StringIO()):
+            for argv in exact:
+                codes.append(cubicmaps.cli.main(argv))
+                mpmath_seen.append(mpmath_loaded())
             code = cubicmaps.cli.main(["critical", "--max-genus", "2"])
-        print(after_import, code, sorted(set(sys.modules) - before & unused))
+        print(after_import, mpmath_seen, codes, code, sorted(set(sys.modules) - before & unused))
     """
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[] 0 []\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[] [[], [], [], [], []] [0, 0, 0, 0] 0 []\n", "")
     skip = ",".join(key for key in acceptance.KEYS if key != "genus0")
     proc = subprocess.run([sys.executable, "-m", "cubicmaps", "reproduce", "--skip", skip],
                           capture_output=True, text=True, env=env, timeout=120)
@@ -542,7 +554,9 @@ def test_cold_import_and_forked_moments_load_no_process_or_thread_module():
 def test_python_dash_m_matches_main(capsys):
     # the package runs uninstalled as `python -m cubicmaps`, with main()'s output and exit code
     env = _uninstalled_env()
-    for argv in (["critical", "--max-genus", "2"], ["critical", "--max-genus", "-1"]):
+    # and every command whose mpmath import moved into the functions that compute runs from a cold start
+    for argv in (["critical", "--max-genus", "2"], ["critical", "--max-genus", "-1"], ["equilibrium", "--u", "1/20"],
+                 ["validate", "--N", "2", "--u", "1/20", "--precision", "30"], ["oracle", "--vertices", "2"]):
         proc = subprocess.run(
             [sys.executable, "-m", "cubicmaps", *argv], capture_output=True, text=True, env=env, timeout=120
         )

@@ -6,9 +6,8 @@ import sys
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, workdps
+from mpmath import libmp, mp, workdps
 
-from cubicmaps import equilibrium
 from cubicmaps.cli import main
 from cubicmaps.equilibrium import (
     _PHI_GUARD,
@@ -275,7 +274,8 @@ def test_phi_check_takes_one_log_per_sample(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(equilibrium, "mpf_log", counted("log", equilibrium.mpf_log))
+    # equilibrium imports mpf_log from mpmath.libmp in the function that uses it, at each call
+    monkeypatch.setattr(libmp, "mpf_log", counted("log", libmp.mpf_log))
     monkeypatch.setattr(math, "isqrt", counted("isqrt", math.isqrt))
     banned = {"mpf_sqrt", "mpf_hypot", "mpc_sqrt", "mpc_abs", "mpc_mul", "mpc_mul_mpf", "mpc_mul_int"}
     seen = []

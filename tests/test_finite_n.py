@@ -1,5 +1,6 @@
 """Finite-N moments, recurrence data, and the identity diagnostics built on them."""
 
+import builtins
 import contextlib
 import math
 import os
@@ -9,9 +10,10 @@ import time
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, workdps, workprec
+from mpmath import libmp, mp, workdps, workprec
 
 from cubicmaps import finite_n
+from cubicmaps.cli import main
 from cubicmaps.finite_n import (
     AsymptoticEntry,
     _path_moments,
@@ -218,8 +220,9 @@ def test_one_exponential_and_one_cosine_sine_per_node(monkeypatch):
 
     # a forked chunk's calls would not reach this process's counter
     monkeypatch.setattr(finite_n, "_process_count", lambda nodes: 1)
-    monkeypatch.setattr(finite_n, "mpf_exp", counted("exp", finite_n.mpf_exp))
-    monkeypatch.setattr(finite_n, "mpf_cos_sin", counted("cos_sin", finite_n.mpf_cos_sin))
+    # finite_n imports its mpmath.libmp names in the function that uses them, at each call
+    monkeypatch.setattr(libmp, "mpf_exp", counted("exp", libmp.mpf_exp))
+    monkeypatch.setattr(libmp, "mpf_cos_sin", counted("cos_sin", libmp.mpf_cos_sin))
     for u, (tau, n, k_lo, k_hi) in zip((Fraction(2, 25), Fraction(1, 16)), VALIDATE_RULES):
         calls.update(exp=0, cos_sin=0)
         with workdps(95):
@@ -227,6 +230,35 @@ def test_one_exponential_and_one_cosine_sine_per_node(monkeypatch):
             _path_moments(s, b, c, 15, tau, n, k_lo, k_hi)
         nodes = k_hi - k_lo + 1
         assert calls == {"exp": nodes + 1, "cos_sin": nodes}
+
+
+def test_float_commands_import_per_call_not_per_node(monkeypatch, capsys):
+    # each float function imports its mpmath names when called; one that ran an
+    # import per node, sample or coefficient would show here as hundreds of
+    # imports.  Measured after a warm-up, every node chunk in this process: 42
+    # for validate (16 from the bordering pass's two sums a degree, 8 from the
+    # node chunks), 14 for equilibrium (3 from its worst samples)
+    tau, n, k_lo, k_hi = VALIDATE_RULES[0]
+    nodes = k_hi - k_lo + 1
+    bound = 64
+    assert nodes == 313 and bound < nodes // 4
+    monkeypatch.setattr(finite_n, "_process_count", lambda nodes: 1)
+    real = builtins.__import__
+    for argv in (["validate", "--N", "4", "--u", "2/25", "--precision", "80"], ["equilibrium", "--u", "1/20"]):
+        assert main(argv) == 0  # warms every cache the command keeps
+        imports = []
+
+        def counting(*args, **kwargs):
+            imports.append(args[0])
+            return real(*args, **kwargs)
+
+        builtins.__import__ = counting
+        try:
+            code = main(argv)
+        finally:
+            builtins.__import__ = real
+        capsys.readouterr()
+        assert code == 0 and set(imports) <= {"mpmath", "mpmath.libmp"} and len(imports) <= bound, (argv, imports)
 
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the node chunks are shared with forked processes")

@@ -10,11 +10,13 @@ equivalently the cubic 72*g0^3 - g0^2 + w^2 = 0, and each correction pair
 (g_{2k}, b_{2k}) solves a 2x2 linear system whose right-hand side collects
 Taylor-shifted derivatives of lower orders with weights 1/((2j)! 2^(2j)).
 Eliminating g_{2k} leaves b_{2k} times D(w) = 1 - 108*g0(w), a unit in the
-series ring, so the whole hierarchy stays exact rational arithmetic.  A last
-order whose b_{2k} nothing reads, as in the free energy, is solved for
-g_{2k} alone with one product fewer, two at the first order.  It is
-solved in v = 18 w, which cancels the 2^(3j) 3^(2j) in g0's w^j coefficient:
-H = g0/w is integral, g0 and b0 have denominators 18 and 3, and the Taylor
+series ring, so the whole hierarchy stays exact rational arithmetic.  The
+leading pair is certified by the cubic's first-order form, a linear check
+on the square of H = g0/w.  A last order whose b_{2k} nothing reads, as in
+the free energy, is solved for g_{2k} alone with one product fewer; at the
+first order its one product is the square of H'.  Everything is solved in
+v = 18 w, which cancels the 2^(3j) 3^(2j) in g0's w^j coefficient:
+H is integral, g0 and b0 have denominators 18 and 3, and the Taylor
 weights 81^j/(2j)! act as integers, so products run on integers half as long.
 18 is the largest scale that keeps g0 over one small denominator (at 72 it
 has 269 bits at v^134).  Results are handed out in w.
@@ -45,12 +47,17 @@ def g0_coefficients(n: int) -> list[int]:
 def compute_g0_series(horizon: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     """Leading pair (g0, b0) as v-series: g0 by its term ratio, b0 from the cubic's certificate.
 
-    H = g0/w satisfies 4 v H^3 - H^2 + 1 = 0.  With R = H - 4 v H^2 that
-    residual is 1 - H R, whose v^n coefficient is -2 H_0 H_n plus terms in
-    H_0..H_(n-1), so with H_0 pinned to 1 a residual that is zero from v^0
-    through v^(horizon-1) fixes every coefficient; the pin excludes the other
-    branch, -H(-v), which zeroes the residual too.  A failed certificate
-    is a hard failure, not a warning.  Once it holds, R = 1/H = w/g0 through
+    H = g0/w satisfies 4 v H^3 - H^2 + 1 = 0.  With P = 1 - H^2 + 4 v H^3,
+    P' = -2 H (H' (1 - 6 v H) - 2 H^2), and with H_0 pinned to 1, P(0) = 0,
+    so the cubic holds from v^0 through v^(horizon-1) exactly when the
+    first-order equation H' (1 - 6 v H) = 2 H^2 holds through v^(horizon-2):
+    on the integer numerators, (m+1) h_(m+1) = (3m+2) [H^2]_m for every
+    m < horizon - 1, a linear check on the square that R = H - 4 v H^2
+    forms anyway.  Each check fixes h_(m+1) from h_0..h_m, so it certifies
+    every coefficient; the pin excludes the other branch, -H(-v), which
+    solves the cubic too.  The check is quadratic in h, the term ratio that
+    generates h linear and two steps apart.  A failed certificate is a hard
+    failure, not a warning.  Once it holds, R = 1/H = w/g0 through
     v^(horizon-1), so b0 = (1 - R)/6 solves g0 (1 - 6 b0) = w with no series
     division.  g0 is known through v^horizon, b0 through v^(horizon-1).
     """
@@ -60,13 +67,15 @@ def compute_g0_series(horizon: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     H = from_numerators(VAR_V, 0, h, 1)
     if H.coefficient(0) != 1:  # offset is the valuation, so this also pins offset 0
         raise ArithmeticError(f"leading series certificate: H = g0/w = {H!r} does not start at 1*v^0")
-    R = H - (H * H).shift(1) * 4
-    residual = 1 - H * R
-    if not residual.is_zero() or residual.known_max != horizon - 1:
-        raise ArithmeticError(
-            f"leading series certificate: 1 - H (H - 4 v H^2) = {residual!r}, "
-            f"expected 0 through v^{horizon - 1}"
-        )
+    H2 = H * H
+    sq = H2.numerators  # over 1 and from v^0, since h_0 = 1
+    for m, (hm, sm) in enumerate(zip(h[1:], sq)):
+        if (m + 1) * hm != (3 * m + 2) * sm:
+            raise ArithmeticError(
+                f"leading series certificate: H' (1 - 6 v H) - 2 H^2 = {(m + 1) * hm - (3 * m + 2) * sm}*v^{m} "
+                f"+ O(v^{m + 1}), expected 0 through v^{horizon - 2}"
+            )
+    R = H - H2.shift(1) * 4
     return from_numerators(VAR_V, 1, h, 18), (1 - R) * Fraction(1, 6)
 
 
@@ -74,19 +83,25 @@ def _order_terms(
     g_lower: Sequence[TruncatedSeries],
     b_lower: Sequence[TruncatedSeries],
     t_lower: Sequence[TruncatedSeries],
-) -> tuple[TruncatedSeries, TruncatedSeries, list]:
-    """R1, U_k and the anti-diagonal pairs (g_m, T_(k-m)), m = 1..k-1, of order k = len(g_lower).
+) -> tuple[TruncatedSeries, list]:
+    """U_k and the anti-diagonal pairs (g_m, T_(k-m)), m = 1..k-1, of order k = len(g_lower).
 
     Both finishers, ``solve_order_k`` and ``solve_g_order_k``, read these.
     """
     k = len(g_lower)
     if k < 1 or len(b_lower) != k or len(t_lower) != k:
         raise ValueError("need matching g, b and T prefixes of length k >= 1")
+    uk = even_taylor_sum((b_lower[m], k - m) for m in range(k))
+    return uk, [(g_lower[m], t_lower[k - m]) for m in range(1, k)]
+
+
+def _r1(g_lower: Sequence[TruncatedSeries], b_lower: Sequence[TruncatedSeries]) -> TruncatedSeries:
+    """R1 of order k = len(g_lower), which ``solve_g_order_k`` does not need at k = 1."""
+    k = len(g_lower)
     r1 = even_taylor_sum((g_lower[m], k - m) for m in range(k)) * -6
     if k > 1:  # pairs m < m' with m + m' = k stand for two ordered pairs
         r1 = r1 + product_sum((-6 if 2 * m < k else -3, b_lower[m], b_lower[k - m]) for m in range(1, k // 2 + 1))
-    uk = even_taylor_sum((b_lower[m], k - m) for m in range(k))
-    return r1, uk, [(g_lower[m], t_lower[k - m]) for m in range(1, k)]
+    return r1
 
 
 def solve_order_k(
@@ -110,8 +125,8 @@ def solve_order_k(
     anti-diagonal is one ``even_taylor_sum`` or ``product_sum``; b_k costs k + 1
     products and one division, g_k one product more, R*b_k.  Returns (g_k, b_k, T_k).
     """
-    r1, uk, cross = _order_terms(g_lower, b_lower, t_lower)
-    g0, r = g_lower[0], 1 - b_lower[0] * 6
+    uk, cross = _order_terms(g_lower, b_lower, t_lower)
+    r1, g0, r = _r1(g_lower, b_lower), g_lower[0], 1 - b_lower[0] * 6
     bk = product_sum([(36, g0, uk), *((36, g, t) for g, t in cross), (-1, r, r1)]) / det
     gk = (r1 + r * bk) * Fraction(1, 6)
     return gk, bk, uk + bk
@@ -132,15 +147,30 @@ def solve_g_order_k(
 
         6*g_k*det = -36*g0*R1 + 2*v*U_k + 36*R*sum_(m=1..k-1) g_m T_(k-m),
 
-    with no b_k.  At k = 1 the sum is empty, g_1 = (v U_1/3 - 6 g0 R1)/det,
-    one product and the division where ``solve_order_k`` takes three products;
-    at k >= 2 it saves one product.  Valid in v on that pair only.
+    with no b_k.  At k = 1 the sum is empty and -6 g0 R1 = 1458 g0 g0'' is a
+    square in disguise: with H = 18 g0/v and H^2 = (H - R)/(4 v), both read
+    off the certified pair, 1458 g0 g0'' = (9/2) v H (2 H' + v H''), which is
+
+        (9/2) (v (H^2)' + v^2 (H^2)''/2 - v^2 H'^2),
+
+    where v (H^2)' + v^2 (H^2)''/2 scales [H^2]_e by e (e+1)/2 and v H' scales
+    H_e by e.  So g_1 = (v U_1/3 - 6 g0 R1)/det costs the square (v H')^2 and
+    the division where ``solve_order_k`` takes three products, and R1 is not
+    formed; at k >= 2 it saves one product.  Valid in v on that pair only.
     """
-    r1, uk, cross = _order_terms(g_lower, b_lower, t_lower)
-    terms = [(-6, g_lower[0], r1)]
+    uk, cross = _order_terms(g_lower, b_lower, t_lower)
+    g0, b0 = g_lower[0], b_lower[0]
     if cross:
-        terms.append((6, 1 - b_lower[0] * 6, product_sum((1, g, t) for g, t in cross)))
-    return (product_sum(terms) + uk.shift(1) * Fraction(1, 3)) / det
+        cross_sum = product_sum((1, g, t) for g, t in cross)
+        lead = product_sum([(-6, g0, _r1(g_lower, b_lower)), (6, 1 - b0 * 6, cross_sum)])
+    else:
+        H = (g0 * 18).shift(-1)
+        h4 = (H + b0 * 6 - 1).shift(-1)  # 4 H^2 = (H - R)/v
+        vdH = from_numerators(VAR_V, H.offset, [e * x for e, x in enumerate(H.numerators, H.offset)], H.denominator)
+        lead = from_numerators(
+            VAR_V, h4.offset, [9 * e * (e + 1) * x for e, x in enumerate(h4.numerators, h4.offset)], 16 * h4.denominator
+        ) + product_sum([(-9, vdH, vdH)]) * Fraction(1, 2)
+    return (lead + uk.shift(1) * Fraction(1, 3)) / det
 
 
 class StringHierarchy(NamedTuple):
@@ -159,7 +189,8 @@ def _solve_in_v(max_k: int, horizon: int) -> tuple[list, list, list, TruncatedSe
     g0, is itself an output; order max_k, added by a caller's finisher, is
     then exact through v^horizon.  The leading pair comes from
     ``compute_g0_series``: g0 by its term ratio, certified by the cubic's
-    residual, and b0 = (1 - R)/6 from that certificate, with no division.
+    first-order form, and b0 = (1 - R)/6 from the square that certificate
+    reads, with no division.
     Each order divides once, by det; the anti-diagonal sums T_n are carried.
     ``build_hierarchy`` finishes with ``solve_order_k``, which also forms b_max_k,
     and ``toda.free_energy_series`` with ``solve_g_order_k``, which forms g_max_k

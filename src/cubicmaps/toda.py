@@ -20,7 +20,7 @@ estimate from the critical amplitudes, complete the module.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -53,19 +53,22 @@ def toda_integrate(k: int, ghat: TruncatedSeries) -> TruncatedSeries:
                 raise ValueError(
                     f"k = 0 subtraction term w^{j} is {ghat.coefficient(j)}, expected {expect}"
                 )
-    # each slot scales by 2 / (72 d1 d2), all over one common denominator
+    # each slot c/den scales by 2 / (72 d1 d2); c/(36 d1 d2) is reduced slot by
+    # slot, so the common denominator is the lcm of the reduced ones
     lo = max(ghat.offset, 3) if k == 0 else ghat.offset
-    dens = []
-    for j in range(lo, ghat.known_max + 1):
-        d1, d2 = 3 * j + 6 * k - 4, 3 * j + 6 * k - 6
-        if d1 == 0 or d2 == 0:
+    nums, dens = [], []
+    for j, c in enumerate(ghat.numerators[lo - ghat.offset :], lo):
+        d = 36 * (3 * j + 6 * k - 4) * (3 * j + 6 * k - 6)
+        if d == 0:
             raise ArithmeticError(f"double integration hits a resonance at w^{j}, order {k}")
-        dens.append(36 * d1 * d2)
+        g = gcd(c, d)
+        nums.append(c // g)
+        dens.append(d // g)
     known_max = ghat.known_max + 2 * k - 2
     if not dens:
         return zero_series(VAR_U2, known_max)
     common = lcm(*dens)
-    nums = [c * (common // d) for c, d in zip(ghat.numerators[lo - ghat.offset :], dens)]
+    nums = [c * (common // d) for c, d in zip(nums, dens)]
     return from_numerators(VAR_U2, lo + 2 * k - 2, nums, ghat.denominator * common)
 
 
@@ -85,13 +88,16 @@ def free_energy_series(g_max: int, horizon: int) -> tuple:
 
 class GenusCoeffTable(NamedTuple):
     counts: MappingProxyType  # (g, j) -> int, the connected graph count f^(2g)_{2j}
+    series: tuple  # F^(0)..F^(2 g_max) from ``free_energy_series``
 
     def count(self, g: int, j: int) -> int:
         return self.counts[(g, j)]
 
     def coefficient(self, g: int, j: int) -> Fraction:
-        """F-series coefficient of u^(2j): the count over (2j)!."""
-        return Fraction(self.counts[(g, j)], factorial(2 * j))
+        """F-series coefficient of u^(2j), the count over (2j)!, read over the series' own denominator."""
+        if (g, j) not in self.counts:
+            raise KeyError((g, j))
+        return self.series[g].coefficient(j)
 
 
 def genus_table(g_max: int, j_max: int) -> GenusCoeffTable:
@@ -120,7 +126,7 @@ def genus_table(g_max: int, j_max: int) -> GenusCoeffTable:
             counts[(g, j)] = f
     if counts.get((0, 1)) not in (None, 12):
         raise ArithmeticError("f(0, 1) must be 12")
-    return GenusCoeffTable(counts=MappingProxyType(counts))
+    return GenusCoeffTable(counts=MappingProxyType(counts), series=series)
 
 
 def genus0_closed_form(j: int) -> Fraction:

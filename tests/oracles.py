@@ -8,8 +8,10 @@ The package itself never calls them.  By layer:
   rational forms of the first correction (with the generalized binomial
   they need), direct substitution into the string equations with its
   Taylor terms by repeated differentiation, and the map to the coupling
-  variable; the numeric value of a truncated series;
+  variable; the numeric value of a truncated series; the cubic's residual
+  1 - H R, the leading pair's certificate before the linear one;
 * toda: the genus-1 3F2 sum with every term rebuilt from Pochhammer symbols;
+  the double integration with one lcm of the unreduced slot denominators;
 * critical: the numeric value of a Q(beta) element, the amplitude
   recursion run in Q(beta) itself, and Neville fits of the singular
   amplitudes C_2k and of w_c from the high-order series coefficients;
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from mpmath import mp, workdps
 
@@ -34,6 +36,7 @@ from cubicmaps.numbers import BETA, SQRT3, Qbeta, gamma_exact
 from cubicmaps.precision import BigFloat, as_mp, rational_to_mp
 from cubicmaps.series import (
     VAR_U2,
+    VAR_V,
     VAR_W,
     BeyondHorizonError,
     TruncatedSeries,
@@ -124,6 +127,17 @@ def h_power_coefficient(alpha, n: int) -> Fraction:
     for i in range(n - 1):
         rising *= c + i
     return 72**n * alpha / 2 * rising / factorial(n)
+
+
+def cubic_residual(h) -> TruncatedSeries:
+    """1 - H R with R = H - 4 v H^2, H = sum h_m v^m: the cubic 4 v H^3 - H^2 + 1 as one product.
+
+    Zero from v^0 through v^(len(h) - 1) exactly when H solves the cubic
+    there; the full product the linear certificate of ``compute_g0_series``
+    replaced.
+    """
+    H = from_numerators(VAR_V, 0, h, 1)
+    return 1 - H * (H - (H * H).shift(1) * 4)
 
 
 def g2_coefficient(j: int) -> Fraction:
@@ -243,6 +257,33 @@ def genus1_hyp_sum(j: int) -> Fraction:
         den = pochhammer(5, m) * pochhammer(Fraction(-3 * j, 2) + 1, m) * factorial(m)
         acc += num / den * z**m
     return acc
+
+
+def toda_integrate_lcm_first(k: int, ghat: TruncatedSeries) -> TruncatedSeries:
+    """``toda.toda_integrate`` over the lcm of the unreduced slot denominators 36 d1 d2.
+
+    The same checks and messages; the slots are brought to one denominator
+    before any gcd, so only ``from_numerators`` reduces the result.
+    """
+    if k == 0:
+        if ghat.offset > 1 or ghat.known_max < 2:
+            raise ValueError("k = 0 input window must cover the subtraction terms w^1, w^2")
+        for j, expect in ((1, 1), (2, 36)):
+            if ghat.coefficient(j) != expect:
+                raise ValueError(f"k = 0 subtraction term w^{j} is {ghat.coefficient(j)}, expected {expect}")
+    lo = max(ghat.offset, 3) if k == 0 else ghat.offset
+    dens = []
+    for j in range(lo, ghat.known_max + 1):
+        d1, d2 = 3 * j + 6 * k - 4, 3 * j + 6 * k - 6
+        if d1 == 0 or d2 == 0:
+            raise ArithmeticError(f"double integration hits a resonance at w^{j}, order {k}")
+        dens.append(36 * d1 * d2)
+    known_max = ghat.known_max + 2 * k - 2
+    if not dens:
+        return zero_series(VAR_U2, known_max)
+    common = lcm(*dens)
+    nums = [c * (common // d) for c, d in zip(ghat.numerators[lo - ghat.offset :], dens)]
+    return from_numerators(VAR_U2, lo + 2 * k - 2, nums, ghat.denominator * common)
 
 
 # -- critical --------------------------------------------------------------

@@ -14,6 +14,7 @@ from cubicmaps.hierarchy import (
 from cubicmaps.series import TruncatedSeries, VAR_U2, VAR_V, VAR_W
 from oracles import (
     assert_same_series,
+    cubic_residual,
     g0_coefficient,
     g2_closed_form,
     g2_coefficient,
@@ -24,7 +25,7 @@ from oracles import (
 
 
 # leading coefficients 1, 36, 3240, 373248, 48498912 pin the closed form;
-# the cubic's residual certificate runs inside compute_g0_series on every call
+# the cubic's linear certificate runs inside compute_g0_series on every call
 G0_HEAD = [1, 36, 3240, 373248, 48498912]
 
 
@@ -79,18 +80,51 @@ def _perturbed_coefficients(monkeypatch, change):
 
 @pytest.mark.parametrize("perturbed", [1, 2, 17, 33])
 def test_g0_series_dual_route_detects_a_wrong_coefficient(monkeypatch, perturbed):
-    # one term-ratio numerator in v off by 1: the residual of the cubic must be
-    # nonzero, including at the top of the window, its last certified exponent
+    # one term-ratio numerator in v off by 1: the linear certificate must fail,
+    # including at the top of the window, its last certified exponent
     _perturbed_coefficients(monkeypatch, lambda j, c: c + (1 if j == perturbed else 0))
     with pytest.raises(ArithmeticError, match="leading series certificate"):
         compute_g0_series(33)
 
 
 def test_g0_series_certificate_rejects_the_other_branch(monkeypatch):
-    # -H(-v), numerators (-1)^j h_(j-1), also zeroes 4 v H^3 - H^2 + 1; only the pin H_0 = 1 rejects it
+    # -H(-v), numerators (-1)^j h_(j-1), also solves 4 v H^3 - H^2 + 1 = 0; only the pin H_0 = 1 rejects it
     _perturbed_coefficients(monkeypatch, lambda j, c: (-1) ** j * c)
     with pytest.raises(ArithmeticError, match="leading series certificate"):
         compute_g0_series(33)
+
+
+def test_linear_certificate_and_cubic_residual_accept_the_true_series():
+    # the linear check inside compute_g0_series and the cubic's residual
+    # 1 - H R, the full product it replaced, at every horizon through 200
+    for horizon in range(1, 201):
+        compute_g0_series(horizon)
+        residual = cubic_residual(g0_coefficients(horizon))
+        assert residual.is_zero() and residual.known_max == horizon - 1, horizon
+
+
+def test_linear_certificate_rejects_every_single_change(monkeypatch):
+    # each h_i +- 1 with 1 <= i < horizon, and the other branch, fail the
+    # linear check at every horizon 2..40; the cubic's residual rejects the
+    # same coefficients, so both certify the same cubic through the same window
+    original = g0_coefficients
+    change = {}
+    monkeypatch.setattr(
+        hierarchy, "g0_coefficients", lambda n: [c + change.get(i, 0) for i, c in enumerate(original(n))]
+    )
+    for horizon in range(2, 41):
+        true = original(horizon)
+        for i in range(1, horizon):
+            for delta in (1, -1):
+                change.clear()
+                change[i] = delta
+                with pytest.raises(ArithmeticError, match="leading series certificate"):
+                    compute_g0_series(horizon)
+                assert not cubic_residual(hierarchy.g0_coefficients(horizon)).is_zero(), (horizon, i, delta)
+        change.clear()
+        change.update((i, -2 * c) for i, c in enumerate(true) if i % 2 == 0)  # -H(-v): (-1)^(i+1) h_i
+        with pytest.raises(ArithmeticError, match="leading series certificate"):
+            compute_g0_series(horizon)
 
 
 def test_g2_coefficient_head():

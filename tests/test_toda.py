@@ -20,7 +20,7 @@ from cubicmaps.toda import (
     log_count_estimate,
     toda_integrate,
 )
-from oracles import genus1_hyp_sum, monomial
+from oracles import genus1_hyp_sum, monomial, toda_integrate_lcm_first
 
 # genus 0..2 free-energy heads through u^10
 F0_HEAD = [6, 216, 13608, 1119744, Fraction(540416448, 5)]
@@ -100,11 +100,12 @@ def test_closed_forms_match_pipeline():
         assert genus1_closed_form(j) == F[1].coefficient(j) * factorial(2 * j)
 
 
-@pytest.mark.parametrize("solve, pairs", [(free_energy_series, 3), (build_hierarchy, 5)])
+@pytest.mark.parametrize("solve, pairs", [(free_energy_series, 2), (build_hierarchy, 4)])
 def test_g_only_last_order_forms_one_product(monkeypatch, solve, pairs):
-    # the certificate of the leading slice takes two product pairs, H*H and
-    # H*R; order 1 then takes three in solve_order_k and one, g0*R1, in the
-    # g-only finisher that free_energy_series ends on; one division each
+    # the certificate of the leading slice takes one product pair, the square
+    # H*H; order 1 then takes three in solve_order_k and one, the square
+    # (v H')^2, in the g-only finisher that free_energy_series ends on; one
+    # division each
     counted, divisors = [], []
     product_sum, divide = series.product_sum, TruncatedSeries.__truediv__
 
@@ -124,6 +125,51 @@ def test_g_only_last_order_forms_one_product(monkeypatch, solve, pairs):
     solve(1, 130)
     assert sum(counted) == pairs
     assert len(divisors) == 1
+
+
+def _assert_integrates_like_lcm_first(k, ghat):
+    new, old = toda_integrate(k, ghat), toda_integrate_lcm_first(k, ghat)
+    assert (new.offset, new.known_max) == (old.offset, old.known_max)
+    assert (new.numerators, new.denominator) == (old.numerators, old.denominator)
+
+
+def test_slot_reduction_matches_lcm_first_integration():
+    # per-slot gcds before the lcm against one lcm of the unreduced 36 d1 d2
+    h = build_hierarchy(8, 60)
+    for k in range(9):
+        _assert_integrates_like_lcm_first(k, h.g_hat[k])
+    # hand-made windows: zero and negative numerators, numerators that share
+    # factors with the slot denominators, a zero window, a single slot
+    head = (1, 36)
+    tails = [(0, -5, Fraction(7, 3), 0, -1), (72, -144, 0, 2**40, -(3**30)), (0, 0, 0), (Fraction(-2, 9),), (0,)]
+    for tail in tails:
+        _assert_integrates_like_lcm_first(0, TruncatedSeries(VAR_W, 1, head + tail))
+        for k in range(1, 9):
+            for offset in (1, 2, 5):
+                _assert_integrates_like_lcm_first(k, TruncatedSeries(VAR_W, offset, tail))
+    # a k = 0 window that ends on the subtraction terms integrates to zero
+    _assert_integrates_like_lcm_first(0, TruncatedSeries(VAR_W, 1, head))
+
+
+@pytest.mark.parametrize("k, ghat, error, message", [
+    (1, TruncatedSeries(VAR_W, 0, (1, 2)), ArithmeticError, "double integration hits a resonance at w^0, order 1"),
+    (0, TruncatedSeries(VAR_W, 3, (1,)), ValueError, "k = 0 input window must cover the subtraction terms w^1, w^2"),
+    (0, TruncatedSeries(VAR_W, 1, (1, 35, 4)), ValueError, "k = 0 subtraction term w^2 is 35, expected 36"),
+])
+def test_integration_errors_match_lcm_first(k, ghat, error, message):
+    for integrate in (toda_integrate, toda_integrate_lcm_first):
+        with pytest.raises(error) as err:
+            integrate(k, ghat)
+        assert str(err.value) == message
+
+
+def test_coefficient_reads_the_series_over_its_own_denominator():
+    t = genus_table(8, 80)
+    for (g, j), f in t.counts.items():
+        assert t.coefficient(g, j) == Fraction(t.count(g, j), factorial(2 * j)), (g, j)
+    for g, j in ((0, 0), (1, 0), (0, 81), (8, 81), (9, 1), (9, 80), (-1, 1)):
+        with pytest.raises(KeyError):
+            t.coefficient(g, j)
 
 
 def test_genus_table_invariants():

@@ -3,7 +3,10 @@
 Exit codes: 0 success, 1 validation error (bad flags or out-of-domain
 input), 2 computation failure, 3 failed acceptance criterion under
 ``reproduce``.  Errors go to stderr as a JSON object.  Each command's
-flags, with their defaults, are one row of ``_COMMANDS``.
+flags, with their defaults, are one row of ``_COMMANDS``.  ``main`` lifts
+CPython's limit on int-to-str conversion while a command runs, so integers
+of any length print in full.  ``expand`` hands its table to ``dump_json``
+and ``dump_csv`` as rows of ints, with no Fraction or dict per row.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .numbers import W_CRITICAL
 from .precision import BigFloat
 from .serialize import (
     FLOAT_DPS,
+    ExactRecords,
     dump_csv,
     dump_json,
     encode_bigfloat,
@@ -68,27 +72,20 @@ def _cmd_expand(args) -> tuple[str, int]:
         raise ValidationError("--genus must be >= 0")
     if args.max_j < 1:
         raise ValidationError("the expansion starts at j = 1; --max-j must be >= 1")
-    table = genus_table(args.genus, args.max_j)
     g = args.genus
+    table = genus_table(g, args.max_j)
+    # F_coeff is the series numerator over its denominator, reduced by one gcd;
+    # a j below the series offset reads 0/1, as Fraction(0) does
+    s = table.series[g]
+    nums, den, lo = s.numerators, s.denominator, s.offset
+    rows = []
+    for j in range(1, args.max_j + 1):
+        x = nums[j - lo] if j >= lo else 0
+        d = math.gcd(x, den)
+        rows.append((g, j, table.count(g, j), 1, x // d, den // d))
     if args.format == "csv":
-        rows = []
-        for j in range(1, args.max_j + 1):
-            c = table.coefficient(g, j)
-            rows.append([g, j, table.count(g, j), 1, c.numerator, c.denominator])
         return dump_csv(["g", "j", "f_num", "f_den", "F_coeff_num", "F_coeff_den"], rows), 0
-    payload = {
-        "genus": g,
-        "max_j": args.max_j,
-        "rows": [
-            {
-                "g": g,
-                "j": j,
-                "f": encode_fraction(table.count(g, j)),
-                "F_coeff": encode_fraction(table.coefficient(g, j)),
-            }
-            for j in range(1, args.max_j + 1)
-        ],
-    }
+    payload = {"genus": g, "max_j": args.max_j, "rows": ExactRecords(("g", "j"), ("f", "F_coeff"), rows)}
     return dump_json(payload), 0
 
 
@@ -400,6 +397,20 @@ def _emit_error(kind: str, message: str) -> None:
 
 
 def main(argv=None) -> int:
+    # counts grow past CPython's default bound on int-to-str conversion (4,300
+    # digits from expand --genus 0 --max-j 573 on), so a command lifts it and
+    # puts it back on return
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is None:
+        return _main(argv)
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv) -> int:
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
         text, code = args.fn(args)

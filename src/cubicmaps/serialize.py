@@ -7,11 +7,19 @@ the beta-power basis, floats as a value string plus the decimal precision
 they were computed at.  Nothing exact is ever converted to a float on the
 way out.  Key order is fixed at construction, so identical inputs produce
 identical bytes.
+
+An exact leaf is an ``ExactLeaf``, a dict that ``dump_json`` writes in one
+piece from one template per indent (``_leaf_template``); ``ExactRecords``
+writes a whole array of records of ints and exact values from rows of ints
+with one template built on the same leaf text, so a long table such as
+``expand``'s builds no dict and no Fraction per row.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 
@@ -23,14 +31,40 @@ FLOAT_DPS = 17  # the dps tag of a double: 17 significant digits round-trip it
 _CSV_QUOTED = frozenset(',"\r\n')  # csv.writer quotes a cell holding one (\r on some Pythons)
 
 
-def _exact(num: int, den: int) -> dict:
+class ExactLeaf(dict):
+    """``{"kind": "exact", "num": ..., "den": ...}`` with decimal-string num and
+    den, equal to that plain dict; ``dump_json`` writes it from num and den alone."""
+
+    __slots__ = ()
+
+
+class ExactRecords:
+    """A JSON array of records with the same keys: ``int_keys`` with int
+    values, then ``exact_keys`` with exact values.  Each row is a tuple of
+    ints: one value per int key, then num and den (den > 0, in lowest terms)
+    per exact key.  ``dump_json`` writes it with one template at its indent."""
+
+    __slots__ = ("int_keys", "exact_keys", "rows")
+
+    def __init__(self, int_keys: tuple, exact_keys: tuple, rows: list) -> None:
+        self.int_keys, self.exact_keys, self.rows = int_keys, exact_keys, rows
+
+
+@cache
+def _leaf_template(indent: str) -> str:
+    """The text of an exact leaf at ``indent``, with %s for num and den."""
+    inner = "\n" + indent + "  "
+    return "{" + inner + '"kind": "exact",' + inner + '"num": "%s",' + inner + '"den": "%s"\n' + indent + "}"
+
+
+def _exact(num: int, den: int) -> ExactLeaf:
     """num/den (den > 0) in lowest terms."""
     g = gcd(num, den)
-    return {"kind": "exact", "num": str(num // g), "den": str(den // g)}
+    return ExactLeaf(kind="exact", num=str(num // g), den=str(den // g))
 
 
-def encode_fraction(q: Fraction | int) -> dict:
-    return {"kind": "exact", "num": str(q.numerator), "den": str(q.denominator)}
+def encode_fraction(q: Fraction | int) -> ExactLeaf:
+    return ExactLeaf(kind="exact", num=str(q.numerator), den=str(q.denominator))
 
 
 def encode_qbeta(x: Qbeta) -> dict:
@@ -97,8 +131,24 @@ def encode_series(s) -> dict:
     }
 
 
+def _write_records(x: ExactRecords, indent: str) -> str:
+    if not {int}.issuperset(map(type, chain.from_iterable(x.rows))):
+        raise TypeError("ExactRecords rows hold ints only")
+    if not x.rows:
+        return "[]"
+    field = indent + "    "
+    keys = (*x.int_keys, *x.exact_keys)
+    slots = ["%d"] * len(x.int_keys) + [_leaf_template(field)] * len(x.exact_keys)
+    # a literal % in a key must not read as a slot of the template
+    row = ",\n".join([field + _quote(k).replace("%", "%%") + ": " + v for k, v in zip(keys, slots)])
+    row = indent + "  {\n" + row + "\n" + indent + "  }"
+    return "[\n" + ",\n".join([row % r for r in x.rows]) + "\n" + indent + "]"
+
+
 def _write(x, indent: str, out: list) -> None:
-    if isinstance(x, str):
+    if type(x) is ExactLeaf:
+        out.append(_leaf_template(indent) % (x["num"], x["den"]))
+    elif isinstance(x, str):
         out.append(_quote(x))
     elif x is None or x is True or x is False:
         out.append("null" if x is None else "true" if x else "false")
@@ -120,6 +170,8 @@ def _write(x, indent: str, out: list) -> None:
             _write(v, inner, out)
             sep = ",\n"
         out.append("\n" + indent + "]" if x else "[]")
+    elif type(x) is ExactRecords:
+        out.append(_write_records(x, indent))
     else:
         raise TypeError(f"no JSON encoding for {type(x).__name__}; numbers need a tag before dumping")
 
@@ -127,7 +179,8 @@ def _write(x, indent: str, out: list) -> None:
 def dump_json(payload) -> str:
     """``json.dumps(payload, indent=2, ensure_ascii=True) + "\\n"`` in one pass; only
     dicts with str keys, plain lists and tuples, str, int, bool and None, so an
-    untagged float or a record such as ``BigFloat`` raises TypeError."""
+    untagged float or a record such as ``BigFloat`` raises TypeError.  An
+    ``ExactRecords`` value is written as the array of dicts it stands for."""
     out: list = []
     _write(payload, "", out)
     out.append("\n")

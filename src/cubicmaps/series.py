@@ -137,7 +137,16 @@ class TruncatedSeries:
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
             return self._add_scalar(other)
-        return even_taylor_sum(((self, 0), (other, 0)))
+        self._check_var(other)
+        # the min-horizon window, each operand's numerators over the common denominator
+        lo = min(self.offset, other.offset)
+        acc = [0] * (min(self.known_max, other.known_max) - lo + 1)
+        den = lcm(self._den, other._den)
+        for s in (self, other):
+            o, c = s.offset - lo, den // s._den
+            x = s._num[: max(len(acc) - o, 0)]
+            acc[o : o + len(x)] = map(add, acc[o : o + len(x)], map(mul, x, repeat(c)) if c != 1 else x)
+        return from_numerators(self.var, lo, acc, den)
 
     __radd__ = __add__
 
@@ -286,8 +295,8 @@ def even_taylor_sum(terms) -> TruncatedSeries:
     term var^e gets the integer weight 81^j binom(e + 2j, 2j) times s_(e+2j):
     its window slides down 2j exponents and keeps its length, as 2j derivatives
     would leave it.  For e + 2j < 0 binom(-n, 2j) = binom(n + 2j - 1, 2j)
-    applies (2j is even).  The window is the min-horizon rule over the terms;
-    with every j = 0 it is a plain sum (``+``).
+    applies (2j is even).  The window is the min-horizon rule over the terms.
+    A j = 0 term has weight 1 everywhere, but a plain sum is ``+``.
     """
     terms = [(s, 2 * j) for s, j in terms]
     lo = min(s.offset - k for s, k in terms)
@@ -299,5 +308,5 @@ def even_taylor_sum(terms) -> TruncatedSeries:
         n = max(len(acc) - o, 0)
         scale = den // s._den * 9**k
         weights = (scale * comb(e, k) if e >= 0 else scale * comb(k - e - 1, k) for e in range(s.offset, s.offset + n))
-        acc[o : o + n] = map(add, acc[o : o + n], map(mul, s._num, weights if k else repeat(scale, n)))
+        acc[o : o + n] = map(add, acc[o : o + n], map(mul, s._num, weights))
     return from_numerators(terms[0][0].var, lo, acc, den)

@@ -12,6 +12,8 @@ The package itself never calls them.  By layer:
   1 - H R, the leading pair's certificate before the linear one;
 * toda: the genus-1 3F2 sum with every term rebuilt from Pochhammer symbols;
   the double integration with one lcm of the unreduced slot denominators;
+* cli: the ``expand`` JSON payload as dicts of Fraction leaves, the route
+  before its rows were rendered from the series numerators;
 * critical: the numeric value of a Q(beta) element, the amplitude
   recursion run in Q(beta) itself, and Neville fits of the singular
   amplitudes C_2k and of w_c from the high-order series coefficients;
@@ -34,6 +36,7 @@ from cubicmaps.finite_n import _QUAD_GUARD
 from cubicmaps.hierarchy import StringHierarchy
 from cubicmaps.numbers import BETA, SQRT3, Qbeta, gamma_exact
 from cubicmaps.precision import BigFloat, as_mp, rational_to_mp
+from cubicmaps.serialize import encode_fraction
 from cubicmaps.series import (
     VAR_U2,
     VAR_V,
@@ -284,6 +287,18 @@ def toda_integrate_lcm_first(k: int, ghat: TruncatedSeries) -> TruncatedSeries:
     common = lcm(*dens)
     nums = [c * (common // d) for c, d in zip(ghat.numerators[lo - ghat.offset :], dens)]
     return from_numerators(VAR_U2, lo + 2 * k - 2, nums, ghat.denominator * common)
+
+
+def expand_payload(table, g: int, max_j: int) -> dict:
+    """The ``expand`` JSON payload with one dict of two ``encode_fraction`` leaves per row."""
+    return {
+        "genus": g,
+        "max_j": max_j,
+        "rows": [
+            {"g": g, "j": j, "f": encode_fraction(table.count(g, j)), "F_coeff": encode_fraction(table.coefficient(g, j))}
+            for j in range(1, max_j + 1)
+        ],
+    }
 
 
 # -- critical --------------------------------------------------------------

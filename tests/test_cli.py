@@ -20,8 +20,9 @@ from cubicmaps.cli import _parse_args, main
 from cubicmaps.critical import run_C_recursion
 from cubicmaps.numbers import BETA, Qbeta
 from cubicmaps.precision import agreement_digits
-from cubicmaps.toda import genus_table
-from oracles import critical_amplitudes, qbeta_value
+from cubicmaps.serialize import dump_json
+from cubicmaps.toda import genus0_closed_form, genus_table
+from oracles import critical_amplitudes, expand_payload, qbeta_value
 
 F2_COLUMN = [Fraction(3, 2), Fraction(189), Fraction(26892), Fraction(4076568), Fraction(3213210384, 5)]
 
@@ -54,7 +55,7 @@ def test_expand_csv_column(capsys):
     assert counts[0] == 3 and counts[1] == 4536
 
 
-@pytest.mark.parametrize("g", [0, 1])
+@pytest.mark.parametrize("g", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("max_j", [1, 60, 130])
 def test_expand_csv_is_what_csv_writer_prints(capsys, g, max_j):
     code, out, err = run_cli(capsys, "expand", "--genus", str(g), "--max-j", str(max_j), "--format", "csv")
@@ -80,6 +81,40 @@ def test_exact_output_is_frozen(capsys, argv, digest):
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("g", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("max_j", [1, 2, 3, 5, 60])
+def test_expand_json_is_the_fraction_payload(capsys, g, max_j):
+    # rows rendered from the series numerators against dicts of Fraction
+    # leaves: zero rows below the vertex threshold, offsets above 1 for g >= 2
+    code, out, err = run_cli(capsys, "expand", "--genus", str(g), "--max-j", str(max_j))
+    assert (code, err) == (0, "")
+    payload = expand_payload(genus_table(g, max_j), g, max_j)
+    assert out == dump_json(payload) == json.dumps(payload, indent=2, ensure_ascii=True) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_expand_prints_counts_past_the_int_str_limit(capsys, fmt):
+    # f(0, 600) has 4,529 digits, past CPython's default 4,300 for int-to-str;
+    # the limit is back in place once main returns
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "expand", "--genus", "0", "--max-j", "600", "--format", fmt)
+    assert (code, err) == (0, "") and sys.get_int_max_str_digits() == limit
+    if fmt == "json":
+        last = json.loads(out)["rows"][-1]
+        assert last["j"] == 600 and last["f"]["den"] == "1"
+        count = last["f"]["num"]
+    else:
+        row = out.splitlines()[-1].split(",")
+        assert row[:2] == ["0", "600"] and row[3] == "1"
+        count = row[2]
+    assert len(count) == 4529
+    sys.set_int_max_str_digits(0)
+    try:
+        assert count == str(genus0_closed_form(600))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_expand_json(capsys):

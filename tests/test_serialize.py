@@ -1,6 +1,8 @@
+import copy
 import csv
 import io
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,9 @@ from cubicmaps.cli import main
 from cubicmaps.numbers import BETA, Qbeta
 from cubicmaps.precision import BigFloat
 from cubicmaps.serialize import (
+    ExactLeaf,
+    ExactRecords,
+    _exact,
     dump_csv,
     dump_json,
     encode_bigfloat,
@@ -207,3 +212,79 @@ def test_leaf_edge_cases():
     assert encode_qbeta(Qbeta((0, 0, 0, 0)))["components"] == [_fraction_leaf(Fraction(0))] * 4
     assert encode_qbeta(Qbeta((-3, 0, 5, 0)))["components"][0] == {"kind": "exact", "num": "-3", "den": "1"}
     assert encode_fraction(-189) == encode_fraction(Fraction(-189))
+
+
+# -- exact leaves and record tables written in one piece ----------------------
+
+_exact_leaves = st.one_of(
+    st.fractions(max_denominator=10**20).map(encode_fraction),
+    st.builds(_exact, st.one_of(st.just(0), st.integers(-10**30, 10**30)), st.integers(1, 10**12)),
+    st.lists(st.fractions(max_denominator=10**6), min_size=4, max_size=4).map(lambda c: encode_qbeta(Qbeta(c))),
+    st.builds(lambda nums, den, offset: encode_series(from_numerators(VAR_W, offset, nums, den)), _nums, _dens,
+              st.integers(-4, 4)),
+)
+
+
+def _nested(depth):
+    inner = st.one_of(_exact_leaves, _leaves)
+    for _ in range(depth):
+        inner = st.one_of(inner, st.lists(inner, max_size=3), st.dictionaries(_text, inner, max_size=3))
+    return inner
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4).flatmap(_nested))
+def test_exact_leaves_match_json_dumps_at_every_depth(payload):
+    assert dump_json(payload) == _reference(payload)
+
+
+def test_exact_leaf_is_its_plain_dict():
+    leaf = encode_fraction(Fraction(-7, 3))
+    plain = {"kind": "exact", "num": "-7", "den": "3"}
+    assert type(leaf) is ExactLeaf and leaf == plain and list(leaf) == list(plain)
+    for twin in (pickle.loads(pickle.dumps(leaf)), copy.deepcopy(leaf), copy.copy(leaf)):
+        assert type(twin) is ExactLeaf and twin == plain
+        assert dump_json({"x": [twin]}) == dump_json({"x": [plain]}) == _reference({"x": [plain]})
+    assert pickle.loads(pickle.dumps(leaf, protocol=0)) == plain
+    back = json.loads(dump_json({"q": leaf, "s": encode_series(from_numerators(VAR_W, 0, [0, -2], 4))}))
+    assert back == {"q": plain, "s": {"variable": "w", "offset": 1, "known_max": 1,
+                                      "coefficients": [{"kind": "exact", "num": "-1", "den": "2"}]}}
+    assert all(type(v) is dict for v in (back["q"], *back["s"]["coefficients"]))
+    assert _exact(0, 12) == {"kind": "exact", "num": "0", "den": "1"}
+
+
+@pytest.mark.parametrize("bad", [[encode_fraction(Fraction(1, 2)), 0.5], {"q": encode_fraction(3), "f": Fraction(1, 2)},
+                                 ExactRecords(("j",), ("f",), [(1, Fraction(1, 2), 1)])])
+def test_untagged_values_beside_exact_leaves_raise(bad):
+    with pytest.raises(TypeError):
+        dump_json(bad)
+
+
+_keys = st.text(st.sampled_from('ab%"\\\u00e9 '), min_size=1, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_keys, min_size=1, max_size=5, unique=True), st.integers(0, 3), st.integers(0, 4),
+       st.data())
+def test_exact_records_match_their_dicts(keys, n_int, n_rows, data):
+    # records of int fields then exact fields, against json.dumps of the dicts
+    # they stand for, nested one and two levels deep
+    n_int = min(n_int, len(keys))
+    ints = st.integers(-10**30, 10**30)
+    rows = []
+    for _ in range(n_rows):
+        row = [data.draw(ints) for _ in range(n_int)]
+        for _ in keys[n_int:]:
+            q = data.draw(st.fractions(max_denominator=10**9))
+            row += [q.numerator, q.denominator]
+        rows.append(tuple(row))
+    records = ExactRecords(tuple(keys[:n_int]), tuple(keys[n_int:]), rows)
+    dicts = []
+    for row in rows:
+        d = dict(zip(keys[:n_int], row))
+        for i, k in enumerate(keys[n_int:]):
+            d[k] = {"kind": "exact", "num": str(row[n_int + 2 * i]), "den": str(row[n_int + 2 * i + 1])}
+        dicts.append(d)
+    assert dump_json(records) == _reference(dicts)
+    assert dump_json({"n": 1, "rows": records}) == _reference({"n": 1, "rows": dicts})
+    assert dump_json([{"rows": records}]) == _reference([{"rows": dicts}])

@@ -330,6 +330,26 @@ def test_even_taylor_sum_matches_single_terms(terms):
     assert got == expected and got.known_max == min(s.known_max - 2 * j for s, j in terms)
 
 
+numerator_series = st.builds(
+    lambda nums, den, offset: from_numerators(VAR_W, offset, nums, den),
+    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=8),
+    st.one_of(st.just(1), st.integers(1, 10**4)),
+    st.integers(-6, 6),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(numerator_series, numerator_series)
+def test_direct_sum_matches_zero_order_taylor_sum(a, b):
+    # `+` sums the numerators in one aligned pass; even_taylor_sum with j = 0
+    # reaches the same series by its binomial weights
+    total = even_taylor_sum(((a, 0), (b, 0)))
+    for got, expected in ((a + b, total), (b + a, total), (a - b, even_taylor_sum(((a, 0), (-b, 0))))):
+        assert (got.offset, got.numerators, got.denominator) == (expected.offset, expected.numerators, expected.denominator)
+    with pytest.raises(ValueError, match="mixed series variables 'w' and 'u2'"):
+        a + b.dilate(1, VAR_U2)
+
+
 def _twin(s):
     # an equal series that is a different object, so a * _twin(a) is no square
     return from_numerators(s.var, s.offset, s.numerators, s.denominator)

@@ -5,8 +5,11 @@ input), 2 computation failure, 3 failed acceptance criterion under
 ``reproduce``.  Errors go to stderr as a JSON object.  Each command's
 flags, with their defaults, are one row of ``_COMMANDS``.  ``main`` lifts
 CPython's limit on int-to-str conversion while a command runs, so integers
-of any length print in full.  ``expand`` hands its table to ``dump_json``
-and ``dump_csv`` as rows of ints, with no Fraction or dict per row.
+of any length print in full.  A handler hands raw values to
+``serialize.encode_value``, the one tagger, and a record goes in as
+``_asdict()``, so its field order is its key order.  ``expand`` alone
+hands its table to ``dump_json`` and ``dump_csv`` as rows of ints, with
+no Fraction or dict per row.
 """
 
 from __future__ import annotations
@@ -22,17 +25,7 @@ from .finite_n import build_report
 from .hierarchy import build_hierarchy
 from .numbers import W_CRITICAL
 from .precision import BigFloat
-from .serialize import (
-    FLOAT_DPS,
-    ExactRecords,
-    dump_csv,
-    dump_json,
-    encode_bigfloat,
-    encode_float,
-    encode_fraction,
-    encode_qbeta,
-    encode_series,
-)
+from .serialize import ExactRecords, dump_csv, dump_json, encode_value
 from .toda import genus_table
 from .wick import ENGINE, census
 
@@ -95,14 +88,7 @@ def _cmd_hierarchy(args) -> tuple[str, int]:
     if args.horizon < 1:
         raise ValidationError("--horizon must be >= 1")
     h = build_hierarchy(args.max_k, args.horizon)
-    payload = {
-        "max_k": h.max_k,
-        "horizon": h.horizon,
-        "g_hat": [encode_series(s) for s in h.g_hat],
-        "b_hat": [encode_series(s) for s in h.b_hat],
-        "det": encode_series(1 - h.g_hat[0] * 108),
-    }
-    return dump_json(payload), 0
+    return dump_json(encode_value({**h._asdict(), "det": 1 - h.g_hat[0] * 108})), 0
 
 
 def _cmd_equilibrium(args) -> tuple[str, int]:
@@ -115,39 +101,30 @@ def _cmd_equilibrium(args) -> tuple[str, int]:
     if not (math.isfinite(args.zmax) and args.zmax > 0):
         raise ValidationError("--zmax must be finite and positive")
     eq = solve_endpoints(u, precision)
+
+    def big(v):
+        return BigFloat(v, eq.dps)
+
     phi = None
     if u > 0:
         rep = phi_check(eq, samples=args.samples, zmax=args.zmax)
 
         def point(zr):
-            z, re_phi = zr
-            return {"z": encode_bigfloat(BigFloat(z, eq.dps)), "re_phi": encode_bigfloat(BigFloat(re_phi, eq.dps))}
+            return {"z": big(zr[0]), "re_phi": big(zr[1])}
 
         phi = {
-            "all_positive": rep.all_positive,
+            **rep._asdict(),
             "min_left": point(rep.min_left),
             "min_gap": None if rep.min_gap is None else point(rep.min_gap),
             "min_ray": point(rep.min_ray),
-            "violations": [
-                {"segment": name, **point((z, re_phi))} for name, z, re_phi in rep.violations
-            ],
-            "growth_coefficient": encode_bigfloat(BigFloat(rep.growth_coefficient, eq.dps)),
-            "vs_half_u": encode_bigfloat(BigFloat(rep.vs_half_u, eq.dps)),
-            "vs_third_u": encode_bigfloat(BigFloat(rep.vs_third_u, eq.dps)),
-            "samples": rep.samples,
-            "zmax": encode_float(rep.zmax),
+            "violations": [{"segment": name, **point(zr)} for name, *zr in rep.violations],
+            "growth_coefficient": big(rep.growth_coefficient),
+            "vs_half_u": big(rep.vs_half_u),
+            "vs_third_u": big(rep.vs_third_u),
         }
-    payload = {
-        "u": encode_fraction(u),
-        "x": encode_bigfloat(BigFloat(eq.x, eq.dps)),
-        "y": encode_bigfloat(BigFloat(eq.y, eq.dps)),
-        "a": encode_bigfloat(BigFloat(eq.a, eq.dps)),
-        "b": encode_bigfloat(BigFloat(eq.b, eq.dps)),
-        "z0": encode_bigfloat(BigFloat(eq.z0, eq.dps)),
-        "critical_flag": eq.critical,
-        "phi_report": phi,
-    }
-    return dump_json(payload), 0
+    payload = {"u": u, "x": big(eq.x), "y": big(eq.y), "a": big(eq.a), "b": big(eq.b), "z0": big(eq.z0),
+               "critical_flag": eq.critical, "phi_report": phi}
+    return dump_json(encode_value(payload)), 0
 
 
 def _cmd_critical(args) -> tuple[str, int]:
@@ -155,23 +132,13 @@ def _cmd_critical(args) -> tuple[str, int]:
     if args.max_genus < 0:
         raise ValidationError("--max-genus must be >= 0")
     consts = run_C_recursion(args.max_genus)
-    payload = {
-        "max_genus": consts.G,
-        "w_c": encode_qbeta(W_CRITICAL),
-        "g0_at_wc": encode_fraction(G0_AT_CRITICAL),
-        "b0_at_wc": encode_qbeta(B0_AT_CRITICAL),
-        "amplitudes": [
-            {
-                "g": g,
-                "C": encode_qbeta(consts.C[g]),
-                "D": encode_qbeta(consts.D[g]),
-                "sign": consts.signs[g],
-                "K": encode_bigfloat(compute_K(consts, g, precision)),
-            }
-            for g in range(consts.G + 1)
-        ],
-    }
-    return dump_json(payload), 0
+    amplitudes = [
+        {"g": g, "C": consts.C[g], "D": consts.D[g], "sign": consts.signs[g], "K": compute_K(consts, g, precision)}
+        for g in range(consts.G + 1)
+    ]
+    payload = {"max_genus": consts.G, "w_c": W_CRITICAL, "g0_at_wc": G0_AT_CRITICAL, "b0_at_wc": B0_AT_CRITICAL,
+               "amplitudes": amplitudes}
+    return dump_json(encode_value(payload)), 0
 
 
 def _cmd_oracle(args) -> tuple[str, int]:
@@ -206,41 +173,10 @@ def _cmd_validate(args) -> tuple[str, int]:
         u, args.N, precision=precision, alpha=alpha, n_max=args.n_max,
         include_toda=args.toda, h_step=h_step,
     )
-    alpha_c = complex(rep.alpha)
-
-    def residual_map(d):
-        return {str(n): encode_bigfloat(d[n]) for n in sorted(d)}
-
-    asym = rep.asymptotic
-    payload = {
-        "N": rep.N,
-        "u": encode_bigfloat(rep.u),
-        "alpha": {"kind": "approx", "re": repr(alpha_c.real), "im": repr(alpha_c.imag), "dps": FLOAT_DPS},
-        "precision": rep.precision,
-        "n_max": rep.n_max,
-        "moments": [encode_bigfloat(m) for m in rep.moments],
-        "h": [encode_bigfloat(v) for v in rep.h],
-        "gamma2": [encode_bigfloat(v) for v in rep.gamma2],
-        "beta": [encode_bigfloat(v) for v in rep.beta],
-        "string_r1": residual_map(rep.string_r1),
-        "string_r2": residual_map(rep.string_r2),
-        "max_string_residual": encode_bigfloat(rep.max_string_residual),
-        "conditioning_loss": [encode_float(v) for v in rep.conditioning_loss],
-        "cross_check_digits": encode_float(rep.cross_check_digits),
-        "gaps": [],
-        "asymptotic": {
-            "N": asym.N,
-            "gamma2": encode_bigfloat(asym.gamma2),
-            "beta": encode_bigfloat(asym.beta),
-            "gamma2_predicted": encode_bigfloat(asym.gamma2_predicted),
-            "beta_predicted": encode_bigfloat(asym.beta_predicted),
-            "epsilon_gamma": encode_bigfloat(asym.epsilon_gamma),
-            "epsilon_beta": encode_bigfloat(asym.epsilon_beta),
-        },
-        "branch": rep.branch,
-        "toda": encode_bigfloat(rep.toda) if rep.toda is not None else None,
-    }
-    return dump_json(payload), 0
+    # the output keeps an empty "gaps" list ahead of the report's last three fields
+    payload = {**dict(zip(rep._fields[:-3], rep)), "gaps": [], "asymptotic": rep.asymptotic._asdict(),
+               "branch": rep.branch, "toda": rep.toda}
+    return dump_json(encode_value(payload)), 0
 
 
 def _cmd_reproduce(args) -> tuple[str, int]:

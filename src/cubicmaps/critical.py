@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .numbers import BETA, SQRT3, W_CRITICAL, Qbeta, _qbeta, gamma_exact
-from .precision import BigFloat, rational_to_mp
+from .precision import BigFloat, as_mp
 
 G0_AT_CRITICAL = Fraction(1, 108)
 B0_AT_CRITICAL = Qbeta((Fraction(1, 6), 0, Fraction(-1, 36), 0))  # (3 - sqrt(3))/18
@@ -166,7 +166,7 @@ def compute_K(consts: CriticalConstants, g: int, precision: int = 40) -> BigFloa
         raise ValueError(f"genus {g} outside computed range 0..{consts.G}")
     q, n = _amplitude_exact(consts.Y[g], g)
     with workdps(precision + 10):
-        v = rational_to_mp(q)
+        v = as_mp(q)
         if n == -1:
             v = v / mp.sqrt(6 * mp.pi)
     return BigFloat(v, precision)

@@ -17,13 +17,6 @@ class BigFloat(NamedTuple):
     dps: int
 
 
-def rational_to_mp(q: Fraction):
-    """Exact-to-working-precision conversion (one rounding, at current dps)."""
-    from mpmath import mp
-
-    return mp.mpf(q.numerator) / q.denominator
-
-
 def as_mp(x):
     """An mpmath number from an mpf, mpc, int, float, Fraction or BigFloat; a Fraction is rounded at the current dps."""
     from mpmath import mp
@@ -31,7 +24,7 @@ def as_mp(x):
     if isinstance(x, BigFloat):
         return mp.mpmathify(x.value)
     if isinstance(x, Fraction):
-        return rational_to_mp(x)
+        return mp.mpf(x.numerator) / x.denominator
     return mp.mpmathify(x)
 
 

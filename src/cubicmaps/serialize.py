@@ -6,7 +6,8 @@ numerators, one gcd each), algebraic values as four rational components on
 the beta-power basis, floats as a value string plus the decimal precision
 they were computed at.  Nothing exact is ever converted to a float on the
 way out.  Key order is fixed at construction, so identical inputs produce
-identical bytes.
+identical bytes.  ``encode_value`` is the one tagger the CLI calls: a
+record goes through it as ``_asdict()``, so its field order is its key order.
 
 An exact leaf is an ``ExactLeaf``, a dict that ``dump_json`` writes in one
 piece from one template per indent (``_leaf_template``); ``ExactRecords``
@@ -25,6 +26,7 @@ from math import gcd
 
 from .numbers import Qbeta
 from .precision import BigFloat
+from .series import TruncatedSeries
 
 QBETA_RELATION = "beta^4 = 12"  # beta is its positive real root
 FLOAT_DPS = 17  # the dps tag of a double: 17 significant digits round-trip it
@@ -99,7 +101,14 @@ def encode_float(x: float) -> dict:
 
 
 def encode_value(x):
-    """Tag a single numeric leaf; ints pass through as native JSON."""
+    """Tag a value and everything in it: the one tagger the CLI calls.
+
+    Ints, bools, strs and None pass through as native JSON; a Fraction,
+    Qbeta, BigFloat, float, complex or TruncatedSeries becomes its tagged
+    leaf; lists, tuples and dicts are tagged item by item, in order.  A
+    record goes in as ``record._asdict()``, so its field order is its key
+    order; a whole NamedTuple raises TypeError, as an untagged mpmath number does.
+    """
     if x is None or isinstance(x, (int, str)):  # bool is an int
         return x
     if isinstance(x, Fraction):
@@ -110,6 +119,10 @@ def encode_value(x):
         return encode_bigfloat(x)
     if isinstance(x, float):
         return encode_float(x)
+    if isinstance(x, complex):
+        return {"kind": "approx", "re": repr(x.real), "im": repr(x.imag), "dps": FLOAT_DPS}
+    if isinstance(x, TruncatedSeries):
+        return encode_series(x)
     if type(x) in (list, tuple):  # a NamedTuple record is not a list of values
         return [encode_value(v) for v in x]
     if isinstance(x, dict):

@@ -93,12 +93,6 @@ class GenusCoeffTable(NamedTuple):
     def count(self, g: int, j: int) -> int:
         return self.counts[(g, j)]
 
-    def coefficient(self, g: int, j: int) -> Fraction:
-        """F-series coefficient of u^(2j), the count over (2j)!, read over the series' own denominator."""
-        if (g, j) not in self.counts:
-            raise KeyError((g, j))
-        return self.series[g].coefficient(j)
-
 
 def genus_table(g_max: int, j_max: int) -> GenusCoeffTable:
     """Tabulate f^(2g)_{2j} for g <= g_max, 1 <= j <= j_max, checking integrality.

@@ -35,7 +35,7 @@ from cubicmaps.equilibrium import EquilibriumData
 from cubicmaps.finite_n import _QUAD_GUARD
 from cubicmaps.hierarchy import StringHierarchy
 from cubicmaps.numbers import BETA, SQRT3, Qbeta, gamma_exact
-from cubicmaps.precision import BigFloat, as_mp, rational_to_mp
+from cubicmaps.precision import BigFloat, as_mp
 from cubicmaps.serialize import encode_fraction
 from cubicmaps.series import (
     VAR_U2,
@@ -77,7 +77,7 @@ def series_value(s: TruncatedSeries, x):
     """Partial sum of s over its tracked window at x, in the arithmetic of x (an mpf or mpc)."""
     acc = 0
     for c in reversed(s.coeffs):
-        acc = acc * x + rational_to_mp(c)
+        acc = acc * x + as_mp(c)
     return acc * x**s.offset
 
 
@@ -295,7 +295,8 @@ def expand_payload(table, g: int, max_j: int) -> dict:
         "genus": g,
         "max_j": max_j,
         "rows": [
-            {"g": g, "j": j, "f": encode_fraction(table.count(g, j)), "F_coeff": encode_fraction(table.coefficient(g, j))}
+            {"g": g, "j": j, "f": encode_fraction(table.count(g, j)),
+             "F_coeff": encode_fraction(table.series[g].coefficient(j))}
             for j in range(1, max_j + 1)
         ],
     }
@@ -309,7 +310,7 @@ def qbeta_value(x: Qbeta):
     beta = mp.root(12, 4)
     acc = mp.mpf(0)
     for c in reversed(x.c):
-        acc = acc * beta + rational_to_mp(c)
+        acc = acc * beta + as_mp(c)
     return acc
 
 
@@ -377,16 +378,16 @@ def critical_leading(
     wdps = 60 + 2 * _FIT_POINTS
     with workdps(wdps):
         wc = mp.sqrt(3) / 324
-        gam = mp.gamma(rational_to_mp(-alpha))
+        gam = mp.gamma(as_mp(-alpha))
         xs, amps, ratios = [], [], []
         for j in range(delta_horizon - _FIT_POINTS + 1, delta_horizon + 1):
             c_j = series.coefficient(j)
             c_prev = series.coefficient(j - 1)
-            t = rational_to_mp(c_j) * wc ** rational_to_mp(j - alpha)
-            t *= gam * mp.mpf(j) ** rational_to_mp(alpha + 1)
+            t = as_mp(c_j) * wc ** as_mp(j - alpha)
+            t *= gam * mp.mpf(j) ** as_mp(alpha + 1)
             xs.append(1 / mp.sqrt(j))
             amps.append(t)
-            ratios.append(rational_to_mp(Fraction(c_prev, c_j)))
+            ratios.append(as_mp(Fraction(c_prev, c_j)))
         amp, amp_err = _neville_to_zero(xs, amps)
         rad, rad_err = _neville_to_zero(xs, ratios)
     return SingularFit(

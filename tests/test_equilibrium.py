@@ -18,7 +18,7 @@ from cubicmaps.equilibrium import (
     phi_check,
     solve_endpoints,
 )
-from cubicmaps.precision import agreement_digits, rational_to_mp
+from cubicmaps.precision import agreement_digits, as_mp
 from oracles import _sqrt_r, density_at, g0_coefficient, h_power_coefficient, re_phi_terms, series_value
 
 
@@ -134,7 +134,7 @@ def test_solve_endpoints_matches_polyroots(dps):
 def test_fraction_coupling_reads_as_its_mp_value():
     # a Fraction is read at the solver's working precision, precision + 20
     with workdps(50):
-        u = rational_to_mp(Fraction(1, 20))
+        u = as_mp(Fraction(1, 20))
     assert solve_endpoints(Fraction(1, 20), 30) == solve_endpoints(u, 30)
 
 

@@ -30,7 +30,7 @@ from cubicmaps.finite_n import (
 from cubicmaps.equilibrium import slice_b0, slice_corrections, slice_root
 from cubicmaps.hierarchy import build_hierarchy
 from cubicmaps.numbers import double_factorial
-from cubicmaps.precision import BigFloat, agreement_digits, as_mp, rational_to_mp
+from cubicmaps.precision import BigFloat, agreement_digits, as_mp
 from oracles import inner_product
 
 U_TENTH = Fraction(1, 10)
@@ -103,7 +103,7 @@ def _airy_moments(u, N, alpha, max_order, dps):
     gives 3uN c_(j+2) = N c_(j+1) - j c_(j-1), so c2 = c1/(3u).
     """
     with workdps(dps):
-        u = rational_to_mp(u)
+        u = as_mp(u)
         d = 1 / (6 * u)
         lam = (3 * N * u) ** (-mp.mpf(1) / 3)
         s = N * d * lam / 2
@@ -136,7 +136,7 @@ def test_moments_match_airy_closed_form(moments_60, alpha):
 
 def _rule(precision, u, N, order):
     with workdps(precision + 15):
-        _, b, c = _path_scale(rational_to_mp(u), N)
+        _, b, c = _path_scale(as_mp(u), N)
         return _path_rule(precision, float(b), float(c), order)
 
 
@@ -150,11 +150,11 @@ def test_path_sums_match_direct_exponential(u, N, order):
     # and 45.8 digits, the working precision
     precision = 30
     with workdps(precision + 15):
-        s, b, c = _path_scale(rational_to_mp(u), N)
+        s, b, c = _path_scale(as_mp(u), N)
         tau, n, k_lo, k_hi = _path_rule(precision, float(b), float(c), order)
         got = _path_moments(s, b, c, order, tau, n, k_lo, k_hi)
     with workdps(precision + 35):
-        u = rational_to_mp(u)
+        u = as_mp(u)
         chord = mp.expjpi(mp.mpf(1) / 5) - 1
         want = [mp.mpc(0)] * (order + 1)
         for k in range(k_lo, k_hi + 1):
@@ -226,7 +226,7 @@ def test_one_exponential_and_one_cosine_sine_per_node(monkeypatch):
     for u, (tau, n, k_lo, k_hi) in zip((Fraction(2, 25), Fraction(1, 16)), VALIDATE_RULES):
         calls.update(exp=0, cos_sin=0)
         with workdps(95):
-            s, b, c = _path_scale(rational_to_mp(u), 4)
+            s, b, c = _path_scale(as_mp(u), 4)
             _path_moments(s, b, c, 15, tau, n, k_lo, k_hi)
         nodes = k_hi - k_lo + 1
         assert calls == {"exp": nodes + 1, "cos_sin": nodes}
@@ -290,7 +290,7 @@ def _validate_moments(u, N):
     n_max = 3 * N // 2 + 1
     precision = max(80, 8 * n_max)
     with workdps(precision + 15):
-        s, b, c = _path_scale(rational_to_mp(u), N)
+        s, b, c = _path_scale(as_mp(u), N)
         rule = _path_rule(precision, float(b), float(c), 2 * n_max + 1)
         return lambda: _path_moments(s, b, c, 2 * n_max + 1, *rule)
 
@@ -672,7 +672,7 @@ def test_slice_functions_match_series():
 
         def tail_sum(series):
             return mp.fsum(
-                rational_to_mp(series.coefficient(j)) * w ** j
+                as_mp(series.coefficient(j)) * w ** j
                 for j in range(series.offset, 41)
             )
 

@@ -8,12 +8,23 @@ imported name, or a part of a dotted string constant (the benchmark's
 tracer names what it wraps as strings such as
 ``"TruncatedSeries.__mul__"``).  A keyword argument that only sets a field
 is not a use.  Test-only oracles belong in ``tests/oracles.py``.
+
+A record that the CLI prints whole, as ``encode_value(record._asdict())``,
+names its fields nowhere, so both checks count them as used only through
+``PRINTED_WHOLE``: its command is run and must print every field name of
+the record as a key of the record's JSON object.
 """
 
 import ast
+import contextlib
+import io
+import json
 import re
 from collections import Counter
+from functools import cache
 from pathlib import Path
+
+from cubicmaps.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cubicmaps"
@@ -35,6 +46,37 @@ def _names(tree) -> Counter:
     return out
 
 
+# label -> (argv, keys from the JSON root down to the record's object)
+PRINTED_WHOLE = {
+    "finite_n.FiniteNReport": ("validate --N 2 --u 1/16 --precision 30", ()),
+    "finite_n.AsymptoticEntry": ("validate --N 2 --u 1/16 --precision 30", ("asymptotic",)),
+    "hierarchy.StringHierarchy": ("hierarchy --max-k 1 --horizon 2", ()),
+    "equilibrium.PhiReport": ("equilibrium --u 1/20 --precision 20", ("phi_report",)),
+}
+
+
+def _fields(node: ast.ClassDef) -> list[str]:
+    return [m.target.id for m in node.body if isinstance(m, ast.AnnAssign) and isinstance(m.target, ast.Name)]
+
+
+@cache
+def printed_fields() -> frozenset:
+    """``module.Class.field`` of each field of a ``PRINTED_WHOLE`` record,
+    once its command has printed them all as keys of the record's object."""
+    records, out = _records(), set()
+    for label, (argv, path) in PRINTED_WHOLE.items():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(argv.split()) == 0, argv
+        obj = json.loads(buf.getvalue())
+        for key in path:
+            obj = obj[key]
+        fields = _fields(records[label])
+        assert [f for f in fields if f not in obj] == [], (label, argv)
+        out.update(f"{label}.{f}" for f in fields)
+    return frozenset(out)
+
+
 def unused_definitions() -> list[str]:
     trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
     scanned = dict(trees)
@@ -44,8 +86,9 @@ def unused_definitions() -> list[str]:
     unused = []
     for path, tree in trees.items():
         for node, name, label in _definitions(tree):
-            if uses[name] - _names(node)[name] <= 0:
-                unused.append(f"{path.stem}.{label}")
+            full = f"{path.stem}.{label}"
+            if uses[name] - _names(node)[name] <= 0 and full not in printed_fields():
+                unused.append(full)
     return unused
 
 
@@ -109,7 +152,8 @@ def unread_record_fields() -> list[str]:
 
     A field counts as read when ``<expr>.<field>`` is loaded anywhere in
     ``src/cubicmaps``, ``perfbench`` or ``tests``; setting it through the
-    constructor is not a read.  Reads are matched by name alone, so a field
+    constructor is not a read, but printing the whole record is
+    (``printed_fields``).  Reads are matched by name alone, so a field
     whose name some other object also carries stays hidden even when no
     code reads it (``AsymptoticReport.u`` was one, beside every report and
     equilibrium that has a ``.u``).
@@ -122,10 +166,9 @@ def unread_record_fields() -> list[str]:
                 read.add(node.attr)
     unread = []
     for label, node in _records().items():
-        for member in node.body:
-            if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
-                if member.target.id not in read:
-                    unread.append(f"{label}.{member.target.id}")
+        for name in _fields(node):
+            if name not in read and f"{label}.{name}" not in printed_fields():
+                unread.append(f"{label}.{name}")
     return unread
 
 

@@ -60,6 +60,9 @@ def test_value_dispatch():
     assert out["q"]["den"] == "5"
     assert out["tags"] == ["a", None]
     assert encode_value(0.5) == {"kind": "approx", "value": "0.5", "dps": 17}
+    assert encode_value(complex(0.5, -0.25)) == {"kind": "approx", "re": "0.5", "im": "-0.25", "dps": 17}
+    s = monomial(VAR_W, Fraction(5, 3), 2, 4)
+    assert encode_value([s]) == [encode_series(s)]
     with pytest.raises(TypeError):
         encode_value(mp.mpf(1))  # precision tag required
     with pytest.raises(TypeError):

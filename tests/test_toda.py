@@ -166,10 +166,7 @@ def test_integration_errors_match_lcm_first(k, ghat, error, message):
 def test_coefficient_reads_the_series_over_its_own_denominator():
     t = genus_table(8, 80)
     for (g, j), f in t.counts.items():
-        assert t.coefficient(g, j) == Fraction(t.count(g, j), factorial(2 * j)), (g, j)
-    for g, j in ((0, 0), (1, 0), (0, 81), (8, 81), (9, 1), (9, 80), (-1, 1)):
-        with pytest.raises(KeyError):
-            t.coefficient(g, j)
+        assert t.series[g].coefficient(j) == Fraction(t.count(g, j), factorial(2 * j)), (g, j)
 
 
 def test_genus_table_invariants():
@@ -179,7 +176,7 @@ def test_genus_table_invariants():
     assert t.count(2, 3) == 3061800
     for (g, j), f in t.counts.items():
         assert isinstance(f, int) and f >= 0
-        assert t.coefficient(g, j) * factorial(2 * j) == f
+        assert t.series[g].coefficient(j) * factorial(2 * j) == f
 
 
 def test_asymptotic_ratio_at_j200():

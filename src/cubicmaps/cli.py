@@ -101,30 +101,9 @@ def _cmd_equilibrium(args) -> tuple[str, int]:
     if not (math.isfinite(args.zmax) and args.zmax > 0):
         raise ValidationError("--zmax must be finite and positive")
     eq = solve_endpoints(u, precision)
-
-    def big(v):
-        return BigFloat(v, eq.dps)
-
-    phi = None
-    if u > 0:
-        rep = phi_check(eq, samples=args.samples, zmax=args.zmax)
-
-        def point(zr):
-            return {"z": big(zr[0]), "re_phi": big(zr[1])}
-
-        phi = {
-            **rep._asdict(),
-            "min_left": point(rep.min_left),
-            "min_gap": None if rep.min_gap is None else point(rep.min_gap),
-            "min_ray": point(rep.min_ray),
-            "violations": [{"segment": name, **point(zr)} for name, *zr in rep.violations],
-            "growth_coefficient": big(rep.growth_coefficient),
-            "vs_half_u": big(rep.vs_half_u),
-            "vs_third_u": big(rep.vs_third_u),
-        }
-    payload = {"u": u, "x": big(eq.x), "y": big(eq.y), "a": big(eq.a), "b": big(eq.b), "z0": big(eq.z0),
-               "critical_flag": eq.critical, "phi_report": phi}
-    return dump_json(encode_value(payload)), 0
+    ends = {k: BigFloat(getattr(eq, k), eq.dps) for k in ("x", "y", "a", "b", "z0")}
+    phi = phi_check(eq, samples=args.samples, zmax=args.zmax)._asdict() if u > 0 else None
+    return dump_json(encode_value({"u": u, **ends, "critical_flag": eq.critical, "phi_report": phi})), 0
 
 
 def _cmd_critical(args) -> tuple[str, int]:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .hierarchy import compute_g0_series
-from .precision import as_mp
+from .precision import BigFloat, as_mp
 from .series import VAR_U2, TruncatedSeries
 
 
@@ -202,13 +202,13 @@ class PhiReport(NamedTuple):
     """Sampled effective-potential landscape along the two contour tails."""
 
     all_positive: bool
-    min_left: tuple  # (z, Re phi1) with smallest Re phi1 on (-inf, a)
-    min_gap: tuple | None  # worst sample on (b, z0); None when the gap is empty (u = u_c)
-    min_ray: tuple  # worst sample on the pi/3 ray from z0
-    violations: tuple
-    growth_coefficient: object  # fitted z^3 coefficient of Re phi2 on the ray
-    vs_half_u: object  # |fit / (-u/2) - 1|: the integrand's own cubic term
-    vs_third_u: object  # |fit / (-u/3) - 1|: the growth rate as printed in the source analysis
+    min_left: dict  # {"z", "re_phi"} of the smallest Re phi1 on (-inf, a), BigFloats at the slice's dps
+    min_gap: dict | None  # worst sample on (b, z0); None when the gap is empty (u = u_c)
+    min_ray: dict  # worst sample on the pi/3 ray from z0
+    violations: tuple  # {"segment", "z", "re_phi"} per sample with Re phi <= 0
+    growth_coefficient: BigFloat  # fitted z^3 coefficient of Re phi2 on the ray
+    vs_half_u: BigFloat  # |fit / (-u/2) - 1|: the integrand's own cubic term
+    vs_third_u: BigFloat  # |fit / (-u/3) - 1|: the growth rate as printed in the source analysis
     samples: int
     zmax: float
 
@@ -282,12 +282,12 @@ def _tail_samples(eq: EquilibriumData, samples: int, zmax: float, bits: int) -> 
     return left, gap, ray
 
 
-def _as_mp(sample, bits: int) -> tuple:
-    """(z, Re phi) at the current precision from a fixed-point sample (Re z, Im z, Re phi); z is real off the ray."""
+def _point(sample, bits: int, dps: int) -> dict:
+    """{"z", "re_phi"} as BigFloats at dps from a fixed-point sample (Re z, Im z, Re phi); z is real off the ray."""
     from mpmath import mp
 
     zr, zi, re = (mp.mpf((v, -bits)) for v in sample)
-    return (mp.mpc(zr, zi) if zi else zr), re
+    return {"z": BigFloat(mp.mpc(zr, zi) if zi else zr, dps), "re_phi": BigFloat(re, dps)}
 
 
 def phi_check(eq: EquilibriumData, samples: int = 12, zmax: float = 100.0) -> PhiReport:
@@ -315,7 +315,8 @@ def phi_check(eq: EquilibriumData, samples: int = 12, zmax: float = 100.0) -> Ph
     (dps + 15 digits) plus _PHI_GUARD bits; each Re phi is good to a few
     units in its last fraction bit times its largest term.  The sign test,
     the worst sample of each tail and the fit's sample choice read those
-    integers, and only the reported values become mpf.
+    integers, and only the reported values become mpf, each a BigFloat at
+    eq.dps in the shape the CLI prints.
 
     Also fits the cubic growth coefficient of Re phi2 on the ray (two-radius
     difference at |z| = zmax/2 and zmax/4) and reports it against -u/2 (what
@@ -342,7 +343,9 @@ def phi_check(eq: EquilibriumData, samples: int = 12, zmax: float = 100.0) -> Ph
         left, gap, ray = _tail_samples(eq, samples, zmax, bits)
 
         tails = (("left", left), ("gap", gap), ("ray", ray))
-        violations = tuple((name, *_as_mp(p, bits)) for name, pts in tails for p in pts if not p[2] > 0)
+        violations = tuple(
+            {"segment": name, **_point(p, bits, eq.dps)} for name, pts in tails for p in pts if not p[2] > 0
+        )
 
         # growth fit, differencing the two ray samples nearest |z| = zmax/2, zmax/4
         moduli = [math.isqrt(zr * zr + zi * zi) for zr, zi, _ in ray]
@@ -366,7 +369,7 @@ def phi_check(eq: EquilibriumData, samples: int = 12, zmax: float = 100.0) -> Ph
         vs_third = abs(growth / (-eq.u / 3) - 1)
 
         def worst(pts):
-            return _as_mp(min(pts, key=lambda p: p[2]), bits)
+            return _point(min(pts, key=lambda p: p[2]), bits, eq.dps)
 
         return PhiReport(
             all_positive=not violations,
@@ -374,9 +377,9 @@ def phi_check(eq: EquilibriumData, samples: int = 12, zmax: float = 100.0) -> Ph
             min_gap=worst(gap) if gap else None,
             min_ray=worst(ray),
             violations=violations,
-            growth_coefficient=growth,
-            vs_half_u=vs_half,
-            vs_third_u=vs_third,
+            growth_coefficient=BigFloat(growth, eq.dps),
+            vs_half_u=BigFloat(vs_half, eq.dps),
+            vs_third_u=BigFloat(vs_third, eq.dps),
             samples=samples,
             zmax=zmax,
         )

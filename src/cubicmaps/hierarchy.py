@@ -12,14 +12,14 @@ Taylor-shifted derivatives of lower orders with weights 1/((2j)! 2^(2j)).
 Eliminating g_{2k} leaves b_{2k} times D(w) = 1 - 108*g0(w), a unit in the
 series ring, so the whole hierarchy stays exact rational arithmetic.  The
 leading pair is certified by the cubic's first-order form, a linear check
-on the square of H = g0/w.  A last order whose b_{2k} nothing reads, as in
-the free energy, is solved for g_{2k} alone with one product fewer; at the
-first order its one product is the square of H'.  Everything is solved in
-v = 18 w, which cancels the 2^(3j) 3^(2j) in g0's w^j coefficient:
-H is integral, g0 and b0 have denominators 18 and 3, and the Taylor
-weights 81^j/(2j)! act as integers, so products run on integers half as long.
-18 is the largest scale that keeps g0 over one small denominator (at 72 it
-has 269 bits at v^134).  Results are handed out in w.
+on the square of H = g0/w.  Every order is solved by the same elimination;
+the one shortcut is a first order whose b_2 nothing reads, as in the
+genus-1 free energy: g_2 alone then costs one product, the square of H'.
+Everything is solved in v = 18 w, which cancels the 2^(3j) 3^(2j) in g0's
+w^j coefficient: H is integral, g0 and b0 have denominators 18 and 3, and
+the Taylor weights 81^j/(2j)! act as integers, so products run on integers
+half as long.  18 is the largest scale that keeps g0 over one small
+denominator (at 72 it has 269 bits at v^134).  Results are handed out in w.
 """
 
 from __future__ import annotations
@@ -79,31 +79,6 @@ def compute_g0_series(horizon: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     return from_numerators(VAR_V, 1, h, 18), (1 - R) * Fraction(1, 6)
 
 
-def _order_terms(
-    g_lower: Sequence[TruncatedSeries],
-    b_lower: Sequence[TruncatedSeries],
-    t_lower: Sequence[TruncatedSeries],
-) -> tuple[TruncatedSeries, list]:
-    """U_k and the anti-diagonal pairs (g_m, T_(k-m)), m = 1..k-1, of order k = len(g_lower).
-
-    Both finishers, ``solve_order_k`` and ``solve_g_order_k``, read these.
-    """
-    k = len(g_lower)
-    if k < 1 or len(b_lower) != k or len(t_lower) != k:
-        raise ValueError("need matching g, b and T prefixes of length k >= 1")
-    uk = even_taylor_sum((b_lower[m], k - m) for m in range(k))
-    return uk, [(g_lower[m], t_lower[k - m]) for m in range(1, k)]
-
-
-def _r1(g_lower: Sequence[TruncatedSeries], b_lower: Sequence[TruncatedSeries]) -> TruncatedSeries:
-    """R1 of order k = len(g_lower), which ``solve_g_order_k`` does not need at k = 1."""
-    k = len(g_lower)
-    r1 = even_taylor_sum((g_lower[m], k - m) for m in range(k)) * -6
-    if k > 1:  # pairs m < m' with m + m' = k stand for two ordered pairs
-        r1 = r1 + product_sum((-6 if 2 * m < k else -3, b_lower[m], b_lower[k - m]) for m in range(1, k // 2 + 1))
-    return r1
-
-
 def solve_order_k(
     g_lower: Sequence[TruncatedSeries],
     b_lower: Sequence[TruncatedSeries],
@@ -125,52 +100,44 @@ def solve_order_k(
     anti-diagonal is one ``even_taylor_sum`` or ``product_sum``; b_k costs k + 1
     products and one division, g_k one product more, R*b_k.  Returns (g_k, b_k, T_k).
     """
-    uk, cross = _order_terms(g_lower, b_lower, t_lower)
-    r1, g0, r = _r1(g_lower, b_lower), g_lower[0], 1 - b_lower[0] * 6
-    bk = product_sum([(36, g0, uk), *((36, g, t) for g, t in cross), (-1, r, r1)]) / det
+    k = len(g_lower)
+    if k < 1 or len(b_lower) != k or len(t_lower) != k:
+        raise ValueError("need matching g, b and T prefixes of length k >= 1")
+    g0, r = g_lower[0], 1 - b_lower[0] * 6
+    uk = even_taylor_sum((b_lower[m], k - m) for m in range(k))
+    r1 = even_taylor_sum((g_lower[m], k - m) for m in range(k)) * -6
+    if k > 1:  # pairs m < m' with m + m' = k stand for two ordered pairs
+        r1 = r1 + product_sum((-6 if 2 * m < k else -3, b_lower[m], b_lower[k - m]) for m in range(1, k // 2 + 1))
+    bk = product_sum([(36, g0, uk), *((36, g_lower[m], t_lower[k - m]) for m in range(1, k)), (-1, r, r1)]) / det
     gk = (r1 + r * bk) * Fraction(1, 6)
     return gk, bk, uk + bk
 
 
-def solve_g_order_k(
-    g_lower: Sequence[TruncatedSeries],
-    b_lower: Sequence[TruncatedSeries],
-    det: TruncatedSeries,
-    t_lower: Sequence[TruncatedSeries],
-) -> TruncatedSeries:
-    """g_k alone, for a last order whose b_k and T_k nothing reads; the inputs of ``solve_order_k``.
+def solve_g1(g0: TruncatedSeries, b0: TruncatedSeries, det: TruncatedSeries) -> TruncatedSeries:
+    """g_1 alone from the certified leading pair, for a first order whose b_1 nothing reads.
 
-    On the certified leading pair of ``compute_g0_series`` two identities hold
-    exactly through its window: R*g0 = v/18, since R = 1/H there and
-    g0 = v H/18, and R^2 - 36*g0 = det.  Putting b_k*det = 6*R2 - R*R1 into
-    6*g_k*det = R1*det + R*b_k*det and using both leaves
-
-        6*g_k*det = -36*g0*R1 + 2*v*U_k + 36*R*sum_(m=1..k-1) g_m T_(k-m),
-
-    with no b_k.  At k = 1 the sum is empty and -6 g0 R1 = 1458 g0 g0'' is a
-    square in disguise: with H = 18 g0/v and H^2 = (H - R)/(4 v), both read
-    off the certified pair, 1458 g0 g0'' = (9/2) v H (2 H' + v H''), which is
+    On that pair two identities hold exactly through its window: R*g0 = v/18,
+    since R = 1/H there and g0 = v H/18, and R^2 - 36*g0 = det.  Putting
+    b_1*det = 6*R2 - R*R1 of ``solve_order_k`` into 6*g_1*det = R1*det + R*b_1*det
+    and using both leaves g_1 = (v U_1/3 - 6 g0 R1)/det with no b_1, and
+    -6 g0 R1 = 1458 g0 g0'' is a square in disguise: with H = 18 g0/v and
+    H^2 = (H - R)/(4 v), both read off the certified pair,
+    1458 g0 g0'' = (9/2) v H (2 H' + v H''), which is
 
         (9/2) (v (H^2)' + v^2 (H^2)''/2 - v^2 H'^2),
 
     where v (H^2)' + v^2 (H^2)''/2 scales [H^2]_e by e (e+1)/2 and v H' scales
-    H_e by e.  So g_1 = (v U_1/3 - 6 g0 R1)/det costs the square (v H')^2 and
-    the division where ``solve_order_k`` takes three products, and R1 is not
-    formed; at k >= 2 it saves one product.  Valid in v on that pair only.
+    H_e by e.  So g_1 costs the square (v H')^2 and the division where
+    ``solve_order_k`` takes three products, and R1 is not formed.  Valid in v
+    on that pair only.
     """
-    uk, cross = _order_terms(g_lower, b_lower, t_lower)
-    g0, b0 = g_lower[0], b_lower[0]
-    if cross:
-        cross_sum = product_sum((1, g, t) for g, t in cross)
-        lead = product_sum([(-6, g0, _r1(g_lower, b_lower)), (6, 1 - b0 * 6, cross_sum)])
-    else:
-        H = (g0 * 18).shift(-1)
-        h4 = (H + b0 * 6 - 1).shift(-1)  # 4 H^2 = (H - R)/v
-        vdH = from_numerators(VAR_V, H.offset, [e * x for e, x in enumerate(H.numerators, H.offset)], H.denominator)
-        lead = from_numerators(
-            VAR_V, h4.offset, [9 * e * (e + 1) * x for e, x in enumerate(h4.numerators, h4.offset)], 16 * h4.denominator
-        ) + product_sum([(-9, vdH, vdH)]) * Fraction(1, 2)
-    return (lead + uk.shift(1) * Fraction(1, 3)) / det
+    H = (g0 * 18).shift(-1)
+    h4 = (H + b0 * 6 - 1).shift(-1)  # 4 H^2 = (H - R)/v
+    vdH = from_numerators(VAR_V, H.offset, [e * x for e, x in enumerate(H.numerators, H.offset)], H.denominator)
+    lead = from_numerators(
+        VAR_V, h4.offset, [9 * e * (e + 1) * x for e, x in enumerate(h4.numerators, h4.offset)], 16 * h4.denominator
+    ) + product_sum([(-9, vdH, vdH)]) * Fraction(1, 2)
+    return (lead + even_taylor_sum([(b0, 1)]).shift(1) * Fraction(1, 3)) / det
 
 
 class StringHierarchy(NamedTuple):
@@ -192,10 +159,10 @@ def _solve_in_v(max_k: int, horizon: int) -> tuple[list, list, list, TruncatedSe
     first-order form, and b0 = (1 - R)/6 from the square that certificate
     reads, with no division.
     Each order divides once, by det; the anti-diagonal sums T_n are carried.
-    ``build_hierarchy`` finishes with ``solve_order_k``, which also forms b_max_k,
-    and ``toda.free_energy_series`` with ``solve_g_order_k``, which forms g_max_k
-    alone.  Callers cut each series to the horizon and dilate it to w = v/18,
-    only the ones they read.
+    Callers finish order max_k with ``solve_order_k``, except that
+    ``toda.free_energy_series`` at max_k = 1 takes ``solve_g1``, which forms
+    g_1 alone.  Callers cut each series to the horizon and dilate it to
+    w = v/18, only the ones they read.
     """
     if max_k < 0 or horizon < 1:
         raise ValueError("need max_k >= 0 and horizon >= 1")

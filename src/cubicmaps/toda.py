@@ -25,7 +25,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .critical import compute_K, run_C_recursion
-from .hierarchy import _solve_in_v, solve_g_order_k
+from .hierarchy import _solve_in_v, solve_g1, solve_order_k
 from .numbers import gamma_exact
 from .precision import BigFloat
 from .series import VAR_U2, VAR_W, TruncatedSeries, from_numerators, zero_series
@@ -75,13 +75,15 @@ def toda_integrate(k: int, ghat: TruncatedSeries) -> TruncatedSeries:
 def free_energy_series(g_max: int, horizon: int) -> tuple:
     """F^(0)..F^(2 g_max) through u^(2 horizon) from g_hat alone.
 
-    One hierarchy solve whose last order forms g_hat[g_max] by
-    ``solve_g_order_k``, skipping the b_hat it would not read; only g_hat is
-    taken to w.
+    One hierarchy solve whose last order is ``solve_order_k``'s full step,
+    except at g_max = 1, where ``solve_g1`` forms g_hat[1] alone by one
+    square; only g_hat is taken to w.
     """
     g, b, t, det = _solve_in_v(g_max, horizon + 2)
-    if g_max:
-        g.append(solve_g_order_k(g, b, det, t))
+    if g_max == 1:
+        g.append(solve_g1(g[0], b[0], det))
+    elif g_max:
+        g.append(solve_order_k(g, b, det, t)[0])
     return tuple(toda_integrate(k, s.truncate_to(horizon + 2).dilate(18, VAR_W)).truncate_to(horizon)
                  for k, s in enumerate(g))
 

@@ -105,6 +105,9 @@ def skeleton(text: str) -> str:
     ("hierarchy --max-k 0 --horizon 1", 0, "00eed30ea094562862cad082c3f347d898f571639fa57e715ea51108485b1489"),
     ("oracle --vertices 4", 0, "39a8f3e4810dd120ed1df0d9492f33c9b19131584383bb0ae90e0fc89500b4c1"),
     ("validate --N 0 --u 1/16", 1, "2ac5b7b903936935533f3c2d618dfa176277c586cc26ce53b767696cd59e44a1"),
+    ("expand --genus 2 --max-j 60 --format json", 0, "26bc55a1dead7e0f962953a3fb42e2bd2cd690533648929fa85c9694603c8a9f"),
+    ("expand --genus 3 --max-j 40 --format csv", 0, "4048ff768265dd3f52b3267822711aab30247f3b56932f800608a1276f91ed4c"),
+    ("expand --genus 8 --max-j 12 --format json", 0, "43bfcebcf2526989c439b9f7c68b0983c88a98ef22cf8f8d8f6c6cbcc0ff1a90"),
 ])
 def test_output_skeleton_is_frozen(capsys, argv, code, digest):
     # sha256 of stdout and stderr with approx digits and elapsed_ms blanked:

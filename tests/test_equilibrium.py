@@ -11,7 +11,6 @@ from mpmath import libmp, mp, workdps
 from cubicmaps.cli import main
 from cubicmaps.equilibrium import (
     _PHI_GUARD,
-    _as_mp,
     _tail_samples,
     critical_coupling,
     endpoint_series,
@@ -195,12 +194,13 @@ def test_phi_positivity_and_growth():
     eq = solve_endpoints(mp.mpf("0.05"), precision=40)
     rep = phi_check(eq, samples=12, zmax=100.0)
     assert rep.all_positive, rep.violations
-    assert rep.min_left[1] > 0 and rep.min_gap[1] > 0 and rep.min_ray[1] > 0
+    assert all(p["re_phi"].value > 0 for p in (rep.min_left, rep.min_gap, rep.min_ray))
+    assert {p["re_phi"].dps for p in (rep.min_left, rep.min_gap, rep.min_ray)} == {eq.dps}
     # the integrand's cubic growth term is -u/2 z^3; the fit should land near it
-    assert rep.vs_half_u < 0.25
+    assert rep.vs_half_u.value < 0.25 and rep.vs_half_u.dps == eq.dps
     # specific sampled points from the contract
     mid = (eq.b + eq.z0) / 2
-    assert any(abs(z - mid) < (eq.z0 - eq.b) for z, _ in [rep.min_gap])
+    assert abs(rep.min_gap["z"].value - mid) < (eq.z0 - eq.b)
 
 
 def test_phi_rejects_zero_coupling():
@@ -233,11 +233,17 @@ def _fixed_tails(eq):
         return _tail_samples(eq, 12, max(100.0, float(4 * eq.z0)), bits), bits
 
 
+def _decode(sample, bits):
+    """(z, Re phi) at the current precision from a fixed-point sample (Re z, Im z, Re phi)."""
+    zr, zi, re_phi = (mp.mpf((v, -bits)) for v in sample)
+    return (mp.mpc(zr, zi) if zi else zr), re_phi
+
+
 def _phi_points(eq):
     """The same samples as (z, Re phi) lists at phi_check's working precision."""
     tails, bits = _fixed_tails(eq)
     with workdps(eq.dps + 15):
-        return [[_as_mp(p, bits) for p in pts] for pts in tails]
+        return [[_decode(p, bits) for p in pts] for pts in tails]
 
 
 @pytest.mark.parametrize("dps", [40, 100, 200])
@@ -255,7 +261,7 @@ def test_fixed_point_samples_match_closed_form(u, dps):
     with workdps(dps + 30):
         for pts in tails:
             for sample in pts:
-                z, re_phi = _as_mp(sample, bits)
+                z, re_phi = _decode(sample, bits)
                 terms = re_phi_terms(eq, z)
                 err = abs(re_phi - mp.fsum(terms))
                 assert err <= mp.mpf(10) ** -(dps + 5) * max(abs(v) for v in terms), (z, re_phi)
@@ -303,9 +309,9 @@ def test_phi_check_at_critical_coupling_has_an_empty_gap(capsys):
     assert eq.critical
     rep = phi_check(eq)
     assert rep.min_gap is None
-    assert not [v for v in rep.violations if v[0] == "gap"]
+    assert not [v for v in rep.violations if v["segment"] == "gap"]
     assert rep.all_positive, rep.violations
-    assert rep.min_left[1] > 0 and rep.min_ray[1] > 0
+    assert rep.min_left["re_phi"].value > 0 and rep.min_ray["re_phi"].value > 0
     assert main(["equilibrium", "--u", "0.0731152229418051367121788278776110586200038106"]) == 0
     out = capsys.readouterr().out
     phi = json.loads(out)["phi_report"]

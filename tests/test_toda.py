@@ -100,12 +100,8 @@ def test_closed_forms_match_pipeline():
         assert genus1_closed_form(j) == F[1].coefficient(j) * factorial(2 * j)
 
 
-@pytest.mark.parametrize("solve, pairs", [(free_energy_series, 2), (build_hierarchy, 4)])
-def test_g_only_last_order_forms_one_product(monkeypatch, solve, pairs):
-    # the certificate of the leading slice takes one product pair, the square
-    # H*H; order 1 then takes three in solve_order_k and one, the square
-    # (v H')^2, in the g-only finisher that free_energy_series ends on; one
-    # division each
+def _count_products_and_divisions(monkeypatch, solve, g_max, horizon):
+    """The term count of each product_sum call and every series divisor of solve(g_max, horizon)."""
     counted, divisors = [], []
     product_sum, divide = series.product_sum, TruncatedSeries.__truediv__
 
@@ -122,9 +118,31 @@ def test_g_only_last_order_forms_one_product(monkeypatch, solve, pairs):
     monkeypatch.setattr(series, "product_sum", counted_product_sum)
     monkeypatch.setattr(hierarchy, "product_sum", counted_product_sum)
     monkeypatch.setattr(TruncatedSeries, "__truediv__", counted_divide)
-    solve(1, 130)
+    solve(g_max, horizon)
+    monkeypatch.undo()
+    return counted, divisors
+
+
+@pytest.mark.parametrize("solve, pairs", [(free_energy_series, 2), (build_hierarchy, 4)])
+def test_g_only_last_order_forms_one_product(monkeypatch, solve, pairs):
+    # the certificate of the leading slice takes one product pair, the square
+    # H*H; order 1 then takes three in solve_order_k and one, the square
+    # (v H')^2, in the g-only finisher that free_energy_series ends on; one
+    # division each
+    counted, divisors = _count_products_and_divisions(monkeypatch, solve, 1, 130)
     assert sum(counted) == pairs
     assert len(divisors) == 1
+
+
+@pytest.mark.parametrize("g_max", [2, 3])
+def test_last_order_past_genus_1_is_the_full_step(monkeypatch, g_max):
+    # past genus 1 free_energy_series ends on solve_order_k like build_hierarchy:
+    # the same product_sum calls and the same divisors, over the same window
+    horizon = 40
+    got = _count_products_and_divisions(monkeypatch, free_energy_series, g_max, horizon)
+    want = _count_products_and_divisions(monkeypatch, build_hierarchy, g_max, horizon + 2)
+    assert got == want
+    assert len(got[1]) == g_max
 
 
 def _assert_integrates_like_lcm_first(k, ghat):

@@ -18,6 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 JOBS = [
     ["expand", "--genus", "1", "--max-j", "12", "--format", "csv"],
+    ["expand", "--genus", "2", "--max-j", "6", "--format", "json"],
     ["hierarchy", "--max-k", "3", "--horizon", "8"],
     ["critical", "--max-genus", "6"],
     ["oracle", "--vertices", "2", "--workers", "1"],
@@ -25,7 +26,7 @@ JOBS = [
     ["validate", "--N", "2", "--u", "1/16", "--precision", "30"],
 ]
 
-# run the jobs through cli.main, under the tracer when argv[1] is "1"
+# run the jobs through cli.main; under the tracer (argv[1] "1") each job also lists its span names
 _SCRIPT = """
 import contextlib, io, json, sys
 from cubicmaps import cli
@@ -36,11 +37,12 @@ if sys.argv[1] == "1":
 out = []
 for argv in json.loads(sys.argv[2]):
     buf = io.StringIO()
+    first = len(tracer.spans) if sys.argv[1] == "1" else 0
     with contextlib.redirect_stdout(buf):
         code = cli.main(argv)
     out.append([code, buf.getvalue()])
-if sys.argv[1] == "1":
-    out.append(sorted({span[0] for span in tracer.spans}))
+    if sys.argv[1] == "1":
+        out[-1].append([span[0] for span in tracer.spans[first:]])
 json.dump(out, sys.stdout)
 """
 
@@ -59,10 +61,14 @@ def _run(traced: bool):
 
 def test_traced_jobs_match_untraced():
     plain = _run(traced=False)
-    *traced, spans = _run(traced=True)
-    for argv, (code, out), (code_t, out_t) in zip(JOBS, plain, traced):
+    traced = _run(traced=True)
+    for argv, (code, out), (code_t, out_t, _) in zip(JOBS, plain, traced):
         assert code == 0 == code_t, argv
         assert _ELAPSED.sub(r"\g<1>0", out) == _ELAPSED.sub(r"\g<1>0", out_t), argv
+    job_spans = {" ".join(argv): names for argv, (*_, names) in zip(JOBS, traced)}
+    # at genus 2 both orders of the free energy go through solve_order_k
+    assert job_spans["expand --genus 2 --max-j 6 --format json"].count("hierarchy.solve_order") == 2
+    spans = set().union(*job_spans.values())
     # each command's own layer was traced, not bypassed by a stale binding
     for name in ("hierarchy.g0_series", "critical.recursion", "toda.genus_table", "wick.census",
                  "equilibrium.phi_check", "finite_n.recurrence"):

@@ -58,9 +58,9 @@ def _series_check(g: int, expected) -> tuple[bool, str]:
 def _c_closed_forms():
     table = genus_table(1, 20)
     for j in range(1, 21):
-        if table.count(0, j) != genus0_closed_form(j):
+        if table.counts[0, j] != genus0_closed_form(j):
             return False, f"planar closed form disagrees with the Toda pipeline at j={j}"
-        if table.count(1, j) != genus1_closed_form(j):
+        if table.counts[1, j] != genus1_closed_form(j):
             return False, f"genus-1 closed form disagrees with the Toda pipeline at j={j}"
     return True, "closed forms match the Toda pipeline for 1 <= j <= 20, exactly"
 
@@ -76,7 +76,7 @@ def _c_oracle():
     for p in (2, 4, 6, 8):
         j = p // 2
         g_top = (p + 2) // 4
-        expected = {g: table.count(g, j) for g in range(g_top + 1) if table.count(g, j)}
+        expected = {g: table.counts[g, j] for g in range(g_top + 1) if table.counts[g, j]}
         cen = census(p)
         if cen.total != double_factorial(3 * p - 1):
             return False, f"p={p}: total {cen.total} != (3p-1)!!"

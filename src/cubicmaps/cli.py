@@ -75,7 +75,7 @@ def _cmd_expand(args) -> tuple[str, int]:
     for j in range(1, args.max_j + 1):
         x = nums[j - lo] if j >= lo else 0
         d = math.gcd(x, den)
-        rows.append((g, j, table.count(g, j), 1, x // d, den // d))
+        rows.append((g, j, table.counts[g, j], 1, x // d, den // d))
     if args.format == "csv":
         return dump_csv(["g", "j", "f_num", "f_den", "F_coeff_num", "F_coeff_den"], rows), 0
     payload = {"genus": g, "max_j": args.max_j, "rows": ExactRecords(("g", "j"), ("f", "F_coeff"), rows)}

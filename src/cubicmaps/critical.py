@@ -80,13 +80,13 @@ def _pair_sum(v: list, k: int) -> int:
     return total
 
 
-def _next_Y(y: list) -> int:
-    """Y_k from Y_0..Y_(k-1): 2(5k-6)(5k-4) Y_(k-1) + (1/2) sum_(m=1..k-1) Y_m Y_(k-m).
+def _next_Y(y: list, pair: int) -> int:
+    """Y_k from Y_0..Y_(k-1) and pair = sum_(m=1..k-1) Y_m Y_(k-m): 2(5k-6)(5k-4) Y_(k-1) + pair/2.
 
     Every Y_m with m >= 1 is even, so the half is exact on integers.
     """
     k = len(y)
-    return 2 * (5 * k - 6) * (5 * k - 4) * y[k - 1] + _pair_sum(y, k) // 2
+    return 2 * (5 * k - 6) * (5 * k - 4) * y[k - 1] + pair // 2
 
 
 # Cramer's rule on the singular 2x2 system at order k, times its unit beta^3/72:
@@ -123,12 +123,12 @@ def run_C_recursion(G: int) -> CriticalConstants:
     c_list = [-BETA / 18]
     d_list = [-(BETA**3) / 6]
     for k in range(1, G + 1):
-        y.append(_next_Y(y))
+        cross_yy = _pair_sum(y, k)
+        y.append(_next_Y(y, cross_yy))
         scale = 18 * 576**k
         c_k = _monomial(y[k], scale, 1 - k)
         d_k = _D_OVER_C * c_k
         # C_2m D_2m' and D_2m D_2m' over 18^2 576^k, of grades 4 - k and 6 - k
-        cross_yy = _pair_sum(y, k)
         cross_cd = _monomial(3 * cross_yy, 18 * scale, 4 - k)
         cross_dd = _monomial(9 * cross_yy, 18 * scale, 6 - k)
         poly = (5 * k - 6) * (5 * k - 4)
@@ -152,7 +152,7 @@ def _amplitude_exact(y: int, g: int) -> tuple[Fraction, int]:
     it is r sqrt(pi) and the remaining sqrt(6) / sqrt(pi) makes K rational
     over sqrt(6 pi).
     """
-    r = gamma_exact(Fraction(5 * g - 1, 2))[0]
+    r = gamma_exact(Fraction(5 * g - 1, 2))
     if g % 2:
         return Fraction(y, 3 * 32**g * 6 ** ((g - 1) // 2)) / r, 0
     return Fraction(2 * y, 32**g * 6 ** (g // 2)) / r, -1

@@ -230,8 +230,8 @@ def double_factorial(n: int) -> int:
     return out
 
 
-def gamma_exact(x: Fraction) -> tuple[Fraction, bool]:
-    """Gamma(x) for integer or half-integer x, as (r, half) meaning r * pi**(1/2 if half else 0).
+def gamma_exact(x: Fraction) -> Fraction:
+    """Gamma(x) = r for integer x, r sqrt(pi) for half-integer x; returns r.
 
     Integer x must be positive; half-integer x may be negative (reflection
     through the recurrence keeps it rational times sqrt(pi)).
@@ -241,11 +241,11 @@ def gamma_exact(x: Fraction) -> tuple[Fraction, bool]:
         n = x.numerator
         if n <= 0:
             raise ValueError(f"Gamma pole at {x}")
-        return Fraction(factorial(n - 1)), False
+        return Fraction(factorial(n - 1))
     if x.denominator != 2:
         raise ValueError(f"need integer or half-integer argument, got {x}")
     n = int(x - Fraction(1, 2))  # x = n + 1/2, n may be negative
     if n >= 0:
-        return Fraction(factorial(2 * n), 4**n * factorial(n)), True
+        return Fraction(factorial(2 * n), 4**n * factorial(n))
     m = -n
-    return Fraction((-4) ** m * factorial(m), factorial(2 * m)), True
+    return Fraction((-4) ** m * factorial(m), factorial(2 * m))

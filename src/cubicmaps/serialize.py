@@ -30,7 +30,6 @@ from .series import TruncatedSeries
 
 QBETA_RELATION = "beta^4 = 12"  # beta is its positive real root
 FLOAT_DPS = 17  # the dps tag of a double: 17 significant digits round-trip it
-_CSV_QUOTED = frozenset(',"\r\n')  # csv.writer quotes a cell holding one (\r on some Pythons)
 
 
 class ExactLeaf(dict):
@@ -201,19 +200,9 @@ def dump_json(payload) -> str:
 
 
 def dump_csv(header: list, rows: list) -> str:
-    """What ``csv.writer(buf, lineterminator="\\n")`` writes for the header and
-    rows, for cells that need no quoting: ints, Fractions (as ``num/den``), and
-    strs without a comma, quote or line break that are not a row's only cell
-    while empty.  Any other cell raises TypeError rather than be written
-    differently."""
-    lines = []
-    for row in (header, *rows):
-        for cell in row:
-            if isinstance(cell, str):
-                if _CSV_QUOTED.intersection(cell) or (cell == "" and len(row) == 1):
-                    raise TypeError(f"CSV cell {cell!r} would need quoting")
-            elif not isinstance(cell, (int, Fraction)):
-                raise TypeError(f"no CSV encoding for {type(cell).__name__}")
-        lines.append(",".join(map(str, row)))
-    lines.append("")
-    return "\n".join(lines)
+    """What ``csv.writer(buf, lineterminator="\\n")`` writes for a header of
+    plain names (no comma, quote or line break) and rows of ints.  Any other
+    row cell, a bool or a Fraction included, raises TypeError."""
+    if not {int}.issuperset(map(type, chain.from_iterable(rows))):
+        raise TypeError("CSV rows hold ints only")
+    return "\n".join([",".join(header), *[",".join(map(str, row)) for row in rows], ""])

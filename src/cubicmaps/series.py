@@ -205,18 +205,15 @@ class TruncatedSeries:
         """Multiply by var**k."""
         return from_numerators(self.var, self.offset + k, self._num, self._den)
 
-    def dilate(self, c, var: str):
-        """Substitute self.var = c * var (c nonzero): coefficient e times c^e; c = 1 renames the variable."""
-        p, q = _require_rational(c).numerator, c.denominator
-        if not p:
-            raise ValueError("dilation by zero")
-        lo, hi, n = self.offset, self.known_max, len(self._num)
-        # x_e p^e / q^e = x_e p^(e-lo) q^(hi-e) * p^lo / q^hi, over one denominator
-        up, den = p ** max(lo, 0) * q ** max(-hi, 0), self._den * p ** max(-lo, 0) * q ** max(hi, 0)
+    def dilate(self, c: int, var: str):
+        """Substitute self.var = c * var for an integer c >= 1: coefficient e times c^e; c = 1 renames the variable."""
+        if type(c) is not int or c < 1:
+            raise ValueError(f"dilation needs an integer scale c >= 1, not {c!r}")
+        lo, n = self.offset, len(self._num)
+        # x_e c^e = x_e c^(e-lo) * c^lo, over one denominator
+        up, den = c ** max(lo, 0), self._den * c ** max(-lo, 0)
         g = gcd(up, den)
-        nums = list(map(mul, self._num, accumulate(repeat(p, n - 1), mul, initial=up // g)))
-        if q != 1:
-            nums = list(map(mul, nums, reversed(list(accumulate(repeat(q, n - 1), mul, initial=1)))))
+        nums = list(map(mul, self._num, accumulate(repeat(c, n - 1), mul, initial=up // g)))
         return from_numerators(var, lo, nums, den // g)
 
     def truncate_to(self, known_max: int):

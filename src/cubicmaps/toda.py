@@ -92,15 +92,13 @@ class GenusCoeffTable(NamedTuple):
     counts: MappingProxyType  # (g, j) -> int, the connected graph count f^(2g)_{2j}
     series: tuple  # F^(0)..F^(2 g_max) from ``free_energy_series``
 
-    def count(self, g: int, j: int) -> int:
-        return self.counts[(g, j)]
-
 
 def genus_table(g_max: int, j_max: int) -> GenusCoeffTable:
     """Tabulate f^(2g)_{2j} for g <= g_max, 1 <= j <= j_max, checking integrality.
 
     A non-integer or negative entry means the pipeline is broken, so those
-    are hard failures rather than recorded values.
+    are hard failures rather than recorded values.  ``expand`` prints only
+    g_max, but counting every lower genus is its only integrality check on F^(0)..F^(2 g_max - 2).
     """
     series = free_energy_series(g_max, j_max)
     counts: dict[tuple[int, int], int] = {}
@@ -129,7 +127,7 @@ def genus0_closed_form(j: int) -> Fraction:
     """Planar count: 72^j Gamma(3j/2) (2j)! / (2 Gamma(j+3) Gamma(j/2+1))."""
     if j < 1:
         raise ValueError("counts start at j = 1")
-    ratio = gamma_exact(Fraction(3 * j, 2))[0] / gamma_exact(Fraction(j, 2) + 1)[0]
+    ratio = gamma_exact(Fraction(3 * j, 2)) / gamma_exact(Fraction(j, 2) + 1)
     return 72**j * factorial(2 * j) * ratio / (2 * factorial(j + 2))
 
 
@@ -151,7 +149,7 @@ def genus1_closed_form(j: int) -> Fraction:
     """Torus count via the terminating hypergeometric sum."""
     if j < 1:
         raise ValueError("counts start at j = 1")
-    ratio = gamma_exact(Fraction(3 * j, 2))[0] / gamma_exact(Fraction(j, 2) + 1)[0]
+    ratio = gamma_exact(Fraction(3 * j, 2)) / gamma_exact(Fraction(j, 2) + 1)
     prefactor = 5 * 72**j * factorial(2 * j) * ratio / (48 * (3 * j + 2) * factorial(j))
     return prefactor * _genus1_hyp_sum(j)
 

@@ -109,7 +109,7 @@ def g0_coefficient(j: int) -> Fraction:
     """w^j coefficient of the leading series: Gamma(3j/2-1) 72^(j-1) / (2 Gamma(j) Gamma(j/2+1))."""
     if j < 1:
         raise ValueError("coefficients start at w^1")
-    ratio = gamma_exact(Fraction(3 * j, 2) - 1)[0] / gamma_exact(Fraction(j, 2) + 1)[0]
+    ratio = gamma_exact(Fraction(3 * j, 2) - 1) / gamma_exact(Fraction(j, 2) + 1)
     return ratio * 72 ** (j - 1) / (2 * factorial(j - 1))
 
 
@@ -295,7 +295,7 @@ def expand_payload(table, g: int, max_j: int) -> dict:
         "genus": g,
         "max_j": max_j,
         "rows": [
-            {"g": g, "j": j, "f": encode_fraction(table.count(g, j)),
+            {"g": g, "j": j, "f": encode_fraction(table.counts[g, j]),
              "F_coeff": encode_fraction(table.series[g].coefficient(j))}
             for j in range(1, max_j + 1)
         ],

@@ -67,7 +67,7 @@ def test_expand_csv_is_what_csv_writer_prints(capsys, g, max_j):
     writer.writerow(["g", "j", "f_num", "f_den", "F_coeff_num", "F_coeff_den"])
     for j in range(1, max_j + 1):
         c = table.series[g].coefficient(j)
-        writer.writerow([g, j, table.count(g, j), 1, c.numerator, c.denominator])
+        writer.writerow([g, j, table.counts[g, j], 1, c.numerator, c.denominator])
     assert out == buf.getvalue()
 
 

@@ -66,7 +66,7 @@ def test_integer_step_values():
     # Y_k past Y_0 is even, which the half in the step relies on
     y = [-1]
     for _ in range(60):
-        y.append(critical._next_Y(y))
+        y.append(critical._next_Y(y, critical._pair_sum(y, len(y))))
     assert y[1:5] == [2, 98, 19600, 8824802]
     assert all(v % 2 == 0 for v in y[1:])
 
@@ -76,8 +76,8 @@ def test_singular_system_check_detects_a_wrong_C(monkeypatch):
     # order-k singular system, built from the D data, must disagree
     original = critical._next_Y
 
-    def perturbed(y):
-        return original(y) + (2 if len(y) == 3 else 0)
+    def perturbed(y, pair):
+        return original(y, pair) + (2 if len(y) == 3 else 0)
 
     monkeypatch.setattr(critical, "_next_Y", perturbed)
     run_C_recursion(2)

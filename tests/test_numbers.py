@@ -110,11 +110,9 @@ def test_double_factorial():
 
 
 def test_gamma_exact_integer_and_half():
-    assert gamma_exact(Fraction(5)) == (24, False)
-    r, half = gamma_exact(Fraction(7, 2))  # 15/8 sqrt(pi)
-    assert half and r == Fraction(15, 8)
-    r, half = gamma_exact(Fraction(-1, 2))  # -2 sqrt(pi)
-    assert half and r == Fraction(-2)
+    assert gamma_exact(Fraction(5)) == 24
+    assert gamma_exact(Fraction(7, 2)) == Fraction(15, 8)  # times sqrt(pi)
+    assert gamma_exact(Fraction(-1, 2)) == -2  # times sqrt(pi)
     with pytest.raises(ValueError):
         gamma_exact(Fraction(0))
 

@@ -9,6 +9,11 @@ tracer names what it wraps as strings such as
 ``"TruncatedSeries.__mul__"``).  A keyword argument that only sets a field
 is not a use.  Test-only oracles belong in ``tests/oracles.py``.
 
+A parameter with a default is an option, and the package keeps only the
+options its code sets: each one must be passed, by keyword, by position
+or through ``*args``/``**kwargs``, in at least one call to its function's
+name in ``src/cubicmaps`` or ``perfbench``.
+
 A record that the CLI prints whole, as ``encode_value(record._asdict())``,
 names its fields nowhere, so both checks count them as used only through
 ``PRINTED_WHOLE``: its command is run and must print every field name of
@@ -175,3 +180,55 @@ def unread_record_fields() -> list[str]:
 def test_every_record_field_is_read():
     assert set(_records()) == RECORDS  # a scan that finds no record would pass on nothing
     assert unread_record_fields() == []
+
+
+def _defaulted_parameters(tree):
+    """(name, position, parameter) of each parameter with a default of each
+    non-dunder function and method; position counts from the first argument
+    a call writes (after a method's self or cls) and is None for a
+    keyword-only parameter."""
+    methods = {id(m) for node in ast.walk(tree) if isinstance(node, ast.ClassDef) for m in node.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        args = node.args
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+        positional = [*args.posonlyargs, *args.args][1 if id(node) in methods and not static else 0 :]
+        first = len(positional) - len(args.defaults)
+        for i, a in enumerate(positional[first:], first):
+            yield node.name, i, a.arg
+        for a, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield node.name, None, a.arg
+
+
+def _passes(call: ast.Call, position, parameter: str) -> bool:
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+        return True  # *args or **kwargs may carry it
+    if any(k.arg == parameter for k in call.keywords):
+        return True
+    return position is not None and position < len(call.args)
+
+
+def options() -> dict:
+    """``module.function(parameter)`` of each defaulted parameter -> whether a call passes it."""
+    calls: dict = {}
+    for path in [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, position, parameter in _defaulted_parameters(ast.parse(path.read_text(), str(path))):
+            out[f"{path.stem}.{name}({parameter})"] = any(_passes(c, position, parameter) for c in calls.get(name, ()))
+    return out
+
+
+def test_every_option_is_set_by_a_caller():
+    found = options()
+    assert "critical.compute_K(precision)" in found  # a scan that finds no option would pass on nothing
+    assert [label for label, passed in found.items() if not passed] == []

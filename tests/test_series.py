@@ -118,17 +118,15 @@ def test_retag_and_shift():
     assert f.coefficient(1) == 36
 
 
-@given(series_strategy, st.fractions(min_value=-30, max_value=30, max_denominator=30).filter(bool))
-def test_dilation_matches_reference_and_inverts(s, c):
-    # coefficient e times c^e at either offset sign, and back by 1/c to the
-    # same series: v = 18 w to w and w to v is the identity
+@given(series_strategy, st.integers(min_value=1, max_value=30))
+def test_dilation_matches_reference(s, c):
+    # coefficient e times c^e at either offset sign; only an integer c >= 1 is a scale
     d = s.dilate(c, VAR_V)
     assert d.var == VAR_V and d.offset == s.offset and d.known_max == s.known_max
-    assert d.coeffs == tuple(x * c ** (s.offset + i) for i, x in enumerate(s.coeffs))
-    assert d.dilate(1 / c, VAR_W) == s
-    assert s.dilate(Fraction(1, 18), VAR_V).dilate(18, VAR_W) == s == s.dilate(18, VAR_V).dilate(Fraction(1, 18), VAR_W)
-    with pytest.raises(ValueError):
-        s.dilate(0, VAR_V)
+    assert d.coeffs == tuple(x * Fraction(c) ** (s.offset + i) for i, x in enumerate(s.coeffs))
+    for bad in (0, -c, Fraction(1, 18), Fraction(c), True):
+        with pytest.raises(ValueError):
+            s.dilate(bad, VAR_V)
 
 
 def test_from_coefficients_and_accessors():

@@ -70,7 +70,7 @@ def test_census_counts_equal_genus_coefficients():
     for p in (2, 4, 6, 8):
         c = census(p)
         for g, count in c.connected.items():
-            assert count == table.count(g, p // 2)
+            assert count == table.counts[g, p // 2]
 
 
 def _matchings(p):

@@ -224,7 +224,7 @@ def run_criterion(key: str) -> CriterionResult:
     )
 
 
-def run_all(skip=()) -> list[CriterionResult]:
+def run_all(skip) -> list[CriterionResult]:
     unknown = set(skip) - set(KEYS)
     if unknown:
         raise ValueError(f"unknown criterion keys: {', '.join(sorted(unknown))}")

@@ -3,13 +3,14 @@
 Exit codes: 0 success, 1 validation error (bad flags or out-of-domain
 input), 2 computation failure, 3 failed acceptance criterion under
 ``reproduce``.  Errors go to stderr as a JSON object.  Each command's
-flags, with their defaults, are one row of ``_COMMANDS``.  ``main`` lifts
-CPython's limit on int-to-str conversion while a command runs, so integers
-of any length print in full.  A handler hands raw values to
-``serialize.encode_value``, the one tagger, and a record goes in as
-``_asdict()``, so its field order is its key order.  ``expand`` alone
-hands its table to ``dump_json`` and ``dump_csv`` as rows of ints, with
-no Fraction or dict per row.
+flags, with their defaults, are one row of ``_COMMANDS``; precision,
+samples, zmax and the Toda step have no default below it, so the
+handlers pass every one.  ``main`` lifts CPython's limit on int-to-str
+conversion while a command runs, so integers of any length print in
+full.  A handler hands raw values to ``serialize.encode_value``, the one
+tagger, and a record goes in as ``_asdict()``, so its field order is its
+key order.  ``expand`` alone hands its table to ``dump_json`` and
+``dump_csv`` as rows of ints, with no Fraction or dict per row.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ def _cmd_validate(args) -> tuple[str, int]:
         raise ValidationError("--h-step must be positive")
     rep = build_report(
         u, args.N, precision=precision, alpha=alpha, n_max=args.n_max,
-        include_toda=args.toda, h_step=h_step,
+        toda_step=h_step if args.toda else None,
     )
     # the output keeps an empty "gaps" list ahead of the report's last three fields
     payload = {**dict(zip(rep._fields[:-3], rep)), "gaps": [], "asymptotic": rep.asymptotic._asdict(),

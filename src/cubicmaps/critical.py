@@ -158,7 +158,7 @@ def _amplitude_exact(y: int, g: int) -> tuple[Fraction, int]:
     return Fraction(2 * y, 32**g * 6 ** (g // 2)) / r, -1
 
 
-def compute_K(consts: CriticalConstants, g: int, precision: int = 40) -> BigFloat:
+def compute_K(consts: CriticalConstants, g: int, precision: int) -> BigFloat:
     """Leading large-size amplitude of the genus-g count coefficients."""
     from mpmath import mp, workdps
 

@@ -61,7 +61,7 @@ class EquilibriumData(NamedTuple):
     dps: int
 
 
-def solve_endpoints(u, precision: int = 40) -> EquilibriumData:
+def solve_endpoints(u, precision: int) -> EquilibriumData:
     """Endpoint data on the branch continuous from x(0) = 0, read off the leading slice.
 
     u (an mpf, int, Fraction or BigFloat) is read at precision + 20 digits.
@@ -290,7 +290,7 @@ def _point(sample, bits: int, dps: int) -> dict:
     return {"z": BigFloat(mp.mpc(zr, zi) if zi else zr, dps), "re_phi": BigFloat(re, dps)}
 
 
-def phi_check(eq: EquilibriumData, samples: int = 12, zmax: float = 100.0) -> PhiReport:
+def phi_check(eq: EquilibriumData, samples: int, zmax: float) -> PhiReport:
     """Verify Re phi > 0 along the contour tails from the closed-form antiderivative.
 
     phi1(z) = (1/2) int_a^z sqrt(R) h, phi2 likewise from b.  With t = s - x,

@@ -689,12 +689,11 @@ def _asymptotic_entry(rec: RecurrenceData, u_m, N: int, precision: int) -> tuple
 
 
 class AsymptoticReport(NamedTuple):
-    branch: str
     entries: tuple
     gamma_ratios: tuple
 
 
-def check_asymptotic_expansion(u, N_list, precision: int = 80) -> AsymptoticReport:
+def check_asymptotic_expansion(u, N_list, precision: int) -> AsymptoticReport:
     """Distance of gamma^2_N and beta_N from the two-term 1/N^2 prediction.
 
     epsilon(N) should shrink like N^-4, so doubling N divides it by about 16;
@@ -704,33 +703,24 @@ def check_asymptotic_expansion(u, N_list, precision: int = 80) -> AsymptoticRepo
     from mpmath import mp, workdps
 
     entries = []
-    branch = "unset"
     with workdps(precision + _QUAD_GUARD):
         u_m = as_mp(u)
         for N in sorted(N_list):
             moments = compute_moments(precision, u_m, N, 2 * N + 1)
             rec = recurrence_from_moments(moments, N)
-            entry, branch = _asymptotic_entry(rec, u_m, N, precision)
-            entries.append(entry)
+            entries.append(_asymptotic_entry(rec, u_m, N, precision)[0])
         g_ratios = []
         for prev, cur in zip(entries, entries[1:]):
             ep = as_mp(prev.epsilon_gamma)
             ratio = as_mp(cur.epsilon_gamma) / ep if ep > 0 else mp.inf
             g_ratios.append(BigFloat(ratio, precision))
         return AsymptoticReport(
-            branch=branch,
             entries=tuple(entries),
             gamma_ratios=tuple(g_ratios),
         )
 
 
-def _coupling_of_time(t):
-    from mpmath import mp
-
-    return 1 / (3 * (4 * t) ** mp.mpf("0.75"))
-
-
-def toda_residual(u, N: int, h_step, precision: int = 80, alpha=1.0) -> BigFloat:
+def toda_residual(u, N: int, h_step, precision: int, alpha=1.0) -> BigFloat:
     """|second time-difference of the free energy - gamma-tilde^2_N|.
 
     The free energy in the shifted variable splits into the smooth map part
@@ -756,7 +746,7 @@ def toda_residual(u, N: int, h_step, precision: int = 80, alpha=1.0) -> BigFloat
             )
         recs = []
         for t in (t0 - h, t0, t0 + h):
-            u_t = _coupling_of_time(t)
+            u_t = 1 / (3 * (4 * t) ** mp.mpf("0.75"))
             moments = compute_moments(wdps - _QUAD_GUARD, u_t, N, 2 * N + 1, alpha=alpha)
             recs.append(recurrence_from_moments(moments, N))
         lo, mid, hi = recs
@@ -799,9 +789,10 @@ class FiniteNReport(NamedTuple):
     toda: BigFloat | None
 
 
-def build_report(u, N: int, precision: int = 120, alpha=1.0, n_max: int | None = None,
-                 include_toda: bool = False, h_step=Fraction(1, 1000)) -> FiniteNReport:
-    """One-stop validation: moments, recurrence data, residuals, expansion check.
+def build_report(u, N: int, precision: int, alpha=1.0, n_max: int | None = None,
+                 toda_step=None) -> FiniteNReport:
+    """One-stop validation: moments, recurrence data, residuals, expansion check,
+    and the Toda residual at time step `toda_step` when one is given.
 
     Working precision follows max(80, 8 * n_max, precision); the reported
     values claim only `precision` digits.  A singular or budget-breaking
@@ -826,8 +817,8 @@ def build_report(u, N: int, precision: int = 120, alpha=1.0, n_max: int | None =
         worst = max(window)
         entry, branch = _asymptotic_entry(rec, u_m, N, precision)
         toda = None
-        if include_toda:
-            toda = toda_residual(u_m, N, h_step, precision=precision, alpha=alpha)
+        if toda_step is not None:
+            toda = toda_residual(u_m, N, toda_step, precision=precision, alpha=alpha)
         return FiniteNReport(
             N=N,
             u=BigFloat(u_m, precision),

@@ -43,7 +43,8 @@ class Qbeta:
     Stored as four Python-int numerators over one positive common
     denominator, coprime to them, so equal values have equal representations
     and every operation is integer arithmetic with one gcd per result.
-    ``c`` builds the components as Fractions when asked.  Immutable.
+    ``c`` builds the components as Fractions when asked.  Immutable, and
+    compared by value; not hashable or picklable.
     """
 
     __slots__ = ("_n", "_den")
@@ -63,9 +64,6 @@ class Qbeta:
 
     def __delattr__(self, name):
         raise AttributeError("Qbeta is immutable")
-
-    def __reduce__(self):
-        return _qbeta, (*self._n, self._den)
 
     @property
     def c(self) -> tuple:
@@ -194,12 +192,6 @@ class Qbeta:
         if r is None:
             return NotImplemented
         return self._n == (r[0], 0, 0, 0) and self._den == r[1]
-
-    def __hash__(self) -> int:
-        # a rational element hashes as the Fraction (or int) it equals
-        if self.is_rational():
-            return hash(Fraction(self._n[0], self._den))
-        return hash((self._n, self._den))
 
     def is_rational(self) -> bool:
         return not any(self._n[1:])

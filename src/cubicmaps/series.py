@@ -22,7 +22,6 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from itertools import accumulate, repeat
 from operator import add, mul
-from typing import Any
 
 VAR_U2 = "u2"  # exponent counts powers of u^2 (even series in the coupling)
 VAR_W = "w"  # w = s*u^2
@@ -36,7 +35,7 @@ class BeyondHorizonError(IndexError):
 
 
 class TruncatedSeries:
-    """Immutable; equal (and equally hashed) when variable, offset and coefficients agree."""
+    """Immutable; equal when variable, offset and coefficients agree (not hashable or picklable)."""
 
     __slots__ = ("var", "offset", "_num", "_den")
 
@@ -74,9 +73,6 @@ class TruncatedSeries:
     def __delattr__(self, name):
         raise AttributeError("TruncatedSeries is immutable")
 
-    def __reduce__(self):
-        return from_numerators, (self.var, self.offset, self._num, self._den)
-
     @property
     def coeffs(self) -> tuple:
         """Tracked coefficients, zeros included, as Fractions."""
@@ -97,9 +93,6 @@ class TruncatedSeries:
             return NotImplemented
         return (self.var == other.var and self.offset == other.offset
                 and self._den == other._den and self._num == other._num)
-
-    def __hash__(self) -> int:
-        return hash((self.var, self.offset, self._num, self._den))
 
     @property
     def known_max(self) -> int:
@@ -123,10 +116,6 @@ class TruncatedSeries:
         if exponent < self.offset:
             return Fraction(0)
         return Fraction(self._num[exponent - self.offset], self._den)
-
-    def coefficients(self) -> dict[int, Any]:
-        """Nonzero tracked coefficients keyed by exponent."""
-        return {self.offset + i: c for i, c in enumerate(self.coeffs) if c}
 
     def _check_var(self, other: "TruncatedSeries") -> None:
         if self.var != other.var:
@@ -182,7 +171,7 @@ class TruncatedSeries:
 
     def __truediv__(self, other):
         if not isinstance(other, TruncatedSeries):
-            return self._scale(Fraction(1) / _require_rational(other))
+            return NotImplemented
         self._check_var(other)
         offset = self.offset - other.valuation()  # canonical: the valuation is the offset
         n = min(len(self._num), len(other._num))
@@ -228,7 +217,7 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         shown = []
-        for e, c in sorted(self.coefficients().items()):
+        for e, c in ((self.offset + i, c) for i, c in enumerate(self.coeffs) if c):
             shown.append(f"{c}*{self.var}^{e}")
             if len(shown) == 4:
                 shown.append("...")

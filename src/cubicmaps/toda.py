@@ -154,7 +154,7 @@ def genus1_closed_form(j: int) -> Fraction:
     return prefactor * _genus1_hyp_sum(j)
 
 
-def log_count_estimate(g: int, j: int, precision: int = 30):
+def log_count_estimate(g: int, j: int, precision: int):
     """ln of K_2g (2j)! j^((5g-7)/2) u_c^(-2j), as an mpf at working precision.
 
     K_2g is ``compute_K`` on the critical constants through genus g.
@@ -167,7 +167,7 @@ def log_count_estimate(g: int, j: int, precision: int = 30):
         return mp.log(k) + mp.loggamma(2 * j + 1) + mp.mpf(5 * g - 7) / 2 * mp.log(j) - 2 * j * ln_uc
 
 
-def count_vs_estimate(g: int, j: int, f_exact: Fraction, precision: int = 30) -> BigFloat:
+def count_vs_estimate(g: int, j: int, f_exact: Fraction, precision: int) -> BigFloat:
     """Ratio of an exact count to its asymptotic estimate (log-space throughout)."""
     from mpmath import mp
 

@@ -53,10 +53,6 @@ class PairingCensus(NamedTuple):
 _ROTATION = tuple(h - h % 3 + (h % 3 + 1) % 3 for h in range(3 * MAX_VERTICES))
 
 
-def _max_genus(p: int) -> int:
-    return (p // 2 + 1) // 2
-
-
 def census(p: int) -> PairingCensus:
     """Full exact census over all (3p-1)!! matchings of p trivalent vertices.
 
@@ -165,7 +161,7 @@ def census(p: int) -> PairingCensus:
     total, disconnected = leaves
     if total != double_factorial(3 * p - 1):
         raise ArithmeticError(f"weighted total {total} != (3p-1)!!")
-    tallies = [0] * (_max_genus(p) + 1)
+    tallies = [0] * ((p // 2 + 1) // 2 + 1)
     for faces, count in enumerate(by_faces):
         if count:
             twice = p // 2 + 2 - faces

@@ -139,7 +139,7 @@ def test_count_amplitude_values(consts):
         qq, n = _amplitude_exact(consts.Y[g], g)
         assert (qq, Fraction(n, 2)) == (q, p)
     with pytest.raises(ValueError):
-        compute_K(consts, consts.G + 1)
+        compute_K(consts, consts.G + 1, 40)
 
 
 def test_fit_leading_order(consts, h60):

@@ -206,7 +206,7 @@ def test_phi_positivity_and_growth():
 def test_phi_rejects_zero_coupling():
     eq = solve_endpoints(0, precision=30)
     with pytest.raises(ValueError):
-        phi_check(eq)
+        phi_check(eq, 12, 100.0)
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -222,12 +222,12 @@ def test_phi_check_rejects_bad_sampling(kwargs, message):
     # samples=1 and a nan or infinite zmax used to raise ZeroDivisionError
     eq = solve_endpoints(Fraction(1, 20), 40)
     with pytest.raises(ValueError, match=message):
-        phi_check(eq, **kwargs)
+        phi_check(eq, **{"samples": 12, "zmax": 100.0, **kwargs})
 
 
 def _fixed_tails(eq):
-    """phi_check's fixed-point (left, gap, ray) samples at its defaults (zmax 100, or 4 z0 past
-    25), and their fraction bits."""
+    """phi_check's fixed-point (left, gap, ray) samples at the CLI's defaults (12 samples,
+    zmax 100, or 4 z0 past 25), and their fraction bits."""
     with workdps(eq.dps + 15):
         bits = mp.prec + _PHI_GUARD
         return _tail_samples(eq, 12, max(100.0, float(4 * eq.z0)), bits), bits
@@ -295,7 +295,7 @@ def test_phi_check_takes_one_log_per_sample(monkeypatch):
         calls.update(log=0, isqrt=0)
         sys.setprofile(profile)
         try:
-            rep = phi_check(eq)
+            rep = phi_check(eq, 12, 100.0)
         finally:
             sys.setprofile(None)
         gap = 0 if eq.critical else 12
@@ -307,7 +307,7 @@ def test_phi_check_at_critical_coupling_has_an_empty_gap(capsys):
     # z0 meets b at u_c: the gap (b, z0) is empty, so nothing is sampled there
     eq = solve_endpoints(critical_coupling(40), precision=40)
     assert eq.critical
-    rep = phi_check(eq)
+    rep = phi_check(eq, 12, 100.0)
     assert rep.min_gap is None
     assert not [v for v in rep.violations if v["segment"] == "gap"]
     assert rep.all_positive, rep.violations

@@ -544,7 +544,7 @@ def test_asymptotic_scaling(criterion_run):
 
 def test_asymptotic_gaussian():
     rep = check_asymptotic_expansion(0, [8], precision=50)
-    assert rep.branch == "gaussian"
+    assert expansion_prediction(0, 8, 1)[2] == "gaussian"
     with workdps(70):
         assert as_mp(rep.entries[0].epsilon_gamma) < mp.mpf("1e-45")
         assert as_mp(rep.entries[0].epsilon_beta) < mp.mpf("1e-45")
@@ -762,9 +762,9 @@ def test_toda_residual_criterion(criterion_run):
         assert r1 < mp.mpf("1e-6")  # measured 3.26e-7; acceptance asks 1e-4
         assert mp.mpf("3.9") < r1 / r2 < mp.mpf("4.1")  # measured 3.9999874
     with pytest.raises(ValueError):
-        toda_residual(0, 12, Fraction(1, 1000))
+        toda_residual(0, 12, Fraction(1, 1000), 80)
     with pytest.raises(ValueError):
-        toda_residual(u, 12, 0)
+        toda_residual(u, 12, 0, 80)
 
 
 def test_recurrence_rejections():
@@ -791,7 +791,7 @@ def test_build_report_shape():
         assert isinstance(rep.asymptotic, AsymptoticEntry)
         assert as_mp(rep.asymptotic.epsilon_gamma) < mp.mpf("1e-4")
     with pytest.raises(ValueError):
-        build_report(Fraction(1, 20), 6, n_max=5)
+        build_report(Fraction(1, 20), 6, precision=60, n_max=5)
 
 
 def test_string_residual_indexing(rec_60):

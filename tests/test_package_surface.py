@@ -10,9 +10,12 @@ tracer names what it wraps as strings such as
 is not a use.  Test-only oracles belong in ``tests/oracles.py``.
 
 A parameter with a default is an option, and the package keeps only the
-options its code sets: each one must be passed, by keyword, by position
-or through ``*args``/``**kwargs``, in at least one call to its function's
-name in ``src/cubicmaps`` or ``perfbench``.
+options its code both sets and leaves to the default: each one must be
+passed, by keyword, by position or through ``*args``/``**kwargs``, in at
+least one call to its function's name in ``src/cubicmaps`` or
+``perfbench``, and omitted in at least one other, which gives it neither
+by keyword nor by position and has no ``*args``/``**kwargs``.  A default
+that every call overrides only restates a value its callers own.
 
 A record that the CLI prints whole, as ``encode_value(record._asdict())``,
 names its fields nowhere, so both checks count them as used only through
@@ -204,16 +207,19 @@ def _defaulted_parameters(tree):
                 yield node.name, None, a.arg
 
 
-def _passes(call: ast.Call, position, parameter: str) -> bool:
+def _passes(call: ast.Call, position, parameter: str) -> bool | None:
+    """True if the call gives the parameter, False if it omits it, None if
+    ``*args`` or ``**kwargs`` may carry it: that counts as giving, not omitting."""
     if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
-        return True  # *args or **kwargs may carry it
+        return None
     if any(k.arg == parameter for k in call.keywords):
         return True
     return position is not None and position < len(call.args)
 
 
 def options() -> dict:
-    """``module.function(parameter)`` of each defaulted parameter -> whether a call passes it."""
+    """``module.function(parameter)`` of each defaulted parameter ->
+    (whether a call passes it, whether a call omits it)."""
     calls: dict = {}
     for path in [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -224,11 +230,13 @@ def options() -> dict:
     out = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for name, position, parameter in _defaulted_parameters(ast.parse(path.read_text(), str(path))):
-            out[f"{path.stem}.{name}({parameter})"] = any(_passes(c, position, parameter) for c in calls.get(name, ()))
+            seen = {_passes(c, position, parameter) for c in calls.get(name, ())}
+            out[f"{path.stem}.{name}({parameter})"] = (True in seen or None in seen, False in seen)
     return out
 
 
 def test_every_option_is_set_by_a_caller():
     found = options()
-    assert "critical.compute_K(precision)" in found  # a scan that finds no option would pass on nothing
-    assert [label for label, passed in found.items() if not passed] == []
+    assert "finite_n.compute_moments(alpha)" in found  # a scan that finds no option would pass on nothing
+    assert [label for label, (passed, _) in found.items() if not passed] == []
+    assert [label for label, (_, omitted) in found.items() if not omitted] == []

@@ -223,7 +223,7 @@ def test_log_count_estimate_reads_K_from_critical():
                 want = ln_k + mp.loggamma(2 * j + 1) + mp.mpf(5 * g - 7) / 2 * mp.log(j) - 2 * j * ln_uc
             assert log_count_estimate(g, j, 30) == want
     with pytest.raises(ValueError):
-        log_count_estimate(-1, 10)
+        log_count_estimate(-1, 10, 30)
 
 
 def test_genus2_asymptotics_extended_horizon():

@@ -25,7 +25,7 @@ from .equilibrium import phi_check, solve_endpoints
 from .finite_n import build_report
 from .hierarchy import build_hierarchy
 from .numbers import W_CRITICAL
-from .precision import BigFloat
+from .precision import BigFloat, as_mp
 from .serialize import ExactRecords, dump_csv, dump_json, encode_value
 from .toda import genus_table
 from .wick import ENGINE, census
@@ -149,6 +149,15 @@ def _cmd_validate(args) -> tuple[str, int]:
     h_step = _parse_fraction(args.h_step, "--h-step")
     if h_step <= 0:
         raise ValidationError("--h-step must be positive")
+    if args.n_max is not None and args.n_max < args.N + 1:
+        raise ValidationError("--n-max must reach N + 1 so gamma^2_{N+1} exists")
+    if args.toda and u <= 0:
+        raise ValidationError("--u must be positive for the --toda time map")
+    if args.toda and (4 * h_step) ** 3 * (3 * u) ** 4 >= 1:  # h_step >= t0(u), exactly
+        from mpmath import mp
+
+        t0 = mp.nstr(1 / (4 * mp.cbrt(3 * as_mp(u)) ** 4), 6)
+        raise ValidationError(f"--h-step must be below t0(u) = 1/(4 (3u)^(4/3)) = {t0} with --toda")
     rep = build_report(
         u, args.N, precision=precision, alpha=alpha, n_max=args.n_max,
         toda_step=h_step if args.toda else None,

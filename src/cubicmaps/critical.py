@@ -190,7 +190,6 @@ _LAMBDA_C3 = 3 * BETA / 4
 class PainleveReport(NamedTuple):
     """Termwise substitution of y(t) = sum C_2g t^((1-5g)/2) into y'' = q (y^2 - C_0^2 t)."""
 
-    G: int
     q: Qbeta  # unique coefficient fixed by the leading order
     orders_verified: int  # higher orders checked to vanish exactly
     q_over_inv_8mu: Qbeta  # q / (1/(8 mu)), mu = beta^3/3456 the recursion normalization
@@ -233,4 +232,4 @@ def painleve_check(consts: CriticalConstants, G: int) -> PainleveReport:
     qc0 = q * c[0]
     _consistent(_C2_OVER_LAMBDA * qc0, Qbeta.rational(6), "standard form (c^2/lambda) q C_0 = 6")
     _consistent(_LAMBDA_C3 * qc0 * c[0] * c[0], Qbeta.rational(1), "standard form (lambda c^3) q C_0^3 = 1")
-    return PainleveReport(G=G, q=q, orders_verified=verified, q_over_inv_8mu=q * _CRAMER_UNIT / 6)
+    return PainleveReport(q=q, orders_verified=verified, q_over_inv_8mu=q * _CRAMER_UNIT / 6)

@@ -14,13 +14,27 @@ the first is paired, with weight 3k, and each leaf adds the product of the
 weights above it to the tallies.  At p = 8 that is 46,895 leaves for the
 23!! matchings.
 
+Why one index, fresh, tracks the untouched vertices: h pairs only with a
+free half-edge on a touched vertex or on h's own, or with the first one of
+the lowest untouched vertex.  So by induction the touched vertices are
+0..fresh-1 and free ends with 3 fresh..3p-1.  With h's own vertex counted
+(h = 3 fresh touches it) and k = p - fresh, the partners are free[1:cut]
+and, for the orbit, free[cut] weighted 3k, where cut = len(free) - 3k.
+
+Why components are counted as they open: when h = 3 fresh, every touched
+vertex lies below h and is saturated, so the components built so far are
+closed and h opens a new one.  Otherwise every touched unsaturated vertex
+lies in the component opened last, and h's partner lies on such a vertex
+or on a fresh one, so components never merge.  A finished matching is
+connected exactly when one component was opened.
+
 Each matching is classified as it is built, not walked again at its leaf.
 Each pair placed updates the open chains of the partial face permutation
-(an edge that closes its own chain is a face) and a vertex union-find, and
-backtracking undoes both, so a pair costs O(1); the last pair of each
-matching is settled from the chain ends without recursion.  An independent
-classifier of whole matchings, walked one at a time, lives with the test
-oracles in ``tests/oracles.py``.
+(an edge that closes its own chain is a face), and backtracking undoes
+that, so a pair costs O(1); the last pair of each matching is settled from
+the chain ends without recursion.  An independent classifier of whole
+matchings, walked one at a time, lives with the test oracles in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -32,8 +46,9 @@ from .numbers import double_factorial
 
 ENGINE = "pure"
 
-# p = 8 enumerates 46,895 weighted leaves in about 0.1 s; p = 10 would enumerate
-# 1,402,050 (about 3 s) and reach genus 3, past the genus-2 table census reports
+# p = 8 enumerates 46,895 weighted leaves in about 0.07 s; p = 10 would enumerate
+# 1,402,050 (1.9 s on a 2-core Xeon, Python 3.11) and reach genus 3, past the
+# genus-2 table census reports
 MAX_VERTICES = 8
 
 
@@ -49,10 +64,6 @@ class PairingCensus(NamedTuple):
     elapsed_ms: int
 
 
-# counterclockwise rotation to the next half-edge on the same vertex
-_ROTATION = tuple(h - h % 3 + (h % 3 + 1) % 3 for h in range(3 * MAX_VERTICES))
-
-
 def census(p: int) -> PairingCensus:
     """Full exact census over all (3p-1)!! matchings of p trivalent vertices.
 
@@ -64,7 +75,8 @@ def census(p: int) -> PairingCensus:
         raise ValueError(f"p must be even with 2 <= p <= {MAX_VERTICES}")
     start = time.perf_counter()
     n = 3 * p
-    rot = _ROTATION
+    # counterclockwise rotation to the next half-edge on the same vertex
+    rot = tuple(h - h % 3 + (h % 3 + 1) % 3 for h in range(n))
     # Faces are the cycles of c -> rot[match[c]].  A partial matching defines
     # that successor on its paired half-edges only, which leaves open chains:
     # head[e] is the first half-edge of the chain that ends at e, tail[s] the
@@ -73,32 +85,21 @@ def census(p: int) -> PairingCensus:
     # that closes its own chain is a face, any other joins two chains.
     head = list(range(n))
     tail = list(range(n))
-    parent = list(range(p))  # vertex union-find, unions undone on backtrack
     by_faces = [0] * (n + 1)  # weighted connected leaves by face count
     leaves = [0, 0]  # weighted total, disconnected
 
-    def descend(free, faces, comps, weight):
-        # free is sorted, so an untouched vertex v is a run 3v, 3v+1, 3v+2 of
-        # it; h = free[0] lies below every such run.  The partners on those
-        # k runs form one orbit: only the first is paired, weighted 3k.
+    def descend(free, fresh, comps, faces, weight):
+        # free is sorted and ends with 3 fresh..n-1 (module docstring); h = 3 fresh
+        # opens a component, and free[cut] pairs for the untouched vertices' orbit
         h = free[0]
+        if h == 3 * fresh:
+            fresh += 1
+            comps += 1
         rh = rot[h]
-        m = len(free)
-        choices = []
-        first = untouched = 0
-        i = 1
-        while i < m:
-            if free[i] % 3 == 0 and i + 2 < m and free[i + 2] == free[i] + 2:
-                if not untouched:
-                    first = i
-                untouched += 1
-                i += 3
-            else:
-                choices.append((i, weight))
-                i += 1
-        if untouched:
-            choices.append((first, 3 * untouched * weight))
-        for i, w in choices:
+        orbit = 3 * (p - fresh)
+        cut = len(free) - orbit
+        for i in range(1, cut + 1 if orbit else cut):
+            w = orbit * weight if i == cut else weight
             t = free[i]
             rt = rot[t]
             f = faces
@@ -116,40 +117,19 @@ def census(p: int) -> PairingCensus:
             else:
                 tail[a2] = b2
                 head[b2] = a2
-            ra = h // 3
-            while parent[ra] != ra:
-                ra = parent[ra]
-            rb = t // 3
-            while parent[rb] != rb:
-                rb = parent[rb]
-            c = comps
-            if ra != rb:
-                parent[ra] = rb
-                c -= 1
             rest = free[1:i] + free[i + 1:]
             if len(rest) == 2:
                 # the last pair closes either two chains or, joined, one
                 x, y = rest
                 f += 2 if head[x] == rot[y] else 1
-                if c == 2:
-                    rx = x // 3
-                    while parent[rx] != rx:
-                        rx = parent[rx]
-                    ry = y // 3
-                    while parent[ry] != ry:
-                        ry = parent[ry]
-                    if rx != ry:
-                        c = 1
                 leaves[0] += w
-                if c == 1:
+                if comps == 1:
                     by_faces[f] += w
                 else:
                     leaves[1] += w
             else:
-                descend(rest, f, c, w)
+                descend(rest, fresh + (i == cut), comps, f, w)
             # undo in reverse order; a join overwrote one tail and one head
-            if ra != rb:
-                parent[ra] = ra
             if a2 != rh:
                 tail[a2] = t
                 head[b2] = rh
@@ -157,7 +137,7 @@ def census(p: int) -> PairingCensus:
                 tail[a] = h
                 head[b] = rt
 
-    descend(tuple(range(n)), 0, p, 1)
+    descend(tuple(range(n)), 0, 0, 0, 1)
     total, disconnected = leaves
     if total != double_factorial(3 * p - 1):
         raise ArithmeticError(f"weighted total {total} != (3p-1)!!")

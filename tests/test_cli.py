@@ -387,14 +387,16 @@ def test_validate_rejects_bad_input(capsys, u, extra):
 
 
 @pytest.mark.parametrize("step", ["2", "5/4"])
-def test_validate_toda_step_past_t0(capsys, step):
+def test_validate_toda_step_past_t0(capsys, monkeypatch, step):
     # t0(1/10) = 1/(4 (3/10)^(4/3)) ~ 1.2448: a step at or past it would move
-    # the lower time sample to t0 - h <= 0, off the real coupling axis
+    # the lower time sample to t0 - h <= 0, off the real coupling axis; the
+    # CLI refuses it before any moment is computed
+    monkeypatch.setattr("cubicmaps.cli.build_report", lambda *a, **k: pytest.fail("computed"))
     code, out, err = run_cli(capsys, "validate", "--N", "2", "--u", "1/10", "--toda", "--h-step", step)
     assert code == 1 and out == ""
     message = json.loads(err)["error"]["message"]
     assert error_type(err) == "validation"
-    assert "h_step" in message and "t0(u)" in message and "1.24483" in message
+    assert "--h-step" in message and "t0(u)" in message and "1.24483" in message
 
 
 PRECISION_DEFAULTS = [
@@ -513,6 +515,12 @@ USAGE_ERRORS = [
     (["equilibrium", "--u", "1/20", "--zmax", "x"], "argument --zmax: invalid float value: 'x'"),
     (["equilibrium", "--u", "-1/10"], "--u must be nonnegative"),
     (["validate", "--N", "4", "--u", "1/20", "--h-step", "-1/1000"], "--h-step must be positive"),
+    (["validate", "--N", "2", "--u", "1/10", "--toda", "--h-step", "10"],
+     "--h-step must be below t0(u) = 1/(4 (3u)^(4/3)) = 1.24483 with --toda"),
+    (["validate", "--N", "2", "--u", "1/3", "--toda", "--h-step", "1/4"],  # h_step = t0(1/3) exactly
+     "--h-step must be below t0(u) = 1/(4 (3u)^(4/3)) = 0.25 with --toda"),
+    (["validate", "--N", "2", "--u", "0", "--toda"], "--u must be positive for the --toda time map"),
+    (["validate", "--N", "4", "--u", "1/10", "--n-max", "3"], "--n-max must reach N + 1 so gamma^2_{N+1} exists"),
     (["hierarchy", "--max-k", "1", "--h", "3"], "unrecognized arguments: --h 3"),
     (["expand", "--gen", "1", "--max-j", "2"], "unrecognized arguments: --gen 1"),
     (["validate", "--N", "4", "--u", "1/20", "--", "--toda"], "unrecognized arguments: --"),  # "--" ends no flags

@@ -164,7 +164,8 @@ def unread_record_fields() -> list[str]:
     (``printed_fields``).  Reads are matched by name alone, so a field
     whose name some other object also carries stays hidden even when no
     code reads it (``AsymptoticReport.u`` was one, beside every report and
-    equilibrium that has a ``.u``).
+    equilibrium that has a ``.u``, and ``PainleveReport.G`` another, beside
+    ``CriticalConstants.G``).
     """
     paths = [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").rglob("*.py"), *(ROOT / "tests").glob("*.py")]
     read = set()

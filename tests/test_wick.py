@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,6 +54,19 @@ CENSUS_TABLE = {
 }
 
 
+def _connected_matchings(p):
+    """C_p, the connected matchings on p vertices, from M_q = (3q-1)!! alone
+    (0 at odd q): the component of vertex 0 has k vertices, so
+    M_p = sum_k C(p-1, k-1) C_k M_(p-k), the log of the matching EGF."""
+    def m(q):
+        return 0 if q % 2 else double_factorial(3 * q - 1)
+
+    c = [0] * (p + 1)
+    for q in range(1, p + 1):
+        c[q] = m(q) - sum(comb(q - 1, k - 1) * c[k] * m(q - k) for k in range(1, q))
+    return c[p]
+
+
 @pytest.mark.parametrize("p", [2, 4, 6, 8])
 def test_census_frozen_values(p):
     c = census(p)
@@ -61,6 +75,9 @@ def test_census_frozen_values(p):
     assert c.disconnected == disconnected
     assert c.total == double_factorial(3 * p - 1)
     assert sum(c.connected.values()) + c.disconnected == c.total
+    connected_total = _connected_matchings(p)
+    assert sum(c.connected.values()) == connected_total
+    assert c.disconnected == c.total - connected_total
 
 
 def test_census_counts_equal_genus_coefficients():
@@ -111,6 +128,37 @@ def test_census_rejects_bad_sizes():
         census(3)
     with pytest.raises(ValueError):
         census(MAX_VERTICES + 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 4, 6, 8, 10]), st.integers(0, 2**32 - 1))
+def test_descent_touches_vertices_in_order(p, seed):
+    # one random path of the census descent, its partners drawn by the orbit
+    # rule from the pairs placed so far: the touched vertices stay 0..fresh-1
+    # with their free half-edges below the untouched 3 fresh..3p-1, and the
+    # components are the openings h = 3 fresh (p = 10 is past MAX_VERTICES)
+    rng = random.Random(seed)
+    free, pairs, touched = list(range(3 * p)), [], set()
+    fresh = opened = 0
+    while free:
+        assert touched == set(range(fresh))
+        assert free[len(free) - 3 * (p - fresh):] == list(range(3 * fresh, 3 * p))
+        h = free[0]
+        if h == 3 * fresh:
+            fresh += 1
+            opened += 1
+        partners = [t for t in free[1:] if t // 3 in touched or t // 3 == h // 3]
+        untouched = sorted({t // 3 for t in free} - touched - {h // 3})
+        if untouched:
+            partners.append(3 * untouched[0])  # the orbit's first half-edge
+        t = rng.choice(partners)
+        if t == 3 * fresh:
+            fresh += 1
+        touched |= {h // 3, t // 3}
+        pairs.append((h, t))
+        free.remove(h)
+        free.remove(t)
+    assert genus_of_pairing(pairs).components == opened
 
 
 @settings(max_examples=60, deadline=None)

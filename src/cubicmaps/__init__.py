@@ -8,7 +8,7 @@ Subpackage map:
 * ``hierarchy`` -- string-equation hierarchy for the recurrence coefficients
 * ``toda`` -- Toda-flow integration to free-energy series and map counts
 * ``critical`` -- exact critical amplitudes, count amplitudes K_2g, Painleve I
-* ``wick`` -- exact pairing census oracle, enumerated by orbit-weighted descent
+* ``wick`` -- exact pairing census oracle, a recursion on untouched vertices and boundary cycle type
 * ``finite_n`` -- contour moments, orthogonal recurrences, finite-N validation
 * ``serialize`` -- tagged, deterministic JSON/CSV encoding
 * ``acceptance`` -- the twelve release checks behind ``cubicmaps reproduce``

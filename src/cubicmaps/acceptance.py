@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 from functools import partial
+from math import comb
 from typing import NamedTuple
 
 from mpmath import mp, workdps
@@ -23,7 +24,7 @@ from .finite_n import build_report, check_asymptotic_expansion, toda_residual
 from .numbers import BETA, Qbeta, double_factorial
 from .precision import agreement_digits
 from .toda import count_vs_estimate, free_energy_series, genus0_closed_form, genus1_closed_form, genus_table
-from .wick import census
+from .wick import MAX_VERTICES, census
 
 
 class CriterionResult(NamedTuple):
@@ -65,29 +66,44 @@ def _c_closed_forms():
     return True, "closed forms match the Toda pipeline for 1 <= j <= 20, exactly"
 
 
-# connected counts by genus and disconnected count of the p = 6 and p = 8 censuses
+# connected counts by genus and disconnected count of the p = 6, 8 and 10 censuses
 _CENSUS6 = ({0: 9797760, 1: 19362240, 2: 3061800}, 2237625)
 _CENSUS8 = ({0: 45148078080, 1: 164367221760, 2: 89414357760}, 17304485625)
+_CENSUS10 = ({0: 392212641300480, 1: 2332019568291840, 2: 2834113460935680, 3: 357485480352000},
+             274452202749375)
+
+
+def _connected_matchings(p: int) -> int:
+    """C_p, the connected matchings on p vertices, from M_q = (3q-1)!! alone
+    (0 at odd q): the component of vertex 0 has k vertices, so
+    M_p = sum_k C(p-1, k-1) C_k M_(p-k), the log of the matching EGF."""
+    def m(q):
+        return 0 if q % 2 else double_factorial(3 * q - 1)
+
+    c = [0] * (p + 1)
+    for q in range(1, p + 1):
+        c[q] = m(q) - sum(comb(q - 1, k - 1) * c[k] * m(q - k) for k in range(1, q))
+    return c[p]
 
 
 def _c_oracle():
-    frozen = {6: _CENSUS6, 8: _CENSUS8}
-    table = genus_table(2, 4)
-    for p in (2, 4, 6, 8):
-        j = p // 2
-        g_top = (p + 2) // 4
-        expected = {g: table.counts[g, j] for g in range(g_top + 1) if table.counts[g, j]}
+    frozen = {6: _CENSUS6, 8: _CENSUS8, 10: _CENSUS10}
+    g_max = (MAX_VERTICES + 2) // 4
+    table = genus_table(g_max, MAX_VERTICES // 2)
+    for p in range(2, MAX_VERTICES + 1, 2):
+        expected = {g: table.counts[g, p // 2] for g in range(g_max + 1) if table.counts[g, p // 2]}
         cen = census(p)
         if cen.total != double_factorial(3 * p - 1):
             return False, f"p={p}: total {cen.total} != (3p-1)!!"
         observed = {g: c for g, c in cen.connected.items() if c}
         if observed != expected:
             return False, f"p={p}: connected counts {observed} != {expected}"
-        if cen.disconnected != cen.total - sum(cen.connected.values()):
-            return False, f"p={p}: disconnected count inconsistent with the total"
+        if sum(observed.values()) != _connected_matchings(p):
+            return False, f"p={p}: {sum(observed.values())} connected != C_p from (3q-1)!!"
         if p in frozen and (cen.connected, cen.disconnected) != frozen[p]:
             return False, f"p={p}: census {cen.connected}, {cen.disconnected} disconnected != frozen {frozen[p]}"
-    return True, "pairing census matches f(2g, 2j) for p=2,4,6,8 and the frozen p=6,8 counts; totals (3p-1)!!"
+    return True, (f"pairing census matches f(2g, 2j) in genus 0..{g_max} for p=2..{MAX_VERTICES} and the frozen "
+                  "p=6,8,10 counts; connected totals C_p and totals (3p-1)!!")
 
 
 def _c_critical():
@@ -191,7 +207,7 @@ CRITERIA = (
     ("genus1", "genus-1 free-energy coefficients", 1.0, partial(_series_check, 1, _F2)),
     ("genus2", "genus-2 free-energy coefficients", 5.0, partial(_series_check, 2, _F4)),
     ("closed-forms", "closed-form counts vs Toda pipeline", 10.0, _c_closed_forms),
-    ("oracle6", "pairing census vs counts through p=8", 1200.0, _c_oracle),
+    ("oracle6", f"pairing census vs counts through p={MAX_VERTICES}", 1200.0, _c_oracle),
     ("critical", "exact singular amplitudes and count constants", 1.0, _c_critical),
     ("painleve", "amplitude recursion is Painleve I", 1.0, _c_painleve),
     ("asymptotics", "large-j count estimates", 30.0, _c_asymptotics),

@@ -28,7 +28,7 @@ from .numbers import W_CRITICAL
 from .precision import BigFloat, as_mp
 from .serialize import ExactRecords, dump_csv, dump_json, encode_value
 from .toda import genus_table
-from .wick import ENGINE, census
+from .wick import ENGINE, MAX_VERTICES, census
 
 
 class ValidationError(ValueError):
@@ -125,6 +125,8 @@ def _cmd_oracle(args) -> tuple[str, int]:
     p = args.vertices
     if p < 2 or p % 2:
         raise ValidationError("--vertices must be a positive even integer")
+    if p > MAX_VERTICES:
+        raise ValidationError(f"--vertices must be at most {MAX_VERTICES}")
     if args.workers < 1:
         raise ValidationError("--workers must be >= 1")
     cen = census(p)

@@ -1,40 +1,40 @@
 """Exact census of vertex matchings, the combinatorial oracle.
 
-Every matching of the 3p half-edges of p trivalent vertices is classified
-by face count (cycles of rotation-after-matching) and vertex connectivity,
-and the result tallied by genus.  Totals are exact integers; nothing is
-sampled.
+Every matching of the 3p half-edges of p trivalent vertices is counted by
+face count (cycles of c -> rot[match[c]], rot the counterclockwise next
+half-edge on a vertex) and vertex connectivity, and the result tallied by
+genus.  Totals are exact integers; nothing is sampled.
 
-Matchings are built depth first, half-edge h = free[0] taking its partner
-at each level.  Relabelling the vertices that no placed pair touches (other
-than h's own), and rotating them, fixes h and every placed pair and commutes
-with the rotation, so it changes neither faces nor components.  The free
-half-edges on those k vertices are therefore one orbit of 3k partners: only
-the first is paired, with weight 3k, and each leaf adds the product of the
-weights above it to the tallies.  At p = 8 that is 46,895 leaves for the
-23!! matchings.
+The state.  Place pairs one at a time, each from a free half-edge h on a
+vertex already touched.  For a free half-edge x on a touched vertex, let
+sigma(x) be the free half-edge where the chain of placed pairs starting at
+rot[x] ends.  Pairing h with t closes or joins chains through sigma alone,
+so a new pair reads nothing else about the touched part; relabelling
+half-edges conjugates sigma and maps completions to completions with the
+same faces and components.  The count of completions therefore depends only
+on k, the number of untouched vertices, and lambda, the cycle type of
+sigma.  It starts at (p - 1, (3)): vertex 0 touched, sigma = rot on it.
 
-Why one index, fresh, tracks the untouched vertices: h pairs only with a
-free half-edge on a touched vertex or on h's own, or with the first one of
-the lowest untouched vertex.  So by induction the touched vertices are
-0..fresh-1 and free ends with 3 fresh..3p-1.  With h's own vertex counted
-(h = 3 fresh touches it) and k = p - fresh, the partners are free[1:cut]
-and, for the orbit, free[cut] weighted 3k, where cut = len(free) - 3k.
+The moves.  Take h on a cycle of lambda of length a.  Its partner t is
+* split: t = sigma^d(h) on h's own cycle, d = 1..a-1, weight 1 each; the
+  cycle splits into lengths d - 1 and a - d - 1, each zero a closed face;
+* join: t on another cycle of length b, weight b per such cycle; the two
+  join into one of length a + b - 2, a closed face when a = b = 1;
+* grow: t on an untouched vertex, weight 3k, since relabelling and rotating
+  the untouched vertices fixes the touched part; h's cycle grows to length
+  a + 1 and k drops by 1.
 
-Why components are counted as they open: when h = 3 fresh, every touched
-vertex lies below h and is saturated, so the components built so far are
-closed and h opens a new one.  Otherwise every touched unsaturated vertex
-lies in the component opened last, and h's partner lies on such a vertex
-or on a fresh one, so components never merge.  A finished matching is
-connected exactly when one component was opened.
+An empty lambda with k = 0 is a finished connected matching, tallied by its
+faces.  With k > 0 the one open component has closed, and all (3k - 1)!!
+completions of the untouched vertices are disconnected.  There is only one
+open component because h is always on the boundary and t is on the
+boundary or on an untouched vertex, so every touched vertex stays in vertex
+0's component until lambda empties.
 
-Each matching is classified as it is built, not walked again at its leaf.
-Each pair placed updates the open chains of the partial face permutation
-(an edge that closes its own chain is a face), and backtracking undoes
-that, so a pair costs O(1); the last pair of each matching is settled from
-the chain ends without recursion.  An independent classifier of whole
-matchings, walked one at a time, lives with the test oracles in
-``tests/oracles.py``.
+The count is a recursion on (k, sorted lambda), memoized within one census
+call.  No string equation, Toda step or hierarchy code enters it; an
+independent classifier of whole matchings, walked one at a time, lives with
+the test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ from .numbers import double_factorial
 
 ENGINE = "pure"
 
-# p = 8 enumerates 46,895 weighted leaves in about 0.07 s; p = 10 would enumerate
-# 1,402,050 (1.9 s on a 2-core Xeon, Python 3.11) and reach genus 3, past the
-# genus-2 table census reports
-MAX_VERTICES = 8
+# p = 24 visits 2,096 states in 0.021 s and p = 10 visits 102 in 0.5 ms
+# (2-core Xeon, Python 3.11); every even p <= 24 takes about 0.06 s together.
+# genus_table(6, 12), criterion 5's reference, reaches p = 24 and genus 6
+MAX_VERTICES = 24
 
 
 def available_engines() -> tuple[str, ...]:
@@ -67,78 +67,44 @@ class PairingCensus(NamedTuple):
 def census(p: int) -> PairingCensus:
     """Full exact census over all (3p-1)!! matchings of p trivalent vertices.
 
-    One weighted descent (see the module docstring): each enumerated leaf
-    stands for the product of the orbit sizes chosen on its way down, and
-    the weighted total must be (3p-1)!!.
+    One memoized recursion on the state (k, lambda) (see the module
+    docstring); the weighted total must be (3p-1)!!.
     """
     if p % 2 or not 2 <= p <= MAX_VERTICES:
         raise ValueError(f"p must be even with 2 <= p <= {MAX_VERTICES}")
     start = time.perf_counter()
-    n = 3 * p
-    # counterclockwise rotation to the next half-edge on the same vertex
-    rot = tuple(h - h % 3 + (h % 3 + 1) % 3 for h in range(n))
-    # Faces are the cycles of c -> rot[match[c]].  A partial matching defines
-    # that successor on its paired half-edges only, which leaves open chains:
-    # head[e] is the first half-edge of the chain that ends at e, tail[s] the
-    # last of the chain that starts at s (each read only at a chain's ends).
-    # Pairing h with t adds the edges h -> rot[t] and t -> rot[h]; an edge
-    # that closes its own chain is a face, any other joins two chains.
-    head = list(range(n))
-    tail = list(range(n))
-    by_faces = [0] * (n + 1)  # weighted connected leaves by face count
-    leaves = [0, 0]  # weighted total, disconnected
+    memo = {}
 
-    def descend(free, fresh, comps, faces, weight):
-        # free is sorted and ends with 3 fresh..n-1 (module docstring); h = 3 fresh
-        # opens a component, and free[cut] pairs for the untouched vertices' orbit
-        h = free[0]
-        if h == 3 * fresh:
-            fresh += 1
-            comps += 1
-        rh = rot[h]
-        orbit = 3 * (p - fresh)
-        cut = len(free) - orbit
-        for i in range(1, cut + 1 if orbit else cut):
-            w = orbit * weight if i == cut else weight
-            t = free[i]
-            rt = rot[t]
-            f = faces
-            a = head[h]
-            b = tail[rt]
-            if a == rt:
-                f += 1
-            else:
-                tail[a] = b
-                head[b] = a
-            a2 = head[t]
-            b2 = tail[rh]
-            if a2 == rh:
-                f += 1
-            else:
-                tail[a2] = b2
-                head[b2] = a2
-            rest = free[1:i] + free[i + 1:]
-            if len(rest) == 2:
-                # the last pair closes either two chains or, joined, one
-                x, y = rest
-                f += 2 if head[x] == rot[y] else 1
-                leaves[0] += w
-                if comps == 1:
-                    by_faces[f] += w
-                else:
-                    leaves[1] += w
-            else:
-                descend(rest, fresh + (i == cut), comps, f, w)
-            # undo in reverse order; a join overwrote one tail and one head
-            if a2 != rh:
-                tail[a2] = t
-                head[b2] = rh
-            if a != rt:
-                tail[a] = h
-                head[b] = rt
+    def completions(k, cycles):
+        # (connected completions by faces they close, disconnected completions)
+        # of k untouched vertices and boundary cycle lengths cycles, sorted
+        key = (k, cycles)
+        if key in memo:
+            return memo[key]
+        if not cycles:
+            return ([1], 0) if k == 0 else ([], double_factorial(3 * k - 1))
+        # h on a shortest cycle: 2,096 states at p = 24, 3,701 on a longest
+        a, rest = cycles[0], cycles[1:]
+        # (weight, k after the pair, cycle lengths after it, each 0 a closed face);
+        # the splits at d and a - d leave the same state, so d stops at a / 2
+        moves = [(1 + (2 * d < a), k, rest + (d - 1, a - d - 1)) for d in range(1, a // 2 + 1)]
+        moves += [(b * rest.count(b), k, rest[:i] + rest[i + 1:] + (a + b - 2,))
+                  for i, b in enumerate(rest) if i == 0 or rest[i - 1] != b]
+        if k:
+            moves.append((3 * k, k - 1, rest + (a + 1,)))
+        by_faces, disconnected = [], 0
+        for weight, k_next, lengths in moves:
+            closed = lengths.count(0)
+            faces_next, disconnected_next = completions(k_next, tuple(sorted(lengths))[closed:])
+            by_faces += [0] * (closed + len(faces_next) - len(by_faces))
+            for faces, count in enumerate(faces_next, closed):
+                by_faces[faces] += weight * count
+            disconnected += weight * disconnected_next
+        memo[key] = by_faces, disconnected
+        return memo[key]
 
-    descend(tuple(range(n)), 0, 0, 0, 1)
-    total, disconnected = leaves
+    by_faces, disconnected = completions(p - 1, (3,))
+    total = sum(by_faces) + disconnected
     if total != double_factorial(3 * p - 1):
         raise ArithmeticError(f"weighted total {total} != (3p-1)!!")
     tallies = [0] * ((p // 2 + 1) // 2 + 1)
@@ -149,7 +115,7 @@ def census(p: int) -> PairingCensus:
                 raise ArithmeticError(f"{faces} faces on a connected {p}-vertex map")
             tallies[twice // 2] += count
     elapsed_ms = int(round(1000 * (time.perf_counter() - start)))
-    table_max = min(p // 2, 2)
+    table_max = min(p // 2, max(2, (p + 2) // 4))
     connected = {g: (tallies[g] if g < len(tallies) else 0) for g in range(table_max + 1)}
     return PairingCensus(
         vertices=p,

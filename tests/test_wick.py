@@ -1,10 +1,10 @@
 import random
 from collections import Counter
-from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubicmaps.acceptance import _connected_matchings
 from cubicmaps.numbers import double_factorial
 from cubicmaps.toda import genus_table
 from cubicmaps.wick import MAX_VERTICES, census
@@ -25,8 +25,7 @@ def test_two_vertex_topologies():
 
 
 def test_disconnected_pairing():
-    # torus thetas side by side on half-edges 6i..6i+5; five are p = 10, past
-    # the census range
+    # torus thetas side by side on half-edges 6i..6i+5
     for count in (2, 5):
         thetas = [(6 * i + a, 6 * i + a + 3) for i in range(count) for a in range(3)]
         d = genus_of_pairing(thetas)
@@ -51,23 +50,12 @@ CENSUS_TABLE = {
     4: ({0: 5184, 1: 4536, 2: 0}, 675),
     6: ({0: 9797760, 1: 19362240, 2: 3061800}, 2237625),
     8: ({0: 45148078080, 1: 164367221760, 2: 89414357760}, 17304485625),
+    10: ({0: 392212641300480, 1: 2332019568291840, 2: 2834113460935680, 3: 357485480352000},
+         274452202749375),
 }
 
 
-def _connected_matchings(p):
-    """C_p, the connected matchings on p vertices, from M_q = (3q-1)!! alone
-    (0 at odd q): the component of vertex 0 has k vertices, so
-    M_p = sum_k C(p-1, k-1) C_k M_(p-k), the log of the matching EGF."""
-    def m(q):
-        return 0 if q % 2 else double_factorial(3 * q - 1)
-
-    c = [0] * (p + 1)
-    for q in range(1, p + 1):
-        c[q] = m(q) - sum(comb(q - 1, k - 1) * c[k] * m(q - k) for k in range(1, q))
-    return c[p]
-
-
-@pytest.mark.parametrize("p", [2, 4, 6, 8])
+@pytest.mark.parametrize("p", sorted(CENSUS_TABLE))
 def test_census_frozen_values(p):
     c = census(p)
     connected, disconnected = CENSUS_TABLE[p]
@@ -81,13 +69,14 @@ def test_census_frozen_values(p):
 
 
 def test_census_counts_equal_genus_coefficients():
-    # the oracle equivalence: enumerated connected counts per genus against
-    # the analytic table, p = 2j vertices
-    table = genus_table(2, 4)
-    for p in (2, 4, 6, 8):
+    # the oracle equivalence: enumerated connected counts in every genus
+    # against the analytic table, p = 2j vertices
+    g_max = (MAX_VERTICES + 2) // 4
+    table = genus_table(g_max, MAX_VERTICES // 2)
+    for p in range(2, MAX_VERTICES + 1, 2):
         c = census(p)
-        for g, count in c.connected.items():
-            assert count == table.counts[g, p // 2]
+        assert c.connected == {g: table.counts[g, p // 2] for g in range(len(c.connected))}
+        assert not any(table.counts[g, p // 2] for g in range(len(c.connected), g_max + 1))
 
 
 def _matchings(p):
@@ -130,35 +119,95 @@ def test_census_rejects_bad_sizes():
         census(MAX_VERTICES + 2)
 
 
+def _rot(h):
+    return h - h % 3 + (h % 3 + 1) % 3
+
+
+def _sigma(match, touched):
+    """x -> the first free half-edge on c -> rot[match[c]] from rot[x], for
+    every free half-edge x on a touched vertex, walked by brute force."""
+    sigma = {}
+    for x in (h for v in sorted(touched) for h in range(3 * v, 3 * v + 3) if match[h] < 0):
+        c = _rot(x)
+        while match[c] >= 0:
+            c = _rot(match[c])
+        sigma[x] = c
+    return sigma
+
+
+def _cycles(sigma):
+    cycles, seen = [], set()
+    for x in sigma:
+        cycle = []
+        while x not in seen:
+            seen.add(x)
+            cycle.append(x)
+            x = sigma[x]
+        if cycle:
+            cycles.append(cycle)
+    return cycles
+
+
+def _closed_faces(match):
+    """Cycles of c -> rot[match[c]] that run through paired half-edges only."""
+    faces, seen = 0, set()
+    for c0 in range(len(match)):
+        if match[c0] < 0 or c0 in seen:
+            continue
+        c = c0
+        while match[c] >= 0 and c not in seen:
+            seen.add(c)
+            c = _rot(match[c])
+        faces += c == c0
+    return faces
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from([2, 4, 6, 8, 10]), st.integers(0, 2**32 - 1))
-def test_descent_touches_vertices_in_order(p, seed):
-    # one random path of the census descent, its partners drawn by the orbit
-    # rule from the pairs placed so far: the touched vertices stay 0..fresh-1
-    # with their free half-edges below the untouched 3 fresh..3p-1, and the
-    # components are the openings h = 3 fresh (p = 10 is past MAX_VERTICES)
+@given(st.sampled_from([2, 4, 6, 8, 10, 12]), st.integers(0, 2**32 - 1))
+def test_pairs_move_the_state_by_split_join_or_grow(p, seed):
+    # one random partial matching, pair by pair from a boundary half-edge h:
+    # the boundary permutation sigma, the closed faces and the untouched
+    # vertices, recomputed from the placed pairs alone, follow the census's
+    # split, join or grow move for h's partner
     rng = random.Random(seed)
-    free, pairs, touched = list(range(3 * p)), [], set()
-    fresh = opened = 0
-    while free:
-        assert touched == set(range(fresh))
-        assert free[len(free) - 3 * (p - fresh):] == list(range(3 * fresh, 3 * p))
-        h = free[0]
-        if h == 3 * fresh:
-            fresh += 1
-            opened += 1
-        partners = [t for t in free[1:] if t // 3 in touched or t // 3 == h // 3]
-        untouched = sorted({t // 3 for t in free} - touched - {h // 3})
-        if untouched:
-            partners.append(3 * untouched[0])  # the orbit's first half-edge
-        t = rng.choice(partners)
-        if t == 3 * fresh:
-            fresh += 1
-        touched |= {h // 3, t // 3}
+    match, touched, pairs = [-1] * (3 * p), {0}, []
+    lengths, k, faces = [3], p - 1, 0
+    while True:
+        sigma = _sigma(match, touched)
+        cycles = _cycles(sigma)
+        assert sorted(map(len, cycles)) == sorted(lengths)
+        assert (k, faces) == (p - len(touched), _closed_faces(match))
+        if not cycles:
+            break
+        h = rng.choice(sorted(sigma))
+        t = rng.choice([x for x in range(3 * p) if match[x] < 0 and x != h])
+        own = next(c for c in cycles if h in c)
+        a = len(own)
+        lengths.remove(a)
+        if t in own:  # split at distance d along h's cycle
+            d = (own.index(t) - own.index(h)) % a
+            new = [d - 1, a - d - 1]
+        elif t in sigma:  # join with t's cycle
+            b = len(next(c for c in cycles if t in c))
+            lengths.remove(b)
+            new = [a + b - 2]
+        else:  # grow onto an untouched vertex
+            k -= 1
+            new = [a + 1]
+        faces += new.count(0)
+        lengths += [x for x in new if x]
+        match[h], match[t] = t, h
+        touched.add(t // 3)
         pairs.append((h, t))
-        free.remove(h)
-        free.remove(t)
-    assert genus_of_pairing(pairs).components == opened
+    if k == 0:
+        # a finished matching: connected, with the faces the moves closed
+        topology = genus_of_pairing(pairs)
+        assert topology.connected and topology.faces == faces
+    else:
+        # the touched vertices closed up: any completion is disconnected
+        rest = [x for x in range(3 * p) if match[x] < 0]
+        rng.shuffle(rest)
+        assert not genus_of_pairing(pairs + list(zip(rest[::2], rest[1::2]))).connected
 
 
 @settings(max_examples=60, deadline=None)

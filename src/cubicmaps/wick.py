@@ -32,7 +32,15 @@ boundary or on an untouched vertex, so every touched vertex stays in vertex
 0's component until lambda empties.
 
 The count is a recursion on (k, sorted lambda), memoized within one census
-call.  No string equation, Toda step or hierarchy code enters it; an
+call.  A state's connected completions are one integer, packed by faces:
+slot f, bits f*B to f*B + B - 1 with B = ((3p - 1)!!).bit_length() + 1,
+holds the number of its completions that close f faces, and a move that
+closes c faces adds weight * child << c*B.  No slot overflows.  Each pair
+uses up two free half-edges, so a state has at most 3p of them and at most
+(3p - 1)!! < 2^B completions, and every term is nonnegative, so no carry
+crosses a slot; one would also break the (3p - 1)!! total census checks.
+
+No string equation, Toda step or hierarchy code enters the count; an
 independent classifier of whole matchings, walked one at a time, lives with
 the test oracles in ``tests/oracles.py``.
 """
@@ -40,16 +48,18 @@ the test oracles in ``tests/oracles.py``.
 from __future__ import annotations
 
 import time
+from bisect import bisect, insort
 from typing import NamedTuple
 
 from .numbers import double_factorial
 
 ENGINE = "pure"
 
-# p = 24 visits 2,096 states in 0.021 s and p = 10 visits 102 in 0.5 ms
-# (2-core Xeon, Python 3.11); every even p <= 24 takes about 0.06 s together.
-# genus_table(6, 12), criterion 5's reference, reaches p = 24 and genus 6
-MAX_VERTICES = 24
+# p = 32 visits 8,693 states in 0.046 s, p = 24 2,108 in 0.008 s and p = 10
+# 107 in 0.24 ms (2-core Xeon, Python 3.11); every even p <= 32 takes about
+# 0.15 s together.  genus_table(8, 16), criterion 5's reference, reaches
+# p = 32 and genus 8
+MAX_VERTICES = 32
 
 
 def available_engines() -> tuple[str, ...]:
@@ -73,39 +83,63 @@ def census(p: int) -> PairingCensus:
     if p % 2 or not 2 <= p <= MAX_VERTICES:
         raise ValueError(f"p must be even with 2 <= p <= {MAX_VERTICES}")
     start = time.perf_counter()
+    matchings = double_factorial(3 * p - 1)
+    shift = matchings.bit_length() + 1  # the width of one face slot
     memo = {}
 
     def completions(k, cycles):
-        # (connected completions by faces they close, disconnected completions)
-        # of k untouched vertices and boundary cycle lengths cycles, sorted
-        key = (k, cycles)
-        if key in memo:
-            return memo[key]
+        # (connected completions packed by the faces they close, disconnected
+        # completions) of k untouched vertices and boundary cycle lengths cycles, sorted
+        key = k, cycles
+        found = memo.get(key)
+        if found is not None:
+            return found
         if not cycles:
-            return ([1], 0) if k == 0 else ([], double_factorial(3 * k - 1))
-        # h on a shortest cycle: 2,096 states at p = 24, 3,701 on a longest
-        a, rest = cycles[0], cycles[1:]
-        # (weight, k after the pair, cycle lengths after it, each 0 a closed face);
-        # the splits at d and a - d leave the same state, so d stops at a / 2
-        moves = [(1 + (2 * d < a), k, rest + (d - 1, a - d - 1)) for d in range(1, a // 2 + 1)]
-        moves += [(b * rest.count(b), k, rest[:i] + rest[i + 1:] + (a + b - 2,))
-                  for i, b in enumerate(rest) if i == 0 or rest[i - 1] != b]
-        if k:
-            moves.append((3 * k, k - 1, rest + (a + 1,)))
-        by_faces, disconnected = [], 0
-        for weight, k_next, lengths in moves:
-            closed = lengths.count(0)
-            faces_next, disconnected_next = completions(k_next, tuple(sorted(lengths))[closed:])
-            by_faces += [0] * (closed + len(faces_next) - len(by_faces))
-            for faces, count in enumerate(faces_next, closed):
-                by_faces[faces] += weight * count
-            disconnected += weight * disconnected_next
-        memo[key] = by_faces, disconnected
-        return memo[key]
+            found = (1, 0) if k == 0 else (0, double_factorial(3 * k - 1))
+        else:
+            # h on a shortest cycle (2,096 unfinished states at p = 24, 3,701 on a longest)
+            a, rest = cycles[0], cycles[1:]
+            packed = disconnected = 0
+            # split: the splits at d and a - d leave the same state, so d stops at
+            # a / 2; then d - 1 <= a - d - 1 < a <= rest[0], and a - d - 1 = 0 only
+            # at a = 2, so the zeros (closed faces) come first and the rest lead rest
+            for d in range(1, a // 2 + 1):
+                closed = (d == 1) + (a == 2)
+                faces, lost = completions(k, (d - 1, a - d - 1)[closed:] + rest)
+                weight = 1 + (2 * d < a)
+                packed += weight * faces << closed * shift
+                disconnected += weight * lost
+            # join: the cycles of length b are rest[i:j], weight b each
+            i = 0
+            while i < len(rest):
+                b = rest[i]
+                j = bisect(rest, b, i)
+                child = list(rest)
+                del child[i]
+                if a + b > 2:
+                    insort(child, a + b - 2)
+                faces, lost = completions(k, tuple(child))
+                weight = b * (j - i)
+                packed += weight * faces << (a + b == 2) * shift
+                disconnected += weight * lost
+                i = j
+            if k:  # grow
+                child = list(rest)
+                insort(child, a + 1)
+                faces, lost = completions(k - 1, tuple(child))
+                packed += 3 * k * faces
+                disconnected += 3 * k * lost
+            found = packed, disconnected
+        memo[key] = found
+        return found
 
-    by_faces, disconnected = completions(p - 1, (3,))
+    packed, disconnected = completions(p - 1, (3,))
+    by_faces, mask = [], (1 << shift) - 1
+    while packed:
+        by_faces.append(packed & mask)
+        packed >>= shift
     total = sum(by_faces) + disconnected
-    if total != double_factorial(3 * p - 1):
+    if total != matchings:
         raise ArithmeticError(f"weighted total {total} != (3p-1)!!")
     tallies = [0] * ((p // 2 + 1) // 2 + 1)
     for faces, count in enumerate(by_faces):

@@ -512,7 +512,7 @@ USAGE_ERRORS = [
     (["expand", "--genus"], "argument --genus: expected one argument"),
     (["validate", "--N", "4", "--u", "1/20", "--toda=1"], "argument --toda: ignored explicit argument '1'"),
     (["oracle", "--vertices", "4", "extra"], "unrecognized arguments: extra"),
-    (["oracle", "--vertices", "26"], "--vertices must be at most 24"),
+    (["oracle", "--vertices", "34"], "--vertices must be at most 32"),
     (["equilibrium", "--u", "1/20", "--zmax", "x"], "argument --zmax: invalid float value: 'x'"),
     (["equilibrium", "--u", "-1/10"], "--u must be nonnegative"),
     (["validate", "--N", "4", "--u", "1/20", "--h-step", "-1/1000"], "--h-step must be positive"),

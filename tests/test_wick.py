@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubicmaps import wick
 from cubicmaps.acceptance import _connected_matchings
 from cubicmaps.numbers import double_factorial
 from cubicmaps.toda import genus_table
@@ -117,6 +118,30 @@ def test_census_rejects_bad_sizes():
         census(3)
     with pytest.raises(ValueError):
         census(MAX_VERTICES + 2)
+
+
+def _wick_state():
+    """Every name in cubicmaps.wick with a printout of what it holds, so a
+    dict, list or set filled in place, a function attribute, a mutable
+    default or an lru_cache shows as a change."""
+    state = {}
+    for name, value in vars(wick).items():
+        if name != "__builtins__":
+            held = [repr(getattr(value, attr, None)) for attr in ("__dict__", "__defaults__", "__kwdefaults__")]
+            if hasattr(value, "cache_info"):
+                held.append(value.cache_info())
+            state[name] = value, repr(value), held
+    return state
+
+
+def test_census_keeps_no_state_between_calls():
+    # the memo lives within one call: a cache kept across calls would time
+    # a benchmark's repeated jobs, not one cubicmaps oracle run
+    before = _wick_state()
+    for p in (4, MAX_VERTICES):
+        first, second = census(p), census(p)
+        assert first._replace(elapsed_ms=0) == second._replace(elapsed_ms=0)
+    assert _wick_state() == before
 
 
 def _rot(h):

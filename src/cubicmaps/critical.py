@@ -29,6 +29,15 @@ from .precision import BigFloat, as_mp
 G0_AT_CRITICAL = Fraction(1, 108)
 B0_AT_CRITICAL = Qbeta((Fraction(1, 6), 0, Fraction(-1, 36), 0))  # (3 - sqrt(3))/18
 
+
+def critical_coupling(dps: int):
+    """u_c = 3^(1/4)/18, the coupling at w_c = u_c^2, as an mpf at dps digits."""
+    from mpmath import mp, workdps
+
+    with workdps(dps):
+        return mp.root(3, 4) / 18
+
+
 # Inverse slope of the determinant at w_c: 1/(2^(3/2) 3^(5/4)) = beta^3/72,
 # the unit of the Cramer solve, kept as a field element.
 _CRAMER_UNIT = BETA**3 / 72

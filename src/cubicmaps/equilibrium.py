@@ -27,20 +27,14 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .hierarchy import compute_g0_series
+from .critical import G0_AT_CRITICAL, critical_coupling
+from .hierarchy import build_hierarchy
 from .precision import BigFloat, as_mp
 from .series import VAR_U2, TruncatedSeries
 
 
 # fraction bits phi_check's fixed-point samples carry past the working precision
 _PHI_GUARD = 20
-
-
-def critical_coupling(dps: int):
-    from mpmath import mp, workdps
-
-    with workdps(dps):
-        return mp.root(3, 4) / 18
 
 
 def _gap_tolerance(b, dps: int):
@@ -93,7 +87,7 @@ def solve_endpoints(u, precision: int) -> EquilibriumData:
         if critical:
             # the slice's double root H = sqrt(3), read as g0/w_c with g0 = 1/108
             w = uc * uc
-            H = mp.mpf(1) / 108 / w
+            H = as_mp(G0_AT_CRITICAL) / w
             extra = 0
         else:
             # next to u_c the root sits next to that double root and loses
@@ -173,7 +167,7 @@ def endpoint_series(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
 
     Returns (X, Y) in the u^2 variable, with x(u) = u * X(u^2) (the center is
     an odd function of u) and y(u) = Y(u^2).  Both are read off the leading
-    pair of ``compute_g0_series``, dilated from v = 18 w to w = u^2: X = b0/w
+    pair of ``build_hierarchy(0, order + 2)``, renamed from w to u^2: X = b0/w
     and Y = 2 sqrt(H), H = g0/w, by the square-root recurrence.  The center cubic
     18 q^2 X^3 - 9 q X^2 + X - 6 = 0, q = u^2, must then close exactly
     through the returned window, which ties b0 to the endpoint center, and
@@ -181,13 +175,13 @@ def endpoint_series(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    g0, b0 = compute_g0_series(order + 2)
-    X = b0.dilate(18, VAR_U2).shift(-1)
+    leading = build_hierarchy(0, order + 2)
+    X = leading.b_hat[0].dilate(1, VAR_U2).shift(-1)
     q2 = X * X
     residual = (q2 * X).shift(2) * 18 - q2.shift(1) * 9 + X - 6
     if not residual.is_zero():
         raise ArithmeticError(f"center cubic residual {residual!r} of the leading slice is not zero")
-    H = g0.dilate(18, VAR_U2).shift(-1)
+    H = leading.g_hat[0].dilate(1, VAR_U2).shift(-1)
     # Y = 2 sqrt(H): Y^2 = 4 H with Y_0 = 2 gives Y_n = H_n - (1/4) sum_(m=1..n-1) Y_m Y_(n-m)
     Y = [Fraction(2)]
     for n, h in enumerate(H.coeffs[1:], start=1):

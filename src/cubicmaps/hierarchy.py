@@ -113,8 +113,8 @@ def solve_order_k(
     return gk, bk, uk + bk
 
 
-def solve_g1(g0: TruncatedSeries, b0: TruncatedSeries, det: TruncatedSeries) -> TruncatedSeries:
-    """g_1 alone from the certified leading pair, for a first order whose b_1 nothing reads.
+def _solve_g1(g0: TruncatedSeries, b0: TruncatedSeries, det: TruncatedSeries) -> TruncatedSeries:
+    """g_1 alone from the certified leading pair, ``g_hat_series``'s last order at max_k = 1.
 
     On that pair two identities hold exactly through its window: R*g0 = v/18,
     since R = 1/H there and g0 = v H/18, and R^2 - 36*g0 = det.  Putting
@@ -159,10 +159,9 @@ def _solve_in_v(max_k: int, horizon: int) -> tuple[list, list, list, TruncatedSe
     first-order form, and b0 = (1 - R)/6 from the square that certificate
     reads, with no division.
     Each order divides once, by det; the anti-diagonal sums T_n are carried.
-    Callers finish order max_k with ``solve_order_k``, except that
-    ``toda.free_energy_series`` at max_k = 1 takes ``solve_g1``, which forms
-    g_1 alone.  Callers cut each series to the horizon and dilate it to
-    w = v/18, only the ones they read.
+    ``build_hierarchy`` finishes order max_k with ``solve_order_k``, and
+    ``g_hat_series`` with ``_solve_g1`` at max_k = 1, which forms g_1 alone;
+    both hand their series to w through ``_in_w``.
     """
     if max_k < 0 or horizon < 1:
         raise ValueError("need max_k >= 0 and horizon >= 1")
@@ -181,6 +180,11 @@ def _solve_in_v(max_k: int, horizon: int) -> tuple[list, list, list, TruncatedSe
     return g, b, t, det
 
 
+def _in_w(series: list, horizon: int) -> tuple:
+    """Each v-series cut to the horizon and dilated to w = v/18."""
+    return tuple(s.truncate_to(horizon).dilate(18, VAR_W) for s in series)
+
+
 def build_hierarchy(max_k: int, horizon: int) -> StringHierarchy:
     """Solve the hierarchy in v through correction order max_k; return it in w, exact to the horizon."""
     g, b, t, det = _solve_in_v(max_k, horizon)
@@ -188,9 +192,14 @@ def build_hierarchy(max_k: int, horizon: int) -> StringHierarchy:
         gk, bk, _ = solve_order_k(g, b, det, t)
         g.append(gk)
         b.append(bk)
-    return StringHierarchy(
-        max_k=max_k,
-        horizon=horizon,
-        g_hat=tuple(s.truncate_to(horizon).dilate(18, VAR_W) for s in g),
-        b_hat=tuple(s.truncate_to(horizon).dilate(18, VAR_W) for s in b),
-    )
+    return StringHierarchy(max_k=max_k, horizon=horizon, g_hat=_in_w(g, horizon), b_hat=_in_w(b, horizon))
+
+
+def g_hat_series(max_k: int, horizon: int) -> tuple:
+    """``build_hierarchy(max_k, horizon).g_hat`` alone; at max_k = 1 its last order is ``_solve_g1``'s square."""
+    g, b, t, det = _solve_in_v(max_k, horizon)
+    if max_k == 1:
+        g.append(_solve_g1(g[0], b[0], det))
+    elif max_k:
+        g.append(solve_order_k(g, b, det, t)[0])
+    return _in_w(g, horizon)

@@ -3,8 +3,9 @@
 The time-like deformation variable t and the coupling are tied by
 72 u^2 = t^(-3/2).  In that variable the free energy satisfies a Toda
 equation, and integrating its genus-k term twice (with integration constants
-fixed by decay at t -> infinity) turns the w-series g_hat[2k] into the
-genus-k free-energy series F^(2k)(u).  Each w-term c_j contributes
+fixed by decay at t -> infinity) turns the w-series g_hat[2k], read from
+``hierarchy.g_hat_series``, into the genus-k free-energy series F^(2k)(u).
+Each w-term c_j contributes
 
     2 c_j / (72 (3j+6k-4)(3j+6k-6))  at  u^(2(j+2k-2)),
 
@@ -24,8 +25,8 @@ from math import factorial, gcd, lcm
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .critical import compute_K, run_C_recursion
-from .hierarchy import _solve_in_v, solve_g1, solve_order_k
+from .critical import compute_K, critical_coupling, run_C_recursion
+from .hierarchy import g_hat_series
 from .numbers import gamma_exact
 from .precision import BigFloat
 from .series import VAR_U2, VAR_W, TruncatedSeries, from_numerators, zero_series
@@ -72,25 +73,9 @@ def toda_integrate(k: int, ghat: TruncatedSeries) -> TruncatedSeries:
     return from_numerators(VAR_U2, lo + 2 * k - 2, nums, ghat.denominator * common)
 
 
-def free_energy_series(g_max: int, horizon: int) -> tuple:
-    """F^(0)..F^(2 g_max) through u^(2 horizon) from g_hat alone.
-
-    One hierarchy solve whose last order is ``solve_order_k``'s full step,
-    except at g_max = 1, where ``solve_g1`` forms g_hat[1] alone by one
-    square; only g_hat is taken to w.
-    """
-    g, b, t, det = _solve_in_v(g_max, horizon + 2)
-    if g_max == 1:
-        g.append(solve_g1(g[0], b[0], det))
-    elif g_max:
-        g.append(solve_order_k(g, b, det, t)[0])
-    return tuple(toda_integrate(k, s.truncate_to(horizon + 2).dilate(18, VAR_W)).truncate_to(horizon)
-                 for k, s in enumerate(g))
-
-
 class GenusCoeffTable(NamedTuple):
     counts: MappingProxyType  # (g, j) -> int, the connected graph count f^(2g)_{2j}
-    series: tuple  # F^(0)..F^(2 g_max) from ``free_energy_series``
+    series: tuple  # F^(0)..F^(2 g_max) through u^(2 j_max)
 
 
 def genus_table(g_max: int, j_max: int) -> GenusCoeffTable:
@@ -100,7 +85,7 @@ def genus_table(g_max: int, j_max: int) -> GenusCoeffTable:
     are hard failures rather than recorded values.  ``expand`` prints only
     g_max, but counting every lower genus is its only integrality check on F^(0)..F^(2 g_max - 2).
     """
-    series = free_energy_series(g_max, j_max)
+    series = tuple(toda_integrate(k, s).truncate_to(j_max) for k, s in enumerate(g_hat_series(g_max, j_max + 2)))
     counts: dict[tuple[int, int], int] = {}
     for g in range(g_max + 1):
         s = series[g]
@@ -163,7 +148,7 @@ def log_count_estimate(g: int, j: int, precision: int):
 
     k = compute_K(run_C_recursion(g), g, precision + 20).value
     with mp.workdps(precision + 20):
-        ln_uc = mp.log(3) / 4 - mp.log(18)
+        ln_uc = mp.log(critical_coupling(precision + 20))
         return mp.log(k) + mp.loggamma(2 * j + 1) + mp.mpf(5 * g - 7) / 2 * mp.log(j) - 2 * j * ln_uc
 
 

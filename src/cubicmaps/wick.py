@@ -141,7 +141,9 @@ def census(p: int) -> PairingCensus:
     total = sum(by_faces) + disconnected
     if total != matchings:
         raise ArithmeticError(f"weighted total {total} != (3p-1)!!")
-    tallies = [0] * ((p // 2 + 1) // 2 + 1)
+    # bins through the top genus of a connected p-vertex map, (p + 2) // 4, and through 2 while p // 2 allows
+    table_max = min(p // 2, max(2, (p + 2) // 4))
+    tallies = [0] * (table_max + 1)
     for faces, count in enumerate(by_faces):
         if count:
             twice = p // 2 + 2 - faces
@@ -149,12 +151,10 @@ def census(p: int) -> PairingCensus:
                 raise ArithmeticError(f"{faces} faces on a connected {p}-vertex map")
             tallies[twice // 2] += count
     elapsed_ms = int(round(1000 * (time.perf_counter() - start)))
-    table_max = min(p // 2, max(2, (p + 2) // 4))
-    connected = {g: (tallies[g] if g < len(tallies) else 0) for g in range(table_max + 1)}
     return PairingCensus(
         vertices=p,
         total=total,
-        connected=connected,
+        connected=dict(enumerate(tallies)),
         disconnected=disconnected,
         elapsed_ms=elapsed_ms,
     )

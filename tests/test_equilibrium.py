@@ -9,10 +9,10 @@ import pytest
 from mpmath import libmp, mp, workdps
 
 from cubicmaps.cli import main
+from cubicmaps.critical import critical_coupling
 from cubicmaps.equilibrium import (
     _PHI_GUARD,
     _tail_samples,
-    critical_coupling,
     endpoint_series,
     phi_check,
     solve_endpoints,

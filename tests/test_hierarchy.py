@@ -8,7 +8,7 @@ from cubicmaps.hierarchy import (
     build_hierarchy,
     compute_g0_series,
     g0_coefficients,
-    solve_g1,
+    g_hat_series,
     solve_order_k,
 )
 from cubicmaps.series import TruncatedSeries, VAR_U2, VAR_V, VAR_W
@@ -223,12 +223,11 @@ def test_build_hierarchy_divides_once_per_order(monkeypatch, max_k, horizon):
     assert all(d.truncate_to(horizon).dilate(18, VAR_W) == det for d in divisors)
 
 
-@pytest.mark.parametrize("max_k, horizon", [(1, h) for h in (1, 2, 5, 40, 132)])
+@pytest.mark.parametrize("max_k, horizon", [(1, h) for h in (1, 2, 5, 40, 132)] + [(k, 40) for k in (0, 2, 3)])
 def test_g_only_last_order_matches_full_step(max_k, horizon):
-    # the two finishers of order 1, the square and the full step, coefficient
-    # for coefficient in the same window; the g-only window must reach the
-    # horizon too
-    g, b, t, det = hierarchy._solve_in_v(max_k, horizon)
-    gk = solve_g1(g[0], b[0], det)
-    assert gk.known_max >= horizon
-    assert gk.truncate_to(horizon).dilate(18, VAR_W) == build_hierarchy(max_k, horizon).g_hat[max_k]
+    # the g-only reader against the full solve, every order coefficient for
+    # coefficient: at order 1 the square against the full step, above it the
+    # same step; each window must reach the horizon
+    got = g_hat_series(max_k, horizon)
+    assert all(s.known_max == horizon for s in got)
+    assert got == build_hierarchy(max_k, horizon).g_hat

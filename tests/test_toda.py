@@ -7,13 +7,12 @@ from mpmath import mp
 import cubicmaps.hierarchy as hierarchy
 import cubicmaps.series as series
 import cubicmaps.toda as toda
-from cubicmaps.critical import compute_K, run_C_recursion
-from cubicmaps.hierarchy import build_hierarchy
+from cubicmaps.critical import compute_K, critical_coupling, run_C_recursion
+from cubicmaps.hierarchy import build_hierarchy, g_hat_series
 from cubicmaps.precision import agreement_digits
 from cubicmaps.series import TruncatedSeries, VAR_U2, VAR_W
 from cubicmaps.toda import (
     count_vs_estimate,
-    free_energy_series,
     genus0_closed_form,
     genus1_closed_form,
     genus_table,
@@ -29,7 +28,7 @@ F4_HEAD = [0, 0, Fraction(8505, 2), 2217618, Fraction(3905028468, 5)]
 
 
 def test_free_energy_heads():
-    F = free_energy_series(2, 5)
+    F = genus_table(2, 5).series
     assert [F[0].coefficient(j) for j in range(1, 6)] == F0_HEAD
     assert [F[1].coefficient(j) for j in range(1, 6)] == F2_HEAD
     assert [F[2].coefficient(j) for j in range(1, 6)] == F4_HEAD
@@ -74,9 +73,10 @@ def test_integration_rule_at_every_order():
     (2, 1, Fraction(1, 2), "count f(g=2, j=1) nonzero below the vertex threshold"),
 ])
 def test_genus_table_rejects_bad_counts(monkeypatch, g, j, coeff, message):
-    good = free_energy_series(2, 3)
+    good = genus_table(2, 3).series
     bad = good[g] + monomial(VAR_U2, coeff - good[g].coefficient(j), j, 3)
-    monkeypatch.setattr(toda, "free_energy_series", lambda g_max, j_max: good[:g] + (bad,) + good[g + 1 :])
+    integrate = toda.toda_integrate
+    monkeypatch.setattr(toda, "toda_integrate", lambda k, ghat: bad if k == g else integrate(k, ghat))
     with pytest.raises(ArithmeticError) as err:
         genus_table(2, 3)
     assert str(err.value) == message
@@ -94,7 +94,7 @@ def test_genus1_sum_by_term_ratio_matches_pochhammer_form():
 
 def test_closed_forms_match_pipeline():
     # every count of the longest expand jobs, genus 0 and 1 through j = 130
-    F = free_energy_series(1, 130)
+    F = genus_table(1, 130).series
     for j in range(1, 131):
         assert genus0_closed_form(j) == F[0].coefficient(j) * factorial(2 * j)
         assert genus1_closed_form(j) == F[1].coefficient(j) * factorial(2 * j)
@@ -123,11 +123,11 @@ def _count_products_and_divisions(monkeypatch, solve, g_max, horizon):
     return counted, divisors
 
 
-@pytest.mark.parametrize("solve, pairs", [(free_energy_series, 2), (build_hierarchy, 4)])
+@pytest.mark.parametrize("solve, pairs", [(g_hat_series, 2), (build_hierarchy, 4)])
 def test_g_only_last_order_forms_one_product(monkeypatch, solve, pairs):
     # the certificate of the leading slice takes one product pair, the square
     # H*H; order 1 then takes three in solve_order_k and one, the square
-    # (v H')^2, in the g-only finisher that free_energy_series ends on; one
+    # (v H')^2, in the g-only finisher that g_hat_series ends on; one
     # division each
     counted, divisors = _count_products_and_divisions(monkeypatch, solve, 1, 130)
     assert sum(counted) == pairs
@@ -136,11 +136,11 @@ def test_g_only_last_order_forms_one_product(monkeypatch, solve, pairs):
 
 @pytest.mark.parametrize("g_max", [2, 3])
 def test_last_order_past_genus_1_is_the_full_step(monkeypatch, g_max):
-    # past genus 1 free_energy_series ends on solve_order_k like build_hierarchy:
+    # past genus 1 g_hat_series ends on solve_order_k like build_hierarchy:
     # the same product_sum calls and the same divisors, over the same window
     horizon = 40
-    got = _count_products_and_divisions(monkeypatch, free_energy_series, g_max, horizon)
-    want = _count_products_and_divisions(monkeypatch, build_hierarchy, g_max, horizon + 2)
+    got = _count_products_and_divisions(monkeypatch, g_hat_series, g_max, horizon)
+    want = _count_products_and_divisions(monkeypatch, build_hierarchy, g_max, horizon)
     assert got == want
     assert len(got[1]) == g_max
 
@@ -218,7 +218,7 @@ def test_log_count_estimate_reads_K_from_critical():
     for g, (q, p) in closed.items():
         for j in (1, 200, 400):
             with mp.workdps(50):
-                ln_uc = mp.log(3) / 4 - mp.log(18)
+                ln_uc = mp.log(critical_coupling(50))
                 ln_k = mp.log(q.numerator) - mp.log(q.denominator) + p * mp.log(6 * mp.pi)
                 want = ln_k + mp.loggamma(2 * j + 1) + mp.mpf(5 * g - 7) / 2 * mp.log(j) - 2 * j * ln_uc
             assert log_count_estimate(g, j, 30) == want
@@ -228,7 +228,7 @@ def test_log_count_estimate_reads_K_from_critical():
 
 def test_genus2_asymptotics_extended_horizon():
     # the slowest check in this file: full pipeline to u^800
-    F = free_energy_series(2, 400)
+    F = genus_table(2, 400).series
     f = F[2].coefficient(400) * factorial(800)
     assert f.denominator == 1 and f > 0
     r = count_vs_estimate(2, 400, f, 30)

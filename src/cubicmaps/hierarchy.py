@@ -12,9 +12,10 @@ Taylor-shifted derivatives of lower orders with weights 1/((2j)! 2^(2j)).
 Eliminating g_{2k} leaves b_{2k} times D(w) = 1 - 108*g0(w), a unit in the
 series ring, so the whole hierarchy stays exact rational arithmetic.  The
 leading pair is certified by the cubic's first-order form, a linear check
-on the square of H = g0/w.  Every order is solved by the same elimination;
-the one shortcut is a first order whose b_2 nothing reads, as in the
-genus-1 free energy: g_2 alone then costs one product, the square of H'.
+on the square of H = g0/w.  The first order (g_2, b_2) has a closed form:
+reduced modulo the cubic, each is a polynomial of degree 2 in H over
+(1 - (w/w_c)^2)^2, built in linear time from H and H^2 off the certified
+pair.  Every higher order is solved by the same elimination.
 Everything is solved in v = 18 w, which cancels the 2^(3j) 3^(2j) in g0's
 w^j coefficient: H is integral, g0 and b0 have denominators 18 and 3, and
 the Taylor weights 81^j/(2j)! act as integers, so products run on integers
@@ -113,31 +114,37 @@ def solve_order_k(
     return gk, bk, uk + bk
 
 
-def _solve_g1(g0: TruncatedSeries, b0: TruncatedSeries, det: TruncatedSeries) -> TruncatedSeries:
-    """g_1 alone from the certified leading pair, ``g_hat_series``'s last order at max_k = 1.
+# g_1 and b_1 as (p_0 + p_1 H + p_2 H^2)/(1 - 108 v^2)^2, each p_i by ascending powers of v
+G1_FORM = ((0, 0, 810), (0, 45, 0, 5832), (0, 0, 108))
+B1_FORM = ((0, 1296), (54, 0, 7776), (0, -216))
 
-    On that pair two identities hold exactly through its window: R*g0 = v/18,
-    since R = 1/H there and g0 = v H/18, and R^2 - 36*g0 = det.  Putting
-    b_1*det = 6*R2 - R*R1 of ``solve_order_k`` into 6*g_1*det = R1*det + R*b_1*det
-    and using both leaves g_1 = (v U_1/3 - 6 g0 R1)/det with no b_1, and
-    -6 g0 R1 = 1458 g0 g0'' is a square in disguise: with H = 18 g0/v and
-    H^2 = (H - R)/(4 v), both read off the certified pair,
-    1458 g0 g0'' = (9/2) v H (2 H' + v H''), which is
 
-        (9/2) (v (H^2)' + v^2 (H^2)''/2 - v^2 H'^2),
+def _order_1(form: tuple, H: TruncatedSeries, h4: TruncatedSeries) -> TruncatedSeries:
+    """One member of order 1, through v^(h4's known_max), from H = 18 g0/v and h4 = 4 H^2 = (H - R)/v.
 
-    where v (H^2)' + v^2 (H^2)''/2 scales [H^2]_e by e (e+1)/2 and v H' scales
-    H_e by e.  So g_1 costs the square (v H')^2 and the division where
-    ``solve_order_k`` takes three products, and R1 is not formed.  Valid in v
-    on that pair only.
+    Both are read off the certified leading pair, where R = 1 - 6 b0 = 1/H
+    and 4 v H^3 - H^2 + 1 = 0, so H^3 = (H^2 - 1)/(4 v) takes any polynomial
+    in H to degree 2.  The cubic gives H' = (6 + 36 v H - 4 H^2)/(1 - 108 v^2),
+    and det = 1 - 6 v H has 1/det = (1 + 6 v H - 72 v^2 H^2)/(1 - 108 v^2);
+    with g0 = v H/18 they reduce ``solve_order_k``'s k = 1 step to ``G1_FORM``
+    and ``B1_FORM`` over (1 - 108 v^2)^2, a double pole at w = w_c.  One pass
+    over the numerator and two of q_e = x_e + 108 q_(e-2), which divides by
+    1 - 108 v^2, replace its products and its series division.  The window is
+    that step's, two exponents below g0's: H reaches one further, and every
+    H^2 term carries a factor v.
     """
-    H = (g0 * 18).shift(-1)
-    h4 = (H + b0 * 6 - 1).shift(-1)  # 4 H^2 = (H - R)/v
-    vdH = from_numerators(VAR_V, H.offset, [e * x for e, x in enumerate(H.numerators, H.offset)], H.denominator)
-    lead = from_numerators(
-        VAR_V, h4.offset, [9 * e * (e + 1) * x for e, x in enumerate(h4.numerators, h4.offset)], 16 * h4.denominator
-    ) + product_sum([(-9, vdH, vdH)]) * Fraction(1, 2)
-    return (lead + even_taylor_sum([(b0, 1)]).shift(1) * Fraction(1, 3)) / det
+    den, n = H.denominator * h4.denominator, h4.known_max + 1
+    x = [0] * n  # 4 den times the numerator, from v^0
+    for e, c in enumerate(form[0][:n]):
+        x[e] = 4 * den * c
+    for p, s, scale in ((form[1], H, 4 * h4.denominator), (form[2], h4, H.denominator)):
+        for o, c in enumerate(p, s.offset):
+            if c:
+                x[o:n] = [a + c * scale * y for a, y in zip(x[o:n], s.numerators)]
+    for _ in range(2):
+        for e in range(2, n):
+            x[e] += 108 * x[e - 2]
+    return from_numerators(VAR_V, 0, x, 4 * den)
 
 
 class StringHierarchy(NamedTuple):
@@ -148,20 +155,19 @@ class StringHierarchy(NamedTuple):
 
 
 def _solve_in_v(max_k: int, horizon: int) -> tuple[list, list, list, TruncatedSeries]:
-    """Orders k < max_k (order 0 at max_k = 0) as v-series: g_hat, b_hat, T lists and det.
+    """Orders k < max_k, and order 1 at max_k = 1 (order 0 at max_k = 0), as v-series: g_hat, b_hat, T lists and det.
 
     Order k slides the known windows of the leading pair down by 2k exponents
     (the Taylor term s^(2k)), so the leading series is padded by 2*max_k
     exponents, and by one at max_k = 0, where b0, known one exponent short of
-    g0, is itself an output; order max_k, added by a caller's finisher, is
-    then exact through v^horizon.  The leading pair comes from
-    ``compute_g0_series``: g0 by its term ratio, certified by the cubic's
-    first-order form, and b0 = (1 - R)/6 from the square that certificate
-    reads, with no division.
-    Each order divides once, by det; the anti-diagonal sums T_n are carried.
-    ``build_hierarchy`` finishes order max_k with ``solve_order_k``, and
-    ``g_hat_series`` with ``_solve_g1`` at max_k = 1, which forms g_1 alone;
-    both hand their series to w through ``_in_w``.
+    g0, is itself an output; order max_k is then exact through v^horizon.
+    The leading pair comes from ``compute_g0_series``: g0 by its term ratio,
+    certified by the cubic's first-order form, and b0 = (1 - R)/6 from the
+    square that certificate reads, with no division.  Order 1 is
+    ``_order_1``'s closed form, with no product and no division; each order
+    k >= 2 divides once, by det, and the anti-diagonal sums T_n are carried.
+    ``build_hierarchy`` and ``g_hat_series`` finish order max_k >= 2 with
+    ``solve_order_k`` and hand their series to w through ``_in_w``.
     """
     if max_k < 0 or horizon < 1:
         raise ValueError("need max_k >= 0 and horizon >= 1")
@@ -172,7 +178,13 @@ def _solve_in_v(max_k: int, horizon: int) -> tuple[list, list, list, TruncatedSe
     g = [g0]
     b = [b0]
     t = [b0]
-    for _ in range(max_k - 1):
+    if max_k:
+        H = (g0 * 18).shift(-1)
+        h4 = (H + b0 * 6 - 1).shift(-1)  # 4 H^2 = (H - R)/v
+        g.append(_order_1(G1_FORM, H, h4))
+        b.append(_order_1(B1_FORM, H, h4))
+        t.append(even_taylor_sum([(b0, 1)]) + b[1])
+    for _ in range(max_k - 2):
         gk, bk, tk = solve_order_k(g, b, det, t)
         g.append(gk)
         b.append(bk)
@@ -188,7 +200,7 @@ def _in_w(series: list, horizon: int) -> tuple:
 def build_hierarchy(max_k: int, horizon: int) -> StringHierarchy:
     """Solve the hierarchy in v through correction order max_k; return it in w, exact to the horizon."""
     g, b, t, det = _solve_in_v(max_k, horizon)
-    if max_k:
+    if max_k > 1:
         gk, bk, _ = solve_order_k(g, b, det, t)
         g.append(gk)
         b.append(bk)
@@ -196,10 +208,8 @@ def build_hierarchy(max_k: int, horizon: int) -> StringHierarchy:
 
 
 def g_hat_series(max_k: int, horizon: int) -> tuple:
-    """``build_hierarchy(max_k, horizon).g_hat`` alone; at max_k = 1 its last order is ``_solve_g1``'s square."""
+    """``build_hierarchy(max_k, horizon).g_hat`` alone, by the same route, for callers that read no b_hat."""
     g, b, t, det = _solve_in_v(max_k, horizon)
-    if max_k == 1:
-        g.append(_solve_g1(g[0], b[0], det))
-    elif max_k:
+    if max_k > 1:
         g.append(solve_order_k(g, b, det, t)[0])
     return _in_w(g, horizon)

@@ -4,6 +4,7 @@ import builtins
 import contextlib
 import math
 import os
+import select
 import signal
 import threading
 import time
@@ -386,16 +387,26 @@ def test_failing_child_raises_and_is_reaped(monkeypatch):
 @needs_fork
 def test_parent_failure_reaps_a_child_blocked_on_its_pipe():
     # the child's payload overfills its pipe; the parent fails before it reads
-    # it, and closing the read end lets the child leave instead of hanging
+    # it, and closing the read end lets the child leave instead of hanging.
+    # The child's chunk waits on a gate that only the parent's chunk opens, so
+    # the child cannot take both chunks and the parent always takes one; the
+    # wait is bounded, so a parent that never takes one fails, not hangs.
     parent = os.getpid()
+    gate_r, gate_w = os.pipe()
 
     def work(i):
         if os.getpid() == parent:
+            os.write(gate_w, b"x")
             raise ArithmeticError("parent chunk failed")
+        select.select([gate_r], [], [], 30)
         return 1 << (1 << 23)
 
-    with _deadline(60), pytest.raises(ArithmeticError, match="parent chunk failed"):
-        finite_n._shared_map(work, [(0,), (1,)], 2)
+    try:
+        with _deadline(60), pytest.raises(ArithmeticError, match="parent chunk failed"):
+            finite_n._shared_map(work, [(0,), (1,)], 2)
+    finally:
+        os.close(gate_r)
+        os.close(gate_w)
     _no_child_left()
 
 

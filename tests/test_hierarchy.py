@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from cubicmaps import hierarchy
+from cubicmaps.critical import run_C_recursion
 from cubicmaps.hierarchy import (
     StringHierarchy,
     build_hierarchy,
@@ -11,6 +12,7 @@ from cubicmaps.hierarchy import (
     g_hat_series,
     solve_order_k,
 )
+from cubicmaps.numbers import BETA, W_CRITICAL, Qbeta
 from cubicmaps.series import TruncatedSeries, VAR_U2, VAR_V, VAR_W
 from oracles import (
     assert_same_series,
@@ -208,7 +210,8 @@ def test_solve_order_k_rejects_bad_prefixes():
 
 @pytest.mark.parametrize("max_k, horizon", [(0, 5), (1, 12), (9, 20), (3, 40)])
 def test_build_hierarchy_divides_once_per_order(monkeypatch, max_k, horizon):
-    # the leading slice needs no division and each order one, by the determinant
+    # the leading slice and order 1, in closed form, need no division; each
+    # order k >= 2 one, by the determinant
     divisors = []
     original = TruncatedSeries.__truediv__
 
@@ -218,7 +221,7 @@ def test_build_hierarchy_divides_once_per_order(monkeypatch, max_k, horizon):
 
     monkeypatch.setattr(TruncatedSeries, "__truediv__", counted)
     h = build_hierarchy(max_k, horizon)
-    assert len(divisors) == max_k
+    assert len(divisors) == max(max_k - 1, 0)
     det = 1 - h.g_hat[0] * 108
     assert all(d.truncate_to(horizon).dilate(18, VAR_W) == det for d in divisors)
 
@@ -226,8 +229,39 @@ def test_build_hierarchy_divides_once_per_order(monkeypatch, max_k, horizon):
 @pytest.mark.parametrize("max_k, horizon", [(1, h) for h in (1, 2, 5, 40, 132)] + [(k, 40) for k in (0, 2, 3)])
 def test_g_only_last_order_matches_full_step(max_k, horizon):
     # the g-only reader against the full solve, every order coefficient for
-    # coefficient: at order 1 the square against the full step, above it the
-    # same step; each window must reach the horizon
+    # coefficient; each window must reach the horizon
     got = g_hat_series(max_k, horizon)
     assert all(s.known_max == horizon for s in got)
     assert got == build_hierarchy(max_k, horizon).g_hat
+
+
+def _generic_order_1(pad):
+    """solve_order_k's k = 1 step on the leading pair padded to v^pad: the reference for the closed form."""
+    g0, b0 = compute_g0_series(pad)
+    return solve_order_k([g0], [b0], 1 - g0 * 108, [b0])
+
+
+@pytest.mark.parametrize("max_k", range(1, 10))
+def test_order_1_closed_form_matches_the_generic_step(max_k):
+    # g_1, b_1 and T_1 as the hierarchy builds them, in v before the cut to
+    # the horizon, so the window later orders read is compared too; series
+    # equality is offset, numerators and denominator, so known_max agrees
+    for horizon in range(1, 141) if max_k == 1 else (1, 2, 3, 8, 20):
+        g, b, t, _ = hierarchy._solve_in_v(max_k, horizon)
+        assert (g[1], b[1], t[1]) == _generic_order_1(horizon + 2 * max_k)
+
+
+def _at_critical(form):
+    """(p_0 + p_1 H + p_2 H^2) at v_c = 18 w_c and H = sqrt(3) = beta^2/2, exactly in Q(beta)."""
+    v, h = 18 * W_CRITICAL, BETA**2 / 2
+    return sum((c * v**i * h**m for m, p in enumerate(form) for i, c in enumerate(p)), Qbeta.rational(0))
+
+
+def test_order_1_pole_amplitudes_match_the_critical_recursion():
+    # 1 - 108 v^2 = 108 (v_c - v)(v_c + v) = 3888 v_c (w_c - w) at w -> w_c,
+    # and H tends to sqrt(3) there, so the (w_c - w)^-2 amplitude of each
+    # member is its form at (v_c, sqrt(3)) over (3888 v_c)^2
+    crit = run_C_recursion(1)
+    scale = (3888 * 18 * W_CRITICAL) ** 2
+    assert _at_critical(hierarchy.G1_FORM) / scale == crit.C[1] == Fraction(1, 5184)
+    assert _at_critical(hierarchy.B1_FORM) / scale == crit.D[1] == BETA**2 / 1728  # sqrt(3)/864

@@ -123,26 +123,26 @@ def _count_products_and_divisions(monkeypatch, solve, g_max, horizon):
     return counted, divisors
 
 
-@pytest.mark.parametrize("solve, pairs", [(g_hat_series, 2), (build_hierarchy, 4)])
-def test_g_only_last_order_forms_one_product(monkeypatch, solve, pairs):
+@pytest.mark.parametrize("solve", [g_hat_series, build_hierarchy])
+def test_order_1_forms_no_product_and_no_division(monkeypatch, solve):
     # the certificate of the leading slice takes one product pair, the square
-    # H*H; order 1 then takes three in solve_order_k and one, the square
-    # (v H')^2, in the g-only finisher that g_hat_series ends on; one
-    # division each
+    # H*H; order 1 is in closed form in H and H^2 and takes no product and no
+    # division, whichever reader asks
     counted, divisors = _count_products_and_divisions(monkeypatch, solve, 1, 130)
-    assert sum(counted) == pairs
-    assert len(divisors) == 1
+    assert counted == [1]
+    assert divisors == []
 
 
 @pytest.mark.parametrize("g_max", [2, 3])
 def test_last_order_past_genus_1_is_the_full_step(monkeypatch, g_max):
     # past genus 1 g_hat_series ends on solve_order_k like build_hierarchy:
-    # the same product_sum calls and the same divisors, over the same window
+    # the same product_sum calls and the same divisors, over the same window,
+    # one division for each order k >= 2
     horizon = 40
     got = _count_products_and_divisions(monkeypatch, g_hat_series, g_max, horizon)
     want = _count_products_and_divisions(monkeypatch, build_hierarchy, g_max, horizon)
     assert got == want
-    assert len(got[1]) == g_max
+    assert len(got[1]) == g_max - 1
 
 
 def _assert_integrates_like_lcm_first(k, ghat):

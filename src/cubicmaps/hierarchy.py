@@ -7,12 +7,13 @@ equations.  The leading orders obey
     6*g0 + 3*b0^2 = b0,        g0*(1 - 6*b0) = w,
 
 equivalently the cubic 72*g0^3 - g0^2 + w^2 = 0, and each correction pair
-(g_{2k}, b_{2k}) solves a 2x2 linear system whose right-hand side collects
-Taylor-shifted derivatives of lower orders with weights 1/((2j)! 2^(2j)).
-Eliminating g_{2k} leaves b_{2k} times D(w) = 1 - 108*g0(w), a unit in the
+(g_k, b_k) of order k, ``StringHierarchy.g_hat[k]`` and ``b_hat[k]``, solves
+a 2x2 linear system whose right-hand side collects Taylor-shifted
+derivatives of lower orders with weights 1/((2j)! 2^(2j)).
+Eliminating g_k leaves b_k times D(w) = 1 - 108*g0(w), a unit in the
 series ring, so the whole hierarchy stays exact rational arithmetic.  The
 leading pair is certified by the cubic's first-order form, a linear check
-on the square of H = g0/w.  The first order (g_2, b_2) has a closed form:
+on the square of H = g0/w.  The first order (g_1, b_1) has a closed form:
 reduced modulo the cubic, each is a polynomial of degree 2 in H over
 (1 - (w/w_c)^2)^2, built in linear time from H and H^2 off the certified
 pair.  Every higher order is solved by the same elimination.
@@ -154,8 +155,8 @@ class StringHierarchy(NamedTuple):
     b_hat: tuple
 
 
-def _solve_in_v(max_k: int, horizon: int) -> tuple[list, list, list, TruncatedSeries]:
-    """Orders k < max_k, and order 1 at max_k = 1 (order 0 at max_k = 0), as v-series: g_hat, b_hat, T lists and det.
+def build_hierarchy(max_k: int, horizon: int) -> StringHierarchy:
+    """Solve the hierarchy in v through correction order max_k; return it in w, exact to the horizon.
 
     Order k slides the known windows of the leading pair down by 2k exponents
     (the Taylor term s^(2k)), so the leading series is padded by 2*max_k
@@ -164,52 +165,27 @@ def _solve_in_v(max_k: int, horizon: int) -> tuple[list, list, list, TruncatedSe
     The leading pair comes from ``compute_g0_series``: g0 by its term ratio,
     certified by the cubic's first-order form, and b0 = (1 - R)/6 from the
     square that certificate reads, with no division.  Order 1 is
-    ``_order_1``'s closed form, with no product and no division; each order
-    k >= 2 divides once, by det, and the anti-diagonal sums T_n are carried.
-    ``build_hierarchy`` and ``g_hat_series`` finish order max_k >= 2 with
-    ``solve_order_k`` and hand their series to w through ``_in_w``.
+    ``_order_1``'s closed form, with no product and no division.  Only from
+    max_k = 2 on are det and the anti-diagonal sums T_0, T_1 formed: each
+    order k >= 2 is ``solve_order_k``'s step, which divides once, by det, and
+    carries T_k.  Every series is then cut to the horizon and dilated to w = v/18.
     """
     if max_k < 0 or horizon < 1:
         raise ValueError("need max_k >= 0 and horizon >= 1")
-    pad = horizon + max(2 * max_k, 1)
-    g0, b0 = compute_g0_series(pad)
-    det = 1 - g0 * 108
-
-    g = [g0]
-    b = [b0]
-    t = [b0]
+    g0, b0 = compute_g0_series(horizon + max(2 * max_k, 1))
+    g, b = [g0], [b0]
     if max_k:
         H = (g0 * 18).shift(-1)
         h4 = (H + b0 * 6 - 1).shift(-1)  # 4 H^2 = (H - R)/v
         g.append(_order_1(G1_FORM, H, h4))
         b.append(_order_1(B1_FORM, H, h4))
-        t.append(even_taylor_sum([(b0, 1)]) + b[1])
-    for _ in range(max_k - 2):
-        gk, bk, tk = solve_order_k(g, b, det, t)
-        g.append(gk)
-        b.append(bk)
-        t.append(tk)
-    return g, b, t, det
-
-
-def _in_w(series: list, horizon: int) -> tuple:
-    """Each v-series cut to the horizon and dilated to w = v/18."""
-    return tuple(s.truncate_to(horizon).dilate(18, VAR_W) for s in series)
-
-
-def build_hierarchy(max_k: int, horizon: int) -> StringHierarchy:
-    """Solve the hierarchy in v through correction order max_k; return it in w, exact to the horizon."""
-    g, b, t, det = _solve_in_v(max_k, horizon)
     if max_k > 1:
-        gk, bk, _ = solve_order_k(g, b, det, t)
-        g.append(gk)
-        b.append(bk)
-    return StringHierarchy(max_k=max_k, horizon=horizon, g_hat=_in_w(g, horizon), b_hat=_in_w(b, horizon))
-
-
-def g_hat_series(max_k: int, horizon: int) -> tuple:
-    """``build_hierarchy(max_k, horizon).g_hat`` alone, by the same route, for callers that read no b_hat."""
-    g, b, t, det = _solve_in_v(max_k, horizon)
-    if max_k > 1:
-        g.append(solve_order_k(g, b, det, t)[0])
-    return _in_w(g, horizon)
+        det = 1 - g0 * 108
+        t = [b0, even_taylor_sum([(b0, 1)]) + b[1]]
+        for _ in range(max_k - 1):
+            gk, bk, tk = solve_order_k(g, b, det, t)
+            g.append(gk)
+            b.append(bk)
+            t.append(tk)
+    g_hat, b_hat = (tuple(s.truncate_to(horizon).dilate(18, VAR_W) for s in series) for series in (g, b))
+    return StringHierarchy(max_k=max_k, horizon=horizon, g_hat=g_hat, b_hat=b_hat)

@@ -3,9 +3,9 @@
 The time-like deformation variable t and the coupling are tied by
 72 u^2 = t^(-3/2).  In that variable the free energy satisfies a Toda
 equation, and integrating its genus-k term twice (with integration constants
-fixed by decay at t -> infinity) turns the w-series g_hat[2k], read from
-``hierarchy.g_hat_series``, into the genus-k free-energy series F^(2k)(u).
-Each w-term c_j contributes
+fixed by decay at t -> infinity) turns the order-k w-series g_k, read as
+``hierarchy.build_hierarchy(...).g_hat[k]``, into the genus-k free-energy
+series F^(2k)(u).  Each w-term c_j contributes
 
     2 c_j / (72 (3j+6k-4)(3j+6k-6))  at  u^(2(j+2k-2)),
 
@@ -26,7 +26,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .critical import compute_K, critical_coupling, run_C_recursion
-from .hierarchy import g_hat_series
+from .hierarchy import build_hierarchy
 from .numbers import gamma_exact
 from .precision import BigFloat
 from .series import VAR_U2, VAR_W, TruncatedSeries, from_numerators, zero_series
@@ -85,7 +85,7 @@ def genus_table(g_max: int, j_max: int) -> GenusCoeffTable:
     are hard failures rather than recorded values.  ``expand`` prints only
     g_max, but counting every lower genus is its only integrality check on F^(0)..F^(2 g_max - 2).
     """
-    series = tuple(toda_integrate(k, s).truncate_to(j_max) for k, s in enumerate(g_hat_series(g_max, j_max + 2)))
+    series = tuple(toda_integrate(k, s).truncate_to(j_max) for k, s in enumerate(build_hierarchy(g_max, j_max + 2).g_hat))
     counts: dict[tuple[int, int], int] = {}
     for g in range(g_max + 1):
         s = series[g]

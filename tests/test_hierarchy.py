@@ -9,7 +9,6 @@ from cubicmaps.hierarchy import (
     build_hierarchy,
     compute_g0_series,
     g0_coefficients,
-    g_hat_series,
     solve_order_k,
 )
 from cubicmaps.numbers import BETA, W_CRITICAL, Qbeta
@@ -227,12 +226,11 @@ def test_build_hierarchy_divides_once_per_order(monkeypatch, max_k, horizon):
 
 
 @pytest.mark.parametrize("max_k, horizon", [(1, h) for h in (1, 2, 5, 40, 132)] + [(k, 40) for k in (0, 2, 3)])
-def test_g_only_last_order_matches_full_step(max_k, horizon):
-    # the g-only reader against the full solve, every order coefficient for
-    # coefficient; each window must reach the horizon
-    got = g_hat_series(max_k, horizon)
-    assert all(s.known_max == horizon for s in got)
-    assert got == build_hierarchy(max_k, horizon).g_hat
+def test_build_hierarchy_windows_end_at_the_horizon(max_k, horizon):
+    # every order of g_hat and b_hat is exact through w^horizon and cut there
+    h = build_hierarchy(max_k, horizon)
+    assert len(h.g_hat) == len(h.b_hat) == max_k + 1
+    assert all(s.var == VAR_W and s.known_max == horizon for s in h.g_hat + h.b_hat)
 
 
 def _generic_order_1(pad):
@@ -242,13 +240,23 @@ def _generic_order_1(pad):
 
 
 @pytest.mark.parametrize("max_k", range(1, 10))
-def test_order_1_closed_form_matches_the_generic_step(max_k):
-    # g_1, b_1 and T_1 as the hierarchy builds them, in v before the cut to
-    # the horizon, so the window later orders read is compared too; series
-    # equality is offset, numerators and denominator, so known_max agrees
-    for horizon in range(1, 141) if max_k == 1 else (1, 2, 3, 8, 20):
-        g, b, t, _ = hierarchy._solve_in_v(max_k, horizon)
-        assert (g[1], b[1], t[1]) == _generic_order_1(horizon + 2 * max_k)
+def test_order_1_closed_form_matches_the_generic_step(monkeypatch, max_k):
+    # series equality is offset, numerators and denominator, so known_max agrees
+    if max_k == 1:
+        # order 1 as the build hands it out, against the generic step cut and dilated alike
+        for horizon in range(1, 141):
+            g1, b1, _ = _generic_order_1(horizon + 2)
+            h = build_hierarchy(1, horizon)
+            assert (h.g_hat[1], h.b_hat[1]) == tuple(s.truncate_to(horizon).dilate(18, VAR_W) for s in (g1, b1))
+        return
+    # later orders read order 1 and T_1 past the horizon: the build must not
+    # change when the closed forms give way to the generic step's members
+    for horizon in (1, 2, 3, 8, 20):
+        want = build_hierarchy(max_k, horizon)
+        g1, b1, _ = _generic_order_1(horizon + 2 * max_k)
+        monkeypatch.setattr(hierarchy, "_order_1", lambda form, H, h4: g1 if form is hierarchy.G1_FORM else b1)
+        assert build_hierarchy(max_k, horizon) == want
+        monkeypatch.undo()
 
 
 def _at_critical(form):

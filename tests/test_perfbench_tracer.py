@@ -69,6 +69,10 @@ def test_traced_jobs_match_untraced():
     # at genus 2 order 1 of the free energy is in closed form and order 2 goes
     # through solve_order_k
     assert job_spans["expand --genus 2 --max-j 6 --format json"].count("hierarchy.solve_order") == 1
+    # every expand job builds its series through the one traced hierarchy build
+    for argv in JOBS:
+        if argv[0] == "expand":
+            assert "hierarchy.build" in job_spans[" ".join(argv)], argv
     spans = set().union(*job_spans.values())
     # each command's own layer was traced, not bypassed by a stale binding
     for name in ("hierarchy.g0_series", "critical.recursion", "toda.genus_table", "wick.census",

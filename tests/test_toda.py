@@ -8,7 +8,7 @@ import cubicmaps.hierarchy as hierarchy
 import cubicmaps.series as series
 import cubicmaps.toda as toda
 from cubicmaps.critical import compute_K, critical_coupling, run_C_recursion
-from cubicmaps.hierarchy import build_hierarchy, g_hat_series
+from cubicmaps.hierarchy import build_hierarchy
 from cubicmaps.precision import agreement_digits
 from cubicmaps.series import TruncatedSeries, VAR_U2, VAR_W
 from cubicmaps.toda import (
@@ -100,10 +100,12 @@ def test_closed_forms_match_pipeline():
         assert genus1_closed_form(j) == F[1].coefficient(j) * factorial(2 * j)
 
 
-def _count_products_and_divisions(monkeypatch, solve, g_max, horizon):
-    """The term count of each product_sum call and every series divisor of solve(g_max, horizon)."""
-    counted, divisors = [], []
-    product_sum, divide = series.product_sum, TruncatedSeries.__truediv__
+def test_order_1_forms_no_product_and_no_division(monkeypatch):
+    # the certificate of the leading slice takes one product pair, the square
+    # H*H; order 1 is in closed form in H and H^2 and takes no product and no
+    # division, and with no order past it no anti-diagonal sum T_n is formed
+    counted, divisors, taylor_sums = [], [], []
+    product_sum, divide, even_taylor_sum = series.product_sum, TruncatedSeries.__truediv__, hierarchy.even_taylor_sum
 
     def counted_product_sum(terms):
         terms = list(terms)
@@ -115,34 +117,18 @@ def _count_products_and_divisions(monkeypatch, solve, g_max, horizon):
             divisors.append(other)
         return divide(self, other)
 
+    def counted_even_taylor_sum(terms):
+        taylor_sums.append(terms)
+        return even_taylor_sum(terms)
+
     monkeypatch.setattr(series, "product_sum", counted_product_sum)
     monkeypatch.setattr(hierarchy, "product_sum", counted_product_sum)
     monkeypatch.setattr(TruncatedSeries, "__truediv__", counted_divide)
-    solve(g_max, horizon)
-    monkeypatch.undo()
-    return counted, divisors
-
-
-@pytest.mark.parametrize("solve", [g_hat_series, build_hierarchy])
-def test_order_1_forms_no_product_and_no_division(monkeypatch, solve):
-    # the certificate of the leading slice takes one product pair, the square
-    # H*H; order 1 is in closed form in H and H^2 and takes no product and no
-    # division, whichever reader asks
-    counted, divisors = _count_products_and_divisions(monkeypatch, solve, 1, 130)
+    monkeypatch.setattr(hierarchy, "even_taylor_sum", counted_even_taylor_sum)
+    build_hierarchy(1, 130)
     assert counted == [1]
     assert divisors == []
-
-
-@pytest.mark.parametrize("g_max", [2, 3])
-def test_last_order_past_genus_1_is_the_full_step(monkeypatch, g_max):
-    # past genus 1 g_hat_series ends on solve_order_k like build_hierarchy:
-    # the same product_sum calls and the same divisors, over the same window,
-    # one division for each order k >= 2
-    horizon = 40
-    got = _count_products_and_divisions(monkeypatch, g_hat_series, g_max, horizon)
-    want = _count_products_and_divisions(monkeypatch, build_hierarchy, g_max, horizon)
-    assert got == want
-    assert len(got[1]) == g_max - 1
+    assert taylor_sums == []
 
 
 def _assert_integrates_like_lcm_first(k, ghat):

@@ -18,12 +18,12 @@ from typing import NamedTuple
 
 from mpmath import mp, workdps
 
-from .critical import compute_K, critical_coupling, painleve_check, run_C_recursion
+from .critical import compute_K, count_vs_estimate, critical_coupling, painleve_check, run_C_recursion
 from .equilibrium import endpoint_series, solve_endpoints
 from .finite_n import build_report, check_asymptotic_expansion, toda_residual
 from .numbers import BETA, Qbeta, double_factorial
 from .precision import agreement_digits
-from .toda import count_vs_estimate, genus0_closed_form, genus1_closed_form, genus_table
+from .toda import genus0_closed_form, genus1_closed_form, genus_table
 from .wick import MAX_VERTICES, census
 
 
@@ -163,7 +163,12 @@ def _c_remainder():
     shown = " and ".join(mp.nstr(r, 4) for r in ratios)
     if not all(lo < r < hi for r in ratios):
         return False, f"remainder ratios {shown} not all inside (2^-4.25, 2^-3.75)"
-    return True, f"gamma^2 remainder shrinks by {shown} per doubling of N = 16, 32, 64 (within N^-3.75..N^-4.25)"
+    # beta's N 16 -> 32 ratio (0.087) is still pre-asymptotic: only 32 -> 64 is held to the band
+    beta = rep.entries[2].epsilon_beta.value / rep.entries[1].epsilon_beta.value
+    if not lo < beta < hi:
+        return False, f"beta remainder ratio {mp.nstr(beta, 4)} at N = 32 -> 64 not inside (2^-4.25, 2^-3.75)"
+    return True, (f"gamma^2 remainder shrinks by {shown} per doubling of N = 16, 32, 64, beta by {mp.nstr(beta, 4)} "
+                  "from N = 32 to 64 (within N^-3.75..N^-4.25)")
 
 
 def _c_toda():

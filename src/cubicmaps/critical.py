@@ -10,12 +10,12 @@ beta-monomial, Y_k beta^(1-k) / (18 576^k) with Y_k an integer, so this
 module runs the recursion in k on the integers Y_k and lifts each order
 into the field once.  Every order is checked in Q[beta] against the
 critically singular 2x2 system, solved by Cramer.  The record keeps the
-Y_k beside the field elements, and the signs of the C_2k and the leading
-growth constants K_2g of the genus-g map counts are read off them.  The
-module also verifies termwise that the amplitudes' generating function
-satisfies a Painleve-I type equation, with no floats.  Two identities in
-Q[beta] then check it against the source's rescaling (c, lambda) to the
-standard form Y'' = 6 Y^2 + tau, whose constants are taken as given.
+Y_k beside the field elements.  The signs of the C_2k, the growth constants
+K_2g of the genus-g map counts and each count's large-j estimate are read
+off them.  Termwise, the amplitudes' generating function satisfies a
+Painleve-I type equation, checked with no floats; two identities in Q[beta]
+check it against the source's rescaling (c, lambda) to the standard form
+Y'' = 6 Y^2 + tau, whose constants are taken as given.
 """
 
 from __future__ import annotations
@@ -179,6 +179,28 @@ def compute_K(consts: CriticalConstants, g: int, precision: int) -> BigFloat:
         if n == -1:
             v = v / mp.sqrt(6 * mp.pi)
     return BigFloat(v, precision)
+
+
+def log_count_estimate(g: int, j: int, precision: int):
+    """ln of K_2g (2j)! j^((5g-7)/2) u_c^(-2j), as an mpf at working precision.
+
+    K_2g is ``compute_K`` on the critical constants through genus g.
+    """
+    from mpmath import mp
+
+    k = compute_K(run_C_recursion(g), g, precision + 20).value
+    with mp.workdps(precision + 20):
+        ln_uc = mp.log(critical_coupling(precision + 20))
+        return mp.log(k) + mp.loggamma(2 * j + 1) + mp.mpf(5 * g - 7) / 2 * mp.log(j) - 2 * j * ln_uc
+
+
+def count_vs_estimate(g: int, j: int, f_exact: Fraction, precision: int) -> BigFloat:
+    """Ratio of an exact count to its asymptotic estimate (log-space throughout)."""
+    from mpmath import mp
+
+    with mp.workdps(precision + 20):
+        ln_f = mp.log(mp.mpf(f_exact.numerator)) - mp.log(mp.mpf(f_exact.denominator))
+        return BigFloat(mp.exp(ln_f - log_count_estimate(g, j, precision)), precision)
 
 
 # -- Painleve I consistency --------------------------------------------------

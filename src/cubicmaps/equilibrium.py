@@ -1,4 +1,4 @@
-"""Equilibrium measure of the cubic model: the leading slice, endpoints and contour positivity.
+"""Equilibrium measure of the cubic model: endpoints and contour positivity.
 
 The eigenvalue density in the one-cut regime is
 
@@ -11,14 +11,10 @@ x = b0/u with b0 = (H - 1)/(6 H), and the half-width is y = 2 sqrt(H), so
 x solves 18 u^2 x^3 - 9 u x^2 + x - 6 u = 0.  z0 = 1/(3u) - x is the extra
 zero of h.  One-cut regularity (z0 > b) holds up to the critical coupling
 u_c = 3^(1/4)/18, where z0 collides with b and H reaches the slice's double
-root sqrt(3).  This module owns the numeric slice in H, solved at every
-w > 0 for the one branch root a caller asks for (a Newton climb to the
-negative root, then the nearer member of the deflated quadratic's pair,
-polished), its b0 and closed-form 1/N^2 terms, which
-``finite_n`` continues past u_c; it solves for the endpoints, numerically
-and as series in u^2 read off ``hierarchy``'s exact leading pair, and
-samples the effective potential along the contour tails; it does not
-evaluate rho itself.
+root sqrt(3).  This module solves for the endpoints, numerically from
+``hierarchy``'s slice root and b0 at a point and as series in u^2 read off
+its exact leading pair, and samples the effective potential along the
+contour tails; it does not evaluate rho itself.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .critical import G0_AT_CRITICAL, critical_coupling
-from .hierarchy import build_hierarchy
+from .hierarchy import build_hierarchy, slice_b0, slice_root
 from .precision import BigFloat, as_mp
 from .series import VAR_U2, TruncatedSeries
 
@@ -108,58 +104,6 @@ def solve_endpoints(u, precision: int) -> EquilibriumData:
         if z0 - b < -_gap_tolerance(b, dps):
             raise ArithmeticError("double zero z0 fell inside the support")
         return EquilibriumData(u=u, x=x, y=y, a=a, b=b, z0=z0, critical=critical, dps=dps)
-
-
-def slice_root(w, near):
-    """Root H = g0/w of the leading slice 72 w H^3 - H^2 + 1 = 0 at real w > 0: of
-    the two roots besides the negative one, the one nearer `near` (the continued branch).
-
-    With c = 72 w, c H^3 - H^2 + 1 rises and is concave on H < 0, from -c at
-    H = -1 to 1 at 0, so Newton from -1 climbs to the negative root r without
-    overshooting, until a step falls below 2^10 eps |r|, plus one step.  The
-    other two roots solve H^2 - s H + p, s = 1/c - r > 0, p = -1/(c r), as
-    q = (s + sqrt(s^2 - 4p))/2 and p/q, which forms no difference of nearly
-    equal roots.  The one nearer `near` gets two Newton steps (a fixed count:
-    near the double root H = sqrt(3) at w_c = u_c^2 a step's rounding noise can
-    exceed any tolerance a stopping rule would use) and is rounded once, at the
-    working precision; a real root comes back as mpf.
-    """
-    from mpmath import extraprec, mp
-
-    tol = mp.ldexp(mp.eps, 10)
-    with extraprec(20):
-        c = 72 * w
-
-        def newton(h):
-            return h - ((c * h - 1) * h * h + 1) / ((3 * c * h - 2) * h)
-
-        r = mp.mpf(-1)
-        for _ in range(mp.prec):
-            r, last = newton(r), r
-            if r - last < tol * -r:
-                break
-        else:
-            raise ArithmeticError("Newton on the leading slice cubic did not settle")
-        r = newton(r)
-        s, p = 1 / c - r, -1 / (c * r)
-        q = (s + mp.sqrt(s * s - 4 * p)) / 2
-        h = newton(newton(min((q, p / q), key=lambda h: abs(h - near))))
-    # as mp.polyroots does, an imaginary part below eps is rounding noise on a real root
-    return +h.real if abs(mp.im(h)) < mp.eps else +h
-
-
-def slice_b0(H, w):
-    """b0 = (g0 - w)/(6 g0) at g0 = w H on any branch, as 12 w H^2/(H + 1): the slice
-    makes H - 1 = 72 w H^3/(H + 1), which keeps b0 when H is next to 1."""
-    return 12 * w * H * H / (H + 1)
-
-
-def slice_corrections(H, w):
-    """The 1/N^2 terms (g2, b2) in closed form at g0 = w H on any branch of the slice;
-    det = 1 - 108 g0 is the hierarchy's determinant, which divides each order once."""
-    g0 = w * H
-    det4 = (1 - 108 * g0) ** 4
-    return 162 * g0 * (5 - 324 * g0) / det4, 54 / (H * det4)
 
 
 def endpoint_series(order: int) -> tuple[TruncatedSeries, TruncatedSeries]:

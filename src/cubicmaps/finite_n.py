@@ -31,8 +31,8 @@ The string equations and the Toda relation are integration-by-parts and
 determinant identities of the moment data, valid wherever the Hankel minors
 are nonsingular.  The diagnostics here therefore run for any coupling with a
 convergent weight, including couplings past the critical one, where the
-1/N^2 comparison needs the analytically continued (complex) branch of the
-leading coefficient function.
+1/N^2 comparison reads ``hierarchy``'s slice root on its continued (complex)
+branch, and order 1 at that root.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from itertools import chain, repeat
 from operator import add, lshift, mul, rshift, sub
 from typing import NamedTuple
 
-from .equilibrium import slice_b0, slice_corrections, slice_root
+from .hierarchy import order_1_at, slice_b0, slice_root
 from .precision import BigFloat, as_mp
 
 # Along the path, |exp(-N V(s zeta))| = exp(-b r^2 cos(2 theta)/2 + c r^3 cos(3 theta))
@@ -633,7 +633,7 @@ def string_residuals(data: RecurrenceData, u, N: int):
 
 
 def expansion_prediction(u, N: int, gamma2_near):
-    """(predicted gamma^2_N, predicted beta_N, branch tag) from the closed forms.
+    """(predicted gamma^2_N, predicted beta_N, branch tag) from ``hierarchy``'s slice and order 1 at a point.
 
     gamma^2 uses the slice at s = 1, beta the half-shifted slice s = 1 + 1/(2N).
     gamma2_near (measured data) selects the branch of the leading cubic; past
@@ -646,12 +646,12 @@ def expansion_prediction(u, N: int, gamma2_near):
         return mp.mpf(1), mp.mpf(0), "gaussian"
     w1 = u_m ** 2
     H = slice_root(w1, as_mp(gamma2_near))
-    g2, _ = slice_corrections(H, w1)
+    g2, _ = order_1_at(H, w1)
     pred_gamma = H + (u_m ** 2 * g2) / N ** 2
     s = 1 + mp.mpf(1) / (2 * N)
     ws = s * u_m ** 2
     Hs = slice_root(ws, H / s)
-    _, b2s = slice_corrections(Hs, ws)
+    _, b2s = order_1_at(Hs, ws)
     pred_beta = slice_b0(Hs, ws) / u_m + (u_m ** 3 * b2s) / N ** 2
     if abs(mp.im(H)) < mp.mpf(10) ** (-mp.dps // 2):
         branch = "real"

@@ -22,6 +22,9 @@ w^j coefficient: H is integral, g0 and b0 have denominators 18 and 3, and
 the Taylor weights 81^j/(2j)! act as integers, so products run on integers
 half as long.  18 is the largest scale that keeps g0 over one small
 denominator (at 72 it has 269 bits at v^134).  Results are handed out in w.
+At a point, ``slice_root`` solves the slice for the one branch root a caller
+asks for, past w_c too, and ``slice_b0`` and ``order_1_at`` read b0 and
+order 1 off it; ``equilibrium`` and ``finite_n`` take the slice from there.
 """
 
 from __future__ import annotations
@@ -146,6 +149,62 @@ def _order_1(form: tuple, H: TruncatedSeries, h4: TruncatedSeries) -> TruncatedS
         for e in range(2, n):
             x[e] += 108 * x[e - 2]
     return from_numerators(VAR_V, 0, x, 4 * den)
+
+
+def slice_root(w, near):
+    """Root H = g0/w of the leading slice 72 w H^3 - H^2 + 1 = 0 at real w > 0: of
+    the two roots besides the negative one, the one nearer `near` (the continued branch).
+
+    With c = 72 w, c H^3 - H^2 + 1 rises and is concave on H < 0, from -c at
+    H = -1 to 1 at 0, so Newton from -1 climbs to the negative root r without
+    overshooting, until a step falls below 2^10 eps |r|, plus one step.  The
+    other two roots solve H^2 - s H + p, s = 1/c - r > 0, p = -1/(c r), as
+    q = (s + sqrt(s^2 - 4p))/2 and p/q, which forms no difference of nearly
+    equal roots.  The one nearer `near` gets two Newton steps (a fixed count:
+    near the double root H = sqrt(3) at w_c = u_c^2 a step's rounding noise can
+    exceed any tolerance a stopping rule would use) and is rounded once, at the
+    working precision; a real root comes back as mpf.
+    """
+    from mpmath import extraprec, mp
+
+    tol = mp.ldexp(mp.eps, 10)
+    with extraprec(20):
+        c = 72 * w
+
+        def newton(h):
+            return h - ((c * h - 1) * h * h + 1) / ((3 * c * h - 2) * h)
+
+        r = mp.mpf(-1)
+        for _ in range(mp.prec):
+            r, last = newton(r), r
+            if r - last < tol * -r:
+                break
+        else:
+            raise ArithmeticError("Newton on the leading slice cubic did not settle")
+        r = newton(r)
+        s, p = 1 / c - r, -1 / (c * r)
+        q = (s + mp.sqrt(s * s - 4 * p)) / 2
+        h = newton(newton(min((q, p / q), key=lambda h: abs(h - near))))
+    # as mp.polyroots does, an imaginary part below eps is rounding noise on a real root
+    return +h.real if abs(mp.im(h)) < mp.eps else +h
+
+
+def slice_b0(H, w):
+    """b0 = (g0 - w)/(6 g0) at g0 = w H on any branch, as 12 w H^2/(H + 1): the slice
+    makes H - 1 = 72 w H^3/(H + 1), which keeps b0 when H is next to 1."""
+    return 12 * w * H * H / (H + 1)
+
+
+def order_1_at(H, w):
+    """(g_1, b_1) at one point of the slice, H = g0/w on any branch: ``G1_FORM`` and
+    ``B1_FORM`` at v = 18 w, each divided once by (1 - 108 v^2)^2."""
+    v = 18 * w
+    return tuple(_form_at(form, v, H) / (1 - 108 * v * v) ** 2 for form in (G1_FORM, B1_FORM))
+
+
+def _form_at(form: tuple, v, H):
+    """The numerator p_0 + p_1 H + p_2 H^2 of an order-1 form at the point (v, H)."""
+    return sum(c * v**i * H**m for m, p in enumerate(form) for i, c in enumerate(p))
 
 
 class StringHierarchy(NamedTuple):

@@ -14,8 +14,8 @@ pieces (the t^(3/2) and log parts) and must be excluded; ``toda_integrate``
 refuses a k = 0 window whose w and w^2 coefficients are not exactly 1 and 36.
 The resulting coefficients, times (2j)!, are nonnegative integers: they
 count connected 3-valent labeled graphs of genus k on 2j vertices.  The
-genus-0 and genus-1 closed forms of those counts, and their large-j
-estimate from the critical amplitudes, complete the module.
+genus-0 and genus-1 closed forms of those counts complete the module;
+their large-j estimate from the critical amplitudes is in ``critical``.
 """
 
 from __future__ import annotations
@@ -25,10 +25,8 @@ from math import factorial, gcd, lcm
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .critical import compute_K, critical_coupling, run_C_recursion
 from .hierarchy import build_hierarchy
 from .numbers import gamma_exact
-from .precision import BigFloat
 from .series import VAR_U2, VAR_W, TruncatedSeries, from_numerators, zero_series
 
 # k = 0 subtraction-term coefficients: w and w^2 of the leading series
@@ -137,25 +135,3 @@ def genus1_closed_form(j: int) -> Fraction:
     ratio = gamma_exact(Fraction(3 * j, 2)) / gamma_exact(Fraction(j, 2) + 1)
     prefactor = 5 * 72**j * factorial(2 * j) * ratio / (48 * (3 * j + 2) * factorial(j))
     return prefactor * _genus1_hyp_sum(j)
-
-
-def log_count_estimate(g: int, j: int, precision: int):
-    """ln of K_2g (2j)! j^((5g-7)/2) u_c^(-2j), as an mpf at working precision.
-
-    K_2g is ``compute_K`` on the critical constants through genus g.
-    """
-    from mpmath import mp
-
-    k = compute_K(run_C_recursion(g), g, precision + 20).value
-    with mp.workdps(precision + 20):
-        ln_uc = mp.log(critical_coupling(precision + 20))
-        return mp.log(k) + mp.loggamma(2 * j + 1) + mp.mpf(5 * g - 7) / 2 * mp.log(j) - 2 * j * ln_uc
-
-
-def count_vs_estimate(g: int, j: int, f_exact: Fraction, precision: int) -> BigFloat:
-    """Ratio of an exact count to its asymptotic estimate (log-space throughout)."""
-    from mpmath import mp
-
-    with mp.workdps(precision + 20):
-        ln_f = mp.log(mp.mpf(f_exact.numerator)) - mp.log(mp.mpf(f_exact.denominator))
-        return BigFloat(mp.exp(ln_f - log_count_estimate(g, j, precision)), precision)

@@ -169,6 +169,13 @@ def g2_closed_form(horizon: int) -> tuple[TruncatedSeries, TruncatedSeries]:
     return g2.truncate_to(horizon), b2.truncate_to(horizon)
 
 
+def g2_closed_form_at(H, w):
+    """``g2_closed_form``'s two forms at one point g0 = w H of the slice, on any branch."""
+    g0 = w * H
+    d4 = (1 - 108 * g0) ** 4
+    return 162 * g0 * (5 - 324 * g0) / d4, 54 / (H * d4)
+
+
 def differentiate(s: TruncatedSeries) -> TruncatedSeries:
     """d/dvar.  The window slides down one exponent; length is preserved."""
     e0 = s.offset

@@ -8,6 +8,7 @@ criterion runs once per session (the criterion_run fixture in conftest.py).
 
 import pytest
 
+from cubicmaps import hierarchy
 from cubicmaps.acceptance import CRITERIA, KEYS, format_line, run_criterion
 
 
@@ -31,3 +32,20 @@ def test_endpoint_agreement_capped_at_working_precision(criterion_run):
     # the endpoints agree with their closed forms to the last bit of the 60
     # digits they are compared at; the detail reports those digits, not rounding
     assert "closed-form endpoints to 60.0 digits" in criterion_run("endpoints").result.detail
+
+
+# one coefficient of an order-1 form changed, and a criterion that must catch it: the
+# Toda counts read the forms through expand's series, the finite-N data at a point
+@pytest.mark.parametrize("name, member, power, old, new, key, reason", [
+    ("G1_FORM", 0, 2, 810, 811, "remainder", "remainder ratios"),  # measured 0.07123 and 0.07931
+    ("G1_FORM", 0, 2, 810, 811, "closed-forms", "ArithmeticError"),
+    ("B1_FORM", 2, 1, -216, -217, "remainder", "beta remainder ratio"),  # measured 0.09091
+    ("B1_FORM", 2, 1, -216, -217, "genus2", "ArithmeticError"),
+], ids=["g1-remainder", "g1-closed-forms", "b1-remainder", "b1-genus2"])
+def test_planted_order_1_defect_fails(monkeypatch, name, member, power, old, new, key, reason):
+    form = [list(p) for p in getattr(hierarchy, name)]
+    assert form[member][power] == old
+    form[member][power] = new
+    monkeypatch.setattr(hierarchy, name, tuple(map(tuple, form)))
+    r = run_criterion(key)
+    assert not r.passed and reason in r.detail, r.detail

@@ -28,8 +28,7 @@ from cubicmaps.finite_n import (
     string_residuals,
     toda_residual,
 )
-from cubicmaps.equilibrium import slice_b0, slice_corrections, slice_root
-from cubicmaps.hierarchy import build_hierarchy
+from cubicmaps.hierarchy import order_1_at, slice_root
 from cubicmaps.numbers import double_factorial
 from cubicmaps.precision import BigFloat, agreement_digits, as_mp
 from oracles import inner_product
@@ -547,7 +546,7 @@ def test_asymptotic_scaling(criterion_run):
         u = as_mp(U_TENTH)
         w = u * u
         H = slice_root(w, as_mp(e32.gamma2))
-        g2, _ = slice_corrections(H, w)
+        g2, _ = order_1_at(H, w)
         lead_gap = abs(as_mp(e32.gamma2) - H)
         g2_term = abs(u * u * g2) / 32 ** 2
         assert abs(lead_gap - g2_term) / g2_term < 0.25  # measured 5e-4
@@ -674,27 +673,6 @@ def test_three_term_dual_route(moments_60, rec_60):
                 for i in range(n + 2)
             )
             assert worst < mp.mpf("1e-60")  # measured 1.1e-72
-
-
-def test_slice_functions_match_series():
-    h = build_hierarchy(1, 40)
-    with workdps(60):
-        w = mp.mpf(1) / 2000
-
-        def tail_sum(series):
-            return mp.fsum(
-                as_mp(series.coefficient(j)) * w ** j
-                for j in range(series.offset, 41)
-            )
-
-        g0_ref = tail_sum(h.g_hat[0])
-        H = slice_root(w, g0_ref / w)
-        g2, b2 = slice_corrections(H, w)
-        b0 = slice_b0(H, w)
-        assert abs(w * H - g0_ref) < mp.mpf("1e-40")
-        assert abs(g2 - tail_sum(h.g_hat[1])) / abs(g2) < mp.mpf("1e-25")
-        assert abs(b0 - tail_sum(h.b_hat[0])) / abs(b0) < mp.mpf("1e-25")
-        assert abs(b2 - tail_sum(h.b_hat[1])) / abs(b2) < mp.mpf("1e-25")
 
 
 def _w_crit():

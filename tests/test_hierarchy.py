@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from mpmath import mp, workdps
 
 from cubicmaps import hierarchy
 from cubicmaps.critical import run_C_recursion
@@ -9,15 +10,20 @@ from cubicmaps.hierarchy import (
     build_hierarchy,
     compute_g0_series,
     g0_coefficients,
+    order_1_at,
+    slice_b0,
+    slice_root,
     solve_order_k,
 )
-from cubicmaps.numbers import BETA, W_CRITICAL, Qbeta
+from cubicmaps.numbers import BETA, W_CRITICAL
+from cubicmaps.precision import agreement_digits, as_mp
 from cubicmaps.series import TruncatedSeries, VAR_U2, VAR_V, VAR_W
 from oracles import (
     assert_same_series,
     cubic_residual,
     g0_coefficient,
     g2_closed_form,
+    g2_closed_form_at,
     g2_coefficient,
     hat_equation_residuals,
     monomial,
@@ -259,17 +265,52 @@ def test_order_1_closed_form_matches_the_generic_step(monkeypatch, max_k):
         monkeypatch.undo()
 
 
-def _at_critical(form):
-    """(p_0 + p_1 H + p_2 H^2) at v_c = 18 w_c and H = sqrt(3) = beta^2/2, exactly in Q(beta)."""
-    v, h = 18 * W_CRITICAL, BETA**2 / 2
-    return sum((c * v**i * h**m for m, p in enumerate(form) for i, c in enumerate(p)), Qbeta.rational(0))
-
-
 def test_order_1_pole_amplitudes_match_the_critical_recursion():
     # 1 - 108 v^2 = 108 (v_c - v)(v_c + v) = 3888 v_c (w_c - w) at w -> w_c,
     # and H tends to sqrt(3) there, so the (w_c - w)^-2 amplitude of each
-    # member is its form at (v_c, sqrt(3)) over (3888 v_c)^2
+    # member is its numerator at (v_c, sqrt(3)) over (3888 v_c)^2, exactly in Q(beta)
     crit = run_C_recursion(1)
-    scale = (3888 * 18 * W_CRITICAL) ** 2
-    assert _at_critical(hierarchy.G1_FORM) / scale == crit.C[1] == Fraction(1, 5184)
-    assert _at_critical(hierarchy.B1_FORM) / scale == crit.D[1] == BETA**2 / 1728  # sqrt(3)/864
+    v, h = 18 * W_CRITICAL, BETA**2 / 2
+    scale = (3888 * v) ** 2
+    assert hierarchy._form_at(hierarchy.G1_FORM, v, h) / scale == crit.C[1] == Fraction(1, 5184)
+    assert hierarchy._form_at(hierarchy.B1_FORM, v, h) / scale == crit.D[1] == BETA**2 / 1728  # sqrt(3)/864
+
+
+def test_slice_functions_match_series():
+    # b0 and order 1 at a point: against the series at w = 1/2000, and against
+    # the det^4 forms at 120 digits from the unrounded point, on the continued branch
+    h = build_hierarchy(1, 40)
+    with workdps(60):
+        w = mp.mpf(1) / 2000
+
+        def tail_sum(series):
+            return mp.fsum(
+                as_mp(series.coefficient(j)) * w ** j
+                for j in range(series.offset, 41)
+            )
+
+        g0_ref = tail_sum(h.g_hat[0])
+        H = slice_root(w, g0_ref / w)
+        g1, b1 = order_1_at(H, w)
+        b0 = slice_b0(H, w)
+        assert abs(w * H - g0_ref) < mp.mpf("1e-40")
+        assert abs(g1 - tail_sum(h.g_hat[1])) / abs(g1) < mp.mpf("1e-25")
+        assert abs(b0 - tail_sum(h.b_hat[0])) / abs(b0) < mp.mpf("1e-25")
+        assert abs(b1 - tail_sum(h.b_hat[1])) / abs(b1) < mp.mpf("1e-25")
+    with workdps(120):
+        w_c = 1 / mp.sqrt(34992)
+        points = {"1e-200": mp.mpf("1e-200"), "1/2000": mp.mpf(1) / 2000, "1/256": mp.mpf(1) / 256,
+                  "wc-": w_c * (1 - mp.mpf("1e-6")), "wc+": w_c * (1 + mp.mpf("1e-6")),
+                  "1/150": mp.mpf(1) / 150, "1/100": mp.mpf(1) / 100}
+    for name, w_exact in points.items():
+        # rounding w to 40 digits moves 1 - 108 v^2 by about 1e-40/(1 - w/w_c) relative, whichever
+        # form reads the double pole: measured 34.7 and 35.0 digits next to w_c, at least 40.4 elsewhere
+        floor = 34 if name.startswith("wc") else 40
+        for near in (1, 1j, -1j):  # the continued branch, and both members of the complex pair past w_c
+            with workdps(40):
+                w = +w_exact
+                H = slice_root(w, near)
+                got = order_1_at(H, w)
+            with workdps(120):
+                want = g2_closed_form_at(slice_root(w_exact, H), w_exact)
+            assert min(agreement_digits(a, b) for a, b in zip(got, want)) >= floor, (name, near)

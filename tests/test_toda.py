@@ -7,18 +7,11 @@ from mpmath import mp
 import cubicmaps.hierarchy as hierarchy
 import cubicmaps.series as series
 import cubicmaps.toda as toda
-from cubicmaps.critical import compute_K, critical_coupling, run_C_recursion
+from cubicmaps.critical import compute_K, count_vs_estimate, critical_coupling, log_count_estimate, run_C_recursion
 from cubicmaps.hierarchy import build_hierarchy
 from cubicmaps.precision import agreement_digits
 from cubicmaps.series import TruncatedSeries, VAR_U2, VAR_W
-from cubicmaps.toda import (
-    count_vs_estimate,
-    genus0_closed_form,
-    genus1_closed_form,
-    genus_table,
-    log_count_estimate,
-    toda_integrate,
-)
+from cubicmaps.toda import genus0_closed_form, genus1_closed_form, genus_table, toda_integrate
 from oracles import genus1_hyp_sum, monomial, toda_integrate_lcm_first
 
 # genus 0..2 free-energy heads through u^10

@@ -18,10 +18,14 @@ so each node pays one exponential and one cosine-sine pair, both of -N V.
 The moment sums run in fixed-point Python integers, each node's weight with
 its own binary exponent.  The nodes are independent terms, so they split
 into consecutive chunks, which with 2 or more usable CPUs this process and
-forked children share, each taking the next chunk as it finishes one.  Each
-chunk returns its order sums exact at its least binary exponent; shifted to
-the least exponent of all and added, they give the serial sums bit for bit
-however the nodes were split and shared.  Recurrence data is then
+forked children share, each taking the next chunk as it finishes one.
+Each of these processes is pinned to a CPU of its own while they share:
+left to the scheduler, a freshly forked child stayed on its parent's CPU
+for hundreds of milliseconds, the two taking turns in 4 ms slices, and the
+shared sums ran slower than serial ones.  Each chunk returns its order sums
+exact at its least binary exponent; shifted to the least exponent of all
+and added, they give the serial sums bit for bit however the nodes were
+split and shared.  Recurrence data is then
 extracted twice: by a Stieltjes bordering pass in mpmath, and by one
 elimination of the Hankel matrix in fixed-point integers that also gives
 every block's condition number, so conditioning loss shows up as a measured
@@ -75,9 +79,9 @@ _FIX_GUARD = 40  # fixed-point bits behind the working precision in the moment s
 _NODE_GUARD = 20  # bits behind those at which each node's weight is evaluated
 _HANKEL_GUARD = 40  # bits past the working precision that the Hankel elimination keeps on its least moment
 _NORM_BITS = 100  # bits the largest entry of M_n^-1 keeps in the condition numbers' 1-norms
-# least nodes per process sharing the moment sums: on a 2-core host a fork
-# round trip cost 2-3.5 ms and a node 75-150 us at 80 digits, so 100 nodes
-# repay a fork a few times over
+# least nodes per process sharing the moment sums: on a 2-core host, with
+# each process pinned, a fork round trip cost 2-3.7 ms and a node 65-75 us at
+# 80 digits, so 100 nodes repay a fork about twice over
 _PROCESS_NODES = 100
 # chunks of nodes per process: a process that finishes early idles for at
 # most one chunk, while the one beside it ends its last
@@ -265,17 +269,30 @@ def _chunk_ranges(k_lo: int, k_hi: int, chunks: int) -> list[tuple[int, int]]:
     return ranges
 
 
+def _set_affinity(cpus: set) -> bool:
+    """Restrict this process to `cpus`; False where the call is missing or refused."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except (AttributeError, OSError):
+        return False
+    return True
+
+
 def _shared_map(fn, arg_list: list, processes: int) -> list:
     """[fn(*args) for args in arg_list], shared by this process and processes - 1 forked children.
 
     The indices of arg_list (at most 256) wait in a pipe, one byte each, and
     every process takes the next as it finishes one, so a process on a busy
-    core takes fewer.  A child sends its {index: result} back through a
-    pipe of its own as marshal bytes and always leaves by os._exit, with
-    status 1 on any exception (a parent that is gone shows as a broken
-    pipe).  Where a fork raises OSError, the processes already running take
-    its share.  Every child is reaped before this returns or raises; a
-    nonzero status or a short payload raises.
+    core takes fewer.  Process i runs alone on cpus[i % len(cpus)] of this
+    one's usable set (this one is process 0): this one pins itself before
+    it forks, each child as its first action, and this one's own mask comes
+    back before this returns or raises.  Where the affinity call is missing
+    or refused, that process runs unpinned.  A child sends its {index:
+    result} back through a pipe of its own as marshal bytes and always
+    leaves by os._exit, with status 1 on any exception (a parent that is
+    gone shows as a broken pipe).  Where a fork raises OSError, the
+    processes already running take its share.  Every child is reaped before
+    this returns or raises; a nonzero status or a short payload raises.
     """
     tasks, fill = os.pipe()
     with open(fill, "wb") as pipe:
@@ -287,9 +304,21 @@ def _shared_map(fn, arg_list: list, processes: int) -> list:
             done[index[0]] = fn(*arg_list[index[0]])
         return done
 
+    try:
+        mask = os.sched_getaffinity(0) if processes > 1 else None
+    except AttributeError:
+        mask = None
+    cpus = sorted(mask or ())
+
+    def pin(i: int) -> None:
+        # process i alone on its CPU, or, where that is refused, on the whole mask
+        if mask and not _set_affinity({cpus[i % len(cpus)]}):
+            _set_affinity(mask)
+
     children = {}  # pid -> the read end of its pipe
     try:
-        for _ in range(processes - 1):
+        pin(0)
+        for i in range(1, processes):
             r, w = os.pipe()
             try:
                 pid = os.fork()
@@ -300,6 +329,7 @@ def _shared_map(fn, arg_list: list, processes: int) -> list:
             if pid == 0:
                 status = 1
                 try:
+                    pin(i)
                     os.close(r)
                     with open(w, "wb") as pipe:
                         pipe.write(marshal.dumps(take()))
@@ -311,6 +341,8 @@ def _shared_map(fn, arg_list: list, processes: int) -> list:
         done = take()
         payloads = [pipe.read() for pipe in children.values()]
     finally:
+        if mask:
+            _set_affinity(mask)
         # a child still writing sees its pipe close, so no wait below can hang
         os.close(tasks)
         for pipe in children.values():

@@ -30,6 +30,7 @@ order 1 off it; ``equilibrium`` and ``finite_n`` take the slice from there.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from typing import NamedTuple, Sequence
 
 from .series import VAR_V, VAR_W, TruncatedSeries, even_taylor_sum, from_numerators, product_sum
@@ -197,9 +198,19 @@ def slice_b0(H, w):
 
 def order_1_at(H, w):
     """(g_1, b_1) at one point of the slice, H = g0/w on any branch: ``G1_FORM`` and
-    ``B1_FORM`` at v = 18 w, each divided once by (1 - 108 v^2)^2."""
+    ``B1_FORM`` at v = 18 w, each divided once by (1 - 108 v^2)^2.
+
+    b_1's numerator p_0 + p_1 H + p_2 H^2 is read as p_0 + (p_1 + q) H - q/H,
+    q = p_2/(4 v), which the slice's 4 v H^2 = H - 1/H makes equal: p_1 + q
+    drops ``B1_FORM``'s constant 54 exactly, where 54 H + p_2 H^2 = 54/H, read
+    as it stands, cancels to nothing on the far real root (H near 1/(4 v)).
+    """
     v = 18 * w
-    return tuple(_form_at(form, v, H) / (1 - 108 * v * v) ** 2 for form in (G1_FORM, B1_FORM))
+    den = (1 - 108 * v * v) ** 2
+    p0, p1, p2 = B1_FORM
+    q = [Fraction(c, 4) for c in p2[1:]]  # p_2 = -216 v has no constant term
+    p1q = [a + b for a, b in zip_longest(p1, q, fillvalue=0)]
+    return _form_at(G1_FORM, v, H) / den, (_form_at((p0, p1q), v, H) - _form_at((q,), v, H) / H) / den
 
 
 def _form_at(form: tuple, v, H):

@@ -8,7 +8,7 @@ criterion runs once per session (the criterion_run fixture in conftest.py).
 
 import pytest
 
-from cubicmaps import hierarchy
+from cubicmaps import finite_n, hierarchy
 from cubicmaps.acceptance import CRITERIA, KEYS, format_line, run_criterion
 
 
@@ -49,3 +49,23 @@ def test_planted_order_1_defect_fails(monkeypatch, name, member, power, old, new
     monkeypatch.setattr(hierarchy, name, tuple(map(tuple, form)))
     r = run_criterion(key)
     assert not r.passed and reason in r.detail, r.detail
+
+
+# criterion 9 through the shared moment sums: the chunk holding node k = 0 adds
+# 10^-85 of its order-3 real sum, whichever process takes it (residual 7.0e-81
+# with 1 process and 8.2e-81 with 2, against the 1e-90 bound; at 10^-95 the
+# criterion passes, at 7.0e-91 and 8.2e-91)
+@pytest.mark.parametrize("processes", [1, 2])
+def test_planted_moment_defect_fails_string(monkeypatch, processes):
+    node_sums = finite_n._node_sums
+
+    def planted(k_lo, k_hi, *args):
+        low, re, im = node_sums(k_lo, k_hi, *args)
+        if k_lo <= 0 <= k_hi:
+            re[3] += re[3] // 10**85
+        return low, re, im
+
+    monkeypatch.setattr(finite_n, "_process_count", lambda nodes: processes)
+    monkeypatch.setattr(finite_n, "_node_sums", planted)
+    r = run_criterion("string")
+    assert not r.passed and "string residual" in r.detail, r.detail

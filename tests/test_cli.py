@@ -613,20 +613,25 @@ def test_cold_import_and_forked_moments_load_no_process_or_thread_module():
     # thread or pickle module (counted against the interpreter's own start-up)
     env = _uninstalled_env()
     probe = """if True:
-        import io, sys
+        import io, os, sys
         from contextlib import redirect_stdout
         banned = {"multiprocessing", "concurrent", "subprocess", "pickle", "threading"}
         before = set(sys.modules)
         def loaded():
             return sorted(m for m in set(sys.modules) - before if m.split(".")[0] in banned)
+        def mask():
+            return sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
         import cubicmaps.cli
-        after_import = loaded()
+        after_import, mask_before = loaded(), mask()
         with redirect_stdout(io.StringIO()):
             code = cubicmaps.cli.main(["validate", "--N", "4", "--u", "2/25", "--precision", "80"])
-        print(after_import, code, loaded())
+        print(after_import, code, loaded(), mask_before, mask())
     """
+    # the processes sharing the moments are each pinned to a CPU, and the
+    # run's own mask, inherited from this one, comes back afterwards
+    mask = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[] 0 []\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"[] 0 [] {mask} {mask}\n", "")
 
 
 def test_python_dash_m_matches_main(capsys):

@@ -424,6 +424,75 @@ def test_failed_fork_computes_the_chunks_in_process(monkeypatch):
     _no_child_left()
 
 
+needs_pinning = pytest.mark.skipif(
+    not hasattr(os, "fork") or not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="each process sharing the node chunks is pinned to a CPU of its own")
+
+
+@needs_pinning
+@pytest.mark.parametrize("failing", [None, "child", "parent", "fork"], ids=["ok", "child-fails", "parent-fails", "fork-fails"])
+def test_each_process_runs_on_its_own_cpu_and_the_mask_comes_back(failing, monkeypatch):
+    # each process's chunk waits until the other process has taken one, so
+    # each takes exactly one; the parent runs on the mask's first CPU and the
+    # child on its second, and the parent's mask comes back on every exit path
+    parent = os.getpid()
+    mask = os.sched_getaffinity(0)
+    first, second = sorted(mask)[:2]
+    gates = {True: os.pipe(), False: os.pipe()}  # keyed by "in the parent"
+
+    def work(i):
+        mine = os.getpid() == parent
+        os.write(gates[mine][1], b"x")
+        if failing != "fork":
+            select.select([gates[not mine][0]], [], [], 30)
+        if failing == ("parent" if mine else "child"):
+            raise ArithmeticError("chunk failed")
+        return [mine, sorted(os.sched_getaffinity(0))]
+
+    def no_fork():
+        raise OSError("no process left")
+
+    if failing == "fork":
+        monkeypatch.setattr(os, "fork", no_fork)
+    raises = {"child": pytest.raises(RuntimeError, match="wait status 256"),
+              "parent": pytest.raises(ArithmeticError, match="chunk failed")}
+    try:
+        with _deadline(60), raises.get(failing, contextlib.nullcontext()):
+            out = finite_n._shared_map(work, [(0,), (1,)], 2)
+    finally:
+        for r, w in gates.values():
+            os.close(r)
+            os.close(w)
+    _no_child_left()
+    assert os.sched_getaffinity(0) == mask
+    if failing is None:
+        assert dict(out) == {True: [first], False: [second]}
+    elif failing == "fork":
+        assert out == [[True, [first]], [True, [first]]]
+
+
+@needs_pinning
+def test_refused_affinity_leaves_the_moments_bit_identical(monkeypatch):
+    # a cpuset that refuses every CPU: each process runs unpinned, with the same bits
+    moments = _validate_moments(Fraction(2, 25), 4)
+    mask = os.sched_getaffinity(0)
+    monkeypatch.setattr(finite_n, "_process_count", lambda nodes: 1)
+    want = moments()
+    calls = []
+
+    def refuse(pid, cpus):
+        calls.append(cpus)
+        raise OSError("Invalid argument")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    monkeypatch.setattr(finite_n, "_process_count", lambda nodes: 2)
+    with _deadline(60):
+        assert moments() == want
+    _no_child_left()
+    # the parent tried its CPU, then its whole mask, and its mask on the way out
+    assert calls == [{min(mask)}, mask, mask] and os.sched_getaffinity(0) == mask
+
+
 @pytest.mark.parametrize("u, rule, nodes", [
     (Fraction(2, 25), (8, 8, -120, 192), 313),
     (Fraction(1, 16), (8, 8, -128, 204), 333),

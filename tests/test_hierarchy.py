@@ -314,3 +314,19 @@ def test_slice_functions_match_series():
             with workdps(120):
                 want = g2_closed_form_at(slice_root(w_exact, H), w_exact)
             assert min(agreement_digits(a, b) for a, b in zip(got, want)) >= floor, (name, near)
+
+
+@pytest.mark.parametrize("w_text", ["1e-200", "1/2000"])
+def test_order_1_on_the_far_root(w_text):
+    # on the far real root, H near 1/(72 w), b_1 reads 54/H for 54 H - 216 v H^2,
+    # which cancels there: the unreduced numerator agreed to 0 digits at w = 1e-200
+    with workdps(120):
+        w_exact = as_mp(Fraction(w_text))
+    with workdps(40):
+        w = +w_exact
+        H = slice_root(w, 1 / (72 * w))
+        got = order_1_at(H, w)
+    assert H > 1 / (144 * w)
+    with workdps(120):
+        want = g2_closed_form_at(slice_root(w_exact, H), w_exact)
+    assert min(agreement_digits(a, b) for a, b in zip(got, want)) >= 40

@@ -19,17 +19,17 @@ The moment sums run in fixed-point Python integers, each node's weight with
 its own binary exponent.  The nodes are independent terms, so they split
 into consecutive chunks, which with 2 or more usable CPUs this process and
 forked children share, each taking the next chunk as it finishes one.
-Each of these processes is pinned to a CPU of its own while they share:
-left to the scheduler, a freshly forked child stayed on its parent's CPU
-for hundreds of milliseconds, the two taking turns in 4 ms slices, and the
-shared sums ran slower than serial ones.  Each chunk returns its order sums
-exact at its least binary exponent; shifted to the least exponent of all
-and added, they give the serial sums bit for bit however the nodes were
-split and shared.  Recurrence data is then
-extracted twice: by a Stieltjes bordering pass in mpmath, and by one
-elimination of the Hankel matrix in fixed-point integers that also gives
-every block's condition number, so conditioning loss shows up as a measured
-number instead of eating digits.
+Where they are as many as the usable CPUs, each of these processes is
+pinned to a CPU of its own while they share: left to the scheduler, a
+freshly forked child stayed on its parent's CPU for hundreds of
+milliseconds, the two taking turns in 4 ms slices, and the shared sums ran
+slower than serial ones.  Each chunk returns its order sums exact at its
+least binary exponent; shifted to the least exponent of all and added,
+they give the serial sums bit for bit however the nodes were split and
+shared.  Recurrence data is then extracted twice: by a Stieltjes bordering
+pass in mpmath, and by one elimination of the Hankel matrix in fixed-point
+integers that also gives every block's condition number, so conditioning
+loss shows up as a measured number instead of eating digits.
 
 The string equations and the Toda relation are integration-by-parts and
 determinant identities of the moment data, valid wherever the Hankel minors
@@ -270,10 +270,10 @@ def _chunk_ranges(k_lo: int, k_hi: int, chunks: int) -> list[tuple[int, int]]:
 
 
 def _set_affinity(cpus: set) -> bool:
-    """Restrict this process to `cpus`; False where the call is missing or refused."""
+    """Restrict this process to `cpus`; False where the call is refused."""
     try:
         os.sched_setaffinity(0, cpus)
-    except (AttributeError, OSError):
+    except OSError:
         return False
     return True
 
@@ -283,16 +283,18 @@ def _shared_map(fn, arg_list: list, processes: int) -> list:
 
     The indices of arg_list (at most 256) wait in a pipe, one byte each, and
     every process takes the next as it finishes one, so a process on a busy
-    core takes fewer.  Process i runs alone on cpus[i % len(cpus)] of this
-    one's usable set (this one is process 0): this one pins itself before
-    it forks, each child as its first action, and this one's own mask comes
-    back before this returns or raises.  Where the affinity call is missing
-    or refused, that process runs unpinned.  A child sends its {index:
-    result} back through a pipe of its own as marshal bytes and always
-    leaves by os._exit, with status 1 on any exception (a parent that is
-    gone shows as a broken pipe).  Where a fork raises OSError, the
-    processes already running take its share.  Every child is reaped before
-    this returns or raises; a nonzero status or a short payload raises.
+    core takes fewer.  Where the processes are as many as this one's usable
+    CPUs, process i runs alone on the i-th lowest of them (this one is
+    process 0): this one pins itself before it forks, each child as its
+    first action, and this one's own mask comes back before this returns or
+    raises.  Where the affinity call is missing or refused, that process
+    runs unpinned; with fewer or more processes than CPUs, every process
+    does.  A child sends its {index: result} back through a pipe of its own
+    as marshal bytes and always leaves by os._exit, with status 1 on any
+    exception (a parent that is gone shows as a broken pipe).  Where a fork
+    raises OSError, the processes already running take its share.  Every
+    child is reaped before this returns or raises; a nonzero status or a
+    short payload raises.
     """
     tasks, fill = os.pipe()
     with open(fill, "wb") as pipe:
@@ -304,20 +306,15 @@ def _shared_map(fn, arg_list: list, processes: int) -> list:
             done[index[0]] = fn(*arg_list[index[0]])
         return done
 
-    try:
-        mask = os.sched_getaffinity(0) if processes > 1 else None
-    except AttributeError:
-        mask = None
-    cpus = sorted(mask or ())
-
-    def pin(i: int) -> None:
-        # process i alone on its CPU, or, where that is refused, on the whole mask
-        if mask and not _set_affinity({cpus[i % len(cpus)]}):
-            _set_affinity(mask)
+    # pinned only where each usable CPU gets one process, so that every CPU
+    # is busy whichever process it holds
+    mask = os.sched_getaffinity(0) if processes > 1 and hasattr(os, "sched_getaffinity") else set()
+    cpus = sorted(mask) if len(mask) == processes else []
 
     children = {}  # pid -> the read end of its pipe
     try:
-        pin(0)
+        if cpus:
+            _set_affinity({cpus[0]})
         for i in range(1, processes):
             r, w = os.pipe()
             try:
@@ -329,7 +326,9 @@ def _shared_map(fn, arg_list: list, processes: int) -> list:
             if pid == 0:
                 status = 1
                 try:
-                    pin(i)
+                    # where its own CPU is refused, off its parent's one CPU onto the whole mask
+                    if cpus and not _set_affinity({cpus[i]}):
+                        _set_affinity(mask)
                     os.close(r)
                     with open(w, "wb") as pipe:
                         pipe.write(marshal.dumps(take()))
@@ -341,7 +340,7 @@ def _shared_map(fn, arg_list: list, processes: int) -> list:
         done = take()
         payloads = [pipe.read() for pipe in children.values()]
     finally:
-        if mask:
+        if cpus:
             _set_affinity(mask)
         # a child still writing sees its pipe close, so no wait below can hang
         os.close(tasks)

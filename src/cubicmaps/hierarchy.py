@@ -200,17 +200,18 @@ def order_1_at(H, w):
     """(g_1, b_1) at one point of the slice, H = g0/w on any branch: ``G1_FORM`` and
     ``B1_FORM`` at v = 18 w, each divided once by (1 - 108 v^2)^2.
 
-    b_1's numerator p_0 + p_1 H + p_2 H^2 is read as p_0 + (p_1 + q) H - q/H,
-    q = p_2/(4 v), which the slice's 4 v H^2 = H - 1/H makes equal: p_1 + q
-    drops ``B1_FORM``'s constant 54 exactly, where 54 H + p_2 H^2 = 54/H, read
-    as it stands, cancels to nothing on the far real root (H near 1/(4 v)).
+    b_1's numerator p_0 + p_1 H + p_2 H^2, p_2 = c + v r, is read as
+    p_0 + (p_1 + q) H + c H^2 - q/H, q = r/4, which the slice's
+    4 v H^2 = H - 1/H makes equal: p_1 + q drops ``B1_FORM``'s constant 54
+    exactly, where 54 H - 216 v H^2 = 54/H, read as it stands, cancels to
+    nothing on the far real root (H near 1/(4 v)).
     """
     v = 18 * w
     den = (1 - 108 * v * v) ** 2
-    p0, p1, p2 = B1_FORM
-    q = [Fraction(c, 4) for c in p2[1:]]  # p_2 = -216 v has no constant term
+    p0, p1, (c, *r) = B1_FORM
+    q = [Fraction(a, 4) for a in r]
     p1q = [a + b for a, b in zip_longest(p1, q, fillvalue=0)]
-    return _form_at(G1_FORM, v, H) / den, (_form_at((p0, p1q), v, H) - _form_at((q,), v, H) / H) / den
+    return _form_at(G1_FORM, v, H) / den, (_form_at((p0, p1q, (c,)), v, H) - _form_at((q,), v, H) / H) / den
 
 
 def _form_at(form: tuple, v, H):

@@ -429,15 +429,27 @@ needs_pinning = pytest.mark.skipif(
     reason="each process sharing the node chunks is pinned to a CPU of its own")
 
 
+@pytest.fixture
+def two_cpus():
+    # the test process on the two lowest CPUs of its mask, so that 2 processes
+    # fill it one to a CPU; its own mask comes back afterwards
+    mask = os.sched_getaffinity(0)
+    pair = set(sorted(mask)[:2])
+    os.sched_setaffinity(0, pair)
+    try:
+        yield pair
+    finally:
+        os.sched_setaffinity(0, mask)
+
+
 @needs_pinning
 @pytest.mark.parametrize("failing", [None, "child", "parent", "fork"], ids=["ok", "child-fails", "parent-fails", "fork-fails"])
-def test_each_process_runs_on_its_own_cpu_and_the_mask_comes_back(failing, monkeypatch):
+def test_each_process_runs_on_its_own_cpu_and_the_mask_comes_back(failing, two_cpus, monkeypatch):
     # each process's chunk waits until the other process has taken one, so
     # each takes exactly one; the parent runs on the mask's first CPU and the
     # child on its second, and the parent's mask comes back on every exit path
     parent = os.getpid()
-    mask = os.sched_getaffinity(0)
-    first, second = sorted(mask)[:2]
+    first, second = sorted(two_cpus)
     gates = {True: os.pipe(), False: os.pipe()}  # keyed by "in the parent"
 
     def work(i):
@@ -464,7 +476,7 @@ def test_each_process_runs_on_its_own_cpu_and_the_mask_comes_back(failing, monke
             os.close(r)
             os.close(w)
     _no_child_left()
-    assert os.sched_getaffinity(0) == mask
+    assert os.sched_getaffinity(0) == two_cpus
     if failing is None:
         assert dict(out) == {True: [first], False: [second]}
     elif failing == "fork":
@@ -472,10 +484,18 @@ def test_each_process_runs_on_its_own_cpu_and_the_mask_comes_back(failing, monke
 
 
 @needs_pinning
-def test_refused_affinity_leaves_the_moments_bit_identical(monkeypatch):
+def test_more_processes_than_cpus_run_unpinned(two_cpus):
+    # 3 processes on 2 CPUs: no CPU is left idle whichever process it holds, so none is pinned
+    with _deadline(60):
+        out = finite_n._shared_map(lambda: sorted(os.sched_getaffinity(0)), [()] * 6, 3)
+    _no_child_left()
+    assert out == [sorted(two_cpus)] * 6 and os.sched_getaffinity(0) == two_cpus
+
+
+@needs_pinning
+def test_refused_affinity_leaves_the_moments_bit_identical(two_cpus, monkeypatch):
     # a cpuset that refuses every CPU: each process runs unpinned, with the same bits
     moments = _validate_moments(Fraction(2, 25), 4)
-    mask = os.sched_getaffinity(0)
     monkeypatch.setattr(finite_n, "_process_count", lambda nodes: 1)
     want = moments()
     calls = []
@@ -489,8 +509,8 @@ def test_refused_affinity_leaves_the_moments_bit_identical(monkeypatch):
     with _deadline(60):
         assert moments() == want
     _no_child_left()
-    # the parent tried its CPU, then its whole mask, and its mask on the way out
-    assert calls == [{min(mask)}, mask, mask] and os.sched_getaffinity(0) == mask
+    # the parent tried its CPU, and its mask on the way out
+    assert calls == [{min(two_cpus)}, two_cpus] and os.sched_getaffinity(0) == two_cpus
 
 
 @pytest.mark.parametrize("u, rule, nodes", [

@@ -330,3 +330,19 @@ def test_order_1_on_the_far_root(w_text):
     with workdps(120):
         want = g2_closed_form_at(slice_root(w_exact, H), w_exact)
     assert min(agreement_digits(a, b) for a, b in zip(got, want)) >= 40
+
+
+@pytest.mark.parametrize("m, i", [(m, i) for m, p in enumerate(hierarchy.B1_FORM) for i in range(len(p))])
+def test_every_b1_form_coefficient_reaches_order_1_at(m, i, monkeypatch):
+    # one unit added to any coefficient of B1_FORM, the constant of its H^2
+    # member included, moves order_1_at's b_1 by v^i H^m / (1 - 108 v^2)^2
+    form = [list(p) for p in hierarchy.B1_FORM]
+    form[m][i] += 1
+    with workdps(60):
+        w = mp.mpf(1) / 2000
+        H = slice_root(w, 1)
+        v = 18 * w
+        before = order_1_at(H, w)[1]
+        monkeypatch.setattr(hierarchy, "B1_FORM", tuple(map(tuple, form)))
+        moved = order_1_at(H, w)[1] - before
+        assert agreement_digits(moved, v**i * H**m / (1 - 108 * v * v) ** 2) >= 40

@@ -11,10 +11,10 @@ x = b0/u with b0 = (H - 1)/(6 H), and the half-width is y = 2 sqrt(H), so
 x solves 18 u^2 x^3 - 9 u x^2 + x - 6 u = 0.  z0 = 1/(3u) - x is the extra
 zero of h.  One-cut regularity (z0 > b) holds up to the critical coupling
 u_c = 3^(1/4)/18, where z0 collides with b and H reaches the slice's double
-root sqrt(3).  This module solves for the endpoints, numerically from
-``hierarchy``'s slice root and b0 at a point and as series in u^2 read off
-its exact leading pair, and samples the effective potential along the
-contour tails; it does not evaluate rho itself.
+root sqrt(3).  This module solves for the endpoints, at a point from
+``hierarchy``'s slice root and b0 and as series in u^2 off its exact leading
+pair; it samples the effective potential along the contour tails, exactly
+where binary64 leaves a sign or a minimum open, and does not evaluate rho.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def solve_endpoints(u, precision: int) -> EquilibriumData:
             # next to u_c the root sits next to that double root and loses
             # about half the digits of 1 - u/u_c; add what the 20 guard
             # digits do not cover, which is nothing while 1 - u/u_c > 1e-30
-            extra = max(0, int(mp.ceil(-mp.log10(1 - u / uc) / 2)) - 15)
+            extra = max(0, int(mp.ceil(-mp.log10(1 - u / uc) / 2)) - 15) if 1 - u / uc < 1e-29 else 0
         with workdps(dps + 20 + extra):
             if not critical:
                 w = u * u
@@ -152,12 +152,14 @@ class PhiReport(NamedTuple):
 
 
 def _tail_samples(eq: EquilibriumData, samples: int, zmax: float, bits: int) -> tuple:
-    """(left, gap, ray): lists of (Re z, Im z, Re phi) at the sample points, as
-    fixed-point integers with `bits` fraction bits.
+    """(left, gap, ray, re_phi): the samples (Re z, Im z, v, d, q) of each tail and the exact evaluator.
 
-    u enters through its exact mantissa and exponent, so it keeps its relative
-    digits however small it is.  Each left or gap sample pays one isqrt and one
-    mpf_log, each ray sample two isqrts and one mpf_log; each log-spaced grid
+    z is fixed point with `bits` fraction bits, as is re_phi(*q), the sample's
+    Re phi, at one mpf_log a call; v is Re phi in binary64 from the same t and
+    S, within d = 2^-40 (1 + its four terms' sizes) of it, and d is inf or nan
+    where binary64 overflows.  u enters through its exact mantissa and
+    exponent, so it keeps its relative digits however small it is.  Each left
+    or gap sample pays one isqrt, each ray sample two; each log-spaced grid
     takes one mpf ratio.  gap is empty when z0 - b is below working tolerance
     (the critical coupling).  The ray needs zmax > z0 * sqrt(3) / 2 to reach
     |z| = zmax; phi_check passes zmax >= 4 z0.
@@ -170,6 +172,7 @@ def _tail_samples(eq: EquilibriumData, samples: int, zmax: float, bits: int) -> 
     _, u_man, u_exp, _ = eq.u._mpf_  # u < 1, so u_exp < 0
     h0 = one - (6 * u_man * x >> -u_exp)
     log_y = to_fixed(mpf_log(eq.y._mpf_, bits), bits)
+    h0f, uf, log_yf = h0 / one, float(eq.u), log_y / one
 
     def re_phi(tr, ti, sr, si):
         # Re(h0 t S/4 - u S^3/2) - log|t + S| + log y, with log|q| = log(|q|^2)/2
@@ -177,6 +180,12 @@ def _tail_samples(eq: EquilibriumData, samples: int, zmax: float, bits: int) -> 
         poly = (h0 * ((tr * sr - ti * si) >> bits) >> (bits + 2)) - (u_man * cube >> (1 - u_exp))
         qr, qi = tr + sr, ti + si
         return poly - (to_fixed(mpf_log(from_man_exp(qr * qr + qi * qi, -2 * bits), bits), bits) >> 1) + log_y
+
+    def sample(zr, zi, *q):  # each binary64 operation errs by a few 2^-53 of the terms' sizes, far inside d
+        t, s = complex(q[0] / one, q[1] / one), complex(q[2] / one, q[3] / one)
+        ts = t + s  # |t + S| by hypot, which overflows to inf where abs() would raise
+        terms = h0f * (t * s).real / 4, -uf * (s * s * s).real / 2, -math.log(math.hypot(ts.real, ts.imag)), log_yf
+        return zr, zi, sum(terms), 2**-40 * (1 + sum(map(abs, terms))), q
 
     def logspace(lo, hi):
         ratio = to_fixed(mp.root(mp.mpf(hi) / lo, samples - 1)._mpf_, bits)
@@ -191,7 +200,7 @@ def _tail_samples(eq: EquilibriumData, samples: int, zmax: float, bits: int) -> 
         out = []
         for d in ds:
             t, s = y + d, math.isqrt(d * (d + 2 * y))
-            out.append((z_at + sign * d, 0, re_phi(sign * t, 0, sign * s, 0)))
+            out.append(sample(z_at + sign * d, 0, sign * t, 0, sign * s, 0))
         return out
 
     # left tail z = a - d; gap (b, z0) from b rightward
@@ -216,8 +225,8 @@ def _tail_samples(eq: EquilibriumData, samples: int, zmax: float, bits: int) -> 
         ea, eb = zr - a, zr - b
         wr, wi = (ea * eb - zi * zi) >> bits, zi * (ea + eb) >> bits
         sr = math.isqrt((math.isqrt(wr * wr + wi * wi) + wr) << (bits - 1))
-        ray.append((zr, zi, re_phi(zr - x, zi, sr, (wi << (bits - 1)) // sr)))
-    return left, gap, ray
+        ray.append(sample(zr, zi, zr - x, zi, sr, (wi << (bits - 1)) // sr))
+    return left, gap, ray, re_phi
 
 
 def _point(sample, bits: int, dps: int) -> dict:
@@ -251,10 +260,12 @@ def phi_check(eq: EquilibriumData, samples: int, zmax: float) -> PhiReport:
 
     The samples are evaluated in fixed point at the working precision
     (dps + 15 digits) plus _PHI_GUARD bits; each Re phi is good to a few
-    units in its last fraction bit times its largest term.  The sign test,
-    the worst sample of each tail and the fit's sample choice read those
-    integers, and only the reported values become mpf, each a BigFloat at
-    eq.dps in the shape the CLI prints.
+    units in its last fraction bit times its largest term, and costs one
+    mpf_log, paid only where Re phi in binary64 and its error bound leave the
+    sign or the tail's minimum open, and at the fit's two samples.  The sign
+    test, the worst sample of each tail and the fit read those integers, as
+    if every sample were exact; only the reported values become mpf, each a
+    BigFloat at eq.dps in the shape the CLI prints.
 
     Also fits the cubic growth coefficient of Re phi2 on the ray (two-radius
     difference at |z| = zmax/2 and zmax/4) and reports it against -u/2 (what
@@ -278,15 +289,10 @@ def phi_check(eq: EquilibriumData, samples: int, zmax: float) -> PhiReport:
             raise ValueError(f"z0={eq.z0} puts zmax = 4 z0 past the float range")
     with workdps(eq.dps + 15):
         bits = mp.prec + _PHI_GUARD
-        left, gap, ray = _tail_samples(eq, samples, zmax, bits)
-
-        tails = (("left", left), ("gap", gap), ("ray", ray))
-        violations = tuple(
-            {"segment": name, **_point(p, bits, eq.dps)} for name, pts in tails for p in pts if not p[2] > 0
-        )
+        left, gap, ray, re_phi = _tail_samples(eq, samples, zmax, bits)
 
         # growth fit, differencing the two ray samples nearest |z| = zmax/2, zmax/4
-        moduli = [math.isqrt(zr * zr + zi * zi) for zr, zi, _ in ray]
+        moduli = [math.isqrt(zr * zr + zi * zi) for zr, zi, *_ in ray]
         zm = to_fixed(mp.mpf(zmax)._mpf_, bits)
 
         def nearest(target):
@@ -299,6 +305,18 @@ def phi_check(eq: EquilibriumData, samples: int, zmax: float) -> PhiReport:
                 f"up to zmax={zmax}); raise samples for the growth fit"
             )
 
+        def settle(pts, keep=()):
+            # {index: (Re z, Im z, exact Re phi)} at `keep` and wherever v > d does not certify
+            # Re phi > 0 or v - d is not above the tail's least v + d, a bound on its minimum
+            top = min((v + d for _, _, v, d, _ in pts if d < math.inf), default=-math.inf)
+            return {i: (zr, zi, re_phi(*q)) for i, (zr, zi, v, d, q) in enumerate(pts) if i in keep or not v > d or v - d <= top}
+
+        left, gap, ray = settle(left), settle(gap), settle(ray, (hi, lo))
+        tails = (("left", left), ("gap", gap), ("ray", ray))
+        violations = tuple(
+            {"segment": name, **_point(p, bits, eq.dps)} for name, pts in tails for p in pts.values() if not p[2] > 0
+        )
+
         def re_cube(zr, zi, _):  # Re z^3 at 2 * bits fraction bits
             return zr * ((zr * zr - 3 * zi * zi) >> bits)
 
@@ -307,7 +325,7 @@ def phi_check(eq: EquilibriumData, samples: int, zmax: float) -> PhiReport:
         vs_third = abs(growth / (-eq.u / 3) - 1)
 
         def worst(pts):
-            return _point(min(pts, key=lambda p: p[2]), bits, eq.dps)
+            return _point(min(pts.values(), key=lambda p: p[2]), bits, eq.dps)
 
         return PhiReport(
             all_positive=not violations,

@@ -29,6 +29,7 @@ order 1 off it; ``equilibrium`` and ``finite_n`` take the slice from there.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import zip_longest
 from typing import NamedTuple, Sequence
@@ -157,14 +158,15 @@ def slice_root(w, near):
     the two roots besides the negative one, the one nearer `near` (the continued branch).
 
     With c = 72 w, c H^3 - H^2 + 1 rises and is concave on H < 0, from -c at
-    H = -1 to 1 at 0, so Newton from -1 climbs to the negative root r without
-    overshooting, until a step falls below 2^10 eps |r|, plus one step.  The
-    other two roots solve H^2 - s H + p, s = 1/c - r > 0, p = -1/(c r), as
-    q = (s + sqrt(s^2 - 4p))/2 and p/q, which forms no difference of nearly
-    equal roots.  The one nearer `near` gets two Newton steps (a fixed count:
-    near the double root H = sqrt(3) at w_c = u_c^2 a step's rounding noise can
-    exceed any tolerance a stopping rule would use) and is rounded once, at the
-    working precision; a real root comes back as mpf.
+    H = -1 to 1 at 0, so Newton from left of the negative root r climbs to it
+    without overshooting: in binary64 from -1, then from that root times
+    1 + 2^-40 (from -1 where c is 0 or inf in binary64) until a step falls
+    below 2^10 eps |r|, plus one step.  The other two roots solve H^2 - s H + p,
+    s = 1/c - r > 0, p = -1/(c r), as q = (s + sqrt(s^2 - 4p))/2 and p/q, which
+    forms no difference of nearly equal roots.  The one nearer `near` gets two
+    Newton steps (a fixed count: near the double root H = sqrt(3) at w_c = u_c^2
+    a step's rounding noise can exceed any tolerance a stopping rule would use)
+    and is rounded once, at the working precision; a real root comes back as mpf.
     """
     from mpmath import extraprec, mp
 
@@ -172,11 +174,14 @@ def slice_root(w, near):
     with extraprec(20):
         c = 72 * w
 
-        def newton(h):
+        def newton(h, c=c):
             return h - ((c * h - 1) * h * h + 1) / ((3 * c * h - 2) * h)
 
-        r = mp.mpf(-1)
-        for _ in range(mp.prec):
+        r, cf = -1.0, float(c)
+        while 0 < cf < math.inf and (h := newton(r, cf)) > r:
+            r = h
+        r = mp.mpf(r * (1 + 2**-40) if r > -1 else r)
+        for _ in range(mp.prec + max(0, mp.mag(c))):  # from -1 at large c a step gains a factor 3/2
             r, last = newton(r), r
             if r - last < tol * -r:
                 break
@@ -186,8 +191,8 @@ def slice_root(w, near):
         s, p = 1 / c - r, -1 / (c * r)
         q = (s + mp.sqrt(s * s - 4 * p)) / 2
         h = newton(newton(min((q, p / q), key=lambda h: abs(h - near))))
-    # as mp.polyroots does, an imaginary part below eps is rounding noise on a real root
-    return +h.real if abs(mp.im(h)) < mp.eps else +h
+    # an imaginary part below eps |h| is rounding noise on a real root
+    return +h.real if abs(mp.im(h)) < mp.eps * abs(h) else +h
 
 
 def slice_b0(H, w):

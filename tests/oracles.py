@@ -19,19 +19,21 @@ The package itself never calls them.  By layer:
   amplitudes C_2k and of w_c from the high-order series coefficients;
 * wick: a whole-matching classifier of faces, components and genus, with
   its own rotation, for any even vertex count;
-* finite_n and equilibrium: the moment-table inner product and the
-  equilibrium density rho(z).
+* finite_n and equilibrium: the moment-table inner product, the
+  equilibrium density rho(z), and ``phi_check`` with every sample exact,
+  the route before binary64 screened the samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, isfinite, isqrt, lcm
 
 from mpmath import mp, workdps
+from mpmath.libmp import to_fixed
 
-from cubicmaps.equilibrium import EquilibriumData
+from cubicmaps.equilibrium import _PHI_GUARD, EquilibriumData, PhiReport, _point, _tail_samples
 from cubicmaps.finite_n import _QUAD_GUARD
 from cubicmaps.hierarchy import StringHierarchy
 from cubicmaps.numbers import BETA, SQRT3, Qbeta, gamma_exact
@@ -542,3 +544,61 @@ def density_at(eq: EquilibriumData, z):
         z = mp.mpmathify(z)
         h = 1 - 3 * eq.u * eq.x - 3 * eq.u * z
         return _sqrt_r(z, eq.a, eq.b) * h / (2 * mp.pi * mp.mpc(0, 1))
+
+
+def phi_check_all_exact(eq: EquilibriumData, samples: int, zmax: float) -> PhiReport:
+    """``phi_check`` with the exact fixed-point Re phi (one mpf_log) at every sample point:
+    the sign test, each tail's first minimal sample and the growth fit read all of them."""
+    if not (0 < eq.u):
+        raise ValueError("phi_check needs u > 0")
+    if eq.z0 == mp.inf:
+        raise ValueError("no finite z0 at u = 0")
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
+    if not (isfinite(zmax) and zmax > 0):
+        raise ValueError("zmax must be finite and positive")
+    if zmax < 4 * eq.z0:
+        zmax = float(4 * eq.z0)
+        if mp.isinf(zmax):
+            raise ValueError(f"z0={eq.z0} puts zmax = 4 z0 past the float range")
+    with workdps(eq.dps + 15):
+        bits = mp.prec + _PHI_GUARD
+        *fixed, re_phi = _tail_samples(eq, samples, zmax, bits)
+        left, gap, ray = ([(zr, zi, re_phi(*q)) for zr, zi, _, _, q in pts] for pts in fixed)
+        tails = (("left", left), ("gap", gap), ("ray", ray))
+        violations = tuple(
+            {"segment": name, **_point(p, bits, eq.dps)} for name, pts in tails for p in pts if not p[2] > 0
+        )
+        moduli = [isqrt(zr * zr + zi * zi) for zr, zi, _ in ray]
+        zm = to_fixed(mp.mpf(zmax)._mpf_, bits)
+
+        def nearest(target):
+            return min(range(len(ray)), key=lambda i: abs(moduli[i] - target))
+
+        hi, lo = nearest(zm >> 1), nearest(zm >> 2)
+        if hi == lo:
+            raise ValueError(
+                f"the ray samples nearest |z| = zmax/2 and zmax/4 coincide ({samples} samples "
+                f"up to zmax={zmax}); raise samples for the growth fit"
+            )
+
+        def re_cube(zr, zi, _):
+            return zr * ((zr * zr - 3 * zi * zi) >> bits)
+
+        growth = mp.mpf((ray[hi][2] - ray[lo][2], -bits)) / mp.mpf((re_cube(*ray[hi]) - re_cube(*ray[lo]), -2 * bits))
+
+        def worst(pts):
+            return _point(min(pts, key=lambda p: p[2]), bits, eq.dps)
+
+        return PhiReport(
+            all_positive=not violations,
+            min_left=worst(left),
+            min_gap=worst(gap) if gap else None,
+            min_ray=worst(ray),
+            violations=violations,
+            growth_coefficient=BigFloat(growth, eq.dps),
+            vs_half_u=BigFloat(abs(growth / (-eq.u / 2) - 1), eq.dps),
+            vs_third_u=BigFloat(abs(growth / (-eq.u / 3) - 1), eq.dps),
+            samples=samples,
+            zmax=zmax,
+        )

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -18,7 +19,17 @@ from cubicmaps.equilibrium import (
     solve_endpoints,
 )
 from cubicmaps.precision import agreement_digits, as_mp
-from oracles import _sqrt_r, density_at, g0_coefficient, h_power_coefficient, re_phi_terms, series_value
+import oracles
+from cubicmaps import equilibrium
+from oracles import (
+    _sqrt_r,
+    density_at,
+    g0_coefficient,
+    h_power_coefficient,
+    phi_check_all_exact,
+    re_phi_terms,
+    series_value,
+)
 
 
 def test_zero_coupling_is_semicircle():
@@ -226,11 +237,13 @@ def test_phi_check_rejects_bad_sampling(kwargs, message):
 
 
 def _fixed_tails(eq):
-    """phi_check's fixed-point (left, gap, ray) samples at the CLI's defaults (12 samples,
-    zmax 100, or 4 z0 past 25), and their fraction bits."""
+    """phi_check's fixed-point (left, gap, ray) sample points at the CLI's defaults (12 samples,
+    zmax 100, or 4 z0 past 25), each as (Re z, Im z, Re phi) with the exact evaluator's Re phi,
+    and their fraction bits."""
     with workdps(eq.dps + 15):
         bits = mp.prec + _PHI_GUARD
-        return _tail_samples(eq, 12, max(100.0, float(4 * eq.z0)), bits), bits
+        *tails, re_phi = _tail_samples(eq, 12, max(100.0, float(4 * eq.z0)), bits)
+        return [[(zr, zi, re_phi(*q)) for zr, zi, _, _, q in pts] for pts in tails], bits
 
 
 def _decode(sample, bits):
@@ -267,11 +280,15 @@ def test_fixed_point_samples_match_closed_form(u, dps):
                 assert err <= mp.mpf(10) ** -(dps + 5) * max(abs(v) for v in terms), (z, re_phi)
 
 
-def test_phi_check_takes_one_log_per_sample(monkeypatch):
-    # each sample pays one mpf_log, and phi_check one more for log y; each left
-    # or gap sample one isqrt, each ray sample three (|w| and Re S of its root,
-    # and |z| for the growth fit), the setup two (sqrt 3 and the ray's edge).
-    # Nothing in the call takes an mpf square root or hypot or an mpc product
+def test_phi_check_takes_a_log_only_where_binary64_leaves_a_sample_open(monkeypatch):
+    # binary64 certifies every sample positive and rules out all but one
+    # minimum per tail, so the exact mpf_log is paid by that minimum, by the two
+    # ray samples of the growth fit and once for log y: 6 logs at u = 1/30, 5
+    # at u_c, whose gap is empty (all 36 and 24 samples paid one before).  Each
+    # left or gap sample takes one isqrt, each ray sample three (|w| and Re S of
+    # its root, and |z| for the growth fit), the setup two (sqrt 3 and the
+    # ray's edge).  Nothing in the call takes an mpf square root or hypot or an
+    # mpc product
     calls = {"log": 0, "isqrt": 0}
 
     def counted(name, fn):
@@ -299,8 +316,97 @@ def test_phi_check_takes_one_log_per_sample(monkeypatch):
         finally:
             sys.setprofile(None)
         gap = 0 if eq.critical else 12
-        assert calls == {"log": 12 + gap + 12 + 1, "isqrt": 12 + gap + 3 * 12 + 2}, u
+        assert calls == {"log": 6 if gap else 5, "isqrt": 12 + gap + 3 * 12 + 2}, u
         assert seen == [] and rep.all_positive
+
+
+def _grid_coupling(u, dps):
+    """The equivalence grid's couplings: a Fraction, or u_c (1 - 10^-k) read at 60 more digits."""
+    if not u.startswith("uc"):
+        return Fraction(u)
+    with workdps(dps + 60):
+        return critical_coupling(dps + 60) * (1 - (mp.mpf(10) ** -int(u[3:]) if u != "uc" else 0))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("dps", [15, 40, 100, 200])
+@pytest.mark.parametrize("u", ["1e-308", "1e-300", "1e-30", "1/1000", "1/60", "1/20", "1/14", "uc-20", "uc-31", "uc"])
+def test_phi_check_matches_the_all_exact_route(monkeypatch, u, dps):
+    # the binary64 screen changes which samples pay the exact evaluator, never
+    # the report: field for field that of every sample evaluated exactly.  At
+    # every sample binary64 lies within d/100 of the exact value (the largest
+    # ratio measured on this grid is 4.7e-4), each tail's exact minimum is among
+    # the samples phi_check evaluated exactly, and at u = 1e-300 the far ray
+    # overflows binary64 and its samples go exact undecided; at 1e-308 the
+    # tails reach |z| near 1e308, where |t + S| overflows from finite parts
+    seen = []
+
+    def recorded(*args):
+        left, gap, ray, re_phi = sampled = _tail_samples(*args)
+        seen.append((sampled, set(), args[-1]))
+
+        def exact(*q):
+            seen[-1][1].add(q)
+            return re_phi(*q)
+        return left, gap, ray, exact
+
+    monkeypatch.setattr(equilibrium, "_tail_samples", recorded)
+    eq = solve_endpoints(_grid_coupling(u, dps), dps)
+    undecided = 0
+    for samples, zmax in [(2, 10.0), (3, 10.0), (12, 100.0), (40, 1000.0)]:
+        seen.clear()
+        report = _outcome(phi_check, eq, samples, zmax)
+        assert report == _outcome(phi_check_all_exact, eq, samples, zmax)
+        (*tails, re_phi), paid, bits = seen[0]
+        settled = isinstance(report, equilibrium.PhiReport)  # else the growth fit raised first
+        for pts in tails:
+            if pts and settled:
+                assert min(pts, key=lambda p: re_phi(*p[4]))[4] in paid
+            for *_, v, d, q in pts:
+                assert v > d or q in paid or not settled  # an open sign, undecided ones included, goes exact
+                if not d < math.inf:
+                    undecided += 1
+                    continue
+                assert abs(mp.mpf(v) - mp.mpf((re_phi(*q), -bits))) <= d / 100
+    assert (undecided > 0) == (u in ("1e-308", "1e-300"))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_phi_check_settles_near_ties_binary64_cannot_split(monkeypatch, seed):
+    # the rule alone, on samples no real coupling makes: clusters of exact
+    # values within a few d of each other (exact ties included, for the
+    # first-index tie-break), signs within d of 0 and undecided samples, each
+    # binary64 value anywhere inside its bound.  The report must still be that
+    # of every sample evaluated exactly, at the real sample points
+    rng = random.Random(seed)
+    eq = solve_endpoints(Fraction(1, 20), 40)
+    with workdps(eq.dps + 15):
+        bits = mp.prec + _PHI_GUARD
+        *real, _ = _tail_samples(eq, 12, 100.0, bits)
+    exact, tails = {}, []
+    for t, pts in enumerate(real):
+        base, scale = rng.uniform(-2, 2), 10.0 ** rng.randint(-9, -3)
+        tail = []
+        for k, (zr, zi, *_) in enumerate(pts):
+            e = base + scale * rng.choice([0, 0, 1, rng.uniform(-3, 3), rng.uniform(1, 50)])
+            exact[t, k] = int(e * 2**bits)
+            d = scale * rng.uniform(0.5, 1.5)
+            v = exact[t, k] / 2**bits + rng.uniform(-0.99, 0.99) * d
+            tail.append((zr, zi, *((v, d) if rng.random() > 0.1 else (math.nan, math.inf)), (t, k)))
+        tails.append(tail)
+
+    def synthetic(*args):
+        return (*tails, lambda t, k: exact[t, k])
+
+    monkeypatch.setattr(equilibrium, "_tail_samples", synthetic)
+    monkeypatch.setattr(oracles, "_tail_samples", synthetic)
+    assert phi_check(eq, 12, 100.0) == phi_check_all_exact(eq, 12, 100.0)
 
 
 def test_phi_check_at_critical_coupling_has_an_empty_gap(capsys):

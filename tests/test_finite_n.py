@@ -6,6 +6,7 @@ import math
 import os
 import select
 import signal
+import sys
 import threading
 import time
 from fractions import Fraction
@@ -781,21 +782,28 @@ def _w_crit():
     lambda: (1 + mp.mpf(1) / 8) * (mp.mpf(1) / 16) ** 2,
     lambda: (1 + mp.mpf(1) / 16) * (mp.mpf(1) / 10) ** 2,
     lambda: mp.mpf("1e20"),
+    lambda: mp.mpf("1e-400"),
+    lambda: mp.mpf("1e400"),
 ], ids=["1e-200", "1e-60", "1/2000", "1/256", "1/100", "wc-", "wc+", "(2/25)^2", "(1/5)^2", "9/8*(1/16)^2",
-        "17/16*(1/10)^2", "1e20"])
+        "17/16*(1/10)^2", "1e20", "1e-400", "1e400"])
 def test_slice_roots_match_polyroots(w):
     # slice_root against mp.polyroots at 40 more digits, on both sides of w_c and
     # on half-shifted slices s u^2, s = 1 + 1/(2N); at w = 1e-60 and 1e-200 the
     # roots near -1 and 1 sit about 60 and 200 orders below the third, and at
-    # w = 1e20 (u = 1e10) the climb from -1 runs longest.  Roots of a cubic with
+    # w = 1e20 (u = 1e10) the binary64 climb from -1 runs longest.  At 1e-400
+    # and 1e400, 72 w is 0 and inf in binary64, so the working-precision climb
+    # starts from -1 itself, and at 1e400 runs some 770 steps.  Roots of a cubic with
     # three real roots, and the real root past w_c, carry Im exactly 0: a printed
     # prediction would otherwise come out as re/im
     dps = 40
     with workdps(dps):
         w = w()
     with workdps(dps + 40):
-        # 200 bits more: with 80, Durand-Kerner does not settle at w = 1e-60
-        roots = mp.polyroots([72 * w, -1, 0, 1], extraprec=200)
+        # 200 bits more: with 80, Durand-Kerner does not settle at w = 1e-60.  Past
+        # 72 w = 1 the roots scale as k = (72 w)^(-1/3), so they are read off
+        # X^3 - k^2 X^2 + 1 in H = k X: on the cubic itself it does not settle at w = 1e400
+        k = (72 * w) ** (-mp.mpf(1) / 3) if 72 * w > 1 else 1
+        roots = [k * h for h in mp.polyroots([72 * w * k**3, -k * k, 0, 1], extraprec=200)]
     r = min(roots, key=lambda h: mp.re(h))  # the negative root; the pair has Re = (1/(72 w) - r)/2 > 0
     pair = [h for h in roots if h is not r]
     with workdps(dps):
@@ -812,6 +820,31 @@ def test_slice_roots_match_polyroots(w):
         else:
             assert w > _w_crit()
     assert sum(1 for h in roots if mp.im(h) == 0) in (1, 3)
+
+
+@pytest.mark.parametrize("dps", [40, 60])
+def test_seeded_slice_climb_takes_at_most_five_working_precision_steps(dps):
+    # the binary64 root, nudged left by a relative 2^-40, leaves the climb at
+    # the working precision about 40 bits to double from: at w = (1/30)^2, where
+    # equilibrium reads u = 1/30 at dps 60, it takes 4 and 5 Newton steps at
+    # dps 40 and 60 before the two final ones (7 and 8 from -1)
+    steps = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "newton" and not isinstance(frame.f_locals["h"], float):
+            steps.append(frame.f_locals["h"])
+
+    with workdps(dps):
+        w = (mp.mpf(1) / 30) ** 2
+        sys.setprofile(profile)
+        try:
+            H = slice_root(w, 1)
+        finally:
+            sys.setprofile(None)
+        assert abs(72 * w * H**3 - H**2 + 1) < mp.mpf(10) ** -(dps - 2)
+    seed = steps[0]
+    assert 2 < len(steps) <= 5 + 2
+    assert -1 < seed < -0.9 and 72 * w * seed**3 - seed**2 + 1 < 0  # left of the negative root
 
 
 def test_shifted_time_identities():

@@ -11,20 +11,23 @@ module runs the recursion in k on the integers Y_k and lifts each order
 into the field once.  Every order is checked in Q[beta] against the
 critically singular 2x2 system, solved by Cramer.  The record keeps the
 Y_k beside the field elements.  The signs of the C_2k, the growth constants
-K_2g of the genus-g map counts and each count's large-j estimate are read
-off them.  Termwise, the amplitudes' generating function satisfies a
-Painleve-I type equation, checked with no floats; two identities in Q[beta]
-check it against the source's rescaling (c, lambda) to the standard form
-Y'' = 6 Y^2 + tau, whose constants are taken as given.
+K_2g of the genus-g map counts (one integer ratio each, rounded once) and
+each count's large-j estimate are read off them.  Termwise, the
+amplitudes' generating function satisfies a Painleve-I type equation,
+checked with no floats; two identities in Q[beta] check it against the
+source's rescaling (c, lambda) to the standard form Y'' = 6 Y^2 + tau,
+whose constants are taken as given.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from math import factorial, gcd
 from typing import NamedTuple
 
-from .numbers import BETA, SQRT3, W_CRITICAL, Qbeta, _qbeta, gamma_exact
-from .precision import BigFloat, as_mp
+from .numbers import BETA, SQRT3, W_CRITICAL, Qbeta, _qbeta
+from .precision import BigFloat
 
 G0_AT_CRITICAL = Fraction(1, 108)
 B0_AT_CRITICAL = Qbeta((Fraction(1, 6), 0, Fraction(-1, 36), 0))  # (3 - sqrt(3))/18
@@ -152,33 +155,47 @@ def run_C_recursion(G: int) -> CriticalConstants:
     return CriticalConstants(G=G, Y=tuple(y), C=tuple(c_list), D=tuple(d_list), signs=signs)
 
 
-def _amplitude_exact(y: int, g: int) -> tuple[Fraction, int]:
-    """Reduce 6*3^(1/4) C_2g / (Gamma((5g-1)/2) u_c^g) to (q, n): K = q (6 pi)^(n/2).
-
-    With C_2g = Y_g beta^(1-g) / (18 576^g) and u_c = 3^(1/4)/18 this is
-    K_2g = Y_g 6^((1-g)/2) / (3 32^g Gamma((5g-1)/2)), from the integer
-    y = Y_g.  For odd g the Gamma value is rational and so is K; for even g
-    it is r sqrt(pi) and the remaining sqrt(6) / sqrt(pi) makes K rational
-    over sqrt(6 pi).
-    """
-    r = gamma_exact(Fraction(5 * g - 1, 2))
+def _amplitude_ratio(y: int, g: int) -> tuple[int, int]:
+    """K_2g = 6 3^(1/4) C_2g / (Gamma((5g-1)/2) u_c^g) as (num, den) in lowest terms,
+    over sqrt(6 pi) for even g, from y = Y_g: with C_2g = Y_g beta^(1-g) / (18 576^g) and
+    u_c = 3^(1/4)/18, K_2g = Y_g 6^((1-g)/2) / (3 32^g Gamma((5g-1)/2)), where Gamma is
+    ((5g-3)/2)! for odd g and, for even g, (2n)! sqrt(pi) / (4^n n!) at n = 5g/2 - 1
+    (-2 sqrt(pi) at g = 0), so the sqrt(6) / sqrt(pi) left over is 1/sqrt(6 pi)."""
     if g % 2:
-        return Fraction(y, 3 * 32**g * 6 ** ((g - 1) // 2)) / r, 0
-    return Fraction(2 * y, 32**g * 6 ** (g // 2)) / r, -1
+        num, den = y, 3 * 32**g * 6 ** ((g - 1) // 2) * factorial((5 * g - 3) // 2)
+    elif g:
+        n = 5 * g // 2 - 1
+        num, den = 2 * y * 4**n * factorial(n), 32**g * 6 ** (g // 2) * factorial(2 * n)
+    else:
+        num, den = -y, 1
+    d = gcd(num, den)
+    return num // d, den // d
+
+
+@cache
+def _sqrt_6pi(prec: int):
+    """sqrt(6 pi) as mp.sqrt(6 * mp.pi) gives it at prec bits, computed once per prec."""
+    from mpmath import mp, workprec
+
+    with workprec(prec):
+        return mp.sqrt(6 * mp.pi)
 
 
 def compute_K(consts: CriticalConstants, g: int, precision: int) -> BigFloat:
-    """Leading large-size amplitude of the genus-g count coefficients."""
-    from mpmath import mp, workdps
+    """Leading large-size amplitude of the genus-g count coefficients: ``_amplitude_ratio``
+    at precision + 10 digits, as mp.mpf(num) / den rounds it there (num rounded, then
+    one division), over sqrt(6 pi) at that precision for even g."""
+    from mpmath import mp
+    from mpmath.libmp import dps_to_prec, from_int, mpf_div, round_nearest
 
     if not 0 <= g <= consts.G:
         raise ValueError(f"genus {g} outside computed range 0..{consts.G}")
-    q, n = _amplitude_exact(consts.Y[g], g)
-    with workdps(precision + 10):
-        v = as_mp(q)
-        if n == -1:
-            v = v / mp.sqrt(6 * mp.pi)
-    return BigFloat(v, precision)
+    num, den = _amplitude_ratio(consts.Y[g], g)
+    prec = dps_to_prec(precision + 10)
+    v = mpf_div(from_int(num, prec, round_nearest), from_int(den), prec, round_nearest)
+    if g % 2 == 0:
+        v = mpf_div(v, _sqrt_6pi(prec)._mpf_, prec, round_nearest)
+    return BigFloat(mp.make_mpf(v), precision)
 
 
 def log_count_estimate(g: int, j: int, precision: int):

@@ -13,8 +13,9 @@ zero of h.  One-cut regularity (z0 > b) holds up to the critical coupling
 u_c = 3^(1/4)/18, where z0 collides with b and H reaches the slice's double
 root sqrt(3).  This module solves for the endpoints, at a point from
 ``hierarchy``'s slice root and b0 and as series in u^2 off its exact leading
-pair; it samples the effective potential along the contour tails, exactly
-where binary64 leaves a sign or a minimum open, and does not evaluate rho.
+pair; it samples the effective potential along the contour tails, its
+polynomial part exact and its log in binary64, and takes the log exactly
+where that leaves a sign or a minimum open.  It does not evaluate rho.
 """
 
 from __future__ import annotations
@@ -154,13 +155,14 @@ class PhiReport(NamedTuple):
 def _tail_samples(eq: EquilibriumData, samples: int, zmax: float, bits: int) -> tuple:
     """(left, gap, ray, re_phi): the samples (Re z, Im z, v, d, q) of each tail and the exact evaluator.
 
-    z is fixed point with `bits` fraction bits, as is re_phi(*q), the sample's
-    Re phi, at one mpf_log a call; v is Re phi in binary64 from the same t and
-    S, within d = 2^-40 (1 + its four terms' sizes) of it, and d is inf or nan
-    where binary64 overflows.  u enters through its exact mantissa and
-    exponent, so it keeps its relative digits however small it is.  Each left
-    or gap sample pays one isqrt, each ray sample two; each log-spaced grid
-    takes one mpf ratio.  gap is empty when z0 - b is below working tolerance
+    z is fixed point with `bits` fraction bits, as are re_phi(*q), the sample's
+    Re phi at one mpf_log a call, v and d: v is Re phi with its polynomial
+    part exact and log|t + S| taken in binary64 from the exact integer
+    |t + S|^2 = n, within a few 2^-52 ln n of it, and d = 2^-40 (2 + ln n)
+    bounds |v - Re phi| at any size of z, so no sample overflows.  u enters
+    through its exact mantissa and exponent, so it keeps its relative digits
+    however small it is.  Each left or gap sample pays one isqrt, each ray
+    sample two; each log-spaced grid takes one mpf ratio.  gap is empty when z0 - b is below working tolerance
     (the critical coupling).  The ray needs zmax > z0 * sqrt(3) / 2 to reach
     |z| = zmax; phi_check passes zmax >= 4 z0.
     """
@@ -172,20 +174,20 @@ def _tail_samples(eq: EquilibriumData, samples: int, zmax: float, bits: int) -> 
     _, u_man, u_exp, _ = eq.u._mpf_  # u < 1, so u_exp < 0
     h0 = one - (6 * u_man * x >> -u_exp)
     log_y = to_fixed(mpf_log(eq.y._mpf_, bits), bits)
-    h0f, uf, log_yf = h0 / one, float(eq.u), log_y / one
+    ln_one = bits * math.log(2)
 
-    def re_phi(tr, ti, sr, si):
-        # Re(h0 t S/4 - u S^3/2) - log|t + S| + log y, with log|q| = log(|q|^2)/2
+    def re_phi(poly, n):
+        # Re(h0 t S/4 - u S^3/2) + log y - log|t + S|, with log|t + S| = log(n)/2
+        return poly - (to_fixed(mpf_log(from_man_exp(n, -2 * bits), bits), bits) >> 1)
+
+    def sample(zr, zi, tr, ti, sr, si):
         cube = sr * ((sr * sr - 3 * si * si) >> bits) >> bits
-        poly = (h0 * ((tr * sr - ti * si) >> bits) >> (bits + 2)) - (u_man * cube >> (1 - u_exp))
+        poly = (h0 * ((tr * sr - ti * si) >> bits) >> (bits + 2)) - (u_man * cube >> (1 - u_exp)) + log_y
         qr, qi = tr + sr, ti + si
-        return poly - (to_fixed(mpf_log(from_man_exp(qr * qr + qi * qi, -2 * bits), bits), bits) >> 1) + log_y
-
-    def sample(zr, zi, *q):  # each binary64 operation errs by a few 2^-53 of the terms' sizes, far inside d
-        t, s = complex(q[0] / one, q[1] / one), complex(q[2] / one, q[3] / one)
-        ts = t + s  # |t + S| by hypot, which overflows to inf where abs() would raise
-        terms = h0f * (t * s).real / 4, -uf * (s * s * s).real / 2, -math.log(math.hypot(ts.real, ts.imag)), log_yf
-        return zr, zi, sum(terms), 2**-40 * (1 + sum(map(abs, terms))), q
+        n = qr * qr + qi * qi
+        ln_n = math.log(n)  # n is 2^(2 bits) |t + S|^2 > 1, so the bound is positive
+        v = poly - (int((ln_n / 2 - ln_one) * 2.0**62) << (bits - 62))
+        return zr, zi, v, (2 + int(ln_n)) << (bits - 40), (poly, n)
 
     def logspace(lo, hi):
         ratio = to_fixed(mp.root(mp.mpf(hi) / lo, samples - 1)._mpf_, bits)
@@ -261,10 +263,10 @@ def phi_check(eq: EquilibriumData, samples: int, zmax: float) -> PhiReport:
     The samples are evaluated in fixed point at the working precision
     (dps + 15 digits) plus _PHI_GUARD bits; each Re phi is good to a few
     units in its last fraction bit times its largest term, and costs one
-    mpf_log, paid only where Re phi in binary64 and its error bound leave the
-    sign or the tail's minimum open, and at the fit's two samples.  The sign
-    test, the worst sample of each tail and the fit read those integers, as
-    if every sample were exact; only the reported values become mpf, each a
+    mpf_log, paid only where Re phi with its log in binary64 and that log's
+    error bound leave the sign or the tail's minimum open, and at the fit's
+    two samples.  The sign test, the worst sample of each tail and the fit
+    read those integers, as if every sample were exact; only the reported values become mpf, each a
     BigFloat at eq.dps in the shape the CLI prints.
 
     Also fits the cubic growth coefficient of Re phi2 on the ray (two-radius

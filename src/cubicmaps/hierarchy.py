@@ -160,13 +160,15 @@ def slice_root(w, near):
     With c = 72 w, c H^3 - H^2 + 1 rises and is concave on H < 0, from -c at
     H = -1 to 1 at 0, so Newton from left of the negative root r climbs to it
     without overshooting: in binary64 from -1, then from that root times
-    1 + 2^-40 (from -1 where c is 0 or inf in binary64) until a step falls
-    below 2^10 eps |r|, plus one step.  The other two roots solve H^2 - s H + p,
-    s = 1/c - r > 0, p = -1/(c r), as q = (s + sqrt(s^2 - 4p))/2 and p/q, which
-    forms no difference of nearly equal roots.  The one nearer `near` gets two
-    Newton steps (a fixed count: near the double root H = sqrt(3) at w_c = u_c^2
-    a step's rounding noise can exceed any tolerance a stopping rule would use)
-    and is rounded once, at the working precision; a real root comes back as mpf.
+    1 + 2^-40 until a step falls below 2^10 eps |r|, plus one step.  Where c
+    overflows binary64 the seed is -c^(-1/3), left of r since c r^3 = r^2 - 1,
+    nudged the same way; where c is 0 in binary64 it is -1.  The other two
+    roots solve H^2 - s H + p, s = 1/c - r > 0, p = -1/(c r), as
+    q = (s + sqrt(s^2 - 4p))/2 and p/q, which forms no difference of nearly
+    equal roots.  The one nearer `near` gets two Newton steps (a fixed count:
+    near the double root H = sqrt(3) at w_c = u_c^2 a step's rounding noise
+    can exceed any tolerance a stopping rule would use) and is rounded once,
+    at the working precision; a real root comes back as mpf.
     """
     from mpmath import extraprec, mp
 
@@ -180,8 +182,10 @@ def slice_root(w, near):
         r, cf = -1.0, float(c)
         while 0 < cf < math.inf and (h := newton(r, cf)) > r:
             r = h
+        if cf == math.inf:
+            r = -1 / mp.cbrt(c)
         r = mp.mpf(r * (1 + 2**-40) if r > -1 else r)
-        for _ in range(mp.prec + max(0, mp.mag(c))):  # from -1 at large c a step gains a factor 3/2
+        for _ in range(mp.prec):
             r, last = newton(r), r
             if r - last < tol * -r:
                 break

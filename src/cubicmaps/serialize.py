@@ -10,10 +10,10 @@ identical bytes.  ``encode_value`` is the one tagger the CLI calls: a
 record goes through it as ``_asdict()``, so its field order is its key order.
 
 An exact leaf is an ``ExactLeaf``, a dict that ``dump_json`` writes in one
-piece from one template per indent (``_leaf_template``); ``ExactRecords``
-writes a whole array of records of ints and exact values from rows of ints
-with one template built on the same leaf text, so a long table such as
-``expand``'s builds no dict and no Fraction per row.
+piece from one template per indent (``_leaf_template``).  A series' or Q(beta)
+element's leaves are an ``ExactRun`` of its integer numerators, and ``expand``'s
+table an ``ExactRecords`` of rows of ints; ``dump_json`` writes either in one
+join of that template, with no dict or Fraction per leaf or row.
 """
 
 from __future__ import annotations
@@ -37,6 +37,25 @@ class ExactLeaf(dict):
     den, equal to that plain dict; ``dump_json`` writes it from num and den alone."""
 
     __slots__ = ()
+
+
+class ExactRun:
+    """nums[i]/den (den > 0) as a JSON array of exact leaves in lowest terms; it reads
+    and compares as that list of ``ExactLeaf`` dicts, and ``dump_json`` writes it in one join."""
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums: tuple, den: int) -> None:
+        self.nums, self.den = nums, den
+
+    def __iter__(self):
+        return map(_exact, self.nums, [self.den] * len(self.nums))
+
+    def __getitem__(self, i):
+        return list(self)[i]
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (list, tuple, ExactRun)) else NotImplemented
 
 
 class ExactRecords:
@@ -73,7 +92,7 @@ def encode_qbeta(x: Qbeta) -> dict:
     return {
         "kind": "exact-algebraic",
         "relation": QBETA_RELATION,
-        "components": [_exact(n, x.denominator) for n in x.numerators],
+        "components": ExactRun(x.numerators, x.denominator),
     }
 
 
@@ -139,7 +158,7 @@ def encode_series(s) -> dict:
         "variable": s.var,
         "offset": s.offset,
         "known_max": s.known_max,
-        "coefficients": [_exact(n, s.denominator) for n in s.numerators],
+        "coefficients": ExactRun(s.numerators, s.denominator),
     }
 
 
@@ -182,6 +201,11 @@ def _write(x, indent: str, out: list) -> None:
             _write(v, inner, out)
             sep = ",\n"
         out.append("\n" + indent + "]" if x else "[]")
+    elif type(x) is ExactRun:  # one gcd and one template per leaf
+        inner, den = indent + "  ", x.den
+        leaf = _leaf_template(inner)
+        leaves = [leaf % (n // g, den // g) for n in x.nums for g in (gcd(n, den),)]
+        out.append("[\n" + inner + (",\n" + inner).join(leaves) + "\n" + indent + "]" if leaves else "[]")
     elif type(x) is ExactRecords:
         out.append(_write_records(x, indent))
     else:
@@ -192,7 +216,7 @@ def dump_json(payload) -> str:
     """``json.dumps(payload, indent=2, ensure_ascii=True) + "\\n"`` in one pass; only
     dicts with str keys, plain lists and tuples, str, int, bool and None, so an
     untagged float or a record such as ``BigFloat`` raises TypeError.  An
-    ``ExactRecords`` value is written as the array of dicts it stands for."""
+    ``ExactRun`` or ``ExactRecords`` value is written as the array of dicts it stands for."""
     out: list = []
     _write(payload, "", out)
     out.append("\n")

@@ -15,8 +15,10 @@ The package itself never calls them.  By layer:
 * cli: the ``expand`` JSON payload as dicts of Fraction leaves, the route
   before its rows were rendered from the series numerators;
 * critical: the numeric value of a Q(beta) element, the amplitude
-  recursion run in Q(beta) itself, and Neville fits of the singular
-  amplitudes C_2k and of w_c from the high-order series coefficients;
+  recursion run in Q(beta) itself, K_2g through a Fraction Gamma value and a
+  sqrt(6 pi) formed at every call (the route before one integer ratio), and
+  Neville fits of the singular amplitudes C_2k and of w_c from the
+  high-order series coefficients;
 * wick: a whole-matching classifier of faces, components and genus, with
   its own rotation, for any even vertex count;
 * finite_n and equilibrium: the moment-table inner product, the
@@ -340,6 +342,30 @@ def critical_amplitudes(G: int) -> tuple[list, list]:
         cross_cc = sum((c[m] * c[k - m] for m in range(1, k)), Qbeta.rational(0))
         c.append(unit * ((5 * k - 6) * (5 * k - 4) * c[k - 1] / 48 + 54 * cross_cc))
     return c, [6 * SQRT3 * x for x in c]
+
+
+def amplitude_exact(y: int, g: int) -> tuple[Fraction, int]:
+    """Reduce 6*3^(1/4) C_2g / (Gamma((5g-1)/2) u_c^g) to (q, n): K = q (6 pi)^(n/2).
+
+    With C_2g = Y_g beta^(1-g) / (18 576^g) and u_c = 3^(1/4)/18 this is
+    K_2g = Y_g 6^((1-g)/2) / (3 32^g Gamma((5g-1)/2)), from the integer
+    y = Y_g, with the Gamma value from ``gamma_exact``.
+    """
+    r = gamma_exact(Fraction(5 * g - 1, 2))
+    if g % 2:
+        return Fraction(y, 3 * 32**g * 6 ** ((g - 1) // 2)) / r, 0
+    return Fraction(2 * y, 32**g * 6 ** (g // 2)) / r, -1
+
+
+def compute_K_fractions(y: int, g: int, precision: int) -> BigFloat:
+    """K_2g from ``amplitude_exact``: the Fraction rounded at precision + 10 digits,
+    then divided by a sqrt(6 pi) formed there for even g."""
+    q, n = amplitude_exact(y, g)
+    with workdps(precision + 10):
+        v = as_mp(q)
+        if n == -1:
+            v = v / mp.sqrt(6 * mp.pi)
+    return BigFloat(v, precision)
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,23 @@ from cubicmaps.critical import (
     B0_AT_CRITICAL,
     G0_AT_CRITICAL,
     CriticalConstants,
-    _amplitude_exact,
+    _amplitude_ratio,
+    _sqrt_6pi,
     compute_K,
     painleve_check,
     run_C_recursion,
 )
 from cubicmaps.hierarchy import build_hierarchy
 from cubicmaps.numbers import BETA, SQRT3, W_CRITICAL, Qbeta
-from oracles import _neville_to_zero, critical_amplitudes, critical_leading, grades, qbeta_value
+from oracles import (
+    _neville_to_zero,
+    amplitude_exact,
+    compute_K_fractions,
+    critical_amplitudes,
+    critical_leading,
+    grades,
+    qbeta_value,
+)
 
 
 @pytest.fixture(scope="module")
@@ -100,26 +109,51 @@ def test_critical_point_identities():
     assert B0_AT_CRITICAL * 6 * g0 + 0 == (g0 - W_CRITICAL) * 1  # b0 = (g0 - w_c)/(6 g0)
 
 
+def _ratio_of(y: int, g: int) -> tuple[Fraction, int]:
+    """``_amplitude_ratio`` in the oracle's shape (q, n): K = q (6 pi)^(n/2)."""
+    num, den = _amplitude_ratio(y, g)
+    return Fraction(num, den), -1 if g % 2 == 0 else 0
+
+
 def test_count_amplitude_reduction(consts):
     # symbolic reduction pinned for low genus; rational whenever g is odd
-    assert _amplitude_exact(consts.Y[0], 0) == (Fraction(1), -1)
-    assert _amplitude_exact(consts.Y[1], 1) == (Fraction(1, 48), 0)
-    assert _amplitude_exact(consts.Y[2], 2) == (Fraction(7, 1440), -1)
-    assert _amplitude_exact(consts.Y[3], 3) == (Fraction(245, 5308416), 0)
-    assert _amplitude_exact(consts.Y[4], 4) == (Fraction(37079, 5337446400), -1)
+    assert _ratio_of(consts.Y[0], 0) == (Fraction(1), -1)
+    assert _ratio_of(consts.Y[1], 1) == (Fraction(1, 48), 0)
+    assert _ratio_of(consts.Y[2], 2) == (Fraction(7, 1440), -1)
+    assert _ratio_of(consts.Y[3], 3) == (Fraction(245, 5308416), 0)
+    assert _ratio_of(consts.Y[4], 4) == (Fraction(37079, 5337446400), -1)
     # oracle: evaluate the defining ratio 6*3^(1/4) C_2g / (Gamma((5g-1)/2) u_c^g)
-    # for every genus the benchmark's critical jobs print, and past them
-    deep = run_C_recursion(40)
+    # for every genus the benchmark's critical jobs print, and past them; the
+    # ratio is in lowest terms over a positive denominator, as the Gamma route's
+    deep = run_C_recursion(60)
+    for g in range(61):
+        num, den = _amplitude_ratio(deep.Y[g], g)
+        q, n = amplitude_exact(deep.Y[g], g)
+        assert (num, den) == (q.numerator, q.denominator) and n == (-1 if g % 2 == 0 else 0)
     with workdps(50):
         u_c = mp.root(3, 4) / 18
         for g in range(41):
             direct = 6 * mp.root(3, 4) * qbeta_value(deep.C[g])
             direct /= mp.gamma(mp.mpf(5 * g - 1) / 2) * u_c**g
-            q, n = _amplitude_exact(deep.Y[g], g)
+            q, n = _ratio_of(deep.Y[g], g)
             folded = mp.mpf(q.numerator) / q.denominator
             if n == -1:
                 folded /= mp.sqrt(6 * mp.pi)
             assert abs(direct - folded) < abs(direct) * mp.mpf(10) ** -45
+
+
+def test_compute_K_matches_the_fraction_route_bit_for_bit():
+    # every genus through 40 at each precision the benchmark and the docs use,
+    # each precision visited twice in a row after another one, so a sqrt(6 pi)
+    # kept from one working precision and read at another changes some mpf
+    deep = run_C_recursion(40)
+    _sqrt_6pi.cache_clear()
+    for precision in (15, 40, 100, 40, 15, 100):
+        for g in range(41):
+            got = compute_K(deep, g, precision)
+            want = compute_K_fractions(deep.Y[g], g, precision)
+            assert got.dps == want.dps == precision
+            assert got.value._mpf_ == want.value._mpf_, (g, precision)
 
 
 def test_count_amplitude_values(consts):
@@ -136,7 +170,7 @@ def test_count_amplitude_values(consts):
     # the closed forms K_0, K_2, K_4 = q (6 pi)^p
     closed = {0: (Fraction(1), Fraction(-1, 2)), 1: (Fraction(1, 48), 0), 2: (Fraction(7, 1440), Fraction(-1, 2))}
     for g, (q, p) in closed.items():
-        qq, n = _amplitude_exact(consts.Y[g], g)
+        qq, n = _ratio_of(consts.Y[g], g)
         assert (qq, Fraction(n, 2)) == (q, p)
     with pytest.raises(ValueError):
         compute_K(consts, consts.G + 1, 40)

@@ -320,6 +320,29 @@ def test_phi_check_takes_a_log_only_where_binary64_leaves_a_sample_open(monkeypa
         assert seen == [] and rep.all_positive
 
 
+def test_phi_check_at_tiny_couplings_takes_no_more_logs_than_at_1e_100(monkeypatch):
+    # Re phi reaches about 1e598 on the far samples at u = 1e-300, past the
+    # binary64 range, yet the screen decides them as it does at u = 1e-100:
+    # the logs paid at 1e-300 and 1e-308 are at most those at 1e-100 (5 each;
+    # 31 when binary64 overflowed), and the report is that of every sample exact
+    calls, mpf_log = {"log": 0}, libmp.mpf_log
+
+    def counted(*args):
+        calls["log"] += 1
+        return mpf_log(*args)
+
+    monkeypatch.setattr(libmp, "mpf_log", counted)
+    logs = {}
+    for u in ("1e-100", "1e-300", "1e-308"):
+        eq = solve_endpoints(Fraction(u), 40)
+        calls["log"] = 0
+        rep = phi_check(eq, 12, 100.0)
+        logs[u] = calls["log"]
+        assert rep == phi_check_all_exact(eq, 12, 100.0), u
+        assert rep.all_positive
+    assert logs["1e-300"] <= logs["1e-100"] and logs["1e-308"] <= logs["1e-100"], logs
+
+
 def _grid_coupling(u, dps):
     """The equivalence grid's couplings: a Fraction, or u_c (1 - 10^-k) read at 60 more digits."""
     if not u.startswith("uc"):
@@ -340,11 +363,13 @@ def _outcome(fn, *args):
 def test_phi_check_matches_the_all_exact_route(monkeypatch, u, dps):
     # the binary64 screen changes which samples pay the exact evaluator, never
     # the report: field for field that of every sample evaluated exactly.  At
-    # every sample binary64 lies within d/100 of the exact value (the largest
-    # ratio measured on this grid is 4.7e-4), each tail's exact minimum is among
-    # the samples phi_check evaluated exactly, and at u = 1e-300 the far ray
-    # overflows binary64 and its samples go exact undecided; at 1e-308 the
-    # tails reach |z| near 1e308, where |t + S| overflows from finite parts
+    # every sample the screen's value, exact but for its binary64 log, lies
+    # within d/100 of the exact value (the largest ratio measured on this grid
+    # is 1.7e-4, at u = 1e-300) and d is finite, so no sample is left
+    # undecided: not at u = 1e-300, where Re phi on the far ray (about 1e598)
+    # is past the binary64 range, nor at 1e-308, where the tails reach |z|
+    # near 1e308.  Each tail's exact minimum is among the samples phi_check
+    # evaluated exactly
     seen = []
 
     def recorded(*args):
@@ -358,7 +383,6 @@ def test_phi_check_matches_the_all_exact_route(monkeypatch, u, dps):
 
     monkeypatch.setattr(equilibrium, "_tail_samples", recorded)
     eq = solve_endpoints(_grid_coupling(u, dps), dps)
-    undecided = 0
     for samples, zmax in [(2, 10.0), (3, 10.0), (12, 100.0), (40, 1000.0)]:
         seen.clear()
         report = _outcome(phi_check, eq, samples, zmax)
@@ -369,12 +393,8 @@ def test_phi_check_matches_the_all_exact_route(monkeypatch, u, dps):
             if pts and settled:
                 assert min(pts, key=lambda p: re_phi(*p[4]))[4] in paid
             for *_, v, d, q in pts:
-                assert v > d or q in paid or not settled  # an open sign, undecided ones included, goes exact
-                if not d < math.inf:
-                    undecided += 1
-                    continue
-                assert abs(mp.mpf(v) - mp.mpf((re_phi(*q), -bits))) <= d / 100
-    assert (undecided > 0) == (u in ("1e-308", "1e-300"))
+                assert v > d or q in paid or not settled  # an open sign goes exact
+                assert d < math.inf and abs(v - re_phi(*q)) <= d / 100  # both fixed point at `bits`
 
 
 @pytest.mark.parametrize("seed", range(6))

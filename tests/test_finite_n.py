@@ -792,7 +792,7 @@ def test_slice_roots_match_polyroots(w):
     # roots near -1 and 1 sit about 60 and 200 orders below the third, and at
     # w = 1e20 (u = 1e10) the binary64 climb from -1 runs longest.  At 1e-400
     # and 1e400, 72 w is 0 and inf in binary64, so the working-precision climb
-    # starts from -1 itself, and at 1e400 runs some 770 steps.  Roots of a cubic with
+    # starts from -1 itself and from -(72 w)^(-1/3).  Roots of a cubic with
     # three real roots, and the real root past w_c, carry Im exactly 0: a printed
     # prediction would otherwise come out as re/im
     dps = 40
@@ -845,6 +845,31 @@ def test_seeded_slice_climb_takes_at_most_five_working_precision_steps(dps):
     seed = steps[0]
     assert 2 < len(steps) <= 5 + 2
     assert -1 < seed < -0.9 and 72 * w * seed**3 - seed**2 + 1 < 0  # left of the negative root
+
+
+@pytest.mark.parametrize("w", ["1e400", "1e4000"])
+def test_slice_climb_past_binary64_starts_next_to_its_root(w):
+    # where 72 w overflows binary64 the climb starts from -(72 w)^(-1/3),
+    # nudged left: at most 8 working-precision Newton steps, the two final
+    # ones included, where the climb from -1 took 769 at w = 1e400
+    steps = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "newton" and not isinstance(frame.f_locals["h"], float):
+            steps.append(frame.f_locals["h"])
+
+    with workdps(40):
+        w = mp.mpf(w)
+        sys.setprofile(profile)
+        try:
+            H = slice_root(w, 1)
+        finally:
+            sys.setprofile(None)
+        k = (72 * w) ** (-mp.mpf(1) / 3)
+        assert isinstance(H, mp.mpc) and abs((H / k) ** 3 + 1) < mp.mpf(10) ** -36  # H^3 near -1/(72 w)
+    seed = steps[0]
+    assert 2 < len(steps) <= 8
+    assert seed < -k and 72 * w * seed**3 - seed**2 + 1 < 0  # left of the negative root, near -k
 
 
 def test_shifted_time_identities():

@@ -10,12 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, workdps
 
+from cubicmaps import cli
 from cubicmaps.cli import main
-from cubicmaps.numbers import BETA, Qbeta
+from cubicmaps.critical import run_C_recursion
+from cubicmaps.hierarchy import build_hierarchy
+from cubicmaps.numbers import BETA, Qbeta, _qbeta
 from cubicmaps.precision import BigFloat
 from cubicmaps.serialize import (
     ExactLeaf,
     ExactRecords,
+    ExactRun,
     _exact,
     dump_csv,
     dump_json,
@@ -107,8 +111,15 @@ _payloads = st.recursive(
 )
 
 
+def _leaf_list(run):
+    # json.dumps meets an ExactRun as an unknown object: it stands for its list of leaf dicts
+    if type(run) is not ExactRun:
+        raise TypeError(f"{type(run).__name__} is not JSON serializable")
+    return list(run)
+
+
 def _reference(x) -> str:
-    return json.dumps(x, indent=2, ensure_ascii=True) + "\n"
+    return json.dumps(x, indent=2, ensure_ascii=True, default=_leaf_list) + "\n"
 
 
 @settings(max_examples=300, deadline=None)
@@ -162,6 +173,10 @@ def test_dump_csv_refuses_cells_it_cannot_write_unquoted(bad):
 @pytest.mark.parametrize("argv", [
     ("hierarchy", "--max-k", "3", "--horizon", "6"),
     ("critical", "--max-genus", "3"),
+    ("critical", "--max-genus", "24", "--precision", "15"),
+    ("critical", "--max-genus", "24", "--precision", "40"),
+    ("critical", "--max-genus", "24", "--precision", "100"),
+    ("hierarchy", "--max-k", "9", "--horizon", "20"),
     ("expand", "--genus", "1", "--max-j", "4", "--format", "json"),
     ("equilibrium", "--u", "1/20"),
     ("validate", "--N", "2", "--u", "1/16", "--precision", "30"),
@@ -171,6 +186,58 @@ def test_cli_json_is_what_json_dumps_prints(capsys, argv):
     assert main(list(argv)) == 0
     out, err = capsys.readouterr()
     assert err == "" and out == _reference(json.loads(out))
+
+
+def _printed(capsys, argv) -> str:
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    return out
+
+
+@pytest.mark.parametrize("k", [0, 5, 12])
+def test_a_planted_amplitude_numerator_changes_its_printed_leaf(capsys, monkeypatch, k):
+    # C_2k is a beta-monomial: its one nonzero numerator off by one must change
+    # the printed bytes, in that component of that amplitude and nowhere else
+    argv = ["critical", "--max-genus", "12", "--precision", "15"]
+    clean = _printed(capsys, argv)
+    consts = run_C_recursion(12)
+    nums, den = list(consts.C[k].numerators), consts.C[k].denominator
+    e = (1 - k) % 4
+    nums[e] += 1
+    planted = consts._replace(C=(*consts.C[:k], _qbeta(*nums, den), *consts.C[k + 1:]))
+    monkeypatch.setattr(cli, "run_C_recursion", lambda G: planted)
+    out = _printed(capsys, argv)
+    assert out != clean and out == _reference(json.loads(out))
+    got, want = json.loads(out), json.loads(clean)
+    leaf = got["amplitudes"][k]["C"]["components"][e]
+    assert Fraction(int(leaf["num"]), int(leaf["den"])) == Fraction(nums[e], den)
+    want["amplitudes"][k]["C"]["components"][e] = leaf
+    assert got == want
+
+
+@pytest.mark.parametrize("member, k, i", [("g_hat", 0, 3), ("b_hat", 2, 0), ("g_hat", 4, 7)])
+def test_a_planted_series_numerator_changes_its_printed_leaf(capsys, monkeypatch, member, k, i):
+    # one numerator of one hierarchy series off by one changes that coefficient's leaf alone
+    argv = ["hierarchy", "--max-k", "4", "--horizon", "8"]
+    clean = _printed(capsys, argv)
+    h = build_hierarchy(4, 8)
+    s = getattr(h, member)[k]
+    nums = list(s.numerators)
+    nums[i] += 1
+    series = list(getattr(h, member))
+    series[k] = from_numerators(s.var, s.offset, nums, s.denominator)
+    planted = h._replace(**{member: tuple(series)})
+    monkeypatch.setattr(cli, "build_hierarchy", lambda max_k, horizon: planted)
+    out = _printed(capsys, argv)
+    assert out != clean and out == _reference(json.loads(out))
+    got, want = json.loads(out), json.loads(clean)
+    leaf = got[member][k]["coefficients"][i]
+    assert Fraction(int(leaf["num"]), int(leaf["den"])) == Fraction(nums[i], s.denominator)
+    want[member][k]["coefficients"][i] = leaf
+    if (member, k) == ("g_hat", 0):  # det = 1 - 108 g_hat[0] reads the planted coefficient too
+        want["det"] = got["det"]
+    assert got == want
 
 
 def test_cli_error_json_is_what_json_dumps_prints(capsys):
